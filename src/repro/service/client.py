@@ -3,17 +3,18 @@
 Two layers:
 
 * :class:`RpcChannel` -- the transport. A small per-address pool of
-  framed TCP connections, each carrying many requests in flight at
-  once: a reader task correlates replies to callers by ``message_id``,
-  writes are coalesced (one ``drain()`` per flush window, not per
-  frame), and idle connections are reaped. New connections negotiate
-  the binary wire codec via the hello handshake and fall back to
-  tagged JSON transparently when the peer predates it (see
-  :mod:`repro.service.wire`). Transport failures (refused, reset,
-  garbage frames) surface as :class:`ServiceRpcError` and drop the
-  connection -- failing every call in flight on it -- while a single
-  call's *timeout* only abandons that call: its late reply, if any, is
-  discarded by message id and the connection keeps serving the rest.
+  framed TCP connections (one ``asyncio.Protocol`` each), carrying many
+  requests in flight at once: ``data_received`` correlates replies to
+  callers by ``message_id``, a request on a pooled connection costs one
+  transport write and one expiry timer -- no task -- and idle
+  connections are reaped. New connections negotiate the binary wire
+  codec via the hello handshake and fall back to tagged JSON when the
+  peer predates it (see :mod:`repro.service.wire`). Transport failures
+  (refused, reset, garbage frames) surface as :class:`ServiceRpcError`
+  and drop the connection -- failing every call in flight on it --
+  while a single call's *timeout* only abandons that call: its late
+  reply, if any, is discarded by message id and the connection keeps
+  serving the rest.
 * :class:`ServiceClient` -- the protocol. Mirrors
   :meth:`repro.core.mechanism.HashLocationMechanism.iagent_request`, the
   paper's §2.3 + §4.3 loop, over the wire: resolve the responsible
@@ -68,7 +69,7 @@ from repro.metrics.trace import Tracer
 from repro.platform.messages import Request, Response
 from repro.platform.naming import AgentId
 from repro.service import wire
-from repro.service.netem import NetemController
+from repro.service.netem import DIR_IN, NetemController
 from repro.service.routing import WRONG_SHARD
 
 __all__ = [
@@ -185,12 +186,6 @@ class LocateAnswer:
 
     node: str
     degraded: bool = False
-
-
-def _consume_task_error(task: "asyncio.Task") -> None:
-    """Swallow an abandoned task's outcome (cancelled hedge losers)."""
-    if not task.cancelled():
-        task.exception()
 
 
 class RttEstimator:
@@ -469,93 +464,140 @@ class ClientCounters:
             setattr(self, name, getattr(self, name) + value)
 
 
-class _Connection:
+class _Connection(asyncio.Protocol):
     """One negotiated framed connection with its in-flight requests.
 
-    The reader task is the only consumer of the socket: it resolves each
-    :class:`Response` to the waiting caller's future by ``message_id``.
-    Replies whose caller already timed out resolve to nobody and are
-    dropped -- a late reply must not wedge or kill the stream. Any
-    transport failure fails every pending future and closes the
-    connection.
+    ``data_received`` is the only consumer of the socket: it settles
+    each :class:`Response` on the waiting caller's future by
+    ``message_id``. Replies whose caller already timed out settle nobody
+    and are dropped -- a late reply must not wedge or kill the stream.
+    Any transport failure fails every pending future and closes the
+    connection. A request is one transport write plus one expiry timer,
+    a reply one future settled: no task is involved.
     """
 
-    def __init__(
-        self,
-        channel: "RpcChannel",
-        addr: Address,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        codec: str,
-    ) -> None:
+    def __init__(self, channel: "RpcChannel", addr: Address) -> None:
         self.channel = channel
         self.addr = addr
-        self.reader = reader
-        self.writer = writer
-        self.codec = codec
-        self.pending: Dict[int, "asyncio.Future[Response]"] = {}
+        #: message id -> (caller's future, expiry timer, op).
+        self.pending: Dict[int, Tuple["asyncio.Future[Any]", Any, str]] = {}
         self.closed = False
-        self.last_used = asyncio.get_event_loop().time()
-        self._drain_task: Optional["asyncio.Task[None]"] = None
-        self.reader_task = asyncio.ensure_future(self._read_loop())
+        self._loop = asyncio.get_running_loop()
+        self.last_used = self._loop.time()
+        #: Owns the connection's codec (JSON until binary is acked).
+        self.decoder = wire.FrameDecoder(max_frame=channel.max_frame)
+        #: The write side: the transport itself, or its netem shim.
+        self._out: Any = None
+        #: Set while the hello handshake awaits its first reply frame.
+        self._hello: Optional["asyncio.Future[None]"] = None
 
     @property
     def in_flight(self) -> int:
         return len(self.pending)
 
-    def send(self, payload: bytes) -> None:
-        """Queue one frame; schedule a single coalesced drain."""
-        self.writer.write(payload)
-        self.last_used = asyncio.get_event_loop().time()
-        if self._drain_task is None or self._drain_task.done():
-            self._drain_task = asyncio.ensure_future(self._drain())
+    def connection_made(self, transport: Any) -> None:
+        netem = self.channel.netem
+        self._out = transport
+        if netem is not None:
+            self._out = netem.wrap(transport, self.addr[1], DIR_IN)
 
-    async def _drain(self) -> None:
+    def data_received(self, data: bytes) -> None:
         try:
-            await self.writer.drain()
-        except (ConnectionError, OSError):
-            pass  # the read loop surfaces transport failures
-
-    async def _read_loop(self) -> None:
-        detail = "connection closed"
-        try:
-            while True:
-                frame = await wire.read_frame(
-                    self.reader, max_frame=self.channel.max_frame, codec=self.codec
-                )
-                if frame is None:
-                    detail = "peer closed the connection"
-                    break
-                if isinstance(frame, Response):
-                    future = self.pending.pop(frame.message_id, None)
-                    if future is not None and not future.done():
-                        future.set_result(frame)
-                    self.last_used = asyncio.get_event_loop().time()
+            for frame in self.decoder.frames(data):
+                if self._hello is not None:
+                    # Anything but a binary ack -- a "json" ack, or the
+                    # bad-envelope error of a pre-handshake peer -- means:
+                    # stay on JSON. Switch before the next frame decodes.
+                    if wire.hello_ack_codec(frame) == wire.CODEC_BINARY:
+                        self.decoder.codec = wire.CODEC_BINARY
+                    if not self._hello.done():
+                        self._hello.set_result(None)
+                    self._hello = None
+                elif type(frame) is Response:
+                    self._settle(frame)
                 # Any other frame is a peer bug; skip it rather than
                 # wedging the stream.
-        except (ConnectionError, OSError, EOFError, wire.WireError) as error:
-            detail = str(error)
-        except asyncio.CancelledError:
-            self.close("connection closed")
-            raise
-        self.close(detail)
+        except wire.WireError as error:
+            self.close(str(error))
+            return
+        self.last_used = self._loop.time()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.close(str(exc) if exc else "peer closed the connection")
+
+    async def negotiate(self) -> None:
+        """Offer the binary codec; stay on JSON unless it is acked."""
+        self._hello = self._loop.create_future()
+        self._out.write(wire.encode_hello())
+        await self._hello
+
+    def request(
+        self, now: float, to: Any, op: str, body: Any, timeout: float
+    ) -> "asyncio.Future[Any]":
+        """Write one request; the future settles with the reply value,
+        a :class:`RemoteOpError`, or the transport's service error."""
+        future: "asyncio.Future[Any]" = self._loop.create_future()
+        request = Request(op=op, body=body)
+        try:
+            payload = wire.encode_frame(
+                {"to": to, "req": request},
+                max_frame=self.channel.max_frame,
+                codec=self.decoder.codec,
+            )
+        except wire.WireError as error:
+            self._fail(future, op, f"failed: {error}")
+            return future
+        message_id = request.message_id
+        timer = self._loop.call_at(now + timeout, self._expire, message_id, timeout)
+        self.pending[message_id] = (future, timer, op)
+        self._out.write(payload)
+        self.last_used = now
+        return future
+
+    def _settle(self, reply: Response) -> None:
+        entry = self.pending.pop(reply.message_id, None)
+        if entry is None:
+            return  # the caller timed out; its late reply is dropped by id
+        future, timer, op = entry
+        timer.cancel()
+        if future.done():
+            return  # the caller was cancelled
+        if reply.error is None:
+            future.set_result(reply.value)
+        else:
+            future.set_exception(RemoteOpError(reply.error))
+        self.channel._trace(op, self.addr, reply.error or "ok")
+
+    def _expire(self, message_id: int, timeout: float) -> None:
+        # Abandon only this call; the connection stays up.
+        future, _, op = self.pending.pop(message_id)
+        self._fail(future, op, f"timed out after {timeout}s", ServiceTimeout)
+
+    def _fail(
+        self,
+        future: "asyncio.Future[Any]",
+        op: str,
+        what: str,
+        error: Callable[..., ServiceRpcError] = ServiceRpcError,
+    ) -> None:
+        if future.done():
+            return  # the caller was cancelled
+        message = f"{op} to {format_addr(self.addr)} {what}"
+        label = "timeout" if error is ServiceTimeout else "transport-error"
+        self.channel._trace(op, self.addr, f"{label}: {message}")
+        future.set_exception(error(message, op=op, addr=self.addr))
 
     def close(self, detail: str = "connection closed") -> None:
         if self.closed:
             return
         self.closed = True
         pending, self.pending = self.pending, {}
-        for future in pending.values():
-            if not future.done():
-                future.set_exception(
-                    ServiceRpcError(
-                        f"rpc to {format_addr(self.addr)} failed: {detail}",
-                        addr=self.addr,
-                    )
-                )
-        if not self.reader_task.done():
-            self.reader_task.cancel()
-        self.writer.close()
+        for future, timer, op in pending.values():
+            timer.cancel()
+            self._fail(future, op, f"failed: {detail}")
+        if self._hello is not None and not self._hello.done():
+            self._hello.set_exception(ServiceRpcError(detail, addr=self.addr))
+        self._out.abort()
 
 
 class RpcChannel:
@@ -586,7 +628,7 @@ class RpcChannel:
         self._open_locks: Dict[Address, asyncio.Lock] = {}
         self._last_reap = 0.0
 
-    async def call(
+    def call(
         self,
         addr: Address,
         to: Any,
@@ -594,23 +636,42 @@ class RpcChannel:
         body: Any = None,
         timeout: Optional[float] = None,
         lane: Optional[int] = None,
-    ) -> Any:
-        """One RPC: returns the reply value or raises a service error.
+    ) -> "asyncio.Future[Any]":
+        """One RPC: await the result for the reply value or a service error.
+
+        With a pooled connection at hand the request is on the wire
+        before this returns and the result is a plain future; only a
+        pool miss spawns a task, to open and negotiate a connection.
 
         ``lane`` pins the call to the pool's n-th connection (opening it
-        if needed). Lanes at or beyond ``pool_size`` are dedicated:
-        :meth:`_pick` never routes regular traffic onto them. A hedged
-        duplicate on such a lane dodges the primary connection's
-        head-of-line queue, without which FIFO framing would deliver the
-        duplicate strictly after the original and the hedge could never
-        win.
+        if needed). Lanes at or beyond ``pool_size`` are dedicated --
+        :meth:`_pick` never routes regular traffic onto them -- which is
+        what lets a hedged duplicate overtake its queued primary.
         """
         timeout = self.rpc_timeout if timeout is None else timeout
-        loop = asyncio.get_event_loop()
+        loop = asyncio.get_running_loop()
+        now = loop.time()
+        self._reap_idle(now)
+        conn = self._pick(self._live_pool(addr), lane)
+        if conn is None:
+            return loop.create_task(
+                self._call_after_open(addr, to, op, body, timeout, lane)
+            )
+        return conn.request(now, to, op, body, timeout)
+
+    async def _call_after_open(
+        self,
+        addr: Address,
+        to: Any,
+        op: str,
+        body: Any,
+        timeout: float,
+        lane: Optional[int],
+    ) -> Any:
+        loop = asyncio.get_running_loop()
         deadline = loop.time() + timeout
-        self._reap_idle(loop.time())
         try:
-            conn = await asyncio.wait_for(self._acquire(addr, op, lane), timeout)
+            conn = await asyncio.wait_for(self._open(addr, op, lane), timeout)
         except asyncio.TimeoutError:
             message = f"{op} to {format_addr(addr)} timed out connecting"
             self._trace(op, addr, f"timeout: {message}")
@@ -618,46 +679,8 @@ class RpcChannel:
         except ServiceRpcError as error:
             self._trace(op, addr, f"transport-error: {error}")
             raise
-        request = Request(op=op, body=body)
-        try:
-            payload = wire.encode_frame(
-                {"to": to, "req": request}, max_frame=self.max_frame, codec=conn.codec
-            )
-        except wire.WireError as error:
-            message = f"{op} to {format_addr(addr)} failed: {error}"
-            self._trace(op, addr, f"transport-error: {message}")
-            raise ServiceRpcError(message, op=op, addr=addr) from error
-        future: "asyncio.Future[Response]" = loop.create_future()
-        conn.pending[request.message_id] = future
-        try:
-            try:
-                conn.send(payload)
-                remaining = max(0.001, deadline - loop.time())
-                reply = await asyncio.wait_for(future, remaining)
-            except asyncio.TimeoutError:
-                # Abandon only this call; the connection stays up and a
-                # late reply is discarded by message id in the read loop.
-                message = f"{op} to {format_addr(addr)} timed out after {timeout}s"
-                self._trace(op, addr, f"timeout: {message}")
-                raise ServiceTimeout(message, op=op, addr=addr)
-            except ServiceRpcError as error:
-                message = f"{op} to {format_addr(addr)} failed: {error}"
-                self._trace(op, addr, f"transport-error: {message}")
-                raise ServiceRpcError(
-                    message, op=op, addr=addr, refused=error.refused
-                ) from error
-            except (ConnectionError, OSError) as error:
-                conn.close(str(error))
-                message = f"{op} to {format_addr(addr)} failed: {error}"
-                self._trace(op, addr, f"transport-error: {message}")
-                raise ServiceRpcError(message, op=op, addr=addr) from error
-        finally:
-            conn.pending.pop(request.message_id, None)
-        if reply.error is not None:
-            self._trace(op, addr, reply.error)
-            raise RemoteOpError(reply.error)
-        self._trace(op, addr, "ok")
-        return reply.value
+        now = loop.time()
+        return await conn.request(now, to, op, body, max(0.001, deadline - now))
 
     # ------------------------------------------------------------------
     # Pooling and negotiation
@@ -672,13 +695,18 @@ class RpcChannel:
             pool[:] = [conn for conn in pool if not conn.closed]
         return pool
 
-    def _pick(self, pool: List[_Connection]) -> Optional[_Connection]:
-        """The least-loaded live connection usable without a new socket.
+    def _pick(
+        self, pool: List[_Connection], lane: Optional[int] = None
+    ) -> Optional[_Connection]:
+        """The pooled connection a call may use without a new socket.
 
-        Only the first ``pool_size`` connections are candidates: lanes
+        With a ``lane``, that connection of the pool. Otherwise the
+        least-loaded of the first ``pool_size`` connections: lanes
         beyond that (the hedge lane) are dedicated and must not absorb
         regular traffic, or their queues would stop being empty.
         """
+        if lane is not None:
+            return pool[lane] if lane < len(pool) else None
         candidates = pool[: self.pool_size]
         if not candidates:
             return None
@@ -687,73 +715,41 @@ class RpcChannel:
             return conn
         return None
 
-    async def _acquire(
-        self, addr: Address, op: str, lane: Optional[int] = None
-    ) -> _Connection:
-        if lane is not None:
+    async def _open(self, addr: Address, op: str, lane: Optional[int]) -> _Connection:
+        """The connection a missed ``call`` needs: dialed and negotiated
+        under the address's lock, unless another caller got there first."""
+        async with self._open_locks.setdefault(addr, asyncio.Lock()):
             pool = self._live_pool(addr)
-            if lane < len(pool):
-                return pool[lane]
-            lock = self._open_locks.setdefault(addr, asyncio.Lock())
-            async with lock:
-                pool = self._live_pool(addr)
-                if lane < len(pool):
-                    return pool[lane]
-                conn = await self._open(addr, op)
-                pool.append(conn)
-                return conn
-        conn = self._pick(self._live_pool(addr))
-        if conn is not None:
-            return conn
-        lock = self._open_locks.setdefault(addr, asyncio.Lock())
-        async with lock:
-            pool = self._live_pool(addr)
-            conn = self._pick(pool)
+            conn = self._pick(pool, lane)
             if conn is not None:
                 return conn
-            conn = await self._open(addr, op)
-            pool.append(conn)
-            return conn
-
-    async def _open(self, addr: Address, op: str) -> _Connection:
-        try:
-            if self.netem is not None:
-                reader, writer = await self.netem.open_connection(addr[0], addr[1])
-            else:
-                reader, writer = await asyncio.open_connection(addr[0], addr[1])
-        except (ConnectionError, OSError) as error:
-            refused = isinstance(error, ConnectionRefusedError)
-            raise ServiceRpcError(
-                f"{op} to {format_addr(addr)} failed: {error}",
-                op=op,
-                addr=addr,
-                refused=refused,
-            ) from error
-        codec = wire.CODEC_JSON
-        if self.wire_format == wire.CODEC_BINARY:
             try:
-                writer.write(wire.encode_hello())
-                await writer.drain()
-                reply = await wire.read_frame(reader, max_frame=self.max_frame)
-                acked = None if reply is None else wire.hello_ack_codec(reply)
-                if acked == wire.CODEC_BINARY:
-                    codec = wire.CODEC_BINARY
-                # Anything else -- a "json" ack, or the bad-envelope
-                # error a pre-handshake peer replies with -- means:
-                # stay on JSON.
-            except asyncio.CancelledError:
-                writer.close()
-                raise
-            except (ConnectionError, OSError, EOFError, wire.WireError) as error:
-                writer.close()
+                _, conn = await asyncio.get_running_loop().create_connection(
+                    lambda: _Connection(self, addr), addr[0], addr[1]
+                )
+            except (ConnectionError, OSError) as error:
                 raise ServiceRpcError(
-                    f"{op} to {format_addr(addr)} failed during codec "
-                    f"negotiation: {error}",
+                    f"{op} to {format_addr(addr)} failed: {error}",
                     op=op,
                     addr=addr,
+                    refused=isinstance(error, ConnectionRefusedError),
                 ) from error
-        self.negotiated[addr] = codec
-        return _Connection(self, addr, reader, writer, codec)
+            if self.wire_format == wire.CODEC_BINARY:
+                try:
+                    await conn.negotiate()
+                except asyncio.CancelledError:
+                    conn.close()
+                    raise
+                except ServiceRpcError as error:
+                    raise ServiceRpcError(
+                        f"{op} to {format_addr(addr)} failed during codec "
+                        f"negotiation: {error}",
+                        op=op,
+                        addr=addr,
+                    ) from error
+            self.negotiated[addr] = conn.decoder.codec
+            pool.append(conn)
+            return conn
 
     def _reap_idle(self, now: float) -> None:
         """Close connections idle past ``pool_idle_s``; cheap, amortized."""
@@ -774,11 +770,7 @@ class RpcChannel:
         self.negotiated.clear()
         for conn in conns:
             conn.close()
-        for conn in conns:
-            try:
-                await conn.writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+        await asyncio.sleep(0)  # the aborted transports drop their sockets
 
     def _trace(self, op: str, addr: Address, outcome: str) -> None:
         if self.tracer is not None:
@@ -882,11 +874,11 @@ class ServiceClient:
         and close the breaker.
         """
         addr = tuple(addr)  # type: ignore[assignment]
-        loop = asyncio.get_event_loop()
-        now = loop.time()
-        timeout = self._rpc_budget(addr, deadline, now, op)
+        loop = asyncio.get_running_loop()
+        start = loop.time()
+        timeout = self._rpc_budget(addr, deadline, start, op)
         breaker = self._breaker_for(addr)
-        allowed, probe = breaker.admit(now)
+        allowed, probe = breaker.admit(start)
         if not allowed:
             self.counters.breaker_fastfails += 1
             raise BreakerOpenError(
@@ -896,7 +888,6 @@ class ServiceClient:
             )
         if probe:
             self.counters.breaker_probes += 1
-        start = loop.time()
         try:
             if hedge and self.config.hedge:
                 value = await self._hedged_call(addr, to, op, body, timeout)
@@ -921,59 +912,68 @@ class ServiceClient:
     ) -> Any:
         """Race a duplicate read once the primary looks tail-slow.
 
-        The duplicate is pinned to a different pooled connection
-        (``lane=1``): frames on one connection are delivered in order,
-        so a same-connection duplicate would queue behind the slow
-        primary and could never answer first. A budget caps duplicates
-        at ``hedge_budget`` of eligible calls so load-induced queueing
-        cannot amplify itself.
+        One timer, armed for the endpoint's hedge delay, sends the
+        duplicate if the primary is still out when it fires; the first
+        success wins and, if both fail, the first failure is raised.
+        :meth:`RpcChannel.call` returns futures, so no attempt is
+        wrapped in a task.
+
+        The duplicate is pinned to a dedicated pooled connection
+        (``lane=pool_size``): frames on one connection are delivered in
+        order, so a same-connection duplicate would queue behind the
+        slow primary and could never answer first. A budget caps
+        duplicates at ``hedge_budget`` of eligible calls so load-induced
+        queueing cannot amplify itself.
         """
         self._hedge_eligible += 1
         delay = max(self.config.hedge_delay_floor, self._rtt_for(addr).hedge_delay())
+        call = self.channel.call
         if delay >= timeout:
-            return await self.channel.call(addr, to, op, body, timeout=timeout)
-        primary = asyncio.ensure_future(
-            self.channel.call(addr, to, op, body, timeout=timeout)
-        )
-        done, _ = await asyncio.wait({primary}, timeout=delay)
-        if done:
-            return primary.result()
-        budget = self.config.hedge_budget * max(20.0, float(self._hedge_eligible))
-        if self.counters.hedges >= budget:
-            return await primary
-        self.counters.hedges += 1
-        secondary = asyncio.ensure_future(
-            self.channel.call(
-                addr, to, op, body, timeout=timeout, lane=self.channel.pool_size
+            return await call(addr, to, op, body, timeout=timeout)
+        loop = asyncio.get_running_loop()
+        outcome: "asyncio.Future[Any]" = loop.create_future()
+        primary = asyncio.ensure_future(call(addr, to, op, body, timeout=timeout))
+        attempts = [primary]
+        errors: List[BaseException] = []
+
+        def settle(attempt: "asyncio.Future[Any]") -> None:
+            if attempt.cancelled():
+                return
+            # Reading the outcome marks it retrieved: a loser that fails
+            # after the race is over never logs "never retrieved".
+            error = attempt.exception()
+            if outcome.done():
+                return
+            if error is None:
+                if attempt is not primary:
+                    self.counters.hedge_wins += 1
+                outcome.set_result(attempt.result())
+            elif isinstance(error, (ServiceRpcError, RemoteOpError)):
+                errors.append(error)
+                if len(errors) == len(attempts):
+                    outcome.set_exception(errors[0])
+            else:
+                outcome.set_exception(error)
+
+        def send_duplicate() -> None:
+            budget = self.config.hedge_budget * max(20.0, float(self._hedge_eligible))
+            if outcome.done() or self.counters.hedges >= budget:
+                return
+            self.counters.hedges += 1
+            duplicate = asyncio.ensure_future(
+                call(addr, to, op, body, timeout=timeout, lane=self.channel.pool_size)
             )
-        )
-        pending = {primary, secondary}
-        first_error: Optional[BaseException] = None
+            attempts.append(duplicate)
+            duplicate.add_done_callback(settle)
+
+        primary.add_done_callback(settle)
+        timer = loop.call_later(delay, send_duplicate)
         try:
-            while pending:
-                done, pending = await asyncio.wait(
-                    pending, return_when=asyncio.FIRST_COMPLETED
-                )
-                for future in done:
-                    try:
-                        value = future.result()
-                    except (ServiceRpcError, RemoteOpError) as error:
-                        if first_error is None:
-                            first_error = error
-                        continue
-                    if future is secondary:
-                        self.counters.hedge_wins += 1
-                    return value
-            assert first_error is not None
-            raise first_error
+            return await outcome
         finally:
-            for future in (primary, secondary):
-                if not future.done():
-                    # A loser may lose the cancellation race and finish
-                    # with an exception nobody awaits; consume it so the
-                    # loop never logs "exception was never retrieved".
-                    future.cancel()
-                    future.add_done_callback(_consume_task_error)
+            timer.cancel()
+            for attempt in attempts:
+                attempt.cancel()  # a no-op on the ones already done
 
     # ------------------------------------------------------------------
     # Protocol operations
@@ -1035,7 +1035,7 @@ class ServiceClient:
         # One op deadline bounds the whole batch -- including every
         # single-op fallback -- so repeated transport faults cannot
         # stretch a batch to N times the configured budget.
-        deadline = asyncio.get_event_loop().time() + self.config.op_deadline
+        deadline = asyncio.get_running_loop().time() + self.config.op_deadline
         groups, fallback = await self._group_by_iagent(
             [a for a, _, _, _ in items], deadline
         )
@@ -1080,7 +1080,7 @@ class ServiceClient:
         if not agents:
             return {}
         self.counters.locates += len(agents)
-        deadline = asyncio.get_event_loop().time() + self.config.op_deadline
+        deadline = asyncio.get_running_loop().time() + self.config.op_deadline
         groups, fallback = await self._group_by_iagent(agents, deadline)
         results: Dict[AgentId, str] = {}
 
@@ -1164,7 +1164,7 @@ class ServiceClient:
         """
         queries = list(queries)
         self.counters.discover_similars += len(queries)
-        deadline = asyncio.get_event_loop().time() + self.config.op_deadline
+        deadline = asyncio.get_running_loop().time() + self.config.op_deadline
         bodies = [{"agent": agent, "d": d} for agent, d in queries]
         merged = await self._discover_batch_round("discover-similar", bodies, deadline)
         return [
@@ -1184,7 +1184,7 @@ class ServiceClient:
         """
         predicates = list(predicates)
         self.counters.discover_capabilities += len(predicates)
-        deadline = asyncio.get_event_loop().time() + self.config.op_deadline
+        deadline = asyncio.get_running_loop().time() + self.config.op_deadline
         bodies = [{"predicate": predicate} for predicate in predicates]
         merged = await self._discover_batch_round(
             "discover-capability", bodies, deadline
@@ -1306,7 +1306,7 @@ class ServiceClient:
         """
         config = self.config
         self.counters.ops += 1
-        loop = asyncio.get_event_loop()
+        loop = asyncio.get_running_loop()
         if deadline is None:
             deadline = loop.time() + config.op_deadline
         stale_versions: Optional[List[List[int]]] = None
@@ -1504,7 +1504,7 @@ class ServiceClient:
     ) -> Dict:
         config = self.config
         self.counters.ops += 1
-        loop = asyncio.get_event_loop()
+        loop = asyncio.get_running_loop()
         if deadline is None:
             deadline = loop.time() + config.op_deadline
         mapping = await self._whois_safe(agent_id, deadline)
@@ -1641,7 +1641,7 @@ class ServiceClient:
         span = delay * config.backoff_jitter
         delay = delay - span + self.rng.random() * span
         if deadline is not None:
-            delay = min(delay, max(0.0, deadline - asyncio.get_event_loop().time()))
+            delay = min(delay, max(0.0, deadline - asyncio.get_running_loop().time()))
         if delay <= 0:
             return
         self.counters.backoff_sleeps += 1

@@ -441,6 +441,9 @@ class _Cluster:
                 "bootstrap",
                 {"shard": shard},
             )
+        # Booted means replicated: a primary that died before a standby's
+        # first sync would leave that standby first in line, and blind.
+        await self.replicas_converged()
         for node in self.nodes:
             assert node.addr is not None
             self.clients.append(

@@ -724,7 +724,7 @@ class LoadGenerator:
         measured: bool,
         started_at: float,
     ) -> None:
-        loop = asyncio.get_event_loop()
+        loop = asyncio.get_running_loop()
         if measured:
             self.kind_issued[op.kind] += 1
             if self.config.record_ops:
@@ -756,7 +756,7 @@ class LoadGenerator:
         config = self.config
         stream = self.streams[lane]
         client = self.clients[lane % len(self.clients)]
-        loop = asyncio.get_event_loop()
+        loop = asyncio.get_running_loop()
         measured_ops = 0
         while True:
             now = loop.time()
@@ -778,7 +778,7 @@ class LoadGenerator:
     async def _open_loop(self) -> None:
         config = self.config
         stream = self.streams[0]
-        loop = asyncio.get_event_loop()
+        loop = asyncio.get_running_loop()
         arrivals = random.Random(f"repro-loadgen-{config.seed}-arrivals")
         semaphore = asyncio.Semaphore(config.max_in_flight)
         tasks: "set[asyncio.Task]" = set()
@@ -834,7 +834,7 @@ class LoadGenerator:
     async def run(self) -> LoadReport:
         """Execute warmup / measure / drain; return the report."""
         config = self.config
-        loop = asyncio.get_event_loop()
+        loop = asyncio.get_running_loop()
         self._counters_before = self._merged_counters()
         start = loop.time()
         self._measure_start = start + config.warmup_s

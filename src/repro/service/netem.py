@@ -1,12 +1,11 @@
 """In-process network emulation for the live service stack.
 
-A :class:`NetemController` sits between the asyncio stream layer and
-the framed RPC protocol: every client connection is dialed through
-:meth:`NetemController.open_connection` and every accepted server
-connection has its writer wrapped by
-:meth:`NetemController.wrap_server_writer`, so each *direction* of each
-link passes through exactly one shim -- the sending end. The shim
-injects, per frame write:
+A :class:`NetemController` sits between the asyncio transports and the
+framed RPC protocol: the RPC client and the servers pass every
+connection's transport through :meth:`NetemController.wrap` and write
+their frames to the returned shim (reads are untouched), so each
+*direction* of each link passes through exactly one shim -- the sending
+end. The shim injects, per frame write:
 
 * base latency plus uniform jitter (independent draw per frame, so
   hedged duplicates really do race distinct delays),
@@ -96,7 +95,7 @@ class NetemController:
         self._states: Dict[Union[int, str], LinkState] = {}
         self._names: Dict[str, int] = {}
         #: Live shims per endpoint port, for targeted resets.
-        self._shims: Dict[int, Set["_ShimWriter"]] = {}
+        self._shims: Dict[int, Set["_Shim"]] = {}
         self._conn_seq: Dict[Tuple[int, str], int] = {}
         #: Ordered control-plane log: every applied fault state change,
         #: without wall-clock times -- the replay-determinism artifact.
@@ -293,30 +292,32 @@ class NetemController:
         self._conn_seq[(port, direction)] = seq + 1
         return random.Random(f"netem:{self.seed}:{port}:{direction}:{seq}")
 
-    def _register(self, shim: "_ShimWriter") -> None:
+    def _register(self, shim: "_Shim") -> None:
         self._shims.setdefault(shim.port, set()).add(shim)
 
-    def _unregister(self, shim: "_ShimWriter") -> None:
+    def _unregister(self, shim: "_Shim") -> None:
         shims = self._shims.get(shim.port)
         if shims is not None:
             shims.discard(shim)
             if not shims:
                 self._shims.pop(shim.port, None)
 
+    def wrap(self, transport: Any, port: int, direction: str) -> "_Shim":
+        """Shim one connection's write side: the initiator wraps with
+        :data:`DIR_IN`, the acceptor with :data:`DIR_OUT`, both keyed by
+        the *server* port."""
+        return _Shim(self, transport, port, direction)
+
     async def open_connection(
         self, host: str, port: int
     ) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-        """Dial an endpoint with the initiator-side shim installed."""
-        reader, writer = await asyncio.open_connection(host, port)
-        shim = _ShimWriter(self, writer, port, DIR_IN)
-        return reader, cast(asyncio.StreamWriter, shim)
-
-    def wrap_server_writer(
-        self, writer: asyncio.StreamWriter, addr: Address
-    ) -> asyncio.StreamWriter:
-        """Wrap an accepted connection's writer (acceptor-side shim)."""
-        shim = _ShimWriter(self, writer, addr[1], DIR_OUT)
-        return cast(asyncio.StreamWriter, shim)
+        """Dial an endpoint as a stream pair whose writes are shimmed."""
+        loop = asyncio.get_running_loop()
+        reader = asyncio.StreamReader(loop=loop)
+        transport, _ = await loop.create_connection(
+            lambda: asyncio.StreamReaderProtocol(reader, loop=loop), host, port
+        )
+        return reader, cast(asyncio.StreamWriter, self.wrap(transport, port, DIR_IN))
 
     def shutdown(self) -> None:
         """Close every live shim; call once the cluster is stopped."""
@@ -326,45 +327,43 @@ class NetemController:
         self._shims.clear()
 
 
-class _ShimWriter:
-    """A StreamWriter proxy applying link faults at write time.
+class _Shim:
+    """A transport's write side with link faults applied per write.
 
-    Clean links pass writes straight through with no queue and no pump
-    task; the first active fault on the link lazily switches the shim
-    into queued delivery. Delivery times are monotone per connection
-    (``max(now + delay, previous)``) so independent per-frame jitter
-    draws can never reorder bytes within one TCP stream.
+    The owner calls :meth:`write` once per frame, so every frame gets
+    its own loss and jitter draw. Clean links pass writes straight
+    through with no queue and no pump task; an active fault queues the
+    frame and a pump task delivers the queue, then exits. Delivery
+    times are monotone per connection (``max(now + delay, previous)``)
+    so independent per-frame jitter draws can never reorder bytes
+    within one TCP stream.
     """
 
     def __init__(
         self,
         controller: NetemController,
-        inner: asyncio.StreamWriter,
+        transport: asyncio.WriteTransport,
         port: int,
         direction: str,
     ) -> None:
         self._controller = controller
-        self._inner = inner
+        self._transport = transport
         self.port = port
         self.direction = direction
         self._rng = controller._rng(port, direction)
         self._queue: Deque[Tuple[bytes, float]] = deque()
         self._pump_task: Optional[asyncio.Task] = None
-        self._kick = asyncio.Event()
-        self._flushed = asyncio.Event()
-        self._flushed.set()
         self._last_at = 0.0
         self._closed = False
         controller._register(self)
-
-    # -- fault application ---------------------------------------------
 
     def write(self, data: bytes) -> None:
         if self._closed:
             return
         states = self._controller.states_for(self.port)
-        if not states and not self._queue:
-            self._inner.write(data)
+        pumping = self._pump_task is not None and not self._pump_task.done()
+        if not states and not pumping:
+            self._transport.write(data)
             return
         if any(self.direction in state.blocked for state in states):
             self._controller.frames_dropped += 1
@@ -379,15 +378,13 @@ class _ShimWriter:
         if survive < 1.0 and self._rng.random() >= survive:
             self._controller.frames_dropped += 1
             return
-        loop = asyncio.get_event_loop()
+        loop = asyncio.get_running_loop()
         at = max(loop.time() + delay, self._last_at)
         self._last_at = at
         if delay:
             self._controller.frames_delayed += 1
         self._queue.append((bytes(data), at))
-        self._flushed.clear()
-        self._kick.set()
-        if self._pump_task is None or self._pump_task.done():
+        if not pumping:
             self._pump_task = loop.create_task(self._pump())
 
     def _slow_params(self) -> Optional[Tuple[int, float]]:
@@ -397,80 +394,39 @@ class _ShimWriter:
         return None
 
     async def _pump(self) -> None:
-        loop = asyncio.get_event_loop()
-        try:
-            while not self._closed:
-                if not self._queue:
-                    self._flushed.set()
-                    self._kick.clear()
-                    await self._kick.wait()
-                    continue
-                data, at = self._queue[0]
-                now = loop.time()
-                if at > now:
-                    await asyncio.sleep(at - now)
-                if self._closed:
-                    break
-                self._queue.popleft()
-                slow = self._slow_params()
-                if slow is not None:
-                    chunk, pause = slow
-                    for i in range(0, len(data), chunk):
-                        self._inner.write(data[i : i + chunk])
-                        await self._inner.drain()
-                        if pause:
-                            await asyncio.sleep(pause)
-                else:
-                    self._inner.write(data)
-                    await self._inner.drain()
-        except (ConnectionError, OSError):
-            pass  # peer went away; the stream owner sees it on read
-        finally:
-            self._queue.clear()
-            self._flushed.set()
+        loop = asyncio.get_running_loop()
+        while self._queue and not self._closed:
+            data, at = self._queue[0]
+            now = loop.time()
+            if at > now:
+                await asyncio.sleep(at - now)
+            if self._closed:
+                break
+            self._queue.popleft()
+            slow = self._slow_params()
+            if slow is None:
+                self._transport.write(data)
+                continue
+            chunk, pause = slow
+            for i in range(0, len(data), chunk):
+                self._transport.write(data[i : i + chunk])
+                if pause:
+                    await asyncio.sleep(pause)
 
-    # -- StreamWriter surface ------------------------------------------
-
-    async def drain(self) -> None:
-        if not self._flushed.is_set():
-            await self._flushed.wait()
-        else:
-            await self._inner.drain()
-
-    def close(self) -> None:
-        if self._closed:
-            return
+    def _detach(self) -> None:
         self._closed = True
         self._controller._unregister(self)
         if self._pump_task is not None and not self._pump_task.done():
             self._pump_task.cancel()
         self._queue.clear()
-        self._flushed.set()
-        self._inner.close()
+
+    def close(self) -> None:
+        """Drop anything still queued and close the transport."""
+        if not self._closed:
+            self._detach()
+            self._transport.close()
 
     def abort(self) -> None:
         """Hard reset: kill the transport so both ends see a broken pipe."""
-        self._closed = True
-        self._controller._unregister(self)
-        if self._pump_task is not None and not self._pump_task.done():
-            self._pump_task.cancel()
-        self._queue.clear()
-        self._flushed.set()
-        transport = self._inner.transport
-        if transport is not None:
-            transport.abort()
-        else:  # pragma: no cover - transport always set on live writers
-            self._inner.close()
-
-    def is_closing(self) -> bool:
-        return self._closed or self._inner.is_closing()
-
-    async def wait_closed(self) -> None:
-        await self._inner.wait_closed()
-
-    def get_extra_info(self, name: str, default: Any = None) -> Any:
-        return self._inner.get_extra_info(name, default)
-
-    @property
-    def transport(self) -> Any:
-        return self._inner.transport
+        self._detach()
+        self._transport.abort()

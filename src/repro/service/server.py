@@ -77,7 +77,7 @@ from repro.service.client import (
     ServiceTimeout,
     format_addr,
 )
-from repro.service.netem import NetemController
+from repro.service.netem import DIR_OUT, NetemController
 from repro.service.replication import (
     EpochFence,
     FailureDetector,
@@ -220,14 +220,76 @@ class ServiceConfig:
 # ----------------------------------------------------------------------
 
 
+class _ServerConnection(asyncio.Protocol):
+    """One accepted connection: decodes frames, hands them to the server.
+
+    Replies go to ``out`` -- the transport, or its netem shim -- one
+    write per frame. When a peer stops reading and the write buffer
+    passes its high-water mark, the connection stops *reading* until it
+    drains, so the replies buffered for one slow peer stay bounded.
+    """
+
+    def __init__(self, server: "_FramedServer") -> None:
+        self.server = server
+        #: Owns the connection's codec: replies go out in the requests' one.
+        self.decoder = wire.FrameDecoder(max_frame=server.config.max_frame)
+        self.transport: Any = None
+        self.out: Any = None
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        server = self.server
+        self.transport = self.out = transport
+        netem = server.config.netem
+        if netem is not None and server.addr is not None:
+            # Acceptor-side shim: this server's *responses* pass through
+            # the fault model (the initiator shims its own requests), so
+            # each direction of each link is shimmed exactly once.
+            self.out = netem.wrap(self.transport, server.addr[1], DIR_OUT)
+        server._connections.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            for frame in self.decoder.frames(data):
+                self.server._on_frame(self, frame)
+        except wire.WireError:
+            self.out.abort()  # a garbage-speaking peer never kills the server
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        self.server._connections.discard(self)
+        self.out.close()  # detaches a shim from its controller
+
+    def pause_writing(self) -> None:
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.transport.resume_reading()
+
+    def reply(self, message_id: int, value: Any, error: Optional[str]) -> None:
+        if self.transport.is_closing():
+            return  # the peer went away; its retry path owns recovery
+        max_frame, codec = self.decoder.max_frame, self.decoder.codec
+        response = Response(message_id, value, error)
+        try:
+            payload = wire.encode_frame(response, max_frame, codec)
+        except wire.WireError as exc:  # an unencodable or oversized value
+            response = Response(message_id, error=f"internal-error: {exc}")
+            payload = wire.encode_frame(response, max_frame, codec)
+        self.out.write(payload)
+
+
 class _FramedServer:
-    """A listening socket speaking the framed request/response protocol."""
+    """A listening socket speaking the framed request/response protocol.
+
+    Subclasses implement the synchronous :meth:`route`. A handler that
+    returns a plain value is answered inline, straight from
+    ``data_received``; only one that returns a coroutine gets a task.
+    """
 
     def __init__(self, config: ServiceConfig, tracer: Optional[Tracer]) -> None:
         self.config = config
         self.tracer = tracer
         self._server: Optional[asyncio.AbstractServer] = None
-        self._conn_tasks: Set[asyncio.Task] = set()
+        self._connections: Set[_ServerConnection] = set()
         self._bg_tasks: Set[asyncio.Task] = set()
         self.addr: Optional[Address] = None
         #: Fault injection: a partitioned server swallows every incoming
@@ -237,8 +299,8 @@ class _FramedServer:
         self.partitioned = False
 
     async def start(self, host: Optional[str] = None, port: int = 0) -> Address:
-        self._server = await asyncio.start_server(
-            self._on_connection, host or self.config.host, port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: _ServerConnection(self), host or self.config.host, port
         )
         sockname = self._server.sockets[0].getsockname()
         self.addr = (sockname[0], sockname[1])
@@ -246,140 +308,93 @@ class _FramedServer:
 
     def spawn(self, coro, name: str) -> asyncio.Task:
         task = asyncio.ensure_future(coro)
-        try:
-            task.set_name(name)
-        except AttributeError:  # pragma: no cover - pre-3.8 fallback
-            pass
+        task.set_name(name)
         self._bg_tasks.add(task)
         task.add_done_callback(self._bg_tasks.discard)
         return task
 
     async def stop(self) -> None:
-        """Graceful shutdown: stop accepting, then cancel all tasks."""
+        """Shutdown: stop accepting, drop every connection, cancel tasks."""
         if self._server is not None:
             self._server.close()
+        for conn in list(self._connections):
+            conn.out.abort()
+        # Re-cancel until every task actually dies: on Python <= 3.11
+        # asyncio.wait_for (a client's pool-miss connect still uses it)
+        # can swallow a cancellation that races the inner call's
+        # completion -- a single cancel() is not guaranteed to stick.
+        tasks = [task for task in self._bg_tasks if not task.done()]
+        while tasks:
+            for task in tasks:
+                task.cancel()
+            done, pending = await asyncio.wait(tasks, timeout=1.0)
+            for task in done:
+                if not task.cancelled():
+                    task.exception()  # consume it: nothing left to log
+            tasks = list(pending)
+        self._bg_tasks.clear()
+        if self._server is not None:
+            # From 3.12 on this also waits for the aborted connections.
             await self._server.wait_closed()
             self._server = None
-        for task_set in (self._bg_tasks, self._conn_tasks):
-            # Re-cancel until every task actually dies: on Python <=
-            # 3.12 asyncio.wait_for can swallow a cancellation that
-            # races the inner call's completion, leaving a loop task
-            # alive in its next sleep -- a single cancel() is not
-            # guaranteed to stick.
-            tasks = [task for task in task_set if not task.done()]
-            while tasks:
-                for task in tasks:
-                    task.cancel()
-                done, pending = await asyncio.wait(tasks, timeout=1.0)
-                for task in done:
-                    try:
-                        task.exception()
-                    except (asyncio.CancelledError, Exception):
-                        pass
-                tasks = list(pending)
-            task_set.clear()
 
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        if self.config.netem is not None and self.addr is not None:
-            # Acceptor-side shim: this server's *responses* pass through
-            # the fault model (the initiator shims its own requests), so
-            # each direction of each link is shimmed exactly once.
-            writer = self.config.netem.wrap_server_writer(writer, self.addr)
-        task = asyncio.current_task()
-        if task is not None:
-            self._conn_tasks.add(task)
-        try:
-            await self._serve_connection(reader, writer)
-        except asyncio.CancelledError:
-            # Shutdown path: end the task normally, else the stream
-            # protocol's connection_made callback logs the cancellation
-            # as an "exception in callback" on every open connection.
-            pass
-        except (ConnectionError, OSError, wire.WireError):
-            pass  # a broken or garbage-speaking peer never kills the server
-        finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        codec = wire.CODEC_JSON
-        write_lock = asyncio.Lock()
-        pending: Set[asyncio.Task] = set()
-        try:
-            while True:
-                frame = await wire.read_frame(
-                    reader, max_frame=self.config.max_frame, codec=codec
-                )
-                if frame is None:
-                    return
-                if self.partitioned:
-                    continue  # injected partition: drop the request silently
-                offered = wire.hello_codecs(frame)
-                if offered is not None:
-                    # Codec negotiation: ack (always JSON-framed), then
-                    # switch this connection to the agreed codec.
-                    codec = wire.negotiate_codec(offered, accept=self.config.wire)
-                    async with write_lock:
-                        writer.write(wire.encode_hello_ack(codec))
-                        await writer.drain()
-                    continue
-                # Dispatch concurrently: one slow handler (say, a forward
-                # over a degraded link waiting out retries) must not
-                # head-of-line block every request pipelined behind it on
-                # this connection -- the correlated timeout burst that
-                # causes would trip the callers' circuit breakers.
-                task = asyncio.create_task(
-                    self._respond_one(frame, writer, write_lock, codec)
-                )
-                pending.add(task)
-                task.add_done_callback(pending.discard)
-        finally:
-            for task in pending:
-                task.cancel()
-
-    async def _respond_one(
-        self,
-        frame: Any,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
-        codec: str,
-    ) -> None:
-        response = await self._respond(frame)
-        try:
-            async with write_lock:
-                await wire.write_frame(
-                    writer, response, max_frame=self.config.max_frame, codec=codec
-                )
-        except (ConnectionError, OSError):
-            pass  # the peer went away; its retry path owns recovery
-
-    async def _respond(self, frame: Any) -> Response:
+    def _on_frame(self, conn: _ServerConnection, frame: Any) -> None:
+        if self.partitioned:
+            return  # injected partition: drop the request silently
+        offered = wire.hello_codecs(frame)
+        if offered is not None:
+            # Codec negotiation: ack (always JSON-framed), then switch
+            # this connection -- before the next frame is decoded.
+            codec = wire.negotiate_codec(offered, accept=self.config.wire)
+            conn.out.write(wire.encode_hello_ack(codec))
+            conn.decoder.codec = codec
+            return
         if (
             not isinstance(frame, dict)
             or not isinstance(frame.get("req"), Request)
             or "to" not in frame
         ):
-            return Response(message_id=-1, error="bad-envelope: expected {to, req}")
-        request: Request = frame["req"]
+            conn.reply(-1, None, "bad-envelope: expected {to, req}")
+            return
         started = time.monotonic()
         try:
-            value = await self.dispatch(frame["to"], request)
-            error = None
-        except _Reject as reject:
-            value, error = None, str(reject)
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:  # a handler bug must not kill the server
-            value, error = None, f"internal-error: {type(exc).__name__}: {exc}"
+            result = self.route(frame["to"], frame["req"])
+        except Exception as exc:
+            self._answer(conn, frame, started, failure=exc)
+            return
+        if asyncio.iscoroutine(result):
+            # The handler has to wait (a forward, a fetch): a task of its
+            # own keeps it from head-of-line blocking the frames pipelined
+            # behind it into a correlated, breaker-tripping timeout burst.
+            # It runs to completion even if the connection goes first.
+            self.spawn(self._answer_later(conn, frame, started, result), "answer")
+        else:
+            self._answer(conn, frame, started, result)
+
+    async def _answer_later(
+        self, conn: _ServerConnection, frame: Dict, started: float, handler: Any
+    ) -> None:
+        try:
+            value = await handler
+        except Exception as exc:
+            self._answer(conn, frame, started, failure=exc)
+        else:
+            self._answer(conn, frame, started, value)
+
+    def _answer(
+        self,
+        conn: _ServerConnection,
+        frame: Dict,
+        started: float,
+        value: Any = None,
+        failure: Optional[Exception] = None,
+    ) -> None:
+        request: Request = frame["req"]
+        error = None
+        if isinstance(failure, _Reject):
+            error = str(failure)
+        elif failure is not None:  # a handler bug must not kill the server
+            error = f"internal-error: {type(failure).__name__}: {failure}"
         if self.tracer is not None:
             self.tracer.record_now(
                 "rpc-server",
@@ -388,10 +403,18 @@ class _FramedServer:
                 outcome=error or "ok",
                 elapsed=time.monotonic() - started,
             )
-        return Response(message_id=request.message_id, value=value, error=error)
+        conn.reply(request.message_id, value, error)
+
+    def route(self, target: Any, request: Request) -> Any:
+        """The handler's reply value, or a coroutine that produces it."""
+        raise NotImplementedError
 
     async def dispatch(self, target: Any, request: Request) -> Any:
-        raise NotImplementedError
+        """:meth:`route`, awaited through when the handler had to wait."""
+        result = self.route(target, request)
+        if asyncio.iscoroutine(result):
+            result = await result
+        return result
 
 
 class _Reject(ServiceError):
@@ -860,10 +883,11 @@ class LHAgentEndpoint:
     def _shard_for(self, agent_id: AgentId) -> int:
         return self.node.router.shard_for(agent_id)
 
-    async def op_whois(self, body: Dict) -> Dict:
+    def op_whois(self, body: Dict) -> Any:
+        """The mapping -- or, with no copy of the shard yet, a coroutine."""
         shard = self._shard_for(body["agent"])
         if shard not in self.copies:
-            await self._fetch_primary_copy(shard)
+            return self._fetch_then((shard,), self.op_whois, body)
         self.whois_served += 1
         return self._resolve(body["agent"])
 
@@ -875,14 +899,20 @@ class LHAgentEndpoint:
             await self._fetch_primary_copy(shard)
         return self._resolve(body["agent"])
 
-    async def op_whois_batch(self, body: Dict) -> Dict:
+    def op_whois_batch(self, body: Dict) -> Any:
         """Resolve many agents against consistent per-shard copies."""
         agents = body["agents"]
-        for shard in {self._shard_for(agent) for agent in agents}:
-            if shard not in self.copies:
-                await self._fetch_primary_copy(shard)
+        missing = {self._shard_for(agent) for agent in agents}.difference(self.copies)
+        if missing:
+            return self._fetch_then(missing, self.op_whois_batch, body)
         self.whois_served += len(agents)
         return {"mappings": [self._resolve(agent) for agent in agents]}
+
+    async def _fetch_then(self, shards: Any, handler: Any, body: Dict) -> Dict:
+        # A fetch that returns has installed its copy: re-enter the handler.
+        for shard in shards:
+            await self._fetch_primary_copy(shard)
+        return handler(body)
 
     def op_version(self, body: Dict) -> Dict:
         return {"version": self.copy.version if self.copy else -1}
@@ -1266,7 +1296,7 @@ class NodeServer(_FramedServer):
 
     # ------------------------------------------------------------------
 
-    async def dispatch(self, target: Any, request: Request) -> Any:
+    def route(self, target: Any, request: Request) -> Any:
         handler_owner: Any
         if target == "lhagent":
             handler_owner = self.lhagent
@@ -1290,10 +1320,7 @@ class NodeServer(_FramedServer):
                 raise _Reject(
                     f"unknown-op: {request.op!r} for target {target!r}"
                 )
-        result = handler(request.body or {})
-        if asyncio.iscoroutine(result):
-            result = await result
-        return result
+        return handler(request.body or {})
 
     # -- epoch fencing and primary re-discovery ---------------------------
 
@@ -1850,7 +1877,7 @@ class HAgentServer(_FramedServer):
     # Dispatch
     # ------------------------------------------------------------------
 
-    async def dispatch(self, target: Any, request: Request) -> Any:
+    def route(self, target: Any, request: Request) -> Any:
         if target != "hagent":
             raise _Reject(f"unknown-target: {target!r} (this is the HAgent)")
         op = request.op
@@ -1881,12 +1908,12 @@ class HAgentServer(_FramedServer):
             if op == "shard-merge-prepare":
                 return self._op_shard_merge_prepare(body)
             if op == "shard-merge-commit":
-                return await self._op_shard_merge_commit(body)
+                return self._op_shard_merge_commit(body)
             self._check_shard(body, op)
             if op == "bootstrap":
-                return await self._op_bootstrap(body)
+                return self._op_bootstrap(body)
             if op == "shard-merge":
-                return await self._op_shard_merge(body)
+                return self._op_shard_merge(body)
             return self._op_load_report(body)
         if op == "get-hash-function":
             self._check_shard(body, op)

@@ -27,10 +27,11 @@ so mixed-version deployments keep working transparently.
 
 ``encode_frame``/``decode_frame`` are the one-shot forms;
 :class:`FrameDecoder` consumes a byte stream incrementally (partial
-frames simply wait for more bytes); ``read_frame``/``write_frame`` are
-the asyncio stream helpers the service layer uses. Truncated one-shot
-buffers, oversized length prefixes and malformed bodies all raise
-:class:`WireError` -- a server must never crash on a garbage frame.
+frames simply wait for more bytes) -- the service's transports feed it
+from ``data_received``; ``read_frame``/``write_frame`` do the same for
+peers built on asyncio streams. Truncated one-shot buffers, oversized
+length prefixes and malformed bodies all raise :class:`WireError` -- a
+server must never crash on a garbage frame.
 Binary decoding normalizes the frame to ``bytes`` once up front and
 memoizes short strings (dict keys and enum-ish values repeat thousands
 of times in batched tables), which together roughly halve decode time
@@ -48,7 +49,7 @@ from __future__ import annotations
 import json
 import struct
 from asyncio import IncompleteReadError, StreamReader, StreamWriter
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.platform import jsonable
 from repro.platform.jsonable import TaggedCodecError
@@ -651,8 +652,11 @@ class FrameDecoder:
     Feed arbitrary chunks; complete frames come out, partial frames stay
     buffered. A malformed length prefix or body raises :class:`WireError`
     and poisons the decoder (a stream is unrecoverable once desynced).
-    ``codec`` may be reassigned mid-stream at a frame boundary -- that is
-    exactly what the hello handshake does.
+
+    :meth:`frames` decodes lazily, one frame per step, so ``codec`` may
+    be reassigned between two frames of one chunk -- as the hello
+    handshake must when the ack and the first binary frame share a TCP
+    segment. :meth:`feed` decodes the whole chunk with its first codec.
     """
 
     def __init__(
@@ -665,34 +669,44 @@ class FrameDecoder:
 
     def feed(self, data: bytes) -> List[Any]:
         """Consume ``data``; return every frame completed by it."""
+        return list(self.frames(data))
+
+    def frames(self, data: bytes) -> Iterator[Any]:
+        """Consume ``data``; yield each frame it completes, lazily.
+
+        Frames are walked with a read offset and the buffer is compacted
+        once, when the iteration ends; frames not pulled stay buffered.
+        """
         if self._poisoned:
             raise WireError("decoder poisoned by an earlier malformed frame")
-        self._buffer.extend(data)
-        frames: List[Any] = []
-        while True:
-            if len(self._buffer) < _LENGTH.size:
-                return frames
-            (length,) = _LENGTH.unpack_from(self._buffer)
-            if length > self.max_frame:
-                self._poisoned = True
-                raise WireError(
-                    f"frame length {length} exceeds limit {self.max_frame}"
-                )
-            end = _LENGTH.size + length
-            if len(self._buffer) < end:
-                return frames
-            # Decode straight out of the buffer through a memoryview --
-            # no bytes(...) copy of the body. The view must be released
-            # before the del resizes the bytearray.
-            view = memoryview(self._buffer)
-            try:
-                frames.append(_decode_body(view[_LENGTH.size : end], self.codec))
-            except WireError:
-                self._poisoned = True
-                raise
-            finally:
-                view.release()
-            del self._buffer[:end]
+        buffer = self._buffer
+        buffer += data
+        header = _LENGTH.size
+        pos = 0
+        try:
+            while len(buffer) - pos >= header:
+                (length,) = _LENGTH.unpack_from(buffer, pos)
+                if length > self.max_frame:
+                    raise WireError(
+                        f"frame length {length} exceeds limit {self.max_frame}"
+                    )
+                end = pos + header + length
+                if end > len(buffer):
+                    break
+                # Decode through a memoryview -- no copy of the body --
+                # released before the final del resizes the bytearray.
+                with memoryview(buffer) as view:
+                    frame = _decode_body(view[pos + header : end], self.codec)
+                pos = end
+                yield frame
+        except WireError:
+            self._poisoned = True
+            raise
+        finally:
+            # A poisoned buffer is dead, and the failed body's view may
+            # still be pinned by the traceback: leave it alone.
+            if not self._poisoned:
+                del buffer[:pos]
 
     @property
     def pending_bytes(self) -> int:

@@ -18,12 +18,15 @@ from hypothesis import strategies as st
 from repro.platform.messages import Request, Response
 from repro.platform.naming import AgentId
 from repro.service.wire import (
+    CODEC_BINARY,
     DEFAULT_MAX_FRAME,
     FrameDecoder,
     WireError,
     decode_frame,
     encode_frame,
+    encode_hello_ack,
     from_jsonable,
+    hello_ack_codec,
     to_jsonable,
 )
 
@@ -204,3 +207,49 @@ class TestDecoderPoisoning:
         assert decoder.feed(frame[:5]) == []
         assert decoder.pending_bytes == 5
         assert decoder.feed(frame[5:]) == [[1, 2, 3]]
+
+
+class TestLazyFrames:
+    """``frames`` decodes one frame per step, off a read offset."""
+
+    def test_codec_switch_lands_on_the_frame_boundary_within_one_segment(self):
+        # The hello-ack and the first binary frame share a TCP segment:
+        # the ack's handler flips the codec before the next body is
+        # decoded, so the binary frame is not mis-read as JSON.
+        reply = Response(message_id=7, value={"node": "node-1"})
+        segment = encode_hello_ack(CODEC_BINARY) + encode_frame(
+            reply, codec=CODEC_BINARY
+        )
+        decoder = FrameDecoder()
+        seen = []
+        for frame in decoder.frames(segment):
+            seen.append(frame)
+            if hello_ack_codec(frame) == CODEC_BINARY:
+                decoder.codec = CODEC_BINARY
+        assert seen == [{"hello-ack": {"codec": CODEC_BINARY}}, reply]
+        assert decoder.pending_bytes == 0
+        # The eager form keeps the codec it started with for the whole
+        # chunk -- which is why the transports iterate ``frames``.
+        with pytest.raises(WireError):
+            FrameDecoder().feed(segment)
+
+    def test_unpulled_frames_stay_buffered(self):
+        stream = b"".join(encode_frame(n) for n in range(5))
+        decoder = FrameDecoder()
+        pulled = decoder.frames(stream + b"\x00\x00")
+        assert [next(pulled), next(pulled)] == [0, 1]
+        pulled.close()
+        # Nothing is lost or replayed: the rest comes out of the next
+        # feed, and the trailing partial header is still pending.
+        assert decoder.feed(b"") == [2, 3, 4]
+        assert decoder.pending_bytes == 2
+
+    def test_many_frames_in_one_segment_compact_once(self):
+        # ~1000 pipelined frames behind a buffered partial frame: the
+        # read offset walks them; the buffer is cut once at the end.
+        frames = [{"n": n} for n in range(1000)]
+        stream = b"".join(encode_frame(frame) for frame in frames)
+        decoder = FrameDecoder()
+        assert decoder.feed(stream[:3]) == []
+        assert decoder.feed(stream[3:] + stream[:9]) == frames
+        assert decoder.pending_bytes == 9
