@@ -10,6 +10,8 @@ Layering, bottom-up:
 * :mod:`repro.core.load` -- sliding-window request-rate statistics, the
   signal that drives rehashing against the ``T_max``/``T_min``
   thresholds.
+* :mod:`repro.core.iagent_state` -- the IAgent's record table as a
+  sans-IO state machine, shared with the live service.
 * :mod:`repro.core.iagent` / :mod:`repro.core.lhagent` /
   :mod:`repro.core.hagent` -- the three agent roles (paper §2.2) built
   on the platform substrate.

@@ -43,6 +43,7 @@ from collections import deque
 from typing import Any, Callable, Deque, Dict, Generator, Iterable, List, Optional
 
 from repro.core.hash_tree import HashTree
+from repro.core.iagent_state import merge_handoffs, route_handoff
 from repro.core.rehashing import plan_split
 from repro.platform.agents import Agent
 from repro.platform.messages import Request, RpcError
@@ -251,31 +252,16 @@ class HAgent(Agent):
 
         # Move the records: every affected owner shrinks to its new
         # coverage; everything evicted belongs to the new IAgent.
-        moved_records: Dict[AgentId, str] = {}
-        moved_loads: Dict[AgentId, int] = {}
-        moved_pending: Dict[AgentId, list] = {}
-        moved_caps: Dict[AgentId, Dict] = {}
+        replies = []
         for affected in outcome.affected_owners:
             pattern = self.tree.hyper_label(affected).pattern()
             reply = yield from self._rpc_iagent(
                 affected, "extract", {"pattern": pattern}
             )
-            moved_records.update(reply["records"])
-            moved_loads.update(reply["loads"])
-            moved_pending.update(reply.get("pending", {}))
-            moved_caps.update(reply.get("capabilities", {}))
-        new_pattern = self.tree.hyper_label(new_owner).pattern()
-        yield from self._rpc_iagent(
-            new_owner,
-            "adopt",
-            {
-                "records": moved_records,
-                "loads": moved_loads,
-                "pending": moved_pending,
-                "capabilities": moved_caps,
-                "pattern": new_pattern,
-            },
-        )
+            replies.append(reply)
+        bundle = merge_handoffs(replies)
+        bundle["pattern"] = self.tree.hyper_label(new_owner).pattern()
+        yield from self._rpc_iagent(new_owner, "adopt", bundle)
 
         self.splits += 1
         self._set_cooldown(owner)
@@ -287,7 +273,7 @@ class HAgent(Agent):
             kind=planned.candidate.kind,
             bit=planned.candidate.bit_position,
             even=planned.even,
-            moved=len(moved_records),
+            moved=len(bundle["records"]),
         )
         self._publish(
             {
@@ -325,36 +311,17 @@ class HAgent(Agent):
         self.iagent_nodes.pop(owner, None)
 
         try:
-            reply = yield from self._rpc_iagent(owner, "extract-all")
-            records, loads = reply["records"], reply["loads"]
-            pending = reply.get("pending", {})
-            caps = reply.get("capabilities", {})
+            bundle = yield from self._rpc_iagent(owner, "extract-all")
         except RpcError:
             # The IAgent vanished; its agents will re-register via the
             # NOT_RESPONSIBLE path as they move.
-            records, loads, pending, caps = {}, {}, {}, {}
+            bundle = {}
 
         # Re-route every orphaned record through the updated tree.
-        def empty_bucket() -> Dict:
-            return {"records": {}, "loads": {}, "pending": {}, "capabilities": {}}
-
-        per_absorber: Dict[AgentId, Dict] = {
-            absorber: empty_bucket() for absorber in outcome.absorbers
-        }
-        for agent_id, node in records.items():
-            absorber = self.tree.lookup(agent_id.bits)
-            bucket = per_absorber.setdefault(absorber, empty_bucket())
-            bucket["records"][agent_id] = node
-            bucket["loads"][agent_id] = loads.get(agent_id, 0)
-            if agent_id in caps:
-                bucket["capabilities"][agent_id] = caps[agent_id]
-        for agent_id, entries in pending.items():
-            absorber = self.tree.lookup(agent_id.bits)
-            bucket = per_absorber.setdefault(absorber, empty_bucket())
-            bucket["pending"][agent_id] = entries
-        for absorber, bucket in per_absorber.items():
-            bucket["pattern"] = self.tree.hyper_label(absorber).pattern()
-            yield from self._rpc_iagent(absorber, "adopt", bucket)
+        routed = route_handoff(self.tree, bundle, outcome.absorbers)
+        for absorber, handoff in routed.items():
+            handoff["pattern"] = self.tree.hyper_label(absorber).pattern()
+            yield from self._rpc_iagent(absorber, "adopt", handoff)
             self._set_cooldown(absorber)
 
         yield from self.mechanism.retire_iagent(owner)
@@ -364,7 +331,7 @@ class HAgent(Agent):
             owner=owner,
             kind=outcome.kind,
             absorbers=list(outcome.absorbers),
-            moved=len(records),
+            moved=len(bundle.get("records", ())),
         )
         self._publish({"op": "merge", "owner": owner})
 

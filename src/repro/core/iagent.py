@@ -11,19 +11,30 @@ IAgents are themselves mobile agents; with the placement extension
 enabled (paper §7) they periodically migrate towards the node hosting
 the plurality of the agents they serve.
 
-Wire protocol (op -> body -> reply):
+Wire protocol (op -> body -> reply), the same for this simulator agent
+and the live ``repro.service.server.IAgentEndpoint`` -- both are drivers
+of the one record table in :mod:`repro.core.iagent_state`:
 
-=================  =============================================  =======
-``register``       ``{"agent": AgentId, "node": str}``            status
-``update``         ``{"agent": AgentId, "node": str}``            status
-``unregister``     ``{"agent": AgentId}``                         status
-``locate``         ``{"agent": AgentId}``                         status + node
-``get-loads``      --                                             per-agent loads
-``extract``        ``{"pattern": str}``                           evicted records
-``extract-all``    --                                             all records
-``adopt``          ``{"records", "loads", "pattern"}``            status
-``set-coverage``   ``{"pattern": str}``                           status
-=================  =============================================  =======
+=======================  ==============================================  =======================
+``register``/``update``  ``{"agent", "node"[, "seq", "capabilities"]}``  status
+``unregister``           ``{"agent"[, "seq"]}``                          status
+``locate``               ``{"agent"}``                                   status + node + seq
+``set-capabilities``     ``{"agent", "capabilities": dict | None}``      status
+``discover-similar``     ``{"agent", "d"[, "pattern"]}``                 status + matches
+``discover-capability``  ``{"predicate"[, "pattern"]}``                  status + matches
+``get-loads``            --                                              loads by id bits + rate
+``extract``              ``{"pattern"}``                                 hand-off bundle
+``extract-all``          --                                              hand-off bundle
+``adopt``                bundle ``[+ "pattern"]``                        status
+``set-coverage``         ``{"pattern"}``                                 status
+=======================  ==============================================  =======================
+
+``seq`` (default 0, which is all the simulator ever sends) makes writes
+idempotent: a record only yields to an equal or newer sequence number. A
+hand-off bundle is ``{"records", "loads", "capabilities"}`` keyed by
+agent id; this agent adds ``"pending"`` (relay mail, below). Simulator
+only: ``deposit-message``; live only: the ``*-batch`` forms; ``ping``
+answers on both with driver-specific fields.
 
 Replies are dicts with a ``"status"`` key: ``"ok"``, ``"not-responsible"``
 or ``"no-record"``. Using statuses instead of exceptions keeps the
@@ -34,59 +45,48 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, Optional
 
+from repro.core.iagent_state import (
+    NO_RECORD,
+    NOT_RESPONSIBLE,
+    OK,
+    IAgentState,
+    pattern_matches,
+    table_field,
+)
 from repro.core.load import GroupedLoadStatistics, LoadStatistics
-from repro.discovery.capability import matches_predicate, validate_capabilities
-from repro.discovery.hamming import ids_within
 from repro.platform.agents import MobileAgent
 from repro.platform.events import Timeout
 from repro.platform.messages import Request, RpcError
 from repro.platform.naming import AgentId
 
-__all__ = ["IAgent", "pattern_matches"]
-
-#: Status strings of the IAgent protocol.
-OK = "ok"
-NOT_RESPONSIBLE = "not-responsible"
-NO_RECORD = "no-record"
-
-
-def pattern_matches(pattern: Optional[str], bits: str) -> bool:
-    """Whether id ``bits`` fall inside a coverage ``pattern``.
-
-    ``pattern`` uses ``0``/``1`` for constrained positions and ``x`` for
-    wildcards (see :meth:`repro.core.labels.HyperLabel.pattern`). ``""``
-    covers everything; ``None`` covers nothing (a freshly created IAgent
-    that has not been handed its coverage yet).
-    """
-    if pattern is None:
-        return False
-    if len(pattern) > len(bits):
-        return False
-    return all(p in ("x", b) for p, b in zip(pattern, bits))
+__all__ = ["IAgent", "NO_RECORD", "NOT_RESPONSIBLE", "OK", "pattern_matches"]
 
 
 class IAgent(MobileAgent):
-    """An Information Agent: the directory shard for one hash-tree leaf."""
+    """An Information Agent: the directory shard for one hash-tree leaf.
+
+    The simulator driver of :class:`~repro.core.iagent_state.IAgentState`:
+    it owns what only exists in simulated time -- the serial mailbox, the
+    report loop, the §6 relay mail and the §7 placement vote -- and hands
+    every record-table op to the shared core (journal entries are
+    dropped: the simulator has no disk).
+    """
 
     size = 30_000  # carries its record table when migrating
+
+    #: Coverage pattern; None until the HAgent hands one over.
+    coverage = table_field("coverage")
+    #: agent id -> [node name, seq] (the paper's "precise current
+    #: location"; the simulator never sends a seq, so it is always 0).
+    records = table_field("records")
+    #: agent id -> typed capability set (the discovery subsystem).
+    capabilities = table_field("capabilities")
 
     def __init__(self, agent_id: AgentId, runtime, mechanism) -> None:
         super().__init__(agent_id, runtime, tracked=False)
         self.service_time = mechanism.config.iagent_service_time
         self.mailbox.set_service_time(self.service_time)
         self.mechanism = mechanism
-        #: Coverage pattern; None until the HAgent hands one over.
-        self.coverage: Optional[str] = None
-        #: agent id -> node name (the paper's "precise current location").
-        self.records: Dict[AgentId, str] = {}
-        #: agent id -> typed capability set (the discovery subsystem).
-        #: Capabilities ride with the location record: extract/adopt
-        #: move them alongside, so rehashing never strands them.
-        self.capabilities: Dict[AgentId, Dict] = {}
-        #: agent id -> list of undelivered relay messages (the messaging
-        #: extension, :mod:`repro.core.messaging`): each entry is a dict
-        #: with ``payload``, ``ack`` routing info and a ``deadline``.
-        self.pending_messages: Dict[AgentId, list] = {}
         config = mechanism.config
         if config.stats_granularity == "grouped":
             self.stats = GroupedLoadStatistics(
@@ -94,6 +94,13 @@ class IAgent(MobileAgent):
             )
         else:
             self.stats = LoadStatistics(config.rate_window)
+        self.state = IAgentState(None, self.stats)
+        #: agent id -> list of undelivered relay messages (the messaging
+        #: extension, :mod:`repro.core.messaging`): each entry is a dict
+        #: with ``payload``, ``ack`` routing info and a ``deadline``. It
+        #: rides extract/adopt under the bundle key ``pending``, which
+        #: the core and the HAgent carry without interpreting.
+        self.pending_messages: Dict[AgentId, list] = {}
         self._reporter_running = False
 
     # ------------------------------------------------------------------
@@ -148,112 +155,55 @@ class IAgent(MobileAgent):
         return handler(request.body or {})
 
     def _op_register(self, body: Dict) -> Dict:
-        agent_id, node = body["agent"], body["node"]
-        if not pattern_matches(self.coverage, agent_id.bits):
-            return {"status": NOT_RESPONSIBLE}
-        self.records[agent_id] = node
-        caps = body.get("capabilities")
-        if caps is not None:
-            self.capabilities[agent_id] = validate_capabilities(caps)
-        self.stats.record_update(agent_id, self.sim.now)
-        return {"status": OK}
+        return self.state.put(body, self.sim.now)[0]
 
     def _op_update(self, body: Dict) -> Dict:
-        agent_id, node = body["agent"], body["node"]
-        if not pattern_matches(self.coverage, agent_id.bits):
-            return {"status": NOT_RESPONSIBLE}
-        self.records[agent_id] = node
-        self.stats.record_update(agent_id, self.sim.now)
-        if self.pending_messages.get(agent_id):
-            # The messaging extension: an update is the moment a fast
-            # mover is pinned down -- chase it with its relay mail.
-            self.sim.spawn(
-                self._forward_pending(agent_id, node),
-                name=f"relay-{agent_id.short()}",
-            )
-        return {"status": OK}
+        reply = self.state.put(body, self.sim.now)[0]
+        # The messaging extension: an update is the moment a fast mover
+        # is pinned down -- chase it with its relay mail.
+        self._chase(body["agent"])
+        return reply
 
     def _op_unregister(self, body: Dict) -> Dict:
-        agent_id = body["agent"]
-        if not pattern_matches(self.coverage, agent_id.bits):
-            return {"status": NOT_RESPONSIBLE}
-        self.records.pop(agent_id, None)
-        self.capabilities.pop(agent_id, None)
-        self.stats.forget_agent(agent_id)
-        return {"status": OK}
+        return self.state.unregister(body)[0]
 
     def _op_locate(self, body: Dict) -> Dict:
-        agent_id = body["agent"]
-        if not pattern_matches(self.coverage, agent_id.bits):
-            return {"status": NOT_RESPONSIBLE}
-        self.stats.record_query(agent_id, self.sim.now)
-        node = self.records.get(agent_id)
-        if node is None:
-            return {"status": NO_RECORD}
-        return {"status": OK, "node": node}
-
-    # -- discovery subsystem ---------------------------------------------
-
-    def _check_candidate_pattern(self, body: Dict) -> Optional[Dict]:
-        """Staleness gate for multi-result queries.
-
-        The querying side learned of this IAgent from a secondary copy
-        and passes the coverage pattern that copy attributed to it. If
-        our actual coverage differs -- we split, merged or took over
-        since -- answering would silently return a partial result set,
-        so bounce with NOT_RESPONSIBLE and let the §4.3 refresh loop
-        recompute the candidates.
-        """
-        pattern = body.get("pattern")
-        if pattern is not None and pattern != self.coverage:
-            return {"status": NOT_RESPONSIBLE}
-        return None
+        return self.state.locate(body, self.sim.now)
 
     def _op_set_capabilities(self, body: Dict) -> Dict:
-        agent_id = body["agent"]
-        if not pattern_matches(self.coverage, agent_id.bits):
-            return {"status": NOT_RESPONSIBLE}
-        if agent_id not in self.records:
-            return {"status": NO_RECORD}
-        caps = body.get("capabilities")
-        if caps is None:
-            self.capabilities.pop(agent_id, None)
-        else:
-            self.capabilities[agent_id] = validate_capabilities(caps)
-        self.stats.record_update(agent_id, self.sim.now)
-        return {"status": OK}
+        return self.state.set_capabilities(body, self.sim.now)[0]
 
     def _op_discover_similar(self, body: Dict) -> Dict:
-        stale = self._check_candidate_pattern(body)
-        if stale is not None:
-            return stale
-        matches = [
-            {
-                "agent": other,
-                "node": self.records[other],
-                "seq": 0,
-                "distance": dist,
-            }
-            for other, dist in ids_within(self.records, body["agent"], body["d"])
-        ]
-        return {"status": OK, "matches": matches}
+        return self.state.discover_similar(body)
 
     def _op_discover_capability(self, body: Dict) -> Dict:
-        stale = self._check_candidate_pattern(body)
-        if stale is not None:
-            return stale
-        predicate = body["predicate"]
-        matches = [
-            {
-                "agent": agent_id,
-                "node": self.records[agent_id],
-                "seq": 0,
-                "capabilities": caps,
-            }
-            for agent_id, caps in sorted(self.capabilities.items())
-            if agent_id in self.records and matches_predicate(caps, predicate)
-        ]
-        return {"status": OK, "matches": matches}
+        return self.state.discover_capability(body)
+
+    def _op_get_loads(self, body: Dict) -> Dict:
+        return self.state.get_loads(self.sim.now)
+
+    def _op_extract(self, body: Dict) -> Dict:
+        reply = self.state.extract(body, self.sim.now)[0]
+        reply["pending"] = self._release_pending(body["pattern"])
+        return reply
+
+    def _op_extract_all(self, body: Dict) -> Dict:
+        reply = self.state.extract_all()[0]
+        reply["pending"] = self._release_pending(None)
+        return reply
+
+    def _op_adopt(self, body: Dict) -> Dict:
+        reply = self.state.adopt(body)[0]
+        for agent_id, entries in body.get("pending", {}).items():
+            self.pending_messages.setdefault(agent_id, []).extend(entries)
+            self._chase(agent_id)
+        return reply
+
+    def _op_set_coverage(self, body: Dict) -> Dict:
+        return self.state.set_coverage(body)[0]
+
+    def _op_ping(self, body: Dict) -> Dict:
+        return {"status": OK, "node": self.node_name, "records": len(self.records)}
 
     # -- messaging extension (paper §6 future work) ----------------------
 
@@ -270,13 +220,27 @@ class IAgent(MobileAgent):
             "attempts": 0,
         }
         self.pending_messages.setdefault(target, []).append(entry)
-        node = self.records.get(target)
-        if node is not None:
+        self._chase(target)
+        return {"status": OK}
+
+    def _chase(self, target: AgentId) -> None:
+        """Forward ``target``'s relay mail, if it has any and we know
+        where it is."""
+        record = self.records.get(target)
+        if record is not None and self.pending_messages.get(target):
             self.sim.spawn(
-                self._forward_pending(target, node),
+                self._forward_pending(target, record[0]),
                 name=f"relay-{target.short()}",
             )
-        return {"status": OK}
+
+    def _release_pending(self, pattern: Optional[str]) -> Dict[AgentId, list]:
+        """Relay mail leaves with its agent's id: everything outside
+        ``pattern`` -- mail for agents that never registered here too."""
+        return {
+            agent_id: self.pending_messages.pop(agent_id)
+            for agent_id in list(self.pending_messages)
+            if not pattern_matches(pattern, agent_id.bits)
+        }
 
     def _forward_pending(self, target: AgentId, node: str) -> Generator:
         """Try to push every pending message for ``target`` to ``node``."""
@@ -332,104 +296,6 @@ class IAgent(MobileAgent):
             else:
                 del self.pending_messages[target]
 
-    # -- rehashing support ---------------------------------------------
-
-    def _op_get_loads(self, body: Dict) -> Dict:
-        """Accumulated loads keyed by bit strings (paper §4.1).
-
-        With per-agent statistics the keys are full id bit strings; with
-        grouped statistics they are ``stats_group_depth``-bit prefixes --
-        the split planner copes with either.
-        """
-        if getattr(self.stats, "grouped", False):
-            loads = self.stats.loads()
-        else:
-            loads = {
-                agent_id.bits: load
-                for agent_id, load in self.stats.per_agent.items()
-            }
-        return {
-            "status": OK,
-            "loads": loads,
-            "rate": self.stats.rate(self.sim.now),
-        }
-
-    def _load_of(self, agent_id: AgentId) -> int:
-        """This agent's (possibly estimated) accumulated load."""
-        if getattr(self.stats, "grouped", False):
-            return self.stats.estimated_agent_load(agent_id)
-        return self.stats.per_agent.get(agent_id, 0)
-
-    def _op_extract(self, body: Dict) -> Dict:
-        """Shrink coverage to ``pattern``; hand back everything outside it."""
-        pattern = body["pattern"]
-        moved_records: Dict[AgentId, str] = {}
-        moved_loads: Dict[AgentId, int] = {}
-        moved_pending: Dict[AgentId, list] = {}
-        moved_caps: Dict[AgentId, Dict] = {}
-        for agent_id in list(self.records):
-            if not pattern_matches(pattern, agent_id.bits):
-                moved_records[agent_id] = self.records.pop(agent_id)
-                moved_loads[agent_id] = self._load_of(agent_id)
-                self.stats.forget_agent(agent_id)
-                if agent_id in self.capabilities:
-                    moved_caps[agent_id] = self.capabilities.pop(agent_id)
-                if agent_id in self.pending_messages:
-                    moved_pending[agent_id] = self.pending_messages.pop(agent_id)
-        # Orphaned relay mail for agents that never registered here also
-        # moves if their ids fall outside the new coverage.
-        for agent_id in list(self.pending_messages):
-            if not pattern_matches(pattern, agent_id.bits):
-                moved_pending[agent_id] = self.pending_messages.pop(agent_id)
-        self.coverage = pattern
-        self.stats.total.reset(self.sim.now)
-        return {
-            "status": OK,
-            "records": moved_records,
-            "loads": moved_loads,
-            "pending": moved_pending,
-            "capabilities": moved_caps,
-        }
-
-    def _op_extract_all(self, body: Dict) -> Dict:
-        """Give up everything (this IAgent is being merged away)."""
-        records, self.records = self.records, {}
-        pending, self.pending_messages = self.pending_messages, {}
-        caps, self.capabilities = self.capabilities, {}
-        loads = {agent_id: self._load_of(agent_id) for agent_id in records}
-        for agent_id in records:
-            self.stats.forget_agent(agent_id)
-        self.coverage = None
-        return {"status": OK, "records": records, "loads": loads,
-                "pending": pending, "capabilities": caps}
-
-    def _op_adopt(self, body: Dict) -> Dict:
-        """Take over transferred records (and optionally new coverage)."""
-        if "pattern" in body:
-            self.coverage = body["pattern"]
-        for agent_id, node in body.get("records", {}).items():
-            self.records[agent_id] = node
-        for agent_id, caps in body.get("capabilities", {}).items():
-            self.capabilities[agent_id] = caps
-        for agent_id, load in body.get("loads", {}).items():
-            self.stats.adopt_agent(agent_id, load)
-        for agent_id, entries in body.get("pending", {}).items():
-            self.pending_messages.setdefault(agent_id, []).extend(entries)
-            node = self.records.get(agent_id)
-            if node is not None:
-                self.sim.spawn(
-                    self._forward_pending(agent_id, node),
-                    name=f"relay-{agent_id.short()}",
-                )
-        return {"status": OK}
-
-    def _op_set_coverage(self, body: Dict) -> Dict:
-        self.coverage = body["pattern"]
-        return {"status": OK}
-
-    def _op_ping(self, body: Dict) -> Dict:
-        return {"status": OK, "node": self.node_name, "records": len(self.records)}
-
     # ------------------------------------------------------------------
     # Placement extension (paper §7)
     # ------------------------------------------------------------------
@@ -444,7 +310,7 @@ class IAgent(MobileAgent):
         if len(self.records) < self.mechanism.config.placement_min_records:
             return None
         counts: Dict[str, int] = {}
-        for node in self.records.values():
+        for node, _seq in self.records.values():
             counts[node] = counts.get(node, 0) + 1
         best_node = max(counts, key=lambda name: (counts[name], name))
         if counts[best_node] < self.mechanism.config.placement_majority * len(

@@ -1,0 +1,397 @@
+"""The IAgent's record table as one sans-IO state machine.
+
+The paper's IAgent is a leaf's table of ``agent id -> precise current
+location`` that answers ``not-responsible`` outside its coverage (§2.2,
+§4.3) and hands records over on split and merge (§4.1-§4.2). This module
+holds that table once, with no clock, no sockets and no simulator: the
+simulator agent (:class:`repro.core.iagent.IAgent`) and the live
+endpoint (``repro.service.server.IAgentEndpoint``) are drivers that feed
+it ``(body, now)`` and act on what it returns.
+
+The table is a plain dict -- ``{"coverage", "records", "capabilities"}``,
+records being ``agent -> [node, seq]`` -- because that dict *is* the
+durable snapshot shape. Every mutation takes one path:
+
+    validate -> build the journal entry -> ``apply(table, entry)``
+             -> return ``(reply, entry)``
+
+:meth:`IAgentState.apply` is the only code that performs a transition,
+so a driver that journals the returned entries and later replays them
+through the same ``apply`` rebuilds the table exactly; there is no
+second interpretation of the log. A mutation that was refused or lost
+its sequence race returns ``entry=None``: nothing changed, nothing to
+journal. Load statistics are soft state outside the table: the methods
+update the injected ``stats`` object around ``apply``, replay does not.
+
+The hand-off *bundle* exchanged on split / merge is any mapping whose
+dict-valued keys are per-agent tables (``records``, ``loads``,
+``capabilities``, and whatever else a driver lets ride along -- the
+simulator's relay ``pending`` mail); scalar keys (``status``,
+``pattern``, an RPC envelope's fields) are not part of the hand-off.
+:func:`merge_handoffs` and :func:`route_handoff` own that format for the
+coordinators.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Dict, Iterable, Optional, Tuple
+
+from repro.discovery.capability import matches_predicate, validate_capabilities
+from repro.discovery.hamming import ids_within
+
+__all__ = [
+    "IAgentState",
+    "NO_RECORD",
+    "NOT_RESPONSIBLE",
+    "OK",
+    "merge_handoffs",
+    "pattern_matches",
+    "route_handoff",
+    "table_field",
+]
+
+#: Status strings of the IAgent protocol.
+OK = "ok"
+NOT_RESPONSIBLE = "not-responsible"
+NO_RECORD = "no-record"
+
+#: What a mutation returns: the reply, and the journal entry it applied
+#: (``None`` when nothing changed).
+Outcome = Tuple[Dict[str, Any], Optional[Dict[str, Any]]]
+
+
+def pattern_matches(pattern: Optional[str], bits: str) -> bool:
+    """Whether id ``bits`` fall inside a coverage ``pattern``.
+
+    ``pattern`` uses ``0``/``1`` for constrained positions and ``x`` for
+    wildcards (see :meth:`repro.core.labels.HyperLabel.pattern`). ``""``
+    covers everything; ``None`` covers nothing (a freshly created IAgent
+    that has not been handed its coverage yet).
+    """
+    if pattern is None:
+        return False
+    if len(pattern) > len(bits):
+        return False
+    return all(p in ("x", b) for p, b in zip(pattern, bits))
+
+
+def _admits(records: Dict, agent: Any, seq: int) -> bool:
+    """The sequence gate: a write wins unless a newer one is held."""
+    held = records.get(agent)
+    return held is None or seq >= held[1]
+
+
+class table_field:
+    """A driver attribute that reads and writes one field of its
+    ``state.table`` (drivers keep ``coverage`` / ``records`` /
+    ``capabilities`` assignable without holding a second copy)."""
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+    def __get__(self, driver: Any, owner: Any = None) -> Any:
+        if driver is None:
+            return self
+        return driver.state.table[self.name]
+
+    def __set__(self, driver: Any, value: Any) -> None:
+        driver.state.table[self.name] = value
+
+
+class IAgentState:
+    """One hash-tree leaf's directory shard: table + soft load stats."""
+
+    __slots__ = ("table", "stats")
+
+    def __init__(self, coverage: Optional[str], stats: Any) -> None:
+        self.table = self.initial_table()
+        self.table["coverage"] = coverage
+        #: ``LoadStatistics`` or ``GroupedLoadStatistics``; never asked which.
+        self.stats = stats
+
+    @staticmethod
+    def initial_table() -> Dict[str, Any]:
+        """The durable-state shape: coverage + records + capabilities."""
+        return {"coverage": None, "records": {}, "capabilities": {}}
+
+    # -- the one transition function ------------------------------------
+
+    @staticmethod
+    def apply(table: Dict[str, Any], entry: Dict[str, Any]) -> Any:
+        """Perform one journal entry's transition on ``table``.
+
+        Returns the transition's by-product -- whether a ``put`` won its
+        sequence race, the ``{"records", "capabilities"}`` an ``extract``
+        or ``clear`` displaced -- which replay ignores.
+        """
+        kind = entry["op"]
+        records = table["records"]
+        if kind == "put":
+            agent = entry["agent"]
+            if not _admits(records, agent, entry["seq"]):
+                return False
+            records[agent] = [entry["node"], entry["seq"]]
+            if "caps" in entry:
+                table["capabilities"][agent] = entry["caps"]
+            return True
+        capabilities = table["capabilities"]
+        if kind == "del":
+            records.pop(entry["agent"], None)
+            capabilities.pop(entry["agent"], None)
+        elif kind == "caps":
+            if entry["caps"] is None:
+                capabilities.pop(entry["agent"], None)
+            elif entry["agent"] in records:
+                capabilities[entry["agent"]] = entry["caps"]
+        elif kind == "coverage":
+            table["coverage"] = entry["pattern"]
+        elif kind == "extract":
+            pattern = entry["pattern"]
+            table["coverage"] = pattern
+            gone = [a for a in records if not pattern_matches(pattern, a.bits)]
+            return {
+                "records": {agent: records.pop(agent) for agent in gone},
+                "capabilities": {
+                    agent: capabilities.pop(agent)
+                    for agent in gone
+                    if agent in capabilities
+                },
+            }
+        elif kind == "clear":
+            table.update(IAgentState.initial_table())
+            return {"records": records, "capabilities": capabilities}
+        elif kind == "adopt":
+            if "pattern" in entry:
+                table["coverage"] = entry["pattern"]
+            caps_in = entry.get("capabilities", {})
+            for agent, record in entry["records"].items():
+                if _admits(records, agent, record[1]):
+                    records[agent] = record
+                    if agent in caps_in:
+                        capabilities[agent] = caps_in[agent]
+        else:  # pragma: no cover - would be a writer bug
+            raise ValueError(f"unknown IAgent mutation {kind!r}")
+        return None
+
+    # -- mutations: validate -> entry -> apply -> (reply, entry) --------
+
+    def put(self, body: Dict, now: float) -> Outcome:
+        """``register`` / ``update``: store ``[node, seq]`` (and an
+        optional capability set) unless a newer sequence is held."""
+        agent = body["agent"]
+        table = self.table
+        if not pattern_matches(table["coverage"], agent.bits):
+            return {"status": NOT_RESPONSIBLE}, None
+        entry = {
+            "op": "put",
+            "agent": agent,
+            "node": body["node"],
+            "seq": body.get("seq", 0),
+        }
+        caps = body.get("capabilities")
+        if caps is not None:
+            entry["caps"] = validate_capabilities(caps)
+        won = self.apply(table, entry)
+        self.stats.record_update(agent, now)
+        return {"status": OK}, entry if won else None
+
+    def unregister(self, body: Dict) -> Outcome:
+        agent = body["agent"]
+        table = self.table
+        if not pattern_matches(table["coverage"], agent.bits):
+            return {"status": NOT_RESPONSIBLE}, None
+        if not _admits(table["records"], agent, body.get("seq", 0)):
+            return {"status": OK}, None  # a late farewell from before a re-register
+        self.stats.forget_agent(agent)
+        if agent not in table["records"]:
+            return {"status": OK}, None
+        entry = {"op": "del", "agent": agent}
+        self.apply(table, entry)
+        return {"status": OK}, entry
+
+    def set_capabilities(self, body: Dict, now: float) -> Outcome:
+        """Attach (or with ``None`` clear) a held agent's capability set."""
+        agent = body["agent"]
+        table = self.table
+        if not pattern_matches(table["coverage"], agent.bits):
+            return {"status": NOT_RESPONSIBLE}, None
+        if agent not in table["records"]:
+            return {"status": NO_RECORD}, None
+        caps = body.get("capabilities")
+        if caps is not None:
+            validate_capabilities(caps)
+        entry = {"op": "caps", "agent": agent, "caps": caps}
+        self.apply(table, entry)
+        self.stats.record_update(agent, now)
+        return {"status": OK}, entry
+
+    def set_coverage(self, body: Dict) -> Outcome:
+        entry = {"op": "coverage", "pattern": body["pattern"]}
+        self.apply(self.table, entry)
+        return {"status": OK}, entry
+
+    def extract(self, body: Dict, now: float) -> Outcome:
+        """Shrink coverage to ``pattern``; hand back everything outside it.
+
+        Replay recomputes the displaced records from the pattern, so the
+        journal entry is O(1) however many records moved.
+        """
+        entry = {"op": "extract", "pattern": body["pattern"]}
+        displaced = self.apply(self.table, entry)
+        self.stats.total.reset(now)
+        return self._handoff(displaced), entry
+
+    def extract_all(self) -> Outcome:
+        """Give up everything (this IAgent is being merged away)."""
+        entry = {"op": "clear"}
+        return self._handoff(self.apply(self.table, entry)), entry
+
+    def _handoff(self, displaced: Dict[str, Dict]) -> Dict[str, Any]:
+        """The hand-off bundle for displaced records; their load
+        accumulators leave with them."""
+        stats = self.stats
+        loads = {}
+        for agent in displaced["records"]:
+            loads[agent] = stats.load_of(agent)
+            stats.forget_agent(agent)
+        return {
+            "status": OK,
+            "records": displaced["records"],
+            "loads": loads,
+            "capabilities": displaced["capabilities"],
+        }
+
+    def adopt(self, body: Dict) -> Outcome:
+        """Take over a hand-off bundle (and optionally new coverage).
+
+        Adopted records come from another shard, so (unlike extract)
+        they ride in the journal entry itself. Bundle keys this table
+        does not know (a driver's own cargo) are left to the driver.
+        """
+        entry: Dict[str, Any] = {
+            "op": "adopt",
+            "records": {
+                agent: list(record)
+                for agent, record in body.get("records", {}).items()
+            },
+        }
+        if body.get("capabilities"):
+            entry["capabilities"] = dict(body["capabilities"])
+        if "pattern" in body:
+            entry["pattern"] = body["pattern"]
+        self.apply(self.table, entry)
+        for agent, load in body.get("loads", {}).items():
+            self.stats.adopt_agent(agent, load)
+        return {"status": OK}, entry
+
+    # -- reads ------------------------------------------------------------
+
+    def locate(self, body: Dict, now: float) -> Dict[str, Any]:
+        agent = body["agent"]
+        table = self.table
+        if not pattern_matches(table["coverage"], agent.bits):
+            return {"status": NOT_RESPONSIBLE}
+        self.stats.record_query(agent, now)
+        record = table["records"].get(agent)
+        if record is None:
+            return {"status": NO_RECORD}
+        return {"status": OK, "node": record[0], "seq": record[1]}
+
+    def get_loads(self, now: float) -> Dict[str, Any]:
+        """Accumulated loads keyed by id bit strings (paper §4.1) --
+        full ids or group prefixes; the split planner copes with either."""
+        return {
+            "status": OK,
+            "loads": self.stats.loads(),
+            "rate": self.stats.rate(now),
+        }
+
+    def _check_candidate_pattern(self, body: Dict) -> Optional[Dict]:
+        """Staleness gate for multi-result queries.
+
+        The querying side learned of this IAgent from a secondary copy
+        and passes the coverage pattern that copy attributed to it. If
+        the actual coverage differs -- this leaf split, merged or was
+        taken over since -- answering would silently return a partial
+        result set, so bounce with NOT_RESPONSIBLE and let the §4.3
+        refresh loop recompute the candidates.
+        """
+        pattern = body.get("pattern")
+        if pattern is not None and pattern != self.table["coverage"]:
+            return {"status": NOT_RESPONSIBLE}
+        return None
+
+    def discover_similar(self, body: Dict) -> Dict[str, Any]:
+        stale = self._check_candidate_pattern(body)
+        if stale is not None:
+            return stale
+        records = self.table["records"]
+        matches = [
+            {
+                "agent": other,
+                "node": records[other][0],
+                "seq": records[other][1],
+                "distance": dist,
+            }
+            for other, dist in ids_within(records, body["agent"], body["d"])
+        ]
+        return {"status": OK, "matches": matches}
+
+    def discover_capability(self, body: Dict) -> Dict[str, Any]:
+        stale = self._check_candidate_pattern(body)
+        if stale is not None:
+            return stale
+        predicate = body["predicate"]
+        records, capabilities = self.table["records"], self.table["capabilities"]
+        # Filter first, sort the (much smaller) match set after: sorting
+        # the whole capability table per query dominates batched rounds.
+        hits = sorted(
+            agent
+            for agent, caps in capabilities.items()
+            if agent in records and matches_predicate(caps, predicate)
+        )
+        matches = [
+            {
+                "agent": agent,
+                "node": records[agent][0],
+                "seq": records[agent][1],
+                "capabilities": capabilities[agent],
+            }
+            for agent in hits
+        ]
+        return {"status": OK, "matches": matches}
+
+
+# ----------------------------------------------------------------------
+# The hand-off bundle, coordinator side
+# ----------------------------------------------------------------------
+
+
+def merge_handoffs(replies: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
+    """Split side: fold every affected leaf's ``extract`` reply into the
+    one bundle the new leaf adopts."""
+    bundle: Dict[str, Any] = {"records": {}}
+    for reply in replies:
+        for key, part in reply.items():
+            if isinstance(part, dict):
+                bundle.setdefault(key, {}).update(part)
+    return bundle
+
+
+def route_handoff(
+    tree: Any, bundle: Dict[str, Any], absorbers: Iterable[Any] = ()
+) -> Dict[Any, Dict[str, Any]]:
+    """Merge side: split one bundle by the leaf ``tree.lookup`` names
+    for each agent. Every leaf in ``absorbers`` gets a (possibly empty)
+    bundle, since its coverage changed even if it receives nothing."""
+    routed: Dict[Any, Dict[str, Any]] = {absorber: {} for absorber in absorbers}
+    leaf_of: Dict[Any, Any] = {}
+    for key, part in bundle.items():
+        if not isinstance(part, dict):
+            continue
+        for agent, value in part.items():
+            leaf = leaf_of.get(agent)
+            if leaf is None:
+                leaf = leaf_of[agent] = tree.lookup(agent.bits)
+            routed.setdefault(leaf, {}).setdefault(key, {})[agent] = value
+    return routed

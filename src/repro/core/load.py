@@ -107,9 +107,13 @@ class LoadStatistics:
     def rate(self, now: float) -> float:
         return self.total.rate(now)
 
-    def loads(self) -> Dict[Hashable, int]:
-        """A snapshot of per-agent accumulated loads."""
-        return dict(self.per_agent)
+    def loads(self) -> Dict[str, int]:
+        """Accumulated loads keyed by id bit strings (full ids here)."""
+        return {agent.bits: load for agent, load in self.per_agent.items()}
+
+    def load_of(self, agent_key: Hashable) -> int:
+        """One agent's accumulated load."""
+        return self.per_agent.get(agent_key, 0)
 
 
 def split_loads(
@@ -157,10 +161,8 @@ class GroupedLoadStatistics:
     IAgent: ``record_query``/``record_update`` take the agent id object
     (its ``bits`` provide the group key), ``loads()`` returns
     ``{group_prefix: load}``, and transfers move *approximate* per-agent
-    shares (a group's load divided by its member count).
+    shares (``load_of``: a group's load divided by its member count).
     """
-
-    grouped = True
 
     def __init__(self, window: float, group_depth: int = 8) -> None:
         if group_depth <= 0:
@@ -217,7 +219,7 @@ class GroupedLoadStatistics:
         group = self._ensure_member(agent_id)
         self.group_loads[group] = self.group_loads.get(group, 0) + load
 
-    def estimated_agent_load(self, agent_id: Hashable) -> int:
+    def load_of(self, agent_id: Hashable) -> int:
         """An agent's share estimate: its group's load over its members."""
         group = self._member_group.get(agent_id)
         if group is None:

@@ -53,12 +53,17 @@ from repro.core.config import HashMechanismConfig
 from repro.core.errors import CoreError
 from repro.core.hagent import delta_reply
 from repro.core.hash_tree import HashTree
-from repro.core.iagent import NO_RECORD, NOT_RESPONSIBLE, OK, pattern_matches
+from repro.core.iagent_state import (
+    OK,
+    IAgentState,
+    merge_handoffs,
+    route_handoff,
+    table_field,
+)
 from repro.core.lhagent import HashFunctionCopy
 from repro.core.load import LoadStatistics
 from repro.core.rehashing import plan_split
-from repro.discovery.capability import matches_predicate, validate_capabilities
-from repro.discovery.hamming import ids_within, shards_within
+from repro.discovery.hamming import shards_within
 from repro.metrics.trace import Tracer
 from repro.platform.messages import Request, Response
 from repro.platform.naming import AgentId, AgentNamer
@@ -429,18 +434,23 @@ class _Reject(ServiceError):
 class IAgentEndpoint:
     """The live Information Agent: one hash-tree leaf's directory shard.
 
-    The same record-table protocol as :class:`repro.core.iagent.IAgent`
-    (register / update / unregister / locate / extract / adopt ...), with
-    wall-clock :class:`repro.core.load.LoadStatistics` and per-record
-    sequence numbers for idempotent re-registration.
+    The asyncio driver of :class:`repro.core.iagent_state.IAgentState`
+    (the op table is in :mod:`repro.core.iagent`; ``seq`` makes
+    re-registration idempotent). This class owns only what is live:
+    epoch-fence checks, the wall clock, the journal and the report loop.
 
     With a :class:`~repro.storage.DurableStore` attached, every mutation
-    of the shard is journaled *after* it is applied and *before* it is
-    acknowledged; :meth:`apply_mutation` is the matching replay reducer,
-    so recovery re-runs exactly the in-memory transitions. Query-side
-    state (load statistics) is deliberately soft: it re-warms from
-    traffic.
+    is journaled *after* the core applied it and *before* it is
+    acknowledged, as the entry the core built; recovery replays those
+    entries through the same ``IAgentState.apply``. Query-side state
+    (load statistics) is deliberately soft: it re-warms from traffic.
     """
+
+    coverage = table_field("coverage")
+    #: agent id -> [node name, sequence number].
+    records = table_field("records")
+    #: agent id -> typed capability set (discovery subsystem).
+    capabilities = table_field("capabilities")
 
     def __init__(
         self,
@@ -455,13 +465,8 @@ class IAgentEndpoint:
         #: Which coordinator shard this leaf reports to and takes
         #: rehash orders from.
         self.shard = shard
-        self.coverage = pattern
-        #: agent id -> [node name, sequence number].
-        self.records: Dict[AgentId, List] = {}
-        #: agent id -> typed capability set (discovery subsystem). Rides
-        #: with the record through extract/adopt and the journal.
-        self.capabilities: Dict[AgentId, Dict] = {}
         self.stats = LoadStatistics(node.config.mechanism.rate_window)
+        self.state = IAgentState(pattern, self.stats)
         self.report_task: Optional[asyncio.Task] = None
         self.store = store
         #: Set by a warm restart: how much state came back from disk.
@@ -470,100 +475,35 @@ class IAgentEndpoint:
 
     # -- durability -----------------------------------------------------
 
-    @staticmethod
-    def initial_state() -> Dict:
-        """The durable-state shape: coverage + records + capabilities."""
-        return {"coverage": None, "records": {}, "capabilities": {}}
+    initial_state = staticmethod(IAgentState.initial_table)
 
     @staticmethod
     def apply_mutation(state: Dict, op: Dict) -> None:
-        """Replay one journaled mutation onto a durable-state dict.
-
-        Mirrors the live handlers exactly (including the sequence-number
-        conflict rule), so ``recover()`` = the same transitions, re-run.
-        """
-        records = state["records"]
-        # setdefault: snapshots written before the discovery subsystem
-        # have no capability table.
-        capabilities = state.setdefault("capabilities", {})
-        kind = op["op"]
-        if kind == "put":
-            existing = records.get(op["agent"])
-            if existing is None or op["seq"] >= existing[1]:
-                records[op["agent"]] = [op["node"], op["seq"]]
-                if "caps" in op:
-                    capabilities[op["agent"]] = op["caps"]
-        elif kind == "del":
-            records.pop(op["agent"], None)
-            capabilities.pop(op["agent"], None)
-        elif kind == "caps":
-            if op["caps"] is None:
-                capabilities.pop(op["agent"], None)
-            elif op["agent"] in records:
-                capabilities[op["agent"]] = op["caps"]
-        elif kind == "coverage":
-            state["coverage"] = op["pattern"]
-        elif kind == "extract":
-            for agent_id in list(records):
-                if not pattern_matches(op["pattern"], agent_id.bits):
-                    del records[agent_id]
-                    capabilities.pop(agent_id, None)
-            state["coverage"] = op["pattern"]
-        elif kind == "clear":
-            state["records"] = {}
-            state["capabilities"] = {}
-            state["coverage"] = None
-        elif kind == "adopt":
-            if "pattern" in op:
-                state["coverage"] = op["pattern"]
-            caps_in = op.get("capabilities", {})
-            for agent_id, record in op.get("records", {}).items():
-                existing = records.get(agent_id)
-                if existing is None or record[1] >= existing[1]:
-                    records[agent_id] = list(record)
-                    if agent_id in caps_in:
-                        capabilities[agent_id] = caps_in[agent_id]
-        else:  # pragma: no cover - would be a writer bug
-            raise ValueError(f"unknown IAgent mutation {kind!r}")
+        """The replay reducer: ``IAgentState.apply`` on a durable table."""
+        # Snapshots written before the discovery subsystem have no
+        # capability table.
+        state.setdefault("capabilities", {})
+        IAgentState.apply(state, op)
 
     def durable_state(self) -> Dict:
-        return {
-            "coverage": self.coverage,
-            "records": self.records,
-            "capabilities": self.capabilities,
-        }
+        return self.state.table
 
-    def _log(self, op: Dict) -> None:
-        """Journal one applied mutation; fold into a snapshot when due."""
-        if self.store is None:
-            return
-        self.store.log(op)
-        if self.store.should_snapshot:
-            self.store.snapshot(self.durable_state())
+    def _commit(self, outcome: Tuple[Dict, Optional[Dict]]) -> Dict:
+        """Journal the entry a core mutation applied (folding the log
+        into a snapshot when due), then release its reply."""
+        reply, entry = outcome
+        if entry is not None and self.store is not None:
+            self.store.log(entry)
+            if self.store.should_snapshot:
+                self.store.snapshot(self.durable_state())
+        return reply
 
     # -- op handlers (named like the simulator IAgent's) ----------------
 
     def op_register(self, body: Dict) -> Dict:
-        return self._store(body)
+        return self._commit(self.state.put(body, time.monotonic()))
 
-    def op_update(self, body: Dict) -> Dict:
-        return self._store(body)
-
-    def _store(self, body: Dict) -> Dict:
-        agent_id, node, seq = body["agent"], body["node"], body.get("seq", 0)
-        if not pattern_matches(self.coverage, agent_id.bits):
-            return {"status": NOT_RESPONSIBLE}
-        existing = self.records.get(agent_id)
-        if existing is None or seq >= existing[1]:
-            self.records[agent_id] = [node, seq]
-            entry = {"op": "put", "agent": agent_id, "node": node, "seq": seq}
-            caps = body.get("capabilities")
-            if caps is not None:
-                self.capabilities[agent_id] = validate_capabilities(caps)
-                entry["caps"] = caps
-            self._log(entry)
-        self.stats.record_update(agent_id, time.monotonic())
-        return {"status": OK}
+    op_update = op_register
 
     def op_register_batch(self, body: Dict) -> Dict:
         """Apply many register/update records in one round-trip.
@@ -573,29 +513,13 @@ class IAgentEndpoint:
         from N singles except for the saved round-trips; per-item
         statuses let the client fall back selectively.
         """
-        return {"status": OK, "results": [self._store(op) for op in body["ops"]]}
+        return {"status": OK, "results": [self.op_register(op) for op in body["ops"]]}
 
     def op_unregister(self, body: Dict) -> Dict:
-        agent_id = body["agent"]
-        if not pattern_matches(self.coverage, agent_id.bits):
-            return {"status": NOT_RESPONSIBLE}
-        existing = self.records.get(agent_id)
-        if existing is not None and body.get("seq", 0) >= existing[1]:
-            del self.records[agent_id]
-            self.capabilities.pop(agent_id, None)
-            self.stats.forget_agent(agent_id)
-            self._log({"op": "del", "agent": agent_id})
-        return {"status": OK}
+        return self._commit(self.state.unregister(body))
 
     def op_locate(self, body: Dict) -> Dict:
-        agent_id = body["agent"]
-        if not pattern_matches(self.coverage, agent_id.bits):
-            return {"status": NOT_RESPONSIBLE}
-        self.stats.record_query(agent_id, time.monotonic())
-        record = self.records.get(agent_id)
-        if record is None:
-            return {"status": NO_RECORD}
-        return {"status": OK, "node": record[0], "seq": record[1]}
+        return self.state.locate(body, time.monotonic())
 
     def op_locate_batch(self, body: Dict) -> Dict:
         """Resolve many agents in one round-trip; per-item statuses."""
@@ -605,168 +529,47 @@ class IAgentEndpoint:
         }
 
     def op_get_loads(self, body: Dict) -> Dict:
-        loads = {
-            agent_id.bits: load for agent_id, load in self.stats.per_agent.items()
-        }
-        return {"status": OK, "loads": loads, "rate": self.stats.rate(time.monotonic())}
+        return self.state.get_loads(time.monotonic())
 
     def op_extract(self, body: Dict) -> Dict:
         self.node.check_fence(body, "extract")
-        pattern = body["pattern"]
-        moved_records: Dict[AgentId, List] = {}
-        moved_loads: Dict[AgentId, int] = {}
-        moved_caps: Dict[AgentId, Dict] = {}
-        for agent_id in list(self.records):
-            if not pattern_matches(pattern, agent_id.bits):
-                moved_records[agent_id] = self.records.pop(agent_id)
-                moved_loads[agent_id] = self.stats.per_agent.get(agent_id, 0)
-                self.stats.forget_agent(agent_id)
-                if agent_id in self.capabilities:
-                    moved_caps[agent_id] = self.capabilities.pop(agent_id)
-        self.coverage = pattern
-        self.stats.total.reset(time.monotonic())
-        # Replay recomputes the dropped records (and their capabilities)
-        # from the pattern, so the journal entry is O(1) regardless of
-        # how many records moved.
-        self._log({"op": "extract", "pattern": pattern})
-        return {
-            "status": OK,
-            "records": moved_records,
-            "loads": moved_loads,
-            "capabilities": moved_caps,
-        }
+        return self._commit(self.state.extract(body, time.monotonic()))
 
     def op_extract_all(self, body: Dict) -> Dict:
         self.node.check_fence(body, "extract-all")
-        records, self.records = self.records, {}
-        caps, self.capabilities = self.capabilities, {}
-        loads = {
-            agent_id: self.stats.per_agent.get(agent_id, 0) for agent_id in records
-        }
-        for agent_id in records:
-            self.stats.forget_agent(agent_id)
-        self.coverage = None
-        self._log({"op": "clear"})
-        return {"status": OK, "records": records, "loads": loads,
-                "capabilities": caps}
+        return self._commit(self.state.extract_all())
 
     def op_adopt(self, body: Dict) -> Dict:
         self.node.check_fence(body, "adopt")
-        if "pattern" in body:
-            self.coverage = body["pattern"]
-        caps_in = body.get("capabilities", {})
-        for agent_id, record in body.get("records", {}).items():
-            existing = self.records.get(agent_id)
-            if existing is None or record[1] >= existing[1]:
-                self.records[agent_id] = list(record)
-                if agent_id in caps_in:
-                    self.capabilities[agent_id] = caps_in[agent_id]
-        for agent_id, load in body.get("loads", {}).items():
-            self.stats.adopt_agent(agent_id, load)
-        # Adopted records come from another shard, so (unlike extract)
-        # they must ride in the journal entry itself.
-        entry: Dict[str, Any] = {
-            "op": "adopt",
-            "records": {
-                agent_id: list(record)
-                for agent_id, record in body.get("records", {}).items()
-            },
-        }
-        if caps_in:
-            entry["capabilities"] = dict(caps_in)
-        if "pattern" in body:
-            entry["pattern"] = body["pattern"]
-        self._log(entry)
-        return {"status": OK}
+        return self._commit(self.state.adopt(body))
 
     def op_set_coverage(self, body: Dict) -> Dict:
         self.node.check_fence(body, "set-coverage")
-        self.coverage = body["pattern"]
-        self._log({"op": "coverage", "pattern": body["pattern"]})
-        return {"status": OK}
+        return self._commit(self.state.set_coverage(body))
 
     # -- discovery subsystem --------------------------------------------
 
     def op_set_capabilities(self, body: Dict) -> Dict:
-        agent_id = body["agent"]
-        if not pattern_matches(self.coverage, agent_id.bits):
-            return {"status": NOT_RESPONSIBLE}
-        if agent_id not in self.records:
-            return {"status": NO_RECORD}
-        caps = body.get("capabilities")
-        if caps is None:
-            self.capabilities.pop(agent_id, None)
-        else:
-            self.capabilities[agent_id] = validate_capabilities(caps)
-        self.stats.record_update(agent_id, time.monotonic())
-        self._log({"op": "caps", "agent": agent_id, "caps": caps})
-        return {"status": OK}
-
-    def _check_candidate_pattern(self, body: Dict) -> Optional[Dict]:
-        """Staleness gate for multi-result queries.
-
-        The client learned of this IAgent from a secondary copy and
-        passes the coverage pattern that copy attributed to it. If the
-        actual coverage differs -- this leaf split, merged or was taken
-        over since -- answering would silently return a partial result
-        set, so bounce with NOT_RESPONSIBLE and let the client refresh
-        its copy and recompute the candidate set (§4.3, per query).
-        """
-        pattern = body.get("pattern")
-        if pattern is not None and pattern != self.coverage:
-            return {"status": NOT_RESPONSIBLE}
-        return None
+        return self._commit(self.state.set_capabilities(body, time.monotonic()))
 
     def op_discover_similar(self, body: Dict) -> Dict:
-        stale = self._check_candidate_pattern(body)
-        if stale is not None:
-            return stale
-        matches = [
-            {
-                "agent": other,
-                "node": self.records[other][0],
-                "seq": self.records[other][1],
-                "distance": dist,
-            }
-            for other, dist in ids_within(self.records, body["agent"], body["d"])
-        ]
-        return {"status": OK, "matches": matches}
+        return self.state.discover_similar(body)
 
     def op_discover_capability(self, body: Dict) -> Dict:
-        stale = self._check_candidate_pattern(body)
-        if stale is not None:
-            return stale
-        predicate = body["predicate"]
-        # Filter first, sort the (much smaller) match set after: sorting
-        # the whole capability table per query dominates batched rounds.
-        hits = sorted(
-            agent_id
-            for agent_id, caps in self.capabilities.items()
-            if agent_id in self.records and matches_predicate(caps, predicate)
-        )
-        matches = [
-            {
-                "agent": agent_id,
-                "node": self.records[agent_id][0],
-                "seq": self.records[agent_id][1],
-                "capabilities": self.capabilities[agent_id],
-            }
-            for agent_id in hits
-        ]
-        return {"status": OK, "matches": matches}
+        return self.state.discover_capability(body)
 
     def op_discover_similar_batch(self, body: Dict) -> Dict:
         """Run many similarity queries in one round-trip."""
         return {
             "status": OK,
-            "results": [self.op_discover_similar(op) for op in body["ops"]],
+            "results": [self.state.discover_similar(op) for op in body["ops"]],
         }
 
     def op_discover_capability_batch(self, body: Dict) -> Dict:
         """Run many capability queries in one round-trip."""
         return {
             "status": OK,
-            "results": [self.op_discover_capability(op) for op in body["ops"]],
+            "results": [self.state.discover_capability(op) for op in body["ops"]],
         }
 
     def op_ping(self, body: Dict) -> Dict:
@@ -1444,27 +1247,24 @@ class NodeServer(_FramedServer):
                     initial=IAgentEndpoint.initial_state,
                     apply=IAgentEndpoint.apply_mutation,
                 )
-                endpoint.records = result.state["records"]
-                endpoint.capabilities = result.state.get("capabilities", {})
-                # A pattern from the HAgent (takeover) wins; otherwise
-                # the recovered coverage stands. "" covers everything,
-                # so test against None, not truthiness.
-                if pattern is None:
-                    endpoint.coverage = result.state["coverage"]
+                # Missing fields (a pre-discovery snapshot has no
+                # capability table) take the initial shape.
+                endpoint.state.table = {**endpoint.initial_state(), **result.state}
                 endpoint.records_recovered = len(endpoint.records)
                 endpoint.wal_replayed = result.replayed
                 recovery_s = result.elapsed_s
                 # Fold the recovered state into a fresh snapshot so the
                 # next restart replays only post-recovery mutations.
                 store.snapshot(endpoint.durable_state())
-                if pattern is not None:
-                    endpoint._log({"op": "coverage", "pattern": pattern})
             else:
                 # A *new* incarnation (bootstrap, split, cross-node
                 # takeover): stale history must not resurrect into it.
                 store.reset()
-                if pattern is not None:
-                    endpoint._log({"op": "coverage", "pattern": pattern})
+            # A pattern from the HAgent (takeover) wins over a recovered
+            # coverage. "" covers everything, so test against None, not
+            # truthiness.
+            if pattern is not None:
+                endpoint.op_set_coverage({"pattern": pattern})
         self.crashed.discard(owner)
         self.iagents[owner] = endpoint
         endpoint.report_task = self.spawn(
@@ -2577,32 +2377,19 @@ class HAgentServer(_FramedServer):
                 }
             )
 
-            moved_records: Dict[AgentId, List] = {}
-            moved_loads: Dict[AgentId, int] = {}
-            moved_caps: Dict[AgentId, Dict] = {}
+            replies = []
             for affected in outcome.affected_owners:
                 pattern = self.tree.hyper_label(affected).pattern()
                 try:
-                    reply = await self._rpc_iagent(
-                        affected, "extract", {"pattern": pattern}
+                    replies.append(
+                        await self._rpc_iagent(affected, "extract", {"pattern": pattern})
                     )
                 except (ServiceRpcError, RemoteOpError):
                     continue  # its records re-converge via re-registration
-                moved_records.update(reply["records"])
-                moved_loads.update(reply["loads"])
-                moved_caps.update(reply.get("capabilities", {}))
-            new_pattern = self.tree.hyper_label(new_owner).pattern()
+            bundle = merge_handoffs(replies)
+            bundle["pattern"] = self.tree.hyper_label(new_owner).pattern()
             try:
-                await self._rpc_iagent(
-                    new_owner,
-                    "adopt",
-                    {
-                        "records": moved_records,
-                        "loads": moved_loads,
-                        "capabilities": moved_caps,
-                        "pattern": new_pattern,
-                    },
-                )
+                await self._rpc_iagent(new_owner, "adopt", bundle)
             except (ServiceRpcError, RemoteOpError):
                 pass  # coverage arrives with the next takeover/republish
             self._log(
@@ -2610,7 +2397,7 @@ class HAgentServer(_FramedServer):
                 owner=owner,
                 new_owner=new_owner,
                 kind=planned.candidate.kind,
-                moved=len(moved_records),
+                moved=len(bundle["records"]),
             )
 
     async def _merge(self, owner: AgentId) -> None:
@@ -2629,29 +2416,14 @@ class HAgentServer(_FramedServer):
             # must advance in the event-loop step that mutated the tree.
             self._publish({"op": "merge", "owner": owner})
             try:
-                reply = await self._rpc_iagent(owner, "extract-all", node_name=node)
-                records, loads = reply["records"], reply["loads"]
-                caps = reply.get("capabilities", {})
+                bundle = await self._rpc_iagent(owner, "extract-all", node_name=node)
             except (ServiceRpcError, RemoteOpError):
-                records, loads, caps = {}, {}, {}  # re-converges via re-registration
-
-            def _bucket() -> Dict:
-                return {"records": {}, "loads": {}, "capabilities": {}}
-
-            per_absorber: Dict[Any, Dict] = {
-                absorber: _bucket() for absorber in outcome.absorbers
-            }
-            for agent_id, record in records.items():
-                absorber = self.tree.lookup(agent_id.bits)
-                bucket = per_absorber.setdefault(absorber, _bucket())
-                bucket["records"][agent_id] = record
-                bucket["loads"][agent_id] = loads.get(agent_id, 0)
-                if agent_id in caps:
-                    bucket["capabilities"][agent_id] = caps[agent_id]
-            for absorber, bucket in per_absorber.items():
-                bucket["pattern"] = self.tree.hyper_label(absorber).pattern()
+                bundle = {}  # re-converges via re-registration
+            routed = route_handoff(self.tree, bundle, outcome.absorbers)
+            for absorber, handoff in routed.items():
+                handoff["pattern"] = self.tree.hyper_label(absorber).pattern()
                 try:
-                    await self._rpc_iagent(absorber, "adopt", bucket)
+                    await self._rpc_iagent(absorber, "adopt", handoff)
                 except (ServiceRpcError, RemoteOpError):
                     continue
                 self._set_cooldown(absorber)
@@ -2660,7 +2432,12 @@ class HAgentServer(_FramedServer):
                     await self._rpc_node(node, "retire-iagent", {"owner": owner})
                 except (ServiceRpcError, RemoteOpError):
                     pass
-            self._log("merge", owner=owner, kind=outcome.kind, moved=len(records))
+            self._log(
+                "merge",
+                owner=owner,
+                kind=outcome.kind,
+                moved=len(bundle.get("records", ())),
+            )
 
     # ------------------------------------------------------------------
     # Cross-shard merge: hand a whole prefix to the sibling shard.
@@ -2724,24 +2501,16 @@ class HAgentServer(_FramedServer):
                         if self.tree is not None and self.tree.has_owner(owner)
                         else None
                     )
-                    reply = await self._rpc_iagent(owner, "extract-all")
-                    drained[owner] = {
-                        "records": reply["records"],
-                        "loads": reply["loads"],
-                        "capabilities": reply.get("capabilities", {}),
-                        "pattern": pattern,
-                    }
+                    drained[owner] = merge_handoffs(
+                        [await self._rpc_iagent(owner, "extract-all")]
+                    )
+                    if pattern is not None:
+                        drained[owner]["pattern"] = pattern
             except (ServiceRpcError, RemoteOpError) as error:
                 await self._xshard_restore(drained)
                 return self._xshard_abandon(f"drain fenced off: {error}")
 
-            records: Dict[AgentId, List] = {}
-            loads: Dict[AgentId, int] = {}
-            caps: Dict[AgentId, Dict] = {}
-            for bucket in drained.values():
-                records.update(bucket["records"])
-                loads.update(bucket["loads"])
-                caps.update(bucket["capabilities"])
+            bundle = merge_handoffs(drained.values())
 
             # Phase 2b: commit at the buddy, both epochs echoed. The
             # buddy re-checks the grant, fences itself against its own
@@ -2755,9 +2524,7 @@ class HAgentServer(_FramedServer):
                         "from_shard": self.shard,
                         "epoch": self.epoch,
                         "buddy_epoch": grant["epoch"],
-                        "records": records,
-                        "loads": loads,
-                        "capabilities": caps,
+                        **bundle,
                     },
                     timeout=self.config.rpc_timeout * 2,
                 )
@@ -2777,8 +2544,9 @@ class HAgentServer(_FramedServer):
                     await self._rpc_node(node, "retire-iagent", {"owner": owner})
                 except (ServiceRpcError, RemoteOpError):
                     pass  # the leaf retires itself on its next report
-            self._log("xshard-release", into=buddy, moved=len(records))
-            return {"status": OK, "into": buddy, "moved": len(records)}
+            moved = len(bundle["records"])
+            self._log("xshard-release", into=buddy, moved=moved)
+            return {"status": OK, "into": buddy, "moved": moved}
 
     def _xshard_abandon(self, reason: str) -> Dict:
         self.xshard_aborts += 1
@@ -2798,16 +2566,9 @@ class HAgentServer(_FramedServer):
             addr = self.node_addrs.get(node) if node is not None else None
             if addr is None:
                 continue
-            body: Dict[str, Any] = {
-                "records": bucket["records"],
-                "loads": bucket["loads"],
-                "capabilities": bucket.get("capabilities", {}),
-            }
-            if bucket["pattern"] is not None:
-                body["pattern"] = bucket["pattern"]
             try:
                 await self.channel.call(
-                    addr, owner, "adopt", body, timeout=self.config.rpc_timeout
+                    addr, owner, "adopt", bucket, timeout=self.config.rpc_timeout
                 )
             except (ServiceRpcError, RemoteOpError):
                 continue  # soft-state re-registration is the backstop
@@ -2848,19 +2609,8 @@ class HAgentServer(_FramedServer):
             )
         async with self._rehash_lock:
             assert self.tree is not None
-            records = body.get("records", {})
-            loads = body.get("loads", {})
-            caps = body.get("capabilities", {})
-            per_absorber: Dict[Any, Dict[str, Any]] = {}
-            for agent_id, record in records.items():
-                absorber = self.tree.lookup(agent_id.bits)
-                bucket = per_absorber.setdefault(
-                    absorber, {"records": {}, "loads": {}, "capabilities": {}}
-                )
-                bucket["records"][agent_id] = record
-                bucket["loads"][agent_id] = loads.get(agent_id, 0)
-                if agent_id in caps:
-                    bucket["capabilities"][agent_id] = caps[agent_id]
+            # The envelope's own fields are scalars, which routing skips.
+            per_absorber = route_handoff(self.tree, body)
             if not per_absorber and self.iagent_nodes:
                 # Nothing to adopt, but the fencing round-trip is still
                 # mandatory: an empty fenced adopt against one of our
@@ -2891,7 +2641,9 @@ class HAgentServer(_FramedServer):
                 }
             )
             self._log(
-                "xshard-absorb", from_shard=from_shard, moved=len(records)
+                "xshard-absorb",
+                from_shard=from_shard,
+                moved=len(body.get("records", ())),
             )
         # Push the release to every initiator-shard replica: if the
         # initiator was deposed between its drain and this commit, its

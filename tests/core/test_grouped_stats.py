@@ -46,9 +46,9 @@ class TestGroupedLoadStatistics:
         for _ in range(2):
             stats.record_update(b, 0.0)
         # Both in group "00": 6 total over 2 members -> 3 each.
-        assert stats.estimated_agent_load(a) == 3
-        assert stats.estimated_agent_load(b) == 3
-        assert stats.estimated_agent_load(aid("1100")) == 0
+        assert stats.load_of(a) == 3
+        assert stats.load_of(b) == 3
+        assert stats.load_of(aid("1100")) == 0
 
     def test_forget_agent_releases_share(self):
         stats = GroupedLoadStatistics(window=5.0, group_depth=2)
@@ -75,9 +75,6 @@ class TestGroupedLoadStatistics:
     def test_invalid_depth_rejected(self):
         with pytest.raises(ValueError):
             GroupedLoadStatistics(window=5.0, group_depth=0)
-
-    def test_grouped_marker(self):
-        assert GroupedLoadStatistics(window=1.0).grouped
 
 
 class TestGroupedModeIntegration:

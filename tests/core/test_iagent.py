@@ -42,7 +42,7 @@ class TestRecordOps:
         agent_id = AgentId(42)
         assert call(iagent, "register", agent=agent_id, node="node-2")["status"] == OK
         reply = call(iagent, "locate", agent=agent_id)
-        assert reply == {"status": OK, "node": "node-2"}
+        assert reply == {"status": OK, "node": "node-2", "seq": 0}
 
     def test_update_overwrites_location(self):
         _, _, iagent = make_iagent()
@@ -105,7 +105,7 @@ class TestTransferOps:
         call(iagent, "register", agent=high, node="n-high")
         reply = call(iagent, "extract", pattern="0")
         assert reply["status"] == OK
-        assert reply["records"] == {high: "n-high"}
+        assert reply["records"] == {high: ["n-high", 0]}
         assert high in reply["loads"]
         assert iagent.coverage == "0"
         assert call(iagent, "locate", agent=low)["status"] == OK
@@ -125,7 +125,7 @@ class TestTransferOps:
         call(
             iagent,
             "adopt",
-            records={migrant: "node-1"},
+            records={migrant: ["node-1", 0]},
             loads={migrant: 9},
             pattern="1",
         )

@@ -8,6 +8,9 @@ from repro.core.load import (
     is_even_split,
     split_loads,
 )
+from repro.platform.naming import AgentId
+
+A, B = AgentId(0b1010, width=4), AgentId(0b0101, width=4)
 
 
 class TestRateWindow:
@@ -53,12 +56,13 @@ class TestRateWindow:
 class TestLoadStatistics:
     def test_queries_and_updates_counted(self):
         stats = LoadStatistics(window=5.0)
-        stats.record_query("a", 0.0)
-        stats.record_update("a", 0.1)
-        stats.record_update("b", 0.2)
+        stats.record_query(A, 0.0)
+        stats.record_update(A, 0.1)
+        stats.record_update(B, 0.2)
         assert stats.queries == 1
         assert stats.updates == 2
-        assert stats.loads() == {"a": 2, "b": 1}
+        assert stats.loads() == {"1010": 2, "0101": 1}
+        assert (stats.load_of(A), stats.load_of(B)) == (2, 1)
 
     def test_rate_aggregates_both_kinds(self):
         stats = LoadStatistics(window=1.0)
@@ -68,15 +72,16 @@ class TestLoadStatistics:
 
     def test_forget_agent(self):
         stats = LoadStatistics(window=1.0)
-        stats.record_query("a", 0.0)
-        stats.forget_agent("a")
+        stats.record_query(A, 0.0)
+        stats.forget_agent(A)
         assert stats.loads() == {}
+        assert stats.load_of(A) == 0
 
     def test_adopt_agent_seeds_load(self):
         stats = LoadStatistics(window=1.0)
-        stats.adopt_agent("x", load=7)
-        stats.record_query("x", 0.0)
-        assert stats.loads() == {"x": 8}
+        stats.adopt_agent(A, load=7)
+        stats.record_query(A, 0.0)
+        assert stats.loads() == {"1010": 8}
 
 
 class TestSplitLoads:
