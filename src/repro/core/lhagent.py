@@ -23,108 +23,17 @@ Wire protocol:
 
 from __future__ import annotations
 
-from typing import Any, Dict, Generator, List, Optional
+from typing import Any, Dict, Generator, Optional
 
-from repro.core.errors import CoreError
-from repro.core.hash_tree import HashTree
+from repro.core.hash_function import HashFunction
 from repro.platform.agents import Agent
 from repro.platform.messages import Request, RpcError
 from repro.platform.naming import AgentId
 
 __all__ = ["LHAgent", "HashFunctionCopy"]
 
-
-class HashFunctionCopy:
-    """One versioned copy of the hash function + IAgent directory."""
-
-    __slots__ = ("version", "tree", "iagent_nodes")
-
-    def __init__(self, version: int, tree: HashTree, iagent_nodes: Dict) -> None:
-        self.version = version
-        self.tree = tree
-        self.iagent_nodes = dict(iagent_nodes)
-
-    @classmethod
-    def from_bundle(cls, bundle: Dict) -> "HashFunctionCopy":
-        """Decode the wire form produced by the HAgent."""
-        return cls(
-            version=bundle["version"],
-            tree=HashTree.from_spec(bundle["tree"]),
-            iagent_nodes=bundle["iagent_nodes"],
-        )
-
-    def apply_ops(self, ops: List[Dict]) -> None:
-        """Replay journaled rehash operations onto this copy in place.
-
-        Each entry carries the version it produced at the primary;
-        entries at or below this copy's version are skipped (duplicate
-        delivery), so replay is idempotent. After replay the copy is
-        bit-identical to the primary at the last entry's version.
-        """
-        tree = self.tree
-        nodes = self.iagent_nodes
-        for op in ops:
-            version = op["version"]
-            if version <= self.version:
-                continue
-            kind = op["op"]
-            if kind == "split":
-                tree.replay_split(
-                    op["kind"], op["owner"], op["bit"], op["new_owner"]
-                )
-                nodes[op["new_owner"]] = op["new_node"]
-            elif kind == "merge":
-                tree.apply_merge(op["owner"])
-                nodes.pop(op["owner"], None)
-            elif kind == "move":
-                nodes[op["owner"]] = op["node"]
-            else:
-                raise CoreError(f"unknown journal op {kind!r}")
-            self.version = version
-
-    def resolve(self, agent_id: AgentId):
-        """Map an agent id to ``(iagent_id, node_name)`` via this copy."""
-        owner = self.tree.lookup(agent_id.bits)
-        return owner, self.iagent_nodes.get(owner)
-
-    def candidates(
-        self, agent_id: Optional[AgentId], d: Optional[int]
-    ) -> List[Dict]:
-        """Candidate IAgents for a discovery query, best bound first.
-
-        With a radius ``d``, the prefix-pruned Hamming walk selects only
-        the IAgents whose region intersects the ball around ``agent_id``
-        (``bound`` is the exact minimum distance to the region). With
-        ``d=None`` (capability discovery) every IAgent is a candidate at
-        bound 0 -- capabilities are not clustered by id prefix.
-
-        This is the *shared* candidate step: the simulator LHAgent and
-        the live LHAgentEndpoint both serve ``discover-candidates`` from
-        their cached copies through this method, which is what pins the
-        two stacks to the same algorithm.
-        """
-        if d is None:
-            bounds = {owner: 0 for owner in self.tree.owners()}
-        else:
-            if agent_id is None:
-                raise CoreError("similarity discovery requires an agent id")
-            bounds = self.tree.find_within_hamming(agent_id.bits, d)
-        out = [
-            {
-                "iagent": owner,
-                "node": self.iagent_nodes.get(owner),
-                "bound": bound,
-                # The coverage pattern this copy believes the candidate
-                # serves. The candidate echoes NOT_RESPONSIBLE when its
-                # actual coverage differs, which is the staleness signal
-                # driving the §4.3 refresh loop for multi-result queries
-                # (there is no single queried id to bounce on).
-                "pattern": self.tree.hyper_label(owner).pattern(),
-            }
-            for owner, bound in bounds.items()
-        ]
-        out.sort(key=lambda c: (c["bound"], str(c["iagent"])))
-        return out
+#: A secondary copy is a :class:`HashFunction` without a journal.
+HashFunctionCopy = HashFunction
 
 
 class LHAgent(Agent):
@@ -188,6 +97,23 @@ class LHAgent(Agent):
         return {"iagent": owner, "node": node, "version": self.copy.version}
 
     def _fetch_primary_copy(self) -> Generator:
+        reply = yield from self._request_copy()
+        if self.copy is not None and self.copy.absorb(reply) == "resync":
+            # A journal the copy cannot replay (should not happen -- the
+            # HAgent checks contiguity) degrades to a snapshot rather
+            # than wedging the node.
+            self.copy = None
+            reply = yield from self._request_copy()
+        if self.copy is None:
+            self.copy = HashFunction.from_bundle(reply)
+        if reply.get("mode") == "delta":
+            self.delta_refreshes += 1
+        else:
+            self.full_refreshes += 1
+
+    def _request_copy(self) -> Generator:
+        """One refresh round trip: the delta since our copy when we hold
+        one, the snapshot otherwise or from the backup on failover."""
         mechanism = self.mechanism
         config = mechanism.config
         timeout = (
@@ -195,25 +121,15 @@ class LHAgent(Agent):
             if config.enable_backup_hagent
             else config.rpc_timeout
         )
-        use_delta = config.delta_sync and self.copy is not None
+        if config.delta_sync and self.copy is not None:
+            op, body, size = "get-hash-delta", {"since": self.copy.version}, 64
+        else:
+            op, body, size = "get-hash-function", None, 2048
         try:
-            if use_delta:
-                reply = yield self.rpc(
-                    mechanism.hagent_node,
-                    mechanism.hagent_id,
-                    "get-hash-delta",
-                    {"since": self.copy.version},
-                    timeout=timeout,
-                    size=64,
-                )
-            else:
-                reply = yield self.rpc(
-                    mechanism.hagent_node,
-                    mechanism.hagent_id,
-                    "get-hash-function",
-                    timeout=timeout,
-                    size=2048,
-                )
+            reply = yield self.rpc(
+                mechanism.hagent_node, mechanism.hagent_id, op, body,
+                timeout=timeout, size=size,
+            )
         except RpcError:
             if not config.enable_backup_hagent or mechanism.backup_id is None:
                 raise
@@ -225,28 +141,5 @@ class LHAgent(Agent):
                 timeout=config.rpc_timeout,
                 size=2048,
             )
-            use_delta = False
         self.refreshes += 1
-        if use_delta and reply.get("mode") == "delta":
-            try:
-                self.copy.apply_ops(reply["ops"])
-            except CoreError:
-                # A journal the copy cannot replay (should not happen --
-                # the HAgent checks contiguity) degrades to a snapshot
-                # rather than wedging the node.
-                reply = yield self.rpc(
-                    mechanism.hagent_node,
-                    mechanism.hagent_id,
-                    "get-hash-function",
-                    timeout=timeout,
-                    size=2048,
-                )
-            else:
-                self.delta_refreshes += 1
-                return
-        self.full_refreshes += 1
-        fresh = HashFunctionCopy.from_bundle(reply)
-        # Never step backwards: a slow response must not clobber a newer
-        # copy installed by a concurrent refresh.
-        if self.copy is None or fresh.version >= self.copy.version:
-            self.copy = fresh
+        return reply

@@ -23,7 +23,6 @@ from repro.baselines.base import LocationMechanism
 from repro.core.config import HashMechanismConfig
 from repro.core.errors import CoreError, LocateFailedError
 from repro.core.hagent import HAgent
-from repro.core.hash_tree import HashTree
 from repro.core.iagent import IAgent, NO_RECORD, NOT_RESPONSIBLE, OK
 from repro.core.lhagent import LHAgent
 from repro.core.placement import PlacementPolicy
@@ -86,9 +85,10 @@ class HashLocationMechanism(LocationMechanism):
         first.coverage = ""  # the empty pattern matches every id
         self.iagents[first.agent_id] = first
 
-        tree = HashTree(first.agent_id, width=runtime.namer.width)
-        self.hagent.adopt_tree(tree, {first.agent_id: first_node})
-        self.on_primary_copy_changed(self.hagent.bundle())
+        self.hagent.function.bootstrap(
+            first.agent_id, first_node, runtime.namer.width
+        )
+        self.on_primary_copy_changed()
 
         if self.config.enable_placement:
             self.placement = PlacementPolicy(self)
@@ -148,10 +148,11 @@ class HashLocationMechanism(LocationMechanism):
         if iagent is not None and iagent.alive:
             yield from iagent.die()
 
-    def on_primary_copy_changed(self, bundle: Dict) -> None:
+    def on_primary_copy_changed(self) -> None:
         """Push the new primary copy to the backup (if replicating)."""
         if self.backup is None or not self.config.backup_sync:
             return
+        bundle = self.hagent.function.bundle()
         self.runtime.sim.spawn(self._sync_backup(bundle), name="backup-sync")
 
     def _sync_backup(self, bundle: Dict) -> Generator:
@@ -163,7 +164,7 @@ class HashLocationMechanism(LocationMechanism):
                 "sync",
                 bundle,
                 timeout=self.config.rpc_timeout,
-                size=self.hagent.snapshot_wire_size(),
+                size=self.hagent.function.snapshot_wire_size(),
             )
         except RpcError:
             # A down backup must not wedge the primary; the next change

@@ -1,11 +1,14 @@
-"""The split-planning policy (paper §4.1).
+"""The rehash policy: when to rehash (§4.1-§4.2) and which split (§4.1).
 
-Pure decision logic, separated from the HAgent so it can be unit-tested
-without a simulation. Given the tree, the overloaded owner, per-agent
-loads and the configuration, :func:`plan_split` walks the candidate list
-in the paper's order -- complex splits first (left-most multi-bit label,
-then the first bit after the valid bit), then simple splits with growing
-``m`` -- and returns the first candidate whose load division is *even*.
+Pure decision logic, separated from the coordinators so it can be
+unit-tested without a simulation or a socket. :class:`RehashPolicy` is
+the T_max / T_min / patience / cooldown trigger both coordinators feed
+their load reports to, each with its own clock. Given the tree, the
+overloaded owner, per-agent loads and the configuration,
+:func:`plan_split` walks the candidate list in the paper's order --
+complex splits first (left-most multi-bit label, then the first bit
+after the valid bit), then simple splits with growing ``m`` -- and
+returns the first candidate whose load division is *even*.
 
 If no candidate is even, the paper's text keeps incrementing ``m``
 "until m is sufficiently large to produce an even split"; that loop need
@@ -18,13 +21,73 @@ degenerate. The deviation is recorded in DESIGN.md §4.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Mapping, Optional, Tuple
 
 from repro.core.config import HashMechanismConfig
 from repro.core.hash_tree import HashTree, SplitCandidate
 from repro.core.load import is_even_split, split_loads
 
-__all__ = ["PlannedSplit", "plan_split", "candidate_affected_owners"]
+__all__ = ["PlannedSplit", "RehashPolicy", "plan_split"]
+
+
+class RehashPolicy:
+    """The rehash trigger: thresholds, per-owner cooldown, merge streaks.
+
+    Sans-IO: the driver passes its own clock reading (virtual seconds in
+    the simulator, ``time.monotonic()`` live) and runs the verdict.
+    """
+
+    def __init__(self, config: HashMechanismConfig) -> None:
+        self.config = config
+        self._cooldown_until: Dict[Any, float] = {}
+        self._merge_streak: Dict[Any, int] = {}
+
+    def thresholds_for(self, report: Mapping[str, Any]) -> Tuple[float, float]:
+        """Effective (T_max, T_min) for one IAgent's report.
+
+        ``"fixed"`` mode returns the configured pair. ``"adaptive"``
+        mode -- the heuristic the paper defers to future work -- keeps
+        each IAgent below ``target_utilization`` of its *measured*
+        capacity: ``T_max = target_utilization / mean_service_time``.
+        """
+        config = self.config
+        service = report.get("service_estimate") or 0.0
+        if config.threshold_mode == "fixed" or service <= 0.0:
+            return config.t_max, config.t_min  # configured, or no measurement yet
+        t_max = config.target_utilization / service
+        return t_max, t_max * config.adaptive_t_min_fraction
+
+    def set_cooldown(self, owner: Any, now: float) -> None:
+        self._cooldown_until[owner] = now + self.config.cooldown
+
+    def cooling(self, owner: Any, now: float) -> bool:
+        return now < self._cooldown_until.get(owner, 0.0)
+
+    def decide(
+        self, report: Mapping[str, Any], now: float, mergeable: bool
+    ) -> Optional[str]:
+        """``"split"``, ``"merge"`` or ``None`` for one load report.
+
+        Split above T_max; merge after ``merge_patience`` consecutive
+        reports below T_min, counted only while ``mergeable`` (the
+        driver knows whether anything is left to merge with). Immature
+        reports and owners in cooldown decide nothing.
+        """
+        owner = report["owner"]
+        if not report.get("mature") or self.cooling(owner, now):
+            return None
+        t_max, t_min = self.thresholds_for(report)
+        rate = report["rate"]
+        # Put back below only if this report continues the streak.
+        streak = self._merge_streak.pop(owner, 0) + 1
+        if rate > t_max:
+            return "split"
+        if not (self.config.enable_merge and rate < t_min and mergeable):
+            return None
+        if streak >= self.config.merge_patience:
+            return "merge"
+        self._merge_streak[owner] = streak
+        return None
 
 
 @dataclass(frozen=True)
@@ -39,19 +102,6 @@ class PlannedSplit:
     @property
     def total_load(self) -> int:
         return self.load_zero_side + self.load_one_side
-
-
-def candidate_affected_owners(
-    tree: HashTree, candidate: SplitCandidate
-) -> List[Hashable]:
-    """The owners whose agents a candidate would re-route.
-
-    Local candidates affect only the overloaded owner; an ancestor-edge
-    complex split affects every owner under the broken edge's subtree.
-    Thin alias of :meth:`HashTree.affected_owners`, kept for policy-level
-    callers.
-    """
-    return tree.affected_owners(candidate)
 
 
 def plan_split(
@@ -99,7 +149,7 @@ def _evaluate(
     loads_by_owner: Mapping[Hashable, Mapping[str, int]],
 ) -> Optional[Tuple[int, int]]:
     """Project the load division of ``candidate``, or None if unknown."""
-    affected = candidate_affected_owners(tree, candidate)
+    affected = tree.affected_owners(candidate)
     combined: List[Tuple[str, int]] = []
     for affected_owner in affected:
         loads = loads_by_owner.get(affected_owner)

@@ -14,7 +14,7 @@ Two query families on top of the location mechanism:
   (:mod:`repro.discovery.capability`).
 
 Both run the same algorithm in the simulator and the live service (the
-candidate step lives on :class:`repro.core.lhagent.HashFunctionCopy`, so
+candidate step lives on :class:`repro.core.hash_function.HashFunction`, so
 LHAgent secondaries serve it from their cached copies), and both are
 multi-result: per-shard partial results are merged at the client with
 per-item §4.3 stale-copy fallback.

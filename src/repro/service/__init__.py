@@ -5,10 +5,11 @@ the paper's experiments; this package runs the *same* protocol -- the
 HAgent / IAgent / LHAgent roles of §2.2, the resolve / ask / refresh
 retry loop of §2.3 + §4.3 and the delta-synced secondary copies -- as
 asyncio TCP servers on a real network. The hash function itself is not
-reimplemented: the servers operate on :class:`repro.core.hash_tree.HashTree`,
-plan splits with :func:`repro.core.rehashing.plan_split` and refresh
-secondary copies through :class:`repro.core.lhagent.HashFunctionCopy`,
-so protocol fixes land once and serve both worlds.
+reimplemented: coordinators, standbys and LHAgents all hold a
+:class:`repro.core.hash_function.HashFunction`, trigger rehashes through
+:class:`repro.core.rehashing.RehashPolicy` and plan splits with
+:func:`repro.core.rehashing.plan_split`, so protocol fixes land once and
+serve both worlds.
 
 Modules
 -------

@@ -3,11 +3,12 @@
 Two server kinds:
 
 * :class:`HAgentServer` -- the coordinator process. Owns the primary
-  copy of the hash function (a real
-  :class:`repro.core.hash_tree.HashTree`), the delta-sync journal served
-  through :func:`repro.core.hagent.delta_reply`, and the rehash policy:
-  splits planned with :func:`repro.core.rehashing.plan_split` on load
-  reports, merges after sustained under-threshold reports, plus a
+  copy of the hash function (a journaled
+  :class:`repro.core.hash_function.HashFunction`, the same object the
+  simulator HAgent holds) and drives the shared
+  :class:`repro.core.rehashing.RehashPolicy`: splits planned with
+  :func:`repro.core.rehashing.plan_split` on load reports, merges after
+  sustained under-threshold reports, plus a
   liveness monitor that *takes over* a crashed IAgent's leaf by
   re-hosting it on a live node (a journaled ``move``, so secondary
   copies catch up by delta).
@@ -46,13 +47,12 @@ import asyncio
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.core.config import HashMechanismConfig
-from repro.core.errors import CoreError
-from repro.core.hagent import delta_reply
-from repro.core.hash_tree import HashTree
+from repro.core.hash_function import HashFunction
 from repro.core.iagent_state import (
     OK,
     IAgentState,
@@ -60,9 +60,8 @@ from repro.core.iagent_state import (
     route_handoff,
     table_field,
 )
-from repro.core.lhagent import HashFunctionCopy
 from repro.core.load import LoadStatistics
-from repro.core.rehashing import plan_split
+from repro.core.rehashing import RehashPolicy, plan_split
 from repro.discovery.hamming import shards_within
 from repro.metrics.trace import Tracer
 from repro.platform.messages import Request, Response
@@ -646,17 +645,17 @@ class IAgentEndpoint:
 class LHAgentEndpoint:
     """The node's Local Hash Agent: the lazily refreshed secondary copy.
 
-    Resolution and refresh reuse the simulator's
-    :class:`repro.core.lhagent.HashFunctionCopy`, including delta-sync
-    journal replay -- the wire carries exactly the journal entries the
-    simulator protocol defines.
+    Resolution and refresh go through the same
+    :class:`repro.core.hash_function.HashFunction` as the simulator's
+    LHAgent, including delta-sync journal replay -- the wire carries
+    exactly the journal entries the simulator protocol defines.
     """
 
     def __init__(self, node: "NodeServer") -> None:
         self.node = node
         #: One secondary copy per coordinator shard, fetched lazily the
         #: first time an agent of that prefix is resolved here.
-        self.copies: Dict[int, HashFunctionCopy] = {}
+        self.copies: Dict[int, HashFunction] = {}
         #: The epoch each copy was fetched under. Versions are only
         #: comparable within one epoch: a promoted standby may restart
         #: version numbering below the dead primary's, so refreshes are
@@ -672,12 +671,12 @@ class LHAgentEndpoint:
         self.coalesced_fetches = 0
 
     @property
-    def copy(self) -> Optional[HashFunctionCopy]:
+    def copy(self) -> Optional[HashFunction]:
         """Shard 0's secondary copy -- the whole copy pre-sharding."""
         return self.copies.get(0)
 
     @copy.setter
-    def copy(self, value: Optional[HashFunctionCopy]) -> None:
+    def copy(self, value: Optional[HashFunction]) -> None:
         if value is None:
             self.copies.pop(0, None)
         else:
@@ -847,24 +846,28 @@ class LHAgentEndpoint:
                 reply = await self._fetch_once(shard)
         self.refreshes += 1
         copy = self.copies.get(shard)
-        epoch = reply.get("epoch", self.copy_epochs.get(shard, 0))
-        if reply.get("mode") == "delta" and copy is not None:
-            copy.apply_ops(reply["ops"])
-            self.delta_refreshes += 1
-            self.copy_epochs[shard] = epoch
-            return
-        self.full_refreshes += 1
-        fresh = HashFunctionCopy.from_bundle(reply)
-        self.node_addrs.update(
-            {name: tuple(addr) for name, addr in reply.get("node_addrs", {}).items()}
-        )
-        if (
-            copy is None
-            or epoch != self.copy_epochs.get(shard, 0)
-            or fresh.version >= copy.version
+        known_epoch = self.copy_epochs.get(shard, 0)
+        epoch = reply.get("epoch", known_epoch)
+        if copy is not None and (
+            copy.absorb(reply, rebase=epoch != known_epoch) == "resync"
         ):
-            self.copies[shard] = fresh
+            # The delta does not fit this copy: drop it and draw the
+            # snapshot now, or every refresh would re-request the same
+            # failing delta.
+            del self.copies[shard]
+            copy = None
+            reply = await self._fetch_once(shard)
+            epoch = reply.get("epoch", epoch)
+        if copy is None:
+            self.copies[shard] = HashFunction.from_bundle(reply)
         self.copy_epochs[shard] = epoch
+        if reply.get("mode") == "delta":
+            self.delta_refreshes += 1
+        else:
+            self.full_refreshes += 1
+            self.node_addrs.update(
+                {name: tuple(addr) for name, addr in reply.get("node_addrs", {}).items()}
+            )
 
     async def _fetch_once(self, shard: int) -> Dict:
         node = self.node
@@ -1478,15 +1481,15 @@ class HAgentServer(_FramedServer):
             wire_format=self.config.wire,
             netem=self.config.netem,
         )
-        self.tree: Optional[HashTree] = None
-        self.iagent_nodes: Dict[Any, str] = {}
+        #: This replica's copy of the hash function -- the primary copy
+        #: when ``role == "primary"``, a journal-tailing one on a standby.
+        self.function = HashFunction(
+            0, None, {}, deque(maxlen=self.config.mechanism.sync_journal_capacity)
+        )
         self.node_addrs: Dict[str, Tuple[str, int]] = {}
         self.node_order: List[str] = []
-        self.version = 0
-        self.journal = deque(maxlen=self.config.mechanism.sync_journal_capacity)
         self._rehash_lock = asyncio.Lock()
-        self._cooldown_until: Dict[Any, float] = {}
-        self._merge_streak: Dict[Any, int] = {}
+        self.policy = RehashPolicy(self.config.mechanism)
         self._last_report: Dict[Any, float] = {}
         self._spawn_round_robin = 0
         self.splits = 0
@@ -1510,6 +1513,12 @@ class HAgentServer(_FramedServer):
         #: Set by :meth:`_recover_from_disk` on a warm coordinator start.
         self.recovered_version = 0
         self.wal_replayed = 0
+
+    # Read views of this replica's copy.
+    tree = property(attrgetter("function.tree"))
+    iagent_nodes = property(attrgetter("function.iagent_nodes"))
+    version = property(attrgetter("function.version"))
+    journal = property(attrgetter("function.journal"))
 
     async def start(self, host: Optional[str] = None, port: int = 0) -> Address:
         self._recover_from_disk()
@@ -1552,9 +1561,7 @@ class HAgentServer(_FramedServer):
         """Snapshot shape: everything a cold coordinator must rebuild."""
         return {
             "epoch": self.epoch,
-            "version": self.version,
-            "tree": self.tree.to_spec() if self.tree is not None else None,
-            "iagent_nodes": dict(self.iagent_nodes),
+            **self.function.bundle(),
             "node_addrs": {
                 name: list(addr) for name, addr in self.node_addrs.items()
             },
@@ -1588,17 +1595,14 @@ class HAgentServer(_FramedServer):
             state, base = snapshot.state, snapshot.last_lsn
             # Pre-replication snapshots carry no epoch; keep the boot one.
             self.epoch = state.get("epoch", self.epoch)
-            self.version = state["version"]
-            if state["tree"] is not None:
-                self.tree = HashTree.from_spec(state["tree"])
-            self.iagent_nodes = dict(state["iagent_nodes"])
+            self.function.install(state)
+            self.journal.extend(state["journal"])
             self.node_addrs = {
                 name: (addr[0], addr[1])
                 for name, addr in state["node_addrs"].items()
             }
             self.node_order = list(state["node_order"])
             self.namer.state = state["namer"]
-            self.journal.extend(state["journal"])
             # Pre-sharding snapshots carry no ownership row; keep the
             # boot one (this replica's own prefix).
             if "owned" in state:
@@ -1629,12 +1633,10 @@ class HAgentServer(_FramedServer):
                 self.node_order.append(op["name"])
             self.node_addrs[op["name"]] = (op["host"], op["port"])
         elif kind == "bootstrap":
-            self.tree = HashTree(op["owner"], width=op["width"])
-            self.iagent_nodes = {op["owner"]: op["node"]}
+            self.function.bootstrap(op["owner"], op["node"], op["width"])
             self.namer.state = op["namer"]
-            self.version += 1
         elif kind == "rehash":
-            self._apply_journal_entry(op["entry"])
+            self.function.apply(op["entry"])
             self.namer.state = op["namer"]
         elif kind == "epoch":
             # A witnessed or claimed fencing token -- durable, so a
@@ -1649,29 +1651,6 @@ class HAgentServer(_FramedServer):
             self.absorbed_by = op.get("absorbed_by")
         else:  # pragma: no cover - would be a writer bug
             raise ValueError(f"unknown HAgent mutation {kind!r}")
-
-    def _apply_journal_entry(self, entry: Dict) -> None:
-        """One rehash journal entry onto the local tree state.
-
-        Mirrors :meth:`repro.core.lhagent.HashFunctionCopy.apply_ops`,
-        one entry at a time; shared by WAL replay and standby sync.
-        """
-        ekind = entry["op"]
-        assert self.tree is not None
-        if ekind == "split":
-            self.tree.replay_split(
-                entry["kind"], entry["owner"], entry["bit"], entry["new_owner"]
-            )
-            self.iagent_nodes[entry["new_owner"]] = entry["new_node"]
-        elif ekind == "merge":
-            self.tree.apply_merge(entry["owner"])
-            self.iagent_nodes.pop(entry["owner"], None)
-        elif ekind == "move":
-            self.iagent_nodes[entry["owner"]] = entry["node"]
-        else:  # pragma: no cover - would be a writer bug
-            raise ValueError(f"unknown rehash journal op {ekind!r}")
-        self.version = entry["version"]
-        self.journal.append(entry)
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -1717,10 +1696,10 @@ class HAgentServer(_FramedServer):
             return self._op_load_report(body)
         if op == "get-hash-function":
             self._check_shard(body, op)
-            return self.bundle()
+            return self._for_lhagent(self.function.bundle())
         if op == "get-hash-delta":
             self._check_shard(body, op)
-            return self._op_get_delta(body)
+            return self._for_lhagent(self._copy_reply(body))
         if op == "shard-map":
             return self._op_shard_map(body)
         if op == "shard-release":
@@ -1773,27 +1752,25 @@ class HAgentServer(_FramedServer):
             "prefix": shard_prefix(self.shard, self.shards),
         }
 
-    def _snapshot_size(self) -> int:
-        return 64 + 96 * len(self.tree) if self.tree else 64
+    def _copy_reply(self, body: Dict) -> Dict:
+        """The delta -- or the snapshot -- for a holder at ``body``'s
+        ``since``."""
+        # Versions are not comparable across epochs (a promoted standby
+        # may restart numbering below the dead primary's): a requester
+        # from another epoch gets the full authoritative copy.
+        comparable = body.get("epoch") in (None, self.epoch)
+        return self.function.delta_since(body.get("since", -1) if comparable else None)
 
-    def _op_get_delta(self, body: Dict) -> Dict:
-        requester_epoch = body.get("epoch")
-        if requester_epoch is not None and requester_epoch != self.epoch:
-            # Versions are not comparable across epochs (a promoted
-            # standby may restart numbering below the dead primary's):
-            # serve the full authoritative copy, stamped with ours.
-            reply = self.bundle()
-            reply["mode"] = "full"
-            reply["_wire_size"] = self._snapshot_size()
-        else:
-            reply = delta_reply(
-                self.journal,
-                self.version,
-                body.get("since", -1),
-                self.bundle,
-                self._snapshot_size,
-            )
+    def _for_lhagent(self, reply: Dict) -> Dict:
+        """Stamp a copy reply with the epoch its versions belong to and,
+        when it is a full copy, the node address book."""
         reply["epoch"] = self.epoch
+        if "tree" in reply:
+            if self.tree is None:
+                raise _Reject("precondition: not bootstrapped yet")
+            reply["node_addrs"] = {
+                name: list(addr) for name, addr in self.node_addrs.items()
+            }
         return reply
 
     def _op_register_node(self, body: Dict) -> Dict:
@@ -1820,10 +1797,8 @@ class HAgentServer(_FramedServer):
         node = self.node_order[-1]
         owner = self.namer.next_id()
         await self._rpc_node(node, "host-iagent", {"owner": owner, "pattern": ""})
-        self.tree = HashTree(owner, width=self.namer.width)
-        self.iagent_nodes = {owner: node}
+        self.function.bootstrap(owner, node, self.namer.width)
         self._last_report[owner] = time.monotonic()
-        self.version += 1  # non-journaled, like the simulator's adopt_tree
         self._hlog(
             {
                 "op": "bootstrap",
@@ -1834,20 +1809,6 @@ class HAgentServer(_FramedServer):
             }
         )
         return {"status": OK, "version": self.version, "owner": owner}
-
-    def bundle(self) -> Dict:
-        """The full primary copy, plus the node address book."""
-        if self.tree is None:
-            raise _Reject("precondition: not bootstrapped yet")
-        return {
-            "version": self.version,
-            "epoch": self.epoch,
-            "tree": self.tree.to_spec(),
-            "iagent_nodes": dict(self.iagent_nodes),
-            "node_addrs": {
-                name: list(addr) for name, addr in self.node_addrs.items()
-            },
-        }
 
     def _op_list_iagents(self, body: Dict) -> Dict:
         return {
@@ -1906,25 +1867,7 @@ class HAgentServer(_FramedServer):
                 f"{NOT_PRIMARY}: {self.replica_name} is a standby"
                 f" (epoch {self.epoch})"
             )
-        requester_epoch = body.get("epoch")
-        if self.tree is None:
-            reply: Dict[str, Any] = {
-                "mode": "full",
-                "version": self.version,
-                "tree": None,
-                "iagent_nodes": {},
-            }
-        elif requester_epoch is not None and requester_epoch != self.epoch:
-            reply = self.bundle()
-            reply["mode"] = "full"
-        else:
-            reply = delta_reply(
-                self.journal,
-                self.version,
-                body.get("since", -1),
-                self.bundle,
-                self._snapshot_size,
-            )
+        reply = self._copy_reply(body)
         reply["epoch"] = self.epoch
         reply["namer"] = self.namer.state
         reply["node_addrs"] = {
@@ -1958,18 +1901,13 @@ class HAgentServer(_FramedServer):
 
     def _apply_sync_reply(self, reply: Dict) -> None:
         """Fold one ``replica-sync`` reply into this standby's state."""
-        if reply.get("mode") == "full":
-            spec = reply.get("tree")
-            self.tree = HashTree.from_spec(spec) if spec is not None else None
-            self.version = reply["version"]
-            self.iagent_nodes = dict(reply.get("iagent_nodes", {}))
-            # Version continuity across the wire restarts here: older
-            # journal suffixes belong to state this full copy replaced.
-            self.journal.clear()
-        else:
-            try:
-                for entry in reply["ops"]:
-                    self._apply_journal_entry(entry)
+        since = self.version
+        mode = self.function.absorb(
+            reply, rebase=reply.get("epoch", self.epoch) != self.epoch
+        )
+        if mode == "delta":
+            for entry in reply["ops"]:
+                if entry["version"] > since:
                     self._hlog(
                         {
                             "op": "rehash",
@@ -1977,16 +1915,12 @@ class HAgentServer(_FramedServer):
                             "namer": reply["namer"],
                         }
                     )
-            except CoreError as error:
-                # A delta that does not fit this copy (e.g. served by a
-                # primary whose bundle and journal disagreed): drop the
-                # copy and pull a full bundle on the next beat rather
-                # than dying mid-tail.
-                self.tree = None
-                self.version = -1
-                self.iagent_nodes.clear()
-                self.journal.clear()
-                self._log("resync", reason=str(error))
+        elif mode == "resync":
+            # A delta that does not fit this copy (e.g. served by a
+            # primary whose bundle and journal disagreed): the copy is
+            # dropped and the next beat pulls a full bundle rather than
+            # dying mid-tail.
+            self._log("resync", reason="un-replayable delta")
         self.node_addrs = {
             name: (addr[0], addr[1])
             for name, addr in reply.get("node_addrs", {}).items()
@@ -2011,7 +1945,7 @@ class HAgentServer(_FramedServer):
         if epoch > self.epoch:
             self.epoch = epoch
             self._hlog({"op": "epoch", "epoch": epoch})
-        if reply.get("mode") == "full" and self.store is not None:
+        if mode == "full" and self.store is not None:
             self.store.snapshot(self._durable_state())
         self.syncs += 1
 
@@ -2283,42 +2217,24 @@ class HAgentServer(_FramedServer):
         owner = body["owner"]
         if self.tree is None or not self.tree.has_owner(owner):
             return {"status": "stale"}
-        self._last_report[owner] = time.monotonic()
-        config = self.config.mechanism
-        if not body.get("mature") or time.monotonic() < self._cooldown_until.get(
-            owner, 0.0
-        ):
-            return {"status": OK}
-        rate = body["rate"]
-        if rate > config.t_max:
-            self._merge_streak.pop(owner, None)
-            self.spawn(self._split(owner), name=f"split-{owner.short()}")
-        elif config.enable_merge and rate < config.t_min and len(self.tree) > 1:
-            streak = self._merge_streak.get(owner, 0) + 1
-            self._merge_streak[owner] = streak
-            if streak >= config.merge_patience:
-                self._merge_streak.pop(owner, None)
-                self.spawn(self._merge(owner), name=f"merge-{owner.short()}")
-        elif (
-            self.config.cross_shard_merge
-            and config.enable_merge
-            and rate < config.t_min
-            and len(self.tree) == 1
+        now = time.monotonic()
+        self._last_report[owner] = now
+        # A subtree down to its root and still idle has one merge left,
+        # across the shard boundary: hand the whole prefix to the
+        # sibling shard (opt-in; fenced two-phase).
+        xshard = (
+            len(self.tree) == 1
+            and self.config.cross_shard_merge
             and self.shards > 1
             and self.owned == {self.shard}
-        ):
-            # The subtree is down to its root and still idle: the only
-            # merge left crosses the shard boundary -- hand the whole
-            # prefix to the sibling shard (opt-in; fenced two-phase).
-            streak = self._merge_streak.get(owner, 0) + 1
-            self._merge_streak[owner] = streak
-            if streak >= config.merge_patience:
-                self._merge_streak.pop(owner, None)
-                self.spawn(
-                    self.initiate_shard_merge(), name=f"xshard-merge-{self.shard}"
-                )
-        else:
-            self._merge_streak.pop(owner, None)
+        )
+        verdict = self.policy.decide(body, now, len(self.tree) > 1 or xshard)
+        if verdict == "split":
+            self.spawn(self._split(owner), name=f"split-{owner.short()}")
+        elif verdict == "merge" and xshard:
+            self.spawn(self.initiate_shard_merge(), name=f"xshard-merge-{self.shard}")
+        elif verdict == "merge":
+            self.spawn(self._merge(owner), name=f"merge-{owner.short()}")
         return {"status": OK}
 
     async def _split(self, owner: AgentId) -> None:
@@ -2326,7 +2242,7 @@ class HAgentServer(_FramedServer):
         async with self._rehash_lock:
             if self.tree is None or not self.tree.has_owner(owner):
                 return
-            if time.monotonic() < self._cooldown_until.get(owner, 0.0):
+            if self.policy.cooling(owner, time.monotonic()):
                 return
             loads_by_owner: Dict[Any, Dict[str, int]] = {}
             try:
@@ -2356,17 +2272,10 @@ class HAgentServer(_FramedServer):
                 )
             except (ServiceRpcError, RemoteOpError):
                 return
-            outcome = self.tree.apply_split(planned.candidate, new_owner)
-            self.iagent_nodes[new_owner] = new_node
-            self._last_report[new_owner] = time.monotonic()
-            self.splits += 1
-            self._set_cooldown(owner)
-            self._set_cooldown(new_owner)
-            # Published in the same event-loop step as the mutation: a
-            # replica-sync bundle served between the two would carry the
-            # post-split tree under the pre-split version, and the
-            # standby's next delta would replay the split twice.
-            self._publish(
+            # Mutation, version bump and journal entry are one step: a
+            # replica-sync bundle must never carry the post-split tree
+            # under the pre-split version.
+            outcome = self._publish(
                 {
                     "op": "split",
                     "kind": planned.candidate.kind,
@@ -2376,6 +2285,10 @@ class HAgentServer(_FramedServer):
                     "new_node": new_node,
                 }
             )
+            self._last_report[new_owner] = time.monotonic()
+            self.splits += 1
+            self._set_cooldown(owner)
+            self._set_cooldown(new_owner)
 
             replies = []
             for affected in outcome.affected_owners:
@@ -2408,13 +2321,10 @@ class HAgentServer(_FramedServer):
                 or len(self.tree) <= 1
             ):
                 return
-            outcome = self.tree.apply_merge(owner)
-            node = self.iagent_nodes.pop(owner, None)
+            node = self.iagent_nodes.get(owner)
+            outcome = self._publish({"op": "merge", "owner": owner})
             self._last_report.pop(owner, None)
             self.merges += 1
-            # Same torn-bundle guard as in _split: version and journal
-            # must advance in the event-loop step that mutated the tree.
-            self._publish({"op": "merge", "owner": owner})
             try:
                 bundle = await self._rpc_iagent(owner, "extract-all", node_name=node)
             except (ServiceRpcError, RemoteOpError):
@@ -2774,10 +2684,9 @@ class HAgentServer(_FramedServer):
                 )
             except (ServiceRpcError, RemoteOpError):
                 return  # that node is sick too; the monitor loop retries
-            self.iagent_nodes[owner] = new_node
+            self._publish({"op": "move", "owner": owner, "node": new_node})
             self._last_report[owner] = time.monotonic()
             self.takeovers += 1
-            self._publish({"op": "move", "owner": owner, "node": new_node})
             self._log("takeover", owner=owner, node=new_node, old_node=old_node)
 
     # ------------------------------------------------------------------
@@ -2857,16 +2766,14 @@ class HAgentServer(_FramedServer):
             raise
 
     def _set_cooldown(self, owner: Any) -> None:
-        self._cooldown_until[owner] = (
-            time.monotonic() + self.config.mechanism.cooldown
-        )
+        self.policy.set_cooldown(owner, time.monotonic())
 
-    def _publish(self, op: Dict) -> None:
-        self.version += 1
-        op["version"] = self.version
-        op["epoch"] = self.epoch
-        self.journal.append(op)
+    def _publish(self, op: Dict) -> Any:
+        """Apply ``op`` to the primary copy and journal it durably."""
+        outcome = self.function.publish(op)
+        op["epoch"] = self.epoch  # on the journaled entry itself
         self._hlog({"op": "rehash", "entry": dict(op), "namer": self.namer.state})
+        return outcome
 
     def _log(self, event: str, **fields: Any) -> None:
         entry = {"event": event, "version": self.version, **fields}

@@ -13,7 +13,7 @@ class TestThresholdsFor:
         runtime = build_runtime()
         mechanism = install_hash_mechanism(runtime, t_max=70.0, t_min=7.0)
         report = {"service_estimate": 0.010}
-        assert mechanism.hagent.thresholds_for(report) == (70.0, 7.0)
+        assert mechanism.hagent.policy.thresholds_for(report) == (70.0, 7.0)
 
     def test_adaptive_mode_derives_from_service_time(self):
         runtime = build_runtime()
@@ -23,7 +23,7 @@ class TestThresholdsFor:
             target_utilization=0.4,
             adaptive_t_min_fraction=0.1,
         )
-        t_max, t_min = mechanism.hagent.thresholds_for(
+        t_max, t_min = mechanism.hagent.policy.thresholds_for(
             {"service_estimate": 0.008}
         )
         assert t_max == pytest.approx(50.0)
@@ -32,8 +32,8 @@ class TestThresholdsFor:
     def test_adaptive_scales_with_hardware_speed(self):
         runtime = build_runtime()
         mechanism = install_hash_mechanism(runtime, threshold_mode="adaptive")
-        fast, _ = mechanism.hagent.thresholds_for({"service_estimate": 0.002})
-        slow, _ = mechanism.hagent.thresholds_for({"service_estimate": 0.020})
+        fast, _ = mechanism.hagent.policy.thresholds_for({"service_estimate": 0.002})
+        slow, _ = mechanism.hagent.policy.thresholds_for({"service_estimate": 0.020})
         assert fast == 10 * slow
 
     def test_adaptive_without_measurement_falls_back_to_fixed(self):
@@ -41,8 +41,8 @@ class TestThresholdsFor:
         mechanism = install_hash_mechanism(
             runtime, threshold_mode="adaptive", t_max=42.0, t_min=4.2
         )
-        assert mechanism.hagent.thresholds_for({}) == (42.0, 4.2)
-        assert mechanism.hagent.thresholds_for(
+        assert mechanism.hagent.policy.thresholds_for({}) == (42.0, 4.2)
+        assert mechanism.hagent.policy.thresholds_for(
             {"service_estimate": 0.0}
         ) == (42.0, 4.2)
 
@@ -76,3 +76,85 @@ class TestAdaptiveIntegration:
 
         assert run("fixed") == 1
         assert run("adaptive") >= 3
+
+
+class TestBothCoordinators:
+    """One report script through the simulator HAgent and the live
+    HAgentServer: the shared RehashPolicy gives both the same verdicts,
+    ``threshold_mode`` included (the live one used to ignore it)."""
+
+    # t_max=50, t_min=5, patience 2; a 4 ms service estimate makes the
+    # adaptive pair (100, 10). (rate, mature, service_estimate) ->
+    # verdict under fixed, under adaptive.
+    SCRIPT = [
+        ((60.0, True, 0.004), "split", None),
+        ((120.0, True, 0.004), "split", "split"),
+        ((120.0, False, 0.004), None, None),
+        ((7.0, True, 0.004), None, None),  # adaptive: first report under 10
+        ((7.0, True, 0.004), None, "merge"),
+        ((2.0, True, None), None, None),  # unmeasured: both use the fixed pair
+        ((20.0, True, None), None, None),  # ...and the streak starts over
+        ((2.0, True, None), None, None),
+        ((2.0, True, None), "merge", "merge"),
+    ]
+
+    @pytest.mark.parametrize("mode", ["fixed", "adaptive"])
+    def test_same_reports_same_verdicts(self, mode):
+        from repro.service.server import HAgentServer, ServiceConfig
+
+        verdicts = []
+
+        def rehash(kind):
+            def run(owner):
+                verdicts.append(kind)
+                return
+                yield
+
+            return run
+
+        runtime = build_runtime()
+        mechanism = install_hash_mechanism(
+            runtime, t_max=50.0, t_min=5.0, merge_patience=2, threshold_mode=mode
+        )
+        hagent = mechanism.hagent
+        hagent._split, hagent._merge = rehash("split"), rehash("merge")
+
+        server = HAgentServer(ServiceConfig(mechanism=mechanism.config))
+        (owner,) = mechanism.iagents
+        server.function.bootstrap(owner, "node-0", runtime.namer.width)
+
+        def spawn(coro, name):
+            coro.close()
+            verdicts.append(name.split("-")[0])
+
+        server.spawn = spawn
+
+        def both(rate, mature, service):
+            body = {"owner": owner, "rate": rate, "mature": mature}
+            if service is not None:
+                body["service_estimate"] = service
+            seen = []
+            for deliver in (
+                lambda: list(hagent._on_load_report(dict(body))),
+                lambda: server._op_load_report(dict(body)),
+            ):
+                del verdicts[:]
+                deliver()
+                seen.append(verdicts[0] if verdicts else None)
+            return seen
+
+        # On a one-leaf tree nothing is mergeable, however idle.
+        assert [both(2.0, True, None) for _ in range(3)] == [[None, None]] * 3
+        grow = {
+            "op": "split",
+            "kind": "simple",
+            "owner": owner,
+            "bit": 1,
+            "new_owner": runtime.namer.next_id(),
+            "new_node": "node-1",
+        }
+        hagent.function.publish(dict(grow))
+        server.function.publish(dict(grow))
+        column = 1 if mode == "fixed" else 2
+        for row in self.SCRIPT:
+            assert both(*row[0]) == [row[column]] * 2, row

@@ -2,15 +2,13 @@
 
 The HAgent journals every rehash operation; a refreshing LHAgent fetches
 only the ops since its copy's version and replays them in place
-(docs/PROTOCOLS.md). These tests pin the protocol's one correctness
-obligation -- a delta refresh is *bit-identical* to a full-snapshot
-refresh -- plus the truncation fallback and the modelled wire sizes.
+(docs/PROTOCOLS.md). These tests drive the protocol through the
+simulated runtime: delta refresh, the truncation fallback and the
+modelled wire sizes. Its one correctness obligation -- a delta refresh
+is *bit-identical* to a full-snapshot refresh -- is pinned without a
+simulator in tests/core/test_hash_function.py.
 """
 
-import random
-
-from repro.core.hash_tree import HashTree
-from repro.core.lhagent import HashFunctionCopy
 from repro.platform.naming import AgentId
 
 from tests.conftest import build_runtime, drain, install_hash_mechanism
@@ -22,80 +20,6 @@ def rpc(runtime, dst_node, dst_agent, op, body=None, src="node-0"):
         return reply
 
     return runtime.sim.run_process(caller())
-
-
-def grown_primary(leaves=24, width=32, delta_ops=6, seed=3):
-    """A primary tree, a stale bundle, the journal gap, and the fresh
-    bundle -- pure data, no simulator."""
-    tree = HashTree(0, width=width)
-    rng = random.Random(seed)
-    next_owner = 1
-    while len(tree) < leaves:
-        owner = rng.choice(tree.owners())
-        candidates = tree.split_candidates(owner)
-        if not candidates:
-            continue
-        tree.apply_split(candidates[0], next_owner)
-        next_owner += 1
-    nodes = {owner: f"node-{owner % 4}" for owner in tree.owners()}
-    stale = {"version": 7, "tree": tree.to_spec(), "iagent_nodes": dict(nodes)}
-
-    version = 7
-    ops = []
-    for step in range(delta_ops):
-        if step % 3 == 2 and len(tree) > 1:  # mix merges into the gap
-            owner = rng.choice(tree.owners())
-            tree.apply_merge(owner)
-            nodes.pop(owner, None)
-            version += 1
-            ops.append({"op": "merge", "version": version, "owner": owner})
-            continue
-        owner = rng.choice(tree.owners())
-        candidates = tree.split_candidates(owner, scope="path")
-        cand = rng.choice(candidates)
-        tree.apply_split(cand, next_owner)
-        node = f"node-{next_owner % 4}"
-        nodes[next_owner] = node
-        version += 1
-        ops.append(
-            {
-                "op": "split",
-                "version": version,
-                "kind": cand.kind,
-                "owner": owner,
-                "bit": cand.bit_position,
-                "new_owner": next_owner,
-                "new_node": node,
-            }
-        )
-        next_owner += 1
-    fresh = {"version": version, "tree": tree.to_spec(), "iagent_nodes": dict(nodes)}
-    return stale, ops, fresh
-
-
-class TestDeltaReplayEquivalence:
-    def test_delta_refresh_bit_identical_to_full_snapshot(self):
-        stale, ops, fresh = grown_primary()
-
-        via_delta = HashFunctionCopy.from_bundle(stale)
-        via_delta.apply_ops(ops)
-        via_full = HashFunctionCopy.from_bundle(fresh)
-
-        assert via_delta.version == via_full.version
-        assert via_delta.iagent_nodes == via_full.iagent_nodes
-        assert via_delta.tree.to_spec() == via_full.tree.to_spec()
-        width = via_full.tree.width
-        for value in range(0, 1 << width, (1 << width) // 512):
-            bits = format(value, f"0{width}b")
-            assert via_delta.tree.lookup(bits) == via_full.tree.lookup(bits)
-
-    def test_apply_ops_is_idempotent(self):
-        stale, ops, fresh = grown_primary()
-        copy = HashFunctionCopy.from_bundle(stale)
-        copy.apply_ops(ops)
-        copy.apply_ops(ops)  # duplicate delivery: versions filter it out
-        assert copy.version == fresh["version"]
-        assert copy.tree.to_spec() == fresh["tree"]
 
 
 class TestDeltaWireProtocol:
@@ -221,6 +145,6 @@ class TestDeltaWireProtocol:
         mechanism = install_hash_mechanism(
             runtime, cooldown=0.0, enable_merge=False
         )
-        small = mechanism.hagent.snapshot_wire_size()
+        small = mechanism.hagent.function.snapshot_wire_size()
         self.seed_and_split(runtime, mechanism)
-        assert mechanism.hagent.snapshot_wire_size() > small
+        assert mechanism.hagent.function.snapshot_wire_size() > small

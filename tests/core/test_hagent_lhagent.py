@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.iagent import IAgent
-from repro.platform.messages import Request
+from repro.platform.messages import Request, RpcTimeout
 from repro.platform.naming import AgentId
 
 from tests.conftest import build_runtime, drain, install_hash_mechanism, run_until
@@ -21,7 +21,7 @@ class TestHAgentPrimaryCopy:
     def test_bundle_contains_tree_and_locations(self):
         runtime = build_runtime()
         mechanism = install_hash_mechanism(runtime)
-        bundle = mechanism.hagent.bundle()
+        bundle = mechanism.hagent.function.bundle()
         assert bundle["version"] >= 1
         assert bundle["tree"][0] == "tree"
         assert len(bundle["iagent_nodes"]) == 1
@@ -112,6 +112,24 @@ class TestLoadReports:
         assert mechanism.hagent.splits == 1
         assert mechanism.hagent.tree.owner_count() == 2
 
+    def test_thresholds_follow_a_config_replaced_mid_run(self):
+        """benchmarks/bench_step_response.py freezes the directory by
+        swapping ``mechanism.config``; the trigger must see the swap."""
+        runtime = build_runtime()
+        mechanism = install_hash_mechanism(runtime)
+        (owner,) = list(mechanism.iagents)
+        self.seed_records(runtime, mechanism.iagents[owner])
+        mechanism.config = mechanism.config.with_overrides(t_max=1e9)
+        rpc(
+            runtime,
+            mechanism.hagent_node,
+            mechanism.hagent_id,
+            "load-report",
+            self.overload_report(mechanism, owner),
+        )
+        drain(runtime, 1.0)
+        assert mechanism.hagent.splits == 0
+
     def test_split_transfers_records(self):
         runtime = build_runtime()
         mechanism = install_hash_mechanism(runtime)
@@ -134,6 +152,51 @@ class TestLoadReports:
         for iagent in (old_iagent, new_iagent):
             for agent_id in iagent.records:
                 assert mechanism.hagent.tree.lookup_id(agent_id) == iagent.agent_id
+
+    def test_failed_extract_cannot_tear_the_primary_copy(self):
+        """A split whose record hand-off fails is still one published
+        transition: the tree never changes under an unchanged version."""
+        runtime = build_runtime()
+        mechanism = install_hash_mechanism(runtime)
+        hagent = mechanism.hagent
+        (owner,) = list(mechanism.iagents)
+        self.seed_records(runtime, mechanism.iagents[owner])
+        lhagent = mechanism.lhagents["node-2"]
+        rpc(
+            runtime, "node-2", lhagent.agent_id, "whois",
+            {"agent": AgentId(1)}, src="node-2",
+        )
+        real_rpc = hagent._rpc_iagent
+
+        def losing_extracts(target, op, body=None):
+            if op == "extract":
+                raise RpcTimeout("extract lost")
+            return (yield from real_rpc(target, op, body))
+
+        hagent._rpc_iagent = losing_extracts
+        version = hagent.version
+        rpc(
+            runtime,
+            mechanism.hagent_node,
+            mechanism.hagent_id,
+            "load-report",
+            self.overload_report(mechanism, owner),
+        )
+        drain(runtime, 1.0)
+        assert hagent.tree.owner_count() == 2
+        assert hagent.version == version + 1
+        assert [entry["version"] for entry in hagent.journal] == [version + 1]
+        # The new leaf was still told what it serves.
+        new_owner = next(o for o in mechanism.iagents if o != owner)
+        assert mechanism.iagents[new_owner].coverage == (
+            hagent.tree.hyper_label(new_owner).pattern()
+        )
+        rpc(
+            runtime, "node-2", lhagent.agent_id, "refresh",
+            {"agent": AgentId(1), "stale_version": lhagent.copy.version},
+            src="node-2",
+        )
+        assert lhagent.copy.tree.to_spec() == hagent.tree.to_spec()
 
     def test_immature_report_ignored(self):
         runtime = build_runtime()

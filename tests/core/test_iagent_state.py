@@ -304,12 +304,14 @@ class TestImportHygiene:
         "repro.platform.events",
     ]
     SRC = Path(__file__).resolve().parents[2] / "src"
+    #: The sans-IO cores: the record table and the hash function.
+    MODULES = "repro.core.iagent_state, repro.core.hash_function"
 
     def loaded(self, prelude, names):
         script = (
             f"import sys; sys.path.insert(0, {str(self.SRC)!r})\n"
             f"{prelude}\n"
-            "import repro.core.iagent_state\n"
+            f"import {self.MODULES}\n"
             f"print([name for name in {names!r} if name in sys.modules])"
         )
         result = subprocess.run(

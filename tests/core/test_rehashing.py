@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.config import HashMechanismConfig
 from repro.core.hash_tree import HashTree
-from repro.core.rehashing import candidate_affected_owners, plan_split
+from repro.core.rehashing import plan_split
 
 
 def pad(bits, width=16):
@@ -141,7 +141,7 @@ class TestAffectedOwners:
     def test_simple_candidate_is_local(self):
         tree = HashTree("IA0", width=16)
         candidate = tree.split_candidates("IA0")[0]
-        assert candidate_affected_owners(tree, candidate) == ["IA0"]
+        assert tree.affected_owners(candidate) == ["IA0"]
 
     def test_root_complex_affects_everyone(self):
         tree = HashTree("IA0", width=16)
@@ -154,7 +154,7 @@ class TestAffectedOwners:
             c for c in tree.split_candidates("IA0", scope="path")
             if c.kind == "complex"
         )
-        assert set(candidate_affected_owners(tree, complex_candidate)) == {
+        assert set(tree.affected_owners(complex_candidate)) == {
             "IA0",
             "IA1",
         }

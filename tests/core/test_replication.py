@@ -88,7 +88,7 @@ class TestBackupSync:
         mechanism = install_hash_mechanism(runtime, enable_backup_hagent=True)
         drain(runtime, 0.5)
         new_version = mechanism.backup.version
-        stale_bundle = dict(mechanism.hagent.bundle())
+        stale_bundle = mechanism.hagent.function.bundle()
         stale_bundle["version"] = 0
         mechanism.backup.handle(Request(op="sync", body=stale_bundle))
         assert mechanism.backup.version == new_version

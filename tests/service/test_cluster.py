@@ -103,6 +103,52 @@ class TestServerEndpoints:
 
         run(scenario())
 
+    def test_unreplayable_delta_degrades_to_a_snapshot(self):
+        """A delta that does not fit the LHAgent's copy must not wedge
+        the node: the copy is dropped and the snapshot drawn at once."""
+
+        async def scenario():
+            hagent = HAgentServer()
+            await hagent.start()
+            node = NodeServer("node-0", hagent.addr)
+            await node.start()
+            channel = RpcChannel()
+            try:
+                await channel.call(hagent.addr, "hagent", "bootstrap")
+                from repro.platform.naming import AgentNamer
+
+                agent = AgentNamer(seed=9).next_id()
+                first = await channel.call(
+                    node.addr, "lhagent", "whois", {"agent": agent}
+                )
+                real_reply, served = hagent._copy_reply, []
+
+                def poisoned_once(body):
+                    served.append(body)
+                    if len(served) > 1:
+                        return real_reply(body)
+                    version = hagent.version + 1
+                    ghost = {"op": "merge", "owner": "ghost", "version": version}
+                    return {"version": version, "mode": "delta", "ops": [ghost]}
+
+                hagent._copy_reply = poisoned_once
+                mapping = await channel.call(
+                    node.addr,
+                    "lhagent",
+                    "refresh",
+                    {"agent": agent, "stale_version": first["version"]},
+                )
+                assert mapping["iagent"] == first["iagent"]
+                assert len(served) == 1  # the retry asked for the snapshot
+                assert node.lhagent.full_refreshes == 2
+                assert node.lhagent.copy.version == hagent.version
+            finally:
+                await channel.close()
+                await node.stop()
+                await hagent.stop()
+
+        run(scenario())
+
     def test_bootstrap_requires_a_registered_node(self):
         async def scenario():
             hagent = HAgentServer()
