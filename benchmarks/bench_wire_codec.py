@@ -2,11 +2,13 @@
 
 Not a paper figure -- these track the raw encode/decode cost both
 codecs pay per frame on representative protocol payloads (a secondary
-copy's record table, a batched locate reply) plus the streaming
-``FrameDecoder`` feed path, whose decode now runs over a ``memoryview``
-of the reassembly buffer instead of sliced copies. Regressions here
-translate directly into slower clusters: every RPC pays these costs
-twice.
+copy's record table, a batched locate reply, a split's hand-off
+bundle) plus the streaming ``FrameDecoder`` feed path, whose decode now
+runs over a ``memoryview`` of the reassembly buffer instead of sliced
+copies. Regressions here translate directly into slower clusters: every
+RPC pays these costs twice, and a split pays the hand-off arm four
+times per moved record (extract reply and adopt request, each encoded
+and decoded).
 """
 
 import pytest
@@ -33,6 +35,43 @@ def _record_table(records: int) -> dict:
     }
 
 
+#: Ids in the hand-off arm: round 1 of the repo benchmark's
+#: ``rehash-storm`` moves this many out of a 20 000-record leaf.
+HANDOFF_IDS = 10_000
+
+
+def _handoff_bundle(ids: int) -> dict:
+    """An ``extract`` reply as ``IAgentState._handoff`` builds it: list
+    rows (the record table arm above ships tuples), non-zero loads and a
+    capability set on every tenth id."""
+    agents = [
+        AgentId((0x9E3779B97F4A7C15 * index) & (2**64 - 1))
+        for index in range(1, ids + 1)
+    ]
+    return {
+        "status": "ok",
+        "records": {
+            agent: [f"node-{index % 3}", index] for index, agent in enumerate(agents)
+        },
+        "loads": {agent: 1 + index % 11 for index, agent in enumerate(agents)},
+        "capabilities": {
+            agent: {"gpu": index % 20 == 0, "tier": "core"}
+            for index, agent in enumerate(agents)
+            if index % 10 == 0
+        },
+    }
+
+
+def _per_record(benchmark, frame: bytes, records: int) -> None:
+    """Record the arm's per-record numbers beside its median
+    (``run_bench.py`` copies ``extra_info`` into BENCH_core.json)."""
+    benchmark.extra_info["bytes_per_record"] = len(frame) / records
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        benchmark.extra_info["us_per_record"] = (
+            benchmark.stats.stats.median / records * 1e6
+        )
+
+
 def _locate_batch_request(agents: int) -> dict:
     request = Request(
         op="locate-batch",
@@ -56,6 +95,19 @@ def test_decode_record_table(benchmark, codec):
     table = _record_table(2000)
     frame = encode_frame(table, codec=codec)
     assert benchmark(lambda: decode_frame(frame, codec=codec)) == table
+
+
+def test_encode_handoff_bundle(benchmark, codec):
+    bundle = _handoff_bundle(HANDOFF_IDS)
+    frame = benchmark(lambda: encode_frame(bundle, codec=codec))
+    _per_record(benchmark, frame, HANDOFF_IDS)
+
+
+def test_decode_handoff_bundle(benchmark, codec):
+    bundle = _handoff_bundle(HANDOFF_IDS)
+    frame = encode_frame(bundle, codec=codec)
+    assert benchmark(lambda: decode_frame(frame, codec=codec)) == bundle
+    _per_record(benchmark, frame, HANDOFF_IDS)
 
 
 def test_encode_locate_batch(benchmark, codec):

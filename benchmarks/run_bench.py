@@ -100,7 +100,9 @@ def run_service_bench(quick: bool = False, check: bool = False) -> None:
 
 
 def run_suite(bench_file: str, scratch: Path, quick: bool = False) -> dict:
-    """Run one benchmark file; return ``{test_name: median_seconds}``."""
+    """Run one benchmark file; return ``{test_name: median_seconds}``,
+    plus ``{test_name.key: value}`` for what a benchmark recorded in its
+    ``extra_info`` (the key names the unit)."""
     report = scratch / (Path(bench_file).stem + ".json")
     env = dict(os.environ)
     src = str(REPO_ROOT / "src")
@@ -129,10 +131,12 @@ def run_suite(bench_file: str, scratch: Path, quick: bool = False) -> dict:
         check=True,
     )
     data = json.loads(report.read_text())
-    return {
-        bench["name"]: bench["stats"]["median"]
-        for bench in data["benchmarks"]
-    }
+    medians = {}
+    for bench in data["benchmarks"]:
+        medians[bench["name"]] = bench["stats"]["median"]
+        for key, value in bench["extra_info"].items():
+            medians[f"{bench['name']}.{key}"] = value
+    return medians
 
 
 def _median(samples):

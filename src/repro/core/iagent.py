@@ -50,6 +50,7 @@ from repro.core.iagent_state import (
     NOT_RESPONSIBLE,
     OK,
     IAgentState,
+    compile_coverage,
     pattern_matches,
     table_field,
 )
@@ -211,7 +212,7 @@ class IAgent(MobileAgent):
         """Hold a message for a served agent; forwarded on its next
         update (or immediately if its location is already known)."""
         target = body["target"]
-        if not pattern_matches(self.coverage, target.bits):
+        if not self.state.covers(target):
             return {"status": NOT_RESPONSIBLE}
         entry = {
             "payload": body["payload"],
@@ -236,10 +237,11 @@ class IAgent(MobileAgent):
     def _release_pending(self, pattern: Optional[str]) -> Dict[AgentId, list]:
         """Relay mail leaves with its agent's id: everything outside
         ``pattern`` -- mail for agents that never registered here too."""
+        covers = compile_coverage(pattern)
         return {
             agent_id: self.pending_messages.pop(agent_id)
             for agent_id in list(self.pending_messages)
-            if not pattern_matches(pattern, agent_id.bits)
+            if not covers(agent_id)
         }
 
     def _forward_pending(self, target: AgentId, node: str) -> Generator:

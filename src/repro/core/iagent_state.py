@@ -34,7 +34,8 @@ coordinators.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional, Tuple
+from itertools import filterfalse
+from typing import Any, Callable, Dict, Iterable, Optional, Tuple
 
 from repro.discovery.capability import matches_predicate, validate_capabilities
 from repro.discovery.hamming import ids_within
@@ -44,6 +45,7 @@ __all__ = [
     "NO_RECORD",
     "NOT_RESPONSIBLE",
     "OK",
+    "compile_coverage",
     "merge_handoffs",
     "pattern_matches",
     "route_handoff",
@@ -75,6 +77,31 @@ def pattern_matches(pattern: Optional[str], bits: str) -> bool:
     return all(p in ("x", b) for p, b in zip(pattern, bits))
 
 
+_MASK_DIGITS = str.maketrans("01x", "110")
+
+
+def _covers_nothing(agent: Any) -> bool:
+    return False
+
+
+def compile_coverage(pattern: Optional[str]) -> Callable[[Any], bool]:
+    """``pattern_matches(pattern, agent.bits)`` as a test on the id's
+    integer: the pattern becomes ``(length, mask, want)`` once, and an
+    id is covered when its top ``length`` bits, masked, equal ``want``
+    -- no bit string is formatted per id."""
+    if pattern is None or not set(pattern) <= {"0", "1", "x"}:
+        return _covers_nothing
+    length = len(pattern)
+    mask = int(pattern.translate(_MASK_DIGITS) or "0", 2)
+    want = int(pattern.replace("x", "0") or "0", 2)
+
+    def covers(agent: Any) -> bool:
+        spare = agent.width - length
+        return spare >= 0 and (agent.value >> spare) & mask == want
+
+    return covers
+
+
 def _admits(records: Dict, agent: Any, seq: int) -> bool:
     """The sequence gate: a write wins unless a newer one is held."""
     held = records.get(agent)
@@ -101,13 +128,28 @@ class table_field:
 class IAgentState:
     """One hash-tree leaf's directory shard: table + soft load stats."""
 
-    __slots__ = ("table", "stats")
+    __slots__ = ("table", "stats", "_compiled_for", "_covers")
 
     def __init__(self, coverage: Optional[str], stats: Any) -> None:
         self.table = self.initial_table()
         self.table["coverage"] = coverage
         #: ``LoadStatistics`` or ``GroupedLoadStatistics``; never asked which.
         self.stats = stats
+        self._compiled_for = coverage
+        self._covers = compile_coverage(coverage)
+
+    def covers(self, agent: Any) -> bool:
+        """Whether ``agent`` falls inside the current coverage.
+
+        The table is a plain dict that ``apply``, replay and the drivers
+        all write, so the compiled test is keyed on the pattern it was
+        compiled from and renewed when the table holds another.
+        """
+        pattern = self.table["coverage"]
+        if pattern != self._compiled_for:
+            self._compiled_for = pattern
+            self._covers = compile_coverage(pattern)
+        return self._covers(agent)
 
     @staticmethod
     def initial_table() -> Dict[str, Any]:
@@ -148,7 +190,7 @@ class IAgentState:
         elif kind == "extract":
             pattern = entry["pattern"]
             table["coverage"] = pattern
-            gone = [a for a in records if not pattern_matches(pattern, a.bits)]
+            gone = list(filterfalse(compile_coverage(pattern), records))
             return {
                 "records": {agent: records.pop(agent) for agent in gone},
                 "capabilities": {
@@ -180,7 +222,7 @@ class IAgentState:
         optional capability set) unless a newer sequence is held."""
         agent = body["agent"]
         table = self.table
-        if not pattern_matches(table["coverage"], agent.bits):
+        if not self.covers(agent):
             return {"status": NOT_RESPONSIBLE}, None
         entry = {
             "op": "put",
@@ -198,7 +240,7 @@ class IAgentState:
     def unregister(self, body: Dict) -> Outcome:
         agent = body["agent"]
         table = self.table
-        if not pattern_matches(table["coverage"], agent.bits):
+        if not self.covers(agent):
             return {"status": NOT_RESPONSIBLE}, None
         if not _admits(table["records"], agent, body.get("seq", 0)):
             return {"status": OK}, None  # a late farewell from before a re-register
@@ -213,7 +255,7 @@ class IAgentState:
         """Attach (or with ``None`` clear) a held agent's capability set."""
         agent = body["agent"]
         table = self.table
-        if not pattern_matches(table["coverage"], agent.bits):
+        if not self.covers(agent):
             return {"status": NOT_RESPONSIBLE}, None
         if agent not in table["records"]:
             return {"status": NO_RECORD}, None
@@ -289,7 +331,7 @@ class IAgentState:
     def locate(self, body: Dict, now: float) -> Dict[str, Any]:
         agent = body["agent"]
         table = self.table
-        if not pattern_matches(table["coverage"], agent.bits):
+        if not self.covers(agent):
             return {"status": NOT_RESPONSIBLE}
         self.stats.record_query(agent, now)
         record = table["records"].get(agent)

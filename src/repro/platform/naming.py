@@ -38,7 +38,9 @@ class AgentId:
     def __post_init__(self) -> None:
         if self.width <= 0:
             raise ValueError(f"id width must be positive, got {self.width}")
-        if not 0 <= self.value < (1 << self.width):
+        # value >> width, not 1 << width: a width forged on the wire must
+        # fail here (or yield an id no table holds), never allocate 2**width.
+        if self.value < 0 or self.value >> self.width:
             raise ValueError(
                 f"id value {self.value} out of range for width {self.width}"
             )

@@ -11,7 +11,10 @@ bytes of body. Two body codecs exist:
   value, zigzag-varint integers, raw-int ``AgentId`` payloads, interned
   protocol op names, and tuple/dict shapes without per-value JSON tags.
   Typically 2-4x smaller and cheaper to (de)code than tagged JSON on
-  protocol traffic.
+  protocol traffic. A dict keyed by same-width ``AgentId``s -- the
+  per-agent tables a split or merge hands over -- travels as columns:
+  one ``struct`` pack for the keys, and for int or ``[node, seq]``
+  values too.
 
 Codecs are negotiated **per connection**. A connection always starts in
 JSON. A binary-capable client sends a *hello* frame first::
@@ -180,6 +183,17 @@ _T_DICT_STR = 0x09
 _T_DICT_ANY = 0x0A
 _T_REQUEST = 0x0B
 _T_RESPONSE = 0x0C
+_T_AID_TABLE = 0x0D
+
+# Value-column kinds of an AgentId table (``_T_AID_TABLE``). Append only.
+_COL_ANY = 0x00  # one tagged value per key, as in _T_DICT_ANY
+_COL_I64 = 0x01  # ints: big-endian i64 each
+_COL_ROWS_LIST = 0x02  # [str, int] rows: string table + u8 slots + i64s
+_COL_ROWS_TUPLE = 0x03  # the same rows, as tuples
+
+_I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
+#: A row column indexes its string table with one byte per row.
+_MAX_ROW_STRINGS = 256
 
 # Request op field discriminator: interned table index vs inline string.
 _OP_INLINE = 0x00
@@ -316,6 +330,8 @@ def _encode_dict(value: Dict, out: bytearray) -> None:
         for key, item in value.items():
             _write_str(key, out)
             _encode_value(item, out)
+    elif type(key) is AgentId and _encode_aid_table(value, out):
+        pass
     else:
         out.append(_T_DICT_ANY)
         if count <= 0x7F:
@@ -325,6 +341,68 @@ def _encode_dict(value: Dict, out: bytearray) -> None:
         for key, item in value.items():
             _encode_value(key, out)
             _encode_value(item, out)
+
+
+def _encode_aid_table(table: Dict, out: bytearray) -> bool:
+    """Append ``table`` in the column form, if its keys allow it.
+
+    The per-agent tables of a hand-off bundle (``records``, ``loads``,
+    ``capabilities``) are thousands of same-width ids: the keys travel
+    as one ``struct`` pack of u64s, and the values too when they are all
+    ints or all ``[str, int]`` rows -- the shape is read off the values,
+    nothing is declared by the caller. Keys of mixed type or width, or
+    wider than 64 bits, append nothing and return False (the dict then
+    travels as ``_T_DICT_ANY``).
+    """
+    if set(map(type, table)) != {AgentId}:
+        return False
+    widths = {key.width for key in table}
+    if len(widths) != 1 or max(widths) > 64:
+        return False
+    count = len(table)
+    out.append(_T_AID_TABLE)
+    _write_uvarint(count, out)
+    out.append(widths.pop())
+    kind_at = len(out)
+    out.append(_COL_ANY)
+    out += struct.pack(f">{count}Q", *[key.value for key in table])
+    column = list(table.values())
+    kinds = set(map(type, column))  # bool is not int here: it stays bool
+    if kinds == {int}:
+        if _I64_MIN <= min(column) and max(column) <= _I64_MAX:
+            out[kind_at] = _COL_I64
+            out += struct.pack(f">{count}q", *column)
+            return True
+    elif kinds == {list} or kinds == {tuple}:
+        if _encode_rows(column, out):
+            out[kind_at] = _COL_ROWS_LIST if kinds == {list} else _COL_ROWS_TUPLE
+            return True
+    for item in column:
+        _encode_value(item, out)
+    return True
+
+
+def _encode_rows(rows: List, out: bytearray) -> bool:
+    """Append ``[str, int]`` rows (location records: node, seq) as a
+    string table, one slot byte per row and the ints as i64s. Rows of
+    any other shape append nothing and return False."""
+    if set(map(len, rows)) != {2}:  # ragged rows, or not two fields each
+        return False
+    names, numbers = zip(*rows)
+    if set(map(type, names)) != {str} or set(map(type, numbers)) != {int}:
+        return False
+    if min(numbers) < _I64_MIN or max(numbers) > _I64_MAX:
+        return False
+    strings = list(dict.fromkeys(names))
+    if len(strings) > _MAX_ROW_STRINGS:
+        return False
+    out.append(len(strings) - 1)
+    for text in strings:
+        _write_str(text, out)
+    slot_of = {text: slot for slot, text in enumerate(strings)}
+    out += bytes(map(slot_of.__getitem__, names))
+    out += struct.pack(f">{len(numbers)}q", *numbers)
+    return True
 
 
 def encode_binary(value: Any) -> bytes:
@@ -363,10 +441,12 @@ _STR_CACHE: Dict[bytes, str] = {}
 _STR_CACHE_MAX_LEN = 24
 _STR_CACHE_MAX_SIZE = 4096
 
-#: Decoded AgentIds, keyed by (value, width). Replies carrying match
-#: tables repeat the same ids; the frozen dataclass's validated
-#: construction costs far more than a dict hit. Ids are immutable
-#: value objects, so sharing instances is safe. Same size cap.
+#: Decoded AgentIds, keyed by (value, width): an RPC names the same few
+#: ids in each of its frames, and the frozen dataclass's validated
+#: construction costs far more than a dict hit (deleting the cache cost
+#: a locate 2 % of its latency). Ids are immutable value objects, so
+#: sharing instances is safe. At the size cap it starts over, so a
+#: population that has turned over since the first 4096 ids still hits.
 _AID_CACHE: Dict[Tuple[int, int], AgentId] = {}
 
 
@@ -459,8 +539,9 @@ def _decode_value(data: bytes, pos: int, end: int) -> Tuple[Any, int]:
                 raise WireError(
                     f"malformed binary AgentId: {error}"
                 ) from error
-            if len(_AID_CACHE) < _STR_CACHE_MAX_SIZE:
-                _AID_CACHE[(raw, width)] = aid
+            if len(_AID_CACHE) >= _STR_CACHE_MAX_SIZE:
+                _AID_CACHE.clear()
+            _AID_CACHE[(raw, width)] = aid
         return aid, pos
     if tag == _T_LIST:
         count, pos = _read_uvarint(data, pos, end)
@@ -485,7 +566,10 @@ def _decode_value(data: bytes, pos: int, end: int) -> Tuple[Any, int]:
         table = {}
         for _ in range(count):
             key, pos = _decode_value(data, pos, end)
-            table[key], pos = _decode_value(data, pos, end)
+            try:
+                table[key], pos = _decode_value(data, pos, end)
+            except TypeError as error:  # a forged list or dict as the key
+                raise WireError(f"binary dict key: {error}") from error
         return table, pos
     if tag == _T_REQUEST:
         if pos >= end:
@@ -521,7 +605,80 @@ def _decode_value(data: bytes, pos: int, end: int) -> Tuple[Any, int]:
         value, pos = _decode_value(data, pos, end)
         error, pos = _decode_value(data, pos, end)
         return Response(message_id=message_id, value=value, error=error, size=size), pos
+    if tag == _T_AID_TABLE:
+        return _decode_aid_table(data, pos, end)
     raise WireError(f"unknown binary tag {tag:#04x}")
+
+
+def _decode_aid_table(data: bytes, pos: int, end: int) -> Tuple[Dict, int]:
+    """Invert :func:`_encode_aid_table`.
+
+    The keys skip ``AgentId``'s per-instance validation, so its checks
+    are made here on the whole column: width, value range, and -- a dict
+    cannot hold one -- a repeated key.
+    """
+    count, pos = _read_uvarint(data, pos, end)
+    keys_at = pos + 2
+    keys_end = keys_at + 8 * count
+    if count == 0 or keys_end > end:
+        raise WireError("binary AgentId table is empty or truncated in its keys")
+    width, kind = data[pos], data[pos + 1]
+    if not 1 <= width <= 64:
+        raise WireError(f"binary AgentId table has key width {width}")
+    raw = struct.unpack_from(f">{count}Q", data, keys_at)
+    if max(raw) >> width:
+        raise WireError(f"binary AgentId table key out of range for width {width}")
+    if len(set(raw)) != count:
+        raise WireError("binary AgentId table repeats a key")
+    pos = keys_end
+    if kind == _COL_I64:
+        column: Any = _unpack_i64s(data, pos, end, count)
+        pos += 8 * count
+    elif kind == _COL_ROWS_LIST or kind == _COL_ROWS_TUPLE:
+        column, pos = _decode_rows(data, pos, end, count, kind == _COL_ROWS_TUPLE)
+    elif kind == _COL_ANY:
+        column = []
+        for _ in range(count):
+            item, pos = _decode_value(data, pos, end)
+            column.append(item)
+    else:
+        raise WireError(f"unknown AgentId table column kind {kind:#04x}")
+    # object.__setattr__ keeps the attributes in the instance's inline
+    # slots; writing through __dict__ would allocate a dict per key.
+    new, set_field = object.__new__, object.__setattr__
+    keys = []
+    for value in raw:
+        key = new(AgentId)
+        set_field(key, "value", value)
+        set_field(key, "width", width)
+        keys.append(key)
+    return dict(zip(keys, column)), pos
+
+
+def _unpack_i64s(data: bytes, pos: int, end: int, count: int) -> Tuple[int, ...]:
+    if pos + 8 * count > end:
+        raise WireError("binary AgentId table truncated inside an i64 column")
+    return struct.unpack_from(f">{count}q", data, pos)
+
+
+def _decode_rows(
+    data: bytes, pos: int, end: int, count: int, as_tuples: bool
+) -> Tuple[List, int]:
+    if pos >= end:
+        raise WireError("binary AgentId table truncated at its row strings")
+    strings = []
+    string_count = data[pos] + 1
+    pos += 1
+    for _ in range(string_count):
+        text, pos = _read_str(data, pos, end)
+        strings.append(text)
+    numbers_at = pos + count
+    slots = data[pos:numbers_at]
+    numbers = _unpack_i64s(data, numbers_at, end, count)
+    if max(slots) >= len(strings):
+        raise WireError("binary AgentId table row names a string it does not carry")
+    rows = zip(map(strings.__getitem__, slots), numbers)
+    return (list(rows) if as_tuples else list(map(list, rows))), numbers_at + 8 * count
 
 
 def decode_binary(body: Buffer) -> Any:

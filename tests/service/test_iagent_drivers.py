@@ -7,15 +7,31 @@
   its table equals what ``recover()`` rebuilds from its WAL. The
   malformed-capabilities cases failed before the shared core validated
   ahead of applying (memory said ``['n1', 2]``, the WAL ``['n0', 1]``).
+* Hand-off == hand-off over the wire: a split's extract -> adopt leaves
+  both leaves, their load accumulators and the taker's journal the same
+  whether or not the bundle crossed the binary codec's column form; and
+  the compiled coverage test the extract scans with is
+  ``pattern_matches`` on the id's bit string.
 """
 
-import pytest
+import random
 
-from repro.core.iagent_state import OK
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.iagent_state import (
+    NOT_RESPONSIBLE,
+    OK,
+    compile_coverage,
+    merge_handoffs,
+    pattern_matches,
+)
 from repro.discovery.capability import CapabilityError
-from repro.platform.messages import Request
+from repro.platform.messages import Request, Response
 from repro.platform.naming import AgentId
 from repro.service.server import IAgentEndpoint, NodeServer, ServiceConfig
+from repro.service.wire import CODEC_BINARY, decode_frame, encode_frame
 from repro.storage import DurableStore
 
 from tests.conftest import build_runtime, install_hash_mechanism
@@ -98,6 +114,9 @@ class TestDriverParity:
             driver.records[HIGH] = ["n3", 0]
             assert driver.state.table["coverage"] == "1"
             assert driver.state.locate({"agent": HIGH}, 0.0)["node"] == "n3"
+            # The compiled coverage test follows the table, not the setter.
+            driver.coverage = "0"
+            assert driver.state.locate({"agent": HIGH}, 0.0)["status"] == NOT_RESPONSIBLE
 
 
 class TestJournalEqualsMemory:
@@ -150,3 +169,93 @@ class TestJournalEqualsMemory:
             sim.handle(Request(op="register", body=bad))
         assert sim.records == {} and sim.capabilities == {}
         assert sim.handle(Request(op="ping", body={}))["status"] == OK
+
+
+class Journal:
+    """The two members of ``DurableStore`` an endpoint commits through."""
+
+    should_snapshot = False
+
+    def __init__(self):
+        self.entries = []
+
+    def log(self, entry):
+        self.entries.append(entry)
+
+
+def over_the_wire(value):
+    return decode_frame(
+        encode_frame(value, codec=CODEC_BINARY), codec=CODEC_BINARY
+    )
+
+
+def split_handoff(hop):
+    """One split of a seeded 2000-record leaf, every RPC body through ``hop``."""
+    rng = random.Random(15)
+    giver = live_endpoint(Journal())
+    taker = IAgentEndpoint(AgentId(2), giver.node, None, store=Journal())
+    agents = [AgentId(rng.getrandbits(64)) for _ in range(2000)]
+    for n, agent in enumerate(agents):
+        body = {"agent": agent, "node": f"n{rng.randrange(5)}", "seq": rng.randrange(9)}
+        if n % 7 == 0:
+            body["capabilities"] = {"gpu": n % 2 == 0, "hops": n % 5}
+        giver.op_register(body)
+    for agent in rng.choices(agents, k=3000):
+        giver.op_locate({"agent": agent})
+    reply = hop(Response(message_id=1, value=giver.op_extract({"pattern": "0"}))).value
+    bundle = merge_handoffs([reply])
+    bundle["pattern"] = "1"
+    request = hop({"to": taker.owner, "req": Request(op="adopt", body=bundle)})["req"]
+    assert taker.op_adopt(request.body) == {"status": OK}
+    return {
+        "giver": giver.state.table,
+        "giver loads": giver.stats.per_agent,
+        "taker": taker.state.table,
+        "taker loads": taker.stats.per_agent,
+        "taker journal": taker.store.entries,
+    }
+
+
+class TestHandoffOverTheWire:
+    def test_split_is_the_same_with_and_without_the_wire_hop(self):
+        direct, wired = split_handoff(lambda value: value), split_handoff(over_the_wire)
+        for part, expected in direct.items():
+            # repr as well: == would let True pass for 1, a tuple row
+            # for a list after a JSON snapshot, or a reordered table.
+            assert wired[part] == expected, part
+            assert repr(wired[part]) == repr(expected), part
+        moved = len(direct["taker"]["records"])
+        assert 800 < moved < 1200 and len(direct["giver"]["records"]) == 2000 - moved
+        assert direct["taker"]["capabilities"] and max(direct["taker loads"].values()) > 2
+        (adopt,) = direct["taker journal"]
+        assert adopt["op"] == "adopt" and adopt["pattern"] == "1"
+        assert adopt["records"] == direct["taker"]["records"]
+
+
+@st.composite
+def patterns_and_ids(draw):
+    width = draw(st.integers(min_value=1, max_value=72))
+    agent = AgentId(draw(st.integers(min_value=0, max_value=2**width - 1)), width)
+    # Mostly near misses of the id's own bits: a random pattern almost
+    # never covers a random id past a few constrained positions.
+    near = "".join(
+        draw(st.sampled_from([bit, bit, bit, "x", "0", "1"]))
+        for bit in agent.bits[: draw(st.integers(min_value=0, max_value=width))]
+    )
+    pattern = draw(
+        st.one_of(
+            st.none(),
+            st.just(near),
+            st.just(near + "x" * draw(st.integers(min_value=0, max_value=80 - len(near)))),
+            st.text(alphabet="01x", max_size=80),
+            st.text(alphabet="01x_ +2", max_size=6),  # int() would take some of these
+        )
+    )
+    return pattern, agent
+
+
+@given(patterns_and_ids())
+@settings(max_examples=500)
+def test_compiled_coverage_is_pattern_matches(case):
+    pattern, agent = case
+    assert compile_coverage(pattern)(agent) == pattern_matches(pattern, agent.bits)

@@ -22,7 +22,9 @@ from repro.service.wire import (
     DEFAULT_MAX_FRAME,
     FrameDecoder,
     WireError,
+    decode_binary,
     decode_frame,
+    encode_binary,
     encode_frame,
     encode_hello_ack,
     from_jsonable,
@@ -68,7 +70,38 @@ def containers(children):
     )
 
 
-values = st.recursive(scalars, containers, max_leaves=12)
+def sized_ids(width):
+    return st.builds(
+        AgentId,
+        value=st.integers(min_value=0, max_value=2**width - 1),
+        width=st.just(width),
+    )
+
+
+def record_rows(seqs):
+    return st.tuples(st.sampled_from(["n0", "n1", "node-\u00e9"]), seqs)
+
+
+I64 = st.integers(min_value=-(2**63), max_value=2**63 - 1)
+
+# Same-width AgentId-keyed dicts in the shapes a hand-off bundle ships
+# (loads, record rows, capability sets) and the near misses a column
+# encoder must leave alone: bools, ints beyond i64, tuple rows.
+aid_tables = st.integers(min_value=1, max_value=64).flatmap(
+    lambda width: st.one_of(
+        st.dictionaries(sized_ids(width), I64, max_size=6),
+        st.dictionaries(sized_ids(width), st.integers(), max_size=4),
+        st.dictionaries(sized_ids(width), st.booleans() | I64, max_size=4),
+        st.dictionaries(sized_ids(width), record_rows(I64), max_size=6),
+        st.dictionaries(sized_ids(width), record_rows(I64).map(list), max_size=6),
+        st.dictionaries(
+            sized_ids(width), record_rows(st.integers() | st.booleans()), max_size=4
+        ),
+        st.dictionaries(sized_ids(width), scalars, max_size=4),
+    )
+)
+
+values = st.recursive(scalars | aid_tables, containers, max_leaves=12)
 
 requests = st.builds(
     Request,
@@ -126,6 +159,207 @@ class TestRoundTrip:
             decoded.extend(decoder.feed(stream[index : index + 7]))
         assert decoded == items
         assert decoder.pending_bytes == 0
+
+
+# ----------------------------------------------------------------------
+# AgentId tables: the binary codec's column form (tag 0x0D)
+# ----------------------------------------------------------------------
+
+TABLE, GENERIC = 0x0D, 0x0A
+ANY, INTS, LIST_ROWS, TUPLE_ROWS = 0, 1, 2, 3
+
+
+def column_kind(table):
+    """The value-column kind byte of ``table``'s binary encoding."""
+    body = encode_binary(table)
+    assert body[0] == TABLE
+    at = 1
+    while body[at] & 0x80:  # the count varint
+        at += 1
+    return body[at + 2]
+
+
+def binary_round_trip(value):
+    return decode_frame(encode_frame(value, codec=CODEC_BINARY), codec=CODEC_BINARY)
+
+
+def ids(count, width=64):
+    return [AgentId((0x9E3779B97F4A7C15 * n) % 2**width, width) for n in range(1, count + 1)]
+
+
+class TestAgentIdTables:
+    @given(wire_values)
+    @settings(max_examples=300)
+    def test_binary_round_trip_keeps_every_type(self, value):
+        decoded = binary_round_trip(value)
+        assert decoded == value
+        # == alone lets True pass for 1; the repr also pins key order.
+        assert repr(decoded) == repr(value)
+
+    @pytest.mark.parametrize(
+        "column, kind",
+        [
+            ([True, False, True], ANY),  # never an int column
+            ([1, True, 2], ANY),
+            ([0, -(2**63), 2**63 - 1], INTS),
+            ([0, 2**63, 1], ANY),  # beyond i64
+            ([0, -(2**63) - 1, 1], ANY),
+            ([("n0", 1), ("n1", 2), ("n0", 3)], TUPLE_ROWS),  # tuples stay tuples
+            ([["n0", 1], ["n1", 2], ["n0", -(2**63)]], LIST_ROWS),
+            ([["n0", 1], ("n1", 2), ["n0", 3]], ANY),  # mixed containers
+            ([["n0", 1], ["n1"], ["n0", 3]], ANY),  # ragged
+            ([["n0", 1, 2], ["n1", 2, 3], ["n0", 3, 4]], ANY),
+            ([[], [], []], ANY),
+            ([["n0", 2**63], ["n1", 2], ["n0", 3]], ANY),
+            ([["n0", True], ["n1", 2], ["n0", 3]], ANY),
+            ([[0, 1], [1, 2], [2, 3]], ANY),  # the "node" is not a string
+            ([{"gpu": True}, {"tier": "core"}, {}], ANY),
+            ([None, 1.5, "x"], ANY),
+        ],
+    )
+    def test_value_shapes_survive(self, column, kind):
+        table = dict(zip(ids(3), column))
+        assert column_kind(table) == kind
+        assert repr(decode_binary(encode_binary(table))) == repr(table)
+
+    @pytest.mark.parametrize("width", [1, 2, 7, 8, 63, 64])
+    def test_every_width_up_to_64_is_a_table(self, width):
+        table = {AgentId(0, width): 1, AgentId(2**width - 1, width): 2}
+        assert encode_binary(table)[0] == TABLE
+        assert binary_round_trip(table) == table
+        assert [key.width for key in binary_round_trip(table)] == [width, width]
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            {AgentId(1, 65): 1, AgentId(2**65 - 1, 65): 2},  # wider than a u64
+            {AgentId(1, 64): 1, AgentId(1, 32): 2},  # mixed widths
+            {AgentId(1): 1, "one": 2},  # mixed key types
+            {AgentId(1): 1, 1: 2},
+        ],
+    )
+    def test_other_keys_fall_back_to_the_generic_dict(self, table):
+        assert encode_binary(table)[0] == GENERIC
+        assert repr(binary_round_trip(table)) == repr(table)
+
+    def test_empty_dict_stays_a_plain_dict(self):
+        assert binary_round_trip({}) == {}
+        assert binary_round_trip({"records": {}, "loads": {}}) == {"records": {}, "loads": {}}
+
+    @pytest.mark.parametrize("nodes", [256, 257, 1000])
+    def test_many_distinct_nodes(self, nodes):
+        # One slot byte per row addresses 256 strings; past that the
+        # rows travel one by one, and still come back the same.
+        table = {agent: [f"node-{n}", n] for n, agent in enumerate(ids(nodes))}
+        assert column_kind(table) == (LIST_ROWS if nodes <= 256 else ANY)
+        assert repr(binary_round_trip(table)) == repr(table)
+
+    def test_key_order_is_preserved(self):
+        keys = ids(50)
+        table = {key: n for n, key in enumerate(reversed(keys))}
+        assert list(binary_round_trip(table)) == list(table)
+
+    def test_json_codec_is_untouched(self):
+        table = {agent: ["n0", n] for n, agent in enumerate(ids(4))}
+        assert decode_frame(encode_frame(table)) == table
+
+
+def handoff_frame():
+    """A small ``adopt`` request: every column kind in one frame."""
+    agents = ids(6)
+    bundle = {
+        "records": {agent: [f"n{n % 2}", n] for n, agent in enumerate(agents)},
+        "loads": {agent: n * 3 for n, agent in enumerate(agents)},
+        "capabilities": {agents[0]: {"gpu": True}, agents[3]: {"tier": "core"}},
+        "pattern": "1x0",
+    }
+    request = Request(op="adopt", body=bundle, sender_node="node-0")
+    return encode_binary({"to": agents[0], "req": request})
+
+
+def framed(body):
+    return struct.pack(">I", len(body)) + body
+
+
+class TestAgentIdTableRejection:
+    """A table frame off the network raises WireError or decodes --
+    nothing else may escape the transport's ``data_received``."""
+
+    def test_every_truncation_is_a_wire_error(self):
+        body = handoff_frame()
+        for cut in range(len(body)):
+            with pytest.raises(WireError):
+                FrameDecoder(codec=CODEC_BINARY).feed(framed(body[:cut]))
+
+    def test_single_byte_mutations_raise_only_wire_error(self):
+        body = handoff_frame()
+        outcomes = {"decoded": 0, "rejected": 0}
+        for at in range(len(body)):
+            for byte in range(256):
+                mutant = body[:at] + bytes([byte]) + body[at + 1 :]
+                try:
+                    FrameDecoder(codec=CODEC_BINARY).feed(framed(mutant))
+                    outcomes["decoded"] += 1
+                except WireError:
+                    outcomes["rejected"] += 1
+        # Both happen: a flipped seq byte is a valid frame, a flipped tag is not.
+        assert outcomes["decoded"] > 1000 and outcomes["rejected"] > 1000
+
+    def test_repeated_key_rejected(self):
+        table = dict.fromkeys(ids(3), 7)
+        body = bytearray(encode_binary(table))
+        keys_at = 4  # tag, count, width, column kind
+        body[keys_at + 8 : keys_at + 16] = body[keys_at : keys_at + 8]
+        with pytest.raises(WireError, match="repeats a key"):
+            decode_binary(bytes(body))
+
+    @pytest.mark.parametrize(
+        "at, byte, message",
+        [(2, 0, "width"), (2, 65, "width"), (3, 9, "column kind"), (1, 0, "empty")],
+    )
+    def test_forged_header_rejected(self, at, byte, message):
+        body = bytearray(encode_binary(dict.fromkeys(ids(3), 7)))
+        body[at] = byte  # tag, count, width, column kind
+        with pytest.raises(WireError, match=message):
+            decode_binary(bytes(body))
+
+    def test_key_beyond_its_width_rejected(self):
+        body = bytearray(encode_binary({AgentId(1, 8): 1, AgentId(2, 8): 2}))
+        body[4] = 0x01  # top byte of the first u64: far outside 8 bits
+        with pytest.raises(WireError, match="out of range"):
+            decode_binary(bytes(body))
+
+    def test_row_slot_beyond_the_string_table_rejected(self):
+        table = {agent: ["n0", n] for n, agent in enumerate(ids(2))}
+        body = bytearray(encode_binary(table))
+        slots_at = 4 + 16 + 1 + 3  # header, keys, string count, "n0"
+        assert body[slots_at : slots_at + 2] == b"\x00\x00"
+        body[slots_at] = 1
+        with pytest.raises(WireError, match="string it does not carry"):
+            decode_binary(bytes(body))
+
+    def test_unhashable_key_in_a_generic_dict_rejected(self):
+        # Found by the mutation sweep's neighbourhood: {[]: None}.
+        with pytest.raises(WireError, match="unhashable"):
+            decode_binary(bytes([GENERIC, 1, 0x08, 0, 0x00]))
+
+    def test_absurd_id_width_allocates_nothing(self):
+        # AgentId(0, 2**56): the range check used to compute 1 << width.
+        body = bytes([0x06, 0]) + b"\x80" * 8 + b"\x01"
+        assert decode_binary(body).width == 2**56
+
+    def test_id_cache_keeps_admitting_past_its_cap(self):
+        # A population that turned over since the first 4096 ids: the
+        # newest id decodes to one shared instance, not a fresh one each time.
+        for n in range(5000):
+            decode_binary(encode_binary(AgentId(n)))
+        newest = encode_binary(AgentId(2**40))
+        assert decode_binary(newest) is decode_binary(newest)
+
+    def test_huge_count_is_rejected_before_any_allocation(self):
+        body = bytes([TABLE]) + b"\xff" * 9 + b"\x01" + bytes([64, 1]) + b"\x00" * 64
+        with pytest.raises(WireError):
+            decode_binary(body)
 
 
 # ----------------------------------------------------------------------
