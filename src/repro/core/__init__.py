@@ -15,7 +15,8 @@ Layering, bottom-up:
 * :mod:`repro.core.iagent` / :mod:`repro.core.lhagent` /
   :mod:`repro.core.hagent` -- the three agent roles (paper §2.2) built
   on the platform substrate.
-* :mod:`repro.core.rehashing` -- the split/merge policy engine.
+* :mod:`repro.core.rehashing` -- the split/merge policy engine and the
+  sans-IO split/merge saga both coordinators step.
 * :mod:`repro.core.mechanism` -- the facade the platform's tracked
   agents talk to: register / report_move / locate.
 * :mod:`repro.core.placement`, :mod:`repro.core.replication` -- the two

@@ -9,12 +9,12 @@ message handler before the next report is examined.
 
 IAgents report their window rates periodically; the HAgent reacts:
 
-* ``rate > T_max`` -- plan a split with :func:`repro.core.rehashing.plan_split`,
-  spawn the new IAgent, rewrite the tree, and move the affected location
-  records between the IAgents involved;
-* ``rate < T_min`` for ``merge_patience`` consecutive reports -- merge
-  the IAgent into its sibling (or sibling subtree), redistribute its
-  records and retire it.
+* ``rate > T_max`` -- :func:`repro.core.rehashing.split_saga`: plan a
+  split, spawn the new IAgent, rewrite the tree, and move the affected
+  location records between the IAgents involved;
+* ``rate < T_min`` for ``merge_patience`` consecutive reports --
+  :func:`repro.core.rehashing.merge_saga`: merge the IAgent into its
+  sibling (or sibling subtree), redistribute its records and retire it.
 
 Every change to the primary copy bumps the version; secondary copies at
 the LHAgents catch up lazily (paper §4.3). With the replication
@@ -37,9 +37,9 @@ from collections import deque
 from operator import attrgetter
 from typing import Any, Dict, Generator, List
 
+from repro.core.errors import CoreError
 from repro.core.hash_function import HashFunction
-from repro.core.iagent_state import merge_handoffs, route_handoff
-from repro.core.rehashing import RehashPolicy, plan_split
+from repro.core.rehashing import RehashPolicy, merge_saga, split_saga
 from repro.platform.agents import Agent
 from repro.platform.messages import Request, RpcError
 from repro.platform.naming import AgentId
@@ -121,118 +121,36 @@ class HAgent(Agent):
         return {"status": "ok"}
 
     # ------------------------------------------------------------------
-    # Split (paper §4.1)
+    # Split (paper §4.1) and merge (paper §4.2): the choreography is
+    # repro.core.rehashing's saga; this agent only performs its requests.
     # ------------------------------------------------------------------
 
     def _split(self, owner: AgentId) -> Generator:
-        config = self.mechanism.config
-        loads_by_owner: Dict[AgentId, Dict[str, int]] = {}
-        try:
-            loads_by_owner[owner] = yield from self._fetch_loads(owner)
-            if config.complex_split_scope == "path":
-                yield from self._fetch_subtree_loads(owner, loads_by_owner)
-        except RpcError:
-            return  # the IAgent is unreachable; try again on the next report
-
-        planned = plan_split(self.tree, owner, loads_by_owner, config)
-        if planned is None:
-            # Nothing divisible (e.g. a single red-hot agent): back off.
-            self._set_cooldown(owner)
-            return
-
-        new_owner, new_node = yield from self.mechanism.spawn_iagent()
-        outcome = self._publish(
-            {
-                "op": "split",
-                "kind": planned.candidate.kind,
-                "owner": owner,
-                "bit": planned.candidate.bit_position,
-                "new_owner": new_owner,
-                "new_node": new_node,
-            }
-        )
-
-        # Move the records: every affected owner shrinks to its new
-        # coverage; everything evicted belongs to the new IAgent.
-        replies = []
-        for affected in outcome.affected_owners:
-            pattern = self.tree.hyper_label(affected).pattern()
-            try:
-                reply = yield from self._rpc_iagent(
-                    affected, "extract", {"pattern": pattern}
-                )
-            except RpcError:
-                continue  # its agents re-register via NOT_RESPONSIBLE as they move
-            replies.append(reply)
-        bundle = merge_handoffs(replies)
-        bundle["pattern"] = self.tree.hyper_label(new_owner).pattern()
-        try:
-            yield from self._rpc_iagent(new_owner, "adopt", bundle)
-        except RpcError:
-            pass  # the published function already routes to it
-
-        self.splits += 1
-        self._set_cooldown(owner)
-        self._set_cooldown(new_owner)
-        self._log(
-            "split",
-            owner=owner,
-            new_owner=new_owner,
-            kind=planned.candidate.kind,
-            bit=planned.candidate.bit_position,
-            even=planned.even,
-            moved=len(bundle["records"]),
-        )
-
-    def _fetch_loads(self, owner: AgentId) -> Generator:
-        reply = yield from self._rpc_iagent(owner, "get-loads")
-        return dict(reply["loads"])
-
-    def _fetch_subtree_loads(
-        self, owner: AgentId, loads_by_owner: Dict
-    ) -> Generator:
-        """Gather the loads a path-scope plan may need (all candidates'
-        affected owners)."""
-        for candidate in self.tree.split_candidates(
-            owner, scope="path", max_simple_m=self.mechanism.config.max_simple_m
-        ):
-            for affected in self.tree.affected_owners(candidate):
-                if affected not in loads_by_owner:
-                    loads_by_owner[affected] = yield from self._fetch_loads(affected)
-
-    # ------------------------------------------------------------------
-    # Merge (paper §4.2)
-    # ------------------------------------------------------------------
+        return self._step(split_saga(self, owner))
 
     def _merge(self, owner: AgentId) -> Generator:
-        outcome = self._publish({"op": "merge", "owner": owner})
+        return self._step(merge_saga(self, owner))
 
-        try:
-            bundle = yield from self._rpc_iagent(owner, "extract-all")
-        except RpcError:
-            # The IAgent vanished; its agents will re-register via the
-            # NOT_RESPONSIBLE path as they move.
-            bundle = {}
-
-        # Re-route every orphaned record through the updated tree.
-        routed = route_handoff(self.tree, bundle, outcome.absorbers)
-        for absorber, handoff in routed.items():
-            handoff["pattern"] = self.tree.hyper_label(absorber).pattern()
+    def _step(self, saga: Generator) -> Generator:
+        """Drive one saga to completion in virtual time."""
+        reply = None
+        while True:
             try:
-                yield from self._rpc_iagent(absorber, "adopt", handoff)
-            except RpcError:
-                continue
-            self._set_cooldown(absorber)
-
-        yield from self.mechanism.retire_iagent(owner)
-        self.merges += 1
-        self._log(
-            "merge",
-            owner=owner,
-            kind=outcome.kind,
-            absorbers=list(outcome.absorbers),
-            moved=len(bundle.get("records", ())),
-        )
+                kind, *args = saga.send(reply)
+            except StopIteration:
+                return
+            try:
+                if kind == "call":
+                    # The mechanism's registry, not the primary copy's
+                    # ``node``, knows where a migrating IAgent is now.
+                    owner, _node, op, body = args
+                    reply = yield from self._rpc_iagent(owner, op, body)
+                elif kind == "spawn":
+                    reply = yield from self.mechanism.spawn_iagent()
+                else:
+                    reply = yield from self.mechanism.retire_iagent(args[0])
+            except (RpcError, CoreError):
+                reply = None  # unreachable, or not live any more
 
     # ------------------------------------------------------------------
     # Helpers
@@ -246,8 +164,8 @@ class HAgent(Agent):
         )
         return reply
 
-    def _set_cooldown(self, owner: AgentId) -> None:
-        self.policy.set_cooldown(owner, self.sim.now)
+    def _now(self) -> float:
+        return self.sim.now
 
     def _publish(self, op: Dict) -> Any:
         """Apply ``op`` to the primary copy -- mutation, version bump and

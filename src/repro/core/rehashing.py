@@ -1,14 +1,17 @@
-"""The rehash policy: when to rehash (§4.1-§4.2) and which split (§4.1).
+"""Rehashing: when (§4.1-§4.2), which split (§4.1), and how it is carried out.
 
-Pure decision logic, separated from the coordinators so it can be
-unit-tested without a simulation or a socket. :class:`RehashPolicy` is
-the T_max / T_min / patience / cooldown trigger both coordinators feed
-their load reports to, each with its own clock. Given the tree, the
-overloaded owner, per-agent loads and the configuration,
-:func:`plan_split` walks the candidate list in the paper's order --
-complex splits first (left-most multi-bit label, then the first bit
-after the valid bit), then simple splits with growing ``m`` -- and
-returns the first candidate whose load division is *even*.
+Sans-IO, so all of it can be tested without a simulation or a socket.
+:class:`RehashPolicy` is the T_max / T_min / patience / cooldown trigger
+both coordinators feed their load reports to, each with its own clock.
+Given the tree, the overloaded owner, per-agent loads and the
+configuration, :func:`plan_split` walks the candidate list in the
+paper's order -- complex splits first (left-most multi-bit label, then
+the first bit after the valid bit), then simple splits with growing
+``m`` -- and returns the first candidate whose load division is *even*.
+:func:`split_saga` and :func:`merge_saga` are the choreography -- "the
+splitting and merging processes" the paper's HAgent coordinates (§2.2)
+-- written once for the simulator ``HAgent`` and the live
+``HAgentServer`` (see *The saga* below).
 
 If no candidate is even, the paper's text keeps incrementing ``m``
 "until m is sufficiently large to produce an even split"; that loop need
@@ -21,13 +24,14 @@ degenerate. The deviation is recorded in DESIGN.md §4.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Hashable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Generator, Hashable, List, Mapping, Optional, Tuple
 
 from repro.core.config import HashMechanismConfig
 from repro.core.hash_tree import HashTree, SplitCandidate
+from repro.core.iagent_state import merge_handoffs, route_handoff
 from repro.core.load import is_even_split, split_loads
 
-__all__ = ["PlannedSplit", "RehashPolicy", "plan_split"]
+__all__ = ["PlannedSplit", "RehashPolicy", "merge_saga", "plan_split", "split_saga"]
 
 
 class RehashPolicy:
@@ -168,3 +172,145 @@ def _evaluate(
 
 def _min_side(planned: PlannedSplit) -> int:
     return min(planned.load_zero_side, planned.load_one_side)
+
+
+# ----------------------------------------------------------------------
+# The saga: one split / one merge, start to finish
+#
+# A saga is a generator over a *coordinator* -- anything with the
+# journaled primary copy ``function``, the ``policy``, the ``splits`` /
+# ``merges`` counters, ``_now()`` (its clock), ``_publish(entry)`` (apply
+# to the primary copy and make it durable / replicated; returns the
+# tree's outcome) and ``_log(event, **fields)``. Everything that needs a
+# network or another process it *yields* to the driver stepping it:
+#
+#   ("call", owner, node, op, body)  ->  the IAgent's reply dict
+#   ("spawn",)                       ->  (new_owner, new_node), hosted and empty
+#   ("retire", owner, node)          ->  anything
+#
+# ``node`` is where the primary copy places the IAgent (``None`` when it
+# does not know). A request the driver could not perform is answered
+# with ``None``; the saga, not the driver, decides what that means: a
+# failure *before* the publish abandons the rehash untouched, a failure
+# *after* it is skipped -- the published function already routes to the
+# new leaves, and records that missed their hand-off re-converge through
+# the §4.3 NOT_RESPONSIBLE path as their agents next move. The publish
+# itself is one step (mutation, version bump, journal entry), so the
+# primary copy is never torn whichever request fails.
+# ----------------------------------------------------------------------
+
+Saga = Generator[Tuple[Any, ...], Any, None]
+
+
+def _call(coord: Any, owner: Any, op: str, body: Optional[Dict] = None) -> Tuple:
+    return ("call", owner, coord.function.iagent_nodes.get(owner), op, body or {})
+
+
+def _ready(coord: Any, owner: Any) -> bool:
+    """Re-check the verdict's preconditions: the driver may have queued
+    this saga behind another rehash that consumed or cooled ``owner``."""
+    tree = coord.function.tree
+    return (
+        tree is not None
+        and tree.has_owner(owner)
+        and not coord.policy.cooling(owner, coord._now())
+    )
+
+
+def split_saga(coord: Any, owner: Any) -> Saga:
+    """Split ``owner``'s leaf (paper §4.1): plan on gathered loads, spawn
+    the new IAgent, publish, then move the evicted records to it."""
+    if not _ready(coord, owner):
+        return
+    policy, tree = coord.policy, coord.function.tree
+    config = policy.config
+    wanted = [owner]
+    if config.complex_split_scope == "path":
+        # A path-scope plan may evict from any candidate's affected owners.
+        for candidate in tree.split_candidates(
+            owner, scope="path", max_simple_m=config.max_simple_m
+        ):
+            wanted.extend(tree.affected_owners(candidate))
+    loads_by_owner: Dict[Any, Mapping[str, int]] = {}
+    for each in wanted:
+        if each not in loads_by_owner:
+            reply = yield _call(coord, each, "get-loads")
+            if reply is None:
+                return  # unreachable IAgent; try again on the next report
+            loads_by_owner[each] = reply["loads"]
+
+    planned = plan_split(tree, owner, loads_by_owner, config)
+    if planned is None:
+        # Nothing divisible (e.g. a single red-hot agent): back off.
+        policy.set_cooldown(owner, coord._now())
+        return
+    spawned = yield ("spawn",)
+    if spawned is None:
+        return
+    new_owner, new_node = spawned
+    kind, bit = planned.candidate.kind, planned.candidate.bit_position
+    outcome = coord._publish(
+        {
+            "op": "split",
+            "kind": kind,
+            "owner": owner,
+            "bit": bit,
+            "new_owner": new_owner,
+            "new_node": new_node,
+        }
+    )
+    coord.splits += 1
+
+    # Every affected owner shrinks to its new coverage; everything
+    # evicted belongs to the new IAgent.
+    replies = []
+    for affected in outcome.affected_owners:
+        pattern = tree.hyper_label(affected).pattern()
+        reply = yield _call(coord, affected, "extract", {"pattern": pattern})
+        if reply is not None:
+            replies.append(reply)
+    bundle = merge_handoffs(replies)
+    bundle["pattern"] = tree.hyper_label(new_owner).pattern()
+    yield _call(coord, new_owner, "adopt", bundle)
+
+    now = coord._now()
+    policy.set_cooldown(owner, now)
+    policy.set_cooldown(new_owner, now)
+    coord._log(
+        "split",
+        owner=owner,
+        new_owner=new_owner,
+        kind=kind,
+        bit=bit,
+        even=planned.even,
+        moved=len(bundle["records"]),
+    )
+
+
+def merge_saga(coord: Any, owner: Any) -> Saga:
+    """Merge ``owner``'s leaf away (paper §4.2): publish, re-route its
+    records through the updated tree to the absorbers, retire it."""
+    if not _ready(coord, owner) or len(coord.function.tree) <= 1:
+        return
+    tree = coord.function.tree
+    node = coord.function.iagent_nodes.get(owner)
+    outcome = coord._publish({"op": "merge", "owner": owner})
+    coord.merges += 1
+
+    bundle = yield ("call", owner, node, "extract-all", {})
+    if bundle is None:
+        bundle = {}  # the IAgent vanished, and its table with it
+    routed = route_handoff(tree, bundle, outcome.absorbers)
+    for absorber, handoff in routed.items():
+        handoff["pattern"] = tree.hyper_label(absorber).pattern()
+        reply = yield _call(coord, absorber, "adopt", handoff)
+        if reply is not None:
+            coord.policy.set_cooldown(absorber, coord._now())
+    yield ("retire", owner, node)
+    coord._log(
+        "merge",
+        owner=owner,
+        kind=outcome.kind,
+        absorbers=list(outcome.absorbers),
+        moved=len(bundle.get("records", ())),
+    )

@@ -7,9 +7,9 @@ retry loop of §2.3 + §4.3 and the delta-synced secondary copies -- as
 asyncio TCP servers on a real network. The hash function itself is not
 reimplemented: coordinators, standbys and LHAgents all hold a
 :class:`repro.core.hash_function.HashFunction`, trigger rehashes through
-:class:`repro.core.rehashing.RehashPolicy` and plan splits with
-:func:`repro.core.rehashing.plan_split`, so protocol fixes land once and
-serve both worlds.
+:class:`repro.core.rehashing.RehashPolicy` and carry them out by stepping
+:func:`repro.core.rehashing.split_saga` / ``merge_saga``, so protocol
+fixes land once and serve both worlds.
 
 Modules
 -------

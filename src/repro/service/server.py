@@ -6,12 +6,12 @@ Two server kinds:
   copy of the hash function (a journaled
   :class:`repro.core.hash_function.HashFunction`, the same object the
   simulator HAgent holds) and drives the shared
-  :class:`repro.core.rehashing.RehashPolicy`: splits planned with
-  :func:`repro.core.rehashing.plan_split` on load reports, merges after
-  sustained under-threshold reports, plus a
-  liveness monitor that *takes over* a crashed IAgent's leaf by
-  re-hosting it on a live node (a journaled ``move``, so secondary
-  copies catch up by delta).
+  :class:`repro.core.rehashing.RehashPolicy`: splits on overload
+  reports, merges after sustained under-threshold reports -- both by
+  stepping the :mod:`repro.core.rehashing` sagas the simulator HAgent
+  steps -- plus a liveness monitor that *takes over* a crashed IAgent's
+  leaf by re-hosting it on a live node (a journaled ``move``, so
+  secondary copies catch up by delta).
 * :class:`NodeServer` -- one per node. A single listening socket
   multiplexing three target kinds: the node's LHAgent (secondary copy,
   refreshed via the same delta protocol as the simulator), any resident
@@ -49,7 +49,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.core.config import HashMechanismConfig
 from repro.core.hash_function import HashFunction
@@ -61,7 +61,7 @@ from repro.core.iagent_state import (
     table_field,
 )
 from repro.core.load import LoadStatistics
-from repro.core.rehashing import RehashPolicy, plan_split
+from repro.core.rehashing import RehashPolicy, merge_saga, split_saga
 from repro.discovery.hamming import shards_within
 from repro.metrics.trace import Tracer
 from repro.platform.messages import Request, Response
@@ -2238,116 +2238,40 @@ class HAgentServer(_FramedServer):
         return {"status": OK}
 
     async def _split(self, owner: AgentId) -> None:
-        config = self.config.mechanism
-        async with self._rehash_lock:
-            if self.tree is None or not self.tree.has_owner(owner):
-                return
-            if self.policy.cooling(owner, time.monotonic()):
-                return
-            loads_by_owner: Dict[Any, Dict[str, int]] = {}
-            try:
-                loads_by_owner[owner] = await self._fetch_loads(owner)
-                if config.complex_split_scope == "path":
-                    for candidate in self.tree.split_candidates(
-                        owner, scope="path", max_simple_m=config.max_simple_m
-                    ):
-                        for affected in self.tree.affected_owners(candidate):
-                            if affected not in loads_by_owner:
-                                loads_by_owner[affected] = await self._fetch_loads(
-                                    affected
-                                )
-            except (ServiceRpcError, RemoteOpError):
-                return  # unreachable IAgent; retry on the next report
-
-            planned = plan_split(self.tree, owner, loads_by_owner, config)
-            if planned is None:
-                self._set_cooldown(owner)
-                return
-
-            new_owner = self.namer.next_id()
-            new_node = self._pick_node()
-            try:
-                await self._rpc_node(
-                    new_node, "host-iagent", {"owner": new_owner, "pattern": None}
-                )
-            except (ServiceRpcError, RemoteOpError):
-                return
-            # Mutation, version bump and journal entry are one step: a
-            # replica-sync bundle must never carry the post-split tree
-            # under the pre-split version.
-            outcome = self._publish(
-                {
-                    "op": "split",
-                    "kind": planned.candidate.kind,
-                    "owner": owner,
-                    "bit": planned.candidate.bit_position,
-                    "new_owner": new_owner,
-                    "new_node": new_node,
-                }
-            )
-            self._last_report[new_owner] = time.monotonic()
-            self.splits += 1
-            self._set_cooldown(owner)
-            self._set_cooldown(new_owner)
-
-            replies = []
-            for affected in outcome.affected_owners:
-                pattern = self.tree.hyper_label(affected).pattern()
-                try:
-                    replies.append(
-                        await self._rpc_iagent(affected, "extract", {"pattern": pattern})
-                    )
-                except (ServiceRpcError, RemoteOpError):
-                    continue  # its records re-converge via re-registration
-            bundle = merge_handoffs(replies)
-            bundle["pattern"] = self.tree.hyper_label(new_owner).pattern()
-            try:
-                await self._rpc_iagent(new_owner, "adopt", bundle)
-            except (ServiceRpcError, RemoteOpError):
-                pass  # coverage arrives with the next takeover/republish
-            self._log(
-                "split",
-                owner=owner,
-                new_owner=new_owner,
-                kind=planned.candidate.kind,
-                moved=len(bundle["records"]),
-            )
+        await self._step(split_saga(self, owner))
 
     async def _merge(self, owner: AgentId) -> None:
+        await self._step(merge_saga(self, owner))
+
+    async def _step(self, saga: Generator) -> None:
+        """Drive one :mod:`repro.core.rehashing` saga to completion:
+        serialised by the rehash lock, every request epoch-fenced."""
         async with self._rehash_lock:
-            if (
-                self.tree is None
-                or not self.tree.has_owner(owner)
-                or len(self.tree) <= 1
-            ):
-                return
-            node = self.iagent_nodes.get(owner)
-            outcome = self._publish({"op": "merge", "owner": owner})
-            self._last_report.pop(owner, None)
-            self.merges += 1
-            try:
-                bundle = await self._rpc_iagent(owner, "extract-all", node_name=node)
-            except (ServiceRpcError, RemoteOpError):
-                bundle = {}  # re-converges via re-registration
-            routed = route_handoff(self.tree, bundle, outcome.absorbers)
-            for absorber, handoff in routed.items():
-                handoff["pattern"] = self.tree.hyper_label(absorber).pattern()
+            reply = None
+            while True:
                 try:
-                    await self._rpc_iagent(absorber, "adopt", handoff)
-                except (ServiceRpcError, RemoteOpError):
-                    continue
-                self._set_cooldown(absorber)
-            if node is not None:
+                    kind, *args = saga.send(reply)
+                except StopIteration:
+                    return
                 try:
-                    await self._rpc_node(node, "retire-iagent", {"owner": owner})
+                    if kind == "call":
+                        owner, node, op, body = args
+                        # No known node: a failed call like any other.
+                        reply = node and await self._rpc_node(node, op, body, owner)
+                    elif kind == "spawn":
+                        owner, node = self.namer.next_id(), self._pick_node()
+                        await self._rpc_node(
+                            node, "host-iagent", {"owner": owner, "pattern": None}
+                        )
+                        self._last_report[owner] = time.monotonic()
+                        reply = owner, node
+                    else:
+                        owner, node = args
+                        self._last_report.pop(owner, None)
+                        if node is not None:
+                            await self._rpc_node(node, "retire-iagent", {"owner": owner})
                 except (ServiceRpcError, RemoteOpError):
-                    pass
-            self._log(
-                "merge",
-                owner=owner,
-                kind=outcome.kind,
-                moved=len(bundle.get("records", ())),
-            )
+                    reply = None
 
     # ------------------------------------------------------------------
     # Cross-shard merge: hand a whole prefix to the sibling shard.
@@ -2697,10 +2621,6 @@ class HAgentServer(_FramedServer):
         self._spawn_round_robin += 1
         return self.node_order[self._spawn_round_robin % len(self.node_order)]
 
-    async def _fetch_loads(self, owner: Any) -> Dict[str, int]:
-        reply = await self._rpc_iagent(owner, "get-loads")
-        return reply["loads"]
-
     def _fenced(self, body: Optional[Dict]) -> Dict:
         """Stamp an outgoing coordinator op with this replica's epoch.
 
@@ -2713,10 +2633,20 @@ class HAgentServer(_FramedServer):
         stamped.setdefault("shard", self.shard)
         return stamped
 
-    async def _rpc_node(self, node: str, op: str, body: Dict) -> Dict:
+    async def _rpc_node(
+        self,
+        node: str,
+        op: str,
+        body: Optional[Dict],
+        target: Any = "host",
+        timeout: Optional[float] = None,
+    ) -> Dict:
+        """One fenced coordinator op to ``target`` on ``node`` (default:
+        the node's own ``host`` endpoint)."""
         if self.partitioned:
             raise ServiceRpcError(
-                f"{op} to {node} blocked: {self.replica_name} is partitioned",
+                f"{op} to {target} on {node} blocked:"
+                f" {self.replica_name} is partitioned",
                 op=op,
             )
         if self.config.coordinator_rpc_delay:
@@ -2724,14 +2654,14 @@ class HAgentServer(_FramedServer):
         try:
             return await self.channel.call(
                 self.node_addrs[node],
-                "host",
+                target,
                 op,
                 self._fenced(body),
-                timeout=self.config.rpc_timeout,
+                timeout=timeout if timeout is not None else self.config.rpc_timeout,
             )
         except RemoteOpError as error:
             if error.code == STALE_EPOCH:
-                self._demote(f"fenced by node {node}: {error}")
+                self._demote(f"fenced by {target} on {node}: {error}")
             raise
 
     async def _rpc_iagent(
@@ -2740,33 +2670,13 @@ class HAgentServer(_FramedServer):
         op: str,
         body: Optional[Dict] = None,
         timeout: Optional[float] = None,
-        node_name: Optional[str] = None,
     ) -> Dict:
-        node = node_name if node_name is not None else self.iagent_nodes.get(owner)
+        node = self.iagent_nodes.get(owner)
         if node is None:
             raise ServiceRpcError(f"IAgent {owner} has no known node", op=op)
-        if self.partitioned:
-            raise ServiceRpcError(
-                f"{op} to {owner} blocked: {self.replica_name} is partitioned",
-                op=op,
-            )
-        if self.config.coordinator_rpc_delay:
-            await asyncio.sleep(self.config.coordinator_rpc_delay)
-        try:
-            return await self.channel.call(
-                self.node_addrs[node],
-                owner,
-                op,
-                self._fenced(body),
-                timeout=timeout if timeout is not None else self.config.rpc_timeout,
-            )
-        except RemoteOpError as error:
-            if error.code == STALE_EPOCH:
-                self._demote(f"fenced by {owner} on {node}: {error}")
-            raise
+        return await self._rpc_node(node, op, body, owner, timeout)
 
-    def _set_cooldown(self, owner: Any) -> None:
-        self.policy.set_cooldown(owner, time.monotonic())
+    _now = staticmethod(time.monotonic)
 
     def _publish(self, op: Dict) -> Any:
         """Apply ``op`` to the primary copy and journal it durably."""

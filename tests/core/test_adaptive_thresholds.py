@@ -81,7 +81,8 @@ class TestAdaptiveIntegration:
 class TestBothCoordinators:
     """One report script through the simulator HAgent and the live
     HAgentServer: the shared RehashPolicy gives both the same verdicts,
-    ``threshold_mode`` included (the live one used to ignore it)."""
+    ``threshold_mode`` included (the live one used to ignore it), and
+    the shared saga makes both publish and log the same rehashes."""
 
     # t_max=50, t_min=5, patience 2; a 4 ms service estimate makes the
     # adaptive pair (100, 10). (rate, mature, service_estimate) ->
@@ -158,3 +159,90 @@ class TestBothCoordinators:
         column = 1 if mode == "fixed" else 2
         for row in self.SCRIPT:
             assert both(*row[0]) == [row[column]] * 2, row
+
+    def test_same_scenario_same_published_entries_and_log(self):
+        """Split a 16-record leaf, then merge the new leaf back: once in
+        virtual time, once through an ``HAgentServer`` whose fenced
+        sender is answered from in-memory ``IAgentState`` leaves."""
+        import asyncio
+
+        from repro.core.iagent_state import IAgentState
+        from repro.core.load import LoadStatistics
+        from repro.platform.messages import Request
+        from repro.platform.naming import AgentId
+        from repro.service.server import HAgentServer, ServiceConfig
+
+        agents = [AgentId(index << 60) for index in range(16)]
+
+        runtime = build_runtime()
+        mechanism = install_hash_mechanism(runtime, merge_patience=1, cooldown=0.0)
+        hagent = mechanism.hagent
+        (owner,) = mechanism.iagents
+        for agent in agents:
+            mechanism.iagents[owner].handle(
+                Request(op="register", body={"agent": agent, "node": "node-1"})
+            )
+
+        def report(owner, rate):
+            body = {"owner": owner, "rate": rate, "mature": True}
+            runtime.sim.run_process(hagent._on_load_report(body))
+
+        report(owner, 1000.0)
+        report(hagent.journal[-1]["new_owner"], 0.1)
+
+        server = HAgentServer(ServiceConfig(mechanism=mechanism.config))
+        root = server.namer.next_id()
+        server.function.bootstrap(root, "node-0", 64)
+        server.node_order = ["node-0", "node-1"]
+        leaves = {root: IAgentState("", LoadStatistics(2.0))}
+        for agent in agents:
+            leaves[root].put({"agent": agent, "node": "node-1"}, 0.0)
+
+        async def rpc_node(node, op, body, target="host", timeout=None):
+            if op == "host-iagent":
+                leaves[body["owner"]] = IAgentState(None, LoadStatistics(2.0))
+            elif op == "retire-iagent":
+                del leaves[body["owner"]]
+            elif op == "get-loads":
+                return leaves[target].get_loads(0.0)
+            elif op == "extract":
+                return leaves[target].extract(body, 0.0)[0]
+            elif op == "extract-all":
+                return leaves[target].extract_all()[0]
+            else:
+                assert op == "adopt", op
+                return leaves[target].adopt(body)[0]
+
+        server._rpc_node = rpc_node
+
+        async def live():
+            await server._split(root)
+            await server._merge(server.journal[-1]["new_owner"])
+
+        asyncio.run(live())
+        assert list(leaves) == [root] and len(leaves[root].table["records"]) == 16
+
+        def published(journal):
+            names = {}
+            return [
+                {
+                    key: names.setdefault(value, len(names))
+                    if key in ("owner", "new_owner")
+                    else value
+                    for key, value in entry.items()
+                    if key not in ("epoch", "new_node")
+                }
+                for entry in journal
+            ]
+
+        assert published(hagent.journal) == published(server.journal)
+        assert [entry["op"] for entry in server.journal] == ["split", "merge"]
+        assert (hagent.splits, hagent.merges) == (server.splits, server.merges) == (1, 1)
+
+        stamps = {"time", "iagents"}  # the simulator's own, on every entry
+        for sim, live_entry in zip(hagent.rehash_log, server.rehash_log):
+            assert set(sim) - stamps == set(live_entry)
+            for key in ("event", "version", "kind", "moved"):
+                assert sim[key] == live_entry[key]
+        assert [entry["event"] for entry in server.rehash_log] == ["split", "merge"]
+        assert server.rehash_log[0]["moved"] == server.rehash_log[1]["moved"] == 8

@@ -251,6 +251,65 @@ class TestLoadReports:
         (survivor,) = mechanism.iagents.values()
         assert len(survivor.records) == 16
 
+    def test_merge_into_a_non_live_absorber_still_completes(self):
+        """The absorber died: its ``adopt`` is one more failed call, not
+        an exception that kills the handler mid-merge."""
+        runtime = build_runtime()
+        mechanism = install_hash_mechanism(runtime, merge_patience=1, cooldown=0.0)
+        hagent = mechanism.hagent
+        (owner,) = list(mechanism.iagents)
+        self.seed_records(runtime, mechanism.iagents[owner])
+        rpc(
+            runtime, mechanism.hagent_node, mechanism.hagent_id,
+            "load-report", self.overload_report(mechanism, owner),
+        )
+        drain(runtime, 1.0)
+        victim, absorber = mechanism.iagents
+        runtime.sim.run_process(mechanism.iagents[absorber].die())
+        version, journaled = hagent.version, len(hagent.journal)
+        quiet = {"owner": victim, "rate": 0.1, "mature": True, "records": 8}
+        reply = rpc(
+            runtime, mechanism.hagent_node, mechanism.hagent_id, "load-report", quiet
+        )
+        drain(runtime, 1.0)
+        assert reply == {"status": "ok"}
+        assert hagent.merges == 1
+        assert hagent.rehash_log[-1]["event"] == "merge"
+        assert hagent.rehash_log[-1]["absorbers"] == [absorber]
+        assert victim not in mechanism.iagents  # retired, not orphaned
+        # One published transition: tree, version and journal together.
+        assert hagent.tree.owner_count() == 1
+        assert hagent.version == version + 1
+        assert len(hagent.journal) == journaled + 1
+
+    def test_path_scope_split_backs_off_when_an_affected_iagent_is_not_live(self):
+        runtime = build_runtime()
+        mechanism = install_hash_mechanism(runtime, complex_split_scope="path")
+        hagent = mechanism.hagent
+        (owner,) = list(mechanism.iagents)
+        self.seed_records(runtime, mechanism.iagents[owner])
+
+        def grow():
+            # A two-bit label, so ``owner``'s path-scope candidates
+            # (promote bit 1) evict from the other leaf too.
+            new_owner, new_node = yield from mechanism.spawn_iagent()
+            hagent._publish(
+                {"op": "split", "kind": "simple", "owner": owner, "bit": 2,
+                 "new_owner": new_owner, "new_node": new_node}
+            )
+            yield from mechanism.iagents[new_owner].die()
+
+        runtime.sim.run_process(grow())
+        version = hagent.version
+        reply = rpc(
+            runtime, mechanism.hagent_node, mechanism.hagent_id,
+            "load-report", self.overload_report(mechanism, owner),
+        )
+        drain(runtime, 1.0)
+        assert reply == {"status": "ok"}
+        assert (hagent.version, hagent.splits) == (version, 0)  # before publish
+        assert hagent.rehash_log == []
+
     def test_merge_disabled_by_config(self):
         runtime = build_runtime()
         mechanism = install_hash_mechanism(

@@ -304,8 +304,9 @@ class TestImportHygiene:
         "repro.platform.events",
     ]
     SRC = Path(__file__).resolve().parents[2] / "src"
-    #: The sans-IO cores: the record table and the hash function.
-    MODULES = "repro.core.iagent_state, repro.core.hash_function"
+    #: The sans-IO cores: the record table, the hash function, and the
+    #: rehash policy + split / merge saga.
+    MODULES = "repro.core.iagent_state, repro.core.hash_function, repro.core.rehashing"
 
     def loaded(self, prelude, names):
         script = (

@@ -1,0 +1,293 @@
+"""The split / merge saga against an in-memory driver: no sockets, no
+simulator clock.
+
+``World`` is both halves a saga needs: the *coordinator* (a real
+journaled ``HashFunction``, a real ``RehashPolicy``, counters, a log) and
+the *driver* (one real ``IAgentState`` per leaf, performing the saga's
+``call`` / ``spawn`` / ``retire`` requests as plain method calls). The
+sweep fails every request the saga makes, one per run, two ways -- the
+request never arrives, or it is performed and the reply is lost -- and
+checks after each run what must hold whichever request failed.
+"""
+
+from collections import deque
+
+import pytest
+
+from repro.core.config import HashMechanismConfig
+from repro.core.hash_function import HashFunction
+from repro.core.hash_tree import HashTree
+from repro.core.iagent_state import IAgentState
+from repro.core.load import LoadStatistics
+from repro.core.rehashing import RehashPolicy, merge_saga, split_saga
+from repro.discovery.capability import CAPABILITY_PALETTE
+from repro.platform.naming import AgentNamer
+
+WIDTH = 64
+RECORDS = 500
+
+
+class World:
+    def __init__(self, records=RECORDS, **overrides):
+        config = HashMechanismConfig(cooldown=5.0).with_overrides(**overrides)
+        self.function = HashFunction(0, None, {}, deque(maxlen=64))
+        self.policy = RehashPolicy(config)
+        self.splits = self.merges = 0
+        self.rehash_log = []
+        self.clock = 100.0
+        self.owner_ids = AgentNamer(seed=0x5A6A)
+        self.leaves = {}
+        root, _ = self.spawn()
+        self.leaves[root].table["coverage"] = ""
+        self.function.bootstrap(root, "node-0", WIDTH)
+        # The seeded population: records with seqs, every third agent
+        # with a capability set; loads are added per scenario.
+        ids = AgentNamer(seed=0xA6E27)
+        self.agents = [ids.next_id() for _ in range(records)]
+        for index, agent in enumerate(self.agents):
+            body = {"agent": agent, "node": f"node-{index % 5}", "seq": index % 7}
+            if index % 3 == 0:
+                body["capabilities"] = CAPABILITY_PALETTE[index % 6]
+            self.leaves[root].put(body, self.clock)
+
+    # -- the coordinator the saga reads and writes ----------------------
+
+    def _now(self):
+        return self.clock
+
+    def _publish(self, entry):
+        return self.function.publish(entry)
+
+    def _log(self, event, **fields):
+        self.rehash_log.append({"event": event, **fields})
+
+    # -- the driver ------------------------------------------------------
+
+    def spawn(self):
+        owner = self.owner_ids.next_id()
+        self.leaves[owner] = IAgentState(None, LoadStatistics(2.0))
+        return owner, f"node-{len(self.leaves) % 5}"
+
+    def perform(self, kind, *args):
+        if kind == "spawn":
+            return self.spawn()
+        if kind == "retire":
+            self.leaves.pop(args[0], None)
+            return None
+        owner, _node, op, body = args
+        leaf = self.leaves.get(owner)
+        if leaf is None:
+            return None
+        if op == "get-loads":
+            return leaf.get_loads(self.clock)
+        if op == "extract":
+            return leaf.extract(body, self.clock)[0]
+        if op == "extract-all":
+            return leaf.extract_all()[0]
+        assert op == "adopt", op
+        return leaf.adopt(body)[0]
+
+    def run(self, saga, fail_at=None, lose="request"):
+        """Step ``saga``; request number ``fail_at`` fails -- never
+        performed (``lose="request"``) or performed with its reply
+        dropped (``lose="reply"``). Returns the requests made."""
+        self.clock += 1.0
+        made, reply = 0, None
+        while True:
+            try:
+                request = saga.send(reply)
+            except StopIteration:
+                return made
+            if made == fail_at and lose == "request":
+                reply = None
+            else:
+                reply = self.perform(*request)
+                if made == fail_at:
+                    reply = None
+            made += 1
+
+    # -- scenario plumbing ----------------------------------------------
+
+    def load(self, agents, hits=3):
+        for agent in agents:
+            leaf = self.leaves[self.function.tree.lookup(agent.bits)]
+            for _ in range(hits):
+                leaf.stats.record_query(agent, self.clock)
+
+    def snapshot(self):
+        """Everything the hand-off must conserve, per agent."""
+        records, capabilities, loads = {}, {}, {}
+        for leaf in self.leaves.values():
+            for agent, record in leaf.table["records"].items():
+                assert agent not in records, f"{agent} sits in two leaves"
+                records[agent] = list(record)
+                loads[agent] = leaf.stats.load_of(agent)
+            capabilities.update(leaf.table["capabilities"])
+        return records, capabilities, loads
+
+    def primary(self):
+        function = self.function
+        return function.version, function.tree.to_spec(), len(function.journal)
+
+    def check_invariants(self, before):
+        tree, function = self.function.tree, self.function
+        patterns = {o: tree.hyper_label(o).pattern() for o in tree.owners()}
+        assert set(patterns) == set(function.iagent_nodes)
+        # Leaf coverages partition the id space.
+        for agent in self.agents:
+            covering = [
+                owner
+                for owner, pattern in patterns.items()
+                if IAgentState(pattern, None).covers(agent)
+            ]
+            assert covering == [tree.lookup(agent.bits)]
+        # Version, tree and journal moved together or not at all.
+        version, spec, journaled = self.primary()
+        if (version, spec, journaled) != before:
+            assert version == before[0] + 1 and spec != before[1]
+            assert journaled == before[2] + 1
+            assert function.journal[-1]["version"] == version
+            replayed = HashFunction(before[0], HashTree.from_spec(before[1]), {})
+            replayed.apply(dict(function.journal[-1]))
+            assert replayed.tree.to_spec() == spec
+        # A record sits in at most one leaf (``snapshot`` asserts it),
+        # inside that leaf's own coverage; a leaf that heard of the
+        # rehash holds nothing the tree routes elsewhere.
+        self.snapshot()
+        for owner, leaf in self.leaves.items():
+            held = leaf.table["records"]
+            assert set(leaf.table["capabilities"]) <= set(held)
+            current = leaf.table["coverage"] == patterns.get(owner)
+            for agent in held:
+                assert leaf.covers(agent)
+                if current:
+                    assert tree.lookup(agent.bits) == owner
+
+
+def first_bit(agent):
+    return agent.bits[0]
+
+
+def leaf_split():
+    """One leaf, evenly loaded: a simple split on bit 1."""
+    world = World()
+    world.load(world.agents)
+    (owner,) = world.function.tree.owners()
+    return world, split_saga(world, owner)
+
+
+def grown(scope):
+    """Two leaves under a two-bit label: only the ``0...`` half was
+    loaded when the root split, so the planner skipped bit 1."""
+    world = World(complex_split_scope=scope, cooldown=0.0)
+    world.load([a for a in world.agents if first_bit(a) == "0"])
+    (owner,) = world.function.tree.owners()
+    world.run(split_saga(world, owner))
+    assert world.rehash_log[-1]["bit"] == 2
+    return world, owner
+
+
+def path_split():
+    """...then the ``1...`` half heats up: with path scope the planner
+    gathers both leaves' loads and promotes bit 1 -- a complex split
+    that evicts from both."""
+    world, owner = grown("path")
+    world.load([a for a in world.agents if first_bit(a) == "1"], hits=6)
+    return world, split_saga(world, owner)
+
+
+def three_leaves():
+    world, owner = grown("leaf")
+    world.load(world.agents)
+    world.run(split_saga(world, owner))
+    assert len(world.function.tree) == 3
+    return world
+
+
+def merge_of(kind):
+    def scenario():
+        world = three_leaves()
+        for owner in world.function.tree.owners():
+            trial = HashTree.from_spec(world.function.tree.to_spec())
+            if trial.apply_merge(owner).kind == kind:
+                return world, merge_saga(world, owner)
+        raise AssertionError(f"no {kind} merge in {world.function.tree.to_spec()}")
+
+    return scenario
+
+
+SCENARIOS = {
+    "split-leaf": (leaf_split, "split", "simple", 4),
+    "split-path": (path_split, "split", "complex", 6),
+    "merge-simple": (merge_of("simple"), "merge", "simple", 3),
+    "merge-complex": (merge_of("complex"), "merge", "complex", 4),
+}
+
+
+@pytest.mark.parametrize("name", SCENARIOS)
+class TestSaga:
+    def test_clean_run_conserves_records_loads_and_capabilities(self, name):
+        scenario, event, kind, requests = SCENARIOS[name]
+        world, saga = scenario()
+        held, before = world.snapshot(), world.primary()
+        counted = world.splits + world.merges
+        assert world.run(saga) == requests
+        world.check_invariants(before)
+        assert world.snapshot() == held
+        assert len(held[0]) == RECORDS and len(held[1]) == (RECORDS + 2) // 3
+        assert world.splits + world.merges == counted + 1
+        entry = world.rehash_log[-1]
+        assert (entry["event"], entry["kind"]) == (event, kind)
+        assert entry["moved"] > 0
+        tree = world.function.tree
+        assert set(world.leaves) == set(tree.owners())
+        for owner, leaf in world.leaves.items():
+            assert leaf.table["coverage"] == tree.hyper_label(owner).pattern()
+
+    @pytest.mark.parametrize("lose", ["request", "reply"])
+    def test_every_failure_point(self, name, lose):
+        scenario, _event, _kind, requests = SCENARIOS[name]
+        for fail_at in range(requests):
+            world, saga = scenario()
+            held, before = world.snapshot(), world.primary()
+            logged = len(world.rehash_log)
+            world.run(saga, fail_at=fail_at, lose=lose)
+            world.check_invariants(before)
+            records, capabilities, _loads = world.snapshot()
+            # Nothing is invented or rolled back: what survives is what
+            # was there, record for record.
+            assert records.items() <= held[0].items()
+            assert capabilities.items() <= held[1].items()
+            if world.primary() == before:
+                # Abandoned before the publish: nothing moved at all
+                # (a lost ``get-loads`` reply changes nothing either).
+                assert world.snapshot() == held
+                assert len(world.rehash_log) == logged
+                # A spawn whose reply was lost leaves an empty leaf the
+                # tree never names (live, it retires itself on its first
+                # ``stale`` load report).
+                for orphan in set(world.leaves) - set(world.function.tree.owners()):
+                    assert world.leaves[orphan].table == IAgentState.initial_table()
+            else:
+                assert len(world.rehash_log) == logged + 1
+
+
+class TestPreconditions:
+    def test_stale_cooling_or_last_leaf_yields_no_request(self):
+        world, _ = leaf_split()
+        (owner,) = world.function.tree.owners()
+        before = world.primary()
+        assert world.run(merge_saga(world, owner)) == 0  # the last leaf
+        assert world.run(split_saga(world, world.owner_ids.next_id())) == 0
+        world.policy.set_cooldown(owner, world.clock + 1.0)
+        assert world.run(split_saga(world, owner)) == 0
+        assert world.run(merge_saga(world, owner)) == 0
+        assert world.primary() == before and world.rehash_log == []
+
+    def test_nothing_divisible_cools_the_owner_down_before_any_spawn(self):
+        world = World(records=1)  # one red-hot agent
+        (owner,) = world.function.tree.owners()
+        before = world.primary()
+        assert world.run(split_saga(world, owner)) == 1  # get-loads only
+        assert world.primary() == before and len(world.leaves) == 1
+        assert world.policy.cooling(owner, world.clock)
