@@ -20,8 +20,7 @@ Every run replays deterministically from its seed (see
 (60% locate / 25% move / 10% register / 5% batch-locate).
 
 The results are *merged* into ``BENCH_service.json`` as a ``capacity``
-section -- ``bench_service_rpc.py`` owns the rest of that file and
-rewrites it wholesale, so run this bench second (``run_bench.py`` does).
+section -- every service bench sets only its own keys in that file.
 Commit the refreshed snapshot when a PR moves the numbers.
 
 Usage::
@@ -50,10 +49,8 @@ import time
 from pathlib import Path
 from typing import Dict, List
 
-from repro.service.client import ClientConfig
 from repro.service.cluster import ClusterConfig
 from repro.service.loadgen import LoadConfig, run_load, saturation_search
-from repro.service.server import ServiceConfig
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -87,8 +84,6 @@ def _cluster_config(nodes: int, replicas: int = 1, shards: int = 1) -> ClusterCo
         seed=7,
         shards=shards,
         hagent_replicas=replicas,
-        service=ServiceConfig(wire="binary"),
-        client=ClientConfig(wire="binary"),
     )
 
 

@@ -28,8 +28,7 @@ experiments:
   timeout, a backoff sleep and a refresh round to notice it.
 
 Results merge into ``BENCH_service.json`` as a ``netem`` section
-(``bench_service_rpc.py`` owns the file and rewrites it wholesale; run
-this bench after it, as ``run_bench.py`` does).
+(every service bench sets only its own keys in that file).
 
 Usage::
 
@@ -48,9 +47,8 @@ import asyncio
 import json
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.core.config import HashMechanismConfig
 from repro.service.client import ClientConfig
@@ -97,7 +95,6 @@ def _cluster_config(hedge: bool = True, degraded: bool = True) -> ClusterConfig:
         seed=SEED,
         netem_seed=SEED,  # install the controller; faults come from us
         service=ServiceConfig(
-            wire="binary",
             # Pin rehashing off: a mid-run split adds seconds of
             # cross-server choreography to the tail, which is real but
             # is bench_service_load's story -- here it would only blur
@@ -105,7 +102,6 @@ def _cluster_config(hedge: bool = True, degraded: bool = True) -> ClusterConfig:
             mechanism=HashMechanismConfig(t_max=1e9, t_min=0.0),
         ),
         client=ClientConfig(
-            wire="binary",
             hedge=hedge,
             degraded_reads=degraded,
             # Hostile operating point: the adaptive estimator rules, the
@@ -161,7 +157,6 @@ async def _run_load_with_netem(
             if task is not None:
                 await task
     report.nodes = cluster_config.nodes
-    report.wire = cluster_config.service.wire
     return report
 
 

@@ -1,19 +1,17 @@
 #!/usr/bin/env python
-"""Measure the service wire path: codecs x driving disciplines.
+"""Measure the service RPC path: three driving disciplines.
 
 Boots a real localhost cluster (one HAgent, N node servers, every RPC a
-TCP round-trip) twice -- once pinned to tagged-JSON framing, once to the
-negotiated binary codec -- and drives the ``locate`` hot path three
-ways per codec:
+TCP round-trip) and drives the ``locate`` hot path three ways:
 
 * ``sequential`` -- one locate at a time, full round-trip each: the
-  pre-pipelining baseline every speedup is quoted against.
+  baseline every speedup is quoted against.
 * ``pipelined``  -- a window of concurrent locates multiplexed over the
   pooled connections, correlated by ``message_id``.
 * ``batched``    -- ``locate_batch`` amortizing one ``locate-batch``
   RPC over many agents.
 
-On top of the codec grid, a **sharded coordinator** section boots the
+On top of the locate arms, a **sharded coordinator** section boots the
 cluster at 1 / 2 / 4 prefix shards (each shard its own primary HAgent,
 see ``docs/PROTOCOLS.md`` §12) and measures the coordination plane two
 ways per shard count:
@@ -31,16 +29,17 @@ A **discovery** section covers the multi-result path (PROTOCOLS.md
 * ``walk``    -- the prefix-pruned Hamming walk over a ~1k-leaf tree
   against a brute popcount scan of all 4096 agent ids, same answers
   asserted before either arm is timed.
-* ``capability_rpc`` -- sequential JSON ``discover-capability``
-  round-trips against the batched binary ``discover-capability-batch``
-  RPC over a live cluster.
+* ``capability_rpc`` -- sequential ``discover-capability`` round-trips
+  against the batched ``discover-capability-batch`` RPC over a live
+  cluster.
 * ``shard_consistency`` -- the same seeded population queried at 1 / 2
   / 4 shards; the canonicalized result sets must be identical.
 
-Writes ops/sec and p50/p99 latency for all six codec arms plus the
-sharded and discovery sections to ``BENCH_service.json`` at the repo
-root. Commit the refreshed snapshot when a PR moves the numbers; diffs
-of that file are the perf history.
+Sets ops/sec and p50/p99 latency for the three locate arms plus the
+sharded and discovery sections in ``BENCH_service.json`` at the repo
+root, leaving the sections other benches own (``capacity``, ``netem``)
+as they are. Commit the refreshed snapshot when a PR moves the numbers;
+diffs of that file are the perf history.
 
 Usage::
 
@@ -48,13 +47,11 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_service_rpc.py --quick   # CI
     PYTHONPATH=src python benchmarks/bench_service_rpc.py --quick --check
 
-``--check`` exits non-zero unless (a) binary is at least as fast as
-JSON on the pipelined and batched locate arms (small tolerance for CI
-noise), (b) the best pipelined/batched binary arm clears 3x the
-sequential JSON baseline, (c) rehash throughput at 4 shards clears
-1.6x the single-shard baseline, (d) the pruned Hamming walk clears 5x
-the brute scan, (e) batched binary capability discovery clears 3x
-sequential JSON, and (f) discovery results are shard-count invariant.
+``--check`` exits non-zero unless rehash throughput at 4 shards clears
+1.6x the single-shard baseline, the pruned Hamming walk clears 5x the
+brute scan, batched capability discovery clears 1.5x sequential, and
+discovery results are shard-count invariant (gates (c) -- (f) of
+``docs/REPORT.md``).
 ``--quick`` numbers are not comparable to a full run and should never
 be committed over a full snapshot.
 """
@@ -113,6 +110,12 @@ DISCOVERY_D = 2
 
 #: Shard counts the discovery-consistency arm sweeps.
 DISCOVERY_SHARD_COUNTS = (1, 2, 4)
+
+#: The gate on batched over sequential capability discovery.
+#: Measured 2.2-2.8x over 13 ``--quick`` arms and 2.0-3.0x over 14 full
+#: ones (docs/REPORT.md): this sits below every run, by the quick arms'
+#: whole spread; a batch that stops amortizing reads ~1.0x.
+CAPABILITY_BATCH_GATE = 1.5
 
 
 # ----------------------------------------------------------------------
@@ -181,7 +184,7 @@ ARMS = {
 
 
 # ----------------------------------------------------------------------
-# Per-codec run
+# The locate arms
 # ----------------------------------------------------------------------
 
 
@@ -201,30 +204,25 @@ def _summarize(latencies: List[float], duration: float) -> Dict[str, float]:
     }
 
 
-async def _bench_codec(
-    codec: str, nodes: int, agent_count: int, ops: int
+async def _bench_locate(
+    nodes: int, agent_count: int, ops: int
 ) -> Dict[str, Dict[str, float]]:
     config = ClusterConfig(
         nodes=nodes,
         agents=agent_count,
         ops=0,
         seed=7,
-        service=ServiceConfig(wire=codec),
-        client=ClientConfig(wire=codec, batch_size=BATCH_SIZE),
+        client=ClientConfig(batch_size=BATCH_SIZE),
     )
     async with booted_cluster(config) as cluster:
         agents = [await cluster.spawn_agent() for _ in range(agent_count)]
         driver = cluster.clients[0]
-        negotiated = set(driver.channel.negotiated.values())
-        assert negotiated <= {codec}, (codec, negotiated)
         results: Dict[str, Dict[str, float]] = {}
         for arm, runner in ARMS.items():
             # Warm the connection pool + secondary copies out of band.
             await runner(driver, agents, min(len(agents), PIPELINE_WINDOW))
             latencies, duration = await runner(driver, agents, ops)
             results[arm] = _summarize(latencies, duration)
-        negotiated = set(driver.channel.negotiated.values())
-        assert negotiated == {codec}, (codec, negotiated)
         return results
 
 
@@ -263,11 +261,9 @@ async def _bench_sharded(
         seed=11,
         shards=shards,
         service=ServiceConfig(
-            wire="binary",
             mechanism=_sharded_mechanism(),
             coordinator_rpc_delay=RPC_DELAY_S,
         ),
-        client=ClientConfig(wire="binary"),
     )
     async with booted_cluster(config) as cluster:
         for _ in range(agent_count):
@@ -500,7 +496,7 @@ def _bench_walk(agent_count: int, queries: int, d: int) -> Dict:
 
 
 async def _bench_capability_rpc(
-    codec: str, batched: bool, agent_count: int, query_count: int
+    batched: bool, agent_count: int, query_count: int
 ) -> Dict:
     """Time ``query_count`` capability discoveries over a live cluster."""
     config = ClusterConfig(
@@ -508,8 +504,7 @@ async def _bench_capability_rpc(
         agents=0,
         ops=0,
         seed=5,
-        service=ServiceConfig(wire=codec),
-        client=ClientConfig(wire=codec, batch_size=BATCH_SIZE),
+        client=ClientConfig(batch_size=BATCH_SIZE),
     )
     async with booted_cluster(config) as cluster:
         for index in range(agent_count):
@@ -532,7 +527,6 @@ async def _bench_capability_rpc(
         duration = time.perf_counter() - start
         assert all(found is not None for found in results)
         return {
-            "codec": codec,
             "discipline": "batched" if batched else "sequential",
             "agents": agent_count,
             "queries": query_count,
@@ -550,8 +544,6 @@ async def _discovery_shard_results(shards: int, agent_count: int) -> List:
         ops=0,
         seed=17,
         shards=shards,
-        service=ServiceConfig(wire="binary"),
-        client=ClientConfig(wire="binary"),
     )
     async with booted_cluster(config) as cluster:
         agents = [
@@ -591,18 +583,14 @@ def run_discovery(quick: bool) -> Dict:
         f"({walk['speedup_vs_brute']:.1f}x, "
         f"{walk['avg_candidates_scanned']:.0f}/{walk['agents']} scanned)"
     )
-    sequential = asyncio.run(
-        _bench_capability_rpc("json", False, rpc_agents, rpc_queries)
-    )
-    batched = asyncio.run(
-        _bench_capability_rpc("binary", True, rpc_agents, rpc_queries)
-    )
+    sequential = asyncio.run(_bench_capability_rpc(False, rpc_agents, rpc_queries))
+    batched = asyncio.run(_bench_capability_rpc(True, rpc_agents, rpc_queries))
     rpc_speedup = round(
         batched["queries_per_sec"] / sequential["queries_per_sec"], 2
     )
     print(
-        f"  capability {batched['queries_per_sec']:>9.1f} q/s batched binary "
-        f"vs {sequential['queries_per_sec']:.1f} q/s sequential JSON "
+        f"  capability {batched['queries_per_sec']:>9.1f} q/s batched "
+        f"vs {sequential['queries_per_sec']:.1f} q/s sequential "
         f"({rpc_speedup:.1f}x)"
     )
     baseline = asyncio.run(_discovery_shard_results(1, shard_agents))
@@ -627,9 +615,9 @@ def run_discovery(quick: bool) -> Dict:
         },
         "walk": walk,
         "capability_rpc": {
-            "sequential_json": sequential,
-            "batched_binary": batched,
-            "speedup_batched_binary_vs_sequential_json": rpc_speedup,
+            "sequential": sequential,
+            "batched": batched,
+            "speedup_batched_vs_sequential": rpc_speedup,
         },
         "shard_consistency": {
             "counts": list(DISCOVERY_SHARD_COUNTS),
@@ -640,7 +628,7 @@ def run_discovery(quick: bool) -> Dict:
 
 def run(quick: bool, nodes: int, agents: int, ops: int) -> Dict:
     snapshot: Dict = {
-        "schema": 3,
+        "schema": 4,
         "generated_unix": int(time.time()),
         "quick": quick,
         "config": {
@@ -650,24 +638,17 @@ def run(quick: bool, nodes: int, agents: int, ops: int) -> Dict:
             "pipeline_window": PIPELINE_WINDOW,
             "batch_size": BATCH_SIZE,
         },
-        "codecs": {},
     }
-    for codec in ("json", "binary"):
-        print(f"== codec {codec}: {ops} locates per arm over {nodes} nodes ==")
-        results = asyncio.run(_bench_codec(codec, nodes, agents, ops))
-        snapshot["codecs"][codec] = results
-        for arm, summary in results.items():
-            print(
-                f"  {arm:<10} {summary['ops_per_sec']:>9.1f} ops/s   "
-                f"p50 {summary['p50_ms']:.3f} ms   p99 {summary['p99_ms']:.3f} ms"
-            )
-    baseline = snapshot["codecs"]["json"]["sequential"]["ops_per_sec"]
-    snapshot["speedups_vs_json_sequential"] = {
-        f"{codec}_{arm}": round(
-            snapshot["codecs"][codec][arm]["ops_per_sec"] / baseline, 2
+    print(f"== locate: {ops} per arm over {nodes} nodes ==")
+    results = snapshot["locate"] = asyncio.run(_bench_locate(nodes, agents, ops))
+    for arm, summary in results.items():
+        print(
+            f"  {arm:<10} {summary['ops_per_sec']:>9.1f} ops/s   "
+            f"p50 {summary['p50_ms']:.3f} ms   p99 {summary['p99_ms']:.3f} ms"
         )
-        for codec in ("json", "binary")
-        for arm in ARMS
+    baseline = results["sequential"]["ops_per_sec"]
+    snapshot["speedups_vs_sequential"] = {
+        arm: round(results[arm]["ops_per_sec"] / baseline, 2) for arm in ARMS
     }
     snapshot["shards"] = run_sharded(
         quick,
@@ -680,28 +661,9 @@ def run(quick: bool, nodes: int, agents: int, ops: int) -> Dict:
     return snapshot
 
 
-def check(snapshot: Dict, tolerance: float = 0.9) -> List[str]:
+def check(snapshot: Dict) -> List[str]:
     """The CI gate; returns a list of failures (empty = pass)."""
     failures = []
-    codecs = snapshot["codecs"]
-    for arm in ("pipelined", "batched"):
-        binary = codecs["binary"][arm]["ops_per_sec"]
-        json_ = codecs["json"][arm]["ops_per_sec"]
-        if binary < tolerance * json_:
-            failures.append(
-                f"binary {arm} locate ({binary:.0f} ops/s) slower than "
-                f"JSON ({json_:.0f} ops/s)"
-            )
-    sequential_json = codecs["json"]["sequential"]["ops_per_sec"]
-    best_binary = max(
-        codecs["binary"]["pipelined"]["ops_per_sec"],
-        codecs["binary"]["batched"]["ops_per_sec"],
-    )
-    if best_binary < 3.0 * sequential_json:
-        failures.append(
-            f"best binary arm ({best_binary:.0f} ops/s) is below 3x the "
-            f"sequential JSON baseline ({sequential_json:.0f} ops/s)"
-        )
     sharded = snapshot.get("shards")
     if sharded is not None:
         one = sharded["counts"]["1"]["rehash"]["splits_per_sec"]
@@ -722,12 +684,12 @@ def check(snapshot: Dict, tolerance: float = 0.9) -> List[str]:
                 f"{walk['agents']} agents, d={walk['d']}"
             )
         rpc = discovery["capability_rpc"]
-        if rpc["speedup_batched_binary_vs_sequential_json"] < 3.0:
+        if rpc["speedup_batched_vs_sequential"] < CAPABILITY_BATCH_GATE:
             failures.append(
-                f"batched binary capability discovery "
-                f"({rpc['batched_binary']['queries_per_sec']:.0f} q/s) is "
-                f"below 3x sequential JSON "
-                f"({rpc['sequential_json']['queries_per_sec']:.0f} q/s)"
+                f"batched capability discovery "
+                f"({rpc['batched']['queries_per_sec']:.0f} q/s) is below "
+                f"{CAPABILITY_BATCH_GATE}x sequential "
+                f"({rpc['sequential']['queries_per_sec']:.0f} q/s)"
             )
         if not discovery["shard_consistency"]["identical"]:
             failures.append(
@@ -735,6 +697,17 @@ def check(snapshot: Dict, tolerance: float = 0.9) -> List[str]:
                 f"{discovery['shard_consistency']['counts']} shards"
             )
     return failures
+
+
+def merge_into_snapshot(sections: Dict, output: Path) -> None:
+    """Set this script's keys in ``BENCH_service.json``, keeping the
+    ``capacity`` / ``netem`` sections their own benches merged in."""
+    snapshot: Dict = {}
+    if output.exists():
+        snapshot = json.loads(output.read_text())
+    snapshot.update(sections)
+    output.write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
+    print(f"merged {', '.join(sorted(sections))} into {output}")
 
 
 def main(argv=None) -> int:
@@ -745,7 +718,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="exit non-zero unless binary clears the gate (see module docs)",
+        help="exit non-zero unless every gate clears (see module docs)",
     )
     parser.add_argument("--nodes", type=int, default=None)
     parser.add_argument("--agents", type=int, default=None)
@@ -754,15 +727,14 @@ def main(argv=None) -> int:
         "--output",
         type=Path,
         default=REPO_ROOT / "BENCH_service.json",
-        help="snapshot path (default: BENCH_service.json at the repo root)",
+        help="snapshot to merge into (default: BENCH_service.json)",
     )
     args = parser.parse_args(argv)
     nodes = args.nodes or (3 if args.quick else 5)
     agents = args.agents or (48 if args.quick else 128)
     ops = args.ops or (384 if args.quick else 2000)
     snapshot = run(args.quick, nodes, agents, ops)
-    args.output.write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {args.output}")
+    merge_into_snapshot(snapshot, args.output)
     if args.check:
         failures = check(snapshot)
         for failure in failures:

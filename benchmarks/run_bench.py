@@ -23,7 +23,7 @@ Usage::
 
 Unless ``--sweep-only``, the runner also refreshes the service-layer
 snapshot (``BENCH_service.json``) through ``bench_service_rpc.py`` (the
-codec grid plus the sharded-coordinator section),
+locate arms plus the sharded-coordinator and discovery sections),
 ``bench_service_load.py`` (the capacity curves: saturation throughput
 vs nodes / replicas / shards) and ``bench_service_netem.py`` (the
 hostile-network resilience gates) -- so one invocation advances every
@@ -65,10 +65,9 @@ BENCH_FILES = (
 )
 
 
-#: The service-layer benches, in run order. ``bench_service_rpc.py``
-#: rewrites BENCH_service.json wholesale; ``bench_service_load.py``
-#: and ``bench_service_netem.py`` merge their ``capacity`` and
-#: ``netem`` sections into the fresh file, so the order matters.
+#: The service-layer benches, in run order. Each sets only its own
+#: keys in BENCH_service.json (``capacity`` and ``netem`` belong to the
+#: load and netem benches, the rest to ``bench_service_rpc.py``).
 SERVICE_BENCH_FILES = (
     "benchmarks/bench_service_rpc.py",
     "benchmarks/bench_service_load.py",
@@ -79,7 +78,7 @@ SERVICE_BENCH_FILES = (
 def run_service_bench(quick: bool = False, check: bool = False) -> None:
     """Refresh ``BENCH_service.json`` via the service benches.
 
-    The service snapshot is its own file (codec grid + sharded
+    The service snapshot is its own file (locate arms + sharded
     coordinator section + capacity curves), but the trajectory should
     advance whenever this runner does -- including the CI ``--quick``
     arm. With ``check=True`` each bench also compares its fresh numbers

@@ -43,7 +43,7 @@ __all__ = [
 class DiscoveryDrillConfig:
     """One discovery drill: topology, population, query volume."""
 
-    #: Cluster topology and wire settings (its ``agents``/``ops`` are
+    #: Cluster topology and service settings (its ``agents``/``ops`` are
     #: ignored; the drill drives its own population and workload).
     cluster: ClusterConfig = field(default_factory=ClusterConfig)
 
@@ -74,7 +74,6 @@ class DiscoveryDrillReport:
 
     nodes: int = 0
     shards: int = 1
-    wire: str = "binary"
     agents: int = 0
     seed: int = 0
     duration: float = 0.0
@@ -115,8 +114,7 @@ class DiscoveryDrillReport:
         status = "PASS" if self.passed else "FAIL"
         lines = [
             f"discovery drill: {status}",
-            f"  cluster     {self.nodes} nodes, {self.shards} shard(s), "
-            f"{self.wire} framing, seed {self.seed}",
+            f"  cluster     {self.nodes} nodes, {self.shards} shard(s), seed {self.seed}",
             f"  population  {self.agents} agents "
             f"(capability palette cycled over slots)",
             f"  workload    {self.locates} locates "
@@ -149,7 +147,6 @@ async def run_discovery_drill(
     report = DiscoveryDrillReport(
         nodes=config.cluster.nodes,
         shards=config.cluster.shards,
-        wire=config.cluster.service.wire,
         agents=config.agents,
         seed=config.seed,
     )

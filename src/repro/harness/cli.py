@@ -379,7 +379,6 @@ def cmd_report(args) -> None:
 
 
 def _cluster_config(args):
-    from repro.service.client import ClientConfig
     from repro.service.cluster import ClusterConfig
     from repro.service.server import ServiceConfig
 
@@ -415,9 +414,7 @@ def _cluster_config(args):
         service=ServiceConfig(
             data_dir=data_dir,
             fsync=getattr(args, "fsync", "interval"),
-            wire=getattr(args, "wire", "binary"),
         ),
-        client=ClientConfig(wire=getattr(args, "wire", "binary")),
         trace_jsonl=getattr(args, "trace_jsonl", None),
     )
 
@@ -806,13 +803,6 @@ def main(argv: List[str] = None) -> int:
         choices=["always", "interval", "never"],
         default="interval",
         help="WAL fsync policy when --data-dir is set (default: interval)",
-    )
-    service.add_argument(
-        "--wire",
-        choices=["binary", "json"],
-        default="binary",
-        help="wire codec to negotiate: compact binary framing (default) "
-        "or tagged JSON pinned on every connection",
     )
     service.add_argument(
         "--trace-jsonl",

@@ -13,10 +13,10 @@ fixes land once and serve both worlds.
 
 Modules
 -------
-* :mod:`repro.service.wire` -- length-prefixed frames in two codecs:
-  tagged JSON (the compatibility floor every peer speaks) and a compact
-  binary format negotiated per-connection via a hello handshake, with
-  transparent fallback for peers that predate it.
+* :mod:`repro.service.wire` -- length-prefixed frames in one compact
+  binary codec, spoken on every socket from its first byte (its tags
+  are append-only; there is no handshake). Tagged JSON remains as an
+  explicit ``codec=`` of the one-shot functions, for dumps and benches.
 * :mod:`repro.service.routing` -- prefix sharding of the coordinator
   tier: the pure id-to-shard mapping, the versioned shard map and the
   client-side router with its last-known-good primary cache.

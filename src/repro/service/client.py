@@ -7,10 +7,10 @@ Two layers:
   requests in flight at once: ``data_received`` correlates replies to
   callers by ``message_id``, a request on a pooled connection costs one
   transport write and one expiry timer -- no task -- and idle
-  connections are reaped. New connections negotiate the binary wire
-  codec via the hello handshake and fall back to tagged JSON when the
-  peer predates it (see :mod:`repro.service.wire`). Transport failures
-  (refused, reset, garbage frames) surface as :class:`ServiceRpcError`
+  connections are reaped. Every frame is in the binary wire codec,
+  from the connection's first byte (see :mod:`repro.service.wire`).
+  Transport failures (refused, reset, garbage frames) surface as
+  :class:`ServiceRpcError`
   and drop the connection -- failing every call in flight on it --
   while a single call's *timeout* only abandons that call: its late
   reply, if any, is discarded by message id and the connection keeps
@@ -340,11 +340,6 @@ class ClientConfig:
     #: unseeded generator per client.
     rng: Optional[random.Random] = None
 
-    #: Wire codec preference: ``"binary"`` negotiates the compact codec
-    #: where the peer supports it (transparent JSON fallback otherwise);
-    #: ``"json"`` pins every connection to tagged JSON.
-    wire: str = wire.CODEC_BINARY
-
     #: Requests in flight per pooled connection before the channel opens
     #: another connection (or queues, once the pool is full).
     pipeline_depth: int = 32
@@ -465,7 +460,7 @@ class ClientCounters:
 
 
 class _Connection(asyncio.Protocol):
-    """One negotiated framed connection with its in-flight requests.
+    """One framed connection with its in-flight requests.
 
     ``data_received`` is the only consumer of the socket: it settles
     each :class:`Response` on the waiting caller's future by
@@ -484,12 +479,9 @@ class _Connection(asyncio.Protocol):
         self.closed = False
         self._loop = asyncio.get_running_loop()
         self.last_used = self._loop.time()
-        #: Owns the connection's codec (JSON until binary is acked).
         self.decoder = wire.FrameDecoder(max_frame=channel.max_frame)
         #: The write side: the transport itself, or its netem shim.
         self._out: Any = None
-        #: Set while the hello handshake awaits its first reply frame.
-        self._hello: Optional["asyncio.Future[None]"] = None
 
     @property
     def in_flight(self) -> int:
@@ -504,16 +496,7 @@ class _Connection(asyncio.Protocol):
     def data_received(self, data: bytes) -> None:
         try:
             for frame in self.decoder.frames(data):
-                if self._hello is not None:
-                    # Anything but a binary ack -- a "json" ack, or the
-                    # bad-envelope error of a pre-handshake peer -- means:
-                    # stay on JSON. Switch before the next frame decodes.
-                    if wire.hello_ack_codec(frame) == wire.CODEC_BINARY:
-                        self.decoder.codec = wire.CODEC_BINARY
-                    if not self._hello.done():
-                        self._hello.set_result(None)
-                    self._hello = None
-                elif type(frame) is Response:
+                if type(frame) is Response:
                     self._settle(frame)
                 # Any other frame is a peer bug; skip it rather than
                 # wedging the stream.
@@ -525,12 +508,6 @@ class _Connection(asyncio.Protocol):
     def connection_lost(self, exc: Optional[Exception]) -> None:
         self.close(str(exc) if exc else "peer closed the connection")
 
-    async def negotiate(self) -> None:
-        """Offer the binary codec; stay on JSON unless it is acked."""
-        self._hello = self._loop.create_future()
-        self._out.write(wire.encode_hello())
-        await self._hello
-
     def request(
         self, now: float, to: Any, op: str, body: Any, timeout: float
     ) -> "asyncio.Future[Any]":
@@ -540,9 +517,7 @@ class _Connection(asyncio.Protocol):
         request = Request(op=op, body=body)
         try:
             payload = wire.encode_frame(
-                {"to": to, "req": request},
-                max_frame=self.channel.max_frame,
-                codec=self.decoder.codec,
+                {"to": to, "req": request}, max_frame=self.channel.max_frame
             )
         except wire.WireError as error:
             self._fail(future, op, f"failed: {error}")
@@ -595,8 +570,6 @@ class _Connection(asyncio.Protocol):
         for future, timer, op in pending.values():
             timer.cancel()
             self._fail(future, op, f"failed: {detail}")
-        if self._hello is not None and not self._hello.done():
-            self._hello.set_exception(ServiceRpcError(detail, addr=self.addr))
         self._out.abort()
 
 
@@ -608,7 +581,6 @@ class RpcChannel:
         rpc_timeout: float = 2.0,
         max_frame: int = wire.DEFAULT_MAX_FRAME,
         tracer: Optional[Tracer] = None,
-        wire_format: str = wire.CODEC_BINARY,
         pipeline_depth: int = 32,
         pool_size: int = 2,
         pool_idle_s: float = 30.0,
@@ -617,13 +589,10 @@ class RpcChannel:
         self.rpc_timeout = rpc_timeout
         self.max_frame = max_frame
         self.tracer = tracer
-        self.wire_format = wire_format
         self.pipeline_depth = max(1, pipeline_depth)
         self.pool_size = max(1, pool_size)
         self.pool_idle_s = pool_idle_s
         self.netem = netem
-        #: Codec negotiated with each address, for observability/tests.
-        self.negotiated: Dict[Address, str] = {}
         self._pools: Dict[Address, List[_Connection]] = {}
         self._open_locks: Dict[Address, asyncio.Lock] = {}
         self._last_reap = 0.0
@@ -641,7 +610,7 @@ class RpcChannel:
 
         With a pooled connection at hand the request is on the wire
         before this returns and the result is a plain future; only a
-        pool miss spawns a task, to open and negotiate a connection.
+        pool miss spawns a task, to open a connection.
 
         ``lane`` pins the call to the pool's n-th connection (opening it
         if needed). Lanes at or beyond ``pool_size`` are dedicated --
@@ -683,7 +652,7 @@ class RpcChannel:
         return await conn.request(now, to, op, body, max(0.001, deadline - now))
 
     # ------------------------------------------------------------------
-    # Pooling and negotiation
+    # Pooling
     # ------------------------------------------------------------------
 
     def _live_pool(self, addr: Address) -> List[_Connection]:
@@ -716,8 +685,8 @@ class RpcChannel:
         return None
 
     async def _open(self, addr: Address, op: str, lane: Optional[int]) -> _Connection:
-        """The connection a missed ``call`` needs: dialed and negotiated
-        under the address's lock, unless another caller got there first."""
+        """The connection a missed ``call`` needs: dialed under the
+        address's lock, unless another caller got there first."""
         async with self._open_locks.setdefault(addr, asyncio.Lock()):
             pool = self._live_pool(addr)
             conn = self._pick(pool, lane)
@@ -734,20 +703,6 @@ class RpcChannel:
                     addr=addr,
                     refused=isinstance(error, ConnectionRefusedError),
                 ) from error
-            if self.wire_format == wire.CODEC_BINARY:
-                try:
-                    await conn.negotiate()
-                except asyncio.CancelledError:
-                    conn.close()
-                    raise
-                except ServiceRpcError as error:
-                    raise ServiceRpcError(
-                        f"{op} to {format_addr(addr)} failed during codec "
-                        f"negotiation: {error}",
-                        op=op,
-                        addr=addr,
-                    ) from error
-            self.negotiated[addr] = conn.decoder.codec
             pool.append(conn)
             return conn
 
@@ -767,7 +722,6 @@ class RpcChannel:
         """Close every pooled connection."""
         conns = [conn for pool in self._pools.values() for conn in pool]
         self._pools.clear()
-        self.negotiated.clear()
         for conn in conns:
             conn.close()
         await asyncio.sleep(0)  # the aborted transports drop their sockets
@@ -797,7 +751,6 @@ class ServiceClient:
         self.channel = channel or RpcChannel(
             rpc_timeout=self.config.rpc_timeout,
             tracer=tracer,
-            wire_format=self.config.wire,
             pipeline_depth=self.config.pipeline_depth,
             pool_size=self.config.pool_size,
             pool_idle_s=self.config.pool_idle_s,

@@ -114,8 +114,6 @@ class ClusterReport:
     agents: int = 0
     ops: int = 0
     duration: float = 0.0
-    #: Wire codec the deployment negotiated ("binary" or "json").
-    wire: str = "binary"
     locates: int = 0
     locate_failures: int = 0
     locate_mismatches: int = 0
@@ -232,7 +230,7 @@ class ClusterReport:
             f"(hash v{self.hash_version}), {self.agents} mobile agents",
             f"  workload    {self.ops} ops in {self.duration:.2f}s "
             f"({self.locates} locates, {self.updates} updates, "
-            f"{self.registers} registers) over {self.wire} framing",
+            f"{self.registers} registers)",
             f"  batching    {self.batch_rpcs} batched RPCs settling "
             f"{self.batched_ops} ops without fallback",
             f"  correctness {self.locate_failures} locate failures, "
@@ -753,7 +751,6 @@ async def run_cluster(config: Optional[ClusterConfig] = None) -> ClusterReport:
         raise ValueError("crash_hagent requires hagent_replicas >= 2")
     cluster = _Cluster(config)
     report = ClusterReport(nodes=config.nodes)
-    report.wire = config.service.wire
     report.shards = config.shards
     report.hagent_replicas = max(1, config.hagent_replicas)
     report.promotion_budget_s = config.service.heartbeat_timeout

@@ -475,7 +475,6 @@ class LoadReport:
     nodes: int = 0
     shards: int = 1
     replicas: int = 1
-    wire: str = "binary"
     clients: int = 0
     rate: Optional[float] = None
     seed: int = 0
@@ -552,7 +551,7 @@ class LoadReport:
         lines = [
             f"load run: {status}",
             f"  cluster     {self.nodes} nodes, {self.shards} shard(s), "
-            f"{self.replicas} replica(s), {self.wire} framing",
+            f"{self.replicas} replica(s)",
             f"  discipline  {intensity}, seed {self.seed}, "
             f"{self.population} shared agents",
             f"  phases      warmup {self.warmup_s:g}s, measured "
@@ -922,7 +921,6 @@ async def run_load(
     report.nodes = cluster_config.nodes
     report.shards = cluster_config.shards
     report.replicas = max(1, cluster_config.hagent_replicas)
-    report.wire = cluster_config.service.wire
     return report
 
 

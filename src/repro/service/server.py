@@ -145,13 +145,6 @@ class ServiceConfig:
     #: Frame-size ceiling on every connection.
     max_frame: int = wire.DEFAULT_MAX_FRAME
 
-    #: Wire codec this deployment negotiates: ``"binary"`` accepts the
-    #: compact codec from peers that offer it (and prefers it for
-    #: outgoing server-to-server calls); ``"json"`` pins every
-    #: connection to tagged JSON. Old peers that never send a hello
-    #: stay on JSON either way.
-    wire: str = wire.CODEC_BINARY
-
     #: Root directory for durable state (WAL + snapshots). ``None``
     #: keeps the PR-3 behaviour: soft-state only, nothing on disk.
     data_dir: Optional[str] = None
@@ -235,7 +228,6 @@ class _ServerConnection(asyncio.Protocol):
 
     def __init__(self, server: "_FramedServer") -> None:
         self.server = server
-        #: Owns the connection's codec: replies go out in the requests' one.
         self.decoder = wire.FrameDecoder(max_frame=server.config.max_frame)
         self.transport: Any = None
         self.out: Any = None
@@ -271,13 +263,13 @@ class _ServerConnection(asyncio.Protocol):
     def reply(self, message_id: int, value: Any, error: Optional[str]) -> None:
         if self.transport.is_closing():
             return  # the peer went away; its retry path owns recovery
-        max_frame, codec = self.decoder.max_frame, self.decoder.codec
+        max_frame = self.decoder.max_frame
         response = Response(message_id, value, error)
         try:
-            payload = wire.encode_frame(response, max_frame, codec)
+            payload = wire.encode_frame(response, max_frame)
         except wire.WireError as exc:  # an unencodable or oversized value
             response = Response(message_id, error=f"internal-error: {exc}")
-            payload = wire.encode_frame(response, max_frame, codec)
+            payload = wire.encode_frame(response, max_frame)
         self.out.write(payload)
 
 
@@ -345,14 +337,6 @@ class _FramedServer:
     def _on_frame(self, conn: _ServerConnection, frame: Any) -> None:
         if self.partitioned:
             return  # injected partition: drop the request silently
-        offered = wire.hello_codecs(frame)
-        if offered is not None:
-            # Codec negotiation: ack (always JSON-framed), then switch
-            # this connection -- before the next frame is decoded.
-            codec = wire.negotiate_codec(offered, accept=self.config.wire)
-            conn.out.write(wire.encode_hello_ack(codec))
-            conn.decoder.codec = codec
-            return
         if (
             not isinstance(frame, dict)
             or not isinstance(frame.get("req"), Request)
@@ -1008,7 +992,6 @@ class NodeServer(_FramedServer):
             rpc_timeout=self.config.rpc_timeout,
             max_frame=self.config.max_frame,
             tracer=tracer,
-            wire_format=self.config.wire,
             netem=self.config.netem,
         )
         self.lhagent = LHAgentEndpoint(self)
@@ -1078,7 +1061,6 @@ class NodeServer(_FramedServer):
                 rpc_timeout=self.config.rpc_timeout,
                 max_retries=6,
                 op_deadline=self.config.reregister_interval * 4,
-                wire=self.config.wire,
             ),
             channel=self.channel,
             tracer=self.tracer,
@@ -1478,7 +1460,6 @@ class HAgentServer(_FramedServer):
             rpc_timeout=self.config.rpc_timeout,
             max_frame=self.config.max_frame,
             tracer=tracer,
-            wire_format=self.config.wire,
             netem=self.config.netem,
         )
         #: This replica's copy of the hash function -- the primary copy

@@ -1,32 +1,19 @@
-"""The wire codecs: length-prefixed frames, tagged-JSON or binary.
+"""The wire codec: length-prefixed binary frames.
 
 A frame is a 4-byte big-endian unsigned length followed by that many
-bytes of body. Two body codecs exist:
+bytes of body. Every frame on every socket is in the one ``"binary"``
+codec -- a compact ``struct``/varint format: one tag byte per value,
+zigzag-varint integers, raw-int ``AgentId`` payloads, interned protocol
+op names, and tuple/dict shapes without per-value tags. A dict keyed by
+same-width ``AgentId``s -- the per-agent tables a split or merge hands
+over -- travels as columns: one ``struct`` pack for the keys, and for
+int or ``[node, seq]`` values too.
 
-* ``"json"`` -- UTF-8 JSON with the reversible tagging scheme of
-  :mod:`repro.platform.jsonable` (``AgentId`` as ``{"$aid": ...}``,
-  tuples as ``{"$tuple": ...}`` and so on). Every peer speaks it; the
-  durable-state layer persists the same form.
-* ``"binary"`` -- a compact ``struct``/varint format: one tag byte per
-  value, zigzag-varint integers, raw-int ``AgentId`` payloads, interned
-  protocol op names, and tuple/dict shapes without per-value JSON tags.
-  Typically 2-4x smaller and cheaper to (de)code than tagged JSON on
-  protocol traffic. A dict keyed by same-width ``AgentId``s -- the
-  per-agent tables a split or merge hands over -- travels as columns:
-  one ``struct`` pack for the keys, and for int or ``[node, seq]``
-  values too.
-
-Codecs are negotiated **per connection**. A connection always starts in
-JSON. A binary-capable client sends a *hello* frame first::
-
-    {"hello": {"codecs": ["binary", "json"]}}
-
-A binary-capable server answers ``{"hello-ack": {"codec": "binary"}}``
-and both sides switch; a JSON-pinned server acks ``"json"``; a peer
-from *before* this protocol treats the hello as a malformed request and
-replies with an error :class:`~repro.platform.messages.Response` -- the
-client recognises anything other than a binary ack as "stay on JSON",
-so mixed-version deployments keep working transparently.
+There is no handshake: a connection speaks binary from its first byte.
+The compatibility rule is the format's own -- value tags, column kinds
+and ``INTERNED_OPS`` are append-only -- and bytes in any other format
+are what any garbage is to the decoder: :class:`WireError`, and that
+connection is dropped.
 
 ``encode_frame``/``decode_frame`` are the one-shot forms;
 :class:`FrameDecoder` consumes a byte stream incrementally (partial
@@ -40,10 +27,14 @@ memoizes short strings (dict keys and enum-ish values repeat thousands
 of times in batched tables), which together roughly halve decode time
 on dict-heavy frames.
 
-The tagged-JSON value codec itself lives in
-:mod:`repro.platform.jsonable` (the durable-state layer persists the
-same form); this module owns the framing, the binary codec and the
-negotiation, and re-exports ``to_jsonable``/``from_jsonable`` bound to
+The one-shot and stream functions also take an explicit
+``codec=CODEC_JSON``: the body as UTF-8 JSON in the reversible tagging
+scheme of :mod:`repro.platform.jsonable` (``AgentId`` as
+``{"$aid": ...}``, tuples as ``{"$tuple": ...}`` and so on) -- the form
+the durable-state layer persists. No socket of the service carries it;
+it is the readable dump of a decoded frame and the comparator the codec
+benchmarks time binary against. This module owns the framing and the
+binary codec, and re-exports ``to_jsonable``/``from_jsonable`` bound to
 :class:`WireError`.
 """
 
@@ -69,12 +60,7 @@ __all__ = [
     "encode_binary",
     "decode_binary",
     "encode_frame",
-    "encode_hello",
-    "encode_hello_ack",
     "from_jsonable",
-    "hello_ack_codec",
-    "hello_codecs",
-    "negotiate_codec",
     "read_frame",
     "to_jsonable",
     "write_frame",
@@ -85,7 +71,7 @@ __all__ = [
 #: guard against garbage length prefixes allocating gigabytes.
 DEFAULT_MAX_FRAME = 8 * 1024 * 1024
 
-#: Wire codec names, in preference order for negotiation.
+#: Body codecs: what every socket carries, and the tagged-JSON dump form.
 CODEC_BINARY = "binary"
 CODEC_JSON = "json"
 
@@ -699,64 +685,12 @@ def decode_binary(body: Buffer) -> Any:
 
 
 # ----------------------------------------------------------------------
-# Codec negotiation (the hello handshake)
-# ----------------------------------------------------------------------
-
-
-def encode_hello(codecs: Tuple[str, ...] = (CODEC_BINARY, CODEC_JSON)) -> bytes:
-    """The client's first frame: the codecs it can speak, preferred first.
-
-    Always JSON-framed, so a peer from before this protocol can still
-    parse it (and reject it as a malformed request, which the client
-    treats as "stay on JSON").
-    """
-    return encode_frame({"hello": {"codecs": list(codecs)}})
-
-
-def encode_hello_ack(codec: str) -> bytes:
-    """The server's reply to a hello, also always JSON-framed."""
-    return encode_frame({"hello-ack": {"codec": codec}})
-
-
-def hello_codecs(frame: Any) -> Optional[List[str]]:
-    """The offered codec list if ``frame`` is a hello, else None."""
-    if isinstance(frame, dict) and set(frame) == {"hello"}:
-        offer = frame["hello"]
-        if isinstance(offer, dict):
-            codecs = offer.get("codecs")
-            if isinstance(codecs, list):
-                return [codec for codec in codecs if isinstance(codec, str)]
-        return []
-    return None
-
-
-def hello_ack_codec(frame: Any) -> Optional[str]:
-    """The acked codec if ``frame`` is a hello-ack, else None."""
-    if isinstance(frame, dict) and set(frame) == {"hello-ack"}:
-        ack = frame["hello-ack"]
-        if isinstance(ack, dict) and isinstance(ack.get("codec"), str):
-            return ack["codec"]
-    return None
-
-
-def negotiate_codec(offered: List[str], accept: str = CODEC_BINARY) -> str:
-    """The server's pick: the client's first offer this side accepts.
-
-    ``accept=CODEC_BINARY`` accepts both codecs; ``accept=CODEC_JSON``
-    pins the connection to JSON regardless of the offer.
-    """
-    if accept == CODEC_BINARY and CODEC_BINARY in offered:
-        return CODEC_BINARY
-    return CODEC_JSON
-
-
-# ----------------------------------------------------------------------
 # Frame codec
 # ----------------------------------------------------------------------
 
 
 def encode_frame(
-    value: Any, max_frame: int = DEFAULT_MAX_FRAME, codec: str = CODEC_JSON
+    value: Any, max_frame: int = DEFAULT_MAX_FRAME, codec: str = CODEC_BINARY
 ) -> bytes:
     """One value as a length-prefixed frame in the given codec."""
     if codec == CODEC_BINARY:
@@ -777,7 +711,7 @@ def encode_frame(
 
 
 def decode_frame(
-    buffer: Buffer, max_frame: int = DEFAULT_MAX_FRAME, codec: str = CODEC_JSON
+    buffer: Buffer, max_frame: int = DEFAULT_MAX_FRAME, codec: str = CODEC_BINARY
 ) -> Any:
     """Decode exactly one frame occupying the whole buffer."""
     if len(buffer) < _LENGTH.size:
@@ -793,7 +727,7 @@ def decode_frame(
     return _decode_body(body, codec)
 
 
-def _decode_body(body: Buffer, codec: str = CODEC_JSON) -> Any:
+def _decode_body(body: Buffer, codec: str) -> Any:
     if codec == CODEC_BINARY:
         return decode_binary(body)
     try:
@@ -810,14 +744,12 @@ class FrameDecoder:
     buffered. A malformed length prefix or body raises :class:`WireError`
     and poisons the decoder (a stream is unrecoverable once desynced).
 
-    :meth:`frames` decodes lazily, one frame per step, so ``codec`` may
-    be reassigned between two frames of one chunk -- as the hello
-    handshake must when the ack and the first binary frame share a TCP
-    segment. :meth:`feed` decodes the whole chunk with its first codec.
+    :meth:`frames` decodes lazily, one frame per step; :meth:`feed`
+    decodes the whole chunk at once.
     """
 
     def __init__(
-        self, max_frame: int = DEFAULT_MAX_FRAME, codec: str = CODEC_JSON
+        self, max_frame: int = DEFAULT_MAX_FRAME, codec: str = CODEC_BINARY
     ) -> None:
         self.max_frame = max_frame
         self.codec = codec
@@ -879,7 +811,7 @@ class FrameDecoder:
 async def read_frame(
     reader: StreamReader,
     max_frame: int = DEFAULT_MAX_FRAME,
-    codec: str = CODEC_JSON,
+    codec: str = CODEC_BINARY,
 ) -> Optional[Any]:
     """Read one frame; ``None`` on a clean EOF at a frame boundary."""
     try:
@@ -902,7 +834,7 @@ async def write_frame(
     writer: StreamWriter,
     value: Any,
     max_frame: int = DEFAULT_MAX_FRAME,
-    codec: str = CODEC_JSON,
+    codec: str = CODEC_BINARY,
 ) -> None:
     """Encode ``value`` and flush it to the stream."""
     writer.write(encode_frame(value, max_frame=max_frame, codec=codec))

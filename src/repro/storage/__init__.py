@@ -22,7 +22,7 @@ discipline:
   WAL-suffix replay through the caller's own reducer.
 
 Everything is standard library only (``json``, ``struct``, ``zlib``,
-``os``); payloads are the same tagged-JSON values the wire codec sends
+``os``); payloads are tagged-JSON values
 (:mod:`repro.platform.jsonable`), so :class:`repro.platform.naming.AgentId`
 record keys and hash-tree tuple specs round-trip exactly.
 """

@@ -15,9 +15,9 @@ On-disk layout (all integers big-endian)::
 ``crc32`` covers the 8 LSN bytes plus the payload, so a bit flip in
 either the sequence number or the body is detected. The payload is the
 UTF-8 JSON of the value lowered through
-:func:`repro.platform.jsonable.to_jsonable` -- the same tagged form the
-wire codec sends, so :class:`repro.platform.naming.AgentId` keys and
-hash-tree tuple specs round-trip exactly.
+:func:`repro.platform.jsonable.to_jsonable`, so
+:class:`repro.platform.naming.AgentId` keys and hash-tree tuple specs
+round-trip exactly.
 
 Failure policy (the part that matters):
 

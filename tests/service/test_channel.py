@@ -1,12 +1,11 @@
-"""The pipelined RpcChannel: correlation, pooling, negotiation, backoff.
+"""The pipelined RpcChannel: correlation, pooling, first frame, backoff.
 
 Covers the transport behaviours the cluster suites only exercise
 implicitly: out-of-order reply correlation by ``message_id``, timeout
 isolation (one abandoned call must not kill the connection), the
-per-address pool bound, idle reaping, live mixed-version codec
-negotiation (including against a *legacy* peer that predates the hello
-handshake entirely), and deterministic retry backoff from an injected
-RNG.
+per-address pool bound, idle reaping, a new connection whose first
+frame is already the request, and deterministic retry backoff from an
+injected RNG.
 """
 
 import asyncio
@@ -14,7 +13,7 @@ import random
 
 import pytest
 
-from repro.platform.messages import Request, Response
+from repro.platform.messages import Response
 from repro.platform.naming import AgentNamer
 from repro.service import wire
 from repro.service.client import (
@@ -23,7 +22,7 @@ from repro.service.client import (
     ServiceClient,
     ServiceTimeout,
 )
-from repro.service.server import HAgentServer, NodeServer, ServiceConfig
+from repro.service.server import HAgentServer, NodeServer
 
 
 def run(coro):
@@ -51,9 +50,7 @@ class _ToyServer:
 
     async def _serve(self, reader, writer):
         try:
-            if self.mode == "legacy":
-                await self._serve_legacy(reader, writer)
-            elif self.mode == "reversed":
+            if self.mode == "reversed":
                 await self._serve_reversed(reader, writer)
             elif self.mode == "selective":
                 await self._serve_selective(reader, writer)
@@ -62,28 +59,9 @@ class _ToyServer:
         finally:
             writer.close()
 
-    async def _serve_legacy(self, reader, writer):
-        # A peer from before the hello handshake: JSON only, and any
-        # frame that is not a {to, req} envelope -- the hello included --
-        # gets the bad-envelope error reply, verbatim from the old code.
-        while True:
-            frame = await wire.read_frame(reader)
-            if frame is None:
-                return
-            self.frames.append(frame)
-            if isinstance(frame, dict) and isinstance(frame.get("req"), Request):
-                reply = Response(
-                    message_id=frame["req"].message_id, value={"status": "ok"}
-                )
-            else:
-                reply = Response(
-                    message_id=-1, error="bad-envelope: expected {to, req}"
-                )
-            await wire.write_frame(writer, reply)
-
     async def _serve_reversed(self, reader, writer):
-        # JSON, no hello support; collect two requests, answer them in
-        # reverse order, echoing each request's body back as the value.
+        # Collect two requests, answer them in reverse order, echoing
+        # each request's body back as the value.
         while True:
             pair = []
             for _ in range(2):
@@ -103,6 +81,7 @@ class _ToyServer:
             frame = await wire.read_frame(reader)
             if frame is None:
                 return
+            self.frames.append(frame)
             request = frame["req"]
             if request.op == "slow":
                 continue
@@ -116,7 +95,7 @@ class TestPipelining:
         async def scenario():
             peer = _ToyServer("reversed")
             await peer.start()
-            channel = RpcChannel(wire_format="json")
+            channel = RpcChannel()
             try:
                 first, second = await asyncio.gather(
                     channel.call(peer.addr, "t", "echo", {"n": 1}),
@@ -134,7 +113,7 @@ class TestPipelining:
         async def scenario():
             peer = _ToyServer("selective")
             await peer.start()
-            channel = RpcChannel(wire_format="json", rpc_timeout=5.0)
+            channel = RpcChannel(rpc_timeout=5.0)
             try:
                 slow = asyncio.ensure_future(
                     channel.call(peer.addr, "t", "slow", {"n": 0}, timeout=0.2)
@@ -191,78 +170,23 @@ class TestPipelining:
 
         run(scenario())
 
-
-class TestNegotiation:
-    def test_binary_client_against_legacy_json_peer_falls_back(self):
+    def test_first_frame_on_a_new_connection_is_the_request(self):
         async def scenario():
-            peer = _ToyServer("legacy")
+            peer = _ToyServer("selective")
             await peer.start()
-            channel = RpcChannel()  # binary-preferring
+            channel = RpcChannel()
             try:
-                reply = await channel.call(peer.addr, "t", "anything", {"x": 1})
-                assert reply == {"status": "ok"}
-                assert channel.negotiated[peer.addr] == wire.CODEC_JSON
-                # The legacy peer really did see (and reject) the hello.
-                assert any(
-                    wire.hello_codecs(frame) is not None for frame in peer.frames
-                )
+                reply = await channel.call(peer.addr, "t", "echo", {"n": 1})
+                assert reply == {"n": 1}
+                # Answered after one frame in, one frame out: nothing
+                # preceded the envelope, so a new connection costs no
+                # round trip of its own.
+                (frame,) = peer.frames
+                assert frame["to"] == "t"
+                assert (frame["req"].op, frame["req"].body) == ("echo", {"n": 1})
             finally:
                 await channel.close()
                 await peer.stop()
-
-        run(scenario())
-
-    def test_binary_client_against_json_pinned_server(self):
-        async def scenario():
-            hagent = HAgentServer(ServiceConfig(wire="json"))
-            await hagent.start()
-            channel = RpcChannel()
-            try:
-                reply = await channel.call(hagent.addr, "hagent", "ping")
-                assert reply["status"] == "ok"
-                assert channel.negotiated[hagent.addr] == wire.CODEC_JSON
-            finally:
-                await channel.close()
-                await hagent.stop()
-
-        run(scenario())
-
-    def test_json_client_against_binary_server(self):
-        async def scenario():
-            hagent = HAgentServer()
-            await hagent.start()
-            channel = RpcChannel(wire_format="json")
-            try:
-                reply = await channel.call(hagent.addr, "hagent", "ping")
-                assert reply["status"] == "ok"
-                assert channel.negotiated[hagent.addr] == wire.CODEC_JSON
-            finally:
-                await channel.close()
-                await hagent.stop()
-
-        run(scenario())
-
-    def test_binary_negotiated_end_to_end(self):
-        async def scenario():
-            hagent = HAgentServer()
-            await hagent.start()
-            node = NodeServer("node-0", hagent.addr)
-            await node.start()
-            channel = RpcChannel()
-            try:
-                await channel.call(hagent.addr, "hagent", "bootstrap")
-                agent = AgentNamer(seed=4).next_id()
-                mapping = await channel.call(
-                    node.addr, "lhagent", "whois", {"agent": agent}
-                )
-                assert mapping["node"] == "node-0"
-                assert channel.negotiated[node.addr] == wire.CODEC_BINARY
-                # Server-to-server channels negotiated binary too.
-                assert wire.CODEC_BINARY in node.channel.negotiated.values()
-            finally:
-                await channel.close()
-                await node.stop()
-                await hagent.stop()
 
         run(scenario())
 

@@ -65,7 +65,7 @@ def gate_fetches(node):
     return gate
 
 
-def whois_frame(agent, message_id, codec=wire.CODEC_JSON):
+def whois_frame(agent, message_id, codec=wire.CODEC_BINARY):
     request = Request(op="whois", body={"agent": agent}, message_id=message_id)
     return wire.encode_frame({"to": "lhagent", "req": request}, codec=codec)
 
@@ -192,29 +192,25 @@ class TestFraming:
             async with one_node() as (node, agents):
                 reader, writer = await asyncio.open_connection(*node.addr)
                 try:
-                    # Many frames in one segment, the hello among them:
-                    # the codec switches at the frame boundary.
+                    # Many frames in one segment.
                     writer.write(
-                        wire.encode_hello()
-                        + b"".join(
-                            whois_frame(agent, index, wire.CODEC_BINARY)
+                        b"".join(
+                            whois_frame(agent, index)
                             for index, agent in enumerate(agents)
                         )
                     )
-                    ack = await wire.read_frame(reader)
-                    assert wire.hello_ack_codec(ack) == wire.CODEC_BINARY
                     for index in range(len(agents)):
-                        reply = await wire.read_frame(reader, codec=wire.CODEC_BINARY)
+                        reply = await wire.read_frame(reader)
                         assert isinstance(reply, Response)
                         assert reply.message_id == index
                         assert reply.value["node"] == "node-0"
                     # One frame dribbled out a few bytes per segment.
-                    frame = whois_frame(agents[0], 99, wire.CODEC_BINARY)
+                    frame = whois_frame(agents[0], 99)
                     for start in range(0, len(frame), 3):
                         writer.write(frame[start : start + 3])
                         await writer.drain()
                         await asyncio.sleep(0.001)
-                    reply = await wire.read_frame(reader, codec=wire.CODEC_BINARY)
+                    reply = await wire.read_frame(reader)
                     assert reply.message_id == 99
                 finally:
                     writer.close()
@@ -224,16 +220,30 @@ class TestFraming:
     def test_garbage_closes_that_connection_only(self):
         async def scenario():
             async with one_node() as (node, agents):
-                reader, writer = await asyncio.open_connection(*node.addr)
-                writer.write(b"\xff\xff\xff\xff not a frame")
-                assert await reader.read() == b""  # dropped, no reply
-                writer.close()
                 channel = RpcChannel()
+                whois = {"agent": agents[0]}
+                # Bytes that are no frame at all, then what a peer from
+                # before the one-codec wire would send first: its
+                # JSON-framed hello, or a JSON-framed request envelope.
+                garbage = [
+                    b"\xff\xff\xff\xff not a frame",
+                    wire.encode_frame(
+                        {"hello": {"codecs": ["binary", "json"]}}, codec=wire.CODEC_JSON
+                    ),
+                    whois_frame(agents[0], 7, wire.CODEC_JSON),
+                ]
                 try:
-                    reply = await channel.call(
-                        node.addr, "lhagent", "whois", {"agent": agents[0]}
-                    )
-                    assert reply["node"] == "node-0"
+                    reply = await channel.call(node.addr, "lhagent", "whois", whois)
+                    for payload in garbage:
+                        reader, writer = await asyncio.open_connection(*node.addr)
+                        writer.write(payload)
+                        assert await reader.read() == b""  # dropped, no reply
+                        writer.close()
+                        # The connection opened before it still answers.
+                        (conn,) = channel._pools[node.addr]
+                        again = await channel.call(node.addr, "lhagent", "whois", whois)
+                        assert again == reply and again["node"] == "node-0"
+                        assert channel._pools[node.addr] == [conn] and not conn.closed
                 finally:
                     await channel.close()
 

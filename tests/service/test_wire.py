@@ -19,6 +19,7 @@ from repro.platform.messages import Request, Response
 from repro.platform.naming import AgentId
 from repro.service.wire import (
     CODEC_BINARY,
+    CODEC_JSON,
     DEFAULT_MAX_FRAME,
     FrameDecoder,
     WireError,
@@ -26,9 +27,7 @@ from repro.service.wire import (
     decode_frame,
     encode_binary,
     encode_frame,
-    encode_hello_ack,
     from_jsonable,
-    hello_ack_codec,
     to_jsonable,
 )
 
@@ -128,11 +127,17 @@ wire_values = st.one_of(values, requests, responses)
 # ----------------------------------------------------------------------
 
 
+def json_round_trip(value):
+    return decode_frame(encode_frame(value, codec=CODEC_JSON), codec=CODEC_JSON)
+
+
 class TestRoundTrip:
+    """The tagged-JSON form; test_wire_binary holds the binary twins."""
+
     @given(wire_values)
     @settings(max_examples=300)
     def test_frame_round_trip_identity(self, value):
-        assert decode_frame(encode_frame(value)) == value
+        assert json_round_trip(value) == value
 
     @given(wire_values)
     def test_jsonable_round_trip_identity(self, value):
@@ -140,19 +145,18 @@ class TestRoundTrip:
 
     @given(requests)
     def test_request_preserves_message_id(self, request):
-        decoded = decode_frame(encode_frame(request))
-        assert decoded.message_id == request.message_id
+        assert json_round_trip(request).message_id == request.message_id
 
     @given(st.dictionaries(agent_ids, st.tuples(st.text(max_size=8), st.integers()), max_size=5))
     def test_record_table_round_trip(self, table):
         # The exact shape IAgents ship during extract/adopt: AgentId
         # keys, (node, seq) tuple values.
-        assert decode_frame(encode_frame(table)) == table
+        assert json_round_trip(table) == table
 
     @given(st.lists(wire_values, min_size=1, max_size=5))
     def test_streamed_frames_decode_in_order(self, items):
-        stream = b"".join(encode_frame(item) for item in items)
-        decoder = FrameDecoder()
+        stream = b"".join(encode_frame(item, codec=CODEC_JSON) for item in items)
+        decoder = FrameDecoder(codec=CODEC_JSON)
         decoded = []
         # Feed one byte at a time: reassembly must be split-agnostic.
         for index in range(0, len(stream), 7):
@@ -261,7 +265,7 @@ class TestAgentIdTables:
 
     def test_json_codec_is_untouched(self):
         table = {agent: ["n0", n] for n, agent in enumerate(ids(4))}
-        assert decode_frame(encode_frame(table)) == table
+        assert json_round_trip(table) == table
 
 
 def handoff_frame():
@@ -391,7 +395,7 @@ class TestRejection:
         body = b"\xff\xfe not json"
         frame = struct.pack(">I", len(body)) + body
         with pytest.raises(WireError):
-            decode_frame(frame)
+            decode_frame(frame, codec=CODEC_JSON)
 
     def test_unknown_tag_rejected(self):
         import json
@@ -399,7 +403,7 @@ class TestRejection:
         body = json.dumps({"$future": 1}).encode()
         frame = struct.pack(">I", len(body)) + body
         with pytest.raises(WireError, match="unknown wire tag"):
-            decode_frame(frame)
+            decode_frame(frame, codec=CODEC_JSON)
 
     def test_malformed_aid_payload_rejected(self):
         import json
@@ -407,15 +411,15 @@ class TestRejection:
         body = json.dumps({"$aid": ["not-a-number"]}).encode()
         frame = struct.pack(">I", len(body)) + body
         with pytest.raises(WireError):
-            decode_frame(frame)
+            decode_frame(frame, codec=CODEC_JSON)
 
     def test_unencodable_value_rejected(self):
         with pytest.raises(WireError):
-            encode_frame(object())
+            encode_frame(object(), codec=CODEC_JSON)
 
     def test_frame_over_limit_rejected_on_encode(self):
         with pytest.raises(WireError):
-            encode_frame("x" * 100, max_frame=50)
+            encode_frame("x" * 100, max_frame=50, codec=CODEC_JSON)
 
 
 class TestDecoderPoisoning:
@@ -428,7 +432,7 @@ class TestDecoderPoisoning:
             decoder.feed(encode_frame({"a": 1}))
 
     def test_malformed_body_poisons_decoder(self):
-        decoder = FrameDecoder()
+        decoder = FrameDecoder(codec=CODEC_JSON)
         bad = struct.pack(">I", 4) + b"}{~!"
         with pytest.raises(WireError):
             decoder.feed(bad)
@@ -445,27 +449,6 @@ class TestDecoderPoisoning:
 
 class TestLazyFrames:
     """``frames`` decodes one frame per step, off a read offset."""
-
-    def test_codec_switch_lands_on_the_frame_boundary_within_one_segment(self):
-        # The hello-ack and the first binary frame share a TCP segment:
-        # the ack's handler flips the codec before the next body is
-        # decoded, so the binary frame is not mis-read as JSON.
-        reply = Response(message_id=7, value={"node": "node-1"})
-        segment = encode_hello_ack(CODEC_BINARY) + encode_frame(
-            reply, codec=CODEC_BINARY
-        )
-        decoder = FrameDecoder()
-        seen = []
-        for frame in decoder.frames(segment):
-            seen.append(frame)
-            if hello_ack_codec(frame) == CODEC_BINARY:
-                decoder.codec = CODEC_BINARY
-        assert seen == [{"hello-ack": {"codec": CODEC_BINARY}}, reply]
-        assert decoder.pending_bytes == 0
-        # The eager form keeps the codec it started with for the whole
-        # chunk -- which is why the transports iterate ``frames``.
-        with pytest.raises(WireError):
-            FrameDecoder().feed(segment)
 
     def test_unpulled_frames_stay_buffered(self):
         stream = b"".join(encode_frame(n) for n in range(5))

@@ -1,12 +1,11 @@
-"""The binary wire codec: equivalence, negotiation, adversarial frames.
+"""The binary wire codec: equivalence and adversarial frames.
 
 The contract extends test_wire's round-trip law across codecs: for
 every value the protocol can ship, the binary codec and the tagged-JSON
-codec must decode back to the *identical* value -- AgentId dictionary
-keys, nested tuples and the Request/Response envelopes included. The
-hello handshake helpers and the per-connection codec switch are
-exercised at the frame level here; live mixed-version negotiation is
-covered in test_channel.
+form must decode back to the *identical* value -- AgentId dictionary
+keys, nested tuples and the Request/Response envelopes included. A
+binary decoder given the JSON form's bytes must reject them as it does
+any garbage; the live half of that is in test_transport.
 """
 
 import struct
@@ -27,11 +26,6 @@ from repro.service.wire import (
     decode_frame,
     encode_binary,
     encode_frame,
-    encode_hello,
-    encode_hello_ack,
-    hello_ack_codec,
-    hello_codecs,
-    negotiate_codec,
 )
 
 # ----------------------------------------------------------------------
@@ -158,7 +152,7 @@ class TestCodecEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Streaming and the mid-stream codec switch
+# Streaming
 # ----------------------------------------------------------------------
 
 
@@ -172,14 +166,6 @@ class TestBinaryStreaming:
             decoded.extend(decoder.feed(stream[index : index + 7]))
         assert decoded == items
         assert decoder.pending_bytes == 0
-
-    def test_codec_switch_at_frame_boundary(self):
-        # Exactly the hello handshake's decoder-side transition.
-        decoder = FrameDecoder()
-        assert decoder.feed(encode_frame({"hello": 1})) == [{"hello": 1}]
-        decoder.codec = CODEC_BINARY
-        value = {"agents": [AgentId(7), AgentId(8)]}
-        assert decoder.feed(encode_frame(value, codec=CODEC_BINARY)) == [value]
 
     def test_decoder_is_not_iterable(self):
         # FrameDecoder once had an __iter__ that always yielded nothing
@@ -195,43 +181,6 @@ class TestBinaryStreaming:
         assert decode_frame(memoryview(bytearray(frame)), codec=CODEC_BINARY) == {
             "a": [1, 2]
         }
-
-
-# ----------------------------------------------------------------------
-# The hello handshake helpers
-# ----------------------------------------------------------------------
-
-
-class TestHello:
-    def test_hello_offers_codecs(self):
-        frame = decode_frame(encode_hello())
-        assert hello_codecs(frame) == [CODEC_BINARY, CODEC_JSON]
-        assert hello_ack_codec(frame) is None
-
-    def test_ack_round_trip(self):
-        frame = decode_frame(encode_hello_ack(CODEC_BINARY))
-        assert hello_ack_codec(frame) == CODEC_BINARY
-        assert hello_codecs(frame) is None
-
-    def test_ordinary_frames_are_not_hellos(self):
-        for value in ({"to": "lhagent"}, {"hello": 1, "x": 2}, [1], "hello", None):
-            assert hello_codecs(value) is None
-            assert hello_ack_codec(value) is None
-
-    def test_negotiation_prefers_binary_only_when_accepted(self):
-        assert negotiate_codec([CODEC_BINARY, CODEC_JSON]) == CODEC_BINARY
-        assert negotiate_codec([CODEC_JSON]) == CODEC_JSON
-        assert negotiate_codec([], accept=CODEC_BINARY) == CODEC_JSON
-        assert (
-            negotiate_codec([CODEC_BINARY, CODEC_JSON], accept=CODEC_JSON)
-            == CODEC_JSON
-        )
-
-    def test_legacy_error_response_is_not_an_ack(self):
-        # What a pre-handshake server replies to a hello: the client
-        # must read it as "stay on JSON", not crash.
-        legacy_reply = Response(message_id=-1, error="bad-envelope: expected {to, req}")
-        assert hello_ack_codec(legacy_reply) is None
 
 
 # ----------------------------------------------------------------------
@@ -295,3 +244,14 @@ class TestBinaryRejection:
             decoder.feed(_frame(b"\xee"))
         with pytest.raises(WireError, match="poisoned"):
             decoder.feed(encode_frame(1, codec=CODEC_BINARY))
+
+    @given(wire_values)
+    @settings(max_examples=200)
+    def test_json_form_bytes_are_garbage_to_a_binary_decoder(self, value):
+        # What a peer still speaking tagged JSON would put on a socket:
+        # nothing but WireError may come out, and the stream is dead.
+        decoder = FrameDecoder()
+        with pytest.raises(WireError):
+            decoder.feed(encode_frame(value, codec=CODEC_JSON))
+        with pytest.raises(WireError, match="poisoned"):
+            decoder.feed(encode_frame(value))
