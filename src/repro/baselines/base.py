@@ -47,7 +47,11 @@ class MechanismCounters:
     extra: Dict[str, int] = field(default_factory=dict)
 
     def bump(self, key: str, amount: int = 1) -> None:
-        self.extra[key] = self.extra.get(key, 0) + amount
+        """Count under the named field when there is one, else ``extra``."""
+        if key in vars(self):
+            setattr(self, key, getattr(self, key) + amount)
+        else:
+            self.extra[key] = self.extra.get(key, 0) + amount
 
 
 class LocationMechanism(ABC):

@@ -12,7 +12,10 @@ protocol methods implement §2.3:
 
 both with the §4.3 recovery loop: a ``not-responsible`` bounce (or a
 vanished IAgent) makes the caller refresh its LHAgent's secondary copy
-from the HAgent and retry.
+from the HAgent and retry. That loop is :mod:`repro.core.requester`'s;
+this class is its simulator driver (``_drive``): it performs each
+request the saga yields as one ``runtime.rpc`` in virtual time and
+answers ``None`` for one that failed.
 """
 
 from __future__ import annotations
@@ -23,11 +26,11 @@ from repro.baselines.base import LocationMechanism
 from repro.core.config import HashMechanismConfig
 from repro.core.errors import CoreError, LocateFailedError
 from repro.core.hagent import HAgent
-from repro.core.iagent import IAgent, NO_RECORD, NOT_RESPONSIBLE, OK
+from repro.core.iagent import IAgent, OK
 from repro.core.lhagent import LHAgent
 from repro.core.placement import PlacementPolicy
-from repro.discovery.hamming import merge_matches
 from repro.core.replication import BackupHAgent
+from repro.core.requester import UNREACHABLE, UNRESOLVED, discover_saga, request_saga
 from repro.platform.events import Timeout
 from repro.platform.messages import AgentNotFound, RpcError, RpcTimeout
 from repro.platform.naming import AgentId
@@ -239,8 +242,7 @@ class HashLocationMechanism(LocationMechanism):
         """
         self.counters.bump("discover_similar")
         result = yield from self._discover(
-            requester_node, "discover-similar", {"agent": agent_id, "d": d},
-            agent_id=agent_id, d=d,
+            requester_node, "discover-similar", {"agent": agent_id, "d": d}
         )
         return result
 
@@ -250,76 +252,23 @@ class HashLocationMechanism(LocationMechanism):
         """All agents whose capability set satisfies ``predicate``."""
         self.counters.bump("discover_capability")
         result = yield from self._discover(
-            requester_node, "discover-capability", {"predicate": predicate},
-            agent_id=None, d=None,
+            requester_node, "discover-capability", {"predicate": predicate}
         )
         return result
 
-    def _discover(
-        self,
-        requester_node: str,
-        op: str,
-        body: Dict,
-        agent_id: Optional[AgentId],
-        d: Optional[int],
-    ) -> Generator:
-        """The multi-result variant of the §4.3 loop.
-
-        Candidates come from the local LHAgent's secondary copy; every
-        candidate is asked with the coverage pattern the copy attributed
-        to it. Any bounce (NOT_RESPONSIBLE on a pattern mismatch, or a
-        vanished IAgent) invalidates the *whole* candidate set -- the
-        copy is refreshed past the version that produced it and the
-        query restarts, so a merged result set is never assembled from
-        two different views of the tree.
-        """
-        config = self.config
-        lhagent = self.lhagents[requester_node]
-        stale_version = None
-        last_status = "unresolved"
-        for _attempt in range(config.max_retries):
-            reply = yield self.runtime.rpc(
-                requester_node,
-                requester_node,
-                lhagent.agent_id,
-                "discover-candidates",
-                {"agent": agent_id, "d": d, "stale_version": stale_version},
-                timeout=config.rpc_timeout,
-            )
-            version = reply["version"]
-            partials = []
-            stale = False
-            for cand in reply["candidates"]:
-                cand_body = dict(body)
-                cand_body["pattern"] = cand["pattern"]
-                try:
-                    cand_reply = yield self.runtime.rpc(
-                        requester_node,
-                        cand["node"],
-                        cand["iagent"],
-                        op,
-                        cand_body,
-                        timeout=config.rpc_timeout,
-                    )
-                except (AgentNotFound, RpcTimeout):
-                    stale, last_status = True, "unreachable"
-                    break
-                if cand_reply["status"] != OK:
-                    stale, last_status = True, cand_reply["status"]
-                    break
-                partials.append(cand_reply["matches"])
-            if not stale:
-                return merge_matches(partials)
-            self.counters.retries += 1
-            self.counters.bump("discover_retries")
-            stale_version = version
-            yield Timeout(config.retry_backoff)
-        raise LocateFailedError(
-            f"discovery {op} did not converge: {last_status}"
+    def _discover(self, requester_node: str, op: str, body: Dict) -> Generator:
+        reply = yield from self._drive(
+            requester_node,
+            discover_saga(self.counters, self.config.max_retries, op, body),
         )
+        if reply["status"] != OK:
+            raise LocateFailedError(
+                f"discovery {op} did not converge: {reply['status']}"
+            )
+        return reply["matches"]
 
     # ------------------------------------------------------------------
-    # The resolve / ask / refresh-and-retry loop (§2.3 + §4.3)
+    # The requester sagas of repro.core.requester, in virtual time
     # ------------------------------------------------------------------
 
     def _update_op(
@@ -339,85 +288,89 @@ class HashLocationMechanism(LocationMechanism):
         body: Dict,
         tolerate_no_record: bool = False,
     ) -> Generator:
-        """Resolve the responsible IAgent and send ``op``, with recovery.
-
-        Recovery cases, each costing one retry from the budget:
-
-        * ``not-responsible`` -- the secondary copy was stale: refresh it
-          (§4.3) and re-resolve;
-        * the IAgent is gone from the resolved node (moved or merged) --
-          same refresh path;
-        * ``no-record`` during a locate -- the record is in flight
-          between IAgents mid-rehash: back off briefly and retry.
-        """
-        config = self.config
-        mapping = yield from self._whois(requester_node, agent_id)
-        last_status = "unresolved"
-        for _attempt in range(config.max_retries):
-            if mapping.get("node") is None:
-                self.counters.retries += 1
-                mapping = yield from self._refresh(
-                    requester_node, agent_id, mapping.get("version", -1)
-                )
-                last_status = "unresolved"
-                continue
-            try:
-                reply = yield self.runtime.rpc(
-                    requester_node,
-                    mapping["node"],
-                    mapping["iagent"],
-                    op,
-                    body,
-                    timeout=config.rpc_timeout,
-                )
-            except (AgentNotFound, RpcTimeout):
-                self.counters.retries += 1
-                mapping = yield from self._refresh(
-                    requester_node, agent_id, mapping.get("version", -1)
-                )
-                last_status = "unreachable"
-                continue
-            status = reply["status"]
-            if status == NOT_RESPONSIBLE:
-                self.counters.retries += 1
-                self.counters.bump("not_responsible")
-                mapping = yield from self._refresh(
-                    requester_node, agent_id, mapping.get("version", -1)
-                )
-                last_status = status
-                continue
-            if status == NO_RECORD and tolerate_no_record:
-                self.counters.retries += 1
-                last_status = status
-                yield Timeout(config.retry_backoff)
-                mapping = yield from self._whois(requester_node, agent_id)
-                continue
-            return reply
-        return {"status": last_status}
-
-    def _whois(self, node: str, agent_id: AgentId) -> Generator:
-        lhagent = self.lhagents[node]
-        reply = yield self.runtime.rpc(
-            node,
-            node,
-            lhagent.agent_id,
-            "whois",
-            {"agent": agent_id},
-            timeout=self.config.rpc_timeout,
+        """Resolve the responsible IAgent and send ``op``, with the
+        recovery of :func:`repro.core.requester.request_saga`."""
+        reply = yield from self._drive(
+            requester_node,
+            request_saga(
+                self.counters,
+                self.config.max_retries,
+                agent_id,
+                op,
+                body,
+                tolerate_no_record,
+            ),
         )
         return reply
 
-    def _refresh(self, node: str, agent_id: AgentId, stale_version: int) -> Generator:
-        self.counters.refreshes += 1
-        lhagent = self.lhagents[node]
-        reply = yield self.runtime.rpc(
-            node,
-            node,
-            lhagent.agent_id,
-            "refresh",
-            {"agent": agent_id, "stale_version": stale_version},
-            timeout=self.config.rpc_timeout,
-        )
+    def _drive(self, node: str, saga: Generator) -> Generator:
+        """Step a requester saga from ``node``: each request is one RPC
+        (or none) in virtual time; the saga's return value is ours."""
+        reply = None
+        while True:
+            try:
+                kind, *args = saga.send(reply)
+            except StopIteration as done:
+                return done.value
+            if kind == "resolve":
+                reply = yield from self._whois(node, *args)
+            elif kind == "ask":
+                reply = yield from self._ask(node, *args)
+            elif kind == "pause":
+                # With no answer a refresh follows, which costs a round
+                # trip or a timeout itself; an IAgent that answered is
+                # mid-hand-off, and only time helps.
+                if args[1] not in (UNRESOLVED, UNREACHABLE):
+                    yield Timeout(self.config.retry_backoff)
+                reply = True
+            elif kind == "candidates":
+                agent_id, d, stale_version = args
+                body = {"agent": agent_id, "d": d, "stale_version": stale_version}
+                reply = yield from self._lhagent(node, "discover-candidates", body)
+                if reply is not None:
+                    reply = reply["candidates"], reply["version"]
+            else:  # "fan-out": one candidate at a time, up to the first bad reply
+                op, candidates, bodies = args
+                reply = []
+                for cand, body in zip(candidates, bodies):
+                    reply.append((yield from self._ask(node, cand, op, body)))
+                    if reply[-1] is None or reply[-1]["status"] != OK:
+                        break
+
+    def _whois(
+        self, node: str, agent_id: AgentId, stale_version: Optional[int] = None
+    ) -> Generator:
+        """The *resolve* hop: ``whois`` at the node's LHAgent, or
+        ``refresh`` past ``stale_version``."""
+        op, body = "whois", {"agent": agent_id}
+        if stale_version is not None:
+            op, body = "refresh", {"agent": agent_id, "stale_version": stale_version}
+        return (yield from self._lhagent(node, op, body))
+
+    def _lhagent(self, node: str, op: str, body: Dict) -> Generator:
+        """One RPC to the local LHAgent; ``None`` if it failed in any
+        way: down, slow, or its fetch of the primary copy failed."""
+        target = self.lhagents[node].agent_id
+        return (yield from self._rpc(node, node, target, op, body, RpcError))
+
+    def _ask(self, node: str, mapping: Dict, op: str, body: Dict) -> Generator:
+        """The *ask* hop. ``None``: the copy does not place the IAgent,
+        or it is gone from there (moved, merged, crashed); a handler
+        error still raises."""
+        where, gone = mapping["node"], (AgentNotFound, RpcTimeout)
+        if where is None:
+            return None
+        return (yield from self._rpc(node, where, mapping["iagent"], op, body, gone))
+
+    def _rpc(
+        self, node: str, dst_node: str, dst_agent: AgentId, op: str, body: Dict, absent
+    ) -> Generator:
+        try:
+            reply = yield self.runtime.rpc(
+                node, dst_node, dst_agent, op, body, timeout=self.config.rpc_timeout
+            )
+        except absent:
+            return None
         return reply
 
     # ------------------------------------------------------------------

@@ -15,21 +15,20 @@ Two layers:
   while a single call's *timeout* only abandons that call: its late
   reply, if any, is discarded by message id and the connection keeps
   serving the rest.
-* :class:`ServiceClient` -- the protocol. Mirrors
-  :meth:`repro.core.mechanism.HashLocationMechanism.iagent_request`, the
-  paper's §2.3 + §4.3 loop, over the wire: resolve the responsible
-  IAgent through the local LHAgent (``whois``), send the operation, and
-  recover -- a ``not-responsible`` bounce refreshes the node's secondary
-  copy of the hash function and re-resolves; a vanished IAgent (crash,
-  migration, takeover) takes the same refresh path; ``no-record`` during
-  a locate backs off and retries while a record transfer or a
-  post-takeover re-registration is in flight. Retry rounds sleep a
-  capped exponential backoff with jitter drawn from an injectable RNG
+* :class:`ServiceClient` -- the protocol. It steps the requester sagas
+  of :mod:`repro.core.requester` -- the paper's §2.3 + §4.3 loop, the
+  same generators the simulator's ``HashLocationMechanism`` steps --
+  over the wire: the saga decides what to resolve, ask, refresh and
+  retry; this driver performs each hop through the resilience stack
+  below, answers ``None`` for a hop it could not perform (so a resolve
+  the LHAgent could not serve is retried, not raised), and bounds the
+  whole operation by ``op_deadline``. Retry rounds sleep a capped
+  exponential backoff with jitter drawn from an injectable RNG
   (``ClientConfig.rng``), so retry timing is deterministic under test.
   :meth:`ServiceClient.register_batch` / :meth:`~ServiceClient.locate_batch`
   amortize one round-trip over N operations -- safe because LHAgent
   lazy refresh already tolerates staleness -- and fall back to the
-  single-op recovery loop for any item the batch could not settle.
+  single-op saga for any item the batch could not settle.
   Multi-result discovery queries
   (:meth:`~ServiceClient.discover_similar` /
   :meth:`~ServiceClient.discover_capability` and their batched forms)
@@ -51,10 +50,10 @@ locate's resolved path sits behind an open breaker and
 last-known answer flagged ``degraded=True`` (:class:`LocateAnswer`)
 instead of burning the retry budget against a known-dead link.
 
-Counters mirror the simulator's mechanism counters so the live smoke
-run reports the same vocabulary (retries, refreshes, bounces), plus
-the resilience set: hedges and hedge wins, breaker opens / fast-fails
-/ probes, degraded answers.
+The saga does the protocol accounting (retries, refreshes, bounces) on
+either driver's counters, so the live smoke run reports the simulator's
+vocabulary; this driver adds the resilience set: hedges and hedge wins,
+breaker opens / fast-fails / probes, degraded answers.
 """
 
 from __future__ import annotations
@@ -64,6 +63,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.requester import discover_saga, request_saga
 from repro.discovery.hamming import merge_matches
 from repro.metrics.trace import Tracer
 from repro.platform.messages import Request, Response
@@ -108,6 +108,9 @@ STALE_EPOCH = "stale-epoch"
 #: Error code a standby HAgent replica replies with when asked to do
 #: primary-only work (register-node, bootstrap, rehash serialization).
 NOT_PRIMARY = "not-primary"
+
+#: IAgent ops that may race a hedged duplicate: the idempotent reads.
+_HEDGED_OPS = frozenset({"locate", "discover-similar", "discover-capability"})
 
 
 def format_addr(addr: Optional[Address]) -> str:
@@ -456,7 +459,10 @@ class ClientCounters:
 
     def merge(self, other: "ClientCounters") -> None:
         for name, value in vars(other).items():
-            setattr(self, name, getattr(self, name) + value)
+            self.bump(name, value)
+
+    def bump(self, name: str, amount: int = 1) -> None:
+        setattr(self, name, getattr(self, name) + amount)
 
 
 class _Connection(asyncio.Protocol):
@@ -1087,9 +1093,7 @@ class ServiceClient:
         ``(distance, agent)``.
         """
         self.counters.discover_similars += 1
-        return await self._discover(
-            "discover-similar", {"agent": agent_id, "d": d}, agent_id, d
-        )
+        return await self._discover("discover-similar", {"agent": agent_id, "d": d})
 
     async def discover_capability(self, predicate: Dict) -> List[Dict]:
         """Every registered agent whose capability set satisfies
@@ -1097,9 +1101,7 @@ class ServiceClient:
         matches.
         """
         self.counters.discover_capabilities += 1
-        return await self._discover(
-            "discover-capability", {"predicate": predicate}, None, None
-        )
+        return await self._discover("discover-capability", {"predicate": predicate})
 
     async def discover_similar_batch(
         self, queries: Sequence[Tuple[AgentId, int]]
@@ -1117,17 +1119,8 @@ class ServiceClient:
         """
         queries = list(queries)
         self.counters.discover_similars += len(queries)
-        deadline = asyncio.get_running_loop().time() + self.config.op_deadline
         bodies = [{"agent": agent, "d": d} for agent, d in queries]
-        merged = await self._discover_batch_round("discover-similar", bodies, deadline)
-        return [
-            m
-            if m is not None
-            else await self._discover(
-                "discover-similar", bodies[i], *queries[i], deadline=deadline
-            )
-            for i, m in enumerate(merged)
-        ]
+        return await self._discover_batch("discover-similar", bodies)
 
     async def discover_capability_batch(
         self, predicates: Sequence[Dict]
@@ -1135,21 +1128,9 @@ class ServiceClient:
         """Run many capability queries in bulk; same shape as
         :meth:`discover_similar_batch`.
         """
-        predicates = list(predicates)
-        self.counters.discover_capabilities += len(predicates)
-        deadline = asyncio.get_running_loop().time() + self.config.op_deadline
         bodies = [{"predicate": predicate} for predicate in predicates]
-        merged = await self._discover_batch_round(
-            "discover-capability", bodies, deadline
-        )
-        return [
-            m
-            if m is not None
-            else await self._discover(
-                "discover-capability", bodies[i], None, None, deadline=deadline
-            )
-            for i, m in enumerate(merged)
-        ]
+        self.counters.discover_capabilities += len(bodies)
+        return await self._discover_batch("discover-capability", bodies)
 
     async def close(self) -> None:
         await self.channel.close()
@@ -1167,17 +1148,10 @@ class ServiceClient:
         index is handed to the single-op fallback, which owns recovery.
         """
         self.counters.ops += len(agents)
-        try:
-            reply = await self._call(
-                self.lhagent_addr,
-                "lhagent",
-                "whois-batch",
-                {"agents": agents},
-                deadline=deadline,
-            )
-            mappings = reply["mappings"]
-        except (ServiceRpcError, RemoteOpError, KeyError):
+        reply = await self._lhagent_call("whois-batch", {"agents": agents}, deadline)
+        if reply is None or "mappings" not in reply:
             return {}, list(range(len(agents)))
+        mappings = reply["mappings"]
         groups: Dict[Tuple[Address, Any], List[int]] = {}
         unresolved: List[int] = []
         for index, mapping in enumerate(mappings):
@@ -1234,111 +1208,37 @@ class ServiceClient:
         return bad
 
     # ------------------------------------------------------------------
-    # Discovery plumbing: candidates / fan-out / merge, with the §4.3
-    # whole-set refresh on any stale candidate
+    # Discovery plumbing: the multi-result saga, and the batched round
     # ------------------------------------------------------------------
 
     async def _discover(
-        self,
-        op: str,
-        body: Dict,
-        agent: Optional[AgentId],
-        d: Optional[int],
-        deadline: Optional[float] = None,
+        self, op: str, body: Dict, deadline: Optional[float] = None
     ) -> List[Dict]:
-        """Resolve candidates, fan the query out, merge -- retrying the
-        *whole* candidate set whenever any single candidate bounces.
+        """One multi-result query: :func:`discover_saga` over the wire.
 
-        A multi-result query must not mix two views of the hash tree: a
-        candidate set computed from a stale secondary copy can silently
-        miss a leaf that split away, so one ``not-responsible`` (or a
-        vanished IAgent) invalidates the round. The retry passes the
-        versions the bounced round was computed from as
-        ``stale_versions`` so the LHAgent refreshes past them before
-        recomputing candidates.
+        A candidate set computed from a stale secondary copy can
+        silently miss a leaf that split away, so the saga voids the
+        round on any bounce and the retry names the voided round's
+        versions as ``stale_versions``.
         """
-        config = self.config
         self.counters.ops += 1
-        loop = asyncio.get_running_loop()
-        if deadline is None:
-            deadline = loop.time() + config.op_deadline
-        stale_versions: Optional[List[List[int]]] = None
-        for attempt in range(config.max_retries):
-            if attempt and loop.time() >= deadline:
-                break
-            await self._sleep(attempt, deadline)
-            cand_body: Dict[str, Any] = {"agent": agent, "d": d}
-            if stale_versions is not None:
-                cand_body["stale_versions"] = stale_versions
-            try:
-                reply = await self._call(
-                    self.lhagent_addr,
-                    "lhagent",
-                    "discover-candidates",
-                    cand_body,
-                    deadline=deadline,
-                )
-            except (ServiceRpcError, RemoteOpError):
-                self.counters.retries += 1
-                self.counters.transport_retries += 1
-                continue
-            partials, stale = await self._discover_fan_out(
-                op, body, reply.get("candidates", []), deadline
+        saga = discover_saga(self.counters, self.config.max_retries, op, body)
+        reply = await self._drive(saga, deadline)
+        if reply.get("status") != "ok":
+            raise ServiceLocateError(
+                f"{op} exhausted its retry budget: {reply.get('status')}"
             )
-            if not stale:
-                return merge_matches(partials)
-            self.counters.retries += 1
-            self.counters.discovery_retries += 1
-            stale_versions = reply.get("versions", [])
-        raise ServiceLocateError(f"{op} exhausted its retry budget")
+        return reply["matches"]
 
-    async def _discover_fan_out(
-        self,
-        op: str,
-        body: Dict,
-        candidates: List[Dict],
-        deadline: Optional[float] = None,
-    ) -> Tuple[List[List[Dict]], bool]:
-        """One query to every candidate IAgent, concurrently.
-
-        Returns ``(partials, stale)``; ``stale`` is True when any
-        candidate could not vouch for its slice of the id space.
-        """
-
-        async def ask(cand: Dict) -> Optional[List[Dict]]:
-            if cand.get("addr") is None:
-                return None
-            item = dict(body)
-            item["pattern"] = cand.get("pattern")
-            try:
-                reply = await self._call(
-                    tuple(cand["addr"]),
-                    cand["iagent"],
-                    op,
-                    item,
-                    deadline=deadline,
-                    hedge=True,
-                )
-            except RemoteOpError as error:
-                if error.code in (AGENT_NOT_FOUND, WRONG_SHARD):
-                    return None
-                raise
-            except ServiceRpcError:
-                return None
-            if reply.get("status") != "ok":
-                if reply.get("status") == "not-responsible":
-                    self.counters.not_responsible += 1
-                return None
-            return reply.get("matches", [])
-
-        replies = await asyncio.gather(
-            *(ask(cand) for cand in candidates), return_exceptions=True
-        )
-        for item in replies:
-            if isinstance(item, BaseException):
-                raise item
-        partials = [item for item in replies if item is not None]
-        return partials, len(partials) < len(candidates)
+    async def _discover_batch(self, op: str, bodies: List[Dict]) -> List[List[Dict]]:
+        """One batched round, then the single-op saga for every query it
+        could not settle -- all inside one op deadline."""
+        deadline = asyncio.get_running_loop().time() + self.config.op_deadline
+        merged = await self._discover_batch_round(op, bodies, deadline)
+        return [
+            m if m is not None else await self._discover(op, bodies[i], deadline)
+            for i, m in enumerate(merged)
+        ]
 
     async def _discover_batch_round(
         self, op: str, bodies: List[Dict], deadline: Optional[float] = None
@@ -1353,17 +1253,10 @@ class ServiceClient:
         if n == 0:
             return []
         self.counters.ops += n
-        try:
-            reply = await self._call(
-                self.lhagent_addr,
-                "lhagent",
-                "discover-candidates",
-                {},
-                deadline=deadline,
-            )
-            candidates = reply["candidates"]
-        except (ServiceRpcError, RemoteOpError, KeyError):
+        reply = await self._lhagent_call("discover-candidates", {}, deadline)
+        if reply is None or "candidates" not in reply:
             return [None] * n
+        candidates = reply["candidates"]
         partials: List[List[List[Dict]]] = [[] for _ in range(n)]
         failed: set = set()
 
@@ -1404,7 +1297,7 @@ class ServiceClient:
         ]
 
     # ------------------------------------------------------------------
-    # The resolve / ask / refresh-and-retry loop (§2.3 + §4.3), live
+    # The requester sagas of repro.core.requester, over the wire
     # ------------------------------------------------------------------
 
     async def _locate_resolved(
@@ -1416,7 +1309,6 @@ class ServiceClient:
             {"agent": agent_id},
             tolerate_no_record=True,
             deadline=deadline,
-            degraded_key=agent_id,
         )
         if reply.get("status") != "ok":
             self.counters.locate_failures += 1
@@ -1453,133 +1345,130 @@ class ServiceClient:
         body: Dict,
         tolerate_no_record: bool = False,
         deadline: Optional[float] = None,
-        degraded_key: Optional[AgentId] = None,
     ) -> Dict:
-        config = self.config
         self.counters.ops += 1
+        saga = request_saga(
+            self.counters, self.config.max_retries, agent_id, op, body, tolerate_no_record
+        )
+        return await self._drive(saga, deadline)
+
+    async def _drive(self, saga: Any, deadline: Optional[float] = None) -> Dict:
+        """Step a requester saga over the wire, inside one op deadline.
+
+        Every hop goes through :meth:`_call`; a *pause* sleeps the
+        jittered backoff and answers whether any deadline is left.
+        """
         loop = asyncio.get_running_loop()
         if deadline is None:
-            deadline = loop.time() + config.op_deadline
-        mapping = await self._whois_safe(agent_id, deadline)
-        last_status = "unresolved"
-        for attempt in range(config.max_retries):
-            if attempt and loop.time() >= deadline:
-                break
-            if mapping.get("addr") is None:
-                self.counters.retries += 1
-                await self._sleep(attempt, deadline)
-                mapping = await self._refresh(
-                    agent_id, mapping.get("version", -1), deadline
-                )
-                last_status = "unresolved"
-                continue
-            addr = tuple(mapping["addr"])
-            if (
-                degraded_key is not None
-                and config.degraded_reads
-                and degraded_key in self._last_known
-                and self._breaker_for(addr).is_open(loop.time())
-            ):
-                # The resolved path is known dead and a probe is not
-                # yet due: serve the last-known answer, explicitly
-                # flagged, instead of burning the budget on fast-fails.
-                self.counters.degraded_answers += 1
-                return {
-                    "status": "ok",
-                    "node": self._last_known[degraded_key],
-                    "degraded": True,
-                }
+            deadline = loop.time() + self.config.op_deadline
+        reply: Any = None
+        while True:
             try:
-                reply = await self._call(
-                    addr,
-                    mapping["iagent"],
-                    op,
-                    body,
-                    deadline=deadline,
-                    hedge=op == "locate",
+                kind, *args = saga.send(reply)
+            except StopIteration as done:
+                return done.value
+            if kind == "resolve":
+                agent, stale = args
+                reply = await self._whois(agent, deadline, stale)
+            elif kind == "ask":
+                reply = await self._ask(*args, deadline)
+            elif kind == "pause":
+                await self._sleep(args[0], deadline)
+                reply = loop.time() < deadline
+            elif kind == "candidates":
+                agent, d, stale = args
+                cand_body = {"agent": agent, "d": d, "stale_versions": stale}
+                reply = await self._lhagent_call(
+                    "discover-candidates", cand_body, deadline
                 )
-            except (ServiceRpcError, RemoteOpError) as error:
-                if isinstance(error, RemoteOpError) and error.code not in (
-                    AGENT_NOT_FOUND,
-                    WRONG_SHARD,
-                ):
-                    raise
-                # The resolved IAgent is unreachable, gone from that
-                # node (crash, migration, takeover), or answered from a
-                # shard that no longer serves the id: refresh the copy.
-                self.counters.retries += 1
-                if isinstance(error, RemoteOpError) and error.code == WRONG_SHARD:
-                    self.counters.wrong_shard_retries += 1
-                else:
-                    self.counters.transport_retries += 1
-                await self._sleep(attempt, deadline)
-                mapping = await self._refresh(
-                    agent_id, mapping.get("version", -1), deadline
+                if reply is not None:
+                    reply = reply.get("candidates", []), reply.get("versions", [])
+            else:  # "fan-out": every candidate at once
+                op, candidates, bodies = args
+                reply = await asyncio.gather(
+                    *(
+                        self._ask(cand, op, item, deadline)
+                        for cand, item in zip(candidates, bodies)
+                    ),
+                    return_exceptions=True,
                 )
-                last_status = "unreachable"
-                continue
-            status = reply.get("status")
-            if status == "not-responsible":
-                self.counters.retries += 1
-                self.counters.not_responsible += 1
-                mapping = await self._refresh(
-                    agent_id, mapping.get("version", -1), deadline
-                )
-                last_status = status
-                continue
-            if status == "no-record" and tolerate_no_record:
-                self.counters.retries += 1
-                self.counters.no_record_retries += 1
-                last_status = status
-                await self._sleep(attempt, deadline)
-                mapping = await self._whois_safe(agent_id, deadline)
-                continue
-            return reply
-        return {"status": last_status}
+                for item in reply:
+                    if isinstance(item, BaseException):
+                        raise item
 
     async def _whois(
-        self, agent_id: AgentId, deadline: Optional[float] = None
-    ) -> Dict:
-        return await self._call(
-            self.lhagent_addr,
-            "lhagent",
-            "whois",
-            {"agent": agent_id},
-            deadline=deadline,
-            hedge=True,
-        )
+        self,
+        agent_id: AgentId,
+        deadline: Optional[float] = None,
+        stale_version: Optional[int] = None,
+    ) -> Optional[Dict]:
+        """The *resolve* hop: ``whois`` at the node's LHAgent, or
+        ``refresh`` past ``stale_version``."""
+        op, body = "whois", {"agent": agent_id}
+        if stale_version is not None:
+            op, body = "refresh", {"agent": agent_id, "stale_version": stale_version}
+        # Hedging a refresh is safe: the LHAgent coalesces concurrent
+        # fetches for a shard into one flight, so the duplicate joins
+        # the primary's fetch instead of doubling it.
+        return await self._lhagent_call(op, body, deadline, hedge=True)
 
-    async def _whois_safe(self, agent_id: AgentId, deadline: float) -> Dict:
-        """``whois`` that degrades to an unresolved mapping on transport
-        failure, so the §4.3 retry loop owns recovery instead of the
-        caller seeing a raw transport error."""
+    async def _lhagent_call(
+        self, op: str, body: Dict, deadline: Optional[float], hedge: bool = False
+    ) -> Optional[Dict]:
+        """One RPC to the node's LHAgent. ``None`` when it could not
+        answer -- transport failure, or any error envelope (its fetch
+        of the primary copy failed: coordinator down or mid-election) --
+        so the saga backs off and retries inside the op deadline."""
         try:
-            return await self._whois(agent_id, deadline)
-        except ServiceRpcError:
-            self.counters.transport_retries += 1
-            return {"iagent": None, "addr": None, "version": -1}
-
-    async def _refresh(
-        self, agent_id: AgentId, stale_version: int, deadline: Optional[float] = None
-    ) -> Dict:
-        self.counters.refreshes += 1
-        try:
-            # Hedging a refresh is safe: the LHAgent coalesces
-            # concurrent fetches for a shard into one flight, so the
-            # duplicate joins the primary's fetch instead of doubling it.
             return await self._call(
-                self.lhagent_addr,
-                "lhagent",
-                "refresh",
-                {"agent": agent_id, "stale_version": stale_version},
-                deadline=deadline,
-                hedge=True,
+                self.lhagent_addr, "lhagent", op, body, deadline=deadline, hedge=hedge
             )
         except ServiceRpcError:
-            # The LHAgent itself is briefly unreachable (e.g. its fetch
-            # from the HAgent is slow): report an unresolved mapping and
-            # let the retry loop back off and try again.
-            return {"iagent": None, "addr": None, "version": stale_version}
+            self.counters.transport_retries += 1
+        except RemoteOpError:
+            pass
+        return None
+
+    async def _ask(
+        self, mapping: Dict, op: str, body: Dict, deadline: float
+    ) -> Optional[Dict]:
+        """The *ask* hop. ``None``: the copy has no address for the
+        IAgent, or it is unreachable, gone from that node (crash,
+        migration, takeover), or answered from a shard that no longer
+        serves the id. Any other error envelope raises."""
+        if mapping.get("addr") is None:
+            return None
+        addr = tuple(mapping["addr"])
+        if (
+            op == "locate"
+            and self.config.degraded_reads
+            and body["agent"] in self._last_known
+            and self._breaker_for(addr).is_open(asyncio.get_running_loop().time())
+        ):
+            # The resolved path is known dead and a probe is not yet
+            # due: serve the last-known answer, explicitly flagged,
+            # instead of burning the budget on fast-fails.
+            self.counters.degraded_answers += 1
+            return {
+                "status": "ok",
+                "node": self._last_known[body["agent"]],
+                "degraded": True,
+            }
+        try:
+            return await self._call(
+                addr, mapping["iagent"], op, body, deadline=deadline,
+                hedge=op in _HEDGED_OPS,
+            )
+        except RemoteOpError as error:
+            if error.code == WRONG_SHARD:
+                self.counters.wrong_shard_retries += 1
+            elif error.code == AGENT_NOT_FOUND:
+                self.counters.transport_retries += 1
+            else:
+                raise
+        except ServiceRpcError:
+            self.counters.transport_retries += 1
+        return None
 
     async def _sleep(self, attempt: int, deadline: Optional[float] = None) -> None:
         """Capped exponential backoff with jitter; round 0 is free.

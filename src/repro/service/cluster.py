@@ -707,11 +707,28 @@ class _Cluster:
     async def _notify_host(
         self, node_index: int, op: str, agent: AgentId, seq: int
     ) -> None:
+        """Tell a node's host that an agent arrived or left.
+
+        On a real platform this is a node-local event; here it crosses
+        the drill's (possibly lossy) wire. It is idempotent and
+        seq-stamped, so a transport failure is retried inside the
+        client's op deadline instead of killing the driver.
+        """
         node = self.nodes[node_index]
         assert node.addr is not None
-        await node.channel.call(
-            node.addr, "host", op, {"agent": agent, "seq": seq}
-        )
+        client = self.config.client
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + client.op_deadline
+        while True:
+            try:
+                await node.channel.call(
+                    node.addr, "host", op, {"agent": agent, "seq": seq}
+                )
+                return
+            except ServiceRpcError:
+                if loop.time() >= deadline:
+                    raise
+                await asyncio.sleep(client.backoff_base)
 
     def merged_counters(self) -> ClientCounters:
         merged = ClientCounters()

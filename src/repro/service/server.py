@@ -178,12 +178,6 @@ class ServiceConfig:
     #: refused connect means the process is *gone*, not merely slow.
     fast_fail_threshold: int = 3
 
-    #: Allow an idle shard coordinator to merge its whole subtree into
-    #: its sibling shard (the fenced two-phase protocol). Off by
-    #: default: collapsing a shard is a topology decision, not routine
-    #: load balancing, so deployments (and the benchmarks) opt in.
-    cross_shard_merge: bool = False
-
     #: Artificial one-way delay added to every coordinator-to-node and
     #: coordinator-to-IAgent RPC (s). Zero in production. The sharded
     #: coordination benchmark sets a WAN-representative RTT here: on a
@@ -2200,20 +2194,9 @@ class HAgentServer(_FramedServer):
             return {"status": "stale"}
         now = time.monotonic()
         self._last_report[owner] = now
-        # A subtree down to its root and still idle has one merge left,
-        # across the shard boundary: hand the whole prefix to the
-        # sibling shard (opt-in; fenced two-phase).
-        xshard = (
-            len(self.tree) == 1
-            and self.config.cross_shard_merge
-            and self.shards > 1
-            and self.owned == {self.shard}
-        )
-        verdict = self.policy.decide(body, now, len(self.tree) > 1 or xshard)
+        verdict = self.policy.decide(body, now, len(self.tree) > 1)
         if verdict == "split":
             self.spawn(self._split(owner), name=f"split-{owner.short()}")
-        elif verdict == "merge" and xshard:
-            self.spawn(self.initiate_shard_merge(), name=f"xshard-merge-{self.shard}")
         elif verdict == "merge":
             self.spawn(self._merge(owner), name=f"merge-{owner.short()}")
         return {"status": OK}

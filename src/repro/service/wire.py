@@ -676,7 +676,11 @@ def decode_binary(body: Buffer) -> Any:
     frames the difference is ~2x end to end.
     """
     data = body if type(body) is bytes else bytes(body)
-    value, pos = _decode_value(data, 0, len(data))
+    try:
+        value, pos = _decode_value(data, 0, len(data))
+    except RecursionError:
+        # Outside input: a few KB of nested one-element lists.
+        raise WireError("binary frame nests deeper than the decoder recurses") from None
     if pos != len(data):
         raise WireError(
             f"binary frame has {len(data) - pos} trailing garbage bytes"
@@ -696,7 +700,10 @@ def encode_frame(
     if codec == CODEC_BINARY:
         # Encode straight after the header slot: framing adds no copy.
         out = bytearray(_LENGTH.size)
-        _encode_value(value, out)
+        try:
+            _encode_value(value, out)
+        except RecursionError:
+            raise WireError("value nests deeper than the encoder recurses") from None
         length = len(out) - _LENGTH.size
         if length > max_frame:
             raise WireError(f"frame of {length} bytes exceeds limit {max_frame}")

@@ -304,9 +304,12 @@ class TestImportHygiene:
         "repro.platform.events",
     ]
     SRC = Path(__file__).resolve().parents[2] / "src"
-    #: The sans-IO cores: the record table, the hash function, and the
-    #: rehash policy + split / merge saga.
-    MODULES = "repro.core.iagent_state, repro.core.hash_function, repro.core.rehashing"
+    #: The sans-IO cores: the record table, the hash function, the
+    #: rehash policy + split / merge saga, and the requester sagas.
+    MODULES = (
+        "repro.core.iagent_state, repro.core.hash_function, "
+        "repro.core.rehashing, repro.core.requester"
+    )
 
     def loaded(self, prelude, names):
         script = (

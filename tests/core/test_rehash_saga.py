@@ -8,23 +8,39 @@ the *driver* (one real ``IAgentState`` per leaf, performing the saga's
 sweep fails every request the saga makes, one per run, two ways -- the
 request never arrives, or it is performed and the reply is lost -- and
 checks after each run what must hold whichever request failed.
+
+``World.request`` is a third half: a requester driver that steps the
+``repro.core.requester`` sagas through a secondary ``HashFunction`` copy
+against the same leaves, so the paper's contract -- a locate returns the
+agent's current node, or retries through ``not-responsible`` until it
+does -- is checked with the rehash suspended after every request.
 """
 
-from collections import deque
+from collections import Counter, deque
+from itertools import islice
 
 import pytest
 
 from repro.core.config import HashMechanismConfig
 from repro.core.hash_function import HashFunction
 from repro.core.hash_tree import HashTree
-from repro.core.iagent_state import IAgentState
+from repro.core.iagent_state import NO_RECORD, NOT_RESPONSIBLE, OK, IAgentState
 from repro.core.load import LoadStatistics
 from repro.core.rehashing import RehashPolicy, merge_saga, split_saga
+from repro.core.requester import UNREACHABLE, request_saga
 from repro.discovery.capability import CAPABILITY_PALETTE
 from repro.platform.naming import AgentNamer
 
 WIDTH = 64
 RECORDS = 500
+MAX_RETRIES = 5
+
+
+class Tally(Counter):
+    """The ``counters`` a requester saga bumps."""
+
+    def bump(self, name, amount=1):
+        self[name] += amount
 
 
 class World:
@@ -87,17 +103,16 @@ class World:
         assert op == "adopt", op
         return leaf.adopt(body)[0]
 
-    def run(self, saga, fail_at=None, lose="request"):
-        """Step ``saga``; request number ``fail_at`` fails -- never
-        performed (``lose="request"``) or performed with its reply
-        dropped (``lose="reply"``). Returns the requests made."""
-        self.clock += 1.0
+    def steps(self, saga, fail_at=None, lose="request"):
+        """Step ``saga`` one request per ``next()``; request number
+        ``fail_at`` fails -- never performed (``lose="request"``) or
+        performed with its reply dropped (``lose="reply"``)."""
         made, reply = 0, None
         while True:
             try:
                 request = saga.send(reply)
             except StopIteration:
-                return made
+                return
             if made == fail_at and lose == "request":
                 reply = None
             else:
@@ -105,6 +120,47 @@ class World:
                 if made == fail_at:
                     reply = None
             made += 1
+            yield request
+
+    def run(self, saga, fail_at=None, lose="request"):
+        """Step ``saga`` to its end; returns the requests made."""
+        self.clock += 1.0
+        return sum(1 for _ in self.steps(saga, fail_at, lose))
+
+    # -- the requester driver ---------------------------------------------
+
+    def request(self, copy, agent, op, body, tolerate_no_record=False):
+        """One requester saga through the secondary ``copy``; returns
+        ``(reply, counters, statuses the IAgents answered)``."""
+        counters, seen = Tally(), []
+        saga = request_saga(
+            counters, MAX_RETRIES, agent, op, body, tolerate_no_record
+        )
+        reply = None
+        while True:
+            try:
+                kind, *args = saga.send(reply)
+            except StopIteration as done:
+                return done.value, counters, seen
+            counters.bump(kind)  # requests made, beside what the saga counts
+            if kind == "resolve":
+                _agent, stale = args
+                if stale is not None and copy.version <= stale:
+                    copy.absorb(self.function.delta_since(copy.version))
+                owner, node = copy.resolve(agent)
+                reply = {"iagent": owner, "node": node, "version": copy.version}
+            elif kind == "ask":
+                leaf = self.leaves.get(args[0]["iagent"])
+                if leaf is None:
+                    reply = None  # retired
+                elif op == "locate":
+                    reply = leaf.locate(body, self.clock)
+                else:
+                    reply = leaf.put(body, self.clock)[0]
+                seen.append(UNREACHABLE if reply is None else reply["status"])
+            else:
+                assert kind == "pause", kind
+                reply = True
 
     # -- scenario plumbing ----------------------------------------------
 
@@ -270,6 +326,82 @@ class TestSaga:
                     assert world.leaves[orphan].table == IAgentState.initial_table()
             else:
                 assert len(world.rehash_log) == logged + 1
+
+
+@pytest.mark.parametrize("view", ["stale", "current"])
+@pytest.mark.parametrize("name", SCENARIOS)
+class TestRequesterContract:
+    """The rehash suspended after each of its requests in turn; one
+    locate and one update per sampled agent run to completion there,
+    each through a copy from before the rehash (``stale``) or of the
+    primary as it stands (``current``); then the rehash finishes."""
+
+    def test_every_pause_point(self, name, view):
+        scenario, _event, _kind, requests = SCENARIOS[name]
+        bounced = exhausted = 0
+        for pause_after in range(requests):
+            world, saga = scenario()
+            before = world.function.bundle()
+            sample = world.agents[::25]
+            acked = {agent: tuple(world.snapshot()[0][agent]) for agent in sample}
+
+            def probe(agent, op, **body):
+                bundle = before if view == "stale" else world.function.bundle()
+                reply, counters, seen = world.request(
+                    HashFunction.from_bundle(bundle),
+                    agent,
+                    op,
+                    {"agent": agent, **body},
+                    tolerate_no_record=op == "locate",
+                )
+                # The budget bounds the rounds; every bounce (and every
+                # vanished leaf) is followed by exactly one refresh.
+                assert len(seen) == counters["ask"] <= MAX_RETRIES
+                assert counters["resolve"] <= MAX_RETRIES + 1
+                unreachable = seen.count(UNREACHABLE)
+                assert counters["not_responsible"] == seen.count(NOT_RESPONSIBLE)
+                assert counters["refreshes"] == counters["not_responsible"] + unreachable
+                assert counters["retries"] == len(seen) - (reply["status"] == OK)
+                if op == "locate" and reply["status"] == OK:
+                    # Never an older location than the last acknowledged.
+                    assert (reply["node"], reply["seq"]) == acked[agent]
+                elif reply["status"] == OK:
+                    acked[agent] = (body["node"], body["seq"])
+                return reply["status"], counters, seen
+
+            stepping = world.steps(saga)
+            assert len(list(islice(stepping, pause_after + 1))) == pause_after + 1
+            published = world.function.version > before["version"]
+            answers, outcomes = [], []
+            for agent in sample:
+                status, counters, seen = probe(agent, "locate")
+                answers += seen
+                outcomes.append(status)
+                bounced += counters["not_responsible"]
+                status, counters, seen = probe(
+                    agent, "update", node="node-moved", seq=acked[agent][1] + 1
+                )
+                answers += seen
+                outcomes.append(status)
+            rest = list(stepping)
+            adopting = any(r[0] == "call" and r[3] == "adopt" for r in rest)
+            if published and adopting:
+                # A hand-off in flight: what did not settle ran out of
+                # budget bouncing, and said so.
+                assert set(outcomes) <= {OK, NOT_RESPONSIBLE}
+                exhausted += outcomes.count(NOT_RESPONSIBLE)
+            else:
+                # Otherwise every operation settled, and no leaf covers
+                # an id it has no record of.
+                assert set(outcomes) == {OK} and NO_RECORD not in answers
+            for agent in sample:
+                status, counters, _seen = probe(agent, "locate")
+                assert status == OK
+                bounced += counters["not_responsible"]
+        # The sweep is not vacuous: some requester was bounced, and some
+        # update ran out of budget against a hand-off in flight.
+        assert exhausted
+        assert bounced or view == "current"
 
 
 class TestPreconditions:

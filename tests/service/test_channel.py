@@ -4,8 +4,9 @@ Covers the transport behaviours the cluster suites only exercise
 implicitly: out-of-order reply correlation by ``message_id``, timeout
 isolation (one abandoned call must not kill the connection), the
 per-address pool bound, idle reaping, a new connection whose first
-frame is already the request, and deterministic retry backoff from an
-injected RNG.
+frame is already the request, deterministic retry backoff from an
+injected RNG, and a ``ServiceClient`` whose LHAgent answers a resolve
+hop with an error envelope.
 """
 
 import asyncio
@@ -18,6 +19,7 @@ from repro.platform.naming import AgentNamer
 from repro.service import wire
 from repro.service.client import (
     ClientConfig,
+    RemoteOpError,
     RpcChannel,
     ServiceClient,
     ServiceTimeout,
@@ -32,8 +34,11 @@ def run(coro):
 class _ToyServer:
     """A scriptable framed peer; ``mode`` picks the reply behaviour."""
 
-    def __init__(self, mode: str) -> None:
+    def __init__(self, mode: str, answer=None) -> None:
         self.mode = mode
+        #: ``selective`` mode: ``answer(frame) -> (value, error)``;
+        #: the default echoes the request body.
+        self.answer = answer or (lambda frame: (frame["req"].body, None))
         self.server = None
         self.addr = None
         self.frames = []
@@ -85,8 +90,9 @@ class _ToyServer:
             request = frame["req"]
             if request.op == "slow":
                 continue
+            value, error = self.answer(frame)
             await wire.write_frame(
-                writer, Response(message_id=request.message_id, value=request.body)
+                writer, Response(message_id=request.message_id, value=value, error=error)
             )
 
 
@@ -256,6 +262,75 @@ class TestBatchedOps:
                 await client.close()
 
         run(scenario())
+
+
+class TestUnservedResolve:
+    """An LHAgent that cannot fetch the primary copy (coordinator down or
+    mid-election) answers ``whois`` / ``refresh`` with an error envelope:
+    an unresolved mapping to retry inside ``op_deadline``, not an error
+    to raise."""
+
+    FETCH_FAILED = "internal-error: ServiceRpcError: get-hash-function failed"
+
+    def locate(self, script):
+        """One ``locate`` against a toy node whose LHAgent and IAgent
+        answer from ``script``: op -> answers, consumed in order (the
+        last one repeats). Returns ``(node, counters, ops seen)``."""
+
+        async def scenario():
+            def answer(frame):
+                op = frame["req"].op
+                answers = script["resolve" if frame["to"] == "lhagent" else op]
+                value = answers.pop(0) if len(answers) > 1 else answers[0]
+                if isinstance(value, str):
+                    return None, value
+                if value is None:
+                    value = {"iagent": "ia", "node": "n", "addr": list(peer.addr), "version": 1}
+                return value, None
+
+            peer = _ToyServer("selective", answer)
+            await peer.start()
+            config = ClientConfig(
+                backoff_base=0.01, backoff_cap=0.02, rng=random.Random(3)
+            )
+            client = ServiceClient("driver", peer.addr, config=config)
+            try:
+                node = await client.locate("agent-1")
+            finally:
+                await client.close()
+                await peer.stop()
+            return node, client.counters, [frame["req"].op for frame in peer.frames]
+
+        return run(scenario())
+
+    def test_whois_answering_an_error_twice_is_retried(self):
+        node, counters, ops = self.locate(
+            {
+                "resolve": [self.FETCH_FAILED, self.FETCH_FAILED, None],
+                "locate": [{"status": "ok", "node": "node-3", "seq": 0}],
+            }
+        )
+        assert node == "node-3"
+        assert ops == ["whois", "refresh", "refresh", "locate"]
+        assert counters.retries == 2 and counters.refreshes == 2
+
+    def test_refresh_answering_an_error_after_a_bounce_is_retried(self):
+        node, counters, ops = self.locate(
+            {
+                "resolve": [None, self.FETCH_FAILED, None],
+                "locate": [
+                    {"status": "not-responsible"},
+                    {"status": "ok", "node": "node-3", "seq": 0},
+                ],
+            }
+        )
+        assert node == "node-3"
+        assert ops == ["whois", "locate", "refresh", "refresh", "locate"]
+        assert counters.retries == 2 and counters.not_responsible == 1
+
+    def test_an_error_from_the_iagent_itself_still_raises(self):
+        with pytest.raises(RemoteOpError, match="internal-error: KeyError"):
+            self.locate({"resolve": [None], "locate": ["internal-error: KeyError: 'agent'"]})
 
 
 class TestSeededBackoff:

@@ -219,18 +219,25 @@ class TestFraming:
 
     def test_garbage_closes_that_connection_only(self):
         async def scenario():
+            logged = []  # an exception escaping data_received lands here
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: logged.append(context)
+            )
             async with one_node() as (node, agents):
                 channel = RpcChannel()
                 whois = {"agent": agents[0]}
                 # Bytes that are no frame at all, then what a peer from
                 # before the one-codec wire would send first: its
                 # JSON-framed hello, or a JSON-framed request envelope.
+                # Last, a well-framed 10 KB body of 5000 nested lists.
+                nested = b"\x08\x01" * 5000 + b"\x00"
                 garbage = [
                     b"\xff\xff\xff\xff not a frame",
                     wire.encode_frame(
                         {"hello": {"codecs": ["binary", "json"]}}, codec=wire.CODEC_JSON
                     ),
                     whois_frame(agents[0], 7, wire.CODEC_JSON),
+                    len(nested).to_bytes(4, "big") + nested,
                 ]
                 try:
                     reply = await channel.call(node.addr, "lhagent", "whois", whois)
@@ -246,6 +253,7 @@ class TestFraming:
                         assert channel._pools[node.addr] == [conn] and not conn.closed
                 finally:
                     await channel.close()
+            assert logged == []
 
         run(scenario())
 

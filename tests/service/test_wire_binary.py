@@ -245,6 +245,19 @@ class TestBinaryRejection:
         with pytest.raises(WireError, match="poisoned"):
             decoder.feed(encode_frame(1, codec=CODEC_BINARY))
 
+    def test_nesting_past_the_recursion_limit_rejected_both_ways(self):
+        # 10 KB on the wire: 5000 one-element lists, innermost holds None.
+        decoder = FrameDecoder()
+        with pytest.raises(WireError, match="nests deeper"):
+            decoder.feed(_frame(b"\x08\x01" * 5000 + b"\x00"))
+        with pytest.raises(WireError, match="poisoned"):
+            decoder.feed(encode_frame(1))
+        deep = None
+        for _ in range(5000):
+            deep = [deep]
+        with pytest.raises(WireError, match="nests deeper"):
+            encode_frame(deep)
+
     @given(wire_values)
     @settings(max_examples=200)
     def test_json_form_bytes_are_garbage_to_a_binary_decoder(self, value):
