@@ -28,12 +28,13 @@ drivers.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.core.errors import CoreError
 from repro.core.hash_tree import HashTree
 
-__all__ = ["HashFunction"]
+__all__ = ["HashFunction", "SecondaryCopies"]
 
 #: What the tree raises for an entry that does not fit the copy: unknown
 #: owner (KeyError), duplicate new owner (ValueError), stale coordinates.
@@ -249,3 +250,73 @@ class HashFunction:
         ]
         out.sort(key=lambda c: (c["bound"], str(c["iagent"])))
         return out
+
+
+class SecondaryCopies:
+    """What a holder of secondary copies keeps, and how it is fed.
+
+    One copy per shard, the *origin* -- ``(serving shard, epoch)`` --
+    each copy's versions belong to, and the node address book. The live
+    LHAgent (fed by the coordinators) and the live requester (fed by its
+    node's LHAgent) differ only in whom they send :meth:`request` to.
+    Versions are comparable within one origin only: a promoted standby
+    may number below the dead primary, and a prefix re-pointed by a
+    cross-shard merge is served out of another coordinator's function.
+    """
+
+    __slots__ = ("copies", "origins", "node_addrs", "journal_capacity")
+
+    def __init__(self, journal_capacity: Optional[int] = None) -> None:
+        self.copies: Dict[int, HashFunction] = {}
+        self.origins: Dict[int, Tuple[int, int]] = {}
+        self.node_addrs: Dict[str, Tuple[str, int]] = {}
+        #: Bound of each copy's journal, for a holder that serves deltas on.
+        self.journal_capacity = journal_capacity
+
+    def request(self, shard: int) -> Dict:
+        """The ``get-hash-delta`` body that brings ``shard``'s copy forward."""
+        copy = self.copies.get(shard)
+        if copy is None:
+            return {"since": -1, "epoch": None, "shard": shard}
+        return {"since": copy.version, "epoch": self.origins[shard][1], "shard": shard}
+
+    def absorb(self, shard: int, reply: Dict) -> bool:
+        """Fold a copy reply into ``shard``'s copy and the address book.
+
+        False when the reply is a delta that does not fit -- un-replayable,
+        or numbered by another origin: the copy is dropped, so the next
+        :meth:`request` draws the snapshot instead of the same delta.
+        """
+        known = self.origins.get(shard, (shard, 0))
+        origin = (reply.get("shard", known[0]), reply.get("epoch", known[1]))
+        delta = reply.get("mode") == "delta"
+        copy = self.copies.get(shard)
+        if copy is None:
+            if delta:
+                return False
+            capacity = self.journal_capacity
+            journal = deque(maxlen=capacity) if capacity is not None else None
+            self.copies[shard] = HashFunction.from_bundle(reply, journal)
+        elif (delta and origin != known) or (
+            copy.absorb(reply, rebase=origin != known) == "resync"
+        ):
+            del self.copies[shard]
+            return False
+        self.origins[shard] = origin
+        for name, addr in reply.get("node_addrs", {}).items():
+            self.node_addrs[name] = (addr[0], addr[1])
+        return True
+
+    def resolve(self, shard: int, agent_id: Any) -> Optional[Dict]:
+        """The mapping a requester acts on, or None with no copy of ``shard``."""
+        copy = self.copies.get(shard)
+        if copy is None:
+            return None
+        owner, node = copy.resolve(agent_id)
+        addr = self.node_addrs.get(node)
+        return {
+            "iagent": owner,
+            "node": node,
+            "addr": list(addr) if addr is not None else None,
+            "version": copy.version,
+        }

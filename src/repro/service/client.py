@@ -19,12 +19,16 @@ Two layers:
   of :mod:`repro.core.requester` -- the paper's §2.3 + §4.3 loop, the
   same generators the simulator's ``HashLocationMechanism`` steps --
   over the wire: the saga decides what to resolve, ask, refresh and
-  retry; this driver performs each hop through the resilience stack
-  below, answers ``None`` for a hop it could not perform (so a resolve
-  the LHAgent could not serve is retried, not raised), and bounds the
-  whole operation by ``op_deadline``. Retry rounds sleep a capped
-  exponential backoff with jitter drawn from an injectable RNG
-  (``ClientConfig.rng``), so retry timing is deterministic under test.
+  retry; this driver answers a *resolve* from its own secondary copies
+  (:class:`~repro.core.hash_function.SecondaryCopies`, fed by the
+  node's LHAgent only when a copy is missing or stale -- a steady op
+  is one frame, to the IAgent), performs every hop through the
+  resilience stack below, answers ``None`` for one it could not
+  perform (so a pull the LHAgent could not serve is retried, not
+  raised), and bounds the whole operation by ``op_deadline``. Retry
+  rounds sleep a capped exponential backoff with jitter drawn from an
+  injectable RNG (``ClientConfig.rng``), so retry timing is
+  deterministic under test.
   :meth:`ServiceClient.register_batch` / :meth:`~ServiceClient.locate_batch`
   amortize one round-trip over N operations -- safe because LHAgent
   lazy refresh already tolerates staleness -- and fall back to the
@@ -63,6 +67,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.core.hash_function import SecondaryCopies
 from repro.core.requester import discover_saga, request_saga
 from repro.discovery.hamming import merge_matches
 from repro.metrics.trace import Tracer
@@ -70,7 +75,7 @@ from repro.platform.messages import Request, Response
 from repro.platform.naming import AgentId
 from repro.service import wire
 from repro.service.netem import DIR_IN, NetemController
-from repro.service.routing import WRONG_SHARD
+from repro.service.routing import WRONG_SHARD, shard_of
 
 __all__ = [
     "AGENT_NOT_FOUND",
@@ -772,6 +777,11 @@ class ServiceClient:
         self._breakers: Dict[Address, CircuitBreaker] = {}
         #: Last-known locate answers, the degraded-mode read source.
         self._last_known: Dict[AgentId, str] = {}
+        #: This requester's own secondary copies, one per shard, fed by
+        #: the node's LHAgent -- what every *resolve* is answered from.
+        self._held = SecondaryCopies()
+        #: The deployment's shard count, as the LHAgent's replies state it.
+        self._shards = 1
 
     # ------------------------------------------------------------------
     # Resilience plumbing: adaptive timeouts, breakers, hedged reads
@@ -974,7 +984,7 @@ class ServiceClient:
     async def register_batch(self, items: Sequence[Tuple]) -> None:
         """Publish many ``(agent, node, seq[, capabilities])`` records.
 
-        One ``whois-batch`` resolves every agent, then one
+        Every agent is resolved against the local copy, then one
         ``register-batch`` RPC per responsible IAgent (chunked at
         ``config.batch_size``) carries the records -- one round-trip
         amortized over N updates. Safe under staleness: per-agent
@@ -1029,7 +1039,7 @@ class ServiceClient:
     ) -> Dict[AgentId, str]:
         """Resolve many agents to node names; the bulk locate hot path.
 
-        Same shape as :meth:`register_batch`: ``whois-batch`` then one
+        Same shape as :meth:`register_batch`: a local resolve, then one
         ``locate-batch`` per IAgent chunk, with per-item fallback to
         :meth:`locate`'s retry loop. Raises
         :class:`ServiceLocateError` if any agent is unlocatable, like
@@ -1142,20 +1152,20 @@ class ServiceClient:
     async def _group_by_iagent(
         self, agents: List[AgentId], deadline: Optional[float] = None
     ) -> Tuple[Dict[Tuple[Address, Any], List[int]], List[int]]:
-        """Map each agent index to its responsible IAgent via whois-batch.
+        """Map each agent index to its responsible IAgent via the local copy.
 
-        Returns ``(groups, unresolved)``; on any transport failure every
-        index is handed to the single-op fallback, which owns recovery.
+        Returns ``(groups, unresolved)``; once a pull of a missing copy
+        fails, every remaining index is handed to the single-op
+        fallback, which owns recovery.
         """
         self.counters.ops += len(agents)
-        reply = await self._lhagent_call("whois-batch", {"agents": agents}, deadline)
-        if reply is None or "mappings" not in reply:
-            return {}, list(range(len(agents)))
-        mappings = reply["mappings"]
         groups: Dict[Tuple[Address, Any], List[int]] = {}
         unresolved: List[int] = []
-        for index, mapping in enumerate(mappings):
-            addr = mapping.get("addr")
+        served = True
+        for index, agent in enumerate(agents):
+            mapping = await self._whois(agent, deadline) if served else None
+            served = mapping is not None
+            addr = mapping["addr"] if mapping is not None else None
             if addr is None:
                 unresolved.append(index)
             else:
@@ -1402,15 +1412,35 @@ class ServiceClient:
         deadline: Optional[float] = None,
         stale_version: Optional[int] = None,
     ) -> Optional[Dict]:
-        """The *resolve* hop: ``whois`` at the node's LHAgent, or
-        ``refresh`` past ``stale_version``."""
-        op, body = "whois", {"agent": agent_id}
-        if stale_version is not None:
-            op, body = "refresh", {"agent": agent_id, "stale_version": stale_version}
-        # Hedging a refresh is safe: the LHAgent coalesces concurrent
-        # fetches for a shard into one flight, so the duplicate joins
-        # the primary's fetch instead of doubling it.
-        return await self._lhagent_call(op, body, deadline, hedge=True)
+        """The *resolve* hop, answered from this requester's own copy.
+
+        The paper's LHAgent is co-resident with the requester (§2.2), so
+        resolving costs no network hop. The node's LHAgent is asked --
+        for what takes the copy to its own, which it first refreshes
+        from the coordinator when that is no newer -- only with no copy
+        of the agent's shard yet, or when the saga names a
+        ``stale_version`` the copy does not exceed.
+        """
+        held = self._held
+        fresh = stale_version is None
+        # One pull; one more after a delta that did not fit (its copy is
+        # dropped), or a first reply whose shard count re-keys the id.
+        for _ in range(3):
+            shard = shard_of(agent_id, self._shards)
+            mapping = held.resolve(shard, agent_id)
+            if mapping is not None and (fresh or mapping["version"] > stale_version):
+                return mapping
+            # Hedging the pull is safe: it changes nothing at the
+            # LHAgent, which coalesces concurrent fetches for a shard
+            # into one flight, so the duplicate joins the primary's.
+            reply = await self._lhagent_call(
+                "get-hash-delta", held.request(shard), deadline, hedge=True
+            )
+            if reply is None:
+                return None
+            self._shards = reply.get("shards", self._shards)
+            fresh = held.absorb(shard, reply)
+        return None
 
     async def _lhagent_call(
         self, op: str, body: Dict, deadline: Optional[float], hedge: bool = False

@@ -52,7 +52,7 @@ from pathlib import Path
 from typing import Any, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.core.config import HashMechanismConfig
-from repro.core.hash_function import HashFunction
+from repro.core.hash_function import HashFunction, SecondaryCopies
 from repro.core.iagent_state import (
     OK,
     IAgentState,
@@ -626,21 +626,20 @@ class LHAgentEndpoint:
     Resolution and refresh go through the same
     :class:`repro.core.hash_function.HashFunction` as the simulator's
     LHAgent, including delta-sync journal replay -- the wire carries
-    exactly the journal entries the simulator protocol defines.
+    exactly the journal entries the simulator protocol defines. The
+    node's requesters resolve against copies of their own and pull what
+    takes those forward from here (``get-hash-delta``), so each copy
+    keeps a bounded journal of the entries it replayed.
     """
 
     def __init__(self, node: "NodeServer") -> None:
         self.node = node
         #: One secondary copy per coordinator shard, fetched lazily the
-        #: first time an agent of that prefix is resolved here.
-        self.copies: Dict[int, HashFunction] = {}
-        #: The epoch each copy was fetched under. Versions are only
-        #: comparable within one epoch: a promoted standby may restart
-        #: version numbering below the dead primary's, so refreshes are
-        #: epoch-qualified and an epoch change always accepts the
-        #: authoritative copy regardless of version.
-        self.copy_epochs: Dict[int, int] = {}
-        self.node_addrs: Dict[str, Tuple[str, int]] = {}
+        #: first time an agent of that prefix is resolved here, and the
+        #: node address book.
+        self.held = SecondaryCopies(node.config.mechanism.sync_journal_capacity)
+        self.copies = self.held.copies
+        self.node_addrs = self.held.node_addrs
         self._fetch_flights: Dict[int, "asyncio.Task[None]"] = {}
         self.whois_served = 0
         self.refreshes = 0
@@ -653,13 +652,6 @@ class LHAgentEndpoint:
         """Shard 0's secondary copy -- the whole copy pre-sharding."""
         return self.copies.get(0)
 
-    @copy.setter
-    def copy(self, value: Optional[HashFunction]) -> None:
-        if value is None:
-            self.copies.pop(0, None)
-        else:
-            self.copies[0] = value
-
     def _shard_for(self, agent_id: AgentId) -> int:
         return self.node.router.shard_for(agent_id)
 
@@ -667,31 +659,46 @@ class LHAgentEndpoint:
         """The mapping -- or, with no copy of the shard yet, a coroutine."""
         shard = self._shard_for(body["agent"])
         if shard not in self.copies:
-            return self._fetch_then((shard,), self.op_whois, body)
+            return self._fetch_then(shard, self.op_whois, body)
         self.whois_served += 1
-        return self._resolve(body["agent"])
+        return self.held.resolve(shard, body["agent"])
 
-    async def op_refresh(self, body: Dict) -> Dict:
-        shard = self._shard_for(body["agent"])
-        stale_version = body.get("stale_version", -1)
+    def op_get_hash_delta(self, body: Dict) -> Any:
+        """A co-resident requester's pull: what takes its copy of
+        ``shard`` at ``since`` to this LHAgent's -- a coroutine when
+        this copy is no newer and is first refreshed from the
+        coordinator (one coalesced flight for every requester waiting).
+        """
+        shard, since = self._pull_args(body)
         copy = self.copies.get(shard)
-        if copy is None or copy.version <= stale_version:
-            await self._fetch_primary_copy(shard)
-        return self._resolve(body["agent"])
+        if copy is None or (since is not None and copy.version <= since):
+            return self._fetch_then(shard, self._delta_reply, body)
+        return self._delta_reply(body)
 
-    def op_whois_batch(self, body: Dict) -> Any:
-        """Resolve many agents against consistent per-shard copies."""
-        agents = body["agents"]
-        missing = {self._shard_for(agent) for agent in agents}.difference(self.copies)
-        if missing:
-            return self._fetch_then(missing, self.op_whois_batch, body)
-        self.whois_served += len(agents)
-        return {"mappings": [self._resolve(agent) for agent in agents]}
+    def _pull_args(self, body: Dict) -> Tuple[int, Optional[int]]:
+        """The shard serving the pulled prefix, and the requester's
+        version when this copy's origin numbered it (else None: it gets
+        the snapshot)."""
+        shard = self.node.router.map.owner.get(body["shard"], body["shard"])
+        origin = self.held.origins.get(shard)
+        comparable = origin is not None and body.get("epoch") == origin[1]
+        return shard, body["since"] if comparable else None
 
-    async def _fetch_then(self, shards: Any, handler: Any, body: Dict) -> Dict:
-        # A fetch that returns has installed its copy: re-enter the handler.
-        for shard in shards:
-            await self._fetch_primary_copy(shard)
+    def _delta_reply(self, body: Dict) -> Dict:
+        """Stamped like a coordinator's reply (serving shard, epoch,
+        address book), plus the shard count a requester keys ids by."""
+        shard, since = self._pull_args(body)
+        copy = self.copies.get(shard)
+        if copy is None:  # the fetch followed a redirect: the requester retries
+            raise _Reject(f"precondition: no copy of shard {shard} yet")
+        reply = copy.delta_since(since)
+        reply["shard"], reply["epoch"] = self.held.origins[shard]
+        reply["shards"] = self.node.router.shards
+        reply["node_addrs"] = {name: list(addr) for name, addr in self.node_addrs.items()}
+        return reply
+
+    async def _fetch_then(self, shard: int, handler: Any, body: Dict) -> Dict:
+        await self._fetch_primary_copy(shard)
         return handler(body)
 
     def op_version(self, body: Dict) -> Dict:
@@ -749,18 +756,6 @@ class LHAgentEndpoint:
         return {
             "candidates": candidates,
             "versions": [[shard, version] for shard, version in versions.items()],
-        }
-
-    def _resolve(self, agent_id: AgentId) -> Dict:
-        shard = self._shard_for(agent_id)
-        copy = self.copies[shard]
-        owner, node = copy.resolve(agent_id)
-        addr = self.node_addrs.get(node) if node is not None else None
-        return {
-            "iagent": owner,
-            "node": node,
-            "addr": list(addr) if addr is not None else None,
-            "version": copy.version,
         }
 
     async def _fetch_primary_copy(self, shard: int = 0) -> None:
@@ -823,29 +818,15 @@ class LHAgentEndpoint:
                     raise
                 reply = await self._fetch_once(shard)
         self.refreshes += 1
-        copy = self.copies.get(shard)
-        known_epoch = self.copy_epochs.get(shard, 0)
-        epoch = reply.get("epoch", known_epoch)
-        if copy is not None and (
-            copy.absorb(reply, rebase=epoch != known_epoch) == "resync"
-        ):
-            # The delta does not fit this copy: drop it and draw the
-            # snapshot now, or every refresh would re-request the same
-            # failing delta.
-            del self.copies[shard]
-            copy = None
+        if not self.held.absorb(shard, reply):
+            # The delta does not fit the copy, which is dropped: draw the
+            # snapshot now, or every refresh would re-request that delta.
             reply = await self._fetch_once(shard)
-            epoch = reply.get("epoch", epoch)
-        if copy is None:
-            self.copies[shard] = HashFunction.from_bundle(reply)
-        self.copy_epochs[shard] = epoch
+            self.held.absorb(shard, reply)
         if reply.get("mode") == "delta":
             self.delta_refreshes += 1
         else:
             self.full_refreshes += 1
-            self.node_addrs.update(
-                {name: tuple(addr) for name, addr in reply.get("node_addrs", {}).items()}
-            )
 
     async def _fetch_once(self, shard: int) -> Dict:
         node = self.node
@@ -859,15 +840,7 @@ class LHAgentEndpoint:
         timeout = min(0.75, config.rpc_timeout)
         if config.mechanism.delta_sync and copy is not None:
             return await node.channel.call(
-                target,
-                "hagent",
-                "get-hash-delta",
-                {
-                    "since": copy.version,
-                    "epoch": self.copy_epochs.get(shard, 0),
-                    "shard": shard,
-                },
-                timeout=timeout,
+                target, "hagent", "get-hash-delta", self.held.request(shard), timeout=timeout
             )
         body = {"shard": shard} if node.router.shards > 1 else None
         return await node.channel.call(
@@ -1737,15 +1710,14 @@ class HAgentServer(_FramedServer):
         return self.function.delta_since(body.get("since", -1) if comparable else None)
 
     def _for_lhagent(self, reply: Dict) -> Dict:
-        """Stamp a copy reply with the epoch its versions belong to and,
-        when it is a full copy, the node address book."""
-        reply["epoch"] = self.epoch
-        if "tree" in reply:
-            if self.tree is None:
-                raise _Reject("precondition: not bootstrapped yet")
-            reply["node_addrs"] = {
-                name: list(addr) for name, addr in self.node_addrs.items()
-            }
+        """Stamp a copy reply with the origin its versions belong to --
+        this shard, this epoch -- and the node address book: on a delta
+        too, or a node registered since the holder's last full copy
+        would stay unaddressable there however often it refreshed."""
+        if "tree" in reply and self.tree is None:
+            raise _Reject("precondition: not bootstrapped yet")
+        reply["shard"], reply["epoch"] = self.shard, self.epoch
+        reply["node_addrs"] = {name: list(addr) for name, addr in self.node_addrs.items()}
         return reply
 
     def _op_register_node(self, body: Dict) -> Dict:

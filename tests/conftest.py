@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import HashMechanismConfig
+from repro.core.hash_function import HashFunction
+from repro.core.hash_tree import HashTree
 from repro.core.mechanism import HashLocationMechanism
 from repro.platform.naming import AgentNamer
 from repro.platform.random import RandomStreams
@@ -31,6 +33,15 @@ def install_hash_mechanism(
     mechanism = HashLocationMechanism(config)
     runtime.install_location_mechanism(mechanism)
     return mechanism
+
+
+def copy_reply(owner, node: str, addr, version: int = 1) -> dict:
+    """What a stub LHAgent answers a requester's ``get-hash-delta`` pull
+    with: the snapshot of a one-leaf function at ``version`` whose only
+    IAgent, ``owner``, lives on ``node`` at ``addr``."""
+    reply = HashFunction(version, HashTree(owner), {owner: node}).bundle()
+    reply.update(mode="full", shard=0, epoch=1, shards=1, node_addrs={node: list(addr)})
+    return reply
 
 
 def run_until(runtime: AgentRuntime, predicate, step: float = 0.1, timeout: float = 60.0):

@@ -13,16 +13,23 @@ around one rehash script:
   ``delta_since`` -> ``absorb`` (the journal holds four entries, so a
   longer lag exercises truncation -> full snapshot);
 * a **recovered coordinator** fed the primary's ``{"op": "rehash"}``
-  WAL records through ``HAgentServer._replay_mutation``.
+  WAL records through ``HAgentServer._replay_mutation``;
+* a **relay** -- a live LHAgent's journaled copies, fed by the
+  coordinator's own ``get-hash-delta`` reply -- and a **requester**
+  whose copy is fed only by what the relay serves on
+  (``LHAgentEndpoint._delta_reply``): the one-hop locate's data path.
 
 After every step all of them agree on ``tree.to_spec()``,
-``iagent_nodes`` and ``version``. A hypothesis state machine drives the
-script at random; the seeded scripts below are the same harness on plain
-inputs (a 24-leaf, 32-bit tree with path-scope complex splits).
+``iagent_nodes`` and ``version`` (the relay and the requester, which
+lag, with the primary as it was at their version). A hypothesis state
+machine drives the script at random; the seeded scripts below are the
+same harness on plain inputs (a 24-leaf, 32-bit tree with path-scope
+complex splits).
 """
 
 import copy
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import settings
@@ -30,9 +37,10 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.core.config import HashMechanismConfig
-from repro.core.hash_function import HashFunction
+from repro.core.hash_function import HashFunction, SecondaryCopies
 from repro.core.hash_tree import HashTree
-from repro.service.server import HAgentServer, ServiceConfig
+from repro.service.routing import ShardRouter
+from repro.service.server import HAgentServer, LHAgentEndpoint, ServiceConfig
 
 NODES = ["n0", "n1", "n2"]
 
@@ -77,6 +85,16 @@ class Replicas:
         self.recovered.namer.state = self.server.namer.state
         self.replayed = 0
         self.entries = []
+        #: version -> the reference's state when the primary was there.
+        self.history = {1: (self.tree.to_spec(), dict(self.nodes), 1)}
+        # The one-hop data path: primary -> relay (an LHAgent, its copy
+        # journaled with the same capacity) -> requester.
+        self.server.node_addrs["n0"] = ("10.0.0.1", 7)
+        node = SimpleNamespace(config=self.server.config, router=ShardRouter())
+        self.relay = LHAgentEndpoint(node)
+        self.requester = SecondaryCopies()
+        self.relay_sync()
+        self.requester_sync()
 
     # -- the rehash script ---------------------------------------------------
 
@@ -122,7 +140,33 @@ class Replicas:
         self.version += 1
         outcome = self.server._publish(op)
         self.entries.append(op)
+        self.history[self.version] = (self.tree.to_spec(), dict(self.nodes), self.version)
         return outcome
+
+    def relay_sync(self):
+        """The relay's refresh, answered as the live coordinator does."""
+        held = self.relay.held
+        body = held.request(0)
+        assert held.absorb(0, self.server._for_lhagent(self.server._copy_reply(body)))
+        assert state_of(held.copies[0]) == self.history[self.version]
+        return body
+
+    def requester_sync(self):
+        """A requester's pull, answered by the relay from what it holds
+        (never by the primary); the mode the relay had to use."""
+        before = self.requester.copies.get(0)
+        since = before.version if before is not None else None
+        reply = self.relay._delta_reply(self.requester.request(0))
+        assert self.requester.absorb(0, reply)
+        relayed = self.relay.copy
+        assert state_of(self.requester.copies[0]) == self.history[relayed.version]
+        assert self.requester.node_addrs == {"n0": ("10.0.0.1", 7)}
+        journal = relayed.journal
+        covered = since == relayed.version or (
+            len(journal) > 0 and since is not None and journal[0]["version"] <= since + 1
+        )
+        assert reply["mode"] == ("delta" if covered else "full")
+        return reply["mode"]
 
     def sync(self, index):
         """One refresh of a lagging secondary; the mode it had to use."""
@@ -157,6 +201,17 @@ class Replicas:
             clone = HashFunction.from_bundle(secondary.bundle())
             clone.absorb(self.primary.delta_since(clone.version))
             assert state_of(clone) == expected
+        # The lagging pair are each exactly some past primary.
+        for lagging in (self.relay.copy, self.requester.copies[0]):
+            assert state_of(lagging) == self.history[lagging.version]
+        assert self.requester.copies[0].version <= self.relay.copy.version <= self.version
+
+    def check_lookups_at(self, function):
+        """``function`` resolves every id as the primary at its version did."""
+        past = HashTree.from_spec(self.history[function.version][0])
+        for value in range(1 << self.width):
+            bits = format(value, f"0{self.width}b")
+            assert function.tree.lookup(bits) == past.lookup(bits)
 
     def check_lookups(self, function, stride=1):
         for value in range(0, 1 << self.width, stride):
@@ -188,6 +243,19 @@ class HashFunctionReplicas(RuleBasedStateMachine):
         replicas.sync(index)
         # In-place replay must also have dropped the compiled lookup table.
         replicas.check_lookups(replicas.secondaries[index])
+
+    @rule()
+    def relay_refresh(self):
+        self.replicas.relay_sync()
+
+    @rule()
+    def requester_pull(self):
+        """Whatever the two lags -- beyond the relay's journal, or right
+        after the relay installed a snapshot and so holds no journal --
+        one pull leaves the requester where the relay is."""
+        replicas = self.replicas
+        replicas.requester_sync()
+        replicas.check_lookups_at(replicas.requester.copies[0])
 
     @precondition(lambda self: self.replicas.entries)
     @rule(selector=st.integers(0, 99), index=st.integers(0, 2))
@@ -283,3 +351,98 @@ class TestAbsorb:
         reply = replicas.primary.delta_since(None)
         assert reply["mode"] == "full" and reply["version"] == replicas.version
         assert replicas.primary.delta_since(replicas.version)["ops"] == []
+
+
+class TestRelayedCopies:
+    """The requester's copy is fed by the relay's journal alone."""
+
+    def test_a_requester_beyond_the_relays_journal_gets_the_snapshot(self):
+        replicas = Replicas(secondaries=0)
+        for step in range(6):  # the relay follows every op; its journal holds four
+            replicas.move(step, NODES[step % 3])
+            replicas.relay_sync()
+        assert replicas.requester_sync() == "full"
+        replicas.split(0, 0, "n1")
+        replicas.relay_sync()
+        assert replicas.requester_sync() == "delta"
+        replicas.check()
+
+    def test_a_relay_that_just_installed_a_snapshot_serves_one(self):
+        replicas = Replicas(secondaries=0)
+        replicas.split(0, 0, "n1")
+        replicas.relay_sync()
+        assert replicas.requester_sync() == "delta"
+        for step in range(6):  # past the primary's journal
+            replicas.move(step, NODES[step % 3])
+        assert replicas.relay_sync()["since"] == 2
+        assert len(replicas.relay.copy.journal) == 0
+        assert replicas.requester_sync() == "full"
+        assert replicas.requester_sync() == "delta"  # level: nothing to send
+        replicas.check()
+
+
+class TestSecondaryCopies:
+    """The holder rules: versions count within one origin only."""
+
+    def reply(self, replicas, since, **origin):
+        reply = replicas.primary.delta_since(since)
+        reply.update(origin, node_addrs={"n1": ["10.0.0.2", 9]})
+        return reply
+
+    def held(self):
+        replicas = Replicas(secondaries=0)
+        held = SecondaryCopies()
+        assert held.request(4) == {"since": -1, "epoch": None, "shard": 4}
+        assert held.resolve(4, None) is None
+        assert held.absorb(4, self.reply(replicas, None, shard=4, epoch=1))
+        assert held.request(4) == {"since": 1, "epoch": 1, "shard": 4}
+        return replicas, held
+
+    def test_a_delta_from_the_same_origin_is_replayed_and_carries_the_book(self):
+        replicas, held = self.held()
+        replicas.split(0, 0, "n1")
+        reply = self.reply(replicas, 1, shard=4, epoch=1)
+        reply["node_addrs"]["n2"] = ["10.0.0.3", 9]
+        assert reply["mode"] == "delta" and held.absorb(4, reply)
+        assert state_of(held.copies[4]) == state_of(replicas.primary)
+        assert held.node_addrs["n2"] == ("10.0.0.3", 9)
+
+    @pytest.mark.parametrize("origin", [{"shard": 4, "epoch": 2}, {"shard": 5, "epoch": 1}])
+    def test_another_origins_delta_is_refused_and_its_snapshot_installed(self, origin):
+        replicas, held = self.held()
+        replicas.split(0, 0, "n1")
+        replicas.split(1, 0, "n2")
+        held.absorb(4, self.reply(replicas, 1, shard=4, epoch=1))
+        # Another origin, numbering below: an empty delta "since 3" says
+        # nothing about this copy, which is dropped...
+        other = Replicas(secondaries=0)
+        assert not held.absorb(4, self.reply(other, 3, **origin))
+        assert 4 not in held.copies and held.request(4)["epoch"] is None
+        # ...and its snapshot is installed although it is numbered lower.
+        held = self.held()[1]
+        held.absorb(4, self.reply(replicas, 1, shard=4, epoch=1))
+        assert held.absorb(4, self.reply(other, None, **origin))
+        assert state_of(held.copies[4]) == state_of(other.primary)
+        assert held.origins[4] == (origin["shard"], origin["epoch"])
+        assert held.request(4)["since"] == 1
+
+    def test_a_slow_snapshot_from_the_same_origin_never_steps_backwards(self):
+        replicas, held = self.held()
+        slow = self.reply(replicas, None, shard=4, epoch=1)
+        replicas.move(0, "n2")
+        held.absorb(4, self.reply(replicas, 1, shard=4, epoch=1))
+        assert held.absorb(4, slow)
+        assert state_of(held.copies[4]) == state_of(replicas.primary)
+
+    def test_resolve_joins_the_copy_and_the_book(self):
+        replicas, held = self.held()
+        replicas.move(0, "n1")
+        held.absorb(4, self.reply(replicas, 1, shard=4, epoch=1))
+        (owner,) = replicas.tree.owners()
+        agent = SimpleNamespace(bits="0" * replicas.width)
+        assert held.resolve(4, agent) == {
+            "iagent": owner,
+            "node": "n1",
+            "addr": ["10.0.0.2", 9],
+            "version": 2,
+        }

@@ -4,8 +4,10 @@
 recovery rule is one short table. ``TestBothDrivers`` then feeds the
 same answers to ``HashLocationMechanism`` (its ``runtime.rpc`` answered
 in memory, its generator stepped without a simulator) and to a
-``ServiceClient`` (its channel answered in memory): the two must make
-the same requests in the same order and count them the same way.
+``ServiceClient`` (its channel answered in memory): under both, the
+saga must make the same requests in the same order and count them the
+same way. (The RPCs differ by design: the simulator's requester asks
+its LHAgent to resolve, the live one resolves against its own copy.)
 (``tests/core/test_rehash_saga.py`` runs the sagas against real
 ``IAgentState`` leaves with a rehash suspended mid-way.)
 """
@@ -30,6 +32,7 @@ from repro.service.client import (
     ServiceLocateError,
 )
 
+from tests.conftest import copy_reply
 from tests.core.test_rehash_saga import Tally
 
 AGENT = AgentId(0x5EED << 40)
@@ -236,14 +239,52 @@ def candidates(version, *patterns):
     }
 
 
+def brief(request):
+    """One saga request, down to what both drivers must agree on."""
+    kind, *args = request
+    if kind == "ask":
+        found, op, body = args
+        return kind, found["iagent"], op, body.get("pattern")
+    if kind == "fan-out":
+        return kind, args[0], [cand["iagent"] for cand in args[1]]
+    if kind == "candidates":
+        stale = args[2]
+        return kind, stale[0][1] if isinstance(stale, list) else stale
+    if kind == "resolve":
+        return kind, args[1]  # the version to get past
+    return kind, *args  # pause: attempt, why
+
+
+@pytest.fixture
+def requests(monkeypatch):
+    """Every request either driver's saga makes, in order, as ``brief``."""
+    made = []
+
+    def recording(factory):
+        def saga(*args, **kwargs):
+            inner, reply = factory(*args, **kwargs), None
+            try:
+                while True:
+                    request = inner.send(reply)
+                    made.append(brief(request))
+                    reply = yield request
+            except StopIteration as done:
+                return done.value
+
+        return saga
+
+    for driver in ("repro.core.mechanism", "repro.service.client"):
+        monkeypatch.setattr(f"{driver}.request_saga", recording(request_saga))
+        monkeypatch.setattr(f"{driver}.discover_saga", recording(discover_saga))
+    return made
+
+
 def through_simulator(answers, operation):
     """``operation(mechanism, node)`` with every ``runtime.rpc`` answered
     from ``answers``; the generator is stepped here, ``Timeout``s skipped."""
-    answers, log = list(answers), []
+    answers = list(answers)
 
     def rpc(src, dst_node, dst_agent, op, body, timeout=None):
-        past = body.get("stale_version")
-        log.append((dst_agent, op, past if dst_agent == "lhagent" else body.get("pattern")))
         future = Future()
         answer = answers.pop(0)
         if answer is VANISHED:
@@ -273,21 +314,28 @@ def through_simulator(answers, operation):
     counters = mechanism.counters
     counted = {name: counters.extra.get(name, 0) for name in COUNTED}
     counted.update(retries=counters.retries, refreshes=counters.refreshes)
-    return result, log, counted
+    return result, counted
 
 
 class _ScriptedChannel:
+    """The live driver resolves against its own copy, so a scripted
+    mapping reaches it as the snapshot its LHAgent serves a pull with;
+    a mapping the script holds for a resolve the driver answered
+    locally must be the one it holds."""
+
     pool_size = 2
 
     def __init__(self, answers):
-        self.answers, self.log = list(answers), []
+        self.answers, self.held = list(answers), None
 
     async def call(self, addr, to, op, body, timeout=None, lane=None):
-        past = body.get("stale_version")
-        if body.get("stale_versions"):
-            ((_shard, past),) = body["stale_versions"]
-        self.log.append((to, op, past if to == "lhagent" else body.get("pattern")))
         answer = self.answers.pop(0)
+        if op == "get-hash-delta":
+            self.held = answer
+            return copy_reply(answer["iagent"], answer["node"], answer["addr"], answer["version"])
+        if to != "lhagent" and isinstance(answer, dict) and "iagent" in answer:
+            assert answer == self.held, "a local resolve the LHAgent would not have given"
+            answer = self.answers.pop(0)
         if answer is VANISHED:
             raise RemoteOpError("agent-not-found: no such agent here")
         return answer
@@ -304,7 +352,7 @@ def through_client(answers, operation):
     result = asyncio.run(operation(client))
     assert not channel.answers
     counters = client.counters.as_dict()
-    return result, channel.log, {name: counters[name] for name in COUNTED}
+    return result, {name: counters[name] for name in COUNTED}
 
 
 class TestBothDrivers:
@@ -315,46 +363,51 @@ class TestBothDrivers:
         "stale copy, bounce, refresh, ok": (
             [mapping("ia-a", 1), {"status": "not-responsible"}, mapping("ia-b", 2), OK],
             [
-                ("lhagent", "whois", None),
-                ("ia-a", "locate", None),
-                ("lhagent", "refresh", 1),
-                ("ia-b", "locate", None),
+                ("resolve", None),
+                ("ask", "ia-a", "locate", None),
+                ("resolve", 1),
+                ("ask", "ia-b", "locate", None),
             ],
             {"retries": 1, "refreshes": 1, "not_responsible": 1},
         ),
         "vanished IAgent": (
             [mapping("ia-a", 3), VANISHED, mapping("ia-b", 3), OK],
             [
-                ("lhagent", "whois", None),
-                ("ia-a", "locate", None),
-                ("lhagent", "refresh", 3),
-                ("ia-b", "locate", None),
+                ("resolve", None),
+                ("ask", "ia-a", "locate", None),
+                ("pause", 0, "unreachable"),
+                ("resolve", 3),
+                ("ask", "ia-b", "locate", None),
             ],
             {"retries": 1, "refreshes": 1},
         ),
         "no-record, then ok": (
             [mapping("ia-a", 1), {"status": "no-record"}, mapping("ia-a", 1), OK],
             [
-                ("lhagent", "whois", None),
-                ("ia-a", "locate", None),
-                ("lhagent", "whois", None),
-                ("ia-a", "locate", None),
+                ("resolve", None),
+                ("ask", "ia-a", "locate", None),
+                ("pause", 0, "no-record"),
+                ("resolve", None),
+                ("ask", "ia-a", "locate", None),
             ],
             {"retries": 1, "no_record_retries": 1},
         ),
     }
 
     @pytest.mark.parametrize("case", LOCATES)
-    def test_same_locate_script_same_requests_same_counters(self, case):
-        answers, requests, counted = self.LOCATES[case]
+    def test_same_locate_script_same_requests_same_counters(self, case, requests):
+        answers, made, counted = self.LOCATES[case]
         counted = {name: counted.get(name, 0) for name in COUNTED}
         simulated = through_simulator(
             answers, lambda mechanism, node: mechanism.locate(node, AGENT)
         )
+        assert requests == made
+        del requests[:]
         live = through_client(answers, lambda client: client.locate(AGENT))
-        assert simulated == live == ("node-3", requests, counted)
+        assert requests == made
+        assert simulated == live == ("node-3", counted)
 
-    def test_one_stale_discovery_candidate(self):
+    def test_one_stale_discovery_candidate(self, requests):
         answers = [
             candidates(4, "0", "1"),
             {"status": "ok", "matches": [self.HIT]},
@@ -363,13 +416,12 @@ class TestBothDrivers:
             {"status": "ok", "matches": [self.HIT]},
             {"status": "ok", "matches": []},
         ]
-        requests = [
-            ("lhagent", "discover-candidates", None),
-            ("ia-0", "discover-similar", "0"),
-            ("ia-1", "discover-similar", "1"),
-            ("lhagent", "discover-candidates", 4),
-            ("ia-0", "discover-similar", "0"),
-            ("ia-1x", "discover-similar", "1x"),
+        made = [
+            ("candidates", None),
+            ("fan-out", "discover-similar", ["ia-0", "ia-1"]),
+            ("pause", 0, "not-responsible"),
+            ("candidates", 4),
+            ("fan-out", "discover-similar", ["ia-0", "ia-1x"]),
         ]
         counted = dict.fromkeys(COUNTED, 0)
         counted.update(retries=1, not_responsible=1, discovery_retries=1)
@@ -377,8 +429,11 @@ class TestBothDrivers:
             answers,
             lambda mechanism, node: mechanism.discover_similar(node, AGENT, 3),
         )
+        assert requests == made
+        del requests[:]
         live = through_client(answers, lambda client: client.discover_similar(AGENT, 3))
-        assert simulated == live == ([self.HIT], requests, counted)
+        assert requests == made
+        assert simulated == live == ([self.HIT], counted)
 
     def test_budget_spent_raises_each_drivers_own_error(self):
         bounce = {"status": "not-responsible"}

@@ -5,8 +5,8 @@ implicitly: out-of-order reply correlation by ``message_id``, timeout
 isolation (one abandoned call must not kill the connection), the
 per-address pool bound, idle reaping, a new connection whose first
 frame is already the request, deterministic retry backoff from an
-injected RNG, and a ``ServiceClient`` whose LHAgent answers a resolve
-hop with an error envelope.
+injected RNG, a ``ServiceClient`` whose LHAgent answers a pull of the
+copy with an error envelope, and how many frames a warm client sends.
 """
 
 import asyncio
@@ -15,7 +15,7 @@ import random
 import pytest
 
 from repro.platform.messages import Response
-from repro.platform.naming import AgentNamer
+from repro.platform.naming import AgentId, AgentNamer
 from repro.service import wire
 from repro.service.client import (
     ClientConfig,
@@ -25,6 +25,8 @@ from repro.service.client import (
     ServiceTimeout,
 )
 from repro.service.server import HAgentServer, NodeServer
+
+from tests.conftest import copy_reply
 
 
 def run(coro):
@@ -264,60 +266,71 @@ class TestBatchedOps:
         run(scenario())
 
 
+def drive_toy_node(answer, operation, config=None):
+    """``operation(client)`` for a client whose node -- LHAgent and
+    IAgents alike -- is a toy peer answering each request frame with
+    ``answer(frame, peer) -> (value, error)``. Returns ``(result, the
+    client's counters, the (to, op) of every frame received)``."""
+
+    async def scenario():
+        peer = _ToyServer("selective", lambda frame: answer(frame, peer))
+        await peer.start()
+        client = ServiceClient("driver", peer.addr, config=config)
+        try:
+            result = await operation(client)
+        finally:
+            await client.close()
+            await peer.stop()
+        return result, client.counters, [(f["to"], f["req"].op) for f in peer.frames]
+
+    return run(scenario())
+
+
 class TestUnservedResolve:
     """An LHAgent that cannot fetch the primary copy (coordinator down or
-    mid-election) answers ``whois`` / ``refresh`` with an error envelope:
-    an unresolved mapping to retry inside ``op_deadline``, not an error
-    to raise."""
+    mid-election) answers a requester's pull with an error envelope: an
+    unresolved mapping to retry inside ``op_deadline``, not an error to
+    raise."""
 
     FETCH_FAILED = "internal-error: ServiceRpcError: get-hash-function failed"
+    AGENT = AgentId(0xA1 << 48)
 
     def locate(self, script):
         """One ``locate`` against a toy node whose LHAgent and IAgent
         answer from ``script``: op -> answers, consumed in order (the
-        last one repeats). Returns ``(node, counters, ops seen)``."""
+        last one repeats); a number stands for the snapshot at that
+        version. Returns ``(node, counters, ops seen)``."""
 
-        async def scenario():
-            def answer(frame):
-                op = frame["req"].op
-                answers = script["resolve" if frame["to"] == "lhagent" else op]
-                value = answers.pop(0) if len(answers) > 1 else answers[0]
-                if isinstance(value, str):
-                    return None, value
-                if value is None:
-                    value = {"iagent": "ia", "node": "n", "addr": list(peer.addr), "version": 1}
-                return value, None
+        def answer(frame, peer):
+            answers = script["pull" if frame["to"] == "lhagent" else frame["req"].op]
+            value = answers.pop(0) if len(answers) > 1 else answers[0]
+            if isinstance(value, str):
+                return None, value
+            if isinstance(value, int):
+                value = copy_reply("ia", "n", peer.addr, version=value)
+            return value, None
 
-            peer = _ToyServer("selective", answer)
-            await peer.start()
-            config = ClientConfig(
-                backoff_base=0.01, backoff_cap=0.02, rng=random.Random(3)
-            )
-            client = ServiceClient("driver", peer.addr, config=config)
-            try:
-                node = await client.locate("agent-1")
-            finally:
-                await client.close()
-                await peer.stop()
-            return node, client.counters, [frame["req"].op for frame in peer.frames]
-
-        return run(scenario())
+        config = ClientConfig(backoff_base=0.01, backoff_cap=0.02, rng=random.Random(3))
+        node, counters, frames = drive_toy_node(
+            answer, lambda client: client.locate(self.AGENT), config
+        )
+        return node, counters, [op for _, op in frames]
 
     def test_whois_answering_an_error_twice_is_retried(self):
         node, counters, ops = self.locate(
             {
-                "resolve": [self.FETCH_FAILED, self.FETCH_FAILED, None],
+                "pull": [self.FETCH_FAILED, self.FETCH_FAILED, 1],
                 "locate": [{"status": "ok", "node": "node-3", "seq": 0}],
             }
         )
         assert node == "node-3"
-        assert ops == ["whois", "refresh", "refresh", "locate"]
+        assert ops == ["get-hash-delta"] * 3 + ["locate"]
         assert counters.retries == 2 and counters.refreshes == 2
 
     def test_refresh_answering_an_error_after_a_bounce_is_retried(self):
         node, counters, ops = self.locate(
             {
-                "resolve": [None, self.FETCH_FAILED, None],
+                "pull": [1, self.FETCH_FAILED, 2],
                 "locate": [
                     {"status": "not-responsible"},
                     {"status": "ok", "node": "node-3", "seq": 0},
@@ -325,12 +338,54 @@ class TestUnservedResolve:
             }
         )
         assert node == "node-3"
-        assert ops == ["whois", "locate", "refresh", "refresh", "locate"]
+        assert ops == ["get-hash-delta", "locate", "get-hash-delta", "get-hash-delta", "locate"]
         assert counters.retries == 2 and counters.not_responsible == 1
 
     def test_an_error_from_the_iagent_itself_still_raises(self):
         with pytest.raises(RemoteOpError, match="internal-error: KeyError"):
-            self.locate({"resolve": [None], "locate": ["internal-error: KeyError: 'agent'"]})
+            self.locate({"pull": [1], "locate": ["internal-error: KeyError: 'agent'"]})
+
+
+class TestOneHopOps:
+    """A warm requester resolves against its own copy: the only frames a
+    steady op sends go to the IAgent."""
+
+    def frames_of(self, operation):
+        """The frames ``operation(client, agents)`` puts on the wire."""
+
+        def answer(frame, peer):
+            op, body = frame["req"].op, frame["req"].body
+            if frame["to"] == "lhagent":
+                return copy_reply("ia", "n", peer.addr), None
+            if op == "locate":
+                return {"status": "ok", "node": "node-3", "seq": 0}, None
+            items = body["agents"] if op == "locate-batch" else body["ops"]
+            return {"results": [{"status": "ok", "node": "node-3"}] * len(items)}, None
+
+        namer = AgentNamer(seed=13)
+        agents = [namer.next_id() for _ in range(50)]
+        return drive_toy_node(answer, lambda client: operation(client, agents))[2]
+
+    def test_n_steady_locates_are_n_frames_none_to_the_lhagent(self):
+        async def operation(client, agents):
+            for agent in agents:
+                assert await client.locate(agent) == "node-3"
+
+        frames = self.frames_of(operation)
+        # The first op pulls the copy; from then on, one frame per op.
+        assert frames[:2] == [("lhagent", "get-hash-delta"), ("ia", "locate")]
+        assert frames[2:] == [("ia", "locate")] * 49
+
+    def test_warm_batches_send_no_lhagent_frame(self):
+        async def operation(client, agents):
+            await client.locate(agents[0])
+            await client.register_batch([(agent, "node-3", 0) for agent in agents])
+            located = await client.locate_batch(agents)
+            assert located == dict.fromkeys(agents, "node-3")
+
+        frames = self.frames_of(operation)
+        assert [to for to, _ in frames].count("lhagent") == 1
+        assert frames[2:] == [("ia", "register-batch"), ("ia", "locate-batch")]
 
 
 class TestSeededBackoff:

@@ -10,9 +10,12 @@ import asyncio
 
 import pytest
 
-from repro.service.client import RemoteOpError, RpcChannel
-from repro.service.cluster import ClusterConfig, run_cluster
+from repro.platform.naming import AgentNamer
+from repro.service.client import RemoteOpError, RpcChannel, ServiceClient
+from repro.service.cluster import ClusterConfig, booted_cluster, run_cluster
 from repro.service.server import HAgentServer, NodeServer
+
+from tests.service.test_one_hop import cluster_config
 
 
 def run(coro):
@@ -87,8 +90,6 @@ class TestServerEndpoints:
             channel = RpcChannel()
             try:
                 await channel.call(hagent.addr, "hagent", "bootstrap")
-                from repro.platform.naming import AgentNamer
-
                 agent = AgentNamer(seed=9).next_id()
                 mapping = await channel.call(
                     node.addr, "lhagent", "whois", {"agent": agent}
@@ -112,15 +113,11 @@ class TestServerEndpoints:
             await hagent.start()
             node = NodeServer("node-0", hagent.addr)
             await node.start()
-            channel = RpcChannel()
+            client = ServiceClient("driver", node.addr)
             try:
-                await channel.call(hagent.addr, "hagent", "bootstrap")
-                from repro.platform.naming import AgentNamer
-
+                await client.channel.call(hagent.addr, "hagent", "bootstrap")
                 agent = AgentNamer(seed=9).next_id()
-                first = await channel.call(
-                    node.addr, "lhagent", "whois", {"agent": agent}
-                )
+                first = await client._whois(agent)
                 real_reply, served = hagent._copy_reply, []
 
                 def poisoned_once(body):
@@ -132,20 +129,50 @@ class TestServerEndpoints:
                     return {"version": version, "mode": "delta", "ops": [ghost]}
 
                 hagent._copy_reply = poisoned_once
-                mapping = await channel.call(
-                    node.addr,
-                    "lhagent",
-                    "refresh",
-                    {"agent": agent, "stale_version": first["version"]},
-                )
+                # A resolve past the version held pulls from the LHAgent,
+                # which has nothing newer and so asks the coordinator.
+                mapping = await client._whois(agent, None, first["version"])
                 assert mapping["iagent"] == first["iagent"]
                 assert len(served) == 1  # the retry asked for the snapshot
                 assert node.lhagent.full_refreshes == 2
                 assert node.lhagent.copy.version == hagent.version
             finally:
-                await channel.close()
+                await client.close()
                 await node.stop()
                 await hagent.stop()
+
+        run(scenario())
+
+    def test_a_node_registered_after_the_last_full_copy_is_addressable(self):
+        """The address book rides every copy reply, deltas included: an
+        LHAgent whose last *full* copy predates a node's registration
+        must still learn that node's address once a leaf lands there."""
+
+        async def scenario():
+            config = cluster_config(nodes=2)
+            async with booted_cluster(config) as cluster:
+                hagent = cluster.primary()
+                namer = AgentNamer(seed=5)
+                agents = [namer.next_id() for _ in range(400)]
+                client = cluster.clients[0]
+                await client.register_batch([(agent, "node-0", 0) for agent in agents])
+                assert await client.locate(agents[0]) == "node-0"
+                late = NodeServer("node-2", hagent.addr, config.service)
+                await late.start()  # registers itself with the coordinator
+                try:
+                    for _ in range(3):  # new leaves land round-robin
+                        await hagent._split(next(iter(hagent.iagent_nodes)))
+                    assert len(hagent.tree) == 4 and late.iagents
+                    # The copies on node-0 are from before node-2 existed.
+                    fresh = ServiceClient("fresh", cluster.nodes[0].addr)
+                    try:
+                        located = await fresh.locate_batch(agents)
+                    finally:
+                        await fresh.close()
+                    assert located == dict.fromkeys(agents, "node-0")
+                    assert "node-2" in cluster.nodes[0].lhagent.node_addrs
+                finally:
+                    await late.stop()
 
         run(scenario())
 

@@ -15,6 +15,7 @@ import time
 
 import pytest
 
+from repro.platform.naming import AgentId
 from repro.service.client import (
     CircuitBreaker,
     ClientConfig,
@@ -23,6 +24,10 @@ from repro.service.client import (
 )
 from repro.service.cluster import ClusterConfig, run_cluster
 from repro.service.netem import DIR_IN, DIR_OUT, NetemController
+
+from tests.conftest import copy_reply
+
+AGENT = AgentId(0xA1 << 48)
 
 
 def run(coro):
@@ -348,8 +353,9 @@ class TestHedgedCalls:
 
 
 class _MappingStubChannel:
-    """Resolves whois/refresh to a fixed IAgent address; nothing else
-    answers (the IAgent itself is guarded by its breaker in the tests)."""
+    """Answers the requester's pull of the copy with a one-leaf function
+    whose IAgent sits at a fixed address; nothing else answers (the
+    IAgent itself is guarded by its breaker in the tests)."""
 
     pool_size = 2
 
@@ -357,8 +363,8 @@ class _MappingStubChannel:
         self.iagent_addr = iagent_addr
 
     async def call(self, addr, to, op, body, timeout=None, lane=None):
-        assert op in ("whois", "refresh"), f"unexpected op {op} reached the stub"
-        return {"iagent": "ia-0", "addr": list(self.iagent_addr), "version": 1}
+        assert (to, op) == ("lhagent", "get-hash-delta"), f"{op} reached the stub"
+        return copy_reply("ia-0", "node-9", self.iagent_addr)
 
 
 class TestDegradedReads:
@@ -371,11 +377,11 @@ class TestDegradedReads:
                 config=ClientConfig(),
                 channel=_MappingStubChannel(iagent_addr),
             )
-            client._last_known["agent-1"] = "node-3"
+            client._last_known[AGENT] = "node-3"
             breaker = client._breaker_for(iagent_addr)
             breaker.state = CircuitBreaker.OPEN
             breaker.opened_at = asyncio.get_event_loop().time()
-            answer = await client.locate_full("agent-1")
+            answer = await client.locate_full(AGENT)
             assert answer.degraded is True
             assert answer.node == "node-3"
             assert client.counters.degraded_answers == 1
@@ -398,12 +404,12 @@ class TestDegradedReads:
                 ),
                 channel=_MappingStubChannel(iagent_addr),
             )
-            client._last_known["agent-1"] = "node-3"
+            client._last_known[AGENT] = "node-3"
             breaker = client._breaker_for(iagent_addr)
             breaker.state = CircuitBreaker.OPEN
             breaker.opened_at = asyncio.get_event_loop().time() + 60.0
             with pytest.raises(ServiceLocateError):
-                await client.locate_full("agent-1")
+                await client.locate_full(AGENT)
             assert client.counters.degraded_answers == 0
 
         run(scenario())
@@ -437,7 +443,7 @@ class TestDeadlines:
             started = time.monotonic()
             try:
                 with pytest.raises(ServiceLocateError):
-                    await client.locate("agent-1")
+                    await client.locate(AGENT)
             finally:
                 elapsed = time.monotonic() - started
                 await client.close()

@@ -65,6 +65,12 @@ def gate_fetches(node):
     return gate
 
 
+def pull_that_fetches(node):
+    """A requester's pull naming the LHAgent copy's own version: nothing
+    newer is held, so the handler has to fetch first -- it awaits."""
+    return "get-hash-delta", node.lhagent.held.request(0)
+
+
 def whois_frame(agent, message_id, codec=wire.CODEC_BINARY):
     request = Request(op="whois", body={"agent": agent}, message_id=message_id)
     return wire.encode_frame({"to": "lhagent", "req": request}, codec=codec)
@@ -78,13 +84,7 @@ class TestInlineDispatch:
                 try:
                     await channel.call(node.addr, "lhagent", "whois", {"agent": agents[0]})
                     gate = gate_fetches(node)
-                    # A refresh past any version has to fetch: it awaits.
-                    slow = channel.call(
-                        node.addr,
-                        "lhagent",
-                        "refresh",
-                        {"agent": agents[0], "stale_version": 10**9},
-                    )
+                    slow = channel.call(node.addr, "lhagent", *pull_that_fetches(node))
                     fast = await channel.call(
                         node.addr, "lhagent", "whois", {"agent": agents[1]}
                     )
@@ -93,7 +93,7 @@ class TestInlineDispatch:
                     assert fast["node"] == "node-0"
                     assert not slow.done()
                     gate.set()
-                    assert (await slow)["node"] == "node-0"
+                    assert (await slow)["mode"] == "delta"
                 finally:
                     await channel.close()
 
@@ -106,12 +106,7 @@ class TestInlineDispatch:
                 try:
                     await channel.call(node.addr, "lhagent", "whois", {"agent": agents[0]})
                     gate = gate_fetches(node)
-                    slow = channel.call(
-                        node.addr,
-                        "lhagent",
-                        "refresh",
-                        {"agent": agents[0], "stale_version": 10**9},
-                    )
+                    slow = channel.call(node.addr, "lhagent", *pull_that_fetches(node))
                     idle = len(node._bg_tasks)
                     await asyncio.sleep(0.02)
                     assert len(node._bg_tasks) == idle + 1
@@ -163,11 +158,7 @@ class TestTimeoutIsolation:
                     gate = gate_fetches(node)
                     with pytest.raises(ServiceTimeout):
                         await channel.call(
-                            node.addr,
-                            "lhagent",
-                            "refresh",
-                            {"agent": agents[0], "stale_version": 10**9},
-                            timeout=0.1,
+                            node.addr, "lhagent", *pull_that_fetches(node), timeout=0.1
                         )
                     assert conn.pending == {} and not conn.closed
                     # The server now answers the abandoned call: the
@@ -267,12 +258,13 @@ class TestBackPressure:
                 # into the server's transport buffer.
                 reader, writer = await asyncio.open_connection(*node.addr, limit=1024)
                 body = {"agents": agents}
+                (iagent,) = node.iagents
                 sent = 0
 
                 def send():
                     nonlocal sent
-                    request = Request(op="whois-batch", body=body, message_id=sent)
-                    writer.write(wire.encode_frame({"to": "lhagent", "req": request}))
+                    request = Request(op="locate-batch", body=body, message_id=sent)
+                    writer.write(wire.encode_frame({"to": iagent, "req": request}))
                     sent += 1
 
                 try:
@@ -298,7 +290,7 @@ class TestBackPressure:
                     for expected in range(1, sent):
                         reply = await asyncio.wait_for(wire.read_frame(reader), 10.0)
                         assert reply.message_id == expected
-                        assert len(reply.value["mappings"]) == len(agents)
+                        assert len(reply.value["results"]) == len(agents)
                     assert conn.transport.is_reading()
                 finally:
                     writer.close()
@@ -319,24 +311,34 @@ class _RecordingChannel(RpcChannel):
 class TestHedgeTimer:
     @staticmethod
     def slow_first_arrival(node, delay, fail_duplicates=False):
-        """The first whois for an agent awaits ``delay``; repeats (the
-        hedged duplicates) answer -- or fail -- at once."""
-        real = node.lhagent.op_whois
-        seen = set()
+        """A pull arriving with none in flight awaits ``delay``; one that
+        arrives meanwhile (the hedged duplicate) answers -- or fails --
+        at once."""
+        real = node.lhagent.op_get_hash_delta
+        in_flight = 0
 
         async def late(body):
-            await asyncio.sleep(delay)
-            return real(body)
+            nonlocal in_flight
+            in_flight += 1
+            try:
+                await asyncio.sleep(delay)
+                return await real(body)
+            finally:
+                in_flight -= 1
 
         def patched(body):
-            if body["agent"] in seen:
+            if in_flight:
                 if fail_duplicates:
                     raise RuntimeError("duplicate refused")
                 return real(body)
-            seen.add(body["agent"])
             return late(body)
 
-        node.lhagent.op_whois = patched
+        node.lhagent.op_get_hash_delta = patched
+
+    @staticmethod
+    def pull(client, agent):
+        """A resolve that has to pull: no copy can exceed this version."""
+        return client._whois(agent, None, 10**9)
 
     @staticmethod
     def client_for(node, channel):
@@ -371,7 +373,7 @@ class TestHedgeTimer:
                     self.slow_first_arrival(node, delay=0.04)
                     channel.lanes.clear()
                     for agent in agents[:30]:
-                        mapping = await client._whois(agent)
+                        mapping = await self.pull(client, agent)
                         assert mapping["node"] == "node-0"
                     duplicates = [lane for lane in channel.lanes if lane is not None]
                     # Every primary was tail-slow; the timer still sent
@@ -404,14 +406,14 @@ class TestHedgeTimer:
                     await client._whois(agents[-1])
                     self.slow_first_arrival(node, delay=0.05, fail_duplicates=True)
                     # The duplicate fails first; the primary still wins.
-                    mapping = await client._whois(agents[0])
+                    mapping = await self.pull(client, agents[0])
                     assert mapping["node"] == "node-0"
                     assert client.counters.hedges == 1
                     assert client.counters.hedge_wins == 0
                     # The caller is cancelled with both attempts out:
                     # their replies arrive later and settle nobody.
                     self.seed_rtt(client, node.addr)
-                    task = asyncio.ensure_future(client._whois(agents[1]))
+                    task = asyncio.ensure_future(self.pull(client, agents[1]))
                     await asyncio.sleep(0.03)
                     assert client.counters.hedges == 2
                     task.cancel()
@@ -441,10 +443,7 @@ class TestTeardown:
                 # Leave an awaiting handler in flight at teardown.
                 gate_fetches(cluster.nodes[0])
                 stuck = cluster.clients[1].channel.call(
-                    cluster.nodes[0].addr,
-                    "lhagent",
-                    "refresh",
-                    {"agent": agents[0], "stale_version": 10**9},
+                    cluster.nodes[0].addr, "lhagent", *pull_that_fetches(cluster.nodes[0])
                 )
                 servers = cluster.nodes + cluster.hagents
                 handlers = len(cluster.nodes[0]._bg_tasks)
