@@ -22,7 +22,7 @@ of the one record table in :mod:`repro.core.iagent_state`:
 ``set-capabilities``     ``{"agent", "capabilities": dict | None}``      status
 ``discover-similar``     ``{"agent", "d"[, "pattern"]}``                 status + matches
 ``discover-capability``  ``{"predicate"[, "pattern"]}``                  status + matches
-``get-loads``            --                                              loads by id bits + rate
+``get-loads``            ``{"bits": [1-based id bit positions]}``        rate + [zero, one] load per bit
 ``extract``              ``{"pattern"}``                                 hand-off bundle
 ``extract-all``          --                                              hand-off bundle
 ``adopt``                bundle ``[+ "pattern"]``                        status
@@ -181,7 +181,7 @@ class IAgent(MobileAgent):
         return self.state.discover_capability(body)
 
     def _op_get_loads(self, body: Dict) -> Dict:
-        return self.state.get_loads(self.sim.now)
+        return self.state.get_loads(body, self.sim.now)
 
     def _op_extract(self, body: Dict) -> Dict:
         reply = self.state.extract(body, self.sim.now)[0]

@@ -339,13 +339,14 @@ class IAgentState:
             return {"status": NO_RECORD}
         return {"status": OK, "node": record[0], "seq": record[1]}
 
-    def get_loads(self, now: float) -> Dict[str, Any]:
-        """Accumulated loads keyed by id bit strings (paper §4.1) --
-        full ids or group prefixes; the split planner copes with either."""
+    def get_loads(self, body: Dict, now: float) -> Dict[str, Any]:
+        """The accumulated load on either side of each candidate id bit
+        in ``body["bits"]`` (paper §4.1): what the split planner asks,
+        answered where the statistics are kept."""
         return {
             "status": OK,
-            "loads": self.stats.loads(),
             "rate": self.stats.rate(now),
+            "divisions": self.stats.divide(body["bits"]),
         }
 
     def _check_candidate_pattern(self, body: Dict) -> Optional[Dict]:

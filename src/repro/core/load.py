@@ -7,16 +7,21 @@ judge whether a candidate split divides the load evenly.
 
 :class:`RateWindow` is a sliding-window event-rate estimator;
 :class:`LoadStatistics` combines the aggregate window with per-agent
-accumulators and answers the split-evaluation queries the rehashing
-policy asks.
+accumulators and answers the split-evaluation query the rehashing
+policy asks (:meth:`LoadStatistics.divide`: the load on either side of
+each candidate id bit).
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Hashable, Iterable, Optional, Tuple
+from typing import Deque, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = ["RateWindow", "LoadStatistics", "split_loads"]
+
+#: ``divide``'s answer: per asked bit position the ``[zero_side,
+#: one_side]`` load sums, or ``None`` where the statistics cannot tell.
+Divisions = Dict[int, Optional[List[int]]]
 
 
 class RateWindow:
@@ -115,6 +120,38 @@ class LoadStatistics:
         """One agent's accumulated load."""
         return self.per_agent.get(agent_key, 0)
 
+    def divide(self, positions: Sequence[int]) -> Divisions:
+        """The load on either side of each asked id bit (1-based) --
+        :func:`split_loads` of :meth:`loads` at every position, in one
+        pass and with no bit string built: loads are pooled by the id
+        bits the asked positions span, and each position's two sides
+        are read off the pool. A position beyond some held id's width
+        answers ``None`` (``split_loads`` raises there)."""
+        if not positions:
+            return {}
+        last = max(positions)
+        mask = (1 << (last - min(positions) + 1)) - 1
+        narrowest = last
+        pool: Dict[int, int] = {}
+        for agent, load in self.per_agent.items():
+            drop = agent.width - last
+            if drop >= 0:
+                key = agent.value >> drop & mask
+            else:  # every position this id lacks answers None below
+                key = agent.value << -drop & mask
+                narrowest = min(narrowest, agent.width)
+            pool[key] = pool.get(key, 0) + load
+        total = sum(pool.values())
+        divisions: Divisions = {}
+        for position in positions:
+            if position > narrowest:
+                divisions[position] = None
+                continue
+            bit = 1 << (last - position)
+            one_side = sum(load for key, load in pool.items() if key & bit)
+            divisions[position] = [total - one_side, one_side]
+        return divisions
+
 
 def split_loads(
     loads: Iterable[Tuple[str, int]], bit_position: int
@@ -160,8 +197,9 @@ class GroupedLoadStatistics:
     Interface-compatible with :class:`LoadStatistics` as used by the
     IAgent: ``record_query``/``record_update`` take the agent id object
     (its ``bits`` provide the group key), ``loads()`` returns
-    ``{group_prefix: load}``, and transfers move *approximate* per-agent
-    shares (``load_of``: a group's load divided by its member count).
+    ``{group_prefix: load}`` and ``divide()`` sums over the same
+    prefixes, and transfers move *approximate* per-agent shares
+    (``load_of``: a group's load divided by its member count).
     """
 
     def __init__(self, window: float, group_depth: int = 8) -> None:
@@ -233,6 +271,20 @@ class GroupedLoadStatistics:
     def loads(self) -> Dict[str, int]:
         """Group-prefix keyed loads (prefixes are ``group_depth`` bits)."""
         return dict(self.group_loads)
+
+    def divide(self, positions: Sequence[int]) -> Divisions:
+        """:meth:`LoadStatistics.divide` over the group prefixes: a
+        position past ``group_depth`` answers ``None`` -- the counters
+        do not record that bit."""
+        divisions: Divisions = {}
+        for position in positions:
+            try:
+                divisions[position] = list(
+                    split_loads(self.group_loads.items(), position)
+                )
+            except ValueError:
+                divisions[position] = None
+        return divisions
 
     @property
     def tracked_entries(self) -> int:

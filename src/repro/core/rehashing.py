@@ -3,11 +3,17 @@
 Sans-IO, so all of it can be tested without a simulation or a socket.
 :class:`RehashPolicy` is the T_max / T_min / patience / cooldown trigger
 both coordinators feed their load reports to, each with its own clock.
-Given the tree, the overloaded owner, per-agent loads and the
-configuration, :func:`plan_split` walks the candidate list in the
-paper's order -- complex splits first (left-most multi-bit label, then
-the first bit after the valid bit), then simple splits with growing
-``m`` -- and returns the first candidate whose load division is *even*.
+The candidate walk (``_walk``) takes the candidate list in the paper's
+order -- complex splits first (left-most multi-bit label, then the first
+bit after the valid bit), then simple splits with growing ``m`` -- and
+returns the first candidate whose load division is *even*. It is
+written once, over a ``division_of(owner, bit)`` lookup, and has two
+callers. :func:`split_saga` plans where the loads are: it sends each
+owner a candidate touches the bit positions that involve it
+(``get-loads {"bits"}``) and walks over the two sums per bit each IAgent
+answers, so no per-agent table leaves an IAgent to plan a split.
+:func:`plan_split` answers the same walk from whole ``{id bits: load}``
+tables, for a caller that holds them (tests, the planner benchmark).
 :func:`split_saga` and :func:`merge_saga` are the choreography -- "the
 splitting and merging processes" the paper's HAgent coordinates (§2.2)
 -- written once for the simulator ``HAgent`` and the live
@@ -24,7 +30,18 @@ degenerate. The deviation is recorded in DESIGN.md §4.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, Hashable, List, Mapping, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Generator,
+    Hashable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.config import HashMechanismConfig
 from repro.core.hash_tree import HashTree, SplitCandidate
@@ -32,6 +49,9 @@ from repro.core.iagent_state import merge_handoffs, route_handoff
 from repro.core.load import is_even_split, split_loads
 
 __all__ = ["PlannedSplit", "RehashPolicy", "merge_saga", "plan_split", "split_saga"]
+
+#: One owner's load on the (zero, one) side of an id bit; None if unknown.
+Division = Optional[Sequence[int]]
 
 
 class RehashPolicy:
@@ -124,6 +144,25 @@ def plan_split(
         missing from the mapping are skipped (the caller controls how
         much load information it gathers).
     """
+
+    def division_of(affected: Hashable, position: int) -> Division:
+        loads = loads_by_owner.get(affected)
+        if loads is None:
+            return None
+        try:
+            return split_loads(loads.items(), position)
+        except ValueError:
+            # Grouped statistics: the candidate bit lies deeper than the
+            # group prefixes record, so the division cannot be evaluated.
+            return None
+
+    return _walk(tree, _candidates(tree, owner, config), division_of, config)
+
+
+def _candidates(
+    tree: HashTree, owner: Hashable, config: HashMechanismConfig
+) -> List[SplitCandidate]:
+    """The admissible candidates for ``owner``, in the paper's order."""
     candidates = tree.split_candidates(
         owner,
         scope=config.complex_split_scope,
@@ -131,47 +170,41 @@ def plan_split(
     )
     if not config.enable_complex_split:
         candidates = [cand for cand in candidates if cand.kind == "simple"]
-
-    best_fallback: Optional[PlannedSplit] = None
-    for candidate in candidates:
-        division = _evaluate(tree, candidate, loads_by_owner)
-        if division is None:
-            continue
-        zero_side, one_side = division
-        if is_even_split(zero_side, one_side, config.balance_tolerance):
-            return PlannedSplit(candidate, zero_side, one_side, even=True)
-        if min(zero_side, one_side) > 0:
-            planned = PlannedSplit(candidate, zero_side, one_side, even=False)
-            if best_fallback is None or _min_side(planned) > _min_side(best_fallback):
-                best_fallback = planned
-    return best_fallback
+    return candidates
 
 
-def _evaluate(
+def _walk(
     tree: HashTree,
-    candidate: SplitCandidate,
-    loads_by_owner: Mapping[Hashable, Mapping[str, int]],
-) -> Optional[Tuple[int, int]]:
-    """Project the load division of ``candidate``, or None if unknown."""
-    affected = tree.affected_owners(candidate)
-    combined: List[Tuple[str, int]] = []
-    for affected_owner in affected:
-        loads = loads_by_owner.get(affected_owner)
-        if loads is None:
-            return None
-        combined.extend(loads.items())
-    if not combined:
-        return None
-    try:
-        return split_loads(combined, candidate.bit_position)
-    except ValueError:
-        # Grouped statistics: the candidate bit lies deeper than the
-        # group prefixes record, so the division cannot be evaluated.
-        return None
+    candidates: List[SplitCandidate],
+    division_of: Callable[[Hashable, int], Division],
+    config: HashMechanismConfig,
+) -> Optional[PlannedSplit]:
+    """The candidate walk: the first even division wins, else the most
+    balanced one that moves a non-zero load, else ``None``.
 
-
-def _min_side(planned: PlannedSplit) -> int:
-    return min(planned.load_zero_side, planned.load_one_side)
+    ``division_of(owner, position)`` is one affected owner's load on
+    either side of id bit ``position``, or ``None`` if unknown; a
+    candidate's division is the sum over the owners it affects, and a
+    candidate with an unknown part is skipped. Asked lazily, in order.
+    """
+    best_fallback: Optional[PlannedSplit] = None
+    best_lighter = 0  # the fallback must move a non-zero load
+    for candidate in candidates:
+        zero_side = one_side = 0
+        for affected in tree.affected_owners(candidate):
+            division = division_of(affected, candidate.bit_position)
+            if division is None:
+                break
+            zero_side += division[0]
+            one_side += division[1]
+        else:
+            if is_even_split(zero_side, one_side, config.balance_tolerance):
+                return PlannedSplit(candidate, zero_side, one_side, even=True)
+            lighter = min(zero_side, one_side)
+            if lighter > best_lighter:
+                best_lighter = lighter
+                best_fallback = PlannedSplit(candidate, zero_side, one_side, even=False)
+    return best_fallback
 
 
 # ----------------------------------------------------------------------
@@ -202,8 +235,8 @@ def _min_side(planned: PlannedSplit) -> int:
 Saga = Generator[Tuple[Any, ...], Any, None]
 
 
-def _call(coord: Any, owner: Any, op: str, body: Optional[Dict] = None) -> Tuple:
-    return ("call", owner, coord.function.iagent_nodes.get(owner), op, body or {})
+def _call(coord: Any, owner: Any, op: str, body: Dict) -> Tuple:
+    return ("call", owner, coord.function.iagent_nodes.get(owner), op, body)
 
 
 def _ready(coord: Any, owner: Any) -> bool:
@@ -224,22 +257,23 @@ def split_saga(coord: Any, owner: Any) -> Saga:
         return
     policy, tree = coord.policy, coord.function.tree
     config = policy.config
-    wanted = [owner]
-    if config.complex_split_scope == "path":
-        # A path-scope plan may evict from any candidate's affected owners.
-        for candidate in tree.split_candidates(
-            owner, scope="path", max_simple_m=config.max_simple_m
-        ):
-            wanted.extend(tree.affected_owners(candidate))
-    loads_by_owner: Dict[Any, Mapping[str, int]] = {}
-    for each in wanted:
-        if each not in loads_by_owner:
-            reply = yield _call(coord, each, "get-loads")
-            if reply is None:
-                return  # unreachable IAgent; try again on the next report
-            loads_by_owner[each] = reply["loads"]
+    # One request per owner a candidate touches, the overloaded one
+    # first: the id bits whose load division the plan needs from it.
+    candidates = _candidates(tree, owner, config)
+    asked: Dict[Any, List[int]] = {owner: []}
+    for candidate in candidates:
+        for affected in tree.affected_owners(candidate):
+            asked.setdefault(affected, []).append(candidate.bit_position)
+    divisions: Dict[Any, Mapping[int, Division]] = {}
+    for each, bits in asked.items():
+        reply = yield _call(coord, each, "get-loads", {"bits": bits})
+        if reply is None:
+            return  # unreachable IAgent; try again on the next report
+        divisions[each] = reply["divisions"]
 
-    planned = plan_split(tree, owner, loads_by_owner, config)
+    planned = _walk(
+        tree, candidates, lambda each, bit: divisions[each].get(bit), config
+    )
     if planned is None:
         # Nothing divisible (e.g. a single red-hot agent): back off.
         policy.set_cooldown(owner, coord._now())

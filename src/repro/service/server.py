@@ -506,7 +506,7 @@ class IAgentEndpoint:
         }
 
     def op_get_loads(self, body: Dict) -> Dict:
-        return self.state.get_loads(time.monotonic())
+        return self.state.get_loads(body, time.monotonic())
 
     def op_extract(self, body: Dict) -> Dict:
         self.node.check_fence(body, "extract")

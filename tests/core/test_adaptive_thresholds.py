@@ -204,7 +204,7 @@ class TestBothCoordinators:
             elif op == "retire-iagent":
                 del leaves[body["owner"]]
             elif op == "get-loads":
-                return leaves[target].get_loads(0.0)
+                return leaves[target].get_loads(body, 0.0)
             elif op == "extract":
                 return leaves[target].extract(body, 0.0)[0]
             elif op == "extract-all":

@@ -1,11 +1,14 @@
 """Tests for prefix-grouped load statistics (paper §4.1 coarse option)."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.load import GroupedLoadStatistics
 from repro.platform.naming import AgentId
 
 from tests.conftest import build_runtime, drain, install_hash_mechanism
+from tests.core.test_load import divide_by_split_loads, populations
 from repro.workloads.mobility import ConstantResidence
 from repro.workloads.population import spawn_population
 
@@ -75,6 +78,27 @@ class TestGroupedLoadStatistics:
     def test_invalid_depth_rejected(self):
         with pytest.raises(ValueError):
             GroupedLoadStatistics(window=5.0, group_depth=0)
+
+
+class TestDivide:
+    @given(populations(), st.integers(1, 12))
+    def test_is_split_loads_over_the_group_prefixes(self, population, group_depth):
+        agents, positions = population
+        stats = GroupedLoadStatistics(window=5.0, group_depth=group_depth)
+        for width, value, load in agents:
+            stats.adopt_agent(AgentId(value, width), load)
+        assert stats.divide(positions) == divide_by_split_loads(stats, positions)
+
+    @pytest.mark.parametrize("group_depth", [2, 3, 4])
+    def test_none_past_the_group_depth(self, group_depth):
+        stats = GroupedLoadStatistics(window=5.0, group_depth=group_depth)
+        stats.adopt_agent(aid("0010"), 3)
+        stats.adopt_agent(aid("0110"), 4)
+        stats.adopt_agent(aid("1110"), 5)
+        asked = stats.divide([3, 2])  # the asked bit 3: above, at, below
+        assert asked[2] == [3, 9]
+        assert asked[3] == (None if group_depth < 3 else [0, 12])
+        assert GroupedLoadStatistics(5.0, group_depth).divide([9]) == {9: [0, 0]}
 
 
 class TestGroupedModeIntegration:

@@ -86,15 +86,15 @@ class TestLoadAccounting:
         call(iagent, "register", agent=a, node="n")
         call(iagent, "update", agent=a, node="n")
         call(iagent, "locate", agent=b)  # no record, but responsible
-        loads = call(iagent, "get-loads")["loads"]
-        assert loads[a.bits] == 2
-        assert loads[b.bits] == 1
+        # Ids 1 and 2 differ in their last two bits.
+        divisions = call(iagent, "get-loads", bits=[1, 63, 64])["divisions"]
+        assert divisions == {1: [3, 0], 63: [2, 1], 64: [1, 2]}
 
     def test_rate_reflects_recent_traffic(self):
         runtime, _, iagent = make_iagent()
         for value in range(10):
             call(iagent, "update", agent=AgentId(value), node="n")
-        assert call(iagent, "get-loads")["rate"] > 0
+        assert call(iagent, "get-loads", bits=[])["rate"] > 0
 
 
 class TestTransferOps:

@@ -257,10 +257,11 @@ class TestStatsAreNeverAskedWhichTheyAre:
         low, high = AgentId(0b000001, WIDTH), AgentId(0b100001, WIDTH)
         for now, agent in enumerate([low, high, high]):
             state.put({"agent": agent, "node": "n0"}, float(now))
-        assert sum(state.get_loads(3.0)["loads"].values()) == 3
+        ask = {"bits": [1]}
+        assert state.get_loads(ask, 3.0)["divisions"] == {1: [1, 2]}
         reply, _ = state.extract({"pattern": "0"}, 3.0)
         assert reply["loads"] == {high: 2}
-        assert sum(state.get_loads(3.0)["loads"].values()) == 1
+        assert state.get_loads(ask, 3.0)["divisions"] == {1: [1, 0]}
 
 
 class TestHandoffBundles:

@@ -1,6 +1,8 @@
 """Unit tests for load statistics and the evenness criterion."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.load import (
     LoadStatistics,
@@ -82,6 +84,70 @@ class TestLoadStatistics:
         stats.adopt_agent(A, load=7)
         stats.record_query(A, 0.0)
         assert stats.loads() == {"1010": 8}
+
+
+def divide_by_split_loads(stats, positions):
+    """``divide``'s contract: ``split_loads`` of the full table, per
+    position, and ``None`` exactly where that raises."""
+    expected = {}
+    for position in positions:
+        try:
+            expected[position] = list(split_loads(stats.loads().items(), position))
+        except ValueError:
+            expected[position] = None
+    return expected
+
+
+@st.composite
+def populations(draw):
+    """``(width, value, load)`` triples -- one id width, or mixed ones --
+    and bit positions from a narrow span up to beyond the widest id."""
+    widths = draw(st.lists(st.integers(1, 70), min_size=1, max_size=3, unique=True))
+    agents = draw(
+        st.lists(
+            st.sampled_from(widths).flatmap(
+                lambda width: st.tuples(
+                    st.just(width),
+                    st.integers(0, (1 << width) - 1),
+                    st.integers(0, 50),
+                )
+            ),
+            max_size=40,
+        )
+    )
+    positions = draw(
+        st.lists(st.integers(1, max(widths) + 3), max_size=10, unique=True)
+    )
+    return agents, positions
+
+
+class TestDivide:
+    @given(populations())
+    def test_is_split_loads_at_every_asked_position(self, population):
+        agents, positions = population
+        stats = LoadStatistics(window=5.0)
+        for width, value, load in agents:
+            stats.adopt_agent(AgentId(value, width), load)
+        assert stats.divide(positions) == divide_by_split_loads(stats, positions)
+
+    def test_empty_list_and_empty_table(self):
+        stats = LoadStatistics(window=5.0)
+        assert stats.divide([]) == {}
+        assert stats.divide([1, 200]) == {1: [0, 0], 200: [0, 0]}
+        stats.adopt_agent(A, 3)
+        assert stats.divide([]) == {}
+
+    def test_span_wider_than_sixteen_bits(self):
+        stats = LoadStatistics(window=5.0)
+        for value, load in ((0, 1), (1, 2), (1 << 63, 4), ((1 << 64) - 1, 8)):
+            stats.adopt_agent(AgentId(value), load)
+        assert stats.divide([1, 64, 65]) == {1: [3, 12], 64: [5, 10], 65: None}
+
+    def test_mixed_widths_answer_none_past_the_narrowest(self):
+        stats = LoadStatistics(window=5.0)
+        stats.adopt_agent(A, 2)  # 1010
+        stats.adopt_agent(AgentId(0b10, width=2), 5)
+        assert stats.divide([4, 2, 1, 3]) == {4: None, 2: [7, 0], 1: [0, 7], 3: None}
 
 
 class TestSplitLoads:

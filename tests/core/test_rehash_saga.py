@@ -16,6 +16,7 @@ agent's current node, or retries through ``not-responsible`` until it
 does -- is checked with the rehash suspended after every request.
 """
 
+import random
 from collections import Counter, deque
 from itertools import islice
 
@@ -25,8 +26,8 @@ from repro.core.config import HashMechanismConfig
 from repro.core.hash_function import HashFunction
 from repro.core.hash_tree import HashTree
 from repro.core.iagent_state import NO_RECORD, NOT_RESPONSIBLE, OK, IAgentState
-from repro.core.load import LoadStatistics
-from repro.core.rehashing import RehashPolicy, merge_saga, split_saga
+from repro.core.load import GroupedLoadStatistics, LoadStatistics
+from repro.core.rehashing import RehashPolicy, merge_saga, plan_split, split_saga
 from repro.core.requester import UNREACHABLE, request_saga
 from repro.discovery.capability import CAPABILITY_PALETTE
 from repro.platform.naming import AgentNamer
@@ -44,8 +45,9 @@ class Tally(Counter):
 
 
 class World:
-    def __init__(self, records=RECORDS, **overrides):
+    def __init__(self, records=RECORDS, stats=lambda: LoadStatistics(2.0), **overrides):
         config = HashMechanismConfig(cooldown=5.0).with_overrides(**overrides)
+        self.new_stats = stats
         self.function = HashFunction(0, None, {}, deque(maxlen=64))
         self.policy = RehashPolicy(config)
         self.splits = self.merges = 0
@@ -81,7 +83,7 @@ class World:
 
     def spawn(self):
         owner = self.owner_ids.next_id()
-        self.leaves[owner] = IAgentState(None, LoadStatistics(2.0))
+        self.leaves[owner] = IAgentState(None, self.new_stats())
         return owner, f"node-{len(self.leaves) % 5}"
 
     def perform(self, kind, *args):
@@ -95,7 +97,7 @@ class World:
         if leaf is None:
             return None
         if op == "get-loads":
-            return leaf.get_loads(self.clock)
+            return leaf.get_loads(body, self.clock)
         if op == "extract":
             return leaf.extract(body, self.clock)[0]
         if op == "extract-all":
@@ -423,3 +425,150 @@ class TestPreconditions:
         assert world.run(split_saga(world, owner)) == 1  # get-loads only
         assert world.primary() == before and len(world.leaves) == 1
         assert world.policy.cooling(owner, world.clock)
+
+
+class TestGetLoads:
+    """The planning exchange: ``{"bits"}`` out, two sums per bit back."""
+
+    @pytest.mark.parametrize("lose", ["request", "reply"])
+    def test_a_lost_get_loads_abandons_with_the_primary_untouched(self, lose):
+        world, saga = path_split()
+        asks = [r for r in world.steps(saga) if r[3:4] == ("get-loads",)]
+        assert len(asks) == 2  # both leaves sit under the broken edge
+        for fail_at in range(len(asks)):
+            world, saga = path_split()
+            held, before, hosted = world.snapshot(), world.primary(), set(world.leaves)
+            assert world.run(saga, fail_at=fail_at, lose=lose) == fail_at + 1
+            assert world.primary() == before and world.snapshot() == held
+            assert set(world.leaves) == hosted  # nothing spawned
+            assert world.splits == 1 and len(world.rehash_log) == 1  # ``grown``'s
+
+    def test_asks_each_owner_only_for_the_bits_that_touch_it(self):
+        world, saga = path_split()
+        first, second = islice(world.steps(saga), 2)
+        # Bit 1 is the ancestor edge's skipped bit: it alone re-routes the
+        # sibling; the simple candidates below the leaf are local.
+        simple = range(3, 3 + world.policy.config.max_simple_m)
+        assert first[1] == world.rehash_log[-1]["owner"]
+        assert first[4] == {"bits": [1, *simple]} and second[4] == {"bits": [1]}
+
+    def test_an_unknown_division_skips_that_candidate_only(self):
+        world, saga = path_split()
+        owner = world.rehash_log[-1]["owner"]
+        perform = world.perform
+
+        def sibling_cannot_tell(kind, *args):
+            reply = perform(kind, *args)
+            if kind == "call" and args[2] == "get-loads" and args[0] != owner:
+                assert reply["divisions"][1] is not None
+                reply["divisions"][1] = None
+            return reply
+
+        world.perform = sibling_cannot_tell
+        before = world.primary()
+        world.run(saga)
+        world.check_invariants(before)
+        # Clean, the same scenario promotes bit 1 (``split-path``): the
+        # walk moved on to the first simple candidate instead.
+        entry = world.rehash_log[-1]
+        assert (entry["kind"], entry["bit"], entry["owner"]) == ("simple", 3, owner)
+
+
+def shaped(rng, stats, **overrides):
+    """A world whose tree grew by random admissible splits -- simple ones
+    with ``m`` up to 3 (multi-bit labels) and complex ones -- every leaf
+    holding the records the tree routes to it, unevenly loaded."""
+    world = World(records=0, stats=stats, **overrides)
+    function = world.function
+    for _ in range(rng.randint(0, 7)):
+        owner = rng.choice(function.tree.owners())
+        candidate = rng.choice(
+            function.tree.split_candidates(owner, scope="path", max_simple_m=3)
+        )
+        new_owner, new_node = world.spawn()
+        function.publish(
+            {
+                "op": "split",
+                "kind": candidate.kind,
+                "owner": owner,
+                "bit": candidate.bit_position,
+                "new_owner": new_owner,
+                "new_node": new_node,
+            }
+        )
+    for owner, leaf in world.leaves.items():
+        leaf.table["coverage"] = function.tree.hyper_label(owner).pattern()
+    ids = AgentNamer(seed=rng.getrandbits(32))
+    world.agents = [ids.next_id() for _ in range(rng.choice([1, 3, 6, 60, 300, 300]))]
+    for agent in world.agents:
+        leaf = world.leaves[function.tree.lookup(agent.bits)]
+        leaf.put({"agent": agent, "node": "node-0"}, world.clock)
+        for _ in range(rng.choice([0, 0, 1, 2, 5, 40])):
+            leaf.stats.record_query(agent, world.clock)
+    return world
+
+
+@pytest.mark.parametrize(
+    "stats",
+    [lambda: LoadStatistics(2.0), lambda: GroupedLoadStatistics(2.0, group_depth=5)],
+    ids=["per-agent", "grouped"],
+)
+@pytest.mark.parametrize("complex_on", [True, False], ids=["complex", "simple-only"])
+@pytest.mark.parametrize("scope", ["leaf", "path"])
+class TestSagaPlansWhatPlanSplitPlans:
+    """``split_saga`` sees two sums per asked bit, ``plan_split`` the
+    leaves' whole ``{bits: load}`` tables: one walk, one decision."""
+
+    def test_on_random_trees(self, scope, complex_on, stats):
+        seen = Counter()
+        for seed in range(40):
+            rng = random.Random(seed)
+            world = shaped(
+                rng, stats, complex_split_scope=scope, enable_complex_split=complex_on
+            )
+            tree = world.function.tree
+            tables = {o: leaf.stats.loads() for o, leaf in world.leaves.items()}
+            owner = rng.choice(tree.owners())
+            if seed % 4:  # mostly the leaf a report would name
+                owner = max(tables, key=lambda o: sum(tables[o].values()))
+            expected = plan_split(tree, owner, tables, world.policy.config)
+            touched = expected and tree.affected_owners(expected.candidate)
+            before, hosted = world.primary(), len(world.leaves)
+
+            replies, reply = {}, None
+            saga = split_saga(world, owner)
+            while True:
+                try:
+                    request = saga.send(reply)
+                except StopIteration:
+                    break
+                reply = world.perform(*request)
+                if request[0] == "call" and request[3] == "get-loads":
+                    assert request[1] not in replies  # one snapshot per owner
+                    assert set(reply["divisions"]) == set(request[4]["bits"])
+                    replies[request[1]] = reply["divisions"]
+            assert next(iter(replies)) == owner
+            seen["owners asked", len(replies) > 1] += 1
+
+            if expected is None:
+                assert world.primary() == before and len(world.leaves) == hosted
+                assert world.policy.cooling(owner, world.clock)
+                seen["nothing divides"] += 1
+                continue
+            kind, bit = expected.candidate.kind, expected.candidate.bit_position
+            entry = world.rehash_log[-1]
+            assert (entry["kind"], entry["bit"], entry["even"]) == (
+                kind,
+                bit,
+                expected.even,
+            )
+            assert world.function.journal[-1]["bit"] == bit
+            sides = [sum(replies[o][bit][side] for o in touched) for side in (0, 1)]
+            assert sides == [expected.load_zero_side, expected.load_one_side]
+            seen[kind, expected.even] += 1
+        # Not vacuous: every outcome of the walk was reached, and other
+        # owners are asked exactly when a surviving candidate touches them.
+        assert seen["nothing divides"] and seen["simple", True]
+        assert seen["simple", False] or seen["complex", False]
+        wide = scope == "path" and complex_on
+        assert bool(seen["owners asked", True]) == bool(seen["complex", True]) == wide

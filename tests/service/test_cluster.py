@@ -10,6 +10,7 @@ import asyncio
 
 import pytest
 
+from repro.core.rehashing import plan_split
 from repro.platform.naming import AgentNamer
 from repro.service.client import RemoteOpError, RpcChannel, ServiceClient
 from repro.service.cluster import ClusterConfig, booted_cluster, run_cluster
@@ -160,9 +161,43 @@ class TestServerEndpoints:
                 late = NodeServer("node-2", hagent.addr, config.service)
                 await late.start()  # registers itself with the coordinator
                 try:
+                    nodes = [*cluster.nodes, late]
+
+                    def hosted():
+                        return {o: e for n in nodes for o, e in n.iagents.items()}
+
                     for _ in range(3):  # new leaves land round-robin
-                        await hagent._split(next(iter(hagent.iagent_nodes)))
+                        owner = next(iter(hagent.iagent_nodes))
+                        # What the planner picks from the leaves' whole
+                        # tables; the coordinator sees two sums per bit.
+                        tables = {o: e.stats.loads() for o, e in hosted().items()}
+                        planned = plan_split(
+                            hagent.tree, owner, tables, config.service.mechanism
+                        )
+                        bit = planned.candidate.bit_position
+                        await hagent._split(owner)
+                        entry = hagent.rehash_log[-1]
+                        assert (entry["kind"], entry["bit"], entry["even"]) == (
+                            planned.candidate.kind,
+                            bit,
+                            planned.even,
+                        )
+                        # The planned partition landed: each half holds one
+                        # side of the bit, with the load projected for it.
+                        sides = {}
+                        for half in (owner, entry["new_owner"]):
+                            stats = hosted()[half].stats
+                            (side,) = {agent.bit(bit) for agent in stats.per_agent}
+                            sides[side] = sum(stats.per_agent.values())
+                        assert sides == {
+                            "0": planned.load_zero_side,
+                            "1": planned.load_one_side,
+                        }
                     assert len(hagent.tree) == 4 and late.iagents
+                    for owner, endpoint in hosted().items():
+                        assert set(endpoint.state.table["records"]) == {
+                            a for a in agents if hagent.tree.lookup(a.bits) == owner
+                        }
                     # The copies on node-0 are from before node-2 existed.
                     fresh = ServiceClient("fresh", cluster.nodes[0].addr)
                     try:

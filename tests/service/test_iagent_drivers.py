@@ -29,7 +29,7 @@ from repro.core.iagent_state import (
 )
 from repro.discovery.capability import CapabilityError
 from repro.platform.messages import Request, Response
-from repro.platform.naming import AgentId
+from repro.platform.naming import AgentId, AgentNamer
 from repro.service.server import IAgentEndpoint, NodeServer, ServiceConfig
 from repro.service.wire import CODEC_BINARY, decode_frame, encode_frame
 from repro.storage import DurableStore
@@ -64,7 +64,7 @@ SCRIPT = [
     ("adopt", {"records": {HIGH: ["n0", 2]}, "loads": {}}),  # older: refused
     ("unregister", {"agent": LOW, "seq": 7}),
     ("set-capabilities", {"agent": MID, "capabilities": None}),
-    ("get-loads", {}),
+    ("get-loads", {"bits": [1, 2, 64, 65]}),  # 65: beyond the id width
     ("extract-all", {}),
     ("locate", {"agent": LOW}),
 ]
@@ -95,6 +95,10 @@ class TestDriverParity:
             if op == "get-loads":
                 # The rate is read off each driver's own clock.
                 del live_reply["rate"], sim_reply["rate"]
+                # Real bits, both sides loaded: the parity is not vacuous.
+                assert live_reply["divisions"] == {
+                    1: [3, 4], 2: [4, 3], 64: [3, 4], 65: None
+                }
             # The simulator's relay mail rides the same bundle.
             sim_reply.pop("pending", None)
             assert sim_reply == live_reply, (op, body)
@@ -230,6 +234,22 @@ class TestHandoffOverTheWire:
         (adopt,) = direct["taker journal"]
         assert adopt["op"] == "adopt" and adopt["pattern"] == "1"
         assert adopt["records"] == direct["taker"]["records"]
+
+    def test_get_loads_reply_is_sized_by_the_bits_asked_not_the_records_held(self):
+        """The planner's answer is two sums per candidate bit: 20 000
+        held agents must not show in the frame (as bit strings, 1.3 MB)."""
+        endpoint = live_endpoint()
+        ids = AgentNamer(seed=20)
+        for _ in range(20_000):
+            endpoint.op_register({"agent": ids.next_id(), "node": "n0", "seq": 1})
+        ask = {"bits": list(range(1, 9))}
+        reply = endpoint.op_get_loads(ask)
+        frame = encode_frame(Response(message_id=1, value=reply), codec=CODEC_BINARY)
+        assert len(frame) < 256
+        divisions = decode_frame(frame, codec=CODEC_BINARY).value["divisions"]
+        assert divisions == endpoint.stats.divide(ask["bits"])
+        assert all(sum(sides) == 20_000 and min(sides) > 9_000 for sides in divisions.values())
+
 
 
 @st.composite
