@@ -96,8 +96,9 @@ def compile_coverage(pattern: Optional[str]) -> Callable[[Any], bool]:
     want = int(pattern.replace("x", "0") or "0", 2)
 
     def covers(agent: Any) -> bool:
-        spare = agent.width - length
-        return spare >= 0 and (agent.value >> spare) & mask == want
+        value, width = agent
+        spare = width - length
+        return spare >= 0 and (value >> spare) & mask == want
 
     return covers
 

@@ -133,13 +133,13 @@ class LoadStatistics:
         mask = (1 << (last - min(positions) + 1)) - 1
         narrowest = last
         pool: Dict[int, int] = {}
-        for agent, load in self.per_agent.items():
-            drop = agent.width - last
+        for (value, width), load in self.per_agent.items():
+            drop = width - last
             if drop >= 0:
-                key = agent.value >> drop & mask
+                key = value >> drop & mask
             else:  # every position this id lacks answers None below
-                key = agent.value << -drop & mask
-                narrowest = min(narrowest, agent.width)
+                key = value << -drop & mask
+                narrowest = min(narrowest, width)
             pool[key] = pool.get(key, 0) + load
         total = sum(pool.values())
         divisions: Divisions = {}

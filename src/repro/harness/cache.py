@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import Any, Dict, Optional
 
 from repro.metrics.collectors import MetricsCollector, TimeSeries
+from repro.platform.naming import AgentId
 
 __all__ = [
     "DEFAULT_CACHE_DIR",
@@ -60,6 +61,10 @@ def canonical_value(value: Any) -> Any:
     """
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
+    if isinstance(value, AgentId):
+        # Ahead of the tuple branch: an id is not the pair of ints it is
+        # built on, and must not share a cache key with one.
+        return {"__dataclass__": "AgentId", "value": value.value, "width": value.width}
     if isinstance(value, (list, tuple)):
         return [canonical_value(item) for item in value]
     if isinstance(value, dict):
@@ -150,8 +155,6 @@ def cache_key(
 
 def _encode_event_value(value: Any) -> Any:
     """JSON-encode one rehash-log ingredient; AgentIds exactly."""
-    from repro.platform.naming import AgentId
-
     if isinstance(value, AgentId):
         return {"__agentid__": [value.value, value.width]}
     if isinstance(value, (list, tuple)):
@@ -162,8 +165,6 @@ def _encode_event_value(value: Any) -> Any:
 
 
 def _decode_event_value(value: Any) -> Any:
-    from repro.platform.naming import AgentId
-
     if isinstance(value, dict):
         if set(value) == {"__agentid__"}:
             raw, width = value["__agentid__"]

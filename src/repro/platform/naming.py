@@ -17,9 +17,9 @@ pluggable:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from operator import itemgetter
 from random import Random
+from typing import Optional, Tuple
 
 __all__ = ["AgentId", "AgentNamer", "SkewedNamer", "DEFAULT_ID_BITS"]
 
@@ -28,22 +28,39 @@ __all__ = ["AgentId", "AgentNamer", "SkewedNamer", "DEFAULT_ID_BITS"]
 DEFAULT_ID_BITS = 64
 
 
-@dataclass(frozen=True, order=True)
-class AgentId:
-    """An immutable agent identity: an unsigned integer of fixed width."""
+class AgentId(tuple):
+    """An immutable agent identity: an unsigned integer of fixed width.
 
-    value: int
-    width: int = DEFAULT_ID_BITS
+    A ``(value, width)`` tuple underneath, so hashing, equality, ordering
+    and dict / set membership run in C -- every table the mechanism keeps
+    is keyed by one. The contract is ``value``, ``width``, the methods
+    below, and hash / equality / ordering *between ids*; indexing,
+    unpacking, ``len`` and equality with a bare pair come with the tuple
+    and are not part of it (``repro.core``'s per-record loops and the
+    wire codec's key column do unpack and build the pair directly).
+    """
 
-    def __post_init__(self) -> None:
-        if self.width <= 0:
-            raise ValueError(f"id width must be positive, got {self.width}")
+    __slots__ = ()
+
+    def __new__(cls, value: int, width: int = DEFAULT_ID_BITS) -> "AgentId":
+        if width <= 0:
+            raise ValueError(f"id width must be positive, got {width}")
         # value >> width, not 1 << width: a width forged on the wire must
         # fail here (or yield an id no table holds), never allocate 2**width.
-        if self.value < 0 or self.value >> self.width:
-            raise ValueError(
-                f"id value {self.value} out of range for width {self.width}"
-            )
+        if value < 0 or value >> width:
+            raise ValueError(f"id value {value} out of range for width {width}")
+        return tuple.__new__(cls, (value, width))
+
+    value = property(itemgetter(0), doc="The id as an unsigned integer.")
+    width = property(itemgetter(1), doc="The id's width in bits.")
+
+    def __getnewargs__(self) -> Tuple[int, int]:
+        # pickle and copy rebuild through __new__(value, width); the
+        # tuple's own answer would pass the pair as one argument.
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"AgentId(value={self.value}, width={self.width})"
 
     @property
     def bits(self) -> str:
@@ -52,11 +69,10 @@ class AgentId:
 
     def bit(self, position: int) -> str:
         """The bit at 1-based ``position`` (1 = most significant)."""
-        if not 1 <= position <= self.width:
-            raise IndexError(
-                f"bit position {position} out of range 1..{self.width}"
-            )
-        return self.bits[position - 1]
+        value, width = self
+        if not 1 <= position <= width:
+            raise IndexError(f"bit position {position} out of range 1..{width}")
+        return "1" if value >> (width - position) & 1 else "0"
 
     def __str__(self) -> str:
         return f"agent-{self.value:x}"

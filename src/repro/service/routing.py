@@ -84,8 +84,11 @@ def shard_of_bits(bits: str, shards: int) -> int:
 
 
 def shard_of(agent_id: AgentId, shards: int) -> int:
-    """The shard owning ``agent_id`` (its top ``log2(shards)`` bits)."""
-    return shard_of_bits(agent_id.bits, shards)
+    """The shard owning ``agent_id`` (its top ``log2(shards)`` bits) --
+    :func:`shard_of_bits` of ``agent_id.bits``, read off the integer."""
+    spare = agent_id.width - prefix_bits(shards)
+    value = agent_id.value
+    return value >> spare if spare >= 0 else value << -spare
 
 
 def shard_prefix(shard: int, shards: int) -> str:

@@ -43,6 +43,7 @@ from __future__ import annotations
 import json
 import struct
 from asyncio import IncompleteReadError, StreamReader, StreamWriter
+from itertools import repeat
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.platform import jsonable
@@ -427,14 +428,6 @@ _STR_CACHE: Dict[bytes, str] = {}
 _STR_CACHE_MAX_LEN = 24
 _STR_CACHE_MAX_SIZE = 4096
 
-#: Decoded AgentIds, keyed by (value, width): an RPC names the same few
-#: ids in each of its frames, and the frozen dataclass's validated
-#: construction costs far more than a dict hit (deleting the cache cost
-#: a locate 2 % of its latency). Ids are immutable value objects, so
-#: sharing instances is safe. At the size cap it starts over, so a
-#: population that has turned over since the first 4096 ids still hits.
-_AID_CACHE: Dict[Tuple[int, int], AgentId] = {}
-
 
 def _read_str(data: bytes, pos: int, end: int) -> Tuple[str, int]:
     # The uvarint loop is inlined: strings (and dict keys through them)
@@ -517,18 +510,10 @@ def _decode_value(data: bytes, pos: int, end: int) -> Tuple[Any, int]:
     if tag == _T_AID:
         raw, pos = _read_uvarint(data, pos, end)
         width, pos = _read_uvarint(data, pos, end)
-        aid = _AID_CACHE.get((raw, width))
-        if aid is None:
-            try:
-                aid = AgentId(raw, width)
-            except ValueError as error:
-                raise WireError(
-                    f"malformed binary AgentId: {error}"
-                ) from error
-            if len(_AID_CACHE) >= _STR_CACHE_MAX_SIZE:
-                _AID_CACHE.clear()
-            _AID_CACHE[(raw, width)] = aid
-        return aid, pos
+        try:
+            return AgentId(raw, width), pos
+        except ValueError as error:
+            raise WireError(f"malformed binary AgentId: {error}") from error
     if tag == _T_LIST:
         count, pos = _read_uvarint(data, pos, end)
         items: List[Any] = []
@@ -599,9 +584,10 @@ def _decode_value(data: bytes, pos: int, end: int) -> Tuple[Any, int]:
 def _decode_aid_table(data: bytes, pos: int, end: int) -> Tuple[Dict, int]:
     """Invert :func:`_encode_aid_table`.
 
-    The keys skip ``AgentId``'s per-instance validation, so its checks
-    are made here on the whole column: width, value range, and -- a dict
-    cannot hold one -- a repeated key.
+    The keys are built in one C-level pass that skips ``AgentId``'s
+    per-instance validation, so its checks are made here on the whole
+    column: width, value range, and -- a dict cannot hold one -- a
+    repeated key.
     """
     count, pos = _read_uvarint(data, pos, end)
     keys_at = pos + 2
@@ -629,15 +615,7 @@ def _decode_aid_table(data: bytes, pos: int, end: int) -> Tuple[Dict, int]:
             column.append(item)
     else:
         raise WireError(f"unknown AgentId table column kind {kind:#04x}")
-    # object.__setattr__ keeps the attributes in the instance's inline
-    # slots; writing through __dict__ would allocate a dict per key.
-    new, set_field = object.__new__, object.__setattr__
-    keys = []
-    for value in raw:
-        key = new(AgentId)
-        set_field(key, "value", value)
-        set_field(key, "width", width)
-        keys.append(key)
+    keys = map(tuple.__new__, repeat(AgentId), zip(raw, repeat(width)))
     return dict(zip(keys, column)), pos
 
 

@@ -30,6 +30,7 @@ from repro.harness.executor import (
 from repro.harness.experiment import RunResult, run_experiment
 from repro.harness.sweeps import SweepPoint, replicate, sweep
 from repro.metrics.collectors import MetricsCollector
+from repro.platform.naming import AgentId
 from repro.workloads.scenarios import Scenario, exp1_scenario
 
 
@@ -251,6 +252,16 @@ class TestCanonicalisation:
         import json
 
         json.dumps(document)  # stable and serialisable
+
+    def test_an_id_is_tagged_as_an_id_not_as_the_pair_it_is_built_on(self):
+        # The document the dataclass branch emitted for an id; a bare
+        # [value, width] would share a cache key with a 2-tuple of ints.
+        tagged = {"__dataclass__": "AgentId", "value": 5, "width": 64}
+        assert canonical_value(AgentId(5, 64)) == tagged
+        assert canonical_value((5, 64)) == [5, 64]
+        assert canonical_value({"ids": [AgentId(5, 64), (5, 64)]}) == {
+            "ids": [tagged, [5, 64]]
+        }
 
     def test_lambda_scenario_field_uncacheable(self):
         scenario = quick_scenario().with_overrides(

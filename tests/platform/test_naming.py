@@ -1,6 +1,11 @@
 """Unit tests for agent ids and id generators."""
 
+import copy
+import pickle
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.platform.naming import (
     AgentId,
@@ -46,6 +51,88 @@ class TestAgentId:
 
     def test_short_form(self):
         assert len(AgentId(0xABCDEF).short()) == 8
+
+
+#: ``(value, width)`` with the value inside its width.
+value_width = st.integers(min_value=1, max_value=128).flatmap(
+    lambda width: st.tuples(
+        st.integers(min_value=0, max_value=2**width - 1), st.just(width)
+    )
+)
+
+
+class TestAgentIdContract:
+    """What callers may rely on, whatever the id is built on."""
+
+    @given(value_width)
+    def test_hashes_as_its_value_width_pair(self, pair):
+        # The hash the frozen dataclass generated: sets of ids iterate
+        # in the order they always did, so fixed-seed runs stay identical.
+        assert hash(AgentId(*pair)) == hash(pair)
+
+    @given(value_width, value_width)
+    def test_orders_as_its_value_width_pair(self, one, two):
+        a, b = AgentId(*one), AgentId(*two)
+        assert (a < b, a <= b, a == b, a > b) == (one < two, one <= two, one == two, one > two)
+        assert sorted([a, b]) == [AgentId(*pair) for pair in sorted([one, two])]
+
+    @given(value_width)
+    def test_bit_reads_the_bit_string(self, pair):
+        agent_id = AgentId(*pair)
+        bits = agent_id.bits
+        assert len(bits) == agent_id.width and int(bits, 2) == agent_id.value
+        assert [agent_id.bit(p) for p in range(1, agent_id.width + 1)] == list(bits)
+
+    def test_is_immutable_and_carries_no_dict(self):
+        agent_id = AgentId(5)
+        with pytest.raises(AttributeError):
+            agent_id.value = 1
+        with pytest.raises(AttributeError):
+            agent_id.x = 1
+        with pytest.raises(AttributeError):
+            del agent_id.value
+        assert not hasattr(agent_id, "__dict__")
+
+    @pytest.mark.parametrize(
+        "clone",
+        [copy.copy, copy.deepcopy]
+        + [
+            lambda agent_id, protocol=protocol: pickle.loads(pickle.dumps(agent_id, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)
+        ],
+    )
+    def test_copies_and_pickles_stay_ids(self, clone):
+        # The -j sweep workers pickle ids across processes.
+        agent_id = AgentId(0x9E3779B97F4A7C15, 64)
+        twin = clone(agent_id)
+        assert type(twin) is AgentId and twin == agent_id
+        assert (twin.value, twin.width) == (0x9E3779B97F4A7C15, 64)
+
+    def test_text_forms(self):
+        agent_id = AgentId(0xABCDEF, 32)
+        assert repr(agent_id) == "AgentId(value=11259375, width=32)"
+        assert str(agent_id) == f"{agent_id}" == "agent-abcdef"
+        assert agent_id.short() == "00000000"
+        assert AgentId(0xABCDEF << 40).short() == "abcdef00"
+        assert repr(AgentId(5)) == "AgentId(value=5, width=64)"
+
+    @pytest.mark.parametrize(
+        "value, width, message",
+        [
+            (0, 0, "id width must be positive, got 0"),
+            (0, -3, "id width must be positive, got -3"),
+            (-1, 4, "id value -1 out of range for width 4"),
+            (16, 4, "id value 16 out of range for width 4"),
+        ],
+    )
+    def test_error_messages(self, value, width, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            AgentId(value, width)
+
+    def test_absurd_width_allocates_nothing(self):
+        # value >> width, never 2**width: a billion-bit integer would
+        # take seconds and ~125 MB; this returns at once.
+        assert AgentId(1, 10**9).width == 10**9
 
 
 class TestSplitMix:

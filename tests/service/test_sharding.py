@@ -100,6 +100,18 @@ class TestShardOfProperties:
         fine = shard_of(agent, 1 << (exponent + 1))
         assert coarse == fine >> 1
 
+    @given(
+        width=st.integers(min_value=1, max_value=128),
+        value=st.integers(min_value=0),
+        exponent=st.integers(min_value=0, max_value=6),
+    )
+    @settings(max_examples=300)
+    def test_the_integer_form_equals_the_string_form(self, width, value, exponent):
+        # shard_of reads the id's integer; shard_of_bits stays the
+        # reference, ids narrower than the prefix included.
+        agent = AgentId(value % 2**width, width)
+        assert shard_of(agent, 1 << exponent) == shard_of_bits(agent.bits, 1 << exponent)
+
     @pytest.mark.parametrize("bad", [0, -4, 3, 6, 12, 100])
     def test_validate_rejects_non_powers_of_two(self, bad):
         with pytest.raises(ValueError):

@@ -9,6 +9,8 @@ side (truncated, oversized and garbage frames must raise
 :class:`WireError`, never crash or mis-decode).
 """
 
+import hashlib
+import json
 import struct
 
 import pytest
@@ -352,18 +354,150 @@ class TestAgentIdTableRejection:
         body = bytes([0x06, 0]) + b"\x80" * 8 + b"\x01"
         assert decode_binary(body).width == 2**56
 
-    def test_id_cache_keeps_admitting_past_its_cap(self):
-        # A population that turned over since the first 4096 ids: the
-        # newest id decodes to one shared instance, not a fresh one each time.
-        for n in range(5000):
-            decode_binary(encode_binary(AgentId(n)))
-        newest = encode_binary(AgentId(2**40))
-        assert decode_binary(newest) is decode_binary(newest)
+    @pytest.mark.parametrize(
+        "body",
+        [
+            bytes([0x06, 5, 0]),  # AgentId(5, 0)
+            bytes([0x06, 0x80, 0x02, 8]),  # AgentId(256, 8)
+        ],
+    )
+    def test_forged_single_id_rejected(self, body):
+        with pytest.raises(WireError, match="malformed binary AgentId"):
+            decode_binary(body)
 
     def test_huge_count_is_rejected_before_any_allocation(self):
         body = bytes([TABLE]) + b"\xff" * 9 + b"\x01" + bytes([64, 1]) + b"\x00" * 64
         with pytest.raises(WireError):
             decode_binary(body)
+
+
+# ----------------------------------------------------------------------
+# An id is built on a (value, width) tuple; no codec may confuse the two
+# ----------------------------------------------------------------------
+
+
+def journal_round_trip(value):
+    """Through the WAL's form: jsonable, then JSON text."""
+    return from_jsonable(json.loads(json.dumps(to_jsonable(value))))
+
+
+def types_of(value):
+    """``value`` with each leaf replaced by its exact type; dicts become
+    ``[(key type, value types), ...]`` so key types and order show."""
+    if type(value) in (list, tuple):
+        return type(value), [types_of(item) for item in value]
+    if type(value) is dict:
+        return dict, [(types_of(key), types_of(item)) for key, item in value.items()]
+    return type(value)
+
+
+AID, PAIR = AgentId(5, 64), (5, 64)
+
+
+@pytest.mark.parametrize(
+    "round_trip", [binary_round_trip, json_round_trip, journal_round_trip]
+)
+class TestIdsAndBarePairsStayDistinct:
+    def check(self, round_trip, value):
+        decoded = round_trip(value)
+        assert decoded == value
+        assert types_of(decoded) == types_of(value)
+
+    def test_as_values_and_inside_a_list(self, round_trip):
+        assert type(round_trip(AID)) is AgentId
+        assert type(round_trip(PAIR)) is tuple
+        self.check(round_trip, [AID, PAIR, [PAIR, AID], (AID, PAIR)])
+
+    def test_as_dict_keys(self, round_trip):
+        self.check(round_trip, {PAIR: "pair"})
+        self.check(round_trip, {AID: "id", "name": 1})
+        assert encode_binary({PAIR: "pair"})[0] == GENERIC
+
+    def test_a_dict_mixing_id_keys_and_pair_keys(self, round_trip):
+        # Keys of different values: an id and the *equal* pair are one
+        # dict key, the one visible consequence of the tuple base.
+        table = {AgentId(5, 64): "id", (6, 64): "pair", AgentId(7, 64): "id"}
+        assert encode_binary(table)[0] == GENERIC
+        self.check(round_trip, table)
+        assert len({AID: 1, PAIR: 2}) == 1
+
+    @pytest.mark.parametrize(
+        "column, kind",
+        [
+            ([None, 1.5, PAIR], ANY),
+            ([7, 8, 9], INTS),
+            ([["n0", 1], ["n1", 2], ["n0", 3]], LIST_ROWS),
+            ([("n0", 1), ("n1", 2), ("n0", 3)], TUPLE_ROWS),
+        ],
+    )
+    def test_ids_through_the_column_form(self, round_trip, column, kind):
+        table = dict(zip(ids(3), column))
+        assert column_kind(table) == kind
+        self.check(round_trip, table)
+        self.check(round_trip, {"records": table, "to": AID, "span": PAIR})
+
+
+# ----------------------------------------------------------------------
+# Frames recorded before AgentId became a tuple subclass
+# ----------------------------------------------------------------------
+
+
+class TestFramesArePinned:
+    """The bytes the previous ``AgentId`` (a frozen dataclass) produced:
+    no tag or byte moved on any frame."""
+
+    AGENT = AgentId(0x9E3779B97F4A7C15)
+
+    def test_locate_request(self):
+        request = Request(
+            op="locate", body={"agent": self.AGENT}, sender_node="node-0", message_id=7
+        )
+        frame = (
+            b"\x00\x00\x002\t\x02\x02to\x05\x04ia-3\x03req\x0b\x01\x03\x0e\x80\x04"
+            b"\t\x01\x05agent\x06\x95\xf8\xa9\xfa\x97\xb7\xde\x9b\x9e\x01@"
+            b"\x05\x06node-0\x00"
+        )
+        assert encode_frame({"to": "ia-3", "req": request}) == frame
+        assert type(decode_frame(frame)["req"].body["agent"]) is AgentId
+
+    def test_update_request(self):
+        request = Request(
+            op="update",
+            body={"agent": self.AGENT, "node": "node-2", "seq": 41},
+            sender_node="node-0",
+            message_id=8,
+        )
+        assert encode_frame({"to": "ia-3", "req": request}) == (
+            b"\x00\x00\x00E\t\x02\x02to\x05\x04ia-3\x03req\x0b\x01\x01\x10\x80\x04"
+            b"\t\x03\x05agent\x06\x95\xf8\xa9\xfa\x97\xb7\xde\x9b\x9e\x01@"
+            b"\x04node\x05\x06node-2\x03seq\x03R\x05\x06node-0\x00"
+        )
+
+    def test_extract_reply_of_1000_records(self):
+        agents = ids(1000)
+        reply = Response(
+            message_id=9,
+            value={
+                "status": "ok",
+                "records": {agent: [f"node-{n % 5}", n] for n, agent in enumerate(agents)},
+                "loads": {agent: n * 3 for n, agent in enumerate(agents)},
+                "capabilities": {agents[0]: {"gpu": True}, agents[3]: {"tier": "core"}},
+            },
+        )
+        frame = encode_frame(reply)
+        # 33 135 bytes: the head spelled out, the whole by its digest.
+        assert frame[:64] == (
+            b"\x00\x00\x81k\x0c\x12\x80\x04\t\x04\x06status\x05\x02ok\x07records"
+            b"\r\xe8\x07@\x02\x9e7y\xb9\x7fJ|\x15<n\xf3r\xfe\x94\xf8*"
+            b"\xda\xa6m,}\xdft?x\xdd\xe6\xe5\xfd)"
+        )
+        assert len(frame) == 33135
+        assert hashlib.sha256(frame).hexdigest() == (
+            "7dc25e744a5f0f0226bfd06e573a4033a6e099681b2706b85fa9838023bf2f57"
+        )
+        decoded = decode_frame(frame)
+        assert decoded.value == reply.value
+        assert {type(key) for key in decoded.value["records"]} == {AgentId}
 
 
 # ----------------------------------------------------------------------

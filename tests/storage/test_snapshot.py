@@ -25,6 +25,31 @@ class TestSaveAndLoad:
             isinstance(key, AgentId) for key in snapshot.state["records"]
         )
 
+    def test_a_table_of_ids_is_written_byte_for_byte_as_before(self, tmp_path):
+        # The whole file (header, crc, body) the commit before AgentId
+        # became a tuple subclass wrote for this state.
+        state = {
+            "coverage": "1x0",
+            "records": {
+                AgentId(5, 64): ["node-1", 3],
+                AgentId(0x9E3779B97F4A7C15, 64): ["node-\u00e9", 0],
+                AgentId(5, 8): ["node-2", 1],
+            },
+            "capabilities": {AgentId(5, 64): {"gpu": True}},
+        }
+        path = SnapshotStore(tmp_path).save(state, last_lsn=7)
+        assert path.read_bytes() == (
+            b"REPROSNP\x00\x00\x00\x01\x82\xd5\xc0\xde\x00\x00\x00\x00\x00\x00\x00\xe9"
+            b'{"last_lsn":7,"state":{"coverage":"1x0","records":{"$dict":['
+            b'[{"$aid":[5,64]},["node-1",3]],'
+            b'[{"$aid":[11400714819323198485,64]},["node-\xc3\xa9",0]],'
+            b'[{"$aid":[5,8]},["node-2",1]]]},'
+            b'"capabilities":{"$dict":[[{"$aid":[5,64]},{"gpu":true}]]}}}'
+        )
+        loaded = SnapshotStore(tmp_path).latest().state
+        assert loaded == state
+        assert {type(key) for key in loaded["records"]} == {AgentId}
+
     def test_latest_wins(self, tmp_path):
         store = SnapshotStore(tmp_path)
         store.save({"v": 1}, last_lsn=10)

@@ -41,6 +41,39 @@ class TestAppendReplay:
         assert [r.lsn for r in wal.replay()] == [1, 2, 3, 4]
         wal.close()
 
+    def test_ids_are_journaled_as_aid_documents_byte_for_byte(self, tmp_path):
+        # The record the commit before AgentId became a tuple subclass
+        # wrote for this entry: a data dir written on either side of
+        # that change replays on the other.
+        entry = {
+            "op": "adopt",
+            "pattern": "1x0",
+            "records": {
+                AgentId(5, 64): ["node-1", 3],
+                AgentId(0x9E3779B97F4A7C15, 64): ["node-\u00e9", 0],
+                AgentId(5, 8): ["node-2", 1],
+            },
+            "capabilities": {AgentId(5, 64): {"gpu": True}},
+            "pairs": {(5, 64): "a pair, not an id"},
+        }
+        wal = WriteAheadLog(tmp_path, fsync="never")
+        wal.append(entry)
+        wal.close()
+        (segment,) = tmp_path.iterdir()
+        payload = segment.read_bytes()[12 + 16 :]  # segment header, record header
+        assert payload == (
+            b'{"op":"adopt","pattern":"1x0","records":{"$dict":['
+            b'[{"$aid":[5,64]},["node-1",3]],'
+            b'[{"$aid":[11400714819323198485,64]},["node-\xc3\xa9",0]],'
+            b'[{"$aid":[5,8]},["node-2",1]]]},'
+            b'"capabilities":{"$dict":[[{"$aid":[5,64]},{"gpu":true}]]},'
+            b'"pairs":{"$dict":[[{"$tuple":[5,64]},"a pair, not an id"]]}}'
+        )
+        (replayed,) = replayed_values(WriteAheadLog(tmp_path, fsync="never"))
+        assert replayed == entry
+        assert {type(key) for key in replayed["records"]} == {AgentId}
+        assert [type(key) for key in replayed["pairs"]] == [tuple]
+
     def test_replay_after_skips_prefix(self, tmp_path):
         wal = WriteAheadLog(tmp_path, fsync="never")
         for index in range(10):
