@@ -143,8 +143,8 @@ def _decode_tagged(tag: str, payload: Any, error: Type[TaggedCodecError]) -> Any
             sender_node=fields.get("sender_node"),
             sender_agent=from_jsonable(fields.get("sender_agent"), error),
             size=int(fields.get("size", 256)),
+            message_id=int(fields["message_id"]),
         )
-        request.message_id = int(fields["message_id"])
         return request
     # tag == "$response"
     fields = _expect_fields(tag, payload, ("message_id",), error)

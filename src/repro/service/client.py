@@ -6,12 +6,13 @@ Two layers:
   framed TCP connections (one ``asyncio.Protocol`` each), carrying many
   requests in flight at once: ``data_received`` correlates replies to
   callers by ``message_id``, a request on a pooled connection costs one
-  transport write and one expiry timer -- no task -- and idle
-  connections are reaped. Every frame is in the binary wire codec,
-  from the connection's first byte (see :mod:`repro.service.wire`).
-  Transport failures (refused, reset, garbage frames) surface as
-  :class:`ServiceRpcError`
-  and drop the connection -- failing every call in flight on it --
+  transport write, one future and one timer -- no task, hedge-eligible
+  or not: the hedge is a state of the request's one record, not a layer
+  around it -- and idle connections are reaped. Every frame is in the
+  binary wire codec, from the connection's first byte (see
+  :mod:`repro.service.wire`). Transport failures (refused, reset,
+  garbage frames) surface as :class:`ServiceRpcError` and drop the
+  connection -- failing its attempt of every call in flight on it --
   while a single call's *timeout* only abandons that call: its late
   reply, if any, is discarded by message id and the connection keeps
   serving the rest.
@@ -47,8 +48,9 @@ breaker (:class:`CircuitBreaker` -- fail fast on a link that stopped
 answering, probe it back to life after a cooldown), runs under an
 adaptive Jacobson/Karels timeout (:class:`RttEstimator`) clamped to
 the remaining per-operation deadline, and -- for idempotent reads --
-may race a hedged duplicate on a dedicated pooled connection once the
-primary looks tail-slow, under a strict duplicate budget. When a
+hands the transport a hedge delay and a duplicate budget, so the
+request may race a duplicate on a dedicated pooled connection once the
+primary looks tail-slow. When a
 locate's resolved path sits behind an open breaker and
 ``ClientConfig.degraded_reads`` is on, the client serves its
 last-known answer flagged ``degraded=True`` (:class:`LocateAnswer`)
@@ -470,23 +472,81 @@ class ClientCounters:
         setattr(self, name, getattr(self, name) + amount)
 
 
+class _Rpc:
+    """One RPC in flight: the request record.
+
+    The record is the ``pending`` entry of *every* connection carrying
+    an attempt for it -- the primary's, and the hedge lane's once a
+    duplicate is out -- so whichever reply lands first settles the
+    caller's future directly and takes the other attempt's entry away
+    by message id. It owns one timer handle (hedge-then-expiry, see
+    :meth:`_Connection.request`) and one absolute ``deadline`` that all
+    its attempts share. An unhedged call is the same record with no
+    duplicate ever added.
+    """
+
+    __slots__ = ("primary", "future", "op", "deadline", "timer", "out", "error", "hedger")
+
+    def __init__(
+        self, primary: "_Connection", future: "asyncio.Future[Any]", op: str, deadline: float
+    ) -> None:
+        #: The connection that carried the first attempt; a success
+        #: settled by any other connection is a hedge win.
+        self.primary = primary
+        self.future = future
+        self.op = op
+        self.deadline = deadline
+        self.timer: Any = None
+        #: Attempts still out: connection -> message id, plus the hedge
+        #: lane's dial task -> None while that connection is opening.
+        self.out: Dict[Any, Optional[int]] = {}
+        #: The first attempt failure, raised once no attempt is left out.
+        self.error: Optional[Exception] = None
+        #: Who admitted the duplicate (told if it wins); None until then.
+        self.hedger: Any = None
+
+    def drop(self) -> None:
+        """Forget every attempt still out: their late replies find no
+        pending entry and are dropped by id."""
+        for holder, message_id in self.out.items():
+            if message_id is None:
+                holder.cancel()
+            else:
+                holder.pending.pop(message_id, None)
+        self.out.clear()
+
+    def fail(self, error: Exception) -> None:
+        """One attempt (already taken out of ``out``) failed: the RPC
+        fails, with its *first* failure, once no attempt is left out."""
+        if self.error is None:
+            self.error = error
+        if not self.out:
+            self.timer.cancel()
+            if not self.future.done():  # else the caller was cancelled
+                self.future.set_exception(self.error)
+
+
 class _Connection(asyncio.Protocol):
     """One framed connection with its in-flight requests.
 
     ``data_received`` is the only consumer of the socket: it settles
     each :class:`Response` on the waiting caller's future by
-    ``message_id``. Replies whose caller already timed out settle nobody
-    and are dropped -- a late reply must not wedge or kill the stream.
-    Any transport failure fails every pending future and closes the
-    connection. A request is one transport write plus one expiry timer,
-    a reply one future settled: no task is involved.
+    ``message_id``, through the :class:`_Rpc` record ``pending`` holds
+    for it. Replies whose record is gone (the caller timed out, or the
+    other attempt of a hedged read won) settle nobody and are dropped
+    -- a late reply must not wedge or kill the stream. Any transport
+    failure fails this connection's attempt of every pending record and
+    closes the connection. A request is one transport write plus one
+    timer, a reply one future settled: no task, no second future, and
+    the caller resumes on the loop pass after the reply is read --
+    hedge-eligible or not.
     """
 
     def __init__(self, channel: "RpcChannel", addr: Address) -> None:
         self.channel = channel
         self.addr = addr
-        #: message id -> (caller's future, expiry timer, op).
-        self.pending: Dict[int, Tuple["asyncio.Future[Any]", Any, str]] = {}
+        #: message id -> the request record of the attempt sent here.
+        self.pending: Dict[int, _Rpc] = {}
         self.closed = False
         self._loop = asyncio.get_running_loop()
         self.last_used = self._loop.time()
@@ -520,67 +580,103 @@ class _Connection(asyncio.Protocol):
         self.close(str(exc) if exc else "peer closed the connection")
 
     def request(
-        self, now: float, to: Any, op: str, body: Any, timeout: float
+        self,
+        now: float,
+        to: Any,
+        op: str,
+        body: Any,
+        timeout: float,
+        hedge: Optional[Tuple[float, Any]] = None,
     ) -> "asyncio.Future[Any]":
         """Write one request; the future settles with the reply value,
-        a :class:`RemoteOpError`, or the transport's service error."""
-        future: "asyncio.Future[Any]" = self._loop.create_future()
-        request = Request(op=op, body=body)
+        a :class:`RemoteOpError`, or the transport's service error.
+
+        ``hedge`` is ``(delay, hedger)`` for an idempotent read that may
+        race a duplicate. The record's one timer is then armed for the
+        hedge delay first (when that falls inside the timeout) and
+        re-arms itself for the expiry when it fires; otherwise it is
+        the expiry from the start. Either way every attempt shares the
+        deadline ``now + timeout``.
+        """
+        loop = self._loop
+        rpc = _Rpc(self, loop.create_future(), op, now + timeout)
         try:
-            payload = wire.encode_frame(
-                {"to": to, "req": request}, max_frame=self.channel.max_frame
-            )
+            self.send(rpc, now, to, body)
         except wire.WireError as error:
-            self._fail(future, op, f"failed: {error}")
-            return future
-        message_id = request.message_id
-        timer = self._loop.call_at(now + timeout, self._expire, message_id, timeout)
-        self.pending[message_id] = (future, timer, op)
+            rpc.future.set_exception(self._error(op, f"failed: {error}"))
+            return rpc.future
+        if hedge is not None and hedge[0] < timeout:
+            rpc.timer = loop.call_at(
+                now + hedge[0], self._hedge, rpc, to, body, hedge[1], timeout
+            )
+        else:
+            rpc.timer = loop.call_at(rpc.deadline, self._expire, rpc, timeout)
+        return rpc.future
+
+    def send(self, rpc: _Rpc, now: float, to: Any, body: Any) -> None:
+        """Put one attempt of ``rpc`` on this connection's wire."""
+        request = Request(op=rpc.op, body=body)
+        payload = wire.encode_frame(
+            {"to": to, "req": request}, max_frame=self.channel.max_frame
+        )
+        self.pending[request.message_id] = rpc
+        rpc.out[self] = request.message_id
         self._out.write(payload)
         self.last_used = now
-        return future
 
     def _settle(self, reply: Response) -> None:
-        entry = self.pending.pop(reply.message_id, None)
-        if entry is None:
-            return  # the caller timed out; its late reply is dropped by id
-        future, timer, op = entry
-        timer.cancel()
-        if future.done():
+        rpc = self.pending.pop(reply.message_id, None)
+        if rpc is None:
+            return  # expired, or already won by the other attempt: dropped by id
+        del rpc.out[self]
+        self.channel._trace(rpc.op, self.addr, reply.error or "ok")
+        if reply.error is not None:
+            rpc.fail(RemoteOpError(reply.error))
+            return
+        # First success wins: the loser's entry goes, its reply with it.
+        rpc.timer.cancel()
+        if rpc.out:
+            rpc.drop()
+        if rpc.future.done():
             return  # the caller was cancelled
-        if reply.error is None:
-            future.set_result(reply.value)
-        else:
-            future.set_exception(RemoteOpError(reply.error))
-        self.channel._trace(op, self.addr, reply.error or "ok")
+        if self is not rpc.primary:
+            rpc.hedger.hedge_won()
+        rpc.future.set_result(reply.value)
 
-    def _expire(self, message_id: int, timeout: float) -> None:
-        # Abandon only this call; the connection stays up.
-        future, _, op = self.pending.pop(message_id)
-        self._fail(future, op, f"timed out after {timeout}s", ServiceTimeout)
+    def _hedge(self, rpc: _Rpc, to: Any, body: Any, hedger: Any, timeout: float) -> None:
+        """The record's timer, fired at the hedge delay: the primary is
+        still out (a reply already read this pass would have cancelled
+        this handle), so race a duplicate if the hedger's budget admits
+        one, and re-arm for the shared deadline either way."""
+        if rpc.future.done():
+            rpc.drop()  # the caller was cancelled: nothing left to race for
+            return
+        rpc.timer = self._loop.call_at(rpc.deadline, self._expire, rpc, timeout)
+        if hedger.admit_hedge():
+            rpc.hedger = hedger
+            self.channel._send_duplicate(self.addr, rpc, to, body)
 
-    def _fail(
-        self,
-        future: "asyncio.Future[Any]",
-        op: str,
-        what: str,
-        error: Callable[..., ServiceRpcError] = ServiceRpcError,
-    ) -> None:
-        if future.done():
-            return  # the caller was cancelled
+    def _expire(self, rpc: _Rpc, timeout: float) -> None:
+        # Abandon only this call; its connections stay up.
+        rpc.drop()
+        rpc.fail(self._error(rpc.op, f"timed out after {timeout}s", ServiceTimeout))
+
+    def _error(
+        self, op: str, what: str, error: Callable[..., ServiceRpcError] = ServiceRpcError
+    ) -> ServiceRpcError:
         message = f"{op} to {format_addr(self.addr)} {what}"
         label = "timeout" if error is ServiceTimeout else "transport-error"
         self.channel._trace(op, self.addr, f"{label}: {message}")
-        future.set_exception(error(message, op=op, addr=self.addr))
+        return error(message, op=op, addr=self.addr)
 
     def close(self, detail: str = "connection closed") -> None:
         if self.closed:
             return
         self.closed = True
         pending, self.pending = self.pending, {}
-        for future, timer, op in pending.values():
-            timer.cancel()
-            self._fail(future, op, f"failed: {detail}")
+        for rpc in pending.values():
+            del rpc.out[self]
+            rpc.fail(self._error(rpc.op, f"failed: {detail}"))
         self._out.abort()
 
 
@@ -616,6 +712,7 @@ class RpcChannel:
         body: Any = None,
         timeout: Optional[float] = None,
         lane: Optional[int] = None,
+        hedge: Optional[Tuple[float, Any]] = None,
     ) -> "asyncio.Future[Any]":
         """One RPC: await the result for the reply value or a service error.
 
@@ -627,6 +724,14 @@ class RpcChannel:
         if needed). Lanes at or beyond ``pool_size`` are dedicated --
         :meth:`_pick` never routes regular traffic onto them -- which is
         what lets a hedged duplicate overtake its queued primary.
+
+        ``hedge=(delay, hedger)`` makes the call a hedged read (only an
+        idempotent op may be one): with no reply ``delay`` seconds after
+        the request is written, its record asks ``hedger.admit_hedge()``
+        and, if admitted, sends a duplicate on lane ``pool_size``. The
+        first success settles the call (``hedger.hedge_won()`` is told
+        when it is the duplicate's), a failure only once both attempts
+        have failed, and both share the one ``timeout``.
         """
         timeout = self.rpc_timeout if timeout is None else timeout
         loop = asyncio.get_running_loop()
@@ -635,9 +740,9 @@ class RpcChannel:
         conn = self._pick(self._live_pool(addr), lane)
         if conn is None:
             return loop.create_task(
-                self._call_after_open(addr, to, op, body, timeout, lane)
+                self._call_after_open(addr, to, op, body, timeout, lane, hedge)
             )
-        return conn.request(now, to, op, body, timeout)
+        return conn.request(now, to, op, body, timeout, hedge)
 
     async def _call_after_open(
         self,
@@ -647,6 +752,7 @@ class RpcChannel:
         body: Any,
         timeout: float,
         lane: Optional[int],
+        hedge: Optional[Tuple[float, Any]],
     ) -> Any:
         loop = asyncio.get_running_loop()
         deadline = loop.time() + timeout
@@ -660,7 +766,38 @@ class RpcChannel:
             self._trace(op, addr, f"transport-error: {error}")
             raise
         now = loop.time()
-        return await conn.request(now, to, op, body, max(0.001, deadline - now))
+        return await conn.request(now, to, op, body, max(0.001, deadline - now), hedge)
+
+    def _send_duplicate(self, addr: Address, rpc: _Rpc, to: Any, body: Any) -> None:
+        """Send ``rpc``'s hedged duplicate on the dedicated lane: frames
+        on one connection are delivered in order, so a same-connection
+        duplicate would queue behind the slow primary and could never
+        answer first. Opening that lane is the one thing on a pooled
+        call's path that takes a task; while it dials, the task stands
+        in ``rpc.out`` for the attempt it is about to send."""
+        loop = asyncio.get_running_loop()
+        conn = self._pick(self._live_pool(addr), self.pool_size)
+        if conn is not None:
+            conn.send(rpc, loop.time(), to, body)
+        else:
+            dial = loop.create_task(self._duplicate_after_open(addr, rpc, to, body))
+            rpc.out[dial] = None
+
+    async def _duplicate_after_open(
+        self, addr: Address, rpc: _Rpc, to: Any, body: Any
+    ) -> None:
+        dial = asyncio.current_task()
+        try:
+            # Bounded by the record's deadline: expiry drops (cancels) us.
+            conn = await self._open(addr, rpc.op, self.pool_size)
+        except ServiceRpcError as error:
+            self._trace(rpc.op, addr, f"transport-error: {error}")
+            del rpc.out[dial]
+            rpc.fail(error)
+            return
+        del rpc.out[dial]
+        if not rpc.future.done():  # else the caller was cancelled meanwhile
+            conn.send(rpc, asyncio.get_running_loop().time(), to, body)
 
     # ------------------------------------------------------------------
     # Pooling
@@ -837,10 +974,12 @@ class ServiceClient:
         Wraps :meth:`RpcChannel.call` with (in order): the endpoint's
         circuit breaker (fail fast on a known-dead link), the adaptive
         Jacobson timeout clamped to the remaining op deadline, and --
-        for idempotent reads -- a hedged duplicate after the endpoint's
-        p95-derived delay. Successful round trips (including remote
-        *op* errors, which prove the transport) feed the RTT estimator
-        and close the breaker.
+        for idempotent reads (``hedge``) -- the endpoint's p95-derived
+        hedge delay, handed down with this client as the hedger: the
+        request's own record does the hedging, so a read answered
+        inside its delay costs what an unhedged call costs. Successful
+        round trips (including remote *op* errors, which prove the
+        transport) feed the RTT estimator and close the breaker.
         """
         addr = tuple(addr)  # type: ignore[assignment]
         loop = asyncio.get_running_loop()
@@ -857,11 +996,17 @@ class ServiceClient:
             )
         if probe:
             self.counters.breaker_probes += 1
+        call_hedge = None
+        if hedge and self.config.hedge:
+            self._hedge_eligible += 1
+            call_hedge = (
+                max(self.config.hedge_delay_floor, self._rtt_for(addr).hedge_delay()),
+                self,
+            )
         try:
-            if hedge and self.config.hedge:
-                value = await self._hedged_call(addr, to, op, body, timeout)
-            else:
-                value = await self.channel.call(addr, to, op, body, timeout=timeout)
+            value = await self.channel.call(
+                addr, to, op, body, timeout=timeout, hedge=call_hedge
+            )
         except ServiceRpcError:
             if breaker.record_failure(loop.time()):
                 self.counters.breaker_opens += 1
@@ -876,73 +1021,20 @@ class ServiceClient:
         self._rtt_for(addr).observe(loop.time() - start)
         return value
 
-    async def _hedged_call(
-        self, addr: Address, to: Any, op: str, body: Any, timeout: float
-    ) -> Any:
-        """Race a duplicate read once the primary looks tail-slow.
+    def admit_hedge(self) -> bool:
+        """The request record's question when a read's hedge delay has
+        passed with no reply: may it send a duplicate? A budget caps
+        duplicates at ``hedge_budget`` of the hedge-eligible calls so
+        load-induced queueing cannot amplify itself."""
+        budget = self.config.hedge_budget * max(20.0, float(self._hedge_eligible))
+        if self.counters.hedges >= budget:
+            return False
+        self.counters.hedges += 1
+        return True
 
-        One timer, armed for the endpoint's hedge delay, sends the
-        duplicate if the primary is still out when it fires; the first
-        success wins and, if both fail, the first failure is raised.
-        :meth:`RpcChannel.call` returns futures, so no attempt is
-        wrapped in a task.
-
-        The duplicate is pinned to a dedicated pooled connection
-        (``lane=pool_size``): frames on one connection are delivered in
-        order, so a same-connection duplicate would queue behind the
-        slow primary and could never answer first. A budget caps
-        duplicates at ``hedge_budget`` of eligible calls so load-induced
-        queueing cannot amplify itself.
-        """
-        self._hedge_eligible += 1
-        delay = max(self.config.hedge_delay_floor, self._rtt_for(addr).hedge_delay())
-        call = self.channel.call
-        if delay >= timeout:
-            return await call(addr, to, op, body, timeout=timeout)
-        loop = asyncio.get_running_loop()
-        outcome: "asyncio.Future[Any]" = loop.create_future()
-        primary = asyncio.ensure_future(call(addr, to, op, body, timeout=timeout))
-        attempts = [primary]
-        errors: List[BaseException] = []
-
-        def settle(attempt: "asyncio.Future[Any]") -> None:
-            if attempt.cancelled():
-                return
-            # Reading the outcome marks it retrieved: a loser that fails
-            # after the race is over never logs "never retrieved".
-            error = attempt.exception()
-            if outcome.done():
-                return
-            if error is None:
-                if attempt is not primary:
-                    self.counters.hedge_wins += 1
-                outcome.set_result(attempt.result())
-            elif isinstance(error, (ServiceRpcError, RemoteOpError)):
-                errors.append(error)
-                if len(errors) == len(attempts):
-                    outcome.set_exception(errors[0])
-            else:
-                outcome.set_exception(error)
-
-        def send_duplicate() -> None:
-            budget = self.config.hedge_budget * max(20.0, float(self._hedge_eligible))
-            if outcome.done() or self.counters.hedges >= budget:
-                return
-            self.counters.hedges += 1
-            duplicate = asyncio.ensure_future(
-                call(addr, to, op, body, timeout=timeout, lane=self.channel.pool_size)
-            )
-            attempts.append(duplicate)
-            duplicate.add_done_callback(settle)
-
-        primary.add_done_callback(settle)
-        timer = loop.call_later(delay, send_duplicate)
-        try:
-            return await outcome
-        finally:
-            timer.cancel()
-            for attempt in attempts:
-                attempt.cancel()  # a no-op on the ones already done
+    def hedge_won(self) -> None:
+        """Told by the request record when a duplicate answered first."""
+        self.counters.hedge_wins += 1
 
     # ------------------------------------------------------------------
     # Protocol operations

@@ -567,8 +567,8 @@ def _decode_value(data: bytes, pos: int, end: int) -> Tuple[Any, int]:
             sender_node=sender_node,
             sender_agent=sender_agent,
             size=size,
+            message_id=message_id,
         )
-        request.message_id = message_id
         return request, pos
     if tag == _T_RESPONSE:
         message_id, pos = _read_svarint(data, pos, end)

@@ -328,7 +328,7 @@ class _ScriptedChannel:
     def __init__(self, answers):
         self.answers, self.held = list(answers), None
 
-    async def call(self, addr, to, op, body, timeout=None, lane=None):
+    async def call(self, addr, to, op, body, timeout=None, lane=None, hedge=None):
         answer = self.answers.pop(0)
         if op == "get-hash-delta":
             self.held = answer

@@ -15,7 +15,9 @@ import time
 
 import pytest
 
+from repro.platform.messages import Response
 from repro.platform.naming import AgentId
+from repro.service import wire
 from repro.service.client import (
     CircuitBreaker,
     ClientConfig,
@@ -248,21 +250,41 @@ class TestControlPlane:
         assert first.log_digest() != second.log_digest()
 
 
-class _HedgeStubChannel:
-    """A channel whose primary lane is slow and hedge lane instant."""
-
-    pool_size = 2
+class _LanePeer:
+    """A framed peer whose first connection (the primary lane) answers
+    after ``primary_delay`` and whose later ones (the hedge lane) answer
+    at once; ``lanes`` notes the connection each request arrived on."""
 
     def __init__(self, primary_delay=0.2):
         self.primary_delay = primary_delay
+        self.connections = 0
         self.lanes = []
 
-    async def call(self, addr, to, op, body, timeout=None, lane=None):
-        self.lanes.append(lane)
-        if lane is None:
-            await asyncio.sleep(self.primary_delay)
-            return {"status": "ok", "who": "primary"}
-        return {"status": "ok", "who": "secondary"}
+    async def __aenter__(self):
+        self.server = await asyncio.start_server(self._serve, "127.0.0.1", 0)
+        self.addr = self.server.sockets[0].getsockname()[:2]
+        return self
+
+    async def __aexit__(self, *exc_info):
+        self.server.close()
+        await self.server.wait_closed()
+
+    async def _serve(self, reader, writer):
+        lane = self.connections
+        self.connections += 1
+        try:
+            while (frame := await wire.read_frame(reader)) is not None:
+                self.lanes.append(lane)
+                if lane == 0:
+                    await asyncio.sleep(self.primary_delay)
+                reply = {"status": "ok", "who": "secondary" if lane else "primary"}
+                await wire.write_frame(
+                    writer, Response(message_id=frame["req"].message_id, value=reply)
+                )
+        except (ConnectionError, OSError, asyncio.IncompleteReadError):
+            pass
+        finally:
+            writer.close()
 
 
 def _seed_rtt(client, addr, sample=0.005, count=8):
@@ -271,83 +293,94 @@ def _seed_rtt(client, addr, sample=0.005, count=8):
 
 
 class TestHedgedCalls:
-    ADDR = ("127.0.0.1", 9001)
+    """The hedged read end to end: ``_call`` hands the request record
+    its hedge delay and budget; the record sends the duplicate."""
+
+    @staticmethod
+    async def hedged_read(client, peer, deadline=None):
+        return await client._call(
+            peer.addr, "lhagent", "whois", {}, deadline=deadline, hedge=True
+        )
 
     def test_secondary_wins_on_a_dedicated_lane(self):
         async def scenario():
-            stub = _HedgeStubChannel()
-            client = ServiceClient(
-                "n0",
-                self.ADDR,
-                config=ClientConfig(hedge_delay_floor=0.01),
-                channel=stub,
-            )
-            _seed_rtt(client, self.ADDR)
-            reply = await client._hedged_call(
-                self.ADDR, "lhagent", "whois", {}, timeout=1.0
-            )
-            assert reply["who"] == "secondary"
-            assert client.counters.hedges == 1
-            assert client.counters.hedge_wins == 1
-            # The duplicate rode a lane beyond the pick pool: in-order
-            # delivery means a same-connection duplicate could never
-            # overtake the slow primary.
-            assert stub.lanes == [None, stub.pool_size]
+            async with _LanePeer() as peer:
+                client = ServiceClient(
+                    "n0", peer.addr, config=ClientConfig(hedge_delay_floor=0.01)
+                )
+                _seed_rtt(client, peer.addr)
+                try:
+                    reply = await self.hedged_read(client, peer)
+                    assert reply["who"] == "secondary"
+                    assert client.counters.hedges == 1
+                    assert client.counters.hedge_wins == 1
+                    # The duplicate rode a connection of its own: in-order
+                    # delivery means a same-connection duplicate could
+                    # never overtake the slow primary.
+                    assert peer.lanes == [0, 1]
+                finally:
+                    await client.close()
 
         run(scenario())
 
     def test_fast_primary_never_spawns_a_duplicate(self):
         async def scenario():
-            stub = _HedgeStubChannel(primary_delay=0.0)
-            client = ServiceClient(
-                "n0",
-                self.ADDR,
-                config=ClientConfig(hedge_delay_floor=0.05),
-                channel=stub,
-            )
-            _seed_rtt(client, self.ADDR)
-            reply = await client._hedged_call(
-                self.ADDR, "lhagent", "whois", {}, timeout=1.0
-            )
-            assert reply["who"] == "primary"
-            assert client.counters.hedges == 0
-            assert stub.lanes == [None]
+            async with _LanePeer(primary_delay=0.0) as peer:
+                client = ServiceClient(
+                    "n0", peer.addr, config=ClientConfig(hedge_delay_floor=0.05)
+                )
+                _seed_rtt(client, peer.addr)
+                try:
+                    reply = await self.hedged_read(client, peer)
+                    assert reply["who"] == "primary"
+                    assert client.counters.hedges == 0
+                    assert peer.lanes == [0]
+                finally:
+                    await client.close()
 
         run(scenario())
 
     def test_hedge_budget_caps_duplicates(self):
         async def scenario():
-            stub = _HedgeStubChannel(primary_delay=0.05)
-            client = ServiceClient(
-                "n0",
-                self.ADDR,
-                config=ClientConfig(hedge_delay_floor=0.01, hedge_budget=0.2),
-                channel=stub,
-            )
-            _seed_rtt(client, self.ADDR)
-            for _ in range(30):
-                await client._hedged_call(
-                    self.ADDR, "lhagent", "whois", {}, timeout=1.0
+            async with _LanePeer(primary_delay=0.05) as peer:
+                client = ServiceClient(
+                    "n0",
+                    peer.addr,
+                    config=ClientConfig(hedge_delay_floor=0.01, hedge_budget=0.2),
                 )
-            # Every primary was tail-slow, yet only ~hedge_budget of
-            # the eligible calls dared a duplicate -- the tail-at-scale
-            # guard against hedges amplifying an overload.
-            assert client._hedge_eligible == 30
-            assert 0 < client.counters.hedges <= 7
+                try:
+                    for _ in range(30):
+                        # Each slow round trip feeds the estimator; keep
+                        # the hedge delay at its floor regardless.
+                        client._rtts.pop(peer.addr, None)
+                        _seed_rtt(client, peer.addr)
+                        await self.hedged_read(client, peer)
+                    # Every primary was tail-slow, yet only ~hedge_budget of
+                    # the eligible calls dared a duplicate -- the tail-at-scale
+                    # guard against hedges amplifying an overload.
+                    assert client._hedge_eligible == 30
+                    assert 0 < client.counters.hedges <= 7
+                    assert len(peer.lanes) == 30 + client.counters.hedges
+                finally:
+                    await client.close()
 
         run(scenario())
 
     def test_no_hedge_when_delay_exceeds_timeout(self):
         async def scenario():
-            stub = _HedgeStubChannel(primary_delay=0.0)
-            client = ServiceClient("n0", self.ADDR, channel=stub)
-            # No RTT samples: hedge delay sits at the cap, above the
-            # tiny budgeted timeout, so the call goes out unhedged.
-            reply = await client._hedged_call(
-                self.ADDR, "lhagent", "whois", {}, timeout=0.05
-            )
-            assert reply["who"] == "primary"
-            assert stub.lanes == [None]
+            async with _LanePeer(primary_delay=0.0) as peer:
+                client = ServiceClient("n0", peer.addr)
+                try:
+                    # No RTT samples: hedge delay sits at the cap, above the
+                    # tiny budgeted timeout, so the call goes out unhedged.
+                    deadline = asyncio.get_running_loop().time() + 0.05
+                    reply = await self.hedged_read(client, peer, deadline)
+                    assert reply["who"] == "primary"
+                    assert client._hedge_eligible == 1
+                    assert client.counters.hedges == 0
+                    assert peer.lanes == [0]
+                finally:
+                    await client.close()
 
         run(scenario())
 
@@ -362,7 +395,7 @@ class _MappingStubChannel:
     def __init__(self, iagent_addr):
         self.iagent_addr = iagent_addr
 
-    async def call(self, addr, to, op, body, timeout=None, lane=None):
+    async def call(self, addr, to, op, body, timeout=None, lane=None, hedge=None):
         assert (to, op) == ("lhagent", "get-hash-delta"), f"{op} reached the stub"
         return copy_reply("ia-0", "node-9", self.iagent_addr)
 

@@ -7,12 +7,15 @@ only for one that awaits; the client settles reply futures from
 behaviours that design has to keep: no head-of-line blocking behind an
 awaiting handler, timeout isolation with late replies dropped by id,
 split-agnostic framing, pause-reading back-pressure, a budgeted hedge
-timer that never leaks an unretrieved exception, and a teardown that
-leaves no task and no transport behind.
+timer that never leaks an unretrieved exception, one request record per
+RPC (one future, one timer, no task, hedged or not -- and nothing of it
+left behind however the call ends), and a teardown that leaves no task
+and no transport behind.
 """
 
 import asyncio
 import gc
+import time
 import warnings
 from contextlib import asynccontextmanager
 
@@ -26,7 +29,9 @@ from repro.service.client import (
     RemoteOpError,
     RpcChannel,
     ServiceClient,
+    ServiceRpcError,
     ServiceTimeout,
+    _Connection,
 )
 from repro.service.cluster import ClusterConfig, booted_cluster
 from repro.service.server import HAgentServer, NodeServer
@@ -299,21 +304,51 @@ class TestBackPressure:
 
 
 class _RecordingChannel(RpcChannel):
+    """Notes the lane of every attempt: ``None`` for a call, and for a
+    hedged duplicate (which its request record sends, not ``call``) the
+    pool index of the connection carrying it -- ``pool_size`` when that
+    lane has to be dialed first."""
+
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
         self.lanes = []
 
-    def call(self, addr, to, op, body=None, timeout=None, lane=None):
+    def call(self, addr, to, op, body=None, timeout=None, lane=None, hedge=None):
         self.lanes.append(lane)
-        return super().call(addr, to, op, body, timeout=timeout, lane=lane)
+        return super().call(addr, to, op, body, timeout=timeout, lane=lane, hedge=hedge)
+
+    def _send_duplicate(self, addr, rpc, to, body):
+        super()._send_duplicate(addr, rpc, to, body)
+        (holder,) = [holder for holder in rpc.out if holder is not rpc.primary]
+        pool = self._pools[addr]
+        self.lanes.append(pool.index(holder) if holder in pool else self.pool_size)
+
+
+def capture_loop_errors():
+    """Collect what the running loop would log ("... never retrieved")."""
+    logged = []
+    asyncio.get_running_loop().set_exception_handler(
+        lambda loop, context: logged.append(context)
+    )
+    return logged
+
+
+def armed_timers():
+    """The request-record timer handles the loop still holds armed."""
+    return [
+        handle
+        for handle in asyncio.get_running_loop()._scheduled
+        if not handle.cancelled()
+        and isinstance(getattr(handle._callback, "__self__", None), _Connection)
+    ]
 
 
 class TestHedgeTimer:
     @staticmethod
-    def slow_first_arrival(node, delay, fail_duplicates=False):
-        """A pull arriving with none in flight awaits ``delay``; one that
-        arrives meanwhile (the hedged duplicate) answers -- or fails --
-        at once."""
+    def slow_first_arrival(node, delay, fail_duplicates=False, fail_primaries=False):
+        """A pull arriving with none in flight awaits ``delay`` and then
+        answers -- or fails; one that arrives meanwhile (the hedged
+        duplicate) answers -- or fails -- at once."""
         real = node.lhagent.op_get_hash_delta
         in_flight = 0
 
@@ -322,6 +357,8 @@ class TestHedgeTimer:
             in_flight += 1
             try:
                 await asyncio.sleep(delay)
+                if fail_primaries:
+                    raise RuntimeError("primary refused")
                 return await real(body)
             finally:
                 in_flight -= 1
@@ -361,10 +398,7 @@ class TestHedgeTimer:
 
     def test_duplicates_are_budgeted_and_ride_the_dedicated_lane(self):
         async def scenario():
-            logged = []
-            asyncio.get_running_loop().set_exception_handler(
-                lambda loop, context: logged.append(context)
-            )
+            logged = capture_loop_errors()
             async with one_node() as (node, agents):
                 channel = _RecordingChannel()
                 client = self.client_for(node, channel)
@@ -395,10 +429,7 @@ class TestHedgeTimer:
 
     def test_losing_and_cancelled_duplicates_never_log(self):
         async def scenario():
-            logged = []
-            asyncio.get_running_loop().set_exception_handler(
-                lambda loop, context: logged.append(context)
-            )
+            logged = capture_loop_errors()
             async with one_node() as (node, agents):
                 channel = _RecordingChannel()
                 client = self.client_for(node, channel)
@@ -427,6 +458,316 @@ class TestHedgeTimer:
             gc.collect()
             await asyncio.sleep(0)
             assert logged == []
+
+        run(scenario())
+
+    def stalled_locates(self, yields):
+        """Ten hedge-eligible locates whose caller stalls the loop past
+        the hedge delay ``yields`` passes after the send; the duplicates
+        that cost."""
+
+        async def scenario():
+            async with one_node() as (node, agents):
+                client = self.client_for(node, RpcChannel())
+                try:
+                    for agent in agents[:10]:
+                        await client.register(agent, "node-0", 0)
+                    self.seed_rtt(client, node.addr)
+                    for agent in agents[:10]:
+                        located = asyncio.ensure_future(client.locate(agent))
+                        for _ in range(yields):
+                            await asyncio.sleep(0)
+                        time.sleep(0.03)  # a split hand-off, a GC pause, a snapshot
+                        assert await located == "node-0"
+                    return client.counters.hedges
+                finally:
+                    await client.close()
+
+        return run(scenario())
+
+    def test_no_duplicate_for_a_reply_that_is_already_in(self):
+        # Two passes after the send the server has replied: the reply
+        # sits in the client's socket while the loop stalls. The pass
+        # that follows reads it *before* it runs the due hedge timer,
+        # and reading it settles the record -- there is nothing to hedge.
+        assert self.stalled_locates(yields=2) == 0
+
+    def test_a_reply_not_yet_in_may_still_be_hedged(self):
+        # One pass after the send the request is still in the server's
+        # socket: the hedge timer comes due with the primary truly out.
+        assert self.stalled_locates(yields=1) > 0
+
+
+class TestRequestRecord:
+    """One record per RPC, hedge-eligible or not: what a call costs, how
+    its attempts settle it, and that nothing of it outlives the call."""
+
+    client_for = staticmethod(TestHedgeTimer.client_for)
+    seed_rtt = staticmethod(TestHedgeTimer.seed_rtt)
+    slow_first_arrival = staticmethod(TestHedgeTimer.slow_first_arrival)
+
+    @staticmethod
+    def pull(client, node, **kwargs):
+        """A hedge-eligible pull straight through ``_call``, so a failure
+        reaches the test instead of the saga's retry loop."""
+        return client._call(
+            node.addr, "lhagent", *pull_that_fetches(node), hedge=True, **kwargs
+        )
+
+    @staticmethod
+    def assert_nothing_left(channel, logged):
+        for pool in channel._pools.values():
+            assert all(conn.pending == {} and not conn.closed for conn in pool)
+        assert armed_timers() == []
+        assert logged == []
+
+    @staticmethod
+    async def still_serves(client, node, agents):
+        """Every pooled connection -- the hedge lane's too -- still
+        carries a round trip: a loser's late reply did not hurt it."""
+        lanes = range(len(client.channel._pools[node.addr]))
+        for lane, agent in zip(lanes, agents):
+            reply = await client.channel.call(
+                node.addr, "lhagent", "whois", {"agent": agent}, lane=lane
+            )
+            assert reply["node"] == "node-0"
+
+    def measured_calls(self, hedge, count=200):
+        """What ``count`` steady ``_call``s create on the loop, and how
+        many loop passes each takes."""
+
+        async def scenario():
+            async with one_node() as (node, agents):
+                client = self.client_for(node, RpcChannel())
+                body = {"agent": agents[0]}
+                try:
+                    await client._call(node.addr, "lhagent", "whois", body, hedge=hedge)
+                    loop = asyncio.get_running_loop()
+                    made = dict.fromkeys(
+                        ("create_future", "call_at", "call_later", "create_task"), 0
+                    )
+
+                    def counting(name, real):
+                        def counted(*args, **kwargs):
+                            made[name] += 1
+                            return real(*args, **kwargs)
+
+                        return counted
+
+                    for name in made:
+                        setattr(loop, name, counting(name, getattr(loop, name)))
+                    passes = 0
+
+                    def tick():
+                        nonlocal passes, ticker
+                        passes += 1
+                        ticker = loop.call_soon(tick)
+
+                    ticker = loop.call_soon(tick)
+                    try:
+                        for _ in range(count):
+                            await client._call(
+                                node.addr, "lhagent", "whois", body, hedge=hedge
+                            )
+                    finally:
+                        ticker.cancel()
+                        for name in made:
+                            delattr(loop, name)
+                    assert client._hedge_eligible == (count + 1 if hedge else 0)
+                    assert client.counters.hedges == 0
+                    return made, passes / count
+                finally:
+                    await client.close()
+
+        return run(scenario())
+
+    def test_a_steady_hedged_read_costs_what_an_unhedged_call_costs(self):
+        count = 200
+        hedged, hedged_passes = self.measured_calls(hedge=True, count=count)
+        plain, plain_passes = self.measured_calls(hedge=False, count=count)
+        # One future, one timer handle, no task -- and call_later (the
+        # second timer a wrapper would arm) is never reached.
+        assert hedged == plain == {
+            "create_future": count,
+            "call_at": count,
+            "call_later": 0,
+            "create_task": 0,
+        }
+        # send -> server -> client read (settles the caller's own
+        # future) -> the caller resumes and sends the next: three
+        # passes an op, where an outcome future in between made it four.
+        assert 3.0 <= hedged_passes < 3.5, hedged_passes
+        assert 3.0 <= plain_passes < 3.5, plain_passes
+
+    def test_both_attempts_failing_raises_the_first_failure_after_the_second(self):
+        async def scenario():
+            logged = capture_loop_errors()
+            async with one_node() as (node, agents):
+                client = self.client_for(node, RpcChannel())
+                try:
+                    await client._whois(agents[-1])
+                    self.slow_first_arrival(
+                        node, delay=0.05, fail_duplicates=True, fail_primaries=True
+                    )
+                    started = time.monotonic()
+                    with pytest.raises(RemoteOpError) as failure:
+                        await self.pull(client, node)
+                    # The duplicate failed first (at once) and alone
+                    # settled nothing; the primary's failure ended the
+                    # call, which raises the earlier of the two.
+                    assert "duplicate refused" in str(failure.value)
+                    assert time.monotonic() - started >= 0.05
+                    assert client.counters.hedges == 1
+                    assert client.counters.hedge_wins == 0
+                    await self.still_serves(client, node, agents)
+                    self.assert_nothing_left(client.channel, logged)
+                finally:
+                    await client.close()
+            gc.collect()
+            await asyncio.sleep(0)
+            assert logged == []
+
+        run(scenario())
+
+    def test_primary_failing_inside_the_hedge_delay_is_raised_at_once(self):
+        async def scenario():
+            async with one_node() as (node, agents):
+                client = self.client_for(node, RpcChannel())
+                try:
+                    await client._whois(agents[-1])
+                    self.seed_rtt(client, node.addr)
+                    started = time.monotonic()
+                    with pytest.raises(RemoteOpError) as failure:
+                        await client._call(node.addr, "lhagent", "whois", {}, hedge=True)
+                    assert failure.value.code == "internal-error"
+                    assert time.monotonic() - started < 0.01  # the hedge delay
+                    assert client._hedge_eligible == 2
+                    assert client.counters.hedges == 0
+                    self.assert_nothing_left(client.channel, [])
+                finally:
+                    await client.close()
+
+        run(scenario())
+
+    #: Seconds into the call its caller is cancelled, by attempts then out
+    #: (the hedge delay is 10 ms).
+    CANCEL_AFTER = {
+        "cancelled-while-dialing": 0,
+        "cancelled-one-out": 0.003,
+        "cancelled-two-out": 0.03,
+    }
+
+    @pytest.mark.parametrize(
+        "ending",
+        ["primary-wins", "duplicate-wins", *CANCEL_AFTER, "connection-closed", "expired"],
+    )
+    def test_nothing_of_the_record_outlives_the_call(self, ending):
+        async def scenario():
+            logged = capture_loop_errors()
+            async with one_node() as (node, agents):
+                client = ServiceClient(
+                    "driver",
+                    node.addr,
+                    config=ClientConfig(
+                        hedge_delay_floor=0.01, adaptive_timeout=False, rpc_timeout=0.15
+                    ),
+                    channel=RpcChannel(),
+                )
+                channel = client.channel
+                try:
+                    if ending != "cancelled-while-dialing":
+                        await client._whois(agents[-1])
+                    self.seed_rtt(client, node.addr)
+                    if ending == "primary-wins":
+                        self.slow_first_arrival(node, delay=0.04, fail_duplicates=True)
+                        assert "mode" in await self.pull(client, node)
+                        assert client.counters.hedge_wins == 0
+                    elif ending == "duplicate-wins":
+                        self.slow_first_arrival(node, delay=0.04)
+                        assert "mode" in await self.pull(client, node)
+                        assert client.counters.hedge_wins == 1
+                        await asyncio.sleep(0.06)  # the loser's reply arrives
+                    elif ending in self.CANCEL_AFTER:
+                        gate = gate_fetches(node)
+                        call = asyncio.ensure_future(self.pull(client, node))
+                        await asyncio.sleep(self.CANCEL_AFTER[ending])
+                        hedges = 1 if ending == "cancelled-two-out" else 0
+                        assert client.counters.hedges == hedges
+                        call.cancel()
+                        with pytest.raises(asyncio.CancelledError):
+                            await call
+                        await asyncio.sleep(0.02)  # past the hedge delay
+                        gate.set()
+                        await asyncio.sleep(0.02)  # the abandoned replies arrive
+                        assert client.counters.hedges == hedges
+                    elif ending == "connection-closed":
+                        gate_fetches(node)
+                        call = asyncio.ensure_future(self.pull(client, node))
+                        await asyncio.sleep(0.03)
+                        assert client.counters.hedges == 1
+                        primary, lane = channel._pools[node.addr]
+                        primary.close("cut")
+                        await asyncio.sleep(0.01)
+                        assert not call.done()  # the duplicate is still out
+                        lane.close("cut too")
+                        with pytest.raises(ServiceRpcError, match="failed: cut$"):
+                            await call
+                        channel._live_pool(node.addr)
+                    elif ending == "expired":
+                        gate_fetches(node)
+                        with pytest.raises(ServiceTimeout):
+                            await self.pull(client, node)
+                        assert client.counters.hedges == 1
+                    if channel._pools[node.addr]:
+                        await self.still_serves(client, node, agents)
+                    self.assert_nothing_left(channel, logged)
+                finally:
+                    await client.close()
+            gc.collect()
+            await asyncio.sleep(0)
+            assert logged == []
+
+        run(scenario())
+
+    def test_all_attempts_share_the_primary_deadline(self):
+        async def scenario():
+            async with one_node() as (node, agents):
+                client = ServiceClient(
+                    "driver",
+                    node.addr,
+                    config=ClientConfig(
+                        hedge_delay_floor=0.15, adaptive_timeout=False, rpc_timeout=0.3
+                    ),
+                    channel=RpcChannel(),
+                )
+                try:
+                    await client._whois(agents[-1])
+                    self.seed_rtt(client, node.addr)
+                    gate_fetches(node)  # primary and duplicate: both black-holed
+                    started = time.monotonic()
+                    with pytest.raises(ServiceTimeout, match="timed out after 0.3s"):
+                        await self.pull(client, node)
+                    elapsed = time.monotonic() - started
+                    assert client.counters.hedges == 1
+                    # start + timeout -- not hedge delay + timeout (0.45 s).
+                    assert 0.3 <= elapsed < 0.4, elapsed
+                finally:
+                    await client.close()
+
+        run(scenario())
+
+    def test_a_call_that_has_to_dial_still_hedges(self):
+        async def scenario():
+            async with one_node() as (node, agents):
+                client = self.client_for(node, RpcChannel())
+                try:
+                    self.slow_first_arrival(node, delay=0.05)
+                    assert node.addr not in client.channel._pools
+                    assert "mode" in await self.pull(client, node)
+                    assert client.counters.hedges == 1
+                    assert client.counters.hedge_wins == 1
+                finally:
+                    await client.close()
 
         run(scenario())
 

@@ -149,6 +149,15 @@ class TestRoundTrip:
     def test_request_preserves_message_id(self, request):
         assert json_round_trip(request).message_id == request.message_id
 
+    @pytest.mark.parametrize("codec", [CODEC_BINARY, CODEC_JSON])
+    def test_decoding_a_request_consumes_no_message_id(self, codec):
+        # Ids come from one process-wide counter; a decode that drew
+        # from it would burn two per RPC in a one-process cluster.
+        sent = Request(op="locate", body={"agent": AgentId(5)})
+        frame = encode_frame({"to": "ia-0", "req": sent}, codec=codec)
+        assert decode_frame(frame, codec=codec)["req"].message_id == sent.message_id
+        assert Request(op="locate").message_id == sent.message_id + 1
+
     @given(st.dictionaries(agent_ids, st.tuples(st.text(max_size=8), st.integers()), max_size=5))
     def test_record_table_round_trip(self, table):
         # The exact shape IAgents ship during extract/adopt: AgentId
