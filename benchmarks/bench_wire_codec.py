@@ -3,7 +3,9 @@
 Not a paper figure -- these track the raw encode/decode cost both
 codecs pay per frame on representative protocol payloads (a secondary
 copy's record table, a batched locate reply, a split's hand-off
-bundle) plus the streaming ``FrameDecoder`` feed path, whose decode now
+bundle), on the two small frames of a steady one-hop locate (the RPC
+envelope as the binary codec's call and reply frame headers), plus the
+streaming ``FrameDecoder`` feed path, whose decode now
 runs over a ``memoryview`` of the reassembly buffer instead of sliced
 copies. Regressions here translate directly into slower clusters: every
 RPC pays these costs twice, and a split pays the hand-off arm four
@@ -13,7 +15,7 @@ and decoded).
 
 import pytest
 
-from repro.platform.messages import Request
+from repro.platform.messages import Request, Response
 from repro.platform.naming import AgentId
 from repro.service.wire import (
     CODEC_BINARY,
@@ -80,6 +82,19 @@ def _locate_batch_request(agents: int) -> dict:
     return {"to": "iagent:0", "req": request}
 
 
+def _steady_locate() -> dict:
+    """The two frames of a steady locate, in the shapes a live
+    ``locate-pipelined`` run puts on its sockets: the request addressed
+    to a 64-bit IAgent id with every simulator field of the envelope at
+    its default, a six-digit message id, and the ``ok`` reply."""
+    agent = AgentId(0x9E3779B97F4A7C15)
+    request = Request(op="locate", body={"agent": agent}, message_id=123_456)
+    return {
+        "request": {"to": AgentId(0xC << 60), "req": request},
+        "reply": Response(123_456, {"status": "ok", "node": "node-3", "seq": 41}),
+    }
+
+
 @pytest.fixture(params=[CODEC_JSON, CODEC_BINARY], ids=["json", "binary"])
 def codec(request):
     return request.param
@@ -114,6 +129,20 @@ def test_encode_locate_batch(benchmark, codec):
     envelope = _locate_batch_request(256)
     frame = benchmark(lambda: encode_frame(envelope, codec=codec))
     assert len(frame) > 4
+
+
+@pytest.mark.parametrize("kind", ["request", "reply"])
+def test_encode_steady_locate(benchmark, codec, kind):
+    value = _steady_locate()[kind]
+    frame = benchmark(lambda: encode_frame(value, codec=codec))
+    benchmark.extra_info["bytes"] = len(frame)
+
+
+@pytest.mark.parametrize("kind", ["request", "reply"])
+def test_decode_steady_locate(benchmark, codec, kind):
+    value = _steady_locate()[kind]
+    frame = encode_frame(value, codec=codec)
+    assert benchmark(lambda: decode_frame(frame, codec=codec)) == value
 
 
 def test_decoder_feed_large_frames(benchmark, codec):

@@ -40,6 +40,11 @@ class Request:
     size:
         Abstract payload size in bytes; feeds the network's
         transmission-delay model.
+
+    ``size`` and the two senders are simulator fields: nothing in the
+    live service reads them, and its wire carries them only when set (an
+    envelope that leaves them at their defaults travels as a fixed frame
+    header of op, message id and target; see :mod:`repro.service.wire`).
     """
 
     op: str
@@ -55,7 +60,12 @@ class Request:
 
 @dataclass
 class Response:
-    """A response envelope correlated to a request by ``message_id``."""
+    """A response envelope correlated to a request by ``message_id``.
+
+    ``size`` is a simulator field, like ``Request.size``: the live wire
+    carries it only when it is not the default, and spends no byte on an
+    absent ``error``.
+    """
 
     message_id: int
     value: Any = None

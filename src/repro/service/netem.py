@@ -41,7 +41,7 @@ import json
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, List, Optional, Set, Tuple, Union, cast
+from typing import Any, Deque, Dict, Iterable, List, Optional, Set, Tuple, Union, cast
 
 __all__ = ["DIR_IN", "DIR_OUT", "LinkState", "NetemController"]
 
@@ -330,8 +330,9 @@ class NetemController:
 class _Shim:
     """A transport's write side with link faults applied per write.
 
-    The owner calls :meth:`write` once per frame, so every frame gets
-    its own loss and jitter draw. Clean links pass writes straight
+    The owner hands over whole frames -- one per :meth:`write`, or a
+    list of them to :meth:`writelines` -- so every frame gets its own
+    loss and jitter draw. Clean links pass writes straight
     through with no queue and no pump task; an active fault queues the
     frame and a pump task delivers the queue, then exits. Delivery
     times are monotone per connection (``max(now + delay, previous)``)
@@ -386,6 +387,12 @@ class _Shim:
         self._queue.append((bytes(data), at))
         if not pumping:
             self._pump_task = loop.create_task(self._pump())
+
+    def writelines(self, frames: Iterable[bytes]) -> None:
+        """A segment's replies: still one draw per frame, never one for
+        the batch (the real transport's ``writelines`` is one send)."""
+        for frame in frames:
+            self.write(frame)
 
     def _slow_params(self) -> Optional[Tuple[int, float]]:
         for state in self._controller.states_for(self.port):

@@ -214,10 +214,14 @@ class ServiceConfig:
 class _ServerConnection(asyncio.Protocol):
     """One accepted connection: decodes frames, hands them to the server.
 
-    Replies go to ``out`` -- the transport, or its netem shim -- one
-    write per frame. When a peer stops reading and the write buffer
-    passes its high-water mark, the connection stops *reading* until it
-    drains, so the replies buffered for one slow peer stay bounded.
+    Replies go to ``out`` -- the transport, or its netem shim. The
+    replies a received segment's frames produce inline are collected and
+    handed over in one ``writelines`` when the segment is done (a
+    pipelining peer's N requests cost one send, not N); a reply a
+    handler task produces later is written on its own. When a peer stops
+    reading and the write buffer passes its high-water mark, the
+    connection stops *reading* until it drains, so the replies buffered
+    for one slow peer stay bounded.
     """
 
     def __init__(self, server: "_FramedServer") -> None:
@@ -225,6 +229,9 @@ class _ServerConnection(asyncio.Protocol):
         self.decoder = wire.FrameDecoder(max_frame=server.config.max_frame)
         self.transport: Any = None
         self.out: Any = None
+        #: The encoded replies of the segment being served; ``None``
+        #: outside ``data_received``.
+        self._segment: Optional[List[bytes]] = None
 
     def connection_made(self, transport: asyncio.BaseTransport) -> None:
         server = self.server
@@ -238,9 +245,16 @@ class _ServerConnection(asyncio.Protocol):
         server._connections.add(self)
 
     def data_received(self, data: bytes) -> None:
+        replies = self._segment = []
         try:
-            for frame in self.decoder.frames(data):
-                self.server._on_frame(self, frame)
+            try:
+                for frame in self.decoder.frames(data):
+                    self.server._on_frame(self, frame)
+            finally:
+                # Also on a handler bug: the answers already made go out.
+                self._segment = None
+                if replies:
+                    self.out.writelines(replies)
         except wire.WireError:
             self.out.abort()  # a garbage-speaking peer never kills the server
 
@@ -264,7 +278,10 @@ class _ServerConnection(asyncio.Protocol):
         except wire.WireError as exc:  # an unencodable or oversized value
             response = Response(message_id, error=f"internal-error: {exc}")
             payload = wire.encode_frame(response, max_frame)
-        self.out.write(payload)
+        if self._segment is None:
+            self.out.write(payload)
+        else:
+            self._segment.append(payload)
 
 
 class _FramedServer:

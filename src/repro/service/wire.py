@@ -3,11 +3,22 @@
 A frame is a 4-byte big-endian unsigned length followed by that many
 bytes of body. Every frame on every socket is in the one ``"binary"``
 codec -- a compact ``struct``/varint format: one tag byte per value,
-zigzag-varint integers, raw-int ``AgentId`` payloads, interned protocol
-op names, and tuple/dict shapes without per-value tags. A dict keyed by
-same-width ``AgentId``s -- the per-agent tables a split or merge hands
-over -- travels as columns: one ``struct`` pack for the keys, and for
-int or ``[node, seq]`` values too.
+zigzag-varint integers, raw-int ``AgentId`` payloads (eight raw bytes
+for a 64-bit id), interned protocol op names, and tuple/dict shapes
+without per-value tags. A dict keyed by same-width ``AgentId``s -- the
+per-agent tables a split or merge hands over -- travels as columns: one
+``struct`` pack for the keys, and for int or ``[node, seq]`` values too.
+
+A body is one of three *frame kinds*, told apart by its first byte and
+only there: a *call* -- the ``{"to", "req"}`` envelope every RPC is sent
+in, as one fixed ``struct`` header (op index, message id, target) and
+the request body; a *reply* -- a ``Response`` as a header (value or
+error, message id) and that one payload; or a bare tagged value. The
+encoder reads the kind off the value's shape: an envelope whose
+simulator-only fields (``size``, the senders) are unset and whose
+message id fits a u64 is a call or a reply, anything else is the tagged
+value it always was (``Request`` 0x0B / ``Response`` 0x0C inside it),
+and both decode to equal objects.
 
 There is no handshake: a connection speaks binary from its first byte.
 The compatibility rule is the format's own -- value tags, column kinds
@@ -78,6 +89,8 @@ CODEC_JSON = "json"
 
 _LENGTH = struct.Struct(">I")
 _F64 = struct.Struct(">d")
+_U64 = struct.Struct(">Q")
+_U64_MAX = (1 << 64) - 1
 
 Buffer = Union[bytes, bytearray, memoryview]
 
@@ -106,8 +119,9 @@ def from_jsonable(value: Any) -> Any:
 # ----------------------------------------------------------------------
 
 #: Protocol op names carried as a one-byte table index instead of a
-#: string. Append only -- indices are wire format. An op missing here
-#: still travels, as an inline string.
+#: string. Append only -- indices are wire format, and a call header
+#: holds one in a byte with 0xFF taken: 255 entries at most. An op
+#: missing here still travels, as an inline string.
 INTERNED_OPS: Tuple[str, ...] = (
     "register",
     "update",
@@ -171,6 +185,11 @@ _T_DICT_ANY = 0x0A
 _T_REQUEST = 0x0B
 _T_RESPONSE = 0x0C
 _T_AID_TABLE = 0x0D
+_T_AID64 = 0x10  # an AgentId of width exactly 64: eight raw bytes
+# Frame kinds: legal as a frame body's first byte only, never inside a
+# value (see ``_encode_body`` / ``decode_binary``).
+_T_CALL = 0x0E
+_T_REPLY = 0x0F
 
 # Value-column kinds of an AgentId table (``_T_AID_TABLE``). Append only.
 _COL_ANY = 0x00  # one tagged value per key, as in _T_DICT_ANY
@@ -185,6 +204,21 @@ _MAX_ROW_STRINGS = 256
 # Request op field discriminator: interned table index vs inline string.
 _OP_INLINE = 0x00
 _OP_INTERNED = 0x01
+
+# A call frame's fixed header: tag, op (its ``INTERNED_OPS`` index, or
+# ``_CALL_OP_INLINE`` and the op as a string right after the header),
+# message id, target width (1-64: the target AgentId's value follows as
+# a raw u64; 0: the target follows as a tagged value). A reply's: tag,
+# kind, message id.
+_CALL_HEAD = struct.Struct(">BBQB")
+_REPLY_HEAD = struct.Struct(">BBQ")
+_CALL_OP_INLINE = 0xFF
+_REPLY_VALUE = 0x00
+_REPLY_ERROR = 0x01
+#: ``Request.size`` / ``Response.size`` as the live service leaves them
+#: (a simulator field): an envelope carrying any other value keeps the
+#: generic 0x0B / 0x0C form.
+_DEFAULT_SIZE = 256
 
 
 def _write_uvarint(n: int, out: bytearray) -> None:
@@ -239,9 +273,13 @@ def _encode_value(value: Any, out: bytearray) -> None:
         out.append(_T_STR)
         _write_str(value, out)
     elif kind is AgentId:
-        out.append(_T_AID)
-        _write_uvarint(value.value, out)
-        _write_uvarint(value.width, out)
+        if value[1] == 64:
+            out.append(_T_AID64)
+            out += _U64.pack(value[0])
+        else:
+            out.append(_T_AID)
+            _write_uvarint(value[0], out)
+            _write_uvarint(value[1], out)
     elif kind is float:
         out.append(_T_FLOAT)
         out += _F64.pack(value)
@@ -392,10 +430,75 @@ def _encode_rows(rows: List, out: bytearray) -> bool:
     return True
 
 
-def encode_binary(value: Any) -> bytes:
-    """One value in the binary codec, unframed (mostly for tests)."""
-    out = bytearray()
+def _encode_body(value: Any, out: bytearray) -> None:
+    """Append one frame body: a call, a reply, or a bare tagged value.
+
+    The frame kind is read off the value's own shape, here and nowhere
+    else: a ``{"to", "req"}`` envelope or a ``Response`` whose fields
+    fit the fixed header travels as one; any other value -- an envelope
+    with a simulator field set, a message id outside u64, a ``Request``
+    nested deeper -- travels as the tagged value it always was.
+    """
+    kind = type(value)
+    if kind is dict:
+        if len(value) == 2 and tuple(value) == ("to", "req"):
+            request = value["req"]
+            if type(request) is Request and _encode_call(value["to"], request, out):
+                return
+    elif kind is Response and _encode_reply(value, out):
+        return
     _encode_value(value, out)
+
+
+def _encode_call(target: Any, request: Request, out: bytearray) -> bool:
+    op = request.op
+    message_id = request.message_id
+    if (
+        request.size != _DEFAULT_SIZE
+        or request.sender_node is not None
+        or request.sender_agent is not None
+        or type(op) is not str
+        or type(message_id) is not int
+        or not 0 <= message_id <= _U64_MAX
+    ):
+        return False
+    op_byte = _OP_INDEX.get(op, _CALL_OP_INLINE)
+    raw_target = type(target) is AgentId and target[1] <= 64
+    out += _CALL_HEAD.pack(_T_CALL, op_byte, message_id, target[1] if raw_target else 0)
+    if op_byte == _CALL_OP_INLINE:
+        _write_str(op, out)
+    if raw_target:
+        out += _U64.pack(target[0])
+    else:
+        _encode_value(target, out)
+    _encode_value(request.body, out)
+    return True
+
+
+def _encode_reply(response: Response, out: bytearray) -> bool:
+    message_id = response.message_id
+    error = response.error
+    if (
+        response.size != _DEFAULT_SIZE
+        or type(message_id) is not int
+        or not 0 <= message_id <= _U64_MAX
+    ):
+        return False
+    if error is None:
+        out += _REPLY_HEAD.pack(_T_REPLY, _REPLY_VALUE, message_id)
+        _encode_value(response.value, out)
+    elif type(error) is str and response.value is None:
+        out += _REPLY_HEAD.pack(_T_REPLY, _REPLY_ERROR, message_id)
+        _write_str(error, out)
+    else:
+        return False
+    return True
+
+
+def encode_binary(value: Any) -> bytes:
+    """One frame body in the binary codec, unframed (mostly for tests)."""
+    out = bytearray()
+    _encode_body(value, out)
     return bytes(out)
 
 
@@ -507,6 +610,12 @@ def _decode_value(data: bytes, pos: int, end: int) -> Tuple[Any, int]:
         return True, pos
     if tag == _T_FALSE:
         return False, pos
+    if tag == _T_AID64:
+        stop = pos + 8
+        if stop > end:
+            raise WireError("binary frame truncated inside a 64-bit AgentId")
+        # Eight bytes cannot exceed 64 bits: nothing left to validate.
+        return tuple.__new__(AgentId, (_U64.unpack_from(data, pos)[0], 64)), stop
     if tag == _T_AID:
         raw, pos = _read_uvarint(data, pos, end)
         width, pos = _read_uvarint(data, pos, end)
@@ -645,8 +754,52 @@ def _decode_rows(
     return (list(rows) if as_tuples else list(map(list, rows))), numbers_at + 8 * count
 
 
+def _decode_call(data: bytes, end: int) -> Tuple[Dict[str, Any], int]:
+    """Invert :func:`_encode_call`: the ``{"to", "req"}`` envelope."""
+    pos = _CALL_HEAD.size
+    if pos > end:
+        raise WireError("binary call frame truncated inside its header")
+    _, op_byte, message_id, width = _CALL_HEAD.unpack_from(data)
+    if op_byte == _CALL_OP_INLINE:
+        op, pos = _read_str(data, pos, end)
+    elif op_byte < len(INTERNED_OPS):
+        op = INTERNED_OPS[op_byte]
+    else:
+        raise WireError(f"unknown interned op index {op_byte}")
+    if width == 0:
+        target, pos = _decode_value(data, pos, end)
+    elif width <= 64:
+        if pos + 8 > end:
+            raise WireError("binary call frame truncated inside its target")
+        (raw,) = _U64.unpack_from(data, pos)
+        if raw >> width:
+            raise WireError(f"binary call target out of range for width {width}")
+        target = tuple.__new__(AgentId, (raw, width))
+        pos += 8
+    else:
+        raise WireError(f"binary call frame has target width {width}")
+    body, pos = _decode_value(data, pos, end)
+    return {"to": target, "req": Request(op=op, body=body, message_id=message_id)}, pos
+
+
+def _decode_reply(data: bytes, end: int) -> Tuple[Response, int]:
+    """Invert :func:`_encode_reply`."""
+    pos = _REPLY_HEAD.size
+    if pos > end:
+        raise WireError("binary reply frame truncated inside its header")
+    _, kind, message_id = _REPLY_HEAD.unpack_from(data)
+    if kind == _REPLY_VALUE:
+        value, pos = _decode_value(data, pos, end)
+        return Response(message_id, value), pos
+    if kind == _REPLY_ERROR:
+        error, pos = _read_str(data, pos, end)
+        return Response(message_id, error=error), pos
+    raise WireError(f"unknown binary reply kind {kind:#04x}")
+
+
 def decode_binary(body: Buffer) -> Any:
-    """Invert :func:`encode_binary`; the buffer must hold exactly one value.
+    """Invert :func:`encode_binary`; the buffer must hold exactly one
+    frame body -- a call, a reply, or a bare value.
 
     The buffer is normalized to ``bytes`` up front: one bulk copy is
     linear and cheap, and every downstream index/slice on ``bytes``
@@ -654,14 +807,21 @@ def decode_binary(body: Buffer) -> Any:
     frames the difference is ~2x end to end.
     """
     data = body if type(body) is bytes else bytes(body)
+    end = len(data)
+    kind = data[0] if end else None
     try:
-        value, pos = _decode_value(data, 0, len(data))
+        if kind == _T_CALL:
+            value, pos = _decode_call(data, end)
+        elif kind == _T_REPLY:
+            value, pos = _decode_reply(data, end)
+        else:
+            value, pos = _decode_value(data, 0, end)
     except RecursionError:
         # Outside input: a few KB of nested one-element lists.
         raise WireError("binary frame nests deeper than the decoder recurses") from None
-    if pos != len(data):
+    if pos != end:
         raise WireError(
-            f"binary frame has {len(data) - pos} trailing garbage bytes"
+            f"binary frame has {end - pos} trailing garbage bytes"
         )
     return value
 
@@ -679,7 +839,7 @@ def encode_frame(
         # Encode straight after the header slot: framing adds no copy.
         out = bytearray(_LENGTH.size)
         try:
-            _encode_value(value, out)
+            _encode_body(value, out)
         except RecursionError:
             raise WireError("value nests deeper than the encoder recurses") from None
         length = len(out) - _LENGTH.size

@@ -27,7 +27,10 @@ from repro.service.client import (
 from repro.service.cluster import ClusterConfig, run_cluster
 from repro.service.netem import DIR_IN, DIR_OUT, NetemController
 
+from repro.service.server import ServiceConfig
+
 from tests.conftest import copy_reply
+from tests.service.test_transport import one_node, served_connection, whois_frame
 
 AGENT = AgentId(0xA1 << 48)
 
@@ -191,6 +194,63 @@ class TestShimDataPlane:
             assert 0 < outcomes[0] < 20
             server.close()
             await server.wait_closed()
+
+        run(scenario())
+
+
+class TestServedSegments:
+    """A server hands its shim a whole segment's replies at once; the
+    link's faults still fall on each reply by itself. (With no shim that
+    hand-over is the transport's one send: test_transport has it.)"""
+
+    REPLIES = 12
+
+    def segment(self, agents, first_id):
+        ids = list(range(first_id, first_id + self.REPLIES))
+        return ids, b"".join(map(whois_frame, agents, ids))
+
+    def test_every_reply_of_a_segment_gets_its_own_draw(self):
+        async def scenario():
+            netem = NetemController(seed=5)
+            async with one_node(ServiceConfig(netem=netem)) as (node, agents):
+                # Dialed around the controller: only the replies are shimmed.
+                reader, writer, conn, writes = await served_connection(node, agents[0])
+                try:
+                    port = node.addr[1]
+                    assert netem.degrade(port, loss=1.0)
+                    dropped = netem.frames_dropped
+                    lost, segment = self.segment(agents, 1)
+                    conn.data_received(segment)
+                    assert netem.frames_dropped == dropped + self.REPLIES
+                    assert writes.reply_ids() == [lost]  # handed over at once
+                    assert netem.restore(port)
+                    kept, segment = self.segment(agents, 100)
+                    conn.data_received(segment)
+                    for expected in kept:  # none of the lost ones comes first
+                        reply = await asyncio.wait_for(wire.read_frame(reader), 5.0)
+                        assert reply.message_id == expected
+                    assert netem.frames_dropped == dropped + self.REPLIES
+                finally:
+                    writer.close()
+
+        run(scenario())
+
+    def test_jitter_delays_each_reply_and_keeps_their_order(self):
+        async def scenario():
+            netem = NetemController(seed=5)
+            async with one_node(ServiceConfig(netem=netem)) as (node, agents):
+                reader, writer, conn, _ = await served_connection(node, agents[0])
+                try:
+                    assert netem.degrade(node.addr[1], delay_ms=1.0, jitter_ms=20.0)
+                    delayed = netem.frames_delayed
+                    ids, segment = self.segment(agents, 1)
+                    conn.data_received(segment)
+                    assert netem.frames_delayed == delayed + self.REPLIES
+                    for expected in ids:
+                        reply = await asyncio.wait_for(wire.read_frame(reader), 5.0)
+                        assert reply.message_id == expected
+                finally:
+                    writer.close()
 
         run(scenario())
 

@@ -15,6 +15,7 @@ and no transport behind.
 
 import asyncio
 import gc
+import struct
 import time
 import warnings
 from contextlib import asynccontextmanager
@@ -42,11 +43,11 @@ def run(coro):
 
 
 @asynccontextmanager
-async def one_node():
+async def one_node(config=None):
     """A bootstrapped HAgent + NodeServer pair and a few agent ids."""
-    hagent = HAgentServer()
+    hagent = HAgentServer(config)
     await hagent.start()
-    node = NodeServer("node-0", hagent.addr)
+    node = NodeServer("node-0", hagent.addr, config)
     await node.start()
     try:
         await node.channel.call(hagent.addr, "hagent", "bootstrap", {})
@@ -55,6 +56,15 @@ async def one_node():
     finally:
         await node.stop()
         await hagent.stop()
+
+
+def server_side(node, writer):
+    """``node``'s connection object for a client stream it has answered."""
+    local = writer.get_extra_info("sockname")[:2]
+    (conn,) = [
+        c for c in node._connections if c.transport.get_extra_info("peername")[:2] == local
+    ]
+    return conn
 
 
 def gate_fetches(node):
@@ -276,12 +286,7 @@ class TestBackPressure:
                     send()
                     first = await wire.read_frame(reader)
                     assert first.message_id == 0
-                    local = writer.get_extra_info("sockname")[:2]
-                    (conn,) = [
-                        c
-                        for c in node._connections
-                        if c.transport.get_extra_info("peername")[:2] == local
-                    ]
+                    conn = server_side(node, writer)
                     while conn.transport.is_reading() and sent < 50_000:
                         for _ in range(50):
                             send()
@@ -297,6 +302,172 @@ class TestBackPressure:
                         assert reply.message_id == expected
                         assert len(reply.value["results"]) == len(agents)
                     assert conn.transport.is_reading()
+                finally:
+                    writer.close()
+
+        run(scenario())
+
+
+class _Writes:
+    """Stands in for a server connection's ``out``: notes the frames of
+    each ``write`` / ``writelines`` call, then hands them on."""
+
+    def __init__(self, out):
+        self._out = out
+        self.calls = []
+
+    def write(self, data):
+        self.calls.append([bytes(data)])
+        self._out.write(data)
+
+    def writelines(self, frames):
+        frames = list(frames)
+        self.calls.append(frames)
+        self._out.writelines(frames)
+
+    def reply_ids(self):
+        return [[wire.decode_frame(frame).message_id for frame in call] for call in self.calls]
+
+    def __getattr__(self, name):  # abort, close
+        return getattr(self._out, name)
+
+
+async def served_connection(node, agent):
+    """A raw client stream to ``node`` that has had one ``whois`` answered
+    (message id 0; the LHAgent holds its copy from here on), the server's
+    side of it, and that side's writes from now on."""
+    reader, writer = await asyncio.open_connection(*node.addr)
+    writer.write(whois_frame(agent, 0))
+    assert (await wire.read_frame(reader)).message_id == 0
+    conn = server_side(node, writer)
+    conn.out = writes = _Writes(conn.out)
+    return reader, writer, conn, writes
+
+
+async def read_body(reader):
+    """The next frame's body, undecoded."""
+    (length,) = struct.unpack(">I", await reader.readexactly(4))
+    return await reader.readexactly(length)
+
+
+class TestServedSegments:
+    """What one received segment's frames answer inline leaves in one
+    ``writelines``; segments are handed to ``data_received`` directly so
+    that where one ends is the test's choice, not the kernel's."""
+
+    def test_inline_replies_of_a_segment_are_one_writelines(self):
+        async def scenario():
+            async with one_node() as (node, agents):
+                reader, writer, conn, writes = await served_connection(node, agents[0])
+                try:
+                    ids = list(range(1, len(agents) + 1))
+                    conn.data_received(b"".join(map(whois_frame, agents, ids)))
+                    assert writes.reply_ids() == [ids]
+                    # A frame cut by the segment's end is answered with
+                    # the segment that completes it.
+                    first, second = whois_frame(agents[1], 50), whois_frame(agents[2], 51)
+                    conn.data_received(first + second[:9])
+                    conn.data_received(second[9:])
+                    assert writes.reply_ids() == [ids, [50], [51]]
+                    for expected in ids + [50, 51]:
+                        reply = await wire.read_frame(reader)
+                        assert reply.message_id == expected
+                        assert reply.value["node"] == "node-0"
+                finally:
+                    writer.close()
+
+        run(scenario())
+
+    def test_an_awaiting_handlers_reply_is_written_alone_and_later(self):
+        async def scenario():
+            async with one_node() as (node, agents):
+                reader, writer, conn, writes = await served_connection(node, agents[0])
+                try:
+                    gate = gate_fetches(node)
+                    op, body = pull_that_fetches(node)
+                    pull = Request(op=op, body=body, message_id=1)
+                    conn.data_received(
+                        wire.encode_frame({"to": "lhagent", "req": pull})
+                        + whois_frame(agents[1], 2)
+                        + whois_frame(agents[2], 3)
+                    )
+                    assert writes.reply_ids() == [[2, 3]]
+                    gate.set()
+                    replies = [await wire.read_frame(reader) for _ in range(3)]
+                    assert [reply.message_id for reply in replies] == [2, 3, 1]
+                    assert replies[2].value["mode"] == "delta"
+                    assert writes.reply_ids() == [[2, 3], [1]]
+                finally:
+                    writer.close()
+
+        run(scenario())
+
+    def test_replies_made_before_garbage_still_leave(self):
+        async def scenario():
+            async with one_node() as (node, agents):
+                reader, writer, conn, writes = await served_connection(node, agents[0])
+                conn.data_received(whois_frame(agents[1], 1) + b"\xff\xff\xff\xff junk")
+                assert writes.reply_ids() == [[1]]
+                assert (await wire.read_frame(reader)).message_id == 1
+                assert await reader.read() == b""  # then dropped
+                writer.close()
+
+        run(scenario())
+
+    def test_a_handler_bug_cannot_strand_the_segments_replies(self):
+        async def scenario():
+            async with one_node() as (node, agents):
+                reader, writer, conn, writes = await served_connection(node, agents[0])
+                try:
+                    # Not a handler's exception (those become error
+                    # replies): one out of the dispatch path itself.
+                    answered = []
+                    real_on_frame = node._on_frame
+
+                    def on_frame(conn, frame):
+                        if answered:
+                            raise RuntimeError("dispatch bug")
+                        answered.append(frame)
+                        real_on_frame(conn, frame)
+
+                    node._on_frame = on_frame
+                    with pytest.raises(RuntimeError):
+                        conn.data_received(
+                            whois_frame(agents[1], 1) + whois_frame(agents[2], 2)
+                        )
+                    assert writes.reply_ids() == [[1]]
+                    del node._on_frame
+                    # The next segment starts a batch of its own.
+                    conn.data_received(whois_frame(agents[3], 3))
+                    assert writes.reply_ids() == [[1], [3]]
+                    assert (await wire.read_frame(reader)).message_id == 1
+                    assert (await wire.read_frame(reader)).message_id == 3
+                finally:
+                    writer.close()
+
+        run(scenario())
+
+    def test_error_replies_keep_their_forms(self):
+        async def scenario():
+            async with one_node() as (node, agents):
+                reader, writer = await asyncio.open_connection(*node.addr)
+                try:
+                    # No envelope: the reply's id, -1, fits no u64
+                    # header and rides the generic Response tag.
+                    writer.write(wire.encode_frame({"hello": 1}))
+                    body = await read_body(reader)
+                    reply = wire.decode_binary(body)
+                    assert body[0] == 0x0C and reply.message_id == -1
+                    assert reply.error.startswith("bad-envelope")
+                    # An op nobody serves, sent as an inline op string.
+                    request = Request(op="no-such-op", body={}, message_id=5)
+                    frame = wire.encode_frame({"to": "lhagent", "req": request})
+                    assert frame[4:6] == b"\x0e\xff"
+                    writer.write(frame)
+                    body = await read_body(reader)
+                    reply = wire.decode_binary(body)
+                    assert body[:2] == b"\x0f\x01" and reply.message_id == 5
+                    assert reply.error.startswith("unknown-op") and reply.value is None
                 finally:
                     writer.close()
 

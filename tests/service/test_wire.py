@@ -23,6 +23,7 @@ from repro.service.wire import (
     CODEC_BINARY,
     CODEC_JSON,
     DEFAULT_MAX_FRAME,
+    INTERNED_OPS,
     FrameDecoder,
     WireError,
     decode_binary,
@@ -121,7 +122,49 @@ responses = st.builds(
     size=st.integers(min_value=0, max_value=65536),
 )
 
-wire_values = st.one_of(values, requests, responses)
+# The RPC envelope and its reply, on both sides of every condition that
+# lets one travel as a fixed frame header (see ``header_form``).
+targets = st.one_of(
+    st.sampled_from([1, 63, 64, 65, 128]).flatmap(sized_ids),
+    st.sampled_from(["lhagent", "host", "hagent", ""]),
+)
+message_ids = st.one_of(
+    st.sampled_from([0, 2**64 - 1, 2**64, -1]),
+    st.integers(min_value=0, max_value=2**64 - 1),
+)
+sizes = st.sampled_from([256, 256, 256, 255])
+def rarely(strategy):
+    """``None`` three draws out of four."""
+    return st.one_of(st.none(), st.none(), st.none(), strategy)
+
+
+envelope_requests = st.builds(
+    Request,
+    op=st.sampled_from(["locate", INTERNED_OPS[-1], "never-interned-op", ""]),
+    body=values,
+    sender_node=rarely(st.just("node-0")),
+    sender_agent=rarely(agent_ids),
+    size=sizes,
+    message_id=message_ids,
+)
+envelopes = st.one_of(
+    st.builds(lambda to, req: {"to": to, "req": req}, targets, envelope_requests),
+    st.builds(lambda to, req: {"req": req, "to": to}, targets, envelope_requests),
+    st.builds(lambda to, req: {"to": to, "req": req, "via": 1}, targets, envelope_requests),
+    st.builds(lambda to, body: {"to": to, "req": body}, targets, values),
+)
+envelope_responses = st.one_of(
+    st.builds(Response, message_id=message_ids, value=values, size=sizes),
+    st.builds(
+        Response,
+        message_id=message_ids,
+        value=rarely(values),
+        error=st.one_of(st.text(max_size=30), st.just(7)),
+        size=sizes,
+    ),
+)
+
+wire_values = st.one_of(values, requests, responses, envelopes, envelope_responses)
 
 
 # ----------------------------------------------------------------------
@@ -155,6 +198,7 @@ class TestRoundTrip:
         # from it would burn two per RPC in a one-process cluster.
         sent = Request(op="locate", body={"agent": AgentId(5)})
         frame = encode_frame({"to": "ia-0", "req": sent}, codec=codec)
+        assert codec != CODEC_BINARY or frame[4] == CALL  # the header form too
         assert decode_frame(frame, codec=codec)["req"].message_id == sent.message_id
         assert Request(op="locate").message_id == sent.message_id + 1
 
@@ -181,6 +225,8 @@ class TestRoundTrip:
 # ----------------------------------------------------------------------
 
 TABLE, GENERIC = 0x0D, 0x0A
+STR_DICT, RESPONSE, CALL, REPLY = 0x09, 0x0C, 0x0E, 0x0F
+ID_ANY_WIDTH, ID_64 = 0x06, 0x10
 ANY, INTS, LIST_ROWS, TUPLE_ROWS = 0, 1, 2, 3
 
 
@@ -381,6 +427,205 @@ class TestAgentIdTableRejection:
 
 
 # ----------------------------------------------------------------------
+# Frame kinds: the RPC envelope and its reply as fixed headers (0x0E, 0x0F)
+# ----------------------------------------------------------------------
+
+
+def in_u64(number):
+    return type(number) is int and 0 <= number < 2**64
+
+
+def header_form(value):
+    """The frame kind ``value``'s own shape gives it -- the conditions of
+    PROTOCOLS.md section 11, written out apart from the encoder."""
+    if type(value) is dict and list(value) == ["to", "req"]:
+        request = value["req"]
+        if (
+            type(request) is Request
+            and request.size == 256
+            and request.sender_node is None
+            and request.sender_agent is None
+            and type(request.op) is str
+            and in_u64(request.message_id)
+        ):
+            return CALL
+    if type(value) is Response and value.size == 256 and in_u64(value.message_id):
+        if value.error is None or (type(value.error) is str and value.value is None):
+            return REPLY
+    return None
+
+
+LOCATE_CALL = {
+    "to": AgentId(0xC << 60),
+    "req": Request(op="locate", body={"agent": AgentId(0x9E3779B97F4A7C15)}, message_id=7),
+}
+INLINE_OP_CALL = {
+    "to": "lhagent",
+    "req": Request(op="op-of-the-future", body={"agent": AgentId(5, 12)}, message_id=2**64 - 1),
+}
+LOCATE_REPLY = Response(message_id=7, value={"status": "ok", "node": "node-3", "seq": 41})
+ERROR_REPLY = Response(message_id=8, error="unknown-op: 'nope'")
+HEADER_FRAMES = [LOCATE_CALL, INLINE_OP_CALL, LOCATE_REPLY, ERROR_REPLY]
+
+
+class TestFrameKinds:
+    @given(st.one_of(envelopes, envelope_responses))
+    @settings(max_examples=500)
+    def test_header_form_exactly_when_the_shape_allows(self, value):
+        body = encode_binary(value)
+        generic = RESPONSE if type(value) is Response else STR_DICT
+        assert body[0] == (header_form(value) or generic)
+        assert encode_frame(value)[4:] == body  # one choice, both entry points
+        decoded = decode_binary(body)
+        assert decoded == value
+        assert repr(decoded) == repr(value)
+        assert types_of(decoded) == types_of(value)
+
+    @pytest.mark.parametrize(
+        "value, kind",
+        [
+            (LOCATE_CALL, CALL),
+            (INLINE_OP_CALL, CALL),
+            ({"to": AgentId(1, 65), "req": Request(op="locate", message_id=1)}, CALL),
+            ({"to": "ia-0", "req": Request(op="locate", message_id=2**64)}, STR_DICT),
+            ({"to": "ia-0", "req": Request(op="locate", message_id=True)}, STR_DICT),
+            ({"to": "ia-0", "req": Request(op="locate", sender_node="node-0")}, STR_DICT),
+            ({"to": "ia-0", "req": Request(op="locate", sender_agent=AgentId(1))}, STR_DICT),
+            ({"to": "ia-0", "req": Request(op="locate", size=255)}, STR_DICT),
+            ({"req": Request(op="locate"), "to": "ia-0"}, STR_DICT),
+            (LOCATE_REPLY, REPLY),
+            (ERROR_REPLY, REPLY),
+            (Response(message_id=0, value=None), REPLY),
+            (Response(message_id=-1, error="bad-envelope: expected {to, req}"), RESPONSE),
+            (Response(message_id=1, value={"partial": 1}, error="and an error"), RESPONSE),
+            (Response(message_id=1, error=7), RESPONSE),
+            (Response(message_id=1, value=1, size=255), RESPONSE),
+        ],
+    )
+    def test_each_shape_condition(self, value, kind):
+        body = encode_binary(value)
+        assert body[0] == kind and header_form(value) == (kind if kind in (CALL, REPLY) else None)
+        assert decode_binary(body) == value
+
+    def test_a_nested_envelope_is_a_plain_value(self):
+        request, reply = LOCATE_CALL["req"], LOCATE_REPLY
+        for value in ([LOCATE_CALL], {"batch": LOCATE_CALL}, [reply], request, (request, reply)):
+            body = encode_binary(value)
+            assert CALL not in body[:1] and REPLY not in body[:1]
+            assert decode_binary(body) == value
+        # ... and spelled with the old tags, bit for bit what it was.
+        assert encode_binary([reply]) == (
+            b"\x08\x01\x0c\x0e\x80\x04" + encode_binary(reply.value) + b"\x00"
+        )
+
+    @pytest.mark.parametrize("width", [1, 12, 63, 64, 65, 128])
+    def test_an_id_decodes_equal_to_a_constructed_one(self, width):
+        agent = AgentId(2**width - 1, width)
+        body = encode_binary(agent)
+        assert body[0] == (ID_64 if width == 64 else ID_ANY_WIDTH)
+        as_target = encode_binary({"to": agent, "req": Request(op="ping")})
+        for decoded in (decode_binary(body), decode_binary(as_target)["to"]):
+            assert type(decoded) is AgentId
+            assert decoded == AgentId(2**width - 1, width) and hash(decoded) == hash(agent)
+            assert (decoded.value, decoded.width, decoded.bits) == (agent.value, width, agent.bits)
+
+    def test_a_64_bit_id_in_the_older_tag_still_decodes(self):
+        # What an encoder from before 0x10 sends for AgentId(5).
+        old = decode_binary(bytes([ID_ANY_WIDTH, 5, 64]))
+        new = decode_binary(bytes([ID_64]) + (5).to_bytes(8, "big"))
+        assert old == new == AgentId(5) and hash(old) == hash(new) == hash(AgentId(5))
+        assert type(old) is type(new) is AgentId
+        assert {old: "one key"} == {new: "one key"}
+
+
+class TestFrameKindRejection:
+    """A call or reply frame off the network decodes or raises
+    ``WireError`` -- nothing else reaches ``data_received``."""
+
+    @pytest.mark.parametrize("value", HEADER_FRAMES)
+    def test_every_truncation_is_a_wire_error(self, value):
+        body = encode_binary(value)
+        for cut in range(len(body)):
+            with pytest.raises(WireError):
+                FrameDecoder().feed(framed(body[:cut]))
+        assert FrameDecoder().feed(framed(body)) == [value]
+
+    @pytest.mark.parametrize("value", HEADER_FRAMES)
+    def test_single_byte_mutations_raise_only_wire_error(self, value):
+        body = encode_binary(value)
+        outcomes = {"decoded": 0, "rejected": 0}
+        for at in range(len(body)):
+            for byte in range(256):
+                mutant = body[:at] + bytes([byte]) + body[at + 1 :]
+                try:
+                    FrameDecoder().feed(framed(mutant))
+                    outcomes["decoded"] += 1
+                except WireError:
+                    outcomes["rejected"] += 1
+        # A flipped message-id byte is a valid frame, a flipped tag is not.
+        assert outcomes["decoded"] > 1000 and outcomes["rejected"] > 1000
+
+    @pytest.mark.parametrize("kind", [2, 3, 0x7F, 0xFF])
+    def test_unknown_reply_kind_rejected(self, kind):
+        body = bytearray(encode_binary(LOCATE_REPLY))
+        body[1] = kind  # tag, kind, u64 message id
+        with pytest.raises(WireError, match="reply kind"):
+            decode_binary(bytes(body))
+
+    @pytest.mark.parametrize("index", [len(INTERNED_OPS), len(INTERNED_OPS) + 1, 0xFE])
+    def test_op_index_beyond_the_table_rejected(self, index):
+        body = bytearray(encode_binary(LOCATE_CALL))
+        body[1] = index  # tag, op, u64 message id, target width
+        with pytest.raises(WireError, match="interned op"):
+            decode_binary(bytes(body))
+
+    def test_every_interned_op_fits_the_header_byte(self):
+        assert len(INTERNED_OPS) < 0xFF
+        for op in INTERNED_OPS:
+            body = encode_binary({"to": "host", "req": Request(op=op, message_id=1)})
+            assert body[1] == INTERNED_OPS.index(op)
+            assert decode_binary(body)["req"].op == op
+
+    @pytest.mark.parametrize("width", [65, 66, 128, 255])
+    def test_target_width_beyond_64_rejected(self, width):
+        body = bytearray(encode_binary(LOCATE_CALL))
+        body[10] = width
+        with pytest.raises(WireError, match="target width"):
+            decode_binary(bytes(body))
+
+    def test_target_beyond_its_width_rejected(self):
+        body = bytearray(encode_binary(LOCATE_CALL))
+        body[10] = 8  # the target's top byte is 0xC0: far outside 8 bits
+        with pytest.raises(WireError, match="out of range"):
+            decode_binary(bytes(body))
+
+    @pytest.mark.parametrize("value", HEADER_FRAMES)
+    def test_trailing_bytes_rejected(self, value):
+        with pytest.raises(WireError, match="trailing garbage"):
+            decode_binary(encode_binary(value) + b"\x00")
+
+    @pytest.mark.parametrize("value", [LOCATE_CALL, LOCATE_REPLY])
+    def test_a_header_inside_a_value_is_an_unknown_tag(self, value):
+        header = encode_binary(value)
+        in_a_list = b"\x08\x01" + header
+        in_a_dict = b"\x09\x01\x01k" + header
+        ping = {"to": "host", "req": Request(op="ping", message_id=1)}
+        as_a_call_body = encode_binary(ping)[:-1] + header  # in place of None
+        as_a_reply_value = encode_binary(Response(message_id=1))[:-1] + header
+        for body in (in_a_list, in_a_dict, as_a_call_body, as_a_reply_value):
+            with pytest.raises(WireError, match="unknown binary tag"):
+                decode_binary(body)
+
+    def test_truncated_64_bit_id_rejected(self):
+        body = encode_binary(AgentId(2**64 - 1))
+        for cut in range(1, len(body)):
+            with pytest.raises(WireError, match="truncated"):
+                decode_binary(body[:cut])
+            with pytest.raises(WireError, match="truncated"):
+                decode_binary(b"\x08\x01" + body[:cut])
+
+
+# ----------------------------------------------------------------------
 # An id is built on a (value, width) tuple; no codec may confuse the two
 # ----------------------------------------------------------------------
 
@@ -401,6 +646,8 @@ def types_of(value):
 
 
 AID, PAIR = AgentId(5, 64), (5, 64)
+# In binary a 64-bit id has a tag of its own (0x10); any other width 0x06.
+NARROW, NARROW_PAIR = AgentId(5, 12), (5, 12)
 
 
 @pytest.mark.parametrize(
@@ -413,13 +660,14 @@ class TestIdsAndBarePairsStayDistinct:
         assert types_of(decoded) == types_of(value)
 
     def test_as_values_and_inside_a_list(self, round_trip):
-        assert type(round_trip(AID)) is AgentId
-        assert type(round_trip(PAIR)) is tuple
-        self.check(round_trip, [AID, PAIR, [PAIR, AID], (AID, PAIR)])
+        assert type(round_trip(AID)) is type(round_trip(NARROW)) is AgentId
+        assert type(round_trip(PAIR)) is type(round_trip(NARROW_PAIR)) is tuple
+        self.check(round_trip, [AID, PAIR, [PAIR, AID], (AID, PAIR), NARROW, NARROW_PAIR])
 
     def test_as_dict_keys(self, round_trip):
         self.check(round_trip, {PAIR: "pair"})
         self.check(round_trip, {AID: "id", "name": 1})
+        self.check(round_trip, {NARROW: "id", "pair": NARROW_PAIR, "wide": AID})
         assert encode_binary({PAIR: "pair"})[0] == GENERIC
 
     def test_a_dict_mixing_id_keys_and_pair_keys(self, round_trip):
@@ -447,27 +695,41 @@ class TestIdsAndBarePairsStayDistinct:
 
 
 # ----------------------------------------------------------------------
-# Frames recorded before AgentId became a tuple subclass
+# The bytes on the wire, spelled out
 # ----------------------------------------------------------------------
 
 
 class TestFramesArePinned:
-    """The bytes the previous ``AgentId`` (a frozen dataclass) produced:
-    no tag or byte moved on any frame."""
+    """Recorded frames: a byte that moves here is a wire format change.
+
+    The steady locate pair is pinned in the header forms (request 53 ->
+    40 bytes, reply 41 -> 46: a fixed u64 id costs a reply what the
+    request saves several times over); the update request sets a
+    simulator field and so keeps the generic envelope, every byte of it
+    but the 64-bit id in its body (0x06 varints -> 0x10, 73 -> 70).
+    """
 
     AGENT = AgentId(0x9E3779B97F4A7C15)
+    IAGENT = AgentId(0xC << 60)
 
     def test_locate_request(self):
-        request = Request(
-            op="locate", body={"agent": self.AGENT}, sender_node="node-0", message_id=7
-        )
+        request = Request(op="locate", body={"agent": self.AGENT}, message_id=7)
         frame = (
-            b"\x00\x00\x002\t\x02\x02to\x05\x04ia-3\x03req\x0b\x01\x03\x0e\x80\x04"
-            b"\t\x01\x05agent\x06\x95\xf8\xa9\xfa\x97\xb7\xde\x9b\x9e\x01@"
-            b"\x05\x06node-0\x00"
+            b"\x00\x00\x00$\x0e\x03\x00\x00\x00\x00\x00\x00\x00\x07@"
+            b"\xc0\x00\x00\x00\x00\x00\x00\x00"
+            b"\t\x01\x05agent\x10\x9e7y\xb9\x7fJ|\x15"
         )
-        assert encode_frame({"to": "ia-3", "req": request}) == frame
-        assert type(decode_frame(frame)["req"].body["agent"]) is AgentId
+        assert encode_frame({"to": self.IAGENT, "req": request}) == frame
+        assert len(frame) == 40
+        decoded = decode_frame(frame)
+        assert type(decoded["to"]) is type(decoded["req"].body["agent"]) is AgentId
+        reply = Response(message_id=7, value={"status": "ok", "node": "node-3", "seq": 41})
+        frame = (
+            b"\x00\x00\x00*\x0f\x00\x00\x00\x00\x00\x00\x00\x00\x07"
+            b"\t\x03\x06status\x05\x02ok\x04node\x05\x06node-3\x03seq\x03R"
+        )
+        assert encode_frame(reply) == frame
+        assert len(frame) == 46
 
     def test_update_request(self):
         request = Request(
@@ -477,8 +739,8 @@ class TestFramesArePinned:
             message_id=8,
         )
         assert encode_frame({"to": "ia-3", "req": request}) == (
-            b"\x00\x00\x00E\t\x02\x02to\x05\x04ia-3\x03req\x0b\x01\x01\x10\x80\x04"
-            b"\t\x03\x05agent\x06\x95\xf8\xa9\xfa\x97\xb7\xde\x9b\x9e\x01@"
+            b"\x00\x00\x00B\t\x02\x02to\x05\x04ia-3\x03req\x0b\x01\x01\x10\x80\x04"
+            b"\t\x03\x05agent\x10\x9e7y\xb9\x7fJ|\x15"
             b"\x04node\x05\x06node-2\x03seq\x03R\x05\x06node-0\x00"
         )
 
@@ -494,14 +756,23 @@ class TestFramesArePinned:
             },
         )
         frame = encode_frame(reply)
-        # 33 135 bytes: the head spelled out, the whole by its digest.
+        # 33 140 bytes (33 135 before the 10-byte reply header): the
+        # head spelled out, the whole by its digest.
         assert frame[:64] == (
-            b"\x00\x00\x81k\x0c\x12\x80\x04\t\x04\x06status\x05\x02ok\x07records"
+            b"\x00\x00\x81p\x0f\x00\x00\x00\x00\x00\x00\x00\x00\t"
+            b"\t\x04\x06status\x05\x02ok\x07records"
             b"\r\xe8\x07@\x02\x9e7y\xb9\x7fJ|\x15<n\xf3r\xfe\x94\xf8*"
-            b"\xda\xa6m,}\xdft?x\xdd\xe6\xe5\xfd)"
+            b"\xda\xa6m,}\xdft?"
         )
-        assert len(frame) == 33135
+        assert len(frame) == 33140
         assert hashlib.sha256(frame).hexdigest() == (
+            "029c5af33c555cb8b7f1e8161697dc00de03adf9bf6fd52bd59588373ab45ccb"
+        )
+        # The columns did not move: put back behind the generic Response
+        # tag (id, size, value, a None error) they have the old digest.
+        generic = framed(b"\x0c\x12\x80\x04" + frame[14:] + b"\x00")
+        assert len(generic) == 33135
+        assert hashlib.sha256(generic).hexdigest() == (
             "7dc25e744a5f0f0226bfd06e573a4033a6e099681b2706b85fa9838023bf2f57"
         )
         decoded = decode_frame(frame)
