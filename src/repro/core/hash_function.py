@@ -34,11 +34,11 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 from repro.core.errors import CoreError
 from repro.core.hash_tree import HashTree
 
-__all__ = ["HashFunction", "SecondaryCopies"]
+__all__ = ["HashFunction", "SecondaryCopies", "UNREPLAYABLE"]
 
 #: What the tree raises for an entry that does not fit the copy: unknown
 #: owner (KeyError), duplicate new owner (ValueError), stale coordinates.
-_UNREPLAYABLE = (CoreError, KeyError, ValueError)
+UNREPLAYABLE = (CoreError, KeyError, ValueError)
 
 
 class HashFunction:
@@ -147,6 +147,11 @@ class HashFunction:
         if self.journal is not None:
             self.journal.clear()
 
+    def forget(self) -> None:
+        """Empty this copy (``tree is None``, version -1): the holder's
+        next request draws the snapshot."""
+        self.install({"version": -1, "tree": None, "iagent_nodes": {}})
+
     @classmethod
     def from_bundle(
         cls, bundle: Dict, journal: Optional[Deque[Dict]] = None
@@ -204,8 +209,8 @@ class HashFunction:
         if reply.get("mode") == "delta":
             try:
                 self.apply_ops(reply["ops"])
-            except _UNREPLAYABLE:
-                self.install({"version": -1, "tree": None, "iagent_nodes": {}})
+            except UNREPLAYABLE:
+                self.forget()
                 return "resync"
             return "delta"
         if rebase or reply["version"] >= self.version:

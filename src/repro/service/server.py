@@ -45,13 +45,13 @@ from __future__ import annotations
 
 import asyncio
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from operator import attrgetter
 from pathlib import Path
-from typing import Any, Dict, Generator, List, Optional, Set, Tuple
+from typing import Any, Dict, Generator, Iterable, List, Optional, Set, Tuple
 
 from repro.core.config import HashMechanismConfig
+from repro.core.coordinator_state import CoordinatorState
 from repro.core.hash_function import HashFunction, SecondaryCopies
 from repro.core.iagent_state import (
     OK,
@@ -98,6 +98,17 @@ from repro.storage import DurableStore
 
 __all__ = ["HAgentServer", "NodeServer", "ServiceConfig"]
 
+#: An IAgent silent for this long is pinged; a failed ping triggers
+#: takeover (s).
+LIVENESS_TIMEOUT = 1.0
+
+#: Ping attempts before a silent IAgent is declared dead. One lost frame
+#: must not amputate a live shard on a lossy network: at 5% frame loss a
+#: single ping fails ~10% of the time, three in a row ~0.1% -- takeover
+#: stays prompt for real crashes (refused connections fail fast) but
+#: stops firing on wire noise.
+LIVENESS_PING_RETRIES = 3
+
 
 def _default_mechanism_config() -> HashMechanismConfig:
     """Mechanism tunables re-scaled from virtual to wall-clock seconds.
@@ -131,17 +142,6 @@ class ServiceConfig:
     #: how long a takeover IAgent's table stays empty.
     reregister_interval: float = 0.5
 
-    #: An IAgent silent for this long is pinged; a failed ping triggers
-    #: takeover (s).
-    liveness_timeout: float = 1.0
-
-    #: Ping attempts before a silent IAgent is declared dead. One lost
-    #: frame must not amputate a live shard on a lossy network: at 5%
-    #: frame loss a single ping fails ~10% of the time, three in a row
-    #: ~0.1% -- takeover stays prompt for real crashes (refused
-    #: connections fail fast) but stops firing on wire noise.
-    liveness_ping_retries: int = 3
-
     #: Frame-size ceiling on every connection.
     max_frame: int = wire.DEFAULT_MAX_FRAME
 
@@ -154,9 +154,6 @@ class ServiceConfig:
 
     #: Mutations logged between automatic snapshots (0 disables them).
     snapshot_every: int = 256
-
-    #: WAL segment rotation threshold (bytes).
-    wal_segment_bytes: int = 1 << 20
 
     #: Standby sync/heartbeat period (s): each standby HAgent replica
     #: pulls the primary's journal this often; a successful pull doubles
@@ -201,7 +198,6 @@ class ServiceConfig:
             root,
             name,
             fsync=self.fsync,
-            segment_max_bytes=self.wal_segment_bytes,
             snapshot_every=self.snapshot_every,
         )
 
@@ -209,6 +205,35 @@ class ServiceConfig:
 # ----------------------------------------------------------------------
 # Shared plumbing
 # ----------------------------------------------------------------------
+
+
+async def scan_primary(
+    channel: RpcChannel,
+    addrs: Iterable[Address],
+    timeout: float,
+    shard: Optional[int] = None,
+) -> Optional[Tuple[int, Address]]:
+    """Ping each coordinator address; ``(epoch, addr)`` of the
+    highest-epoch replica answering as primary (of ``shard``, when
+    given), or None -- an election may still be in flight.
+
+    Highest epoch, not first to answer: during a failover window a
+    deposed primary that has not yet met a fence still says "primary".
+    """
+    best: Optional[Tuple[int, Address]] = None
+    for addr in addrs:
+        try:
+            reply = await channel.call(addr, "hagent", "ping", timeout=timeout)
+        except (ServiceRpcError, RemoteOpError):
+            continue
+        if reply.get("role") != "primary":
+            continue
+        if shard is not None and reply.get("shard", shard) != shard:
+            continue
+        epoch = reply.get("epoch", 0)
+        if best is None or epoch > best[0]:
+            best = (epoch, addr)
+    return best
 
 
 class _ServerConnection(asyncio.Protocol):
@@ -1124,22 +1149,11 @@ class NodeServer(_FramedServer):
         """
         self.router.invalidate(shard)
         self.router.record_discovery()
-        best: Optional[Tuple[int, Address]] = None
-        for addr in self.router.candidates(shard):
-            try:
-                reply = await self.channel.call(
-                    addr,
-                    "hagent",
-                    "ping",
-                    timeout=min(0.5, self.config.rpc_timeout),
-                )
-            except (ServiceRpcError, RemoteOpError):
-                continue
-            if reply.get("role", "primary") != "primary":
-                continue
-            epoch = reply.get("epoch", 0)
-            if best is None or epoch > best[0]:
-                best = (epoch, addr)
+        best = await scan_primary(
+            self.channel,
+            self.router.candidates(shard),
+            min(0.5, self.config.rpc_timeout),
+        )
         if best is None:
             return None
         self.fences.setdefault(shard, EpochFence()).admit(best[0])
@@ -1386,18 +1400,9 @@ class HAgentServer(_FramedServer):
         #: shard-aware path collapses to the pre-sharding behaviour.
         self.shard = shard
         self.shards = shards
-        #: The prefixes this replica set currently serves: its own, plus
-        #: any sibling it absorbed through a cross-shard merge. Empty
-        #: after *releasing* (this coordinator became a redirect stub).
-        self.owned: Set[int] = {shard}
-        #: Bumped whenever ownership changes; lets clients order maps.
-        self.map_version = 1
-        #: Set on release: the shard now serving this one's prefix.
-        self.absorbed_by: Optional[int] = None
         #: shard -> that shard's replica address book (for cross-shard
         #: ops); see :meth:`set_shard_peers`.
         self.shard_peers: Dict[int, List[Address]] = {}
-        self._shard_primaries: Dict[int, Address] = {}
         #: A granted-but-uncommitted cross-shard merge this replica (as
         #: the absorbing side) has prepared; cleared on commit or when
         #: this replica's epoch moves.
@@ -1411,9 +1416,17 @@ class HAgentServer(_FramedServer):
         self.replica_name = (
             f"hagent-{rank}" if shard == 0 else f"hagent-s{shard}-{rank}"
         )
-        #: The highest epoch this replica has witnessed; its own when
-        #: primary. 0 = a standby that has not synced yet.
-        self.epoch = 1 if self.role == "primary" else 0
+        #: Everything durable -- epoch, hash function, node book, namer,
+        #: shard row -- changed only through its ``apply``. Each shard
+        #: draws IAgent ids from its own namer stream so two shards can
+        #: never mint the same owner id; shard 0 keeps the historical
+        #: seed.
+        self.state = CoordinatorState(
+            shard,
+            1 if self.role == "primary" else 0,
+            namer or AgentNamer(seed=0xD1EC7 + shard),
+            self.config.mechanism.sync_journal_capacity,
+        )
         #: rank -> address of every replica (self included); see
         #: :meth:`set_peers`.
         self.peers: Dict[int, Address] = {}
@@ -1436,23 +1449,12 @@ class HAgentServer(_FramedServer):
         #: ``time.monotonic()`` of the most recent promotion, if any.
         self.promoted_at: Optional[float] = None
         self.syncs = 0
-        # Each shard draws IAgent ids from its own namer stream so two
-        # shards can never mint the same owner id; shard 0 keeps the
-        # historical seed.
-        self.namer = namer or AgentNamer(seed=0xD1EC7 + shard)
         self.channel = RpcChannel(
             rpc_timeout=self.config.rpc_timeout,
             max_frame=self.config.max_frame,
             tracer=tracer,
             netem=self.config.netem,
         )
-        #: This replica's copy of the hash function -- the primary copy
-        #: when ``role == "primary"``, a journal-tailing one on a standby.
-        self.function = HashFunction(
-            0, None, {}, deque(maxlen=self.config.mechanism.sync_journal_capacity)
-        )
-        self.node_addrs: Dict[str, Tuple[str, int]] = {}
-        self.node_order: List[str] = []
         self._rehash_lock = asyncio.Lock()
         self.policy = RehashPolicy(self.config.mechanism)
         self._last_report: Dict[Any, float] = {}
@@ -1479,11 +1481,20 @@ class HAgentServer(_FramedServer):
         self.recovered_version = 0
         self.wal_replayed = 0
 
-    # Read views of this replica's copy.
-    tree = property(attrgetter("function.tree"))
-    iagent_nodes = property(attrgetter("function.iagent_nodes"))
-    version = property(attrgetter("function.version"))
-    journal = property(attrgetter("function.journal"))
+    # Read views of this replica's state.
+    epoch = property(attrgetter("state.epoch"))
+    owned = property(attrgetter("state.owned"))
+    map_version = property(attrgetter("state.map_version"))
+    absorbed_by = property(attrgetter("state.absorbed_by"))
+    node_addrs = property(attrgetter("state.node_addrs"))
+    namer = property(attrgetter("state.namer"))
+    function = property(attrgetter("state.function"))
+    tree = property(attrgetter("state.function.tree"))
+    iagent_nodes = property(attrgetter("state.function.iagent_nodes"))
+    version = property(attrgetter("state.function.version"))
+    journal = property(attrgetter("state.function.journal"))
+    #: Node names in registration order (the spawn round-robin's).
+    node_order = property(lambda self: list(self.state.node_addrs))
 
     async def start(self, host: Optional[str] = None, port: int = 0) -> Address:
         self._recover_from_disk()
@@ -1522,29 +1533,18 @@ class HAgentServer(_FramedServer):
     # states in the mechanism (the other being each IAgent's shard)
     # ------------------------------------------------------------------
 
-    def _durable_state(self) -> Dict:
-        """Snapshot shape: everything a cold coordinator must rebuild."""
-        return {
-            "epoch": self.epoch,
-            **self.function.bundle(),
-            "node_addrs": {
-                name: list(addr) for name, addr in self.node_addrs.items()
-            },
-            "node_order": list(self.node_order),
-            "namer": self.namer.state,
-            "journal": list(self.journal),
-            "owned": sorted(self.owned),
-            "map_version": self.map_version,
-            "absorbed_by": self.absorbed_by,
-        }
-
-    def _hlog(self, op: Dict) -> None:
-        """Journal one applied mutation; fold into a snapshot when due."""
-        if self.store is None:
+    def _commit(self, entry: Optional[Dict]) -> None:
+        """Journal the entry a state mutation applied (``None``: it
+        changed nothing); fold the log into a snapshot when due."""
+        if entry is None or self.store is None:
             return
-        self.store.log(op)
+        self.store.log(entry)
         if self.store.should_snapshot:
-            self.store.snapshot(self._durable_state())
+            self._snapshot()
+
+    def _snapshot(self) -> None:
+        if self.store is not None:
+            self.store.snapshot(self.state.bundle())
 
     def _recover_from_disk(self) -> None:
         """Warm-start: latest snapshot + WAL-suffix replay, pre-serve.
@@ -1557,26 +1557,11 @@ class HAgentServer(_FramedServer):
         snapshot = self.store.snapshots.latest()
         base = 0
         if snapshot is not None:
-            state, base = snapshot.state, snapshot.last_lsn
-            # Pre-replication snapshots carry no epoch; keep the boot one.
-            self.epoch = state.get("epoch", self.epoch)
-            self.function.install(state)
-            self.journal.extend(state["journal"])
-            self.node_addrs = {
-                name: (addr[0], addr[1])
-                for name, addr in state["node_addrs"].items()
-            }
-            self.node_order = list(state["node_order"])
-            self.namer.state = state["namer"]
-            # Pre-sharding snapshots carry no ownership row; keep the
-            # boot one (this replica's own prefix).
-            if "owned" in state:
-                self.owned = set(state["owned"])
-                self.map_version = state.get("map_version", self.map_version)
-                self.absorbed_by = state.get("absorbed_by")
+            base = snapshot.last_lsn
+            self.state.install(snapshot.state)
         replayed = 0
         for record in self.store.wal.replay(after=base):
-            self._replay_mutation(record.value)
+            self.state.apply(record.value)
             replayed += 1
         self.wal_replayed = replayed
         self.recovered_version = self.version
@@ -1585,37 +1570,10 @@ class HAgentServer(_FramedServer):
         now = time.monotonic()
         for owner in self.iagent_nodes:
             self._last_report[owner] = now
-        self.store.snapshot(self._durable_state())
+        self._snapshot()
         self._log(
             "recover", snapshot_lsn=base, replayed=replayed, version=self.version
         )
-
-    def _replay_mutation(self, op: Dict) -> None:
-        """Re-run one journaled coordinator mutation (replay reducer)."""
-        kind = op["op"]
-        if kind == "register-node":
-            if op["name"] not in self.node_addrs:
-                self.node_order.append(op["name"])
-            self.node_addrs[op["name"]] = (op["host"], op["port"])
-        elif kind == "bootstrap":
-            self.function.bootstrap(op["owner"], op["node"], op["width"])
-            self.namer.state = op["namer"]
-        elif kind == "rehash":
-            self.function.apply(op["entry"])
-            self.namer.state = op["namer"]
-        elif kind == "epoch":
-            # A witnessed or claimed fencing token -- durable, so a
-            # restarted replica can never claim an epoch at or below one
-            # it already saw.
-            self.epoch = max(self.epoch, op["epoch"])
-        elif kind == "shard":
-            # A durable ownership change: this replica set absorbed a
-            # sibling prefix, or released its own to one.
-            self.owned = set(op["owned"])
-            self.map_version = op["map_version"]
-            self.absorbed_by = op.get("absorbed_by")
-        else:  # pragma: no cover - would be a writer bug
-            raise ValueError(f"unknown HAgent mutation {kind!r}")
 
     # ------------------------------------------------------------------
     # Dispatch
@@ -1734,21 +1692,12 @@ class HAgentServer(_FramedServer):
         if "tree" in reply and self.tree is None:
             raise _Reject("precondition: not bootstrapped yet")
         reply["shard"], reply["epoch"] = self.shard, self.epoch
-        reply["node_addrs"] = {name: list(addr) for name, addr in self.node_addrs.items()}
+        reply["node_addrs"] = self.state.book()
         return reply
 
     def _op_register_node(self, body: Dict) -> Dict:
-        name = body["name"]
-        if name not in self.node_addrs:
-            self.node_order.append(name)
-        self.node_addrs[name] = (body["host"], body["port"])
-        self._hlog(
-            {
-                "op": "register-node",
-                "name": name,
-                "host": body["host"],
-                "port": body["port"],
-            }
+        self._commit(
+            self.state.register_node(body["name"], body["host"], body["port"])
         )
         return {"status": OK, "nodes": len(self.node_addrs)}
 
@@ -1761,17 +1710,8 @@ class HAgentServer(_FramedServer):
         node = self.node_order[-1]
         owner = self.namer.next_id()
         await self._rpc_node(node, "host-iagent", {"owner": owner, "pattern": ""})
-        self.function.bootstrap(owner, node, self.namer.width)
+        self._commit(self.state.bootstrap(owner, node))
         self._last_report[owner] = time.monotonic()
-        self._hlog(
-            {
-                "op": "bootstrap",
-                "owner": owner,
-                "node": node,
-                "width": self.namer.width,
-                "namer": self.namer.state,
-            }
-        )
         return {"status": OK, "version": self.version, "owner": owner}
 
     def _op_list_iagents(self, body: Dict) -> Dict:
@@ -1832,15 +1772,7 @@ class HAgentServer(_FramedServer):
                 f" (epoch {self.epoch})"
             )
         reply = self._copy_reply(body)
-        reply["epoch"] = self.epoch
-        reply["namer"] = self.namer.state
-        reply["node_addrs"] = {
-            name: list(addr) for name, addr in self.node_addrs.items()
-        }
-        reply["node_order"] = list(self.node_order)
-        reply["owned"] = sorted(self.owned)
-        reply["map_version"] = self.map_version
-        reply["absorbed_by"] = self.absorbed_by
+        reply.update(self.state.context())
         return reply
 
     def _op_new_primary(self, body: Dict) -> Dict:
@@ -1853,8 +1785,7 @@ class HAgentServer(_FramedServer):
                 f"{STALE_EPOCH}: announced epoch {epoch} is not above"
                 f" {self.replica_name}'s witnessed epoch {self.epoch}"
             )
-        self.epoch = epoch
-        self._hlog({"op": "epoch", "epoch": epoch})
+        self._commit(self.state.raise_epoch(epoch))
         self.primary_addr = (body["host"], body["port"])
         self.last_primary_addr = self.primary_addr
         if self.role == "primary":
@@ -1865,52 +1796,18 @@ class HAgentServer(_FramedServer):
 
     def _apply_sync_reply(self, reply: Dict) -> None:
         """Fold one ``replica-sync`` reply into this standby's state."""
-        since = self.version
-        mode = self.function.absorb(
-            reply, rebase=reply.get("epoch", self.epoch) != self.epoch
-        )
-        if mode == "delta":
-            for entry in reply["ops"]:
-                if entry["version"] > since:
-                    self._hlog(
-                        {
-                            "op": "rehash",
-                            "entry": dict(entry),
-                            "namer": reply["namer"],
-                        }
-                    )
-        elif mode == "resync":
-            # A delta that does not fit this copy (e.g. served by a
-            # primary whose bundle and journal disagreed): the copy is
-            # dropped and the next beat pulls a full bundle rather than
-            # dying mid-tail.
-            self._log("resync", reason="un-replayable delta")
-        self.node_addrs = {
-            name: (addr[0], addr[1])
-            for name, addr in reply.get("node_addrs", {}).items()
-        }
-        self.node_order = list(reply.get("node_order", self.node_order))
-        self.namer.state = reply["namer"]
-        if "owned" in reply and reply.get("map_version", 0) >= self.map_version:
-            owned = set(reply["owned"])
-            if owned != self.owned or reply["map_version"] != self.map_version:
-                self.owned = owned
-                self.map_version = reply["map_version"]
-                self.absorbed_by = reply.get("absorbed_by")
-                self._hlog(
-                    {
-                        "op": "shard",
-                        "owned": sorted(self.owned),
-                        "map_version": self.map_version,
-                        "absorbed_by": self.absorbed_by,
-                    }
-                )
-        epoch = reply.get("epoch", self.epoch)
-        if epoch > self.epoch:
-            self.epoch = epoch
-            self._hlog({"op": "epoch", "epoch": epoch})
-        if mode == "full" and self.store is not None:
-            self.store.snapshot(self._durable_state())
+        mode, entries = self.state.absorb(reply)
+        for entry in entries:
+            self._commit(entry)
+        if mode != "delta":
+            # The function was replaced, not stepped: no entry says so.
+            if mode == "resync":
+                # A delta that does not fit this copy (e.g. served by a
+                # primary whose bundle and journal disagreed): the copy
+                # is dropped and the next beat pulls a full bundle
+                # rather than dying mid-tail.
+                self._log("resync", reason="un-replayable delta")
+            self._snapshot()
         self.syncs += 1
 
     async def _standby_loop(self) -> None:
@@ -1992,27 +1889,14 @@ class HAgentServer(_FramedServer):
 
     async def _scan_for_primary(self) -> Optional[Address]:
         """Poll the peer replicas for whoever answers as primary."""
-        best: Optional[Tuple[int, Address]] = None
-        for rank in sorted(self.peers):
-            if rank == self.rank:
-                continue
-            addr = self.peers[rank]
-            try:
-                reply = await self.channel.call(
-                    addr, "hagent", "ping", timeout=0.3
-                )
-            except (ServiceRpcError, RemoteOpError):
-                continue
-            if reply.get("role") != "primary":
-                continue
-            epoch = reply.get("epoch", 0)
-            if best is None or epoch > best[0]:
-                best = (epoch, addr)
+        best = await scan_primary(
+            self.channel,
+            [self.peers[rank] for rank in sorted(self.peers) if rank != self.rank],
+            0.3,
+        )
         if best is None:
             return None
-        if best[0] > self.epoch:
-            self.epoch = best[0]
-            self._hlog({"op": "epoch", "epoch": best[0]})
+        self._commit(self.state.raise_epoch(best[0]))
         self.primary_addr = best[1]
         self.last_primary_addr = best[1]
         return best[1]
@@ -2059,9 +1943,7 @@ class HAgentServer(_FramedServer):
                 reply.get("role") == "primary" and peer_epoch >= self.epoch
             ):
                 # The cluster already moved on: follow, do not promote.
-                if peer_epoch > self.epoch:
-                    self.epoch = peer_epoch
-                    self._hlog({"op": "epoch", "epoch": peer_epoch})
+                self._commit(self.state.raise_epoch(peer_epoch))
                 if reply.get("role") == "primary":
                     self.primary_addr = self.peers[rank]
                     self.last_primary_addr = self.primary_addr
@@ -2082,9 +1964,10 @@ class HAgentServer(_FramedServer):
 
     async def _promote(self) -> None:
         """Claim the next epoch and take over as primary."""
-        claimed = next_epoch(self.epoch)
+        # The claim must hit disk before any fenced op carries it.
+        self._commit(self.state.raise_epoch(next_epoch(self.epoch)))
+        self._snapshot()
         self.role = "primary"
-        self.epoch = claimed
         # Any cross-shard grant the deposed primary issued died with its
         # epoch; a committing initiator will be refused and abort.
         self._xshard_grant = None
@@ -2092,19 +1975,15 @@ class HAgentServer(_FramedServer):
         self.last_primary_addr = self.addr
         self.promoted_at = time.monotonic()
         self.promotions.append(
-            {"epoch": claimed, "version": self.version, "at": self.promoted_at}
+            {"epoch": self.epoch, "version": self.version, "at": self.promoted_at}
         )
         self._record_claim()
-        # The claim must hit disk before any fenced op carries it.
-        self._hlog({"op": "epoch", "epoch": claimed})
-        if self.store is not None:
-            self.store.snapshot(self._durable_state())
         # Grace period: no shard reported to *this* replica yet; give
         # each one a full liveness window before takeovers may fire.
         now = time.monotonic()
         for owner in self.iagent_nodes:
             self._last_report[owner] = now
-        self._log("promote", epoch=claimed, rank=self.rank)
+        self._log("promote", epoch=self.epoch, rank=self.rank)
         self.spawn(self._monitor_loop(), name="hagent-monitor")
         await self._announce_primary()
 
@@ -2124,10 +2003,7 @@ class HAgentServer(_FramedServer):
             "shard": self.shard,
         }
         lost_race = False
-        for name in list(self.node_order):
-            addr = self.node_addrs.get(name)
-            if addr is None:
-                continue
+        for addr in list(self.node_addrs.values()):
             try:
                 await self.channel.call(
                     addr,
@@ -2416,17 +2292,8 @@ class HAgentServer(_FramedServer):
                     f" nodes ({error})"
                 )
             self._xshard_grant = None
-            self.owned.add(from_shard)
-            self.map_version += 1
+            self._commit(self.state.absorb_shard(from_shard))
             self.xshard_absorbs += 1
-            self._hlog(
-                {
-                    "op": "shard",
-                    "owned": sorted(self.owned),
-                    "map_version": self.map_version,
-                    "absorbed_by": self.absorbed_by,
-                }
-            )
             self._log(
                 "xshard-absorb",
                 from_shard=from_shard,
@@ -2461,41 +2328,17 @@ class HAgentServer(_FramedServer):
 
     def apply_shard_release(self, into: int) -> None:
         """Durably mark this shard's prefix as served by ``into``."""
-        if self.absorbed_by == into and not self.owned:
-            return
-        self.owned = set()
-        self.absorbed_by = into
-        self.map_version += 1
-        self._hlog(
-            {
-                "op": "shard",
-                "owned": [],
-                "map_version": self.map_version,
-                "absorbed_by": into,
-            }
-        )
+        self._commit(self.state.release_shard(into))
 
     async def _shard_primary(self, shard: int) -> Optional[Address]:
         """The current primary of another shard's replica set."""
-        cached = self._shard_primaries.get(shard)
-        candidates: List[Address] = []
-        if cached is not None:
-            candidates.append(cached)
-        for addr in self.shard_peers.get(shard, []):
-            if addr not in candidates:
-                candidates.append(addr)
-        for addr in candidates:
-            try:
-                reply = await self.channel.call(
-                    addr, "hagent", "ping", timeout=min(0.5, self.config.rpc_timeout)
-                )
-            except (ServiceRpcError, RemoteOpError):
-                continue
-            if reply.get("role") == "primary" and reply.get("shard", shard) == shard:
-                self._shard_primaries[shard] = addr
-                return addr
-        self._shard_primaries.pop(shard, None)
-        return None
+        best = await scan_primary(
+            self.channel,
+            self.shard_peers.get(shard, []),
+            min(0.5, self.config.rpc_timeout),
+            shard,
+        )
+        return best[1] if best is not None else None
 
     # ------------------------------------------------------------------
     # Liveness monitoring and takeover
@@ -2512,10 +2355,10 @@ class HAgentServer(_FramedServer):
             now = time.monotonic()
             for owner in list(self.iagent_nodes):
                 last = self._last_report.get(owner, now)
-                if now - last < config.liveness_timeout:
+                if now - last < LIVENESS_TIMEOUT:
                     continue
                 alive = False
-                for attempt in range(max(1, config.liveness_ping_retries)):
+                for attempt in range(LIVENESS_PING_RETRIES):
                     try:
                         await self._rpc_iagent(owner, "ping", timeout=0.5)
                         alive = True
@@ -2542,9 +2385,9 @@ class HAgentServer(_FramedServer):
                 return
             old_node = self.iagent_nodes[owner]
             pattern = self.tree.hyper_label(owner).pattern()
-            for _ in range(len(self.node_order)):
+            for _ in range(len(self.node_addrs)):
                 new_node = self._pick_node()
-                if new_node != old_node or len(self.node_order) == 1:
+                if new_node != old_node or len(self.node_addrs) == 1:
                     break
             try:
                 # A same-node re-host may warm-recover the shard from its
@@ -2572,7 +2415,8 @@ class HAgentServer(_FramedServer):
 
     def _pick_node(self) -> str:
         self._spawn_round_robin += 1
-        return self.node_order[self._spawn_round_robin % len(self.node_order)]
+        order = self.node_order
+        return order[self._spawn_round_robin % len(order)]
 
     def _fenced(self, body: Optional[Dict]) -> Dict:
         """Stamp an outgoing coordinator op with this replica's epoch.
@@ -2604,9 +2448,12 @@ class HAgentServer(_FramedServer):
             )
         if self.config.coordinator_rpc_delay:
             await asyncio.sleep(self.config.coordinator_rpc_delay)
+        addr = self.node_addrs.get(node)
+        if addr is None:
+            raise ServiceRpcError(f"{op} to {target}: no address for {node}", op=op)
         try:
             return await self.channel.call(
-                self.node_addrs[node],
+                addr,
                 target,
                 op,
                 self._fenced(body),
@@ -2633,9 +2480,8 @@ class HAgentServer(_FramedServer):
 
     def _publish(self, op: Dict) -> Any:
         """Apply ``op`` to the primary copy and journal it durably."""
-        outcome = self.function.publish(op)
-        op["epoch"] = self.epoch  # on the journaled entry itself
-        self._hlog({"op": "rehash", "entry": dict(op), "namer": self.namer.state})
+        entry, outcome = self.state.publish(op)
+        self._commit(entry)
         return outcome
 
     def _log(self, event: str, **fields: Any) -> None:
@@ -2651,6 +2497,6 @@ class HAgentServer(_FramedServer):
     async def stop(self) -> None:
         await super().stop()
         if self.store is not None:
-            self.store.snapshot(self._durable_state())
+            self._snapshot()
             self.store.close()
         await self.channel.close()

@@ -193,7 +193,8 @@ class TestBothCoordinators:
         server = HAgentServer(ServiceConfig(mechanism=mechanism.config))
         root = server.namer.next_id()
         server.function.bootstrap(root, "node-0", 64)
-        server.node_order = ["node-0", "node-1"]
+        for port, name in enumerate(["node-0", "node-1"]):
+            server.state.register_node(name, "127.0.0.1", port)
         leaves = {root: IAgentState("", LoadStatistics(2.0))}
         for agent in agents:
             leaves[root].put({"agent": agent, "node": "node-1"}, 0.0)

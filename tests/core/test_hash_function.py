@@ -13,7 +13,7 @@ around one rehash script:
   ``delta_since`` -> ``absorb`` (the journal holds four entries, so a
   longer lag exercises truncation -> full snapshot);
 * a **recovered coordinator** fed the primary's ``{"op": "rehash"}``
-  WAL records through ``HAgentServer._replay_mutation``;
+  WAL records through ``CoordinatorState.apply``;
 * a **relay** -- a live LHAgent's journaled copies, fed by the
   coordinator's own ``get-hash-delta`` reply -- and a **requester**
   whose copy is fed only by what the relay serves on
@@ -46,7 +46,7 @@ NODES = ["n0", "n1", "n2"]
 
 
 class Wal(list):
-    """The slice of ``DurableStore`` that ``HAgentServer._hlog`` uses."""
+    """The slice of ``DurableStore`` that ``HAgentServer._commit`` uses."""
 
     should_snapshot = False
 
@@ -89,7 +89,7 @@ class Replicas:
         self.history = {1: (self.tree.to_spec(), dict(self.nodes), 1)}
         # The one-hop data path: primary -> relay (an LHAgent, its copy
         # journaled with the same capacity) -> requester.
-        self.server.node_addrs["n0"] = ("10.0.0.1", 7)
+        self.server.state.register_node("n0", "10.0.0.1", 7)
         node = SimpleNamespace(config=self.server.config, router=ShardRouter())
         self.relay = LHAgentEndpoint(node)
         self.requester = SecondaryCopies()
@@ -190,7 +190,7 @@ class Replicas:
         ][-self.primary.journal.maxlen :]
         for record in self.wal[self.replayed :]:
             assert record.keys() == {"op", "entry", "namer"} and record["op"] == "rehash"
-            self.recovered._replay_mutation(record)
+            self.recovered.state.apply(record)
         self.replayed = len(self.wal)
         assert state_of(self.recovered.function) == expected
         assert self.recovered.namer.state == self.server.namer.state

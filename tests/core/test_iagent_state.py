@@ -306,10 +306,11 @@ class TestImportHygiene:
     ]
     SRC = Path(__file__).resolve().parents[2] / "src"
     #: The sans-IO cores: the record table, the hash function, the
-    #: rehash policy + split / merge saga, and the requester sagas.
+    #: coordinator state, the rehash policy + split / merge saga, and
+    #: the requester sagas.
     MODULES = (
         "repro.core.iagent_state, repro.core.hash_function, "
-        "repro.core.rehashing, repro.core.requester"
+        "repro.core.coordinator_state, repro.core.rehashing, repro.core.requester"
     )
 
     def loaded(self, prelude, names):

@@ -21,7 +21,7 @@ from repro.service.client import (
 )
 from repro.service.cluster import ClusterConfig, run_cluster
 from repro.service.replication import single_primary_violations
-from repro.service.server import HAgentServer, NodeServer, ServiceConfig
+from repro.service.server import HAgentServer, NodeServer, ServiceConfig, _FramedServer
 from repro.storage.wal import StorageWarning
 
 
@@ -220,6 +220,55 @@ class TestCrashPromotion:
                     ClusterConfig(nodes=2, hagent_replicas=1, crash_hagent=True)
                 )
             )
+
+
+class _SaysPrimary(_FramedServer):
+    """Answers every request like a primary of ``shard`` at ``epoch``
+    answers ``ping``."""
+
+    def __init__(self, epoch, shard=0):
+        super().__init__(ServiceConfig(), None)
+        self.ping = {
+            "status": "ok",
+            "version": 1,
+            "role": "primary",
+            "rank": 0,
+            "epoch": epoch,
+            "shard": shard,
+        }
+
+    def route(self, target, request):
+        return self.ping
+
+
+class TestPrimaryScan:
+    def test_every_scan_follows_the_highest_epoch_not_the_first_answer(self):
+        """A failover window: the deposed primary (epoch 3, listed
+        first) has not met a fence yet and still says "primary"."""
+
+        async def scenario():
+            deposed, current = _SaysPrimary(3, shard=1), _SaysPrimary(5, shard=1)
+            book = [await deposed.start(), await current.start()]
+
+            node = NodeServer("node-0", book[0], hagent_addrs=book)
+            assert await node.find_primary() == current.addr
+            assert node.hagent_addr == current.addr and node.fence.epoch == 5
+
+            standby = HAgentServer(rank=2)
+            standby.set_peers({0: book[0], 1: book[1], 2: ("127.0.0.1", 1)})
+            assert await standby._scan_for_primary() == current.addr
+            assert standby.primary_addr == current.addr and standby.epoch == 5
+
+            sibling = HAgentServer(shards=2)
+            sibling.set_shard_peers({1: book})
+            assert await sibling._shard_primary(1) == current.addr
+
+            for holder in (node, standby, sibling):
+                await holder.channel.close()
+            await deposed.stop()
+            await current.stop()
+
+        run(scenario())
 
 
 class TestStalePrimaryFencing:

@@ -7,6 +7,7 @@ republish loop could have refilled them.
 """
 
 import asyncio
+import time
 
 import pytest
 
@@ -230,6 +231,74 @@ class TestHAgentRecovery:
             assert recovered.namer.state == namer_state
             assert recovered.namer.next_id() != owner
             await recovered.stop()
+
+        run(scenario())
+
+    def test_standby_recovers_what_it_held_in_memory(self, tmp_path):
+        """A standby that learned a node, a move onto it, an epoch and a
+        shard row through *delta* syncs finds all of them on its disk."""
+
+        async def scenario():
+            config, primary, nodes, owner = await boot(tmp_path)
+            standby = HAgentServer(config, rank=1)
+
+            def sync():
+                body = {"since": standby.version, "epoch": standby.epoch, "rank": 1}
+                standby._apply_sync_reply(primary._op_replica_sync(body))
+
+            sync()  # the full copy: one node, the bootstrap tree
+            assert list(standby.node_addrs) == ["node-0"]
+            late = NodeServer("node-1", primary.addr, config)
+            await late.start()
+            primary._publish({"op": "move", "owner": owner, "node": "node-1"})
+            primary.apply_shard_release(1)
+            sync()  # a delta
+            assert standby.iagent_nodes[owner] == "node-1"
+            standby.store.wal.sync()
+
+            recovered = HAgentServer(config, rank=1)
+            recovered._recover_from_disk()
+            assert recovered.node_addrs == standby.node_addrs == primary.node_addrs
+            assert list(recovered.node_addrs) == ["node-0", "node-1"]
+            assert recovered.namer.state == standby.namer.state
+            assert (recovered.owned, recovered.map_version, recovered.absorbed_by) == (
+                standby.owned,
+                standby.map_version,
+                standby.absorbed_by,
+            )
+            assert recovered.absorbed_by == 1
+            assert recovered.epoch == standby.epoch == 1
+            assert recovered.iagent_nodes == standby.iagent_nodes
+            # Every leaf the recovered tree places is addressable.
+            assert set(recovered.iagent_nodes.values()) <= set(recovered.node_addrs)
+            for replica in (standby, recovered):
+                replica.store.close()
+                await replica.channel.close()
+            await shutdown(primary, nodes + [late])
+
+        run(scenario())
+
+    def test_monitor_survives_a_leaf_on_an_unaddressable_node(self, tmp_path):
+        """No address for a leaf's node is a failed ping like any other:
+        the monitor takes the leaf over instead of dying on a KeyError."""
+
+        async def scenario():
+            config, hagent, nodes, owner = await boot(tmp_path)
+            node = nodes[0]
+            # Silence the leaf, then place it where the book has no entry.
+            await node.channel.call(node.addr, "host", "crash-iagent", {"owner": owner})
+            hagent._publish({"op": "move", "owner": owner, "node": "ghost"})
+            hagent._last_report[owner] = time.monotonic() - 60.0
+            deadline = time.monotonic() + 5.0
+            while hagent.takeovers == 0 and time.monotonic() < deadline:
+                await asyncio.sleep(0.05)
+            monitors = [
+                task for task in hagent._bg_tasks if task.get_name() == "hagent-monitor"
+            ]
+            assert monitors and not monitors[0].done()
+            assert hagent.takeovers == 1
+            assert hagent.iagent_nodes[owner] == "node-0"
+            await shutdown(hagent, nodes)
 
         run(scenario())
 
