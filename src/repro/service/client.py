@@ -20,10 +20,12 @@ Two layers:
   of :mod:`repro.core.requester` -- the paper's §2.3 + §4.3 loop, the
   same generators the simulator's ``HashLocationMechanism`` steps --
   over the wire: the saga decides what to resolve, ask, refresh and
-  retry; this driver answers a *resolve* from its own secondary copies
+  retry; this driver answers a *resolve* and a discovery round's
+  *candidates* from its own secondary copies
   (:class:`~repro.core.hash_function.SecondaryCopies`, fed by the
   node's LHAgent only when a copy is missing or stale -- a steady op
-  is one frame, to the IAgent), performs every hop through the
+  is one frame, to the IAgent, and a steady discovery round one per
+  candidate IAgent), performs every hop through the
   resilience stack below, answers ``None`` for one it could not
   perform (so a pull the LHAgent could not serve is retried, not
   raised), and bounds the whole operation by ``op_deadline``. Retry
@@ -40,7 +42,8 @@ Two layers:
   fan one query out to every candidate IAgent and merge, where a single
   stale candidate invalidates the whole round -- the merged set must
   come from one view of the hash tree (see
-  :mod:`repro.discovery`).
+  :mod:`repro.discovery`). All four batch forms share one fan-out,
+  :meth:`ServiceClient._batch`.
 
 Between the two sits the hostile-network resilience stack (see
 ``docs/PROTOCOLS.md`` §14): every RPC passes the endpoint's circuit
@@ -67,11 +70,11 @@ from __future__ import annotations
 import asyncio
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.hash_function import SecondaryCopies
 from repro.core.requester import discover_saga, request_saga
-from repro.discovery.hamming import merge_matches
+from repro.discovery.hamming import merge_matches, shards_within
 from repro.metrics.trace import Tracer
 from repro.platform.messages import Request, Response
 from repro.platform.naming import AgentId
@@ -118,6 +121,30 @@ NOT_PRIMARY = "not-primary"
 
 #: IAgent ops that may race a hedged duplicate: the idempotent reads.
 _HEDGED_OPS = frozenset({"locate", "discover-similar", "discover-capability"})
+
+#: Items per batched RPC (``register-batch``, ``locate-batch``, and the
+#: queries per ``discover-*-batch``).
+BATCH_SIZE = 64
+
+#: Jitter fraction of a backoff sleep: each is drawn uniformly from
+#: ``[delay * (1 - BACKOFF_JITTER), delay]``.
+BACKOFF_JITTER = 0.5
+
+#: Lower clamp of the adaptive per-RPC timeout, seconds.
+TIMEOUT_FLOOR = 0.25
+
+#: At most this fraction of hedge-eligible calls may spawn a duplicate.
+#: Caps the tail-at-scale failure mode where load-induced queueing
+#: pushes every RTT past the hedge delay and the duplicates themselves
+#: become the overload. Leaves headroom for ~10% per-RPC failure (5%
+#: frame loss, two frames per round trip) with jitter tails on top.
+HEDGE_BUDGET = 0.2
+
+#: Consecutive transport failures that open an endpoint's breaker.
+BREAKER_THRESHOLD = 5
+
+#: Seconds an open breaker fails fast before admitting a probe.
+BREAKER_COOLDOWN = 1.0
 
 
 def format_addr(addr: Optional[Address]) -> str:
@@ -210,7 +237,7 @@ class RttEstimator:
 
     def __init__(
         self,
-        floor: float = 0.25,
+        floor: float = TIMEOUT_FLOOR,
         cap: float = 2.0,
         alpha: float = 0.125,
         beta: float = 0.25,
@@ -268,7 +295,9 @@ class CircuitBreaker:
     OPEN = "open"
     HALF_OPEN = "half-open"
 
-    def __init__(self, threshold: int = 5, cooldown: float = 1.0) -> None:
+    def __init__(
+        self, threshold: int = BREAKER_THRESHOLD, cooldown: float = BREAKER_COOLDOWN
+    ) -> None:
         self.threshold = max(1, threshold)
         self.cooldown = cooldown
         self.state = self.CLOSED
@@ -341,10 +370,6 @@ class ClientConfig:
     #: Backoff ceiling (seconds).
     backoff_cap: float = 0.5
 
-    #: Jitter fraction: each sleep is drawn uniformly from
-    #: ``[delay * (1 - jitter), delay]``.
-    backoff_jitter: float = 0.5
-
     #: Backoff RNG. Inject a seeded ``random.Random`` so retry timing
     #: is deterministic under test and chaos replay; None draws a fresh
     #: unseeded generator per client.
@@ -360,18 +385,12 @@ class ClientConfig:
     #: Idle seconds after which a pooled connection is reaped.
     pool_idle_s: float = 30.0
 
-    #: Items per batched RPC chunk (``register-batch``/``locate-batch``).
-    batch_size: int = 64
-
     #: Adaptive per-endpoint RPC timeouts: Jacobson-style
-    #: ``srtt + 4 * rttvar`` clamped to ``[timeout_floor, rpc_timeout]``
+    #: ``srtt + 4 * rttvar`` clamped to ``[TIMEOUT_FLOOR, rpc_timeout]``
     #: replaces the fixed ``rpc_timeout`` once an endpoint has RTT
     #: samples. Lost frames on a hostile link are then detected in a
     #: few observed RTTs instead of a full fixed timeout.
     adaptive_timeout: bool = True
-
-    #: Lower clamp of the adaptive timeout, seconds.
-    timeout_floor: float = 0.25
 
     #: Hedge idempotent reads (locate, discovery fan-out): when the
     #: primary reply is slower than the endpoint's p95-derived hedge
@@ -381,20 +400,6 @@ class ClientConfig:
     #: Hedge delay floor, seconds -- on a clean LAN the hedge delay is
     #: clamped up to this so near-instant replies never spawn duplicates.
     hedge_delay_floor: float = 0.05
-
-    #: Hedge budget: at most this fraction of hedge-eligible calls may
-    #: spawn a duplicate. Caps the tail-at-scale failure mode where
-    #: load-induced queueing pushes every RTT past the hedge delay and
-    #: the duplicates themselves become the overload. The default
-    #: leaves headroom for ~10% per-RPC failure (5% frame loss, two
-    #: frames per round trip) with jitter tails on top.
-    hedge_budget: float = 0.2
-
-    #: Consecutive transport failures that open an endpoint's breaker.
-    breaker_threshold: int = 5
-
-    #: Seconds an open breaker fails fast before admitting a probe.
-    breaker_cooldown: float = 1.0
 
     #: Serve the last-known locate answer (flagged ``degraded=True``)
     #: when the resolved path's breaker is open, instead of burning the
@@ -915,7 +920,7 @@ class ServiceClient:
         #: Last-known locate answers, the degraded-mode read source.
         self._last_known: Dict[AgentId, str] = {}
         #: This requester's own secondary copies, one per shard, fed by
-        #: the node's LHAgent -- what every *resolve* is answered from.
+        #: the node's LHAgent -- what *resolve* and *candidates* answer from.
         self._held = SecondaryCopies()
         #: The deployment's shard count, as the LHAgent's replies state it.
         self._shards = 1
@@ -927,18 +932,13 @@ class ServiceClient:
     def _rtt_for(self, addr: Address) -> RttEstimator:
         estimator = self._rtts.get(addr)
         if estimator is None:
-            estimator = self._rtts[addr] = RttEstimator(
-                floor=self.config.timeout_floor, cap=self.config.rpc_timeout
-            )
+            estimator = self._rtts[addr] = RttEstimator(cap=self.config.rpc_timeout)
         return estimator
 
     def _breaker_for(self, addr: Address) -> CircuitBreaker:
         breaker = self._breakers.get(addr)
         if breaker is None:
-            breaker = self._breakers[addr] = CircuitBreaker(
-                threshold=self.config.breaker_threshold,
-                cooldown=self.config.breaker_cooldown,
-            )
+            breaker = self._breakers[addr] = CircuitBreaker()
         return breaker
 
     def _rpc_budget(
@@ -1024,9 +1024,9 @@ class ServiceClient:
     def admit_hedge(self) -> bool:
         """The request record's question when a read's hedge delay has
         passed with no reply: may it send a duplicate? A budget caps
-        duplicates at ``hedge_budget`` of the hedge-eligible calls so
+        duplicates at ``HEDGE_BUDGET`` of the hedge-eligible calls so
         load-induced queueing cannot amplify itself."""
-        budget = self.config.hedge_budget * max(20.0, float(self._hedge_eligible))
+        budget = HEDGE_BUDGET * max(20.0, float(self._hedge_eligible))
         if self.counters.hedges >= budget:
             return False
         self.counters.hedges += 1
@@ -1078,7 +1078,7 @@ class ServiceClient:
 
         Every agent is resolved against the local copy, then one
         ``register-batch`` RPC per responsible IAgent (chunked at
-        ``config.batch_size``) carries the records -- one round-trip
+        ``BATCH_SIZE``) carries the records -- one round-trip
         amortized over N updates. Safe under staleness: per-agent
         sequence numbers make late or replayed publishes harmless, and
         any item the batch cannot settle (unresolved mapping, bounce,
@@ -1097,34 +1097,22 @@ class ServiceClient:
         # single-op fallback -- so repeated transport faults cannot
         # stretch a batch to N times the configured budget.
         deadline = asyncio.get_running_loop().time() + self.config.op_deadline
-        groups, fallback = await self._group_by_iagent(
-            [a for a, _, _, _ in items], deadline
+        groups = await self._group_by_iagent([item[0] for item in items], deadline)
+        ops = []
+        for agent, node, seq, caps in items:
+            op = {"agent": agent, "node": node, "seq": seq}
+            if caps is not None:
+                op["capabilities"] = caps
+            ops.append(op)
+        fallback = await self._batch(
+            "register-batch",
+            groups,
+            lambda _, chunk: {"ops": [ops[i] for i in chunk]},
+            lambda index, result: None,
+            deadline,
         )
-
-        async def send(key: Tuple[Address, Any], indices: List[int]) -> List[int]:
-            addr, iagent = key
-            ops = []
-            for i in indices:
-                agent, node, seq, caps = items[i]
-                op = {"agent": agent, "node": node, "seq": seq}
-                if caps is not None:
-                    op["capabilities"] = caps
-                ops.append(op)
-            return self._settle_batch(
-                indices,
-                await self._batch_rpc(
-                    addr, iagent, "register-batch", {"ops": ops}, deadline
-                ),
-                lambda i, item: None,
-            )
-
-        for bad in await asyncio.gather(
-            *(send(key, chunk) for key, chunk in self._chunked(groups))
-        ):
-            fallback.extend(bad)
         for index in fallback:
-            agent, node, seq, caps = items[index]
-            await self._update_op("register", agent, node, seq, caps, deadline)
+            await self._update_op("register", *items[index], deadline)
 
     async def locate_batch(
         self, agent_ids: Sequence[AgentId]
@@ -1142,28 +1130,15 @@ class ServiceClient:
             return {}
         self.counters.locates += len(agents)
         deadline = asyncio.get_running_loop().time() + self.config.op_deadline
-        groups, fallback = await self._group_by_iagent(agents, deadline)
+        groups = await self._group_by_iagent(agents, deadline)
         results: Dict[AgentId, str] = {}
-
-        async def send(key: Tuple[Address, Any], indices: List[int]) -> List[int]:
-            addr, iagent = key
-            reply = await self._batch_rpc(
-                addr,
-                iagent,
-                "locate-batch",
-                {"agents": [agents[i] for i in indices]},
-                deadline,
-            )
-            return self._settle_batch(
-                indices,
-                reply,
-                lambda i, item: results.__setitem__(agents[i], item["node"]),
-            )
-
-        for bad in await asyncio.gather(
-            *(send(key, chunk) for key, chunk in self._chunked(groups))
-        ):
-            fallback.extend(bad)
+        fallback = await self._batch(
+            "locate-batch",
+            groups,
+            lambda _, chunk: {"agents": [agents[i] for i in chunk]},
+            lambda index, result: results.__setitem__(agents[index], result["node"]),
+            deadline,
+        )
         for index in fallback:
             answer = await self._locate_resolved(agents[index], deadline)
             results[agents[index]] = answer.node
@@ -1210,12 +1185,12 @@ class ServiceClient:
     ) -> List[List[Dict]]:
         """Run many ``(agent, d)`` similarity queries in bulk.
 
-        One ``discover-candidates`` round resolves the full candidate
-        set, then each candidate IAgent answers every query through one
-        ``discover-similar-batch`` RPC (chunked at ``batch_size``) --
-        the per-query shard pruning of the single-op path is traded for
-        round-trip amortization; correctness is unchanged because each
-        IAgent's exact filter already drops everything outside the ball.
+        One candidate round over the local copies names every IAgent,
+        then each answers every query through ``discover-similar-batch``
+        RPCs (``BATCH_SIZE`` queries each) -- the per-query shard pruning
+        of the single-op path is traded for round-trip amortization;
+        correctness is unchanged because each IAgent's exact filter
+        already drops everything outside the ball.
         Any query a batch round cannot settle (bounce, transport
         failure) falls back to the single-op §4.3 loop.
         """
@@ -1238,76 +1213,71 @@ class ServiceClient:
         await self.channel.close()
 
     # ------------------------------------------------------------------
-    # Batch plumbing
+    # Batch plumbing: one fan-out for every batch form
     # ------------------------------------------------------------------
 
     async def _group_by_iagent(
-        self, agents: List[AgentId], deadline: Optional[float] = None
-    ) -> Tuple[Dict[Tuple[Address, Any], List[int]], List[int]]:
-        """Map each agent index to its responsible IAgent via the local copy.
-
-        Returns ``(groups, unresolved)``; once a pull of a missing copy
-        fails, every remaining index is handed to the single-op
-        fallback, which owns recovery.
+        self, agents: List[AgentId], deadline: float
+    ) -> List[Tuple[Optional[Dict], List[int]]]:
+        """:meth:`_batch` groups: each agent index under the IAgent its
+        local resolve names. Once a pull fails, every remaining index is
+        left unaddressed for the single-op fallback, which owns recovery.
         """
         self.counters.ops += len(agents)
-        groups: Dict[Tuple[Address, Any], List[int]] = {}
-        unresolved: List[int] = []
+        groups: Dict[Any, Tuple[Optional[Dict], List[int]]] = {}
         served = True
         for index, agent in enumerate(agents):
             mapping = await self._whois(agent, deadline) if served else None
             served = mapping is not None
             addr = mapping["addr"] if mapping is not None else None
-            if addr is None:
-                unresolved.append(index)
-            else:
-                groups.setdefault((tuple(addr), mapping["iagent"]), []).append(index)
-        return groups, unresolved
+            key = (tuple(addr), mapping["iagent"]) if addr is not None else None
+            groups.setdefault(key, (mapping, []))[1].append(index)
+        return list(groups.values())
 
-    def _chunked(
-        self, groups: Dict[Tuple[Address, Any], List[int]]
-    ) -> List[Tuple[Tuple[Address, Any], List[int]]]:
-        size = max(1, self.config.batch_size)
-        chunks = []
-        for key, indices in groups.items():
-            for start in range(0, len(indices), size):
-                chunks.append((key, indices[start : start + size]))
-        return chunks
-
-    async def _batch_rpc(
+    async def _batch(
         self,
-        addr: Address,
-        iagent: Any,
         op: str,
-        body: Dict,
-        deadline: Optional[float] = None,
-    ) -> Optional[Dict]:
-        try:
-            reply = await self._call(addr, iagent, op, body, deadline=deadline)
-        except (ServiceRpcError, RemoteOpError):
-            return None
-        self.counters.batch_rpcs += 1
-        return reply
-
-    def _settle_batch(
-        self,
-        indices: List[int],
-        reply: Optional[Dict],
+        groups: List[Tuple[Optional[Dict], List[int]]],
+        body: Callable[[Dict, List[int]], Dict],
         on_ok: Callable[[int, Dict], None],
+        deadline: float,
     ) -> List[int]:
-        """Apply per-item batch results; return indices needing fallback."""
-        if reply is None:
-            return indices
-        items = reply.get("results", [])
-        bad: List[int] = []
-        for index, item in zip(indices, items):
-            if isinstance(item, dict) and item.get("status") == "ok":
-                self.counters.batched_ops += 1
-                on_ok(index, item)
-            else:
-                bad.append(index)
-        bad.extend(indices[len(items) :])
-        return bad
+        """Each group ``(mapping, indices)`` to the IAgent a resolve or a
+        candidate names, ``BATCH_SIZE`` items per ``op`` RPC (``body(mapping,
+        chunk)``), all chunks at once; each ``ok`` result goes to
+        ``on_ok(index, result)``. Returns, sorted, the indices to fall back
+        on: unaddressed, in a failed RPC, or not answered ``ok``.
+        """
+
+        async def send(mapping: Optional[Dict], chunk: List[int]) -> List[int]:
+            if mapping is None or mapping.get("addr") is None:
+                return chunk
+            try:
+                reply = await self._call(
+                    mapping["addr"], mapping["iagent"], op, body(mapping, chunk),
+                    deadline=deadline,
+                )
+            except (ServiceRpcError, RemoteOpError):
+                return chunk
+            self.counters.batch_rpcs += 1
+            results = reply.get("results", [])
+            bad = chunk[len(results) :]
+            for index, result in zip(chunk, results):
+                if isinstance(result, dict) and result.get("status") == "ok":
+                    on_ok(index, result)
+                else:
+                    bad.append(index)
+            return bad
+
+        chunks = [
+            send(mapping, indices[start : start + BATCH_SIZE])
+            for mapping, indices in groups
+            for start in range(0, len(indices), BATCH_SIZE)
+        ]
+        failed = sorted({index for bad in await asyncio.gather(*chunks) for index in bad})
+        asked = {index for _, indices in groups for index in indices}
+        self.counters.batched_ops += len(asked) - len(failed)
+        return failed
 
     # ------------------------------------------------------------------
     # Discovery plumbing: the multi-result saga, and the batched round
@@ -1321,7 +1291,7 @@ class ServiceClient:
         A candidate set computed from a stale secondary copy can
         silently miss a leaf that split away, so the saga voids the
         round on any bounce and the retry names the voided round's
-        versions as ``stale_versions``.
+        ``[shard, version]`` pairs as ``stale``.
         """
         self.counters.ops += 1
         saga = discover_saga(self.counters, self.config.max_retries, op, body)
@@ -1333,70 +1303,27 @@ class ServiceClient:
         return reply["matches"]
 
     async def _discover_batch(self, op: str, bodies: List[Dict]) -> List[List[Dict]]:
-        """One batched round, then the single-op saga for every query it
-        could not settle -- all inside one op deadline."""
-        deadline = asyncio.get_running_loop().time() + self.config.op_deadline
-        merged = await self._discover_batch_round(op, bodies, deadline)
-        return [
-            m if m is not None else await self._discover(op, bodies[i], deadline)
-            for i, m in enumerate(merged)
-        ]
-
-    async def _discover_batch_round(
-        self, op: str, bodies: List[Dict], deadline: Optional[float] = None
-    ) -> List[Optional[List[Dict]]]:
-        """One batched round: every query to every candidate IAgent.
-
-        Returns merged matches per query, or ``None`` where the query
-        must fall back to the single-op retry loop (stale candidate,
-        transport failure, unresolved address).
-        """
-        n = len(bodies)
-        if n == 0:
+        """Every query to every candidate IAgent in one batched round, then
+        the single-op saga for each query some candidate did not answer
+        ``ok`` -- all inside one op deadline."""
+        if not bodies:
             return []
-        self.counters.ops += n
-        reply = await self._lhagent_call("discover-candidates", {}, deadline)
-        if reply is None or "candidates" not in reply:
-            return [None] * n
-        candidates = reply["candidates"]
-        partials: List[List[List[Dict]]] = [[] for _ in range(n)]
-        failed: set = set()
-
-        async def ask(cand: Dict, indices: List[int]) -> List[int]:
-            if cand.get("addr") is None:
-                return indices
-            ops = []
-            for i in indices:
-                item = dict(bodies[i])
-                item["pattern"] = cand.get("pattern")
-                ops.append(item)
-            reply = await self._batch_rpc(
-                tuple(cand["addr"]), cand["iagent"], op + "-batch", {"ops": ops},
-                deadline,
-            )
-            if reply is None:
-                return indices
-            bad: List[int] = []
-            items = reply.get("results", [])
-            for i, item in zip(indices, items):
-                if isinstance(item, dict) and item.get("status") == "ok":
-                    partials[i].append(item.get("matches", []))
-                else:
-                    bad.append(i)
-            bad.extend(indices[len(items) :])
-            return bad
-
-        size = max(1, self.config.batch_size)
-        calls = []
-        for cand in candidates:
-            for start in range(0, n, size):
-                calls.append(ask(cand, list(range(start, min(n, start + size)))))
-        for bad in await asyncio.gather(*calls):
-            failed.update(bad)
-        self.counters.batched_ops += n - len(failed)
-        return [
-            None if i in failed else merge_matches(partials[i]) for i in range(n)
-        ]
+        self.counters.ops += len(bodies)
+        deadline = asyncio.get_running_loop().time() + self.config.op_deadline
+        partials: List[List[List[Dict]]] = [[] for _ in bodies]
+        everyone = list(range(len(bodies)))
+        found = await self._candidates(None, None, None, deadline)
+        fallback = await self._batch(
+            op + "-batch",
+            [(cand, everyone) for cand in found[0]] if found else [(None, everyone)],
+            lambda cand, chunk: {"ops": [dict(bodies[i], pattern=cand["pattern"]) for i in chunk]},
+            lambda index, result: partials[index].append(result.get("matches", [])),
+            deadline,
+        )
+        merged = [merge_matches(partial) for partial in partials]
+        for index in fallback:
+            merged[index] = await self._discover(op, bodies[index], deadline)
+        return merged
 
     # ------------------------------------------------------------------
     # The requester sagas of repro.core.requester, over the wire
@@ -1478,13 +1405,7 @@ class ServiceClient:
                 await self._sleep(args[0], deadline)
                 reply = loop.time() < deadline
             elif kind == "candidates":
-                agent, d, stale = args
-                cand_body = {"agent": agent, "d": d, "stale_versions": stale}
-                reply = await self._lhagent_call(
-                    "discover-candidates", cand_body, deadline
-                )
-                if reply is not None:
-                    reply = reply.get("candidates", []), reply.get("versions", [])
+                reply = await self._candidates(*args, deadline)
             else:  # "fan-out": every candidate at once
                 op, candidates, bodies = args
                 reply = await asyncio.gather(
@@ -1507,49 +1428,87 @@ class ServiceClient:
         """The *resolve* hop, answered from this requester's own copy.
 
         The paper's LHAgent is co-resident with the requester (§2.2), so
-        resolving costs no network hop. The node's LHAgent is asked --
-        for what takes the copy to its own, which it first refreshes
-        from the coordinator when that is no newer -- only with no copy
-        of the agent's shard yet, or when the saga names a
-        ``stale_version`` the copy does not exceed.
+        resolving costs no network hop. The copy is pulled forward
+        (:meth:`_pull`) only with no copy of the agent's shard yet, or
+        when the saga names a ``stale_version`` the copy does not exceed.
         """
         held = self._held
-        fresh = stale_version is None
-        # One pull; one more after a delta that did not fit (its copy is
-        # dropped), or a first reply whose shard count re-keys the id.
-        for _ in range(3):
-            shard = shard_of(agent_id, self._shards)
-            mapping = held.resolve(shard, agent_id)
-            if mapping is not None and (fresh or mapping["version"] > stale_version):
-                return mapping
-            # Hedging the pull is safe: it changes nothing at the
-            # LHAgent, which coalesces concurrent fetches for a shard
-            # into one flight, so the duplicate joins the primary's.
-            reply = await self._lhagent_call(
-                "get-hash-delta", held.request(shard), deadline, hedge=True
-            )
-            if reply is None:
-                return None
-            self._shards = reply.get("shards", self._shards)
-            fresh = held.absorb(shard, reply)
-        return None
+        mapping = held.resolve(shard_of(agent_id, self._shards), agent_id)
+        if mapping is not None and (stale_version is None or mapping["version"] > stale_version):
+            return mapping
+        if not held.origins and not await self._pull(0, None, deadline):
+            return None  # the first pull states the shard count ids are keyed by
+        shard = shard_of(agent_id, self._shards)
+        if not await self._pull(shard, stale_version, deadline):
+            return None
+        return held.resolve(shard, agent_id)
 
-    async def _lhagent_call(
-        self, op: str, body: Dict, deadline: Optional[float], hedge: bool = False
-    ) -> Optional[Dict]:
-        """One RPC to the node's LHAgent. ``None`` when it could not
-        answer -- transport failure, or any error envelope (its fetch
-        of the primary copy failed: coordinator down or mid-election) --
-        so the saga backs off and retries inside the op deadline."""
-        try:
-            return await self._call(
-                self.lhagent_addr, "lhagent", op, body, deadline=deadline, hedge=hedge
-            )
-        except ServiceRpcError:
-            self.counters.transport_retries += 1
-        except RemoteOpError:
-            pass
-        return None
+    async def _candidates(
+        self,
+        agent: Optional[AgentId],
+        d: Optional[int],
+        stale: Optional[List[List[int]]],
+        deadline: Optional[float],
+    ) -> Optional[Tuple[List[Dict], List[List[int]]]]:
+        """The *candidates* hop, answered from this requester's own copies
+        like *resolve*: every IAgent of the shards that can still reach
+        the Hamming ball (all shards for a capability query), once each
+        -- a cross-shard merge makes two shards' copies one function --
+        and ``[shard, version]`` per copy, each pulled past its version
+        in ``stale`` first. ``None`` when a pull went unserved.
+        """
+        held = self._held
+        if not held.origins and not await self._pull(0, None, deadline):
+            return None  # the first pull states the shard count
+        wanted = list(range(self._shards))
+        if agent is not None and d is not None:
+            wanted = shards_within(agent.bits, d, self._shards)
+        past = {shard: version for shard, version in stale or ()}
+        candidates: List[Dict] = []
+        versions: List[List[int]] = []
+        seen: Set[Any] = set()
+        for shard in wanted:
+            if not await self._pull(shard, past.get(shard), deadline):
+                return None
+            copy = held.copies[shard]  # read before the next await can drop it
+            versions.append([shard, copy.version])
+            for cand in copy.candidates(agent, d):
+                if cand["iagent"] not in seen:
+                    seen.add(cand["iagent"])
+                    addr = held.node_addrs.get(cand["node"])
+                    cand["addr"] = list(addr) if addr is not None else None
+                    candidates.append(cand)
+        return candidates, versions
+
+    async def _pull(self, shard: int, past: Optional[int], deadline: Optional[float]) -> bool:
+        """Bring the copy of ``shard`` past version ``past`` (``None``: any
+        copy) by ``get-hash-delta`` at the node's LHAgent, which refreshes
+        its own first when that is no newer. False when the LHAgent could
+        not answer (transport failure, or an error envelope: its fetch of
+        the primary copy failed), so the saga backs off and retries.
+        """
+        held = self._held
+        for _ in range(2):  # one more after a delta that did not fit
+            copy = held.copies.get(shard)
+            if copy is not None and (past is None or copy.version > past):
+                return True
+            try:
+                # Hedging the pull is safe: it changes nothing at the
+                # LHAgent, which coalesces concurrent fetches for a shard
+                # into one flight, so the duplicate joins the primary's.
+                reply = await self._call(
+                    self.lhagent_addr, "lhagent", "get-hash-delta", held.request(shard),
+                    deadline=deadline, hedge=True,
+                )
+            except ServiceRpcError:
+                self.counters.transport_retries += 1
+                return False
+            except RemoteOpError:
+                return False
+            self._shards = reply.get("shards", self._shards)
+            if held.absorb(shard, reply):
+                return True
+        return False
 
     async def _ask(
         self, mapping: Dict, op: str, body: Dict, deadline: float
@@ -1602,7 +1561,7 @@ class ServiceClient:
             return
         config = self.config
         delay = min(config.backoff_cap, config.backoff_base * (2 ** (attempt - 1)))
-        span = delay * config.backoff_jitter
+        span = delay * BACKOFF_JITTER
         delay = delay - span + self.rng.random() * span
         if deadline is not None:
             delay = min(delay, max(0.0, deadline - asyncio.get_running_loop().time()))

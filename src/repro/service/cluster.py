@@ -50,7 +50,7 @@ from repro.service.client import (
 from repro.service.netem import NetemController
 from repro.service.replication import sharded_single_primary_violations
 from repro.service.routing import validate_shards
-from repro.service.server import HAgentServer, NodeServer, ServiceConfig
+from repro.service.server import REREGISTER_INTERVAL, HAgentServer, NodeServer, ServiceConfig
 from repro.workloads.scenarios import churn_schedule
 
 __all__ = ["ClusterConfig", "ClusterReport", "run_cluster", "serve_cluster"]
@@ -869,7 +869,7 @@ async def run_cluster(config: Optional[ClusterConfig] = None) -> ClusterReport:
                     report.recovery_warm = (
                         report.records_recovered >= report.records_lost
                         and report.records_recovered > 0
-                        and report.recovery_s < config.service.reregister_interval
+                        and report.recovery_s < REREGISTER_INTERVAL
                     )
                     # Recovered records must agree with ground truth
                     # *now*, before the workload resumes.

@@ -62,7 +62,6 @@ from repro.core.iagent_state import (
 )
 from repro.core.load import LoadStatistics
 from repro.core.rehashing import RehashPolicy, merge_saga, split_saga
-from repro.discovery.hamming import shards_within
 from repro.metrics.trace import Tracer
 from repro.platform.messages import Request, Response
 from repro.platform.naming import AgentId, AgentNamer
@@ -102,6 +101,10 @@ __all__ = ["HAgentServer", "NodeServer", "ServiceConfig"]
 #: takeover (s).
 LIVENESS_TIMEOUT = 1.0
 
+#: Period of the node hosts' soft-state re-registration (s); bounds how
+#: long a takeover IAgent's table stays empty.
+REREGISTER_INTERVAL = 0.5
+
 #: Ping attempts before a silent IAgent is declared dead. One lost frame
 #: must not amputate a live shard on a lossy network: at 5% frame loss a
 #: single ping fails ~10% of the time, three in a row ~0.1% -- takeover
@@ -137,10 +140,6 @@ class ServiceConfig:
 
     #: Per-RPC timeout for server-to-server calls (s).
     rpc_timeout: float = 2.0
-
-    #: Period of the node hosts' soft-state re-registration (s); bounds
-    #: how long a takeover IAgent's table stays empty.
-    reregister_interval: float = 0.5
 
     #: Frame-size ceiling on every connection.
     max_frame: int = wire.DEFAULT_MAX_FRAME
@@ -669,9 +668,11 @@ class LHAgentEndpoint:
     :class:`repro.core.hash_function.HashFunction` as the simulator's
     LHAgent, including delta-sync journal replay -- the wire carries
     exactly the journal entries the simulator protocol defines. The
-    node's requesters resolve against copies of their own and pull what
-    takes those forward from here (``get-hash-delta``), so each copy
-    keeps a bounded journal of the entries it replayed.
+    node's requesters resolve and compute discovery candidates against
+    copies of their own and pull what takes those forward from here
+    (``get-hash-delta``), so each copy keeps a bounded journal of the
+    entries it replayed. ``whois`` stays served as the reference
+    resolve.
     """
 
     def __init__(self, node: "NodeServer") -> None:
@@ -742,63 +743,6 @@ class LHAgentEndpoint:
     async def _fetch_then(self, shard: int, handler: Any, body: Dict) -> Dict:
         await self._fetch_primary_copy(shard)
         return handler(body)
-
-    def op_version(self, body: Dict) -> Dict:
-        return {"version": self.copy.version if self.copy else -1}
-
-    async def op_discover_candidates(self, body: Dict) -> Dict:
-        """Candidate IAgents for a discovery query, across shards.
-
-        Similarity queries fan out only to the shards whose id prefix
-        can still reach the Hamming ball (``shards_within``); capability
-        queries fan out to every shard. Per candidate the reply carries
-        the owning IAgent, its node + address, the distance lower bound
-        and the coverage pattern this copy attributes to it -- the
-        pattern is echoed to the IAgent, whose mismatch bounce is the
-        staleness signal for multi-result queries.
-
-        ``stale_versions`` (a list of ``[shard, version]`` pairs) names
-        copies the caller saw bounce; those are refreshed past the given
-        version before candidates are recomputed.
-        """
-        agent = body.get("agent")
-        d = body.get("d")
-        shards = self.node.router.shards
-        if d is not None and agent is not None:
-            shard_list = shards_within(agent.bits, d, shards)
-        else:
-            shard_list = list(range(shards))
-        stale_versions = {
-            int(shard): int(version)
-            for shard, version in body.get("stale_versions") or []
-        }
-        candidates = []
-        versions = {}
-        for shard in shard_list:
-            copy = self.copies.get(shard)
-            stale_below = stale_versions.get(shard)
-            if copy is None or (
-                stale_below is not None and copy.version <= stale_below
-            ):
-                await self._fetch_primary_copy(shard)
-                copy = self.copies[shard]
-            for cand in copy.candidates(agent, d):
-                node_name = cand["node"]
-                addr = (
-                    self.node_addrs.get(node_name)
-                    if node_name is not None
-                    else None
-                )
-                entry = dict(cand)
-                entry["addr"] = list(addr) if addr is not None else None
-                entry["shard"] = shard
-                candidates.append(entry)
-            versions[shard] = copy.version
-        self.whois_served += len(shard_list)
-        return {
-            "candidates": candidates,
-            "versions": [[shard, version] for shard, version in versions.items()],
-        }
 
     async def _fetch_primary_copy(self, shard: int = 0) -> None:
         """Fetch the shard's copy, coalescing concurrent callers.
@@ -899,7 +843,7 @@ class HostEndpoint:
 
     The cluster driver (or a real agent platform) notifies arrivals and
     departures; the host re-publishes every resident's location through
-    the normal ``update`` path each ``reregister_interval`` -- the
+    the normal ``update`` path each ``REREGISTER_INTERVAL`` -- the
     self-healing loop that repopulates a takeover IAgent's table.
     """
 
@@ -923,7 +867,7 @@ class HostEndpoint:
     async def republish_loop(self) -> None:
         node = self.node
         while True:
-            await asyncio.sleep(node.config.reregister_interval)
+            await asyncio.sleep(REREGISTER_INTERVAL)
             client = node.client
             if client is None:  # not fully started yet
                 continue
@@ -1069,7 +1013,7 @@ class NodeServer(_FramedServer):
             config=ClientConfig(
                 rpc_timeout=self.config.rpc_timeout,
                 max_retries=6,
-                op_deadline=self.config.reregister_interval * 4,
+                op_deadline=REREGISTER_INTERVAL * 4,
             ),
             channel=self.channel,
             tracer=self.tracer,
@@ -1185,16 +1129,22 @@ class NodeServer(_FramedServer):
                 self.router.map.absorb(owned, reply.get("shard", shard))
             return
 
+    def _drop_iagent(self, owner: AgentId, crashed: bool) -> Optional[IAgentEndpoint]:
+        """Take ``owner``'s endpoint off this node, if it is resident: its
+        report loop stops and its store is closed -- or, ``crashed``,
+        abandoned without a final sync, as a dying process leaves it."""
+        endpoint = self.iagents.pop(owner, None)
+        if endpoint is not None:
+            if endpoint.report_task is not None:
+                endpoint.report_task.cancel()
+            if endpoint.store is not None:
+                (endpoint.store.abort if crashed else endpoint.store.close)()
+        return endpoint
+
     def retire_orphan(self, owner: AgentId) -> None:
         """Drop a shard the coordinator no longer knows (post-failover)."""
-        endpoint = self.iagents.pop(owner, None)
-        if endpoint is None:
-            return
-        if endpoint.report_task is not None:
-            endpoint.report_task.cancel()
-        if endpoint.store is not None:
-            endpoint.store.close()
-        self.orphans_retired += 1
+        if self._drop_iagent(owner, crashed=False) is not None:
+            self.orphans_retired += 1
 
     def nodeop_new_primary(self, body: Dict) -> Dict:
         """A promoted HAgent replica announces its epoch and address."""
@@ -1282,13 +1232,9 @@ class NodeServer(_FramedServer):
         if self.data_root is None:
             raise _Reject("no-durable-state: node started without --data-dir")
         shard = int(body.get("shard", 0))
-        endpoint = self.iagents.pop(owner, None)
+        endpoint = self._drop_iagent(owner, crashed=True)
         if endpoint is not None:
             shard = endpoint.shard
-            if endpoint.report_task is not None:
-                endpoint.report_task.cancel()
-            if endpoint.store is not None:
-                endpoint.store.abort()
         elif owner not in self.crashed:
             raise _Reject(f"{AGENT_NOT_FOUND}: no agent {owner} on {self.name}")
         return self._host_iagent(owner, None, recover=True, shard=shard)
@@ -1296,12 +1242,7 @@ class NodeServer(_FramedServer):
     def nodeop_retire_iagent(self, body: Dict) -> Dict:
         """Gracefully remove a merged-away IAgent."""
         self.check_fence(body, "retire-iagent")
-        endpoint = self.iagents.pop(body["owner"], None)
-        if endpoint is not None:
-            if endpoint.report_task is not None:
-                endpoint.report_task.cancel()
-            if endpoint.store is not None:
-                endpoint.store.close()
+        self._drop_iagent(body["owner"], crashed=False)
         return {"status": OK}
 
     def nodeop_crash_iagent(self, body: Dict) -> Dict:
@@ -1314,13 +1255,9 @@ class NodeServer(_FramedServer):
         already made durable -- the honest crash picture.
         """
         owner: AgentId = body["owner"]
-        endpoint = self.iagents.pop(owner, None)
+        endpoint = self._drop_iagent(owner, crashed=True)
         if endpoint is None:
             raise _Reject(f"{AGENT_NOT_FOUND}: no agent {owner} on {self.name}")
-        if endpoint.report_task is not None:
-            endpoint.report_task.cancel()
-        if endpoint.store is not None:
-            endpoint.store.abort()
         self.crashed.add(owner)
         return {"status": OK, "records_lost": len(endpoint.records)}
 

@@ -39,7 +39,13 @@ def copy_reply(owner, node: str, addr, version: int = 1) -> dict:
     """What a stub LHAgent answers a requester's ``get-hash-delta`` pull
     with: the snapshot of a one-leaf function at ``version`` whose only
     IAgent, ``owner``, lives on ``node`` at ``addr``."""
-    reply = HashFunction(version, HashTree(owner), {owner: node}).bundle()
+    return snapshot_reply(HashFunction(version, HashTree(owner), {owner: node}), node, addr)
+
+
+def snapshot_reply(function: HashFunction, node: str, addr) -> dict:
+    """The same pull answered with the snapshot of ``function``, whose
+    IAgents all live on ``node`` at ``addr``."""
+    reply = function.bundle()
     reply.update(mode="full", shard=0, epoch=1, shards=1, node_addrs={node: list(addr)})
     return reply
 

@@ -7,7 +7,8 @@ in memory, its generator stepped without a simulator) and to a
 ``ServiceClient`` (its channel answered in memory): under both, the
 saga must make the same requests in the same order and count them the
 same way. (The RPCs differ by design: the simulator's requester asks
-its LHAgent to resolve, the live one resolves against its own copy.)
+its LHAgent to resolve and for discovery candidates, the live one
+computes both from its own copy.)
 (``tests/core/test_rehash_saga.py`` runs the sagas against real
 ``IAgentState`` leaves with a rehash suspended mid-way.)
 """
@@ -20,6 +21,8 @@ import pytest
 
 from repro.core.config import HashMechanismConfig
 from repro.core.errors import LocateFailedError
+from repro.core.hash_function import HashFunction
+from repro.core.hash_tree import HashTree
 from repro.core.mechanism import HashLocationMechanism
 from repro.core.requester import discover_saga, request_saga
 from repro.platform.events import Future
@@ -32,7 +35,7 @@ from repro.service.client import (
     ServiceLocateError,
 )
 
-from tests.conftest import copy_reply
+from tests.conftest import copy_reply, snapshot_reply
 from tests.core.test_rehash_saga import Tally
 
 AGENT = AgentId(0x5EED << 40)
@@ -222,21 +225,14 @@ VANISHED = object()
 COUNTED = ("retries", "refreshes", "not_responsible", "no_record_retries", "discovery_retries")
 
 
-def candidates(version, *patterns):
-    return {
-        "candidates": [
-            {
-                "iagent": f"ia-{pattern}",
-                "node": "node-1",
-                "addr": ["10.0.0.1", 7],
-                "bound": 0,
-                "pattern": pattern,
-            }
-            for pattern in patterns
-        ],
-        "version": version,
-        "versions": [[0, version]],
-    }
+def split_copy(version, left, right):
+    """A copy at ``version`` split on the first id bit: ``left`` serves
+    the ids starting 0, ``right`` those starting 1, both on node-1. A
+    discovery round's candidates are computed from it: by the
+    simulator's LHAgent, and by the live requester itself."""
+    tree = HashTree(left)
+    tree.replay_split("simple", left, 1, right)
+    return HashFunction(version, tree, dict.fromkeys((left, right), "node-1"))
 
 
 def brief(request):
@@ -287,6 +283,9 @@ def through_simulator(answers, operation):
     def rpc(src, dst_node, dst_agent, op, body, timeout=None):
         future = Future()
         answer = answers.pop(0)
+        if isinstance(answer, HashFunction):  # what the LHAgent computes from it
+            cands = answer.candidates(body["agent"], body["d"])
+            answer = {"candidates": cands, "version": answer.version}
         if answer is VANISHED:
             future.set_exception(AgentNotFound("agent-not-found"))
         else:
@@ -321,7 +320,8 @@ class _ScriptedChannel:
     """The live driver resolves against its own copy, so a scripted
     mapping reaches it as the snapshot its LHAgent serves a pull with;
     a mapping the script holds for a resolve the driver answered
-    locally must be the one it holds."""
+    locally must be the one it holds. It computes discovery candidates
+    from its own copy too: a scripted copy is that pull's snapshot."""
 
     pool_size = 2
 
@@ -330,6 +330,9 @@ class _ScriptedChannel:
 
     async def call(self, addr, to, op, body, timeout=None, lane=None, hedge=None):
         answer = self.answers.pop(0)
+        if isinstance(answer, HashFunction):
+            assert op == "get-hash-delta"
+            return snapshot_reply(answer, "node-1", ["10.0.0.1", 7])
         if op == "get-hash-delta":
             self.held = answer
             return copy_reply(answer["iagent"], answer["node"], answer["addr"], answer["version"])
@@ -409,10 +412,10 @@ class TestBothDrivers:
 
     def test_one_stale_discovery_candidate(self, requests):
         answers = [
-            candidates(4, "0", "1"),
+            split_copy(4, "ia-0", "ia-1"),
             {"status": "ok", "matches": [self.HIT]},
             {"status": "not-responsible"},
-            candidates(5, "0", "1x"),
+            split_copy(5, "ia-0", "ia-1x"),
             {"status": "ok", "matches": [self.HIT]},
             {"status": "ok", "matches": []},
         ]

@@ -227,15 +227,15 @@ class TestBatchedOps:
 
         run(scenario())
 
-    def test_batch_chunks_respect_batch_size(self):
+    def test_batch_chunks_respect_batch_size(self, monkeypatch):
+        monkeypatch.setattr("repro.service.client.BATCH_SIZE", 4)
+
         async def scenario():
             hagent = HAgentServer()
             await hagent.start()
             node = NodeServer("node-0", hagent.addr)
             await node.start()
-            client = ServiceClient(
-                "driver", node.addr, config=ClientConfig(batch_size=4)
-            )
+            client = ServiceClient("driver", node.addr)
             try:
                 await client.channel.call(hagent.addr, "hagent", "bootstrap")
                 namer = AgentNamer(seed=12)
@@ -243,7 +243,7 @@ class TestBatchedOps:
                 await client.register_batch(
                     [(agent, "node-0", 0) for agent in agents]
                 )
-                # 10 items at batch_size 4 -> 3 register-batch RPCs.
+                # 10 items at BATCH_SIZE 4 -> 3 register-batch RPCs.
                 assert client.counters.batch_rpcs == 3
                 assert client.counters.batched_ops == 10
             finally:
@@ -359,6 +359,8 @@ class TestOneHopOps:
                 return copy_reply("ia", "n", peer.addr), None
             if op == "locate":
                 return {"status": "ok", "node": "node-3", "seq": 0}, None
+            if op in ("discover-similar", "discover-capability"):
+                return {"status": "ok", "matches": []}, None
             items = body["agents"] if op == "locate-batch" else body["ops"]
             return {"results": [{"status": "ok", "node": "node-3"}] * len(items)}, None
 
@@ -386,6 +388,25 @@ class TestOneHopOps:
         frames = self.frames_of(operation)
         assert [to for to, _ in frames].count("lhagent") == 1
         assert frames[2:] == [("ia", "register-batch"), ("ia", "locate-batch")]
+
+    def test_warm_discovery_sends_no_lhagent_frame(self):
+        # Candidates come from the requester's own copies, like a
+        # resolve: a steady round is one frame per candidate IAgent.
+        async def operation(client, agents):
+            await client.locate(agents[0])
+            assert await client.discover_similar(agents[0], 2) == []
+            assert await client.discover_capability({"role": "relay"}) == []
+            assert await client.discover_similar_batch([(agents[1], 2)]) == [[]]
+            assert await client.discover_capability_batch([{"role": "relay"}]) == [[]]
+
+        frames = self.frames_of(operation)
+        assert [to for to, _ in frames].count("lhagent") == 1
+        assert frames[2:] == [
+            ("ia", "discover-similar"),
+            ("ia", "discover-capability"),
+            ("ia", "discover-similar-batch"),
+            ("ia", "discover-capability-batch"),
+        ]
 
 
 class TestSeededBackoff:

@@ -406,7 +406,7 @@ class TestHedgedCalls:
                 client = ServiceClient(
                     "n0",
                     peer.addr,
-                    config=ClientConfig(hedge_delay_floor=0.01, hedge_budget=0.2),
+                    config=ClientConfig(hedge_delay_floor=0.01),
                 )
                 try:
                     for _ in range(30):
@@ -415,7 +415,7 @@ class TestHedgedCalls:
                         client._rtts.pop(peer.addr, None)
                         _seed_rtt(client, peer.addr)
                         await self.hedged_read(client, peer)
-                    # Every primary was tail-slow, yet only ~hedge_budget of
+                    # Every primary was tail-slow, yet only ~HEDGE_BUDGET of
                     # the eligible calls dared a duplicate -- the tail-at-scale
                     # guard against hedges amplifying an overload.
                     assert client._hedge_eligible == 30

@@ -7,12 +7,20 @@ takeover, a coordinator failover whose successor numbers versions below
 the dead primary's, a cross-shard merge re-pointing a prefix -- each
 requester's local resolve must equal what its LHAgent would have
 answered (``whois``, the pre-one-hop resolve), and every locate must
-agree with the driver's ground truth.
+agree with the driver's ground truth. Discovery candidates come from the
+same copies: after the cross-shard merges, every result set must equal
+brute force and no round may ask an IAgent twice.
 """
 
 import asyncio
 from dataclasses import replace
 
+from repro.discovery.capability import (
+    PREDICATE_PALETTE,
+    assign_capabilities,
+    matches_predicate,
+)
+from repro.discovery.hamming import ids_within
 from repro.service.cluster import ClusterConfig, booted_cluster
 from repro.service.routing import shard_of
 
@@ -48,6 +56,41 @@ async def converged(cluster, agents):
             )
             assert client._held.resolve(shard, agent) == reference
         assert client.counters.ops == sent
+
+
+async def discovered_exactly(client, caps_by_agent):
+    """``client``'s similarity and capability results, single and
+    batched, equal brute force over the population, and no round names
+    an IAgent twice among its candidates."""
+    rounds = []
+    candidates = client._candidates
+
+    async def recording(*args):
+        found = await candidates(*args)
+        if found is not None:
+            rounds.append([cand["iagent"] for cand in found[0]])
+        return found
+
+    client._candidates = recording
+    agents = list(caps_by_agent)
+    for query in agents[:3]:
+        for d in (2, 28):
+            truth = {agent for agent, _ in ids_within(agents, query, d)}
+            found = await client.discover_similar(query, d)
+            assert {match["agent"] for match in found} == truth
+    predicates = PREDICATE_PALETTE[:4]
+    truths = [
+        {agent for agent, caps in caps_by_agent.items() if matches_predicate(caps, predicate)}
+        for predicate in predicates
+    ]
+    for predicate, truth in zip(predicates, truths):
+        found = await client.discover_capability(predicate)
+        assert {match["agent"] for match in found} == truth
+    batched = await client.discover_capability_batch(predicates)
+    assert [{match["agent"] for match in found} for found in batched] == truths
+    del client._candidates
+    assert len(rounds) >= 3 * 2 + len(predicates) + 1  # a retry adds a round
+    assert all(len(names) == len(set(names)) for names in rounds)
 
 
 class TestLocalResolveEqualsTheLHAgents:
@@ -109,7 +152,11 @@ class TestLocalResolveEqualsTheLHAgents:
         async def scenario():
             config = cluster_config(nodes=3, shards=4)
             async with booted_cluster(config) as cluster:
-                agents = [await cluster.spawn_agent() for _ in range(240)]
+                caps_by_agent = {}
+                for index in range(240):
+                    caps = assign_capabilities(index)
+                    caps_by_agent[await cluster.spawn_agent(caps)] = caps
+                agents = list(caps_by_agent)
                 assert {shard_of(agent, 4) for agent in agents} == {0, 1, 2, 3}
                 await converged(cluster, agents)
                 assert all(client._shards == 4 for client in cluster.clients)
@@ -132,5 +179,6 @@ class TestLocalResolveEqualsTheLHAgents:
                 for client in cluster.clients:
                     origins = client._held.origins
                     assert [origins[prefix][0] for prefix in range(4)] == [0, 0, 2, 2]
+                    await discovered_exactly(client, caps_by_agent)
 
         run(scenario())

@@ -14,7 +14,7 @@ import pytest
 from repro.platform.naming import AgentId
 from repro.service.client import RemoteOpError
 from repro.service.cluster import ClusterConfig, run_cluster
-from repro.service.server import HAgentServer, NodeServer, ServiceConfig
+from repro.service.server import REREGISTER_INTERVAL, HAgentServer, NodeServer, ServiceConfig
 
 
 def run(coro):
@@ -61,7 +61,7 @@ class TestIAgentWarmRestart:
             assert reply["records_recovered"] == 20
             # Bootstrap logs the "" coverage, then 20 puts.
             assert reply["wal_replayed"] == 21
-            assert reply["recovery_s"] < config.reregister_interval
+            assert reply["recovery_s"] < REREGISTER_INTERVAL
             # The recovered shard still answers, with coverage intact.
             located = await node.channel.call(
                 node.addr, owner, "locate", {"agent": AgentId(5)}

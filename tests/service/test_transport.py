@@ -553,7 +553,7 @@ class TestHedgeTimer:
         client = ServiceClient(
             "driver",
             node.addr,
-            config=ClientConfig(hedge_delay_floor=0.01, hedge_budget=0.2),
+            config=ClientConfig(hedge_delay_floor=0.01),
             channel=channel,
         )
         TestHedgeTimer.seed_rtt(client, node.addr)
@@ -582,7 +582,7 @@ class TestHedgeTimer:
                         assert mapping["node"] == "node-0"
                     duplicates = [lane for lane in channel.lanes if lane is not None]
                     # Every primary was tail-slow; the timer still sent
-                    # at most hedge_budget of them a duplicate.
+                    # at most HEDGE_BUDGET of them a duplicate.
                     assert 0 < len(duplicates) <= 0.2 * 31
                     assert len(duplicates) == client.counters.hedges
                     assert 0 < client.counters.hedge_wins <= client.counters.hedges
