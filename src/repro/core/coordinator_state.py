@@ -22,7 +22,9 @@ docs/PROTOCOLS.md §10). The namer position rides in ``bootstrap`` and
 ``rehash`` so a recovered or promoted coordinator never re-issues an
 IAgent id a journaled op used. Role and promotion, fencing, the rehash
 lock and every RPC stay with the driver
-(``repro.service.server.HAgentServer``).
+(``repro.service.coordinator.HAgentServer``); the multi-request
+protocols that change this state are the :mod:`repro.core.rehashing`
+sagas it steps.
 """
 
 from __future__ import annotations

@@ -17,7 +17,11 @@ tables, for a caller that holds them (tests, the planner benchmark).
 :func:`split_saga` and :func:`merge_saga` are the choreography -- "the
 splitting and merging processes" the paper's HAgent coordinates (§2.2)
 -- written once for the simulator ``HAgent`` and the live
-``HAgentServer`` (see *The saga* below).
+``HAgentServer`` (see *The sagas* below). The live coordinator's other
+multi-request protocols are sagas in the same idiom, stepped by the same
+``HAgentServer._step``: :func:`takeover_saga` (re-host a dead IAgent's
+leaf) and the two sides of the cross-shard merge,
+:func:`shard_merge_saga` and :func:`shard_absorb_saga`.
 
 If no candidate is even, the paper's text keeps incrementing ``m``
 "until m is sufficiently large to produce an even split"; that loop need
@@ -45,10 +49,20 @@ from typing import (
 
 from repro.core.config import HashMechanismConfig
 from repro.core.hash_tree import HashTree, SplitCandidate
-from repro.core.iagent_state import merge_handoffs, route_handoff
+from repro.core.iagent_state import OK, merge_handoffs, route_handoff
 from repro.core.load import is_even_split, split_loads
 
-__all__ = ["PlannedSplit", "RehashPolicy", "merge_saga", "plan_split", "split_saga"]
+__all__ = [
+    "PlannedSplit",
+    "Refused",
+    "RehashPolicy",
+    "merge_saga",
+    "plan_split",
+    "shard_absorb_saga",
+    "shard_merge_saga",
+    "split_saga",
+    "takeover_saga",
+]
 
 #: One owner's load on the (zero, one) side of an id bit; None if unknown.
 Division = Optional[Sequence[int]]
@@ -208,18 +222,28 @@ def _walk(
 
 
 # ----------------------------------------------------------------------
-# The saga: one split / one merge, start to finish
+# The sagas: one split / merge / takeover / cross-shard merge, start to
+# finish
 #
 # A saga is a generator over a *coordinator* -- anything with the
 # journaled primary copy ``function``, the ``policy``, the ``splits`` /
 # ``merges`` counters, ``_now()`` (its clock), ``_publish(entry)`` (apply
 # to the primary copy and make it durable / replicated; returns the
-# tree's outcome) and ``_log(event, **fields)``. Everything that needs a
-# network or another process it *yields* to the driver stepping it:
+# tree's outcome) and ``_log(event, **fields)``; the takeover and
+# cross-shard sagas also read its node book, epoch and shard row (see
+# each). Everything that needs a network or another process it *yields*
+# to the driver stepping it:
 #
-#   ("call", owner, node, op, body)  ->  the IAgent's reply dict
-#   ("spawn",)                       ->  (new_owner, new_node), hosted and empty
-#   ("retire", owner, node)          ->  anything
+#   ("call", target, node, op, body)  ->  the reply dict of an IAgent, or
+#                                         of the node's "host" endpoint
+#   ("spawn",)                        ->  (new_owner, new_node), hosted and empty
+#   ("retire", owner, node)           ->  anything
+#   ("restore", owner, node, bundle)  ->  the IAgent's reply to an *unfenced*
+#                                         adopt
+#   ("shard", shard, op, body)        ->  the reply of that shard's current
+#                                         primary coordinator
+#   ("broadcast", shard, op, body)    ->  None: sent to every replica of the
+#                                         shard, best effort
 #
 # ``node`` is where the primary copy places the IAgent (``None`` when it
 # does not know). A request the driver could not perform is answered
@@ -229,10 +253,19 @@ def _walk(
 # new leaves, and records that missed their hand-off re-converge through
 # the §4.3 NOT_RESPONSIBLE path as their agents next move. The publish
 # itself is one step (mutation, version bump, journal entry), so the
-# primary copy is never torn whichever request fails.
+# primary copy is never torn whichever request fails. The one decision
+# that needs more than "no answer" is the cross-shard commit's, so a
+# ``shard`` request the peer *refused* is answered with a
+# :class:`Refused`; a saga raises :class:`Refused` to refuse the op it
+# serves.
 # ----------------------------------------------------------------------
 
-Saga = Generator[Tuple[Any, ...], Any, None]
+Saga = Generator[Tuple[Any, ...], Any, Any]
+
+
+class Refused(Exception):
+    """A definite no, ``"code: message"`` -- unlike ``None``, which says
+    only that no answer came."""
 
 
 def _call(coord: Any, owner: Any, op: str, body: Dict) -> Tuple:
@@ -348,3 +381,159 @@ def merge_saga(coord: Any, owner: Any) -> Saga:
         absorbers=list(outcome.absorbers),
         moved=len(bundle.get("records", ())),
     )
+
+
+def takeover_saga(coord: Any, owner: Any) -> Saga:
+    """Re-host a dead IAgent's leaf on a live node, then publish the
+    ``move``; returns the new node, or ``None`` when nothing moved.
+
+    The replacement gets the leaf's exact coverage and an empty table (a
+    same-node re-host may warm-recover it from its own disk); the node
+    hosts' re-registration refills it and secondary copies learn the new
+    address by delta refresh. Also reads ``node_addrs``, ``_pick_node()``
+    and ``takeovers``.
+    """
+    old_node = coord.function.iagent_nodes.get(owner)
+    if old_node is None:
+        return None
+    for _ in range(len(coord.node_addrs)):
+        new_node = coord._pick_node()
+        if new_node != old_node or len(coord.node_addrs) == 1:
+            break
+    pattern = coord.function.tree.hyper_label(owner).pattern()
+    body = {"owner": owner, "pattern": pattern, "recover": new_node == old_node}
+    if (yield ("call", "host", new_node, "host-iagent", body)) is None:
+        return None  # that node is sick too; the liveness monitor retries
+    coord._publish({"op": "move", "owner": owner, "node": new_node})
+    coord.takeovers += 1
+    coord._log("takeover", owner=owner, node=new_node, old_node=old_node)
+    return new_node
+
+
+def shard_merge_saga(coord: Any, buddy: int) -> Saga:
+    """Hand this shard's whole prefix to shard ``buddy``, the initiator's
+    side (docs/PROTOCOLS.md §12): prepare, drain every leaf through this
+    shard's own epoch fence, commit, then release and retire -- or put
+    the drained records back. Returns the ``shard-merge`` reply.
+
+    The commit's answer decides. Refused: the buddy took nothing, so
+    restore. Unanswered: *in doubt* -- the buddy may have absorbed -- so
+    never restore; complete once this shard's row shows the release the
+    buddy sends before it answers, else re-send the same commit to the
+    buddy's current primary. Also reads ``shard``, ``epoch``,
+    ``replica_name``, ``owned`` (the shard row; ``apply_shard_release``
+    changes it) and the ``xshard_*`` counters.
+    """
+    coord.xshard_merges += 1
+    grant = yield (
+        "shard",
+        buddy,
+        "shard-merge-prepare",
+        {"from_shard": coord.shard, "epoch": coord.epoch, "claimant": coord.replica_name},
+    )
+    if grant is None:
+        return _abandon(coord, f"no answer from shard {buddy}'s primary")
+    if isinstance(grant, Refused):
+        return _abandon(coord, f"prepare refused: {grant}")
+
+    tree = coord.function.tree
+    drained: Dict[Any, Dict[str, Any]] = {}
+    for owner in list(coord.function.iagent_nodes):
+        reply = yield _call(coord, owner, "extract-all", {})
+        drained[owner] = merge_handoffs([] if reply is None else [reply])
+        drained[owner]["pattern"] = tree.hyper_label(owner).pattern()
+        if reply is None:
+            # Fenced off (a deposed initiator) or unreachable: nothing
+            # has left this shard, and that leaf gets its coverage back.
+            yield from _restore(coord, drained)
+            return _abandon(coord, f"drain fenced off or unanswered at {owner}")
+
+    bundle = merge_handoffs(drained.values())
+    commit = {
+        "from_shard": coord.shard,
+        "epoch": coord.epoch,
+        "buddy_epoch": grant["epoch"],
+        **bundle,
+    }
+    while True:
+        reply = yield ("shard", buddy, "shard-merge-commit", commit)
+        if isinstance(reply, Refused):
+            yield from _restore(coord, drained)
+            return _abandon(coord, f"commit refused: {reply}")
+        if reply is not None or coord.shard not in coord.owned:
+            break
+
+    # Idempotent: the buddy's broadcast may have released it already.
+    coord.apply_shard_release(buddy)
+    for owner in drained:
+        yield ("retire", owner, coord.function.iagent_nodes.get(owner))
+    moved = len(bundle["records"])
+    coord._log("xshard-release", into=buddy, moved=moved)
+    return {"status": OK, "into": buddy, "moved": moved}
+
+
+def _restore(coord: Any, drained: Dict[Any, Dict[str, Any]]) -> Saga:
+    """The abort path: each drained leaf adopts its records and coverage
+    back, *unfenced* -- even a just-deposed initiator may (and must) undo
+    its drain; seq-gated records in coverage its successor inherited
+    unchanged can never roll anything forward."""
+    for owner, bundle in drained.items():
+        yield ("restore", owner, coord.function.iagent_nodes.get(owner), bundle)
+
+
+def _abandon(coord: Any, reason: str) -> Dict[str, Any]:
+    coord.xshard_aborts += 1
+    coord._log("xshard-abort", reason=reason)
+    return {"status": "aborted", "reason": reason}
+
+
+def shard_absorb_saga(coord: Any, body: Dict[str, Any]) -> Saga:
+    """Take the prefix of shard ``body["from_shard"]``, the buddy's side
+    of :func:`shard_merge_saga`'s commit: check the grant, prove this
+    primary is not deposed, route the records through this shard's tree
+    to the leaves that cover them, take the prefix, and tell every
+    replica of the released shard. Returns the commit's reply; raises
+    :class:`Refused` (``stale-epoch``) when there is no live grant or
+    this primary's own nodes fenced it off.
+
+    The proof is a fenced adopt that carries no record, so a refused or
+    unanswered one has moved nothing; after it, an unanswered adopt is
+    skipped -- those records re-register, as §6's. Also reads
+    ``_xshard_grant`` (the prepare's; voided when this replica demotes),
+    ``owned``, ``epoch``, ``shard``, ``map_version``, ``replica_name``,
+    ``state`` + ``_commit`` and ``xshard_absorbs``.
+    """
+    from_shard = body["from_shard"]
+    if from_shard in coord.owned:
+        return {"status": OK, "absorbed": from_shard}  # a re-sent commit
+    grant = coord._xshard_grant
+    live = {"from_shard": from_shard, "epoch": body["epoch"], "buddy_epoch": coord.epoch}
+    if grant != live or body.get("buddy_epoch") != coord.epoch:
+        raise Refused(
+            f"stale-epoch: no live grant for shard {from_shard}"
+            f" at epoch {body.get('buddy_epoch')}"
+            f" ({coord.replica_name} is at epoch {coord.epoch})"
+        )
+    first = next(iter(coord.function.iagent_nodes))
+    if (yield _call(coord, first, "adopt", {"records": {}, "loads": {}})) is None:
+        coord._xshard_grant = None
+        raise Refused(f"stale-epoch: absorb fenced off at {coord.replica_name}'s nodes")
+    for absorber, bucket in route_handoff(coord.function.tree, body).items():
+        yield _call(coord, absorber, "adopt", bucket)
+    if coord._xshard_grant is not grant:
+        # A later adopt was refused: this replica demoted, and the grant
+        # died with its epoch.
+        raise Refused(f"stale-epoch: {coord.replica_name} was deposed mid-absorb")
+    coord._xshard_grant = None
+    coord._commit(coord.state.absorb_shard(from_shard))
+    coord.xshard_absorbs += 1
+    coord._log("xshard-absorb", from_shard=from_shard, moved=len(body.get("records", ())))
+    # Every replica of the released shard learns it, so an initiator
+    # deposed since its drain cannot leave its successor serving it.
+    yield (
+        "broadcast",
+        from_shard,
+        "shard-release",
+        {"from_shard": from_shard, "into": coord.shard, "map_version": coord.map_version},
+    )
+    return {"status": OK, "absorbed": from_shard}

@@ -9,7 +9,9 @@ reimplemented: coordinators, standbys and LHAgents all hold a
 :class:`repro.core.hash_function.HashFunction`, trigger rehashes through
 :class:`repro.core.rehashing.RehashPolicy` and carry them out by stepping
 :func:`repro.core.rehashing.split_saga` / ``merge_saga``, so protocol
-fixes land once and serve both worlds.
+fixes land once and serve both worlds. The live-only coordinator
+protocols -- takeover and the cross-shard merge -- are sagas in that
+module too.
 
 Modules
 -------
@@ -20,8 +22,11 @@ Modules
 * :mod:`repro.service.routing` -- prefix sharding of the coordinator
   tier: the pure id-to-shard mapping, the versioned shard map and the
   client-side router with its last-known-good primary cache.
-* :mod:`repro.service.server` -- the HAgent server and per-node servers
-  hosting the LHAgent, resident IAgents and the node-host endpoint.
+* :mod:`repro.service.server` -- the shared transport and the per-node
+  servers hosting the LHAgent, resident IAgents and the node-host
+  endpoint.
+* :mod:`repro.service.coordinator` -- the HAgent server: primary copy,
+  saga driver, standby replication and the liveness monitor.
 * :mod:`repro.service.client` -- the locate/register/migrate client with
   per-RPC timeouts, capped exponential backoff with jitter and the
   paper's stale-secondary-copy recovery loop.
@@ -43,6 +48,7 @@ from repro.service.cluster import (
     booted_cluster,
     run_cluster,
 )
+from repro.service.coordinator import HAgentServer
 from repro.service.loadgen import (
     LatencyRecorder,
     LoadConfig,
@@ -62,7 +68,7 @@ from repro.service.routing import (
     shard_prefix,
     validate_shards,
 )
-from repro.service.server import HAgentServer, NodeServer, ServiceConfig
+from repro.service.server import NodeServer, ServiceConfig
 from repro.service.wire import (
     CODEC_BINARY,
     CODEC_JSON,

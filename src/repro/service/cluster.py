@@ -2,7 +2,7 @@
 
 :func:`run_cluster` is the acceptance harness behind
 ``python -m repro.harness.cli cluster``: it starts one
-:class:`~repro.service.server.HAgentServer` and N
+:class:`~repro.service.coordinator.HAgentServer` and N
 :class:`~repro.service.server.NodeServer` processes-worth of endpoints
 in a single event loop, registers a population of mobile agents, then
 drives a register/locate/migrate workload through per-node
@@ -47,10 +47,11 @@ from repro.service.client import (
     ServiceLocateError,
     ServiceRpcError,
 )
+from repro.service.coordinator import HAgentServer
 from repro.service.netem import NetemController
 from repro.service.replication import sharded_single_primary_violations
 from repro.service.routing import validate_shards
-from repro.service.server import REREGISTER_INTERVAL, HAgentServer, NodeServer, ServiceConfig
+from repro.service.server import REREGISTER_INTERVAL, NodeServer, ServiceConfig
 from repro.workloads.scenarios import churn_schedule
 
 __all__ = ["ClusterConfig", "ClusterReport", "run_cluster", "serve_cluster"]

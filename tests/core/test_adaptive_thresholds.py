@@ -101,7 +101,8 @@ class TestBothCoordinators:
 
     @pytest.mark.parametrize("mode", ["fixed", "adaptive"])
     def test_same_reports_same_verdicts(self, mode):
-        from repro.service.server import HAgentServer, ServiceConfig
+        from repro.service.coordinator import HAgentServer
+        from repro.service.server import ServiceConfig
 
         verdicts = []
 
@@ -170,7 +171,8 @@ class TestBothCoordinators:
         from repro.core.load import LoadStatistics
         from repro.platform.messages import Request
         from repro.platform.naming import AgentId
-        from repro.service.server import HAgentServer, ServiceConfig
+        from repro.service.coordinator import HAgentServer
+        from repro.service.server import ServiceConfig
 
         agents = [AgentId(index << 60) for index in range(16)]
 

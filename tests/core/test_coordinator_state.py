@@ -32,7 +32,8 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 from repro.core.coordinator_state import CoordinatorState
 from repro.platform.jsonable import from_jsonable
 from repro.platform.naming import AgentNamer
-from repro.service.server import HAgentServer, ServiceConfig
+from repro.service.coordinator import HAgentServer
+from repro.service.server import ServiceConfig
 
 WIDTH = 6
 CAPACITY = 4

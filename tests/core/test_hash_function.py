@@ -39,8 +39,9 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 from repro.core.config import HashMechanismConfig
 from repro.core.hash_function import HashFunction, SecondaryCopies
 from repro.core.hash_tree import HashTree
+from repro.service.coordinator import HAgentServer
 from repro.service.routing import ShardRouter
-from repro.service.server import HAgentServer, LHAgentEndpoint, ServiceConfig
+from repro.service.server import LHAgentEndpoint, ServiceConfig
 
 NODES = ["n0", "n1", "n2"]
 

@@ -1,13 +1,17 @@
-"""The split / merge saga against an in-memory driver: no sockets, no
+"""The coordinator sagas against an in-memory driver: no sockets, no
 simulator clock.
 
 ``World`` is both halves a saga needs: the *coordinator* (a real
-journaled ``HashFunction``, a real ``RehashPolicy``, counters, a log) and
-the *driver* (one real ``IAgentState`` per leaf, performing the saga's
-``call`` / ``spawn`` / ``retire`` requests as plain method calls). The
-sweep fails every request the saga makes, one per run, two ways -- the
-request never arrives, or it is performed and the reply is lost -- and
-checks after each run what must hold whichever request failed.
+``CoordinatorState`` with its journaled ``HashFunction``, a real
+``RehashPolicy``, counters, a log) and the *driver* (one real
+``IAgentState`` per leaf and the node it sits on, performing the saga's
+requests as plain method calls). The sweep fails every request the saga
+makes, one per run, two ways -- the request never arrives, or it is
+performed and the reply is lost -- and checks after each run what must
+hold whichever request failed: for split and merge, for the takeover of
+a dead leaf, and for the cross-shard merge across two worlds, where the
+buddy's absorb saga runs inside the initiator's commit request and its
+requests are failed in the same numbering.
 
 ``World.request`` is a third half: a requester driver that steps the
 ``repro.core.requester`` sagas through a secondary ``HashFunction`` copy
@@ -17,17 +21,27 @@ does -- is checked with the rehash suspended after every request.
 """
 
 import random
-from collections import Counter, deque
+from collections import Counter
 from itertools import islice
 
 import pytest
 
 from repro.core.config import HashMechanismConfig
+from repro.core.coordinator_state import CoordinatorState
 from repro.core.hash_function import HashFunction
 from repro.core.hash_tree import HashTree
 from repro.core.iagent_state import NO_RECORD, NOT_RESPONSIBLE, OK, IAgentState
 from repro.core.load import GroupedLoadStatistics, LoadStatistics
-from repro.core.rehashing import RehashPolicy, merge_saga, plan_split, split_saga
+from repro.core.rehashing import (
+    Refused,
+    RehashPolicy,
+    merge_saga,
+    plan_split,
+    shard_absorb_saga,
+    shard_merge_saga,
+    split_saga,
+    takeover_saga,
+)
 from repro.core.requester import UNREACHABLE, request_saga
 from repro.discovery.capability import CAPABILITY_PALETTE
 from repro.platform.naming import AgentNamer
@@ -35,6 +49,11 @@ from repro.platform.naming import AgentNamer
 WIDTH = 64
 RECORDS = 500
 MAX_RETRIES = 5
+
+
+def prefix_of(agent):
+    """The shard of ``agent`` out of two: its top id bit."""
+    return agent.value >> (WIDTH - 1)
 
 
 class Tally(Counter):
@@ -45,23 +64,41 @@ class Tally(Counter):
 
 
 class World:
-    def __init__(self, records=RECORDS, stats=lambda: LoadStatistics(2.0), **overrides):
+    """One coordinator and its leaves; ``shard`` makes it that shard of
+    two (its agents are the ids with that top bit, ``peers`` the other
+    shard's world), for the cross-shard sagas."""
+
+    def __init__(
+        self, records=RECORDS, stats=lambda: LoadStatistics(2.0), shard=None, **overrides
+    ):
         config = HashMechanismConfig(cooldown=5.0).with_overrides(**overrides)
         self.new_stats = stats
-        self.function = HashFunction(0, None, {}, deque(maxlen=64))
+        self.shard = shard or 0
+        self.replica_name = f"hagent-s{self.shard}-0"
+        self.state = CoordinatorState(self.shard, 1, AgentNamer(seed=0), 64)
+        self.function = self.state.function
+        self.wal = []
+        self.peers = {}
         self.policy = RehashPolicy(config)
-        self.splits = self.merges = 0
+        self.splits = self.merges = self.takeovers = 0
+        self.xshard_merges = self.xshard_absorbs = self.xshard_aborts = 0
+        self._xshard_grant = None
         self.rehash_log = []
         self.clock = 100.0
-        self.owner_ids = AgentNamer(seed=0x5A6A)
-        self.leaves = {}
+        self.node_addrs = {f"node-{i}": ("127.0.0.1", i) for i in range(5)}
+        self._round_robin = 0
+        self.owner_ids = AgentNamer(seed=0x5A6A + self.shard)
+        self.leaves, self.placed = {}, {}
         root, _ = self.spawn()
         self.leaves[root].table["coverage"] = ""
         self.function.bootstrap(root, "node-0", WIDTH)
+        self.placed[root] = "node-0"
         # The seeded population: records with seqs, every third agent
         # with a capability set; loads are added per scenario.
         ids = AgentNamer(seed=0xA6E27)
         self.agents = [ids.next_id() for _ in range(records)]
+        if shard is not None:
+            self.agents = [agent for agent in self.agents if prefix_of(agent) == shard]
         for index, agent in enumerate(self.agents):
             body = {"agent": agent, "node": f"node-{index % 5}", "seq": index % 7}
             if index % 3 == 0:
@@ -69,6 +106,10 @@ class World:
             self.leaves[root].put(body, self.clock)
 
     # -- the coordinator the saga reads and writes ----------------------
+
+    epoch = property(lambda self: self.state.epoch)
+    owned = property(lambda self: self.state.owned)
+    map_version = property(lambda self: self.state.map_version)
 
     def _now(self):
         return self.clock
@@ -79,22 +120,48 @@ class World:
     def _log(self, event, **fields):
         self.rehash_log.append({"event": event, **fields})
 
+    def _pick_node(self):
+        self._round_robin += 1
+        order = list(self.node_addrs)
+        return order[self._round_robin % len(order)]
+
+    def _commit(self, entry):
+        if entry is not None:
+            self.wal.append(entry)
+
+    def apply_shard_release(self, into):
+        self._commit(self.state.release_shard(into))
+
     # -- the driver ------------------------------------------------------
 
     def spawn(self):
         owner = self.owner_ids.next_id()
         self.leaves[owner] = IAgentState(None, self.new_stats())
-        return owner, f"node-{len(self.leaves) % 5}"
+        self.placed[owner] = node = f"node-{len(self.leaves) % 5}"
+        return owner, node
 
     def perform(self, kind, *args):
         if kind == "spawn":
             return self.spawn()
         if kind == "retire":
             self.leaves.pop(args[0], None)
+            self.placed.pop(args[0], None)
             return None
-        owner, _node, op, body = args
+        if kind in ("shard", "broadcast"):
+            shard, op, body = args
+            return self.coordinator_op(self.peers[shard], op, body)
+        if kind == "restore":
+            owner, node, body = args
+            op = "adopt"  # unfenced, which the world does not model
+        else:
+            owner, node, op, body = args
+        if owner == "host":
+            assert op == "host-iagent", op
+            self.leaves[body["owner"]] = IAgentState(body["pattern"], self.new_stats())
+            self.placed[body["owner"]] = node
+            return {"status": OK}
         leaf = self.leaves.get(owner)
-        if leaf is None:
+        if leaf is None or self.placed[owner] != node:
             return None
         if op == "get-loads":
             return leaf.get_loads(body, self.clock)
@@ -105,29 +172,70 @@ class World:
         assert op == "adopt", op
         return leaf.adopt(body)[0]
 
-    def steps(self, saga, fail_at=None, lose="request"):
-        """Step ``saga`` one request per ``next()``; request number
-        ``fail_at`` fails -- never performed (``lose="request"``) or
-        performed with its reply dropped (``lose="reply"``)."""
-        made, reply = 0, None
+    def coordinator_op(self, peer, op, body):
+        """What another shard's coordinator answers: the prepare's grant,
+        the commit (its saga stepped through this run's failures), or
+        the release broadcast."""
+        if op == "shard-merge-prepare":
+            peer._xshard_grant = {
+                "from_shard": body["from_shard"],
+                "epoch": body["epoch"],
+                "buddy_epoch": peer.epoch,
+            }
+            return {"status": OK, "epoch": peer.epoch, "claimant": peer.replica_name}
+        if op == "shard-merge-commit":
+            try:
+                return self.drive(peer, shard_absorb_saga(peer, body))
+            except Refused as refusal:
+                return refusal
+        assert op == "shard-release", op
+        if body["from_shard"] == peer.shard and peer.shard in peer.owned:
+            peer.apply_shard_release(body["into"])
+        return None
+
+    def answer(self, performer, request):
+        """Number ``request`` in this run; request number ``fail_at``
+        fails -- never performed (``lose="request"``) or performed with
+        its reply dropped (``lose="reply"``)."""
+        made, self.made = self.made, self.made + 1
+        assert made < 100, "a saga that never ends"
+        if made == self.fail_at and self.lose == "request":
+            return None
+        reply = performer.perform(*request)
+        return None if made == self.fail_at else reply
+
+    def drive(self, performer, saga):
+        """Step a saga nested in this run's request; its return value."""
+        reply = None
         while True:
             try:
                 request = saga.send(reply)
-            except StopIteration:
+            except StopIteration as done:
+                return done.value
+            reply = self.answer(performer, request)
+
+    def steps(self, saga, fail_at=None, lose="request"):
+        """Step ``saga`` one request per ``next()``, failing request
+        number ``fail_at`` (see :meth:`answer`); ``result`` is what the
+        saga returned."""
+        self.made, self.fail_at, self.lose = 0, fail_at, lose
+        self.result, reply = None, None
+        while True:
+            try:
+                request = saga.send(reply)
+            except StopIteration as done:
+                self.result = done.value
                 return
-            if made == fail_at and lose == "request":
-                reply = None
-            else:
-                reply = self.perform(*request)
-                if made == fail_at:
-                    reply = None
-            made += 1
+            reply = self.answer(self, request)
             yield request
 
     def run(self, saga, fail_at=None, lose="request"):
-        """Step ``saga`` to its end; returns the requests made."""
+        """Step ``saga`` to its end; returns the requests made, nested
+        ones included."""
         self.clock += 1.0
-        return sum(1 for _ in self.steps(saga, fail_at, lose))
+        for _ in self.steps(saga, fail_at, lose):
+            pass
+        return self.made
 
     # -- the requester driver ---------------------------------------------
 
@@ -199,12 +307,14 @@ class World:
                 if IAgentState(pattern, None).covers(agent)
             ]
             assert covering == [tree.lookup(agent.bits)]
-        # Version, tree and journal moved together or not at all.
+        # Version, tree and journal moved together or not at all (a
+        # ``move`` re-hosts a leaf and leaves the tree as it was).
         version, spec, journaled = self.primary()
         if (version, spec, journaled) != before:
-            assert version == before[0] + 1 and spec != before[1]
-            assert journaled == before[2] + 1
-            assert function.journal[-1]["version"] == version
+            entry = function.journal[-1]
+            assert version == before[0] + 1 and journaled == before[2] + 1
+            assert entry["version"] == version
+            assert (spec != before[1]) == (entry["op"] != "move")
             replayed = HashFunction(before[0], HashTree.from_spec(before[1]), {})
             replayed.apply(dict(function.journal[-1]))
             assert replayed.tree.to_spec() == spec
@@ -472,6 +582,247 @@ class TestGetLoads:
         # walk moved on to the first simple candidate instead.
         entry = world.rehash_log[-1]
         assert (entry["kind"], entry["bit"], entry["owner"]) == ("simple", 3, owner)
+
+
+def dead_leaf():
+    """Two leaves; the IAgent the split spawned crashed, its table with
+    it. Returns the world, the dead owner and the node it died on."""
+    world, saga = leaf_split()
+    world.run(saga)
+    dead = world.rehash_log[-1]["new_owner"]
+    world.leaves.pop(dead)
+    return world, dead, world.placed.pop(dead)
+
+
+class TestTakeoverSaga:
+    def test_clean_run_rehosts_the_leaf_then_publishes_one_move(self):
+        world, dead, old_node = dead_leaf()
+        before, held = world.primary(), world.snapshot()
+        pattern = world.function.tree.hyper_label(dead).pattern()
+        ((kind, target, node, op, body),) = world.steps(takeover_saga(world, dead))
+        assert (kind, target, op) == ("call", "host", "host-iagent")
+        assert body == {"owner": dead, "pattern": pattern, "recover": False}
+        assert node != old_node
+        assert world.result == node == world.function.iagent_nodes[dead] == world.placed[dead]
+        assert world.function.journal[-1] == {
+            "op": "move",
+            "owner": dead,
+            "node": node,
+            "version": before[0] + 1,
+        }
+        world.check_invariants(before)
+        # Empty, covering exactly the dead leaf's ids: re-registration
+        # refills it.
+        assert world.leaves[dead].table == {**IAgentState.initial_table(), "coverage": pattern}
+        assert world.snapshot() == held
+        assert world.takeovers == 1
+        assert world.rehash_log[-1] == {
+            "event": "takeover",
+            "owner": dead,
+            "node": node,
+            "old_node": old_node,
+        }
+
+    @pytest.mark.parametrize("lose", ["request", "reply"])
+    def test_every_failure_point(self, lose):
+        world, dead, old_node = dead_leaf()
+        before, held = world.primary(), world.snapshot()
+        # Its one request, the ``host-iagent``, fails.
+        assert world.run(takeover_saga(world, dead), fail_at=0, lose=lose) == 1
+        # The function is untouched: the tree still names the dead node,
+        # so the liveness monitor tries again.
+        assert world.primary() == before and world.result is None
+        assert world.function.iagent_nodes[dead] == old_node
+        assert world.takeovers == 0 and world.rehash_log[-1]["event"] == "split"
+        world.check_invariants(before)
+        assert world.snapshot() == held
+        if lose == "request":
+            assert dead not in world.leaves
+        else:
+            # Hosted where the tree does not name it: the live node
+            # retires this orphan, whose load reports are answered stale.
+            assert world.placed[dead] != world.function.iagent_nodes[dead]
+            assert world.leaves[dead].table["records"] == {}
+
+    def test_a_single_node_rehosts_in_place_from_its_own_disk(self):
+        world, dead, old_node = dead_leaf()
+        world.node_addrs = {old_node: ("127.0.0.1", 0)}
+        ((_kind, _target, node, _op, body),) = world.steps(takeover_saga(world, dead))
+        assert node == old_node and body["recover"] is True
+
+    def test_an_owner_the_tree_does_not_name_yields_no_request(self):
+        world, _dead, _old_node = dead_leaf()
+        before = world.primary()
+        assert world.run(takeover_saga(world, world.owner_ids.next_id())) == 0
+        assert world.primary() == before and world.result is None
+
+
+# ----------------------------------------------------------------------
+# The cross-shard merge: shard 1 hands its prefix to shard 0
+
+
+def two_shards():
+    """Shard 1 starts handing its prefix to shard 0; each shard's tree
+    has grown to two leaves."""
+    shards = {shard: World(shard=shard) for shard in (0, 1)}
+    for world in shards.values():
+        world.peers = shards
+        world.load(world.agents)
+        (root,) = world.function.tree.owners()
+        world.run(split_saga(world, root))
+        assert len(world.function.tree) == 2
+    return shards, shard_merge_saga(shards[1], 0)
+
+
+#: prepare, 2 x extract-all, commit -> (proof adopt, 2 x adopt, release
+#: broadcast), 2 x retire.
+CROSS_SHARD_REQUESTS = 10
+
+
+def holdings(shards):
+    """Every (agent, record) and (agent, capability set) both shards'
+    leaves hold, and each agent's covering holders as (shard, owner)."""
+    records, capabilities, covering = set(), set(), {}
+    for shard, world in shards.items():
+        for owner, leaf in world.leaves.items():
+            for agent, record in leaf.table["records"].items():
+                records.add((agent, tuple(record)))
+                if leaf.covers(agent):
+                    covering.setdefault(agent, []).append((shard, owner))
+            capabilities.update(
+                (agent, frozenset(caps)) for agent, caps in leaf.table["capabilities"].items()
+            )
+    return records, capabilities, covering
+
+
+def check_two_shards(shards, held):
+    """What a cross-shard merge leaves whichever request failed."""
+    rows = (shards[0].owned, shards[1].owned)
+    # Both shard rows as before or both as after: never both owning the
+    # prefix, never neither.
+    assert rows in (({0}, {1}), ({0, 1}, set()))
+    assert shards[1].state.absorbed_by == (0 if rows[1] == set() else None)
+    records, capabilities, covering = holdings(shards)
+    # Nothing invented or rolled back.
+    assert records <= held[0] and capabilities <= held[1]
+    for agent in shards[0].agents + shards[1].agents:
+        owners = [shard for shard, world in shards.items() if prefix_of(agent) in world.owned]
+        assert len(owners) == 1
+        # At most one covering holder, and it serves for the owner.
+        holders = covering.get(agent, [])
+        assert len(holders) <= 1
+        assert all(shard == owners[0] for shard, _owner in holders)
+
+
+class TestCrossShardSaga:
+    def test_clean_run_hands_every_record_to_the_buddy(self):
+        shards, saga = two_shards()
+        buddy, initiator = shards[0], shards[1]
+        held = holdings(shards)
+        assert initiator.run(saga) == CROSS_SHARD_REQUESTS
+        check_two_shards(shards, held)
+        records, capabilities, covering = holdings(shards)
+        assert (records, capabilities) == held[:2]
+        assert set(covering) == set(initiator.agents + buddy.agents)  # all served
+        assert initiator.result == {"status": OK, "into": 0, "moved": len(initiator.agents)}
+        assert initiator.owned == set() and buddy.owned == {0, 1}
+        assert initiator.leaves == {}  # retired
+        assert (initiator.xshard_merges, initiator.xshard_aborts, buddy.xshard_absorbs) == (
+            1,
+            0,
+            1,
+        )
+        # One durable shard row each; the saga's own release after the
+        # buddy's broadcast changed nothing.
+        assert initiator.wal == [
+            {"op": "shard", "owned": [], "map_version": 2, "absorbed_by": 0}
+        ]
+        assert buddy.wal == [
+            {"op": "shard", "owned": [0, 1], "map_version": 2, "absorbed_by": None}
+        ]
+        assert initiator.rehash_log[-1] == {
+            "event": "xshard-release",
+            "into": 0,
+            "moved": len(initiator.agents),
+        }
+        assert buddy.rehash_log[-1] == {
+            "event": "xshard-absorb",
+            "from_shard": 1,
+            "moved": len(initiator.agents),
+        }
+
+    @pytest.mark.parametrize("lose", ["request", "reply"])
+    def test_every_failure_point(self, lose):
+        outcomes = Counter()
+        for fail_at in range(CROSS_SHARD_REQUESTS):
+            shards, saga = two_shards()
+            held = holdings(shards)
+            shards[1].run(saga, fail_at=fail_at, lose=lose)
+            check_two_shards(shards, held)
+            merged = shards[1].owned == set()
+            status = shards[1].result["status"]
+            assert status == ("ok" if merged else "aborted")
+            assert shards[1].xshard_aborts == (not merged)
+            assert shards[0].xshard_absorbs == merged
+            outcomes[status] += 1
+        # Not vacuous: some failure aborted, some was ridden out.
+        assert outcomes["ok"] and outcomes["aborted"]
+
+    @pytest.mark.parametrize("lose", ["request", "reply"])
+    def test_an_unanswered_commit_is_in_doubt_and_never_restored(self, lose):
+        shards, saga = two_shards()
+        commit = 1 + len(shards[1].leaves)  # after the prepare and the drain
+        requests = list(shards[1].steps(saga, fail_at=commit, lose=lose))
+        assert not [r for r in requests if r[0] == "restore"]
+        assert shards[1].result["status"] == OK
+        commits = [r for r in requests if r[0] == "shard" and r[2] == "shard-merge-commit"]
+        # Lost on the way: the same commit is sent again. Lost on the way
+        # back: the release the buddy broadcast first completes it.
+        assert len(commits) == (2 if lose == "request" else 1)
+        assert all(sent == commits[0] for sent in commits)
+
+    def test_a_refused_commit_restores_every_drained_leaf(self):
+        shards, saga = two_shards()
+        buddy, initiator = shards[0], shards[1]
+        held = holdings(shards)
+        stepping = initiator.steps(saga)
+        assert next(stepping)[2] == "shard-merge-prepare"
+        buddy._xshard_grant = None  # the buddy's epoch moved since its grant
+        assert [r[0] for r in stepping] == ["call", "call", "shard", "restore", "restore"]
+        assert initiator.result["status"] == "aborted"
+        assert initiator.result["reason"].startswith("commit refused: stale-epoch")
+        check_two_shards(shards, held)
+        assert holdings(shards) == held
+        tree = initiator.function.tree
+        for owner, leaf in initiator.leaves.items():
+            assert leaf.table["coverage"] == tree.hyper_label(owner).pattern()
+
+    def test_a_buddy_deposed_mid_absorb_refuses_the_commit(self):
+        shards, saga = two_shards()
+        buddy, initiator = shards[0], shards[1]
+        held = holdings(shards)
+        perform = buddy.perform
+
+        def fenced_off(kind, *args):
+            if kind == "call" and args[2] == "adopt" and args[3]["records"]:
+                buddy._xshard_grant = None  # its node's refusal demoted it
+                return None
+            return perform(kind, *args)
+
+        buddy.perform = fenced_off
+        initiator.run(saga)
+        check_two_shards(shards, held)
+        assert holdings(shards) == held
+        assert initiator.result["reason"].startswith("commit refused: stale-epoch")
+        assert buddy.xshard_absorbs == 0 and buddy.owned == {0}
+
+    def test_the_absorb_answers_ok_for_a_prefix_it_already_owns(self):
+        shards, saga = two_shards()
+        shards[1].run(saga)
+        commit = {"from_shard": 1, "epoch": 1, "buddy_epoch": 1, "records": {}}
+        reply = shards[0].drive(shards[0], shard_absorb_saga(shards[0], commit))
+        assert reply == {"status": OK, "absorbed": 1}
+        assert shards[0].xshard_absorbs == 1
 
 
 def shaped(rng, stats, **overrides):

@@ -24,7 +24,8 @@ from repro.service.client import (
     ServiceClient,
     ServiceTimeout,
 )
-from repro.service.server import HAgentServer, NodeServer
+from repro.service.coordinator import HAgentServer
+from repro.service.server import NodeServer
 
 from tests.conftest import copy_reply
 

@@ -14,7 +14,8 @@ from repro.core.rehashing import plan_split
 from repro.platform.naming import AgentNamer
 from repro.service.client import RemoteOpError, RpcChannel, ServiceClient
 from repro.service.cluster import ClusterConfig, booted_cluster, run_cluster
-from repro.service.server import HAgentServer, NodeServer
+from repro.service.coordinator import HAgentServer
+from repro.service.server import NodeServer
 
 from tests.service.test_one_hop import cluster_config
 
@@ -101,6 +102,49 @@ class TestServerEndpoints:
             finally:
                 await channel.close()
                 await node.stop()
+                await hagent.stop()
+
+        run(scenario())
+
+    def test_an_iagent_where_the_tree_does_not_place_it_retires(self):
+        """A takeover whose ``host-iagent`` reply was lost leaves the
+        leaf's IAgent hosted on a node the tree does not name. Its load
+        reports are answered ``stale`` -- they no longer keep the dead
+        leaf looking alive -- so it retires itself; a later re-host onto
+        that node replaces it, report loop included."""
+
+        async def scenario():
+            hagent = HAgentServer()
+            await hagent.start()
+            nodes = [NodeServer(f"node-{index}", hagent.addr) for index in range(2)]
+            for node in nodes:
+                await node.start()
+            try:
+                reply = await nodes[0].channel.call(hagent.addr, "hagent", "bootstrap")
+                owner = reply["owner"]
+                (other,) = [n for n in nodes if n.name != hagent.iagent_nodes[owner]]
+                report = {"owner": owner, "rate": 0.0, "mature": False}
+                here = {**report, "node": hagent.iagent_nodes[owner]}
+                assert hagent._op_load_report(here)["status"] == "ok"
+                assert hagent._op_load_report(report)["status"] == "ok"  # forged
+                elsewhere = {**report, "node": other.name}
+                assert hagent._op_load_report(elsewhere)["status"] == "stale"
+
+                other.nodeop_host_iagent({"owner": owner, "pattern": ""})
+                orphan = other.iagents[owner]
+                other.nodeop_host_iagent({"owner": owner, "pattern": ""})
+                replacement = other.iagents[owner]
+                assert replacement is not orphan
+                await asyncio.sleep(0)
+                assert orphan.report_task.cancelled()
+                for _ in range(200):  # eight stale reports, 0.25 s apart
+                    if owner not in other.iagents:
+                        break
+                    await asyncio.sleep(0.05)
+                assert owner not in other.iagents and other.orphans_retired == 1
+            finally:
+                for node in nodes:
+                    await node.stop()
                 await hagent.stop()
 
         run(scenario())

@@ -20,8 +20,9 @@ from repro.service.client import (
     ServiceClient,
 )
 from repro.service.cluster import ClusterConfig, run_cluster
+from repro.service.coordinator import HAgentServer
 from repro.service.replication import single_primary_violations
-from repro.service.server import HAgentServer, NodeServer, ServiceConfig, _FramedServer
+from repro.service.server import NodeServer, ServiceConfig, _FramedServer
 from repro.storage.wal import StorageWarning
 
 
@@ -259,9 +260,14 @@ class TestPrimaryScan:
             assert await standby._scan_for_primary() == current.addr
             assert standby.primary_addr == current.addr and standby.epoch == 5
 
+            # A saga's call to another shard's primary.
             sibling = HAgentServer(shards=2)
             sibling.set_shard_peers({1: book})
-            assert await sibling._shard_primary(1) == current.addr
+
+            def ask_shard_1():
+                return (yield ("shard", 1, "ping", {}))
+
+            assert await sibling._step(ask_shard_1()) == current.ping
 
             for holder in (node, standby, sibling):
                 await holder.channel.close()

@@ -15,6 +15,7 @@ brute force and no round may ask an IAgent twice.
 import asyncio
 from dataclasses import replace
 
+from repro.core.rehashing import takeover_saga
 from repro.discovery.capability import (
     PREDICATE_PALETTE,
     assign_capabilities,
@@ -108,7 +109,7 @@ class TestLocalResolveEqualsTheLHAgents:
                 await cluster.clients[0].channel.call(
                     crashed_on.addr, "host", "crash-iagent", {"owner": root}
                 )
-                await primary._takeover(root)
+                await primary._step(takeover_saga(primary, root))
                 assert primary.takeovers == 1
                 assert primary.iagent_nodes[root] != crashed_on.name
                 await converged(cluster, agents)

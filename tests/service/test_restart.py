@@ -14,7 +14,8 @@ import pytest
 from repro.platform.naming import AgentId
 from repro.service.client import RemoteOpError
 from repro.service.cluster import ClusterConfig, run_cluster
-from repro.service.server import REREGISTER_INTERVAL, HAgentServer, NodeServer, ServiceConfig
+from repro.service.coordinator import HAgentServer
+from repro.service.server import REREGISTER_INTERVAL, NodeServer, ServiceConfig
 
 
 def run(coro):

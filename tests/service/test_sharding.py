@@ -14,6 +14,7 @@ Three layers, mirroring the subsystem:
 """
 
 import asyncio
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -214,7 +215,7 @@ class TestShardedCluster:
             run(run_cluster(ClusterConfig(nodes=2, agents=2, ops=4, shards=3)))
 
 
-async def _boot_two_shards(agents=12, nodes=3, replicas=1):
+async def _boot_two_shards(agents=12, nodes=3, replicas=1, service=None):
     config = ClusterConfig(
         nodes=nodes,
         agents=agents,
@@ -222,7 +223,7 @@ async def _boot_two_shards(agents=12, nodes=3, replicas=1):
         seed=23,
         shards=2,
         hagent_replicas=replicas,
-        service=fast_config(),
+        service=service or fast_config(),
     )
     cluster = _Cluster(config)
     await cluster.start()
@@ -235,6 +236,17 @@ async def _boot_two_shards(agents=12, nodes=3, replicas=1):
 async def _locate_all(cluster, agents):
     for index, agent in enumerate(agents):
         assert await cluster.locate_agent(agent, index % len(cluster.nodes))
+
+
+def _covering_holders(cluster, agent):
+    """The IAgents, on every node and of either shard, that hold a
+    record of ``agent`` inside their own coverage."""
+    return [
+        endpoint.owner
+        for node in cluster.nodes
+        for endpoint in node.iagents.values()
+        if agent in endpoint.records and endpoint.state.covers(agent)
+    ]
 
 
 class TestCrossShardMerge:
@@ -372,6 +384,44 @@ class TestCrossShardMerge:
                 assert initiator.owned == {1}
                 await _locate_all(cluster, agents)
             finally:
+                await cluster.stop()
+
+        run(scenario())
+
+    def test_an_unanswered_commit_is_in_doubt_and_never_rolled_back(self):
+        """The buddy sits behind its rehash lock past the initiator's
+        commit timeout (2 x rpc_timeout), then applies the commit. An
+        unanswered commit is in doubt: the initiator must not restore
+        its drained leaves meanwhile, or both shards' leaves would cover
+        and hold the prefix -- it re-sends and completes instead."""
+
+        async def scenario():
+            rpc_timeout = 0.25
+            service = replace(fast_config(), rpc_timeout=rpc_timeout)
+            cluster, agents = await _boot_two_shards(service=service)
+            initiator, buddy = cluster.primary(1), cluster.primary(0)
+            lock = buddy._rehash_lock
+            try:
+                await lock.acquire()
+                merge = asyncio.ensure_future(initiator.initiate_shard_merge())
+                await asyncio.sleep(5 * rpc_timeout)  # two commit timeouts
+                lock.release()
+                for _ in range(500):
+                    if buddy.xshard_absorbs:
+                        break
+                    await asyncio.sleep(0.01)
+                assert buddy.xshard_absorbs == 1
+                # Never one-sided: the prefix has one holder per agent.
+                for agent in agents:
+                    assert len(_covering_holders(cluster, agent)) <= 1, agent
+                reply = await asyncio.wait_for(merge, 10 * rpc_timeout)
+                assert reply["status"] == "ok", reply
+                assert initiator.xshard_aborts == 0
+                assert initiator.owned == set() and buddy.owned == {0, 1}
+                await _locate_all(cluster, agents)
+            finally:
+                if lock.locked():
+                    lock.release()
                 await cluster.stop()
 
         run(scenario())

@@ -35,7 +35,8 @@ from repro.service.client import (
     _Connection,
 )
 from repro.service.cluster import ClusterConfig, booted_cluster
-from repro.service.server import HAgentServer, NodeServer
+from repro.service.coordinator import HAgentServer
+from repro.service.server import NodeServer
 
 
 def run(coro):
