@@ -450,7 +450,7 @@ def _bench_walk(agent_count: int, queries: int, d: int) -> Dict:
     tree = _grow_balanced_tree(leaves, agents[0].width)
     buckets: Dict[str, List[AgentId]] = {}
     for agent in agents:
-        buckets.setdefault(tree.lookup(agent.bits), []).append(agent)
+        buckets.setdefault(tree.lookup_id(agent), []).append(agent)
     rng = random.Random(29)
     query_ids = [agents[rng.randrange(agent_count)] for _ in range(queries)]
     values = [agent.value for agent in agents]
@@ -459,7 +459,7 @@ def _bench_walk(agent_count: int, queries: int, d: int) -> Dict:
         qv = query.value
         return [
             agent.value
-            for owner in tree.find_within_hamming(query.bits, d)
+            for owner in tree.find_within_hamming(query, d)
             for agent in buckets.get(owner, ())
             if agent.value != qv and bin(agent.value ^ qv).count("1") <= d
         ]
@@ -475,7 +475,7 @@ def _bench_walk(agent_count: int, queries: int, d: int) -> Dict:
     scanned = sum(
         len(buckets.get(owner, ()))
         for query in sample
-        for owner in tree.find_within_hamming(query.bits, d)
+        for owner in tree.find_within_hamming(query, d)
     ) / len(sample)
 
     start = time.perf_counter()

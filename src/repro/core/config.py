@@ -146,7 +146,8 @@ class HashMechanismConfig:
 
     #: Secondary copies refresh by replaying the HAgent's journal of
     #: rehash operations instead of re-fetching the whole tree (delta
-    #: sync, DESIGN.md); ``False`` restores full-snapshot refreshes.
+    #: sync, DESIGN.md); ``False`` restores full-snapshot refreshes. A
+    #: simulator ablation: the live service always fetches by delta.
     delta_sync: bool = True
 
     #: How many rehash operations the HAgent's journal retains. A copy

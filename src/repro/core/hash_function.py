@@ -221,7 +221,7 @@ class HashFunction:
 
     def resolve(self, agent_id: Any) -> Tuple[Any, Optional[str]]:
         """Map an agent id to ``(iagent_id, node_name)`` via this copy."""
-        owner = self.tree.lookup(agent_id.bits)
+        owner = self.tree.lookup_id(agent_id)
         return owner, self.iagent_nodes.get(owner)
 
     def candidates(self, agent_id: Optional[Any], d: Optional[int]) -> List[Dict]:
@@ -238,7 +238,7 @@ class HashFunction:
         else:
             if agent_id is None:
                 raise CoreError("similarity discovery requires an agent id")
-            bounds = self.tree.find_within_hamming(agent_id.bits, d)
+            bounds = self.tree.find_within_hamming(agent_id, d)
         out = [
             {
                 "iagent": owner,

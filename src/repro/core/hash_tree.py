@@ -38,17 +38,19 @@ IAgents that are involved").
 
 Compiled lookups
 ----------------
-``lookup`` is the hottest read in the whole reproduction (every whois,
-every coverage check). Instead of chasing node pointers and re-measuring
-labels on every call, the tree lazily compiles itself into flat parallel
-arrays -- per node the id-bit position its branch decision reads plus the
-indices of its two children -- and memoizes resolved id strings in a
-version-checked dict, so repeated resolutions are O(1) dict hits and cold
-lookups touch four list cells per level. Every mutation
+``lookup_id`` is the hottest read in the whole reproduction (every
+resolve, on every requester and LHAgent copy). Instead of chasing node
+pointers and re-measuring labels on every call, the tree lazily compiles
+itself into flat parallel arrays -- per node the shift that brings its
+branch bit to the bottom of the id's integer plus the indices of its two
+children -- so a lookup is ``value >> shift & 1`` and two list reads per
+level, with no bit string and no memo. The same arrays serve the
+Hamming walks (:meth:`find_within_hamming`, :meth:`nearest`). ``lookup``
+is the paper-facing string edge over the same walk. Every mutation
 (``apply_split``/``apply_merge``) bumps :attr:`version` and invalidates
-the compiled form, the memo and the per-owner hyper-label caches; the
-property suite in ``tests/core/test_tree_compiled.py`` proves the cached
-and the naive §3 traversal agree across arbitrary rehash interleavings.
+the compiled form and the per-owner hyper-label caches; the property
+suite in ``tests/core/test_tree_compiled.py`` proves the compiled and
+the naive §3 traversal agree across arbitrary rehash interleavings.
 """
 
 from __future__ import annotations
@@ -70,12 +72,8 @@ __all__ = [
 
 OwnerKey = Hashable
 
-#: Sentinel distinguishing "not memoized" from falsy owner keys (0, "").
-_MISS = object()
-
-#: Memo entries beyond which the lookup memo is reset wholesale. Far
-#: above any realistic working set; purely a memory backstop.
-_MEMO_CAPACITY = 1 << 17
+#: The compiled dispatch arrays: ``(shifts, zeros, ones, owners)``.
+Compiled = Tuple[List[int], List[int], List[int], List]
 
 
 class TreeInvariantError(CoreError):
@@ -106,9 +104,6 @@ class _TreeNode:
     @property
     def is_root(self) -> bool:
         return self.parent is None
-
-    def child_for(self, bit: str) -> "_TreeNode":
-        return self.right if bit == "1" else self.left
 
     def sibling(self) -> "_TreeNode":
         if self.parent is None:
@@ -201,16 +196,13 @@ class HashTree:
 
     def _init_caches(self) -> None:
         #: Compiled dispatch arrays (see _compile); None when stale.
-        self._compiled: Optional[Tuple[List[int], List[int], List[int], List]] = None
-        #: id bits -> owner, valid for the current version only.
-        self._lookup_memo: Dict[str, OwnerKey] = {}
+        self._compiled: Optional[Compiled] = None
         #: owner -> HyperLabel of its leaf, valid for the current version.
         self._hyper_cache: Dict[OwnerKey, HyperLabel] = {}
 
     def _invalidate(self) -> None:
         """Drop every derived structure; called by each mutation."""
         self._compiled = None
-        self._lookup_memo.clear()
         self._hyper_cache.clear()
 
     # ------------------------------------------------------------------
@@ -218,53 +210,54 @@ class HashTree:
     # ------------------------------------------------------------------
 
     def lookup(self, bits: str) -> OwnerKey:
-        """Return the owner responsible for an id's binary representation.
+        """Return the owner responsible for an id's binary representation
+        (MSB first) -- the paper-facing string edge of :meth:`lookup_id`."""
+        return self.lookup_id((int(bits, 2), len(bits)))
 
-        Implements the traversal of paper §3 -- follow valid bits, skip
-        the extra bits of multi-bit labels -- over the compiled dispatch
-        arrays, memoizing each resolved id until the next rehash.
+    def lookup_id(self, agent: Any) -> OwnerKey:
+        """Return the owner responsible for an id.
+
+        ``agent`` is an :class:`~repro.platform.naming.AgentId` or any
+        ``(value, width)`` pair. Implements the traversal of paper §3 --
+        follow valid bits, skip the extra bits of multi-bit labels --
+        over the compiled dispatch arrays, reading the id's integer.
         """
-        memo = self._lookup_memo
-        owner = memo.get(bits, _MISS)
-        if owner is not _MISS:
-            return owner
-        if len(bits) < self.width:
-            raise ValueError(
-                f"id bits shorter ({len(bits)}) than tree width ({self.width})"
-            )
-        compiled = self._compiled
-        if compiled is None:
-            compiled = self._compile()
-        positions, zeros, ones, owners = compiled
+        value, (shifts, zeros, ones, owners) = self._query(agent)
         index = 0
-        while True:
-            position = positions[index]
-            if position < 0:
-                owner = owners[index]
-                break
-            index = ones[index] if bits[position] == "1" else zeros[index]
-        if len(memo) >= _MEMO_CAPACITY:
-            memo.clear()
-        memo[bits] = owner
-        return owner
+        shift = shifts[0]
+        while shift >= 0:
+            index = ones[index] if value >> shift & 1 else zeros[index]
+            shift = shifts[index]
+        return owners[index]
 
-    def _compile(self) -> Tuple[List[int], List[int], List[int], List]:
+    def _query(self, agent: Any) -> Tuple[int, Compiled]:
+        """The id's top :attr:`width` bits as an integer (its low bits
+        dropped), and the compiled arrays; an id narrower than the tree
+        raises ``ValueError``."""
+        value, width = agent
+        if width < self.width:
+            raise ValueError(f"id bits shorter ({width}) than tree width ({self.width})")
+        return value >> (width - self.width), self._compiled or self._compile()
+
+    def _compile(self) -> Compiled:
         """Flatten the tree into parallel dispatch arrays.
 
-        Entry ``i`` describes one node: ``positions[i]`` is the 0-based
-        id-bit index its branch decision reads (total bits consumed up to
-        and including its own label), or ``-1`` for a leaf, in which case
-        ``owners[i]`` holds the owner; ``zeros[i]``/``ones[i]`` are the
-        child entries. Rebuilt lazily after each mutation.
+        Entry ``i`` describes one node, entry 0 the root: ``shifts[i]``
+        brings the id bit its branch decision reads to the bottom of a
+        :attr:`width`-bit value (``width - 1`` minus the bits consumed up
+        to and including its own label), or is ``-1`` for a leaf, in
+        which case ``owners[i]`` holds the owner; ``zeros[i]``/``ones[i]``
+        are the child entries whose valid bit is 0 / 1. Rebuilt lazily
+        after each mutation.
         """
-        positions: List[int] = []
+        shifts: List[int] = []
         zeros: List[int] = []
         ones: List[int] = []
         owners: List = []
 
         def encode(node: _TreeNode, consumed: int) -> int:
-            index = len(positions)
-            positions.append(-1)
+            index = len(shifts)
+            shifts.append(-1)
             zeros.append(0)
             ones.append(0)
             owners.append(None)
@@ -272,19 +265,14 @@ class HashTree:
             if node.left is None:  # a leaf
                 owners[index] = node.owner
             else:
-                positions[index] = consumed
+                shifts[index] = self.width - 1 - consumed
                 zeros[index] = encode(node.left, consumed)
                 ones[index] = encode(node.right, consumed)
             return index
 
         encode(self._root, 0)
-        compiled = (positions, zeros, ones, owners)
-        self._compiled = compiled
-        return compiled
-
-    def lookup_id(self, agent_id: Any) -> OwnerKey:
-        """Convenience: look up anything exposing a ``bits`` attribute."""
-        return self.lookup(agent_id.bits)
+        self._compiled = (shifts, zeros, ones, owners)
+        return self._compiled
 
     def owners(self) -> List[OwnerKey]:
         """All current owners (one per leaf)."""
@@ -324,48 +312,44 @@ class HashTree:
         """Whether ``owner`` serves the id with representation ``bits``."""
         return self.hyper_label(owner).matches(bits)
 
-    def find_within_hamming(self, bits: str, d: int) -> Dict[OwnerKey, int]:
-        """Owners whose region intersects the Hamming ball of radius ``d``.
+    def find_within_hamming(self, agent: Any, d: int) -> Dict[OwnerKey, int]:
+        """Owners whose region intersects the Hamming ball of radius ``d``
+        around the id ``agent`` (an ``AgentId`` or ``(value, width)``).
 
         A prefix-pruned walk (the cutespamtk ``find_all_hamming_distance``
         idea adapted to owner leaves): descending an edge whose valid bit
-        disagrees with the query costs one mismatch, skipped label bits
-        are wildcards and cost nothing, and a subtree is pruned as soon
-        as its accumulated mismatch count exceeds the budget. The value
-        recorded per owner is that count -- the *exact* minimum Hamming
-        distance between ``bits`` and any id in the owner's region, since
-        every non-valid position can be chosen to agree with the query.
+        differs from the query's bit there costs one mismatch, skipped
+        label bits are wildcards and cost nothing, and a subtree is
+        pruned as soon as its accumulated mismatch count exceeds the
+        budget. The value recorded per owner is that count -- the *exact*
+        minimum Hamming distance between the query and any id in the
+        owner's region, since every non-valid position can be chosen to
+        agree with the query.
 
-        The owner covering ``bits`` itself is included (at distance 0):
+        The owner covering the query itself is included (at distance 0):
         it may hold near neighbours even though the query id is excluded
         from agent-level results.
         """
         if d < 0:
             raise ValueError(f"hamming radius must be non-negative, got {d}")
-        if len(bits) < self.width:
-            raise ValueError(
-                f"id bits shorter ({len(bits)}) than tree width ({self.width})"
-            )
+        value, (shifts, zeros, ones, owners) = self._query(agent)
         found: Dict[OwnerKey, int] = {}
-        root = self._root
-        stack: List[Tuple[_TreeNode, int, int]] = [
-            (root, len(root.label), 0)
-        ]
+        stack = [(0, 0)]  # (entry, mismatches)
         while stack:
-            node, consumed, mismatches = stack.pop()
-            if node.is_leaf:
-                found[node.owner] = mismatches
+            index, cost = stack.pop()
+            shift = shifts[index]
+            if shift < 0:
+                found[owners[index]] = cost
                 continue
-            query_bit = bits[consumed]
-            assert node.left is not None and node.right is not None
-            for child in (node.left, node.right):
-                cost = mismatches + (0 if child.label[0] == query_bit else 1)
-                if cost <= d:
-                    stack.append((child, consumed + len(child.label), cost))
+            bit = value >> shift & 1
+            if cost + bit <= d:
+                stack.append((zeros[index], cost + bit))
+            if cost + 1 - bit <= d:
+                stack.append((ones[index], cost + 1 - bit))
         return found
 
-    def nearest(self, bits: str, k: int) -> List[Tuple[OwnerKey, int]]:
-        """The ``k`` owners nearest to ``bits``, best-first.
+    def nearest(self, agent: Any, k: int) -> List[Tuple[OwnerKey, int]]:
+        """The ``k`` owners nearest to the id ``agent``, best-first.
 
         Returns ``(owner, min_distance)`` pairs in non-decreasing order
         of the minimum Hamming distance between the query and any id in
@@ -376,31 +360,18 @@ class HashTree:
         """
         if k <= 0:
             return []
-        if len(bits) < self.width:
-            raise ValueError(
-                f"id bits shorter ({len(bits)}) than tree width ({self.width})"
-            )
-        root = self._root
-        # (mismatches, tiebreak, node, consumed); the tiebreak keeps the
-        # heap away from comparing _TreeNode instances.
-        frontier: List[Tuple[int, int, _TreeNode, int]] = [
-            (0, 0, root, len(root.label))
-        ]
-        tiebreak = 0
+        value, (shifts, zeros, ones, owners) = self._query(agent)
+        frontier = [(0, 0)]  # (mismatches, entry)
         best: List[Tuple[OwnerKey, int]] = []
         while frontier and len(best) < k:
-            mismatches, _, node, consumed = heapq.heappop(frontier)
-            if node.is_leaf:
-                best.append((node.owner, mismatches))
+            cost, index = heapq.heappop(frontier)
+            shift = shifts[index]
+            if shift < 0:
+                best.append((owners[index], cost))
                 continue
-            query_bit = bits[consumed]
-            assert node.left is not None and node.right is not None
-            for child in (node.left, node.right):
-                cost = mismatches + (0 if child.label[0] == query_bit else 1)
-                tiebreak += 1
-                heapq.heappush(
-                    frontier, (cost, tiebreak, child, consumed + len(child.label))
-                )
+            bit = value >> shift & 1
+            heapq.heappush(frontier, (cost + bit, zeros[index]))
+            heapq.heappush(frontier, (cost + 1 - bit, ones[index]))
         return best
 
     # ------------------------------------------------------------------

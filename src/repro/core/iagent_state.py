@@ -425,7 +425,7 @@ def merge_handoffs(replies: Iterable[Dict[str, Any]]) -> Dict[str, Any]:
 def route_handoff(
     tree: Any, bundle: Dict[str, Any], absorbers: Iterable[Any] = ()
 ) -> Dict[Any, Dict[str, Any]]:
-    """Merge side: split one bundle by the leaf ``tree.lookup`` names
+    """Merge side: split one bundle by the leaf ``tree.lookup_id`` names
     for each agent. Every leaf in ``absorbers`` gets a (possibly empty)
     bundle, since its coverage changed even if it receives nothing."""
     routed: Dict[Any, Dict[str, Any]] = {absorber: {} for absorber in absorbers}
@@ -436,6 +436,6 @@ def route_handoff(
         for agent, value in part.items():
             leaf = leaf_of.get(agent)
             if leaf is None:
-                leaf = leaf_of[agent] = tree.lookup(agent.bits)
+                leaf = leaf_of[agent] = tree.lookup_id(agent)
             routed.setdefault(leaf, {}).setdefault(key, {})[agent] = value
     return routed

@@ -15,7 +15,7 @@ each candidate id bit).
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Deque, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = ["RateWindow", "LoadStatistics", "split_loads"]
 
@@ -114,7 +114,7 @@ class LoadStatistics:
 
     def loads(self) -> Dict[str, int]:
         """Accumulated loads keyed by id bit strings (full ids here)."""
-        return {agent.bits: load for agent, load in self.per_agent.items()}
+        return _render(self.per_agent)
 
     def load_of(self, agent_key: Hashable) -> int:
         """One agent's accumulated load."""
@@ -122,35 +122,45 @@ class LoadStatistics:
 
     def divide(self, positions: Sequence[int]) -> Divisions:
         """The load on either side of each asked id bit (1-based) --
-        :func:`split_loads` of :meth:`loads` at every position, in one
-        pass and with no bit string built: loads are pooled by the id
-        bits the asked positions span, and each position's two sides
-        are read off the pool. A position beyond some held id's width
-        answers ``None`` (``split_loads`` raises there)."""
-        if not positions:
-            return {}
-        last = max(positions)
-        mask = (1 << (last - min(positions) + 1)) - 1
-        narrowest = last
-        pool: Dict[int, int] = {}
-        for (value, width), load in self.per_agent.items():
-            drop = width - last
-            if drop >= 0:
-                key = value >> drop & mask
-            else:  # every position this id lacks answers None below
-                key = value << -drop & mask
-                narrowest = min(narrowest, width)
-            pool[key] = pool.get(key, 0) + load
-        total = sum(pool.values())
-        divisions: Divisions = {}
-        for position in positions:
-            if position > narrowest:
-                divisions[position] = None
-                continue
-            bit = 1 << (last - position)
-            one_side = sum(load for key, load in pool.items() if key & bit)
-            divisions[position] = [total - one_side, one_side]
-        return divisions
+        :func:`split_loads` of :meth:`loads` at every position."""
+        return _divide(self.per_agent, positions)
+
+
+def _render(table: Dict[Any, int]) -> Dict[str, int]:
+    """A ``(value, width)``-keyed load table keyed by bit strings."""
+    return {format(value, f"0{width}b"): load for (value, width), load in table.items()}
+
+
+def _divide(table: Dict[Any, int], positions: Sequence[int]) -> Divisions:
+    """:func:`split_loads` of ``_render(table)`` at every position, in
+    one pass and with no bit string built: loads are pooled by the id
+    bits the asked positions span, and each position's two sides are
+    read off the pool. A position beyond some key's width answers
+    ``None`` (``split_loads`` raises there)."""
+    if not positions:
+        return {}
+    last = max(positions)
+    mask = (1 << (last - min(positions) + 1)) - 1
+    narrowest = last
+    pool: Dict[int, int] = {}
+    for (value, width), load in table.items():
+        drop = width - last
+        if drop >= 0:
+            key = value >> drop & mask
+        else:  # every position this key lacks answers None below
+            key = value << -drop & mask
+            narrowest = min(narrowest, width)
+        pool[key] = pool.get(key, 0) + load
+    total = sum(pool.values())
+    divisions: Divisions = {}
+    for position in positions:
+        if position > narrowest:
+            divisions[position] = None
+            continue
+        bit = 1 << (last - position)
+        one_side = sum(load for key, load in pool.items() if key & bit)
+        divisions[position] = [total - one_side, one_side]
+    return divisions
 
 
 def split_loads(
@@ -195,11 +205,13 @@ class GroupedLoadStatistics:
     planner skips them and the ablation ABL-G quantifies the damage).
 
     Interface-compatible with :class:`LoadStatistics` as used by the
-    IAgent: ``record_query``/``record_update`` take the agent id object
-    (its ``bits`` provide the group key), ``loads()`` returns
-    ``{group_prefix: load}`` and ``divide()`` sums over the same
-    prefixes, and transfers move *approximate* per-agent shares
-    (``load_of``: a group's load divided by its member count).
+    IAgent: ``record_query``/``record_update`` take the agent id, whose
+    top ``group_depth`` bits key its group as a ``(prefix value,
+    group_depth)`` pair (an id narrower than that is its own group,
+    ``(value, width)``); ``loads()`` returns ``{group_prefix: load}``
+    and ``divide()`` sums over the same prefixes, and transfers move
+    *approximate* per-agent shares (``load_of``: a group's load divided
+    by its member count).
     """
 
     def __init__(self, window: float, group_depth: int = 8) -> None:
@@ -208,20 +220,19 @@ class GroupedLoadStatistics:
         self.total = RateWindow(window)
         self.group_depth = group_depth
         #: group prefix -> accumulated load.
-        self.group_loads: Dict[str, int] = {}
+        self.group_loads: Dict[Tuple[int, int], int] = {}
         #: group prefix -> number of member agents (for share estimates).
-        self.group_members: Dict[str, int] = {}
-        self._member_group: Dict[Hashable, str] = {}
+        self.group_members: Dict[Tuple[int, int], int] = {}
+        self._member_group: Dict[Hashable, Tuple[int, int]] = {}
         self.queries = 0
         self.updates = 0
 
-    def _group_of(self, agent_id: Hashable) -> str:
-        return agent_id.bits[: self.group_depth]
-
-    def _ensure_member(self, agent_id: Hashable) -> str:
+    def _ensure_member(self, agent_id: Any) -> Tuple[int, int]:
         group = self._member_group.get(agent_id)
         if group is None:
-            group = self._group_of(agent_id)
+            value, width = agent_id
+            depth = self.group_depth
+            group = (value >> (width - depth), depth) if width >= depth else (value, width)
             self._member_group[agent_id] = group
             self.group_members[group] = self.group_members.get(group, 0) + 1
         return group
@@ -270,21 +281,13 @@ class GroupedLoadStatistics:
 
     def loads(self) -> Dict[str, int]:
         """Group-prefix keyed loads (prefixes are ``group_depth`` bits)."""
-        return dict(self.group_loads)
+        return _render(self.group_loads)
 
     def divide(self, positions: Sequence[int]) -> Divisions:
         """:meth:`LoadStatistics.divide` over the group prefixes: a
         position past ``group_depth`` answers ``None`` -- the counters
         do not record that bit."""
-        divisions: Divisions = {}
-        for position in positions:
-            try:
-                divisions[position] = list(
-                    split_loads(self.group_loads.items(), position)
-                )
-            except ValueError:
-                divisions[position] = None
-        return divisions
+        return _divide(self.group_loads, positions)
 
     @property
     def tracked_entries(self) -> int:

@@ -79,30 +79,26 @@ def merge_matches(
     return merged
 
 
-def shards_within(bits: str, d: int, shards: int) -> List[int]:
-    """Shards whose prefix can still hold an id within distance ``d``.
+def shards_within(agent: AgentId, d: int, shards: int) -> List[int]:
+    """Shards whose prefix can still hold an id within distance ``d``
+    of ``agent``.
 
-    Shard assignment takes the top ``log2(shards)`` id bits (PR 7's
-    ``shard_of``); an id inside the ball differs from the query in at
-    most ``d`` positions total, so only shards whose prefix is within
-    ``d`` of the query's prefix can contain ball members. With one shard
-    (or a radius covering every prefix) this is simply all shards.
+    Shard assignment takes the top ``log2(shards)`` id bits, an id
+    narrower than that padded with zero bits (``shard_of``); an id
+    inside the ball differs from the query in at most ``d`` positions
+    total, so only shards whose prefix is within ``d`` of the query's
+    prefix can contain ball members. With one shard (or a radius
+    covering every prefix) this is simply all shards.
     """
-    # Same prefix width as repro.service.routing.prefix_bits; computed
-    # locally because this module must stay importable from the core
-    # layer (the simulator IAgent uses ids_within) without pulling in
-    # the service package.
+    # Same prefix as repro.service.routing.shard_of; computed locally
+    # because this module must stay importable from the core layer (the
+    # simulator IAgent uses ids_within) without pulling in the service
+    # package.
     if shards <= 0 or shards & (shards - 1):
         raise ValueError(
             f"shard count must be a positive power of two, got {shards}"
         )
-    width = shards.bit_length() - 1
-    if width == 0:
-        return [0]
-    prefix = bits[:width]
-    out = [
-        shard
-        for shard in range(shards)
-        if hamming_distance(prefix, format(shard, f"0{width}b")) <= d
-    ]
-    return out
+    value, width = agent
+    spare = width - (shards.bit_length() - 1)
+    home = value >> spare if spare >= 0 else value << -spare
+    return [shard for shard in range(shards) if bin(shard ^ home).count("1") <= d]

@@ -1462,7 +1462,7 @@ class ServiceClient:
             return None  # the first pull states the shard count
         wanted = list(range(self._shards))
         if agent is not None and d is not None:
-            wanted = shards_within(agent.bits, d, self._shards)
+            wanted = shards_within(agent, d, self._shards)
         past = {shard: version for shard, version in stale or ()}
         candidates: List[Dict] = []
         versions: List[List[int]] = []

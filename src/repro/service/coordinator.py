@@ -16,7 +16,6 @@ durability, dispatch and the liveness monitor's pings.
 from __future__ import annotations
 
 import asyncio
-import time
 from operator import attrgetter
 from pathlib import Path
 from typing import Any, Dict, Generator, List, Optional, Tuple
@@ -319,9 +318,6 @@ class HAgentServer(_FramedServer):
             if op == "shard-merge":
                 return self._op_shard_merge(body)
             return self._op_load_report(body)
-        if op == "get-hash-function":
-            self._check_shard(body, op)
-            return self._for_lhagent(self.function.bundle())
         if op == "get-hash-delta":
             self._check_shard(body, op)
             return self._for_lhagent(self._copy_reply(body))
@@ -992,8 +988,6 @@ class HAgentServer(_FramedServer):
             if error.code == STALE_EPOCH:
                 self._demote(f"fenced by {target} on {node}: {error}")
             raise
-
-    _now = staticmethod(time.monotonic)
 
     def _publish(self, op: Dict) -> Any:
         """Apply ``op`` to the primary copy and journal it durably."""

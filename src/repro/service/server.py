@@ -278,6 +278,10 @@ class _FramedServer:
     ``data_received``; only one that returns a coroutine gets a task.
     """
 
+    #: The clock every server reading (dispatch timing, load windows,
+    #: liveness) goes through.
+    _now = staticmethod(time.monotonic)
+
     def __init__(self, config: ServiceConfig, tracer: Optional[Tracer]) -> None:
         self.config = config
         self.tracer = tracer
@@ -341,7 +345,7 @@ class _FramedServer:
         ):
             conn.reply(-1, None, "bad-envelope: expected {to, req}")
             return
-        started = time.monotonic()
+        started = self._now()
         try:
             result = self.route(frame["to"], frame["req"])
         except Exception as exc:
@@ -386,7 +390,7 @@ class _FramedServer:
                 op=request.op,
                 target=str(frame["to"]),
                 outcome=error or "ok",
-                elapsed=time.monotonic() - started,
+                elapsed=self._now() - started,
             )
         conn.reply(request.message_id, value, error)
 
@@ -481,7 +485,7 @@ class IAgentEndpoint:
     # -- op handlers (named like the simulator IAgent's) ----------------
 
     def op_register(self, body: Dict) -> Dict:
-        return self._commit(self.state.put(body, time.monotonic()))
+        return self._commit(self.state.put(body, self.node._now()))
 
     op_update = op_register
 
@@ -499,7 +503,7 @@ class IAgentEndpoint:
         return self._commit(self.state.unregister(body))
 
     def op_locate(self, body: Dict) -> Dict:
-        return self.state.locate(body, time.monotonic())
+        return self.state.locate(body, self.node._now())
 
     def op_locate_batch(self, body: Dict) -> Dict:
         """Resolve many agents in one round-trip; per-item statuses."""
@@ -509,11 +513,11 @@ class IAgentEndpoint:
         }
 
     def op_get_loads(self, body: Dict) -> Dict:
-        return self.state.get_loads(body, time.monotonic())
+        return self.state.get_loads(body, self.node._now())
 
     def op_extract(self, body: Dict) -> Dict:
         self.node.check_fence(body, "extract")
-        return self._commit(self.state.extract(body, time.monotonic()))
+        return self._commit(self.state.extract(body, self.node._now()))
 
     def op_extract_all(self, body: Dict) -> Dict:
         self.node.check_fence(body, "extract-all")
@@ -530,7 +534,7 @@ class IAgentEndpoint:
     # -- discovery subsystem --------------------------------------------
 
     def op_set_capabilities(self, body: Dict) -> Dict:
-        return self._commit(self.state.set_capabilities(body, time.monotonic()))
+        return self._commit(self.state.set_capabilities(body, self.node._now()))
 
     def op_discover_similar(self, body: Dict) -> Dict:
         return self.state.discover_similar(body)
@@ -568,7 +572,7 @@ class IAgentEndpoint:
         stale_streak = 0
         while True:
             await asyncio.sleep(config.mechanism.report_interval)
-            now = time.monotonic()
+            now = self.node._now()
             try:
                 reply = await self.node.channel.call(
                     self.node.coordinator_addr(self.shard),
@@ -777,26 +781,19 @@ class LHAgentEndpoint:
             self.full_refreshes += 1
 
     async def _fetch_once(self, shard: int) -> Dict:
+        """``get-hash-delta`` at the shard's coordinator: a copy-less
+        holder asks ``since: -1`` and is answered the full snapshot."""
         node = self.node
-        config = node.config
-        copy = self.copies.get(shard)
-        target = node.coordinator_addr(shard)
         # Tighter than the general server RPC timeout: every whois stuck
         # behind this flight inherits its latency, so one lost frame on
         # a hostile link must not stall resolution for a full
         # ``rpc_timeout`` (the _fetch_locked fallback retries once).
-        timeout = min(0.75, config.rpc_timeout)
-        if config.mechanism.delta_sync and copy is not None:
-            return await node.channel.call(
-                target, "hagent", "get-hash-delta", self.held.request(shard), timeout=timeout
-            )
-        body = {"shard": shard} if node.router.shards > 1 else None
         return await node.channel.call(
-            target,
+            node.coordinator_addr(shard),
             "hagent",
-            "get-hash-function",
-            body,
-            timeout=timeout,
+            "get-hash-delta",
+            self.held.request(shard),
+            timeout=min(0.75, node.config.rpc_timeout),
         )
 
 

@@ -39,6 +39,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 from repro.core.config import HashMechanismConfig
 from repro.core.hash_function import HashFunction, SecondaryCopies
 from repro.core.hash_tree import HashTree
+from repro.platform.naming import AgentId
 from repro.service.coordinator import HAgentServer
 from repro.service.routing import ShardRouter
 from repro.service.server import LHAgentEndpoint, ServiceConfig
@@ -440,7 +441,7 @@ class TestSecondaryCopies:
         replicas.move(0, "n1")
         held.absorb(4, self.reply(replicas, 1, shard=4, epoch=1))
         (owner,) = replicas.tree.owners()
-        agent = SimpleNamespace(bits="0" * replicas.width)
+        agent = AgentId(0, replicas.width)
         assert held.resolve(4, agent) == {
             "iagent": owner,
             "node": "n1",

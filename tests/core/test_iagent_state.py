@@ -159,7 +159,7 @@ class IAgentTable(RuleBasedStateMachine):
         routed = route_handoff(self.tree, reply)
         for leaf, handoff in routed.items():
             for part in handoff.values():
-                assert all(self.tree.lookup(a.bits) == leaf for a in part)
+                assert all(self.tree.lookup_id(a) == leaf for a in part)
         merged = merge_handoffs(routed.values())
         for key in ("records", "loads", "capabilities"):
             assert merged.get(key, {}) == reply[key]
@@ -289,8 +289,8 @@ class TestHandoffBundles:
             absorbers=["left", "right", "idle"],
         )
         assert routed == {
-            tree.lookup(a.bits): {"records": {a: ["n0", 0]}},
-            tree.lookup(b.bits): {"pending": {b: ["mail"]}},
+            tree.lookup_id(a): {"records": {a: ["n0", 0]}},
+            tree.lookup_id(b): {"pending": {b: ["mail"]}},
             "idle": {},
         }
 

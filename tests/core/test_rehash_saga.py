@@ -276,7 +276,7 @@ class World:
 
     def load(self, agents, hits=3):
         for agent in agents:
-            leaf = self.leaves[self.function.tree.lookup(agent.bits)]
+            leaf = self.leaves[self.function.tree.lookup_id(agent)]
             for _ in range(hits):
                 leaf.stats.record_query(agent, self.clock)
 
@@ -306,7 +306,7 @@ class World:
                 for owner, pattern in patterns.items()
                 if IAgentState(pattern, None).covers(agent)
             ]
-            assert covering == [tree.lookup(agent.bits)]
+            assert covering == [tree.lookup_id(agent)]
         # Version, tree and journal moved together or not at all (a
         # ``move`` re-hosts a leaf and leaves the tree as it was).
         version, spec, journaled = self.primary()
@@ -329,7 +329,7 @@ class World:
             for agent in held:
                 assert leaf.covers(agent)
                 if current:
-                    assert tree.lookup(agent.bits) == owner
+                    assert tree.lookup_id(agent) == owner
 
 
 def first_bit(agent):
@@ -852,7 +852,7 @@ def shaped(rng, stats, **overrides):
     ids = AgentNamer(seed=rng.getrandbits(32))
     world.agents = [ids.next_id() for _ in range(rng.choice([1, 3, 6, 60, 300, 300]))]
     for agent in world.agents:
-        leaf = world.leaves[function.tree.lookup(agent.bits)]
+        leaf = world.leaves[function.tree.lookup_id(agent)]
         leaf.put({"agent": agent, "node": "node-0"}, world.clock)
         for _ in range(rng.choice([0, 0, 1, 2, 5, 40])):
             leaf.stats.record_query(agent, world.clock)

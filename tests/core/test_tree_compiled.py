@@ -1,11 +1,12 @@
-"""Correctness of the compiled/memoized lookup path (hypothesis).
+"""Correctness of the compiled lookup path (hypothesis).
 
-``HashTree.lookup`` serves hits from a version-checked memo over lazily
-compiled dispatch arrays (hash_tree.py, "Compiled lookups"). These tests
-prove the fast path is *unobservable*: against arbitrary interleavings of
-splits and merges, probing between every mutation (so memo and compiled
-arrays are hot when the next mutation lands), the cached answers always
-equal the naive paper-§3 traversal done directly over the node pointers.
+``HashTree.lookup_id`` walks lazily compiled dispatch arrays on the id's
+integer, and ``lookup`` is its string edge (hash_tree.py, "Compiled
+lookups"). These tests prove the fast path is *unobservable*: against
+arbitrary interleavings of splits and merges, probing between every
+mutation (so the compiled arrays are hot when the next mutation lands),
+the integer walk, the string edge and the naive paper-§3 traversal done
+directly over the node pointers always agree.
 """
 
 import itertools
@@ -13,6 +14,7 @@ import itertools
 from hypothesis import given, settings, strategies as st
 
 from repro.core.hash_tree import HashTree
+from repro.platform.naming import AgentId
 
 WIDTH = 16
 
@@ -26,7 +28,7 @@ op_strategy = st.tuples(
     st.integers(min_value=1, max_value=4),  # candidate selector
 )
 
-PROBES = [format(value, f"0{WIDTH}b") for value in range(0, 1 << WIDTH, 521)]
+PROBES = [(value, format(value, f"0{WIDTH}b")) for value in range(0, 1 << WIDTH, 521)]
 
 
 def naive_lookup(tree, bits):
@@ -62,23 +64,27 @@ def apply_one(tree, op, counter):
         tree.apply_split(candidates[selector % len(candidates)], next(counter))
 
 
+def probe_all(tree):
+    """The integer walk, the string edge and the naive traversal agree."""
+    for value, bits in PROBES:
+        owner = naive_lookup(tree, bits)
+        assert tree.lookup_id(AgentId(value, WIDTH)) == tree.lookup(bits) == owner
+
+
 @settings(max_examples=80, deadline=None)
 @given(script=st.lists(op_strategy, min_size=0, max_size=20))
 def test_compiled_lookup_matches_naive_traversal(script):
     """Probe between every mutation so stale caches would be caught."""
     tree = HashTree(0, width=WIDTH)
     counter = itertools.count(1)
+    probe_all(tree)
     for op in script:
-        # Warm the memo and the compiled arrays *before* mutating...
-        for bits in PROBES:
-            assert tree.lookup(bits) == naive_lookup(tree, bits)
+        # The compiled arrays are warm when the mutation lands, which
+        # must invalidate them.
         apply_one(tree, op, counter)
-        # ...and verify right after: the mutation must invalidate both.
-        for bits in PROBES:
-            assert tree.lookup(bits) == naive_lookup(tree, bits)
-    # Memo hits (second call on a now-warm memo) agree too.
-    for bits in PROBES:
-        assert tree.lookup(bits) == tree.lookup(bits) == naive_lookup(tree, bits)
+        probe_all(tree)
+        spec = tree.to_spec()
+        assert HashTree.from_spec(spec).to_spec() == spec
 
 
 @settings(max_examples=80, deadline=None)
@@ -108,12 +114,10 @@ def test_version_bumps_and_memo_invalidation():
     assert tree.version == 0
     probe = "0" * WIDTH
     assert tree.lookup(probe) == 0
-    assert probe in tree._lookup_memo
 
     candidate = tree.split_candidates(0)[0]
     tree.apply_split(candidate, 1)
     assert tree.version == 1
-    assert not tree._lookup_memo  # memo dropped by the mutation
     assert tree._compiled is None
 
     tree.lookup(probe)

@@ -9,7 +9,7 @@ exact-filter pipeline.
 
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.hash_tree import HashTree
@@ -20,6 +20,7 @@ from repro.discovery.hamming import (
     shards_within,
 )
 from repro.platform.naming import AgentId
+from repro.service.routing import shard_of
 
 WIDTH = 8
 
@@ -40,13 +41,14 @@ def grow_tree(seed: int, splits: int, width: int = WIDTH) -> HashTree:
     return tree
 
 
-def brute_min_distances(tree: HashTree, query: str, width: int = WIDTH):
-    """owner -> min Hamming distance over every id in the space."""
+def brute_min_distances(tree: HashTree, query: AgentId, width: int = WIDTH):
+    """owner -> min Hamming distance over every id in the space, through
+    the string oracles (``lookup`` and ``hamming_distance``)."""
     best = {}
     for value in range(1 << width):
         bits = format(value, f"0{width}b")
         owner = tree.lookup(bits)
-        dist = hamming_distance(bits, query)
+        dist = hamming_distance(bits, query.bits)
         if owner not in best or dist < best[owner]:
             best[owner] = dist
     return best
@@ -62,26 +64,26 @@ class TestFindWithinHamming:
     )
     def test_matches_brute_force(self, seed, splits, query_value, d):
         tree = grow_tree(seed, splits)
-        query = format(query_value, f"0{WIDTH}b")
+        query = AgentId(query_value, WIDTH)
         truth = brute_min_distances(tree, query)
         got = tree.find_within_hamming(query, d)
         assert got == {o: dist for o, dist in truth.items() if dist <= d}
 
     def test_zero_radius_is_exactly_the_lookup_owner(self):
         tree = grow_tree(3, 12)
-        query = format(0b1011_0101, f"0{WIDTH}b")
-        assert tree.find_within_hamming(query, 0) == {tree.lookup(query): 0}
+        query = AgentId(0b1011_0101, WIDTH)
+        assert tree.find_within_hamming(query, 0) == {tree.lookup_id(query): 0}
 
     def test_full_radius_is_every_owner(self):
         tree = grow_tree(5, 12)
-        query = "0" * WIDTH
+        query = AgentId(0, WIDTH)
         found = tree.find_within_hamming(query, WIDTH)
         assert set(found) == set(tree.owners())
 
     def test_short_bits_rejected(self):
         tree = grow_tree(1, 4)
         try:
-            tree.find_within_hamming("01", 1)
+            tree.find_within_hamming(AgentId(0b01, 2), 1)
         except ValueError:
             pass
         else:
@@ -90,7 +92,7 @@ class TestFindWithinHamming:
     def test_negative_radius_rejected(self):
         tree = grow_tree(1, 4)
         try:
-            tree.find_within_hamming("0" * WIDTH, -1)
+            tree.find_within_hamming(AgentId(0, WIDTH), -1)
         except ValueError:
             pass
         else:
@@ -107,7 +109,7 @@ class TestNearest:
     )
     def test_best_first_matches_brute_force(self, seed, splits, query_value, k):
         tree = grow_tree(seed, splits)
-        query = format(query_value, f"0{WIDTH}b")
+        query = AgentId(query_value, WIDTH)
         truth = brute_min_distances(tree, query)
         got = tree.nearest(query, k)
         assert len(got) == min(k, tree.owner_count())
@@ -119,8 +121,8 @@ class TestNearest:
 
     def test_k_zero_or_negative_is_empty(self):
         tree = grow_tree(2, 8)
-        assert tree.nearest("0" * WIDTH, 0) == []
-        assert tree.nearest("0" * WIDTH, -3) == []
+        assert tree.nearest(AgentId(0, WIDTH), 0) == []
+        assert tree.nearest(AgentId(0, WIDTH), -3) == []
 
 
 class TestKnownTreeCases:
@@ -158,10 +160,10 @@ class TestKnownTreeCases:
         agents = [AgentId(v, width=4) for v in range(16)]
         buckets = {}
         for agent in agents:
-            buckets.setdefault(tree.lookup(agent.bits), []).append(agent)
+            buckets.setdefault(tree.lookup_id(agent), []).append(agent)
         for query in agents:
             for d in range(0, 4):
-                candidates = tree.find_within_hamming(query.bits, d)
+                candidates = tree.find_within_hamming(query, d)
                 via_tree = []
                 for owner in candidates:
                     via_tree.extend(ids_within(buckets.get(owner, []), query, d))
@@ -188,20 +190,37 @@ class TestMergeMatches:
 
 class TestShardsWithin:
     def test_single_shard(self):
-        assert shards_within("1010", 0, 1) == [0]
+        assert shards_within(AgentId(0b1010, 4), 0, 1) == [0]
 
     def test_radius_zero_is_just_the_home_shard(self):
-        assert shards_within("10" + "0" * 6, 0, 4) == [0b10]
+        assert shards_within(AgentId(0b10 << 6, 8), 0, 4) == [0b10]
 
     def test_ball_spans_adjacent_prefixes(self):
-        assert shards_within("10" + "0" * 6, 1, 4) == [0b00, 0b10, 0b11]
+        assert shards_within(AgentId(0b10 << 6, 8), 1, 4) == [0b00, 0b10, 0b11]
 
     def test_large_radius_is_every_shard(self):
-        assert shards_within("0" * 8, 8, 4) == [0, 1, 2, 3]
+        assert shards_within(AgentId(0, 8), 8, 4) == [0, 1, 2, 3]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        width=st.integers(1, 16),
+        value=st.integers(0, (1 << 16) - 1),
+        d=st.integers(0, 7),
+        shards=st.sampled_from([1 << k for k in range(7)]),
+    )
+    @example(width=1, value=1, d=0, shards=4)  # narrower than the prefix
+    def test_is_every_shard_within_d_of_shard_of(self, width, value, d, shards):
+        """Total over id widths: the query's prefix is ``shard_of``'s,
+        zero padded when the id is narrower than the prefix."""
+        agent = AgentId(value & ((1 << width) - 1), width)
+        home = shard_of(agent, shards)
+        assert shards_within(agent, d, shards) == [
+            shard for shard in range(shards) if bin(shard ^ home).count("1") <= d
+        ]
 
     def test_non_power_of_two_rejected(self):
         try:
-            shards_within("0000", 1, 3)
+            shards_within(AgentId(0, 4), 1, 3)
         except ValueError:
             pass
         else:

@@ -293,7 +293,7 @@ class TestUnservedResolve:
     unresolved mapping to retry inside ``op_deadline``, not an error to
     raise."""
 
-    FETCH_FAILED = "internal-error: ServiceRpcError: get-hash-function failed"
+    FETCH_FAILED = "internal-error: ServiceRpcError: get-hash-delta failed"
     AGENT = AgentId(0xA1 << 48)
 
     def locate(self, script):

@@ -178,7 +178,8 @@ class TestServerEndpoints:
                 # which has nothing newer and so asks the coordinator.
                 mapping = await client._whois(agent, None, first["version"])
                 assert mapping["iagent"] == first["iagent"]
-                assert len(served) == 1  # the retry asked for the snapshot
+                # The retry asked for the snapshot: no copy, since -1.
+                assert [body["since"] for body in served] == [first["version"], -1]
                 assert node.lhagent.full_refreshes == 2
                 assert node.lhagent.copy.version == hagent.version
             finally:
@@ -240,7 +241,7 @@ class TestServerEndpoints:
                     assert len(hagent.tree) == 4 and late.iagents
                     for owner, endpoint in hosted().items():
                         assert set(endpoint.state.table["records"]) == {
-                            a for a in agents if hagent.tree.lookup(a.bits) == owner
+                            a for a in agents if hagent.tree.lookup_id(a) == owner
                         }
                     # The copies on node-0 are from before node-2 existed.
                     fresh = ServiceClient("fresh", cluster.nodes[0].addr)
