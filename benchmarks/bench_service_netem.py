@@ -2,10 +2,9 @@
 """Hostile-network resilience numbers for the live cluster.
 
 Quantifies what the client resilience layer (adaptive Jacobson-style
-timeouts, per-endpoint circuit breakers, hedged reads, degraded-mode
-answers -- see ``docs/PROTOCOLS.md`` §14) buys under wire-level faults
-injected by :class:`repro.service.netem.NetemController`. Three
-experiments:
+timeouts, hedged reads, the retry loop inside each op's deadline -- see
+``docs/PROTOCOLS.md`` §14) buys under wire-level faults injected by
+:class:`repro.service.netem.NetemController`. Three experiments:
 
 * ``hostile``   -- the same open-loop locate-heavy load on a clean
   network and under a global 5% loss + 50ms jitter degrade, offered at
@@ -16,11 +15,14 @@ experiments:
   (4 frames x jitter) -- the recovery path must cost adaptive-timeout
   money, not the 2s-fixed-timeout kind, and nothing may fail or
   collapse on either run.
-* ``partition`` -- an open-loop run with 30% of the nodes asymmetrically
-  partitioned (inbound frames dropped) for the middle third of the
-  window. The gate: goodput never reaches zero -- breakers fast-fail
-  the dark endpoints and degraded answers keep reads flowing, so the
-  healthy majority keeps serving every second of the outage.
+* ``partition`` -- the tree is forged to ``PARTITION_LEAVES`` IAgents
+  before the load starts, then the 30% of the nodes hosting the most of
+  them are asymmetrically partitioned (inbound frames dropped) for the
+  middle third of an open-loop window: part of the directory goes dark.
+  The gate: goodput never reaches zero -- ops on the dark IAgents retry
+  inside their deadline while the rest of the directory keeps serving
+  -- no op fails or is abandoned, and the arm records retries (a
+  partition no op notices measures nothing).
 * ``hedging``   -- a jittery network with light loss, hedged reads on
   vs off. The gate: hedging beats the unhedged locate p99 -- a lost
   frame is recovered by the duplicate racing on its own connection in
@@ -47,6 +49,7 @@ import asyncio
 import json
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 from typing import Dict, List
 
@@ -74,8 +77,16 @@ HOSTILE_JITTER_MS = 50.0
 HEDGE_JITTER_MS = 40.0
 HEDGE_LOSS = 0.02
 
-#: Fraction of nodes asymmetrically partitioned mid-window.
+#: Fraction of nodes asymmetrically partitioned mid-window: the ones
+#: hosting the most IAgents.
 PARTITION_FRACTION = 0.3
+
+#: IAgents the partition arm forges the tree to before its load, so the
+#: dark nodes host part of the directory.
+PARTITION_LEAVES = 8
+
+#: Seconds one forged report may take to land its split.
+SPLIT_TIMEOUT_S = 10.0
 
 #: Gate: hostile locate p99 must stay within this factor of clean.
 HOSTILE_P99_FACTOR = 10.0
@@ -87,7 +98,7 @@ HOSTILE_P99_FACTOR = 10.0
 HOSTILE_RATE = 60.0
 
 
-def _cluster_config(hedge: bool = True, degraded: bool = True) -> ClusterConfig:
+def _cluster_config(hedge: bool = True) -> ClusterConfig:
     return ClusterConfig(
         nodes=NODES,
         agents=1,  # population is the loadgen's, not the drill's
@@ -98,12 +109,12 @@ def _cluster_config(hedge: bool = True, degraded: bool = True) -> ClusterConfig:
             # Pin rehashing off: a mid-run split adds seconds of
             # cross-server choreography to the tail, which is real but
             # is bench_service_load's story -- here it would only blur
-            # the transport-resilience comparison.
-            mechanism=HashMechanismConfig(t_max=1e9, t_min=0.0),
+            # the transport-resilience comparison. No cooldown: the
+            # partition arm's forged splits may hit a leaf twice in a row.
+            mechanism=HashMechanismConfig(t_max=1e9, t_min=0.0, cooldown=0.0),
         ),
         client=ClientConfig(
             hedge=hedge,
-            degraded_reads=degraded,
             # Hostile operating point: the adaptive estimator rules, the
             # fixed cap only bounds how long a lost frame can stall one
             # attempt -- 1s is ample for a LAN-scale cluster.
@@ -131,11 +142,14 @@ async def _run_load_with_netem(
     load: LoadConfig,
     setup=None,
     script=None,
+    prepare=None,
 ) -> LoadReport:
     """Boot, optionally pre-fault the wires, run one load, tear down.
 
-    ``setup(netem)`` installs steady-state faults before the load
-    starts; ``script(netem, generator)`` runs concurrently with it (the
+    ``await prepare(cluster)`` reshapes the cluster once the population
+    is registered (the partition arm's forged tree); ``setup(netem)``
+    installs steady-state faults before the load starts;
+    ``script(netem, generator)`` runs concurrently with it (the
     mid-window partition).
     """
     async with booted_cluster(cluster_config) as cluster:
@@ -143,6 +157,8 @@ async def _run_load_with_netem(
             cluster.clients, [node.name for node in cluster.nodes], load
         )
         await generator.setup()
+        if prepare is not None:
+            await prepare(cluster)
         assert cluster.netem is not None
         if setup is not None:
             setup(cluster.netem)
@@ -172,9 +188,6 @@ def _point(report: LoadReport) -> Dict:
         "goodput_timeline": report.goodput_timeline,
         "hedges": counters.get("hedges", 0),
         "hedge_wins": counters.get("hedge_wins", 0),
-        "breaker_opens": counters.get("breaker_opens", 0),
-        "breaker_fastfails": counters.get("breaker_fastfails", 0),
-        "degraded_answers": counters.get("degraded_answers", 0),
         "retries": counters.get("retries", 0),
     }
 
@@ -214,39 +227,78 @@ def run_hostile(quick: bool) -> Dict[str, Dict]:
     return {"clean": _point(clean), "hostile": _point(hostile)}
 
 
+async def _forge_leaves(cluster, target: int) -> None:
+    """Split the tree to ``target`` IAgents with forged over-threshold
+    ``load-report``s, one leaf at a time, each awaited until the
+    coordinator has logged its split."""
+    primary = cluster.primary()
+
+    def splits_logged() -> int:
+        return sum(1 for entry in primary.rehash_log if entry["event"] == "split")
+
+    while len(primary.iagent_nodes) < target:
+        for owner in list(primary.iagent_nodes):
+            if len(primary.iagent_nodes) >= target:
+                break
+            landed = primary.splits
+            deadline = time.monotonic() + SPLIT_TIMEOUT_S
+            await cluster.nodes[0].channel.call(
+                primary.addr,
+                "hagent",
+                "load-report",
+                {"owner": owner, "rate": 2e9, "mature": True},
+            )
+            while primary.splits == landed or splits_logged() < primary.splits:
+                if time.monotonic() > deadline:
+                    raise RuntimeError(f"forged report for {owner} did not split")
+                await asyncio.sleep(0.01)
+
+
 def run_partition(quick: bool) -> Dict:
-    """Goodput through a 30% asymmetric partition of the node tier."""
+    """Goodput through a 30% asymmetric partition of the directory's nodes."""
     rate = 120.0 if quick else 200.0
     load = _load_config(quick, rate)
-    dark = max(1, int(NODES * PARTITION_FRACTION))
+    dark_count = max(1, int(NODES * PARTITION_FRACTION))
     window = load.duration_s / 3.0
+    dark: List[str] = []
+    hosted: Counter = Counter()
+
+    async def forge(cluster) -> None:
+        await _forge_leaves(cluster, PARTITION_LEAVES)
+        hosted.update(cluster.primary().iagent_nodes.values())
+        dark.extend(sorted(hosted, key=lambda node: (-hosted[node], node))[:dark_count])
 
     async def partition_script(netem, generator) -> None:
-        # Sleep into the measured window, blind a third of the nodes'
+        # Sleep into the measured window, blind the busiest nodes'
         # inbound direction for the middle third, then heal.
         await asyncio.sleep(load.warmup_s + window)
-        for index in range(dark):
-            netem.block(f"node-{index}", "in")
+        for node in dark:
+            netem.block(node, "in")
         await asyncio.sleep(window)
-        for index in range(dark):
-            netem.unblock(f"node-{index}", "in")
+        for node in dark:
+            netem.unblock(node, "in")
 
     print(
-        f"== partition: {dark}/{NODES} nodes inbound-dark for "
-        f"{window:.1f}s mid-window =="
+        f"== partition: {PARTITION_LEAVES} IAgents, the busiest {dark_count}/{NODES} "
+        f"nodes inbound-dark for {window:.1f}s mid-window =="
     )
     report = asyncio.run(
-        _run_load_with_netem(_cluster_config(), load, script=partition_script)
+        _run_load_with_netem(
+            _cluster_config(), load, script=partition_script, prepare=forge
+        )
     )
     timeline = report.goodput_timeline
+    dark_iagents = sum(hosted[node] for node in dark)
+    print(f"  dark        {', '.join(dark)} ({dark_iagents}/{PARTITION_LEAVES} IAgents)")
     print(
         f"  goodput/s   {timeline}   min {min(timeline) if timeline else 0}  "
-        f"({report.ops_failed} failed, "
-        f"{report.counters.get('breaker_opens', 0)} breaker opens, "
-        f"{report.counters.get('degraded_answers', 0)} degraded answers)"
+        f"({report.ops_failed} failed, {report.ops_abandoned} abandoned, "
+        f"{report.counters.get('retries', 0)} retries)"
     )
     point = _point(report)
+    point["leaves"] = PARTITION_LEAVES
     point["dark_nodes"] = dark
+    point["dark_iagents"] = dark_iagents
     point["window_s"] = round(window, 2)
     return point
 
@@ -294,6 +346,7 @@ def run(quick: bool) -> Dict:
             "hedge_jitter_ms": HEDGE_JITTER_MS,
             "hedge_loss": HEDGE_LOSS,
             "partition_fraction": PARTITION_FRACTION,
+            "partition_leaves": PARTITION_LEAVES,
             "hostile_p99_factor": HOSTILE_P99_FACTOR,
         },
         "hostile": run_hostile(quick),
@@ -326,10 +379,20 @@ def check(section: Dict) -> List[str]:
             f"hostile locate p99 ({hostile['locate_p99_ms']:.1f} ms) exceeds "
             f"{factor:g}x the clean baseline ({clean['locate_p99_ms']:.1f} ms)"
         )
-    timeline = section["partition"]["goodput_timeline"]
+    partition = section["partition"]
+    timeline = partition["goodput_timeline"]
     if not timeline or min(timeline) == 0:
         failures.append(
             f"goodput hit zero during the asymmetric partition: {timeline}"
+        )
+    if partition["ops_failed"] or partition["ops_abandoned"]:
+        failures.append(
+            f"partition run had {partition['ops_failed']} failed / "
+            f"{partition['ops_abandoned']} abandoned ops"
+        )
+    if partition["retries"] == 0:
+        failures.append(
+            "partition run recorded 0 retries: no op touched the dark nodes"
         )
     hedged = section["hedging"]["hedged"]
     unhedged = section["hedging"]["unhedged"]

@@ -66,9 +66,9 @@ latency/jitter degradation, packet loss, slow-loris partial writes,
 connection resets and asymmetric partitions -- through an in-process
 transport shim wrapped around every live connection (see
 ``docs/PROTOCOLS.md`` §14). Clients survive it with adaptive
-(Jacobson-style) timeouts, per-endpoint circuit breakers, hedged reads
-and flagged degraded-mode answers; the run must still verify 100% and
-the controller's fault-log digest is bit-identical for the same seed.
+(Jacobson-style) timeouts, hedged reads and the retry loop inside each
+op's deadline; every locate must still match ground truth and the
+controller's fault-log digest is bit-identical for the same seed.
 ``--churn SEED`` runs a seeded node leave/join process that never
 takes more than half the population down at once.
 

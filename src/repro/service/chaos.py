@@ -27,7 +27,6 @@ Every application (or deliberate skip) is appended to
 from __future__ import annotations
 
 import asyncio
-import time
 from typing import Dict, List, Optional
 
 from repro.platform.chaos import LINK_CHAOS_KINDS, ChaosSchedule
@@ -107,7 +106,7 @@ class LiveChaosDriver:
 
     def start(self) -> None:
         """Begin walking the schedule on the running event loop."""
-        self._started_at = time.monotonic()
+        self._started_at = asyncio.get_running_loop().time()
         self._task = asyncio.ensure_future(self._run())
 
     async def drain(self) -> None:
@@ -120,14 +119,15 @@ class LiveChaosDriver:
             await self._task
         assert self._started_at is not None
         settle_until = self._started_at + self.schedule.duration
-        remaining = settle_until - time.monotonic()
+        remaining = settle_until - asyncio.get_running_loop().time()
         if remaining > 0:
             await asyncio.sleep(remaining)
 
     async def _run(self) -> None:
         assert self._started_at is not None
+        loop = asyncio.get_running_loop()
         for event in self.schedule.events:
-            delay = self._started_at + event.at - time.monotonic()
+            delay = self._started_at + event.at - loop.time()
             if delay > 0:
                 await asyncio.sleep(delay)
             outcome = "ok"
@@ -139,7 +139,7 @@ class LiveChaosDriver:
                 outcome = f"error: {err}"
             self.applied.append(
                 {
-                    "at": round(time.monotonic() - self._started_at, 3),
+                    "at": round(loop.time() - self._started_at, 3),
                     "kind": event.kind,
                     "target": event.target,
                     "outcome": outcome,

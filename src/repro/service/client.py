@@ -28,7 +28,10 @@ Two layers:
   candidate IAgent), performs every hop through the
   resilience stack below, answers ``None`` for one it could not
   perform (so a pull the LHAgent could not serve is retried, not
-  raised), and bounds the whole operation by ``op_deadline``. Retry
+  raised), and bounds the whole operation by ``op_deadline``. A
+  locate returns what the responsible IAgent answered, or raises once
+  the retries or the deadline are spent -- the client never answers
+  one from its own memory. Retry
   rounds sleep a capped exponential backoff with jitter drawn from an
   injectable RNG (``ClientConfig.rng``), so retry timing is
   deterministic under test.
@@ -46,23 +49,16 @@ Two layers:
   :meth:`ServiceClient._batch`.
 
 Between the two sits the hostile-network resilience stack (see
-``docs/PROTOCOLS.md`` §14): every RPC passes the endpoint's circuit
-breaker (:class:`CircuitBreaker` -- fail fast on a link that stopped
-answering, probe it back to life after a cooldown), runs under an
-adaptive Jacobson/Karels timeout (:class:`RttEstimator`) clamped to
-the remaining per-operation deadline, and -- for idempotent reads --
+``docs/PROTOCOLS.md`` §14): every RPC runs under an adaptive
+Jacobson/Karels timeout (:class:`RttEstimator`) clamped to the
+remaining per-operation deadline, and -- for idempotent reads --
 hands the transport a hedge delay and a duplicate budget, so the
 request may race a duplicate on a dedicated pooled connection once the
-primary looks tail-slow. When a
-locate's resolved path sits behind an open breaker and
-``ClientConfig.degraded_reads`` is on, the client serves its
-last-known answer flagged ``degraded=True`` (:class:`LocateAnswer`)
-instead of burning the retry budget against a known-dead link.
+primary looks tail-slow.
 
 The saga does the protocol accounting (retries, refreshes, bounces) on
 either driver's counters, so the live smoke run reports the simulator's
-vocabulary; this driver adds the resilience set: hedges and hedge wins,
-breaker opens / fast-fails / probes, degraded answers.
+vocabulary; this driver adds hedges and hedge wins.
 """
 
 from __future__ import annotations
@@ -87,11 +83,8 @@ __all__ = [
     "NOT_PRIMARY",
     "STALE_EPOCH",
     "WRONG_SHARD",
-    "BreakerOpenError",
-    "CircuitBreaker",
     "ClientConfig",
     "ClientCounters",
-    "LocateAnswer",
     "RemoteOpError",
     "RpcChannel",
     "RttEstimator",
@@ -140,11 +133,9 @@ TIMEOUT_FLOOR = 0.25
 #: frame loss, two frames per round trip) with jitter tails on top.
 HEDGE_BUDGET = 0.2
 
-#: Consecutive transport failures that open an endpoint's breaker.
-BREAKER_THRESHOLD = 5
-
-#: Seconds an open breaker fails fast before admitting a probe.
-BREAKER_COOLDOWN = 1.0
+#: Hedge delay floor, seconds -- on a clean LAN the hedge delay is
+#: clamped up to this so near-instant replies never spawn duplicates.
+HEDGE_DELAY_FLOOR = 0.05
 
 
 def format_addr(addr: Optional[Address]) -> str:
@@ -185,16 +176,6 @@ class ServiceTimeout(ServiceRpcError):
     """The reply did not arrive within the per-RPC timeout."""
 
 
-class BreakerOpenError(ServiceRpcError):
-    """The endpoint's circuit breaker is open: failed fast, no RPC sent.
-
-    A :class:`ServiceRpcError` subclass so every retry loop treats it
-    like any other transport failure -- back off, refresh, re-resolve --
-    without a fresh socket timeout being burned on a link already known
-    to be dead.
-    """
-
-
 class RemoteOpError(ServiceError):
     """The server replied with an error envelope.
 
@@ -209,20 +190,6 @@ class RemoteOpError(ServiceError):
 
 class ServiceLocateError(ServiceError):
     """A locate exhausted its retry budget without an answer."""
-
-
-@dataclass(frozen=True)
-class LocateAnswer:
-    """A locate result with its freshness contract.
-
-    ``degraded=True`` means the answer came from the client's last-known
-    cache because the resolved path's circuit breaker was open: it is
-    *possibly stale* (the agent may have moved since) and the caller
-    accepted that by enabling ``ClientConfig.degraded_reads``.
-    """
-
-    node: str
-    degraded: bool = False
 
 
 class RttEstimator:
@@ -281,80 +248,15 @@ class RttEstimator:
         return min(self.cap, self.srtt + 2.0 * self.rttvar)
 
 
-class CircuitBreaker:
-    """Per-endpoint closed / open / half-open breaker.
-
-    ``threshold`` consecutive transport failures open the breaker;
-    while open every call fails fast (no socket burned). After
-    ``cooldown`` seconds one *probe* call is admitted (half-open); its
-    success closes the breaker, its failure re-opens it for another
-    cooldown.
-    """
-
-    CLOSED = "closed"
-    OPEN = "open"
-    HALF_OPEN = "half-open"
-
-    def __init__(
-        self, threshold: int = BREAKER_THRESHOLD, cooldown: float = BREAKER_COOLDOWN
-    ) -> None:
-        self.threshold = max(1, threshold)
-        self.cooldown = cooldown
-        self.state = self.CLOSED
-        self.failures = 0
-        self.opened_at = 0.0
-        self._probing = False
-        self._probe_at = 0.0
-
-    def admit(self, now: float) -> Tuple[bool, bool]:
-        """``(allowed, is_probe)`` for a call starting at ``now``."""
-        if self.state == self.CLOSED:
-            return True, False
-        if self.state == self.OPEN:
-            if now - self.opened_at < self.cooldown:
-                return False, False
-            self.state = self.HALF_OPEN
-            self._probing = True
-            self._probe_at = now
-            return True, True
-        # Half-open: one probe at a time, but a probe whose caller was
-        # cancelled must not wedge the breaker -- re-admit after a
-        # cooldown's worth of silence.
-        if self._probing and now - self._probe_at < self.cooldown:
-            return False, False
-        self._probing = True
-        self._probe_at = now
-        return True, True
-
-    def is_open(self, now: float) -> bool:
-        """True while calls would fail fast (no probe due yet)."""
-        return self.state == self.OPEN and now - self.opened_at < self.cooldown
-
-    def record_success(self) -> None:
-        self.state = self.CLOSED
-        self.failures = 0
-        self._probing = False
-
-    def record_failure(self, now: float) -> bool:
-        """Count one transport failure; True when this *opens* the breaker."""
-        self._probing = False
-        if self.state == self.HALF_OPEN:
-            self.state = self.OPEN
-            self.opened_at = now
-            return True
-        self.failures += 1
-        if self.state == self.CLOSED and self.failures >= self.threshold:
-            self.state = self.OPEN
-            self.opened_at = now
-            return True
-        return False
-
-
 @dataclass(frozen=True)
 class ClientConfig:
     """Tunables of the client's timeout/backoff/retry behaviour."""
 
-    #: Per-RPC deadline (connect + send + receive), seconds.
+    #: Per-RPC deadline (connect + send + receive), seconds: the cap of
+    #: the adaptive Jacobson-style timeout, ``srtt + 4 * rttvar``
+    #: clamped to ``[TIMEOUT_FLOOR, rpc_timeout]`` once an endpoint has
+    #: RTT samples. Lost frames on a hostile link are then detected in a
+    #: few observed RTTs instead of a full fixed timeout.
     rpc_timeout: float = 2.0
 
     #: Retry rounds per protocol operation before giving up.
@@ -375,37 +277,10 @@ class ClientConfig:
     #: unseeded generator per client.
     rng: Optional[random.Random] = None
 
-    #: Requests in flight per pooled connection before the channel opens
-    #: another connection (or queues, once the pool is full).
-    pipeline_depth: int = 32
-
-    #: Pooled connections per destination address.
-    pool_size: int = 2
-
-    #: Idle seconds after which a pooled connection is reaped.
-    pool_idle_s: float = 30.0
-
-    #: Adaptive per-endpoint RPC timeouts: Jacobson-style
-    #: ``srtt + 4 * rttvar`` clamped to ``[TIMEOUT_FLOOR, rpc_timeout]``
-    #: replaces the fixed ``rpc_timeout`` once an endpoint has RTT
-    #: samples. Lost frames on a hostile link are then detected in a
-    #: few observed RTTs instead of a full fixed timeout.
-    adaptive_timeout: bool = True
-
     #: Hedge idempotent reads (locate, discovery fan-out): when the
     #: primary reply is slower than the endpoint's p95-derived hedge
     #: delay, a duplicate request races it and the first reply wins.
     hedge: bool = True
-
-    #: Hedge delay floor, seconds -- on a clean LAN the hedge delay is
-    #: clamped up to this so near-instant replies never spawn duplicates.
-    hedge_delay_floor: float = 0.05
-
-    #: Serve the last-known locate answer (flagged ``degraded=True``)
-    #: when the resolved path's breaker is open, instead of burning the
-    #: retry budget against a link already known dead. See
-    #: :class:`LocateAnswer` for the staleness contract.
-    degraded_reads: bool = True
 
     #: Wire-level fault injection: when set, every connection this
     #: client dials is shimmed through the controller.
@@ -456,15 +331,6 @@ class ClientCounters:
     hedges: int = 0
     #: Hedges whose duplicate answered before the primary.
     hedge_wins: int = 0
-    #: Circuit-breaker transitions to open (closed or half-open origin).
-    breaker_opens: int = 0
-    #: Calls failed fast because an endpoint's breaker was open.
-    breaker_fastfails: int = 0
-    #: Half-open probe calls admitted through an open breaker.
-    breaker_probes: int = 0
-    #: Locate answers served from the degraded-mode cache (possibly
-    #: stale, flagged ``degraded=True``) while a breaker was open.
-    degraded_answers: int = 0
 
     def as_dict(self) -> Dict[str, int]:
         return dict(vars(self))
@@ -902,12 +768,7 @@ class ServiceClient:
         self.lhagent_addr = lhagent_addr
         self.config = config or ClientConfig()
         self.channel = channel or RpcChannel(
-            rpc_timeout=self.config.rpc_timeout,
-            tracer=tracer,
-            pipeline_depth=self.config.pipeline_depth,
-            pool_size=self.config.pool_size,
-            pool_idle_s=self.config.pool_idle_s,
-            netem=self.config.netem,
+            rpc_timeout=self.config.rpc_timeout, tracer=tracer, netem=self.config.netem
         )
         self.rng = rng or self.config.rng or random.Random()
         self.counters = ClientCounters()
@@ -915,10 +776,6 @@ class ServiceClient:
         self._rtts: Dict[Address, RttEstimator] = {}
         #: Hedge-eligible calls seen; the denominator of the hedge budget.
         self._hedge_eligible = 0
-        #: Per-endpoint circuit breakers (transport failures only).
-        self._breakers: Dict[Address, CircuitBreaker] = {}
-        #: Last-known locate answers, the degraded-mode read source.
-        self._last_known: Dict[AgentId, str] = {}
         #: This requester's own secondary copies, one per shard, fed by
         #: the node's LHAgent -- what *resolve* and *candidates* answer from.
         self._held = SecondaryCopies()
@@ -926,7 +783,7 @@ class ServiceClient:
         self._shards = 1
 
     # ------------------------------------------------------------------
-    # Resilience plumbing: adaptive timeouts, breakers, hedged reads
+    # Resilience plumbing: adaptive timeouts, hedged reads
     # ------------------------------------------------------------------
 
     def _rtt_for(self, addr: Address) -> RttEstimator:
@@ -935,20 +792,13 @@ class ServiceClient:
             estimator = self._rtts[addr] = RttEstimator(cap=self.config.rpc_timeout)
         return estimator
 
-    def _breaker_for(self, addr: Address) -> CircuitBreaker:
-        breaker = self._breakers.get(addr)
-        if breaker is None:
-            breaker = self._breakers[addr] = CircuitBreaker()
-        return breaker
-
     def _rpc_budget(
         self, addr: Address, deadline: Optional[float], now: float, op: str
     ) -> float:
-        """The per-RPC timeout: adaptive estimate clamped to the
-        remaining op deadline; raises when the deadline is exhausted."""
-        timeout = self.config.rpc_timeout
-        if self.config.adaptive_timeout:
-            timeout = min(timeout, self._rtt_for(addr).timeout())
+        """The per-RPC timeout: adaptive estimate (capped at
+        ``rpc_timeout``) clamped to the remaining op deadline; raises
+        when the deadline is exhausted."""
+        timeout = self._rtt_for(addr).timeout()
         if deadline is not None:
             remaining = deadline - now
             if remaining <= 0:
@@ -971,54 +821,34 @@ class ServiceClient:
     ) -> Any:
         """One RPC through the resilience stack.
 
-        Wraps :meth:`RpcChannel.call` with (in order): the endpoint's
-        circuit breaker (fail fast on a known-dead link), the adaptive
-        Jacobson timeout clamped to the remaining op deadline, and --
-        for idempotent reads (``hedge``) -- the endpoint's p95-derived
-        hedge delay, handed down with this client as the hedger: the
-        request's own record does the hedging, so a read answered
-        inside its delay costs what an unhedged call costs. Successful
-        round trips (including remote *op* errors, which prove the
-        transport) feed the RTT estimator and close the breaker.
+        Wraps :meth:`RpcChannel.call` with the adaptive Jacobson timeout
+        clamped to the remaining op deadline and -- for idempotent reads
+        (``hedge``) -- the endpoint's p95-derived hedge delay, handed
+        down with this client as the hedger: the request's own record
+        does the hedging, so a read answered inside its delay costs what
+        an unhedged call costs. Round trips that came back (including
+        remote *op* errors, which prove the transport) feed the RTT
+        estimator.
         """
         addr = tuple(addr)  # type: ignore[assignment]
         loop = asyncio.get_running_loop()
         start = loop.time()
         timeout = self._rpc_budget(addr, deadline, start, op)
-        breaker = self._breaker_for(addr)
-        allowed, probe = breaker.admit(start)
-        if not allowed:
-            self.counters.breaker_fastfails += 1
-            raise BreakerOpenError(
-                f"{op} to {format_addr(addr)}: circuit breaker open",
-                op=op,
-                addr=addr,
-            )
-        if probe:
-            self.counters.breaker_probes += 1
+        rtt = self._rtt_for(addr)
         call_hedge = None
         if hedge and self.config.hedge:
             self._hedge_eligible += 1
-            call_hedge = (
-                max(self.config.hedge_delay_floor, self._rtt_for(addr).hedge_delay()),
-                self,
-            )
+            call_hedge = (max(HEDGE_DELAY_FLOOR, rtt.hedge_delay()), self)
         try:
             value = await self.channel.call(
                 addr, to, op, body, timeout=timeout, hedge=call_hedge
             )
-        except ServiceRpcError:
-            if breaker.record_failure(loop.time()):
-                self.counters.breaker_opens += 1
-            raise
         except RemoteOpError:
             # The peer answered: the transport is healthy even though
             # the operation was rejected.
-            breaker.record_success()
-            self._rtt_for(addr).observe(loop.time() - start)
+            rtt.observe(loop.time() - start)
             raise
-        breaker.record_success()
-        self._rtt_for(addr).observe(loop.time() - start)
+        rtt.observe(loop.time() - start)
         return value
 
     def admit_hedge(self) -> bool:
@@ -1063,13 +893,9 @@ class ServiceClient:
             raise ServiceError(f"unregister {agent_id} failed: {reply.get('status')}")
 
     async def locate(self, agent_id: AgentId) -> str:
-        """Resolve an agent to its current node name."""
-        return (await self.locate_full(agent_id)).node
-
-    async def locate_full(self, agent_id: AgentId) -> LocateAnswer:
-        """Like :meth:`locate`, but carrying the freshness contract:
-        ``degraded=True`` marks a possibly-stale cached answer served
-        because the resolved path's breaker was open."""
+        """Resolve an agent to its current node name, as the responsible
+        IAgent answers it; raises :class:`ServiceLocateError` once the
+        retries or the op deadline are spent."""
         self.counters.locates += 1
         return await self._locate_resolved(agent_id)
 
@@ -1140,8 +966,7 @@ class ServiceClient:
             deadline,
         )
         for index in fallback:
-            answer = await self._locate_resolved(agents[index], deadline)
-            results[agents[index]] = answer.node
+            results[agents[index]] = await self._locate_resolved(agents[index], deadline)
         return results
 
     # ------------------------------------------------------------------
@@ -1331,7 +1156,7 @@ class ServiceClient:
 
     async def _locate_resolved(
         self, agent_id: AgentId, deadline: Optional[float] = None
-    ) -> LocateAnswer:
+    ) -> str:
         reply = await self._iagent_request(
             agent_id,
             "locate",
@@ -1344,11 +1169,7 @@ class ServiceClient:
             raise ServiceLocateError(
                 f"could not locate {agent_id}: {reply.get('status')}"
             )
-        node = reply["node"]
-        degraded = bool(reply.get("degraded"))
-        if not degraded:
-            self._last_known[agent_id] = node
-        return LocateAnswer(node=node, degraded=degraded)
+        return reply["node"]
 
     async def _update_op(
         self,
@@ -1365,7 +1186,6 @@ class ServiceClient:
         reply = await self._iagent_request(agent_id, op, body, deadline=deadline)
         if reply.get("status") != "ok":
             raise ServiceError(f"{op} for {agent_id} failed: {reply.get('status')}")
-        self._last_known[agent_id] = node
 
     async def _iagent_request(
         self,
@@ -1519,25 +1339,9 @@ class ServiceClient:
         serves the id. Any other error envelope raises."""
         if mapping.get("addr") is None:
             return None
-        addr = tuple(mapping["addr"])
-        if (
-            op == "locate"
-            and self.config.degraded_reads
-            and body["agent"] in self._last_known
-            and self._breaker_for(addr).is_open(asyncio.get_running_loop().time())
-        ):
-            # The resolved path is known dead and a probe is not yet
-            # due: serve the last-known answer, explicitly flagged,
-            # instead of burning the budget on fast-fails.
-            self.counters.degraded_answers += 1
-            return {
-                "status": "ok",
-                "node": self._last_known[body["agent"]],
-                "degraded": True,
-            }
         try:
             return await self._call(
-                addr, mapping["iagent"], op, body, deadline=deadline,
+                mapping["addr"], mapping["iagent"], op, body, deadline=deadline,
                 hedge=op in _HEDGED_OPS,
             )
         except RemoteOpError as error:

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import asyncio
 import random
-import time
 from contextlib import asynccontextmanager
 from dataclasses import dataclass, field, replace
 from typing import AsyncIterator, Dict, List, Optional, Tuple
@@ -177,15 +176,9 @@ class ClusterReport:
     routing: Optional[Dict] = None
     #: Client ops re-resolved after a ``wrong-shard`` bounce.
     wrong_shard_retries: int = 0
-    #: Resilience behaviour under hostile networks (all zero on clean
-    #: runs): hedged duplicate reads fired / won, circuit-breaker opens
-    #: and fast-fails, and degraded-mode (possibly-stale, flagged)
-    #: locate answers served while a breaker was open.
+    #: Hedged duplicate reads fired / won (zero on clean runs).
     hedges: int = 0
     hedge_wins: int = 0
-    breaker_opens: int = 0
-    breaker_fastfails: int = 0
-    degraded_answers: int = 0
     #: Hostile-network run summary (seed, schedule digest, the netem
     #: controller's fault-log digest -- the replay artifact -- and
     #: frame drop/delay counts), or None.
@@ -294,12 +287,9 @@ class ClusterReport:
                 f"{len(self.chaos['applied'])} events applied "
                 f"(digest {self.chaos['digest'][:12]}...)"
             )
-        if self.hedges or self.breaker_opens or self.degraded_answers:
+        if self.hedges:
             lines.append(
-                f"  resilience  {self.hedges} hedges ({self.hedge_wins} won), "
-                f"{self.breaker_opens} breaker opens "
-                f"({self.breaker_fastfails} fast-fails), "
-                f"{self.degraded_answers} degraded answers"
+                f"  resilience  {self.hedges} hedges ({self.hedge_wins} won)"
             )
         if self.netem is not None:
             lines.append(
@@ -472,7 +462,7 @@ class _Cluster:
     async def crash_primary_hagent(self, shard: int = 0) -> Dict:
         """Kill ``shard``'s current primary abruptly; record the instant."""
         primary = self.primary(shard)
-        crashed_at = time.monotonic()
+        crashed_at = primary._now()  # the clock promoted_at is stamped with
         await primary.kill()
         self.shard_hagents[shard].remove(primary)
         self.dead_hagents.append(primary)
@@ -519,8 +509,9 @@ class _Cluster:
         self, deadline_s: float, shard: int = 0
     ) -> Optional[HAgentServer]:
         """Wait until a live replica of ``shard`` has promoted, or None."""
-        deadline = time.monotonic() + deadline_s
-        while time.monotonic() < deadline:
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + deadline_s
+        while loop.time() < deadline:
             for hagent in self.shard_hagents[shard]:
                 if hagent.role == "primary" and hagent.promoted_at is not None:
                     return hagent
@@ -549,7 +540,8 @@ class _Cluster:
         return all(results)
 
     async def _shard_converged(self, shard: int, budget_s: float) -> bool:
-        deadline = time.monotonic() + budget_s
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + budget_s
         while True:
             primary = self.primary(shard)
             spec = primary.tree.to_spec() if primary.tree is not None else None
@@ -571,7 +563,7 @@ class _Cluster:
             ]
             if not diverged:
                 return True
-            if time.monotonic() >= deadline:
+            if loop.time() >= deadline:
                 return False
             await asyncio.sleep(self.config.service.heartbeat_interval)
 
@@ -629,22 +621,12 @@ class _Cluster:
         await self._notify_host(old_home, "agent-depart", agent, seq)
 
     async def locate_agent(self, agent: AgentId, requester: int) -> bool:
-        """Locate from a random node; True iff the answer matches truth.
-
-        A *degraded* answer (served from the client's last-known cache
-        while a circuit breaker is open) is accepted without comparing
-        it to truth: the protocol explicitly flags it as possibly stale
-        (§4.3's staleness window writ large), and the final sweep runs
-        on a healed cluster where no answer may be degraded anyway.
-        """
-        client = self.client_for(requester)
+        """Locate from a random node; True iff the answer matches truth."""
         try:
-            answer = await client.locate_full(agent)
+            node = await self.client_for(requester).locate(agent)
         except ServiceLocateError:
             return False
-        if answer.degraded:
-            return True
-        return answer.node == self.nodes[self.truth[agent][0]].name
+        return node == self.nodes[self.truth[agent][0]].name
 
     async def _heaviest_iagent(self) -> Tuple[AgentId, Tuple[str, int], int]:
         """The reachable IAgent holding the most records, any shard."""
@@ -772,7 +754,8 @@ async def run_cluster(config: Optional[ClusterConfig] = None) -> ClusterReport:
     report.shards = config.shards
     report.hagent_replicas = max(1, config.hagent_replicas)
     report.promotion_budget_s = config.service.heartbeat_timeout
-    started = time.monotonic()
+    loop = asyncio.get_running_loop()
+    started = loop.time()
     chaos_driver: Optional[LiveChaosDriver] = None
     extra_chaos: List[LiveChaosDriver] = []
     netem_driver: Optional[LiveChaosDriver] = None
@@ -1002,9 +985,6 @@ async def run_cluster(config: Optional[ClusterConfig] = None) -> ClusterReport:
         report.wrong_shard_retries = counters.wrong_shard_retries
         report.hedges = counters.hedges
         report.hedge_wins = counters.hedge_wins
-        report.breaker_opens = counters.breaker_opens
-        report.breaker_fastfails = counters.breaker_fastfails
-        report.degraded_answers = counters.degraded_answers
         # Batching happens in the node hosts' republish loops (their
         # clients are distinct from the driver's), so count both.
         for node_client in [n.client for n in cluster.nodes if n.client] + list(
@@ -1013,7 +993,7 @@ async def run_cluster(config: Optional[ClusterConfig] = None) -> ClusterReport:
             report.batch_rpcs += node_client.counters.batch_rpcs
             report.batched_ops += node_client.counters.batched_ops
     finally:
-        report.duration = time.monotonic() - started
+        report.duration = loop.time() - started
         await cluster.stop()
     return report
 

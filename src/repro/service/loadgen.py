@@ -579,23 +579,10 @@ class LoadReport:
                 f"  discovery   {self.discovery_matches} matches returned, "
                 f"{self.counters.get('discovery_retries', 0)} stale-set retries"
             )
-        resilience = {
-            key: self.counters.get(key, 0)
-            for key in (
-                "hedges",
-                "hedge_wins",
-                "breaker_opens",
-                "breaker_fastfails",
-                "degraded_answers",
-            )
-        }
-        if any(resilience.values()):
+        if self.counters.get("hedges", 0):
             lines.append(
-                f"  resilience  {resilience['hedges']} hedges "
-                f"({resilience['hedge_wins']} won), "
-                f"{resilience['breaker_opens']} breaker opens "
-                f"({resilience['breaker_fastfails']} fast-fails), "
-                f"{resilience['degraded_answers']} degraded answers"
+                f"  resilience  {self.counters['hedges']} hedges "
+                f"({self.counters.get('hedge_wins', 0)} won)"
             )
         if self.throttled:
             lines.append(f"  open loop   {self.throttled} arrivals throttled")

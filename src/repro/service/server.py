@@ -354,7 +354,7 @@ class _FramedServer:
         if asyncio.iscoroutine(result):
             # The handler has to wait (a forward, a fetch): a task of its
             # own keeps it from head-of-line blocking the frames pipelined
-            # behind it into a correlated, breaker-tripping timeout burst.
+            # behind it into a correlated timeout burst.
             # It runs to completion even if the connection goes first.
             self.spawn(self._answer_later(conn, frame, started, result), "answer")
         else:

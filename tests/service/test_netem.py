@@ -3,10 +3,10 @@
 The shim tests run real asyncio TCP servers on ephemeral localhost
 ports and push bytes through :class:`NetemController`'s data plane --
 no mocks on the wire. The client tests drive the resilience stack
-(adaptive timeouts, hedging, breakers, degraded reads) against black
-holes and stub channels where the behaviour must be deterministic, and
-the replay tests boot whole hostile clusters twice to prove the fault
-log is bit-identical for a seed.
+(adaptive timeouts, hedging, the retry loop under the op deadline)
+against black holes and stub channels where the behaviour must be
+deterministic, and the replay tests boot whole hostile clusters twice
+to prove the fault log is bit-identical for a seed.
 """
 
 import asyncio
@@ -19,10 +19,10 @@ from repro.platform.messages import Response
 from repro.platform.naming import AgentId
 from repro.service import wire
 from repro.service.client import (
-    CircuitBreaker,
     ClientConfig,
     ServiceClient,
     ServiceLocateError,
+    ServiceRpcError,
 )
 from repro.service.cluster import ClusterConfig, run_cluster
 from repro.service.netem import DIR_IN, DIR_OUT, NetemController
@@ -362,12 +362,12 @@ class TestHedgedCalls:
             peer.addr, "lhagent", "whois", {}, deadline=deadline, hedge=True
         )
 
-    def test_secondary_wins_on_a_dedicated_lane(self):
+    def test_secondary_wins_on_a_dedicated_lane(self, monkeypatch):
+        monkeypatch.setattr("repro.service.client.HEDGE_DELAY_FLOOR", 0.01)
+
         async def scenario():
             async with _LanePeer() as peer:
-                client = ServiceClient(
-                    "n0", peer.addr, config=ClientConfig(hedge_delay_floor=0.01)
-                )
+                client = ServiceClient("n0", peer.addr)
                 _seed_rtt(client, peer.addr)
                 try:
                     reply = await self.hedged_read(client, peer)
@@ -386,9 +386,7 @@ class TestHedgedCalls:
     def test_fast_primary_never_spawns_a_duplicate(self):
         async def scenario():
             async with _LanePeer(primary_delay=0.0) as peer:
-                client = ServiceClient(
-                    "n0", peer.addr, config=ClientConfig(hedge_delay_floor=0.05)
-                )
+                client = ServiceClient("n0", peer.addr)  # the 50 ms floor
                 _seed_rtt(client, peer.addr)
                 try:
                     reply = await self.hedged_read(client, peer)
@@ -400,14 +398,12 @@ class TestHedgedCalls:
 
         run(scenario())
 
-    def test_hedge_budget_caps_duplicates(self):
+    def test_hedge_budget_caps_duplicates(self, monkeypatch):
+        monkeypatch.setattr("repro.service.client.HEDGE_DELAY_FLOOR", 0.01)
+
         async def scenario():
             async with _LanePeer(primary_delay=0.05) as peer:
-                client = ServiceClient(
-                    "n0",
-                    peer.addr,
-                    config=ClientConfig(hedge_delay_floor=0.01),
-                )
+                client = ServiceClient("n0", peer.addr)
                 try:
                     for _ in range(30):
                         # Each slow round trip feeds the estimator; keep
@@ -447,68 +443,61 @@ class TestHedgedCalls:
 
 class _MappingStubChannel:
     """Answers the requester's pull of the copy with a one-leaf function
-    whose IAgent sits at a fixed address; nothing else answers (the
-    IAgent itself is guarded by its breaker in the tests)."""
+    whose IAgent sits at a fixed address; what reaches that IAgent is
+    answered by ``iagent(op, body)``."""
 
     pool_size = 2
 
-    def __init__(self, iagent_addr):
+    def __init__(self, iagent_addr, iagent):
         self.iagent_addr = iagent_addr
+        self.iagent = iagent
 
     async def call(self, addr, to, op, body, timeout=None, lane=None, hedge=None):
-        assert (to, op) == ("lhagent", "get-hash-delta"), f"{op} reached the stub"
-        return copy_reply("ia-0", "node-9", self.iagent_addr)
+        if (to, op) == ("lhagent", "get-hash-delta"):
+            return copy_reply("ia-0", "node-9", self.iagent_addr)
+        assert (tuple(addr), to) == (self.iagent_addr, "ia-0"), f"{op} reached the stub"
+        return self.iagent(op, body)
 
 
-class TestDegradedReads:
-    def test_open_breaker_serves_last_known_answer(self):
+class TestDeadlines:
+    def test_a_dark_iagent_is_never_answered_from_memory(self):
+        """A locate returns what the responsible IAgent answers, or
+        raises once its retries are spent: an IAgent that acknowledged
+        the agent's move and then went dark is asked every round, never
+        stood in for by the client's memory of that move."""
+        iagent_addr = ("127.0.0.1", 9999)
+        asks = []
+
+        def iagent(op, body):
+            asks.append(op)
+            if asks == ["update"]:
+                assert (body["agent"], body["node"], body["seq"]) == (AGENT, "node-3", 1)
+                return {"status": "ok"}
+            assert op == "locate", op
+            raise ServiceRpcError(f"{op} to the dark IAgent timed out", op=op, addr=iagent_addr)
+
         async def scenario():
-            iagent_addr = ("127.0.0.1", 9999)
-            client = ServiceClient(
-                "n0",
-                ("127.0.0.1", 9001),
-                config=ClientConfig(),
-                channel=_MappingStubChannel(iagent_addr),
-            )
-            client._last_known[AGENT] = "node-3"
-            breaker = client._breaker_for(iagent_addr)
-            breaker.state = CircuitBreaker.OPEN
-            breaker.opened_at = asyncio.get_event_loop().time()
-            answer = await client.locate_full(AGENT)
-            assert answer.degraded is True
-            assert answer.node == "node-3"
-            assert client.counters.degraded_answers == 1
-
-        run(scenario())
-
-    def test_degraded_reads_can_be_disabled(self):
-        async def scenario():
-            iagent_addr = ("127.0.0.1", 9999)
             client = ServiceClient(
                 "n0",
                 ("127.0.0.1", 9001),
                 config=ClientConfig(
-                    degraded_reads=False,
-                    op_deadline=0.4,
-                    max_retries=3,
-                    backoff_base=0.01,
-                    backoff_cap=0.02,
+                    max_retries=8,
+                    backoff_base=0.001,
+                    backoff_cap=0.002,
+                    op_deadline=1.0,
                     rng=random.Random(1),
                 ),
-                channel=_MappingStubChannel(iagent_addr),
+                channel=_MappingStubChannel(iagent_addr, iagent),
             )
-            client._last_known[AGENT] = "node-3"
-            breaker = client._breaker_for(iagent_addr)
-            breaker.state = CircuitBreaker.OPEN
-            breaker.opened_at = asyncio.get_event_loop().time() + 60.0
+            await client.update(AGENT, "node-3", 1)
             with pytest.raises(ServiceLocateError):
-                await client.locate_full(AGENT)
-            assert client.counters.degraded_answers == 0
+                await client.locate(AGENT)
+            return client.counters
 
-        run(scenario())
+        counters = run(scenario())
+        assert asks == ["update"] + ["locate"] * 8
+        assert counters.transport_retries == 8
 
-
-class TestDeadlines:
     def test_locate_against_a_black_hole_honours_op_deadline(self):
         """§4.3's retry loop must stay bounded by ``op_deadline`` even
         when every frame vanishes: each RPC budget is clamped to the

@@ -1,17 +1,15 @@
-"""Property tests for the client's resilience primitives.
+"""Property tests for the client's adaptive timeout.
 
-:class:`RttEstimator` and :class:`CircuitBreaker` are pure state
-machines -- no sockets, no clocks of their own -- so hypothesis can
-pin their invariants exactly: the estimator's state is a function of
-its samples alone and its outputs never leave ``[floor, cap]``; the
-breaker never reaches an unknown state and always fails fast while
-open.
+:class:`RttEstimator` is a pure state machine -- no sockets, no clock
+of its own -- so hypothesis can pin its invariants exactly: its state
+is a function of its samples alone and its outputs never leave
+``[floor, cap]``.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.service.client import CircuitBreaker, RttEstimator
+from repro.service.client import RttEstimator
 
 rtt_samples = st.lists(
     st.floats(min_value=0.0, max_value=30.0, allow_nan=False, allow_infinity=False),
@@ -75,87 +73,3 @@ class TestRttEstimator:
         if estimator.samples:
             assert estimator.hedge_delay() <= estimator.timeout() + 1e-12
 
-
-class TestCircuitBreaker:
-    def test_threshold_consecutive_failures_open(self):
-        breaker = CircuitBreaker(threshold=3, cooldown=1.0)
-        assert breaker.record_failure(10.0) is False
-        assert breaker.record_failure(10.1) is False
-        # The opening transition is reported exactly once.
-        assert breaker.record_failure(10.2) is True
-        assert breaker.state == CircuitBreaker.OPEN
-        assert breaker.is_open(10.3)
-
-    def test_success_resets_the_failure_streak(self):
-        breaker = CircuitBreaker(threshold=3, cooldown=1.0)
-        breaker.record_failure(10.0)
-        breaker.record_failure(10.1)
-        breaker.record_success()
-        assert breaker.record_failure(10.2) is False
-        assert breaker.state == CircuitBreaker.CLOSED
-
-    def test_open_fails_fast_until_cooldown_admits_a_probe(self):
-        breaker = CircuitBreaker(threshold=1, cooldown=1.0)
-        breaker.record_failure(10.0)
-        assert breaker.admit(10.5) == (False, False)
-        allowed, probe = breaker.admit(11.1)
-        assert allowed and probe
-        assert breaker.state == CircuitBreaker.HALF_OPEN
-
-    def test_probe_success_closes(self):
-        breaker = CircuitBreaker(threshold=1, cooldown=1.0)
-        breaker.record_failure(10.0)
-        assert breaker.admit(11.1) == (True, True)
-        breaker.record_success()
-        assert breaker.state == CircuitBreaker.CLOSED
-        assert breaker.admit(11.2) == (True, False)
-
-    def test_probe_failure_reopens_for_another_cooldown(self):
-        breaker = CircuitBreaker(threshold=1, cooldown=1.0)
-        breaker.record_failure(10.0)
-        breaker.admit(11.1)
-        assert breaker.record_failure(11.2) is True
-        assert breaker.is_open(11.3)
-        assert breaker.admit(11.5) == (False, False)
-        assert breaker.admit(12.3) == (True, True)
-
-    def test_abandoned_probe_does_not_wedge_the_breaker(self):
-        # A probe whose caller was cancelled never reports back; after
-        # a cooldown of silence the half-open breaker re-admits.
-        breaker = CircuitBreaker(threshold=1, cooldown=1.0)
-        breaker.record_failure(10.0)
-        assert breaker.admit(11.1) == (True, True)  # probe vanishes
-        assert breaker.admit(11.5) == (False, False)
-        assert breaker.admit(12.2) == (True, True)
-
-    @settings(max_examples=80, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(
-                st.sampled_from(["ok", "fail", "admit"]),
-                st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
-            ),
-            max_size=40,
-        )
-    )
-    def test_lifecycle_never_leaves_the_state_machine(self, steps):
-        breaker = CircuitBreaker(threshold=2, cooldown=0.5)
-        now = 0.0
-        for action, dt in steps:
-            now += dt
-            if action == "ok":
-                breaker.record_success()
-            elif action == "fail":
-                breaker.record_failure(now)
-            else:
-                allowed, probe = breaker.admit(now)
-                # Fail-fast and probe admission are mutually exclusive
-                # outcomes of a single admit.
-                assert not (probe and not allowed)
-            assert breaker.state in (
-                CircuitBreaker.CLOSED,
-                CircuitBreaker.OPEN,
-                CircuitBreaker.HALF_OPEN,
-            )
-            if breaker.state == CircuitBreaker.CLOSED:
-                assert breaker.failures < breaker.threshold

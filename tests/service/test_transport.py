@@ -515,6 +515,14 @@ def armed_timers():
     ]
 
 
+@pytest.fixture
+def hedge_floor_10ms(monkeypatch):
+    """Floor the hedge delay at 10 ms, where a client seeded with 2 ms
+    round trips (:meth:`TestHedgeTimer.seed_rtt`) hedges."""
+    monkeypatch.setattr("repro.service.client.HEDGE_DELAY_FLOOR", 0.01)
+
+
+@pytest.mark.usefixtures("hedge_floor_10ms")
 class TestHedgeTimer:
     @staticmethod
     def slow_first_arrival(node, delay, fail_duplicates=False, fail_primaries=False):
@@ -551,12 +559,7 @@ class TestHedgeTimer:
 
     @staticmethod
     def client_for(node, channel):
-        client = ServiceClient(
-            "driver",
-            node.addr,
-            config=ClientConfig(hedge_delay_floor=0.01),
-            channel=channel,
-        )
+        client = ServiceClient("driver", node.addr, channel=channel)
         TestHedgeTimer.seed_rtt(client, node.addr)
         return client
 
@@ -670,6 +673,7 @@ class TestHedgeTimer:
         assert self.stalled_locates(yields=1) > 0
 
 
+@pytest.mark.usefixtures("hedge_floor_10ms")
 class TestRequestRecord:
     """One record per RPC, hedge-eligible or not: what a call costs, how
     its attempts settle it, and that nothing of it outlives the call."""
@@ -837,12 +841,12 @@ class TestRequestRecord:
         async def scenario():
             logged = capture_loop_errors()
             async with one_node() as (node, agents):
+                # At or below TIMEOUT_FLOOR the adaptive timeout is its
+                # cap, rpc_timeout, whatever the samples.
                 client = ServiceClient(
                     "driver",
                     node.addr,
-                    config=ClientConfig(
-                        hedge_delay_floor=0.01, adaptive_timeout=False, rpc_timeout=0.15
-                    ),
+                    config=ClientConfig(rpc_timeout=0.15),
                     channel=RpcChannel(),
                 )
                 channel = client.channel
@@ -901,15 +905,17 @@ class TestRequestRecord:
 
         run(scenario())
 
-    def test_all_attempts_share_the_primary_deadline(self):
+    def test_all_attempts_share_the_primary_deadline(self, monkeypatch):
+        monkeypatch.setattr("repro.service.client.HEDGE_DELAY_FLOOR", 0.15)
+
         async def scenario():
             async with one_node() as (node, agents):
+                # rpc_timeout at TIMEOUT_FLOOR: the adaptive timeout is
+                # 0.25 s whatever the samples.
                 client = ServiceClient(
                     "driver",
                     node.addr,
-                    config=ClientConfig(
-                        hedge_delay_floor=0.15, adaptive_timeout=False, rpc_timeout=0.3
-                    ),
+                    config=ClientConfig(rpc_timeout=0.25),
                     channel=RpcChannel(),
                 )
                 try:
@@ -917,12 +923,12 @@ class TestRequestRecord:
                     self.seed_rtt(client, node.addr)
                     gate_fetches(node)  # primary and duplicate: both black-holed
                     started = time.monotonic()
-                    with pytest.raises(ServiceTimeout, match="timed out after 0.3s"):
+                    with pytest.raises(ServiceTimeout, match="timed out after 0.25s"):
                         await self.pull(client, node)
                     elapsed = time.monotonic() - started
                     assert client.counters.hedges == 1
-                    # start + timeout -- not hedge delay + timeout (0.45 s).
-                    assert 0.3 <= elapsed < 0.4, elapsed
+                    # start + timeout -- not hedge delay + timeout (0.4 s).
+                    assert 0.25 <= elapsed < 0.35, elapsed
                 finally:
                     await client.close()
 
