@@ -292,15 +292,11 @@ class IAgentState:
     def _handoff(self, displaced: Dict[str, Dict]) -> Dict[str, Any]:
         """The hand-off bundle for displaced records; their load
         accumulators leave with them."""
-        stats = self.stats
-        loads = {}
-        for agent in displaced["records"]:
-            loads[agent] = stats.load_of(agent)
-            stats.forget_agent(agent)
+        records = displaced["records"]
         return {
             "status": OK,
-            "records": displaced["records"],
-            "loads": loads,
+            "records": records,
+            "loads": self.stats.release(records),
             "capabilities": displaced["capabilities"],
         }
 
@@ -310,11 +306,14 @@ class IAgentState:
         Adopted records come from another shard, so (unlike extract)
         they ride in the journal entry itself. Bundle keys this table
         does not know (a driver's own cargo) are left to the driver.
+        A row that is already a ``[node, seq]`` list is kept, not copied:
+        :meth:`apply` replaces a held row and never mutates one, so two
+        tables may share it.
         """
         entry: Dict[str, Any] = {
             "op": "adopt",
             "records": {
-                agent: list(record)
+                agent: record if type(record) is list else list(record)
                 for agent, record in body.get("records", {}).items()
             },
         }
@@ -323,8 +322,7 @@ class IAgentState:
         if "pattern" in body:
             entry["pattern"] = body["pattern"]
         self.apply(self.table, entry)
-        for agent, load in body.get("loads", {}).items():
-            self.stats.adopt_agent(agent, load)
+        self.stats.absorb(body.get("loads", {}))
         return {"status": OK}, entry
 
     # -- reads ------------------------------------------------------------

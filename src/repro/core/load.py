@@ -109,6 +109,20 @@ class LoadStatistics:
         """Start tracking a transferred-in agent, seeding its load."""
         self.per_agent[agent_key] = self.per_agent.get(agent_key, 0) + load
 
+    def release(self, agents: Iterable[Hashable]) -> Dict[Hashable, int]:
+        """``load_of`` then ``forget_agent`` for each of ``agents``: the
+        accumulators a hand-off takes with it."""
+        pop = self.per_agent.pop
+        return {agent: pop(agent, 0) for agent in agents}
+
+    def absorb(self, loads: Dict[Hashable, int]) -> None:
+        """``adopt_agent`` for each of ``loads``' agents."""
+        per_agent = self.per_agent
+        held = per_agent.keys() & loads.keys()
+        summed = {agent: per_agent[agent] + loads[agent] for agent in held}
+        per_agent.update(loads)
+        per_agent.update(summed)
+
     def rate(self, now: float) -> float:
         return self.total.rate(now)
 
@@ -267,6 +281,19 @@ class GroupedLoadStatistics:
     def adopt_agent(self, agent_id: Hashable, load: int = 0) -> None:
         group = self._ensure_member(agent_id)
         self.group_loads[group] = self.group_loads.get(group, 0) + load
+
+    def release(self, agents: Iterable[Hashable]) -> Dict[Hashable, int]:
+        """:meth:`LoadStatistics.release` agent by agent: each share is
+        estimated after the agents before it have left its group."""
+        loads = {}
+        for agent in agents:
+            loads[agent] = self.load_of(agent)
+            self.forget_agent(agent)
+        return loads
+
+    def absorb(self, loads: Dict[Hashable, int]) -> None:
+        for agent, load in loads.items():
+            self.adopt_agent(agent, load)
 
     def load_of(self, agent_id: Hashable) -> int:
         """An agent's share estimate: its group's load over its members."""

@@ -8,6 +8,8 @@ for a 64-bit id), interned protocol op names, and tuple/dict shapes
 without per-value tags. A dict keyed by same-width ``AgentId``s -- the
 per-agent tables a split or merge hands over -- travels as columns: one
 ``struct`` pack for the keys, and for int or ``[node, seq]`` values too.
+Tables of one frame with the same key column (a bundle's ``records``
+and ``loads``) decode to the same key objects; the bytes do not say so.
 
 A body is one of three *frame kinds*, told apart by its first byte and
 only there: a *call* -- the ``{"to", "req"}`` envelope every RPC is sent
@@ -55,6 +57,7 @@ import json
 import struct
 from asyncio import IncompleteReadError, StreamReader, StreamWriter
 from itertools import repeat
+from operator import itemgetter
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
 
 from repro.platform import jsonable
@@ -413,7 +416,10 @@ def _encode_rows(rows: List, out: bytearray) -> bool:
     any other shape append nothing and return False."""
     if set(map(len, rows)) != {2}:  # ragged rows, or not two fields each
         return False
-    names, numbers = zip(*rows)
+    # Not ``zip(*rows)``: that holds a live iterator per row, and a
+    # bundle's worth of them is a cyclic collection paid for nothing.
+    names = list(map(itemgetter(0), rows))
+    numbers = list(map(itemgetter(1), rows))
     if set(map(type, names)) != {str} or set(map(type, numbers)) != {int}:
         return False
     if min(numbers) < _I64_MIN or max(numbers) > _I64_MAX:
@@ -563,7 +569,14 @@ def _read_str(data: bytes, pos: int, end: int) -> Tuple[str, int]:
         raise WireError(f"binary string is not UTF-8: {error}") from error
 
 
-def _decode_value(data: bytes, pos: int, end: int) -> Tuple[Any, int]:
+#: The key columns one frame has decoded: ``(width, u64 bytes)`` -> the
+#: ``AgentId`` keys built from them. A ``decode_binary`` call makes its
+#: own and drops it on return, so tables of one frame share key objects
+#: and two frames never do.
+_KeyMemo = Dict[Tuple[int, bytes], List[Any]]
+
+
+def _decode_value(data: bytes, pos: int, end: int, memo: _KeyMemo) -> Tuple[Any, int]:
     if pos >= end:
         raise WireError("binary frame truncated at a value tag")
     tag = data[pos]
@@ -589,7 +602,7 @@ def _decode_value(data: bytes, pos: int, end: int) -> Tuple[Any, int]:
         table: Dict[Any, Any] = {}
         for _ in range(count):
             key, pos = _read_str(data, pos, end)
-            table[key], pos = _decode_value(data, pos, end)
+            table[key], pos = _decode_value(data, pos, end, memo)
         return table, pos
     if tag == _T_INT:
         raw = 0
@@ -627,14 +640,14 @@ def _decode_value(data: bytes, pos: int, end: int) -> Tuple[Any, int]:
         count, pos = _read_uvarint(data, pos, end)
         items: List[Any] = []
         for _ in range(count):
-            item, pos = _decode_value(data, pos, end)
+            item, pos = _decode_value(data, pos, end, memo)
             items.append(item)
         return items, pos
     if tag == _T_TUPLE:
         count, pos = _read_uvarint(data, pos, end)
         items = []
         for _ in range(count):
-            item, pos = _decode_value(data, pos, end)
+            item, pos = _decode_value(data, pos, end, memo)
             items.append(item)
         return tuple(items), pos
     if tag == _T_FLOAT:
@@ -645,9 +658,9 @@ def _decode_value(data: bytes, pos: int, end: int) -> Tuple[Any, int]:
         count, pos = _read_uvarint(data, pos, end)
         table = {}
         for _ in range(count):
-            key, pos = _decode_value(data, pos, end)
+            key, pos = _decode_value(data, pos, end, memo)
             try:
-                table[key], pos = _decode_value(data, pos, end)
+                table[key], pos = _decode_value(data, pos, end, memo)
             except TypeError as error:  # a forged list or dict as the key
                 raise WireError(f"binary dict key: {error}") from error
         return table, pos
@@ -667,9 +680,9 @@ def _decode_value(data: bytes, pos: int, end: int) -> Tuple[Any, int]:
             raise WireError(f"malformed request op discriminator {op_kind:#x}")
         message_id, pos = _read_svarint(data, pos, end)
         size, pos = _read_svarint(data, pos, end)
-        body, pos = _decode_value(data, pos, end)
-        sender_node, pos = _decode_value(data, pos, end)
-        sender_agent, pos = _decode_value(data, pos, end)
+        body, pos = _decode_value(data, pos, end, memo)
+        sender_node, pos = _decode_value(data, pos, end, memo)
+        sender_agent, pos = _decode_value(data, pos, end, memo)
         request = Request(
             op=op,
             body=body,
@@ -682,21 +695,25 @@ def _decode_value(data: bytes, pos: int, end: int) -> Tuple[Any, int]:
     if tag == _T_RESPONSE:
         message_id, pos = _read_svarint(data, pos, end)
         size, pos = _read_svarint(data, pos, end)
-        value, pos = _decode_value(data, pos, end)
-        error, pos = _decode_value(data, pos, end)
+        value, pos = _decode_value(data, pos, end, memo)
+        error, pos = _decode_value(data, pos, end, memo)
         return Response(message_id=message_id, value=value, error=error, size=size), pos
     if tag == _T_AID_TABLE:
-        return _decode_aid_table(data, pos, end)
+        return _decode_aid_table(data, pos, end, memo)
     raise WireError(f"unknown binary tag {tag:#04x}")
 
 
-def _decode_aid_table(data: bytes, pos: int, end: int) -> Tuple[Dict, int]:
+def _decode_aid_table(
+    data: bytes, pos: int, end: int, memo: _KeyMemo
+) -> Tuple[Dict, int]:
     """Invert :func:`_encode_aid_table`.
 
     The keys are built in one C-level pass that skips ``AgentId``'s
     per-instance validation, so its checks are made here on the whole
     column: width, value range, and -- a dict cannot hold one -- a
-    repeated key.
+    repeated key. A column this frame already decoded (a bundle's
+    ``records`` and ``loads`` name the same agents) reuses those keys,
+    checks and all.
     """
     count, pos = _read_uvarint(data, pos, end)
     keys_at = pos + 2
@@ -704,13 +721,10 @@ def _decode_aid_table(data: bytes, pos: int, end: int) -> Tuple[Dict, int]:
     if count == 0 or keys_end > end:
         raise WireError("binary AgentId table is empty or truncated in its keys")
     width, kind = data[pos], data[pos + 1]
-    if not 1 <= width <= 64:
-        raise WireError(f"binary AgentId table has key width {width}")
-    raw = struct.unpack_from(f">{count}Q", data, keys_at)
-    if max(raw) >> width:
-        raise WireError(f"binary AgentId table key out of range for width {width}")
-    if len(set(raw)) != count:
-        raise WireError("binary AgentId table repeats a key")
+    column_key = (width, data[keys_at:keys_end])
+    keys = memo.get(column_key)
+    if keys is None:
+        keys = memo[column_key] = _decode_keys(data, keys_at, count, width)
     pos = keys_end
     if kind == _COL_I64:
         column: Any = _unpack_i64s(data, pos, end, count)
@@ -720,12 +734,22 @@ def _decode_aid_table(data: bytes, pos: int, end: int) -> Tuple[Dict, int]:
     elif kind == _COL_ANY:
         column = []
         for _ in range(count):
-            item, pos = _decode_value(data, pos, end)
+            item, pos = _decode_value(data, pos, end, memo)
             column.append(item)
     else:
         raise WireError(f"unknown AgentId table column kind {kind:#04x}")
-    keys = map(tuple.__new__, repeat(AgentId), zip(raw, repeat(width)))
     return dict(zip(keys, column)), pos
+
+
+def _decode_keys(data: bytes, pos: int, count: int, width: int) -> List[Any]:
+    if not 1 <= width <= 64:
+        raise WireError(f"binary AgentId table has key width {width}")
+    raw = struct.unpack_from(f">{count}Q", data, pos)
+    if max(raw) >> width:
+        raise WireError(f"binary AgentId table key out of range for width {width}")
+    if len(set(raw)) != count:
+        raise WireError("binary AgentId table repeats a key")
+    return list(map(tuple.__new__, repeat(AgentId), zip(raw, repeat(width))))
 
 
 def _unpack_i64s(data: bytes, pos: int, end: int, count: int) -> Tuple[int, ...]:
@@ -754,7 +778,7 @@ def _decode_rows(
     return (list(rows) if as_tuples else list(map(list, rows))), numbers_at + 8 * count
 
 
-def _decode_call(data: bytes, end: int) -> Tuple[Dict[str, Any], int]:
+def _decode_call(data: bytes, end: int, memo: _KeyMemo) -> Tuple[Dict[str, Any], int]:
     """Invert :func:`_encode_call`: the ``{"to", "req"}`` envelope."""
     pos = _CALL_HEAD.size
     if pos > end:
@@ -767,7 +791,7 @@ def _decode_call(data: bytes, end: int) -> Tuple[Dict[str, Any], int]:
     else:
         raise WireError(f"unknown interned op index {op_byte}")
     if width == 0:
-        target, pos = _decode_value(data, pos, end)
+        target, pos = _decode_value(data, pos, end, memo)
     elif width <= 64:
         if pos + 8 > end:
             raise WireError("binary call frame truncated inside its target")
@@ -778,18 +802,18 @@ def _decode_call(data: bytes, end: int) -> Tuple[Dict[str, Any], int]:
         pos += 8
     else:
         raise WireError(f"binary call frame has target width {width}")
-    body, pos = _decode_value(data, pos, end)
+    body, pos = _decode_value(data, pos, end, memo)
     return {"to": target, "req": Request(op=op, body=body, message_id=message_id)}, pos
 
 
-def _decode_reply(data: bytes, end: int) -> Tuple[Response, int]:
+def _decode_reply(data: bytes, end: int, memo: _KeyMemo) -> Tuple[Response, int]:
     """Invert :func:`_encode_reply`."""
     pos = _REPLY_HEAD.size
     if pos > end:
         raise WireError("binary reply frame truncated inside its header")
     _, kind, message_id = _REPLY_HEAD.unpack_from(data)
     if kind == _REPLY_VALUE:
-        value, pos = _decode_value(data, pos, end)
+        value, pos = _decode_value(data, pos, end, memo)
         return Response(message_id, value), pos
     if kind == _REPLY_ERROR:
         error, pos = _read_str(data, pos, end)
@@ -809,13 +833,14 @@ def decode_binary(body: Buffer) -> Any:
     data = body if type(body) is bytes else bytes(body)
     end = len(data)
     kind = data[0] if end else None
+    memo: _KeyMemo = {}
     try:
         if kind == _T_CALL:
-            value, pos = _decode_call(data, end)
+            value, pos = _decode_call(data, end, memo)
         elif kind == _T_REPLY:
-            value, pos = _decode_reply(data, end)
+            value, pos = _decode_reply(data, end, memo)
         else:
-            value, pos = _decode_value(data, 0, end)
+            value, pos = _decode_value(data, 0, end, memo)
     except RecursionError:
         # Outside input: a few KB of nested one-element lists.
         raise WireError("binary frame nests deeper than the decoder recurses") from None

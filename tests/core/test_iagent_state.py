@@ -264,6 +264,32 @@ class TestStatsAreNeverAskedWhichTheyAre:
         assert state.get_loads(ask, 3.0)["divisions"] == {1: [1, 0]}
 
 
+class TestAdoptedRows:
+    """``adopt`` keeps the ``[node, seq]`` lists it is handed. That is
+    sound only while ``apply`` replaces a held row and never writes into
+    one: the split saga's restore after an unanswered adopt lands one
+    bundle in two tables."""
+
+    def test_a_row_shared_by_two_tables_is_replaced_never_mutated(self):
+        agent = AgentId(5, WIDTH)
+        bundle = {"records": {agent: ["n0", 1]}, "loads": {agent: 2}}
+        new, old = IAgentState("", LoadStatistics(1.0)), IAgentState("", LoadStatistics(1.0))
+        new.adopt(bundle)
+        old.adopt(bundle)
+        assert new.table["records"][agent] is old.table["records"][agent]
+        new.put({"agent": agent, "node": "n1", "seq": 2}, 0.0)
+        assert new.table["records"][agent] == ["n1", 2]
+        assert old.table["records"][agent] == ["n0", 1]
+        assert bundle["records"][agent] == ["n0", 1]
+
+    def test_a_tuple_row_becomes_a_list(self):
+        agent = AgentId(5, WIDTH)
+        state = IAgentState("", LoadStatistics(1.0))
+        _, entry = state.adopt({"records": {agent: ("n0", 1)}})
+        assert type(state.table["records"][agent]) is list
+        assert entry["records"] == {agent: ["n0", 1]}
+
+
 class TestHandoffBundles:
     def test_merge_skips_scalars_and_keeps_unknown_keys(self):
         a, b = AgentId(1, WIDTH), AgentId(2, WIDTH)

@@ -1,10 +1,11 @@
 """Unit tests for load statistics and the evenness criterion."""
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from repro.core.load import (
+    GroupedLoadStatistics,
     LoadStatistics,
     RateWindow,
     is_even_split,
@@ -148,6 +149,72 @@ class TestDivide:
         stats.adopt_agent(A, 2)  # 1010
         stats.adopt_agent(AgentId(0b10, width=2), 5)
         assert stats.divide([4, 2, 1, 3]) == {4: None, 2: [7, 0], 1: [0, 7], 3: None}
+
+
+def sized(value):
+    return AgentId(value, 6)
+
+
+@st.composite
+def handoffs(draw):
+    """Recorded queries and earlier adoptions on a 6-bit id space (so
+    groups collide), then the agents a hand-off takes away -- held or
+    never seen -- and the loads one brings in, held agents among them."""
+    small_ids = st.integers(0, 63).map(sized)
+    history = draw(st.lists(small_ids, max_size=30))
+    adopted = draw(st.dictionaries(small_ids, st.integers(0, 50), max_size=10))
+    leaving = draw(st.lists(small_ids, unique=True, max_size=20))
+    arriving = draw(st.dictionaries(small_ids, st.integers(0, 50), max_size=20))
+    return history, adopted, leaving, arriving
+
+
+STATS = {
+    "per-agent": lambda: LoadStatistics(window=5.0),
+    "grouped": lambda: GroupedLoadStatistics(window=5.0, group_depth=2),
+}
+
+
+def built(kind, history, adopted):
+    stats = STATS[kind]()
+    for now, agent in enumerate(history):
+        stats.record_query(agent, float(now))
+    for agent, load in adopted.items():
+        stats.adopt_agent(agent, load)
+    return stats
+
+
+def tables(stats):
+    """Every accumulator table, its order included."""
+    return {
+        name: list(value.items()) for name, value in vars(stats).items() if type(value) is dict
+    }
+
+
+@pytest.mark.parametrize("kind", list(STATS))
+class TestBulkHandOff:
+    """``release`` / ``absorb`` are the per-agent loops they replace."""
+
+    @given(handoffs())
+    @example(([sized(1)], {}, [sized(1), sized(2)], {}))  # one held, one never seen
+    def test_release_is_load_of_then_forget(self, kind, case):
+        history, adopted, leaving, _ = case
+        bulk, loop = built(kind, history, adopted), built(kind, history, adopted)
+        expected = {}
+        for agent in leaving:
+            expected[agent] = loop.load_of(agent)
+            loop.forget_agent(agent)
+        assert list(bulk.release(leaving).items()) == list(expected.items())
+        assert tables(bulk) == tables(loop)
+
+    @given(handoffs())
+    @example(([sized(1)], {sized(2): 4}, [], {sized(1): 3, sized(3): 5}))  # 1 is held
+    def test_absorb_is_adopt_agent(self, kind, case):
+        history, adopted, _, arriving = case
+        bulk, loop = built(kind, history, adopted), built(kind, history, adopted)
+        bulk.absorb(arriving)
+        for agent, load in arriving.items():
+            loop.adopt_agent(agent, load)
+        assert tables(bulk) == tables(loop)
 
 
 class TestSplitLoads:

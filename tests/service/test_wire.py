@@ -9,14 +9,18 @@ side (truncated, oversized and garbage frames must raise
 :class:`WireError`, never crash or mis-decode).
 """
 
+import gc
 import hashlib
 import json
 import struct
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.iagent_state import IAgentState
+from repro.core.load import LoadStatistics
 from repro.platform.messages import Request, Response
 from repro.platform.naming import AgentId
 from repro.service.wire import (
@@ -325,8 +329,21 @@ class TestAgentIdTables:
         assert json_round_trip(table) == table
 
 
+def handoff_bundle(count):
+    """A split's hand-off: ``records`` and ``loads`` over the same agents
+    (one key column twice), and a capability table over two of them."""
+    agents = ids(count)
+    return {
+        "records": {agent: [f"node-{n % 5}", n] for n, agent in enumerate(agents)},
+        "loads": {agent: n * 3 for n, agent in enumerate(agents)},
+        "capabilities": {agents[0]: {"gpu": True}, agents[3]: {"tier": "core"}},
+    }
+
+
 def handoff_frame():
-    """A small ``adopt`` request: every column kind in one frame."""
+    """A small ``adopt`` request: every column kind in one frame, and
+    ``records`` / ``loads`` sharing a key column -- a corrupted copy of
+    it in the second table must still be caught."""
     agents = ids(6)
     bundle = {
         "records": {agent: [f"n{n % 2}", n] for n, agent in enumerate(agents)},
@@ -424,6 +441,124 @@ class TestAgentIdTableRejection:
         body = bytes([TABLE]) + b"\xff" * 9 + b"\x01" + bytes([64, 1]) + b"\x00" * 64
         with pytest.raises(WireError):
             decode_binary(body)
+
+
+# ----------------------------------------------------------------------
+# One frame, one key object per agent
+# ----------------------------------------------------------------------
+
+
+def shared_columns(width=8):
+    """``{"records", "loads"}`` over three ``width``-bit ids, encoded,
+    and the offset of the ``loads`` table's header (tag, count, width,
+    column kind, keys)."""
+    agents = [AgentId(value, width) for value in (3, 200, 17)]
+    body = encode_binary(
+        {
+            "records": {agent: ["n0", n] for n, agent in enumerate(agents)},
+            "loads": dict.fromkeys(agents, 1),
+        }
+    )
+    loads_at = body.index(b"\x05loads") + 6
+    assert body[loads_at] == TABLE
+    return bytearray(body), loads_at
+
+
+class TestSharedKeyColumns:
+    """Tables of one frame with one key column decode to one set of
+    ``AgentId`` objects; the column is checked the first time only, and
+    any other column -- a corrupted copy included -- is checked again."""
+
+    def test_records_and_loads_share_keys(self):
+        bundle = decode_binary(encode_binary(handoff_bundle(20)))
+        assert all(a is b for a, b in zip(bundle["records"], bundle["loads"]))
+        assert bundle == handoff_bundle(20)
+
+    def test_two_frames_share_no_key(self):
+        frame = encode_binary(handoff_bundle(20))
+        first, second = decode_binary(frame), decode_binary(frame)
+        held = {id(key) for table in first.values() for key in table}
+        assert not held & {id(key) for table in second.values() for key in table}
+
+    def test_a_repeated_key_in_the_second_column_is_rejected(self):
+        body, loads_at = shared_columns()
+        keys_at = loads_at + 4
+        body[keys_at + 8 : keys_at + 16] = body[keys_at : keys_at + 8]
+        with pytest.raises(WireError, match="repeats a key"):
+            decode_binary(bytes(body))
+
+    def test_a_narrower_width_on_the_second_column_is_range_checked(self):
+        body, loads_at = shared_columns()
+        body[loads_at + 2] = 7  # the id 200 does not fit 7 bits
+        with pytest.raises(WireError, match="out of range"):
+            decode_binary(bytes(body))
+
+    def test_a_wider_width_on_the_second_column_gets_its_own_keys(self):
+        body, loads_at = shared_columns()
+        body[loads_at + 2] = 16
+        decoded = decode_binary(bytes(body))
+        assert [key.width for key in decoded["records"]] == [8, 8, 8]
+        assert [key.width for key in decoded["loads"]] == [16, 16, 16]
+
+
+@contextmanager
+def collector_paused():
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def tracked_per_record(action, records):
+    """How far ``action()`` raises the young generation's count, per
+    record: the container objects it allocates and leaves alive."""
+    gc.collect()
+    with collector_paused():
+        before = gc.get_count()[0]
+        result = action()
+        return result, (gc.get_count()[0] - before) / records
+
+
+class TestHandOffAllocations:
+    """A split's hand-off allocates about one container per moved record
+    per hop -- the row -- and no cyclic collection is paid for it."""
+
+    RECORDS = 2000
+
+    def adopt_frame(self):
+        bundle = handoff_bundle(self.RECORDS)
+        del bundle["capabilities"]
+        request = Request(op="adopt", body=bundle, message_id=1)
+        return encode_binary({"to": ids(1)[0], "req": request})
+
+    def test_decode_then_adopt_budget(self):
+        frame = self.adopt_frame()
+        call, decoded = tracked_per_record(lambda: decode_binary(frame), self.RECORDS)
+        assert decoded <= 2.05  # an id and a [node, seq] row per record
+        state = IAgentState("", LoadStatistics(window=1.0))
+        _, adopted = tracked_per_record(lambda: state.adopt(call["req"].body), self.RECORDS)
+        assert adopted <= 0.05
+        assert state.table["records"] == handoff_bundle(self.RECORDS)["records"]
+
+    def test_encoding_a_bundle_runs_no_collection(self):
+        request = Request(op="adopt", body=handoff_bundle(self.RECORDS), message_id=1)
+        value = {"to": ids(1)[0], "req": request}
+        runs = []
+
+        def count(phase, info):
+            if phase == "start":
+                runs.append(info["generation"])
+
+        gc.collect()
+        gc.callbacks.append(count)
+        try:
+            encode_binary(value)
+        finally:
+            gc.callbacks.remove(count)
+        assert runs == []
 
 
 # ----------------------------------------------------------------------
@@ -745,16 +880,7 @@ class TestFramesArePinned:
         )
 
     def test_extract_reply_of_1000_records(self):
-        agents = ids(1000)
-        reply = Response(
-            message_id=9,
-            value={
-                "status": "ok",
-                "records": {agent: [f"node-{n % 5}", n] for n, agent in enumerate(agents)},
-                "loads": {agent: n * 3 for n, agent in enumerate(agents)},
-                "capabilities": {agents[0]: {"gpu": True}, agents[3]: {"tier": "core"}},
-            },
-        )
+        reply = Response(message_id=9, value={"status": "ok", **handoff_bundle(1000)})
         frame = encode_frame(reply)
         # 33 140 bytes (33 135 before the 10-byte reply header): the
         # head spelled out, the whole by its digest.
@@ -778,6 +904,17 @@ class TestFramesArePinned:
         decoded = decode_frame(frame)
         assert decoded.value == reply.value
         assert {type(key) for key in decoded.value["records"]} == {AgentId}
+
+    def test_adopt_request_of_1000_records(self):
+        # The other hop of a split: coordinator -> new IAgent.
+        body = {**handoff_bundle(1000), "pattern": "1x0"}
+        request = Request(op="adopt", body=body, message_id=10)
+        frame = encode_frame({"to": self.IAGENT, "req": request})
+        assert len(frame) == 33151
+        assert hashlib.sha256(frame).hexdigest() == (
+            "a9a44de9bcddae90ebe62a40c5eb84c21c8079f6653ced77c349a4b50d218154"
+        )
+        assert decode_frame(frame)["req"].body == body
 
 
 # ----------------------------------------------------------------------
