@@ -39,6 +39,7 @@ from typing import Any, Dict, Generator, List
 
 from repro.core.errors import CoreError
 from repro.core.hash_function import HashFunction
+from repro.core.iagent_state import merge_handoffs, route_handoff
 from repro.core.rehashing import RehashPolicy, merge_saga, split_saga
 from repro.platform.agents import Agent
 from repro.platform.messages import Request, RpcError
@@ -145,12 +146,49 @@ class HAgent(Agent):
                     # ``node``, knows where a migrating IAgent is now.
                     owner, _node, op, body = args
                     reply = yield from self._rpc_iagent(owner, op, body)
+                elif kind == "hand-off":
+                    reply = yield from self._relay(*args)
                 elif kind == "spawn":
                     reply = yield from self.mechanism.spawn_iagent()
                 else:
                     reply = yield from self.mechanism.retire_iagent(args[0])
             except (RpcError, CoreError):
                 reply = None  # unreachable, or not live any more
+
+    def _relay(self, sources: List, destinations: List) -> Generator:
+        """Perform a hand-off through this agent: ``extract`` (or
+        ``extract-all``) at each source, fold the replies, ``adopt`` at
+        each destination -- a split's one new leaf takes the whole
+        bundle, a merge's absorbers their share by the updated tree.
+        Answers ``{destination: records taken}`` per acknowledged adopt.
+
+        The live coordinator has the sources push instead; the simulator
+        keeps the relay so that its runs stay message for message what
+        they were (DESIGN.md §5d)."""
+        replies = []
+        for owner, _node, keep in sources:
+            op, body = ("extract-all", {}) if keep is None else ("extract", {"pattern": keep})
+            try:
+                replies.append((yield from self._rpc_iagent(owner, op, body)))
+            except (RpcError, CoreError):
+                continue  # that source keeps its records
+        bundle = merge_handoffs(replies)
+        patterns = {owner: pattern for owner, _node, pattern in destinations}
+        if any(keep is None for _owner, _node, keep in sources):
+            routed = route_handoff(self.tree, bundle, patterns)
+        else:
+            (new_owner,) = patterns
+            routed = {new_owner: bundle}
+        took = {}
+        for owner, handoff in routed.items():
+            if owner in patterns:
+                handoff["pattern"] = patterns[owner]
+            try:
+                yield from self._rpc_iagent(owner, "adopt", handoff)
+            except (RpcError, CoreError):
+                continue
+            took[owner] = len(handoff.get("records", ()))
+        return took
 
     # ------------------------------------------------------------------
     # Helpers

@@ -33,8 +33,11 @@ of the one record table in :mod:`repro.core.iagent_state`:
 idempotent: a record only yields to an equal or newer sequence number. A
 hand-off bundle is ``{"records", "loads", "capabilities"}`` keyed by
 agent id; this agent adds ``"pending"`` (relay mail, below). Simulator
-only: ``deposit-message``; live only: the ``*-batch`` forms; ``ping``
-answers on both with driver-specific fields.
+only: ``deposit-message``; live only: the ``*-batch`` forms and
+``hand-off`` (``{"pattern": keep | None, "destinations": [[owner, addr,
+pattern], ...]}`` -> status + ``took``: an ``extract`` / ``extract-all``
+whose bundles this IAgent pushes to the destinations itself, one
+``adopt`` each); ``ping`` answers on both with driver-specific fields.
 
 Replies are dicts with a ``"status"`` key: ``"ok"``, ``"not-responsible"``
 or ``"no-record"``. Using statuses instead of exceptions keeps the

@@ -35,7 +35,7 @@ coordinators.
 from __future__ import annotations
 
 from itertools import filterfalse
-from typing import Any, Callable, Dict, Iterable, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.discovery.capability import matches_predicate, validate_capabilities
 from repro.discovery.hamming import ids_within
@@ -288,6 +288,38 @@ class IAgentState:
         """Give up everything (this IAgent is being merged away)."""
         entry = {"op": "clear"}
         return self._handoff(self.apply(self.table, entry)), entry
+
+    def hand_off(
+        self, keep: Optional[str], patterns: Sequence[str], now: float
+    ) -> Tuple[List[Dict[str, Any]], Dict[str, Any]]:
+        """Give records up to other leaves (split / merge): :meth:`extract`
+        down to ``keep`` (``None``: :meth:`extract_all`), then split the
+        displaced bundle by the destinations' ``patterns``.
+
+        Returns one bundle per pattern, in order, each carrying its
+        pattern -- what that destination adopts -- and the journal
+        entry. A lone destination takes everything displaced, as a
+        split's new leaf does; among several, an agent goes to the first
+        pattern that covers it.
+        """
+        if keep is None:
+            displaced, entry = self.extract_all()
+        else:
+            displaced, entry = self.extract({"pattern": keep}, now)
+        del displaced["status"]
+        if len(patterns) == 1:
+            displaced["pattern"] = patterns[0]
+            return [displaced], entry
+        tests = [compile_coverage(pattern) for pattern in patterns]
+        bundles: List[Dict[str, Any]] = [{"pattern": pattern} for pattern in patterns]
+        for key, part in displaced.items():
+            tables = [bundle.setdefault(key, {}) for bundle in bundles]
+            for agent, value in part.items():
+                for covers, table in zip(tests, tables):
+                    if covers(agent):
+                        table[agent] = value
+                        break
+        return bundles, entry
 
     def _handoff(self, displaced: Dict[str, Dict]) -> Dict[str, Any]:
         """The hand-off bundle for displaced records; their load

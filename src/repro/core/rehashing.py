@@ -236,6 +236,10 @@ def _walk(
 #
 #   ("call", target, node, op, body)  ->  the reply dict of an IAgent, or
 #                                         of the node's "host" endpoint
+#   ("hand-off", sources, destinations)
+#                                     ->  {destination owner: records it took}
+#                                         for the destinations that
+#                                         acknowledged
 #   ("spawn",)                        ->  (new_owner, new_node), hosted and empty
 #   ("retire", owner, node)           ->  anything
 #   ("restore", owner, node, bundle)  ->  the IAgent's reply to an *unfenced*
@@ -246,7 +250,14 @@ def _walk(
 #                                         shard, best effort
 #
 # ``node`` is where the primary copy places the IAgent (``None`` when it
-# does not know). A request the driver could not perform is answered
+# does not know). A hand-off's ``sources`` are ``(owner, node,
+# keep_pattern)`` -- each source shrinks to its pattern, or with
+# ``None`` gives everything up -- and its ``destinations`` ``(owner,
+# node, pattern)``: what the sources displace goes to the destination
+# that covers it, and every destination adopts its pattern. The live
+# driver has each source push its records straight to the destinations;
+# the simulator's relays them through the coordinator (DESIGN.md §5d).
+# A request the driver could not perform is answered
 # with ``None``; the saga, not the driver, decides what that means: a
 # failure *before* the publish abandons the rehash untouched, a failure
 # *after* it is skipped -- the published function already routes to the
@@ -270,6 +281,12 @@ class Refused(Exception):
 
 def _call(coord: Any, owner: Any, op: str, body: Dict) -> Tuple:
     return ("call", owner, coord.function.iagent_nodes.get(owner), op, body)
+
+
+def _placed(coord: Any, owner: Any) -> Tuple[Any, Any, str]:
+    """``(owner, node, pattern)``: a leaf, where it is, what it covers."""
+    function = coord.function
+    return owner, function.iagent_nodes.get(owner), function.tree.hyper_label(owner).pattern()
 
 
 def _ready(coord: Any, owner: Any) -> bool:
@@ -330,15 +347,11 @@ def split_saga(coord: Any, owner: Any) -> Saga:
 
     # Every affected owner shrinks to its new coverage; everything
     # evicted belongs to the new IAgent.
-    replies = []
-    for affected in outcome.affected_owners:
-        pattern = tree.hyper_label(affected).pattern()
-        reply = yield _call(coord, affected, "extract", {"pattern": pattern})
-        if reply is not None:
-            replies.append(reply)
-    bundle = merge_handoffs(replies)
-    bundle["pattern"] = tree.hyper_label(new_owner).pattern()
-    yield _call(coord, new_owner, "adopt", bundle)
+    took = yield (
+        "hand-off",
+        [_placed(coord, affected) for affected in outcome.affected_owners],
+        [_placed(coord, new_owner)],
+    )
 
     now = coord._now()
     policy.set_cooldown(owner, now)
@@ -350,7 +363,7 @@ def split_saga(coord: Any, owner: Any) -> Saga:
         kind=kind,
         bit=bit,
         even=planned.even,
-        moved=len(bundle["records"]),
+        moved=sum((took or {}).values()),
     )
 
 
@@ -359,27 +372,26 @@ def merge_saga(coord: Any, owner: Any) -> Saga:
     records through the updated tree to the absorbers, retire it."""
     if not _ready(coord, owner) or len(coord.function.tree) <= 1:
         return
-    tree = coord.function.tree
     node = coord.function.iagent_nodes.get(owner)
     outcome = coord._publish({"op": "merge", "owner": owner})
     coord.merges += 1
 
-    bundle = yield ("call", owner, node, "extract-all", {})
-    if bundle is None:
-        bundle = {}  # the IAgent vanished, and its table with it
-    routed = route_handoff(tree, bundle, outcome.absorbers)
-    for absorber, handoff in routed.items():
-        handoff["pattern"] = tree.hyper_label(absorber).pattern()
-        reply = yield _call(coord, absorber, "adopt", handoff)
-        if reply is not None:
-            coord.policy.set_cooldown(absorber, coord._now())
+    # Everything goes; each absorber gets its widened pattern, with
+    # records or without.
+    took = yield (
+        "hand-off",
+        [(owner, node, None)],
+        [_placed(coord, absorber) for absorber in outcome.absorbers],
+    )
+    for absorber in took or ():
+        coord.policy.set_cooldown(absorber, coord._now())
     yield ("retire", owner, node)
     coord._log(
         "merge",
         owner=owner,
         kind=outcome.kind,
         absorbers=list(outcome.absorbers),
-        moved=len(bundle.get("records", ())),
+        moved=sum((took or {}).values()),
     )
 
 

@@ -794,6 +794,8 @@ class HAgentServer(_FramedServer):
                         target, node, op, body = args
                         # No known node: a failed call like any other.
                         reply = node and await self._rpc_node(node, op, body, target)
+                    elif kind == "hand-off":
+                        reply = await self._hand_off(*args)
                     elif kind == "spawn":
                         owner, node = self.namer.next_id(), self._pick_node()
                         await self._rpc_node(
@@ -839,6 +841,46 @@ class HAgentServer(_FramedServer):
                         reply = Refused(str(error))
                 except ServiceRpcError:
                     pass
+
+    async def _hand_off(
+        self, sources: List[Tuple], destinations: List[Tuple]
+    ) -> Optional[Dict[Any, int]]:
+        """A saga's ``hand-off``: one fenced ``hand-off`` per source, in
+        order. Each source pushes what it gives up straight to the
+        destinations, at the addresses this node book holds, so no
+        record crosses this process. The budget is two timeouts: a
+        source answers after its pushes do. A destination no push was
+        acknowledged by then gets its pattern in a record-less fenced
+        ``adopt`` from here, as the relay's adopt gave it whatever the
+        sources did. Answers ``{destination: records taken}`` over the
+        acknowledged pushes, or ``None`` when no source answered."""
+        pushes = [
+            (owner, self.node_addrs.get(node), pattern)
+            for owner, node, pattern in destinations
+        ]
+        took: Dict[Any, int] = {}
+        answered = False
+        for owner, node, keep in sources:
+            body = {"pattern": keep, "destinations": pushes}
+            try:
+                reply = node and await self._rpc_node(
+                    node, "hand-off", body, owner, timeout=2 * self.config.rpc_timeout
+                )
+            except (ServiceRpcError, RemoteOpError):
+                continue  # a stale-epoch refusal has demoted this replica
+            if not reply:
+                continue
+            answered = True
+            for (destination, _addr, _pattern), count in zip(pushes, reply["took"]):
+                if count is not None:
+                    took[destination] = took.get(destination, 0) + count
+        for owner, node, pattern in destinations:
+            if owner not in took and node is not None:
+                try:
+                    await self._rpc_node(node, "adopt", {"pattern": pattern}, owner)
+                except (ServiceRpcError, RemoteOpError):
+                    pass
+        return took if answered else None
 
     # ------------------------------------------------------------------
     # Cross-shard merge: hand a whole prefix to the sibling shard.

@@ -55,6 +55,7 @@ from repro.service import wire
 from repro.service.client import (
     AGENT_NOT_FOUND,
     NOT_PRIMARY,
+    STALE_EPOCH,
     Address,
     ClientConfig,
     RemoteOpError,
@@ -472,7 +473,7 @@ class IAgentEndpoint:
     def durable_state(self) -> Dict:
         return self.state.table
 
-    def _commit(self, outcome: Tuple[Dict, Optional[Dict]]) -> Dict:
+    def _commit(self, outcome: Tuple[Any, Optional[Dict]]) -> Any:
         """Journal the entry a core mutation applied (folding the log
         into a snapshot when due), then release its reply."""
         reply, entry = outcome
@@ -526,6 +527,50 @@ class IAgentEndpoint:
     def op_adopt(self, body: Dict) -> Dict:
         self.node.check_fence(body, "adopt")
         return self._commit(self.state.adopt(body))
+
+    def op_hand_off(self, body: Dict) -> Any:
+        """Split / merge: give records up (journaled as ``extract`` /
+        ``clear``) and push them straight to the leaves that take them.
+
+        ``body["destinations"]`` is ``[owner, addr, pattern]`` per leaf;
+        each gets one ``adopt`` through this node's channel -- a leaf on
+        this node too -- stamped with the coordinator's fence, so its
+        node fences the push as it would the coordinator's own adopt.
+        The extract runs now, in frame order; the reply waits for the
+        pushes.
+        """
+        self.node.check_fence(body, "hand-off")
+        destinations = body["destinations"]
+        bundles = self._commit(
+            self.state.hand_off(
+                body["pattern"], [pattern for *_, pattern in destinations], self.node._now()
+            )
+        )
+        stamp = {key: body[key] for key in ("epoch", "claimant", "shard") if key in body}
+        return self._push(destinations, bundles, stamp)
+
+    async def _push(
+        self, destinations: List, bundles: List[Dict], stamp: Dict
+    ) -> Dict[str, Any]:
+        """One fenced ``adopt`` per destination; ``took`` is what each
+        acknowledged (``None``: no acknowledgement). A ``stale-epoch``
+        refusal fails the whole hand-off with that code, so the
+        coordinator demotes."""
+        took: List[Optional[int]] = []
+        for (owner, addr, _pattern), bundle in zip(destinations, bundles):
+            count = None
+            if addr is not None:
+                bundle.update(stamp)
+                try:
+                    await self.node.channel.call(addr, owner, "adopt", bundle)
+                    count = len(bundle["records"])
+                except RemoteOpError as error:
+                    if error.code == STALE_EPOCH:
+                        raise _Reject(str(error)) from None
+                except ServiceRpcError:
+                    pass
+            took.append(count)
+        return {"status": OK, "took": took}
 
     def op_set_coverage(self, body: Dict) -> Dict:
         self.node.check_fence(body, "set-coverage")

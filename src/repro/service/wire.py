@@ -169,6 +169,7 @@ INTERNED_OPS: Tuple[str, ...] = (
     "discover-similar-batch",
     "discover-capability-batch",
     "set-capabilities",
+    "hand-off",
 )
 _OP_INDEX: Dict[str, int] = {name: index for index, name in enumerate(INTERNED_OPS)}
 

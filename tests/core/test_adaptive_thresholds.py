@@ -164,7 +164,8 @@ class TestBothCoordinators:
     def test_same_scenario_same_published_entries_and_log(self):
         """Split a 16-record leaf, then merge the new leaf back: once in
         virtual time, once through an ``HAgentServer`` whose fenced
-        sender is answered from in-memory ``IAgentState`` leaves."""
+        sender is answered from in-memory ``IAgentState`` leaves (the
+        simulator relays each hand-off, the live sources push theirs)."""
         import asyncio
 
         from repro.core.iagent_state import IAgentState
@@ -208,13 +209,16 @@ class TestBothCoordinators:
                 del leaves[body["owner"]]
             elif op == "get-loads":
                 return leaves[target].get_loads(body, 0.0)
-            elif op == "extract":
-                return leaves[target].extract(body, 0.0)[0]
-            elif op == "extract-all":
-                return leaves[target].extract_all()[0]
             else:
-                assert op == "adopt", op
-                return leaves[target].adopt(body)[0]
+                # The source's endpoint: give up, then push to each taker.
+                assert op == "hand-off", op
+                destinations = body["destinations"]
+                bundles, _entry = leaves[target].hand_off(
+                    body["pattern"], [pattern for *_, pattern in destinations], 0.0
+                )
+                for (taker, _addr, _pattern), bundle in zip(destinations, bundles):
+                    leaves[taker].adopt(bundle)
+                return {"status": "ok", "took": [len(b["records"]) for b in bundles]}
 
         server._rpc_node = rpc_node
 

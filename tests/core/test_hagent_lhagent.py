@@ -198,6 +198,34 @@ class TestLoadReports:
         )
         assert lhagent.copy.tree.to_spec() == hagent.tree.to_spec()
 
+    def test_moved_is_what_the_new_leaf_acknowledged(self):
+        """The relay's ``moved`` counts adopted records: a split whose
+        adopt was lost logs none, though the extract gave eight up."""
+        runtime = build_runtime()
+        mechanism = install_hash_mechanism(runtime)
+        hagent = mechanism.hagent
+        (owner,) = list(mechanism.iagents)
+        self.seed_records(runtime, mechanism.iagents[owner])
+        real_rpc = hagent._rpc_iagent
+
+        def losing_adopts(target, op, body=None):
+            if op == "adopt":
+                raise RpcTimeout("adopt lost")
+            return (yield from real_rpc(target, op, body))
+
+        hagent._rpc_iagent = losing_adopts
+        rpc(
+            runtime,
+            mechanism.hagent_node,
+            mechanism.hagent_id,
+            "load-report",
+            self.overload_report(mechanism, owner),
+        )
+        drain(runtime, 1.0)
+        (entry,) = hagent.rehash_log
+        assert entry["event"] == "split" and entry["moved"] == 0
+        assert len(mechanism.iagents[owner].records) == 8
+
     def test_immature_report_ignored(self):
         runtime = build_runtime()
         mechanism = install_hash_mechanism(runtime)

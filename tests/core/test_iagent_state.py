@@ -321,6 +321,50 @@ class TestHandoffBundles:
         }
 
 
+class TestHandOff:
+    """``IAgentState.hand_off``: the giving side of a split or merge, one
+    bundle per destination, ready to adopt."""
+
+    IDS = [AgentId(value, WIDTH) for value in range(0, 1 << WIDTH, 3)]
+
+    def loaded(self):
+        state = IAgentState("", LoadStatistics(1.0))
+        for seq, agent in enumerate(self.IDS):
+            body = {"agent": agent, "node": f"n{seq % 3}", "seq": seq}
+            if seq % 2:
+                body["capabilities"] = {"gpu": True}
+            state.put(body, 0.0)
+        return state
+
+    def test_each_agent_goes_to_the_first_pattern_covering_it(self):
+        state = self.loaded()
+        patterns = ["x0", "x1", "1"]
+        bundles, entry = state.hand_off(None, patterns, 0.0)
+        assert entry == {"op": "clear"}
+        assert state.table == IAgentState.initial_table()
+        held = {}
+        for pattern, bundle in zip(patterns, bundles):
+            assert bundle["pattern"] == pattern
+            assert all(covers(pattern, agent) for agent in bundle["records"])
+            assert bundle["loads"] == {agent: 1 for agent in bundle["records"]}
+            assert set(bundle["capabilities"]) <= set(bundle["records"])
+            held.update(bundle["records"])
+        assert bundles[2]["records"] == {}  # "x0" and "x1" came first
+        assert set(held) == set(self.IDS)
+
+    def test_a_lone_destination_takes_what_the_extract_displaced(self):
+        state = self.loaded()
+        (bundle,), entry = state.hand_off("0", ["1"], 0.0)
+        assert entry == {"op": "extract", "pattern": "0"}
+        assert bundle["pattern"] == "1"
+        assert set(bundle["records"]) == {a for a in self.IDS if covers("1", a)}
+        assert set(state.table["records"]) == {a for a in self.IDS if covers("0", a)}
+        taker = IAgentState(None, LoadStatistics(1.0))
+        taker.adopt(bundle)
+        assert taker.table["coverage"] == "1"
+        assert taker.table["records"] == bundle["records"]
+
+
 class TestImportHygiene:
     """The core must stay importable without any IO layer."""
 

@@ -5,9 +5,12 @@ simulator clock.
 ``CoordinatorState`` with its journaled ``HashFunction``, a real
 ``RehashPolicy``, counters, a log) and the *driver* (one real
 ``IAgentState`` per leaf and the node it sits on, performing the saga's
-requests as plain method calls). The sweep fails every request the saga
-makes, one per run, two ways -- the request never arrives, or it is
-performed and the reply is lost -- and checks after each run what must
+requests as plain method calls; a ``hand-off`` as the live driver
+performs it, the sources extracting and pushing to the destinations).
+The sweep fails every request the saga makes, one per run, three ways
+-- the request never arrives; for a hand-off, the sources extract and
+every push is lost; or it is performed and the reply is lost -- and
+checks after each run what must
 hold whichever request failed: for split and merge, for the takeover of
 a dead leaf, and for the cross-shard merge across two worlds, where the
 buddy's absorb saga runs inside the initiator's commit request and its
@@ -150,6 +153,9 @@ class World:
         if kind in ("shard", "broadcast"):
             shard, op, body = args
             return self.coordinator_op(self.peers[shard], op, body)
+        if kind == "hand-off":
+            sources, destinations = args
+            return self.push(destinations, self.give_up(sources, destinations))
         if kind == "restore":
             owner, node, body = args
             op = "adopt"  # unfenced, which the world does not model
@@ -160,8 +166,8 @@ class World:
             self.leaves[body["owner"]] = IAgentState(body["pattern"], self.new_stats())
             self.placed[body["owner"]] = node
             return {"status": OK}
-        leaf = self.leaves.get(owner)
-        if leaf is None or self.placed[owner] != node:
+        leaf = self.hosted(owner, node)
+        if leaf is None:
             return None
         if op == "get-loads":
             return leaf.get_loads(body, self.clock)
@@ -171,6 +177,41 @@ class World:
             return leaf.extract_all()[0]
         assert op == "adopt", op
         return leaf.adopt(body)[0]
+
+    def hosted(self, owner, node):
+        """The leaf ``owner`` if it lives on ``node``, else ``None``."""
+        leaf = self.leaves.get(owner)
+        return leaf if leaf is not None and self.placed[owner] == node else None
+
+    def give_up(self, sources, destinations):
+        """A hand-off's first half, as the live driver's sources perform
+        it: each source extracts (``IAgentState.hand_off``) and splits
+        what it gave up by the destinations. Returns the pushes."""
+        patterns = [pattern for *_, pattern in destinations]
+        return [
+            leaf.hand_off(keep, patterns, self.clock)[0]
+            for owner, node, keep in sources
+            if (leaf := self.hosted(owner, node)) is not None
+        ]
+
+    def push(self, destinations, pushes):
+        """The second half: every bundle is adopted where it is going,
+        then each destination no push reached adopts its bare pattern
+        (the coordinator's record-less adopt). The answer, as the live
+        driver's: records taken per destination that acknowledged,
+        ``None`` if no source answered."""
+        took = {}
+        for bundles in pushes:
+            for (owner, node, _pattern), bundle in zip(destinations, bundles):
+                leaf = self.hosted(owner, node)
+                if leaf is not None:
+                    leaf.adopt(bundle)
+                    took[owner] = took.get(owner, 0) + len(bundle["records"])
+        for owner, node, pattern in destinations:
+            leaf = self.hosted(owner, node)
+            if owner not in took and leaf is not None:
+                leaf.adopt({"pattern": pattern})
+        return took if pushes else None
 
     def coordinator_op(self, peer, op, body):
         """What another shard's coordinator answers: the prepare's grant,
@@ -193,16 +234,40 @@ class World:
             peer.apply_shard_release(body["into"])
         return None
 
-    def answer(self, performer, request):
-        """Number ``request`` in this run; request number ``fail_at``
-        fails -- never performed (``lose="request"``) or performed with
-        its reply dropped (``lose="reply"``)."""
+    def number(self):
+        """Number one request in this run; whether it is the one to fail."""
         made, self.made = self.made, self.made + 1
         assert made < 100, "a saga that never ends"
-        if made == self.fail_at and self.lose == "request":
+        return made == self.fail_at
+
+    def answer(self, performer, request):
+        """Request number ``fail_at`` fails -- never performed
+        (``lose="request"``) or performed with its reply dropped (any
+        other ``lose``: a request that pushes nothing has no push to
+        lose)."""
+        failing = self.number()
+        if failing and self.lose == "request":
             return None
         reply = performer.perform(*request)
-        return None if made == self.fail_at else reply
+        return None if failing else reply
+
+    def handing_off(self, request):
+        """A hand-off, with a pause where the live one has a window: the
+        sources gave up, nothing is pushed yet. Failing, the sources'
+        part is lost before any source extracts (``lose="request"``),
+        after the extracts with every push (``"push"``), or after both
+        with the reply (``"reply"``); the coordinator's record-less
+        adopts still go."""
+        _kind, sources, destinations = request
+        failing = self.number()
+        pushes = []
+        if not (failing and self.lose == "request"):
+            pushes = self.give_up(sources, destinations)
+        yield request
+        if failing and self.lose == "push":
+            pushes = []
+        took = self.push(destinations, pushes)
+        return None if failing else took
 
     def drive(self, performer, saga):
         """Step a saga nested in this run's request; its return value."""
@@ -215,9 +280,10 @@ class World:
             reply = self.answer(performer, request)
 
     def steps(self, saga, fail_at=None, lose="request"):
-        """Step ``saga`` one request per ``next()``, failing request
-        number ``fail_at`` (see :meth:`answer`); ``result`` is what the
-        saga returned."""
+        """Step ``saga`` one pause per ``next()`` -- after each request,
+        and inside a hand-off (see :meth:`handing_off`) -- failing
+        request number ``fail_at`` (see :meth:`answer`); ``result`` is
+        what the saga returned."""
         self.made, self.fail_at, self.lose = 0, fail_at, lose
         self.result, reply = None, None
         while True:
@@ -226,7 +292,10 @@ class World:
             except StopIteration as done:
                 self.result = done.value
                 return
-            reply = self.answer(self, request)
+            if request[0] == "hand-off":
+                reply = yield from self.handing_off(request)
+            else:
+                reply = self.answer(self, request)
             yield request
 
     def run(self, saga, fail_at=None, lose="request"):
@@ -385,10 +454,10 @@ def merge_of(kind):
 
 
 SCENARIOS = {
-    "split-leaf": (leaf_split, "split", "simple", 4),
-    "split-path": (path_split, "split", "complex", 6),
-    "merge-simple": (merge_of("simple"), "merge", "simple", 3),
-    "merge-complex": (merge_of("complex"), "merge", "complex", 4),
+    "split-leaf": (leaf_split, "split", "simple", 3),
+    "split-path": (path_split, "split", "complex", 4),
+    "merge-simple": (merge_of("simple"), "merge", "simple", 2),
+    "merge-complex": (merge_of("complex"), "merge", "complex", 2),
 }
 
 
@@ -412,7 +481,7 @@ class TestSaga:
         for owner, leaf in world.leaves.items():
             assert leaf.table["coverage"] == tree.hyper_label(owner).pattern()
 
-    @pytest.mark.parametrize("lose", ["request", "reply"])
+    @pytest.mark.parametrize("lose", ["request", "push", "reply"])
     def test_every_failure_point(self, name, lose):
         scenario, _event, _kind, requests = SCENARIOS[name]
         for fail_at in range(requests):
@@ -440,6 +509,46 @@ class TestSaga:
                 assert len(world.rehash_log) == logged + 1
 
 
+class TestMovedCountsWhatLanded:
+    """``moved`` in the rehash log is what the destinations acknowledged,
+    not what the sources gave up."""
+
+    def test_a_split_whose_new_leaf_died_moved_nothing(self):
+        world, saga = leaf_split()
+        spawn = world.spawn
+
+        def spawn_then_crash():
+            owner, node = spawn()
+            del world.leaves[owner]
+            return owner, node
+
+        world.spawn = spawn_then_crash
+        world.run(saga)
+        entry = world.rehash_log[-1]
+        assert entry["event"] == "split" and entry["moved"] == 0
+
+    @pytest.mark.parametrize("name", SCENARIOS)
+    def test_destinations_that_died_after_the_extract_took_nothing(self, name):
+        world, saga = SCENARIOS[name][0]()
+        give_up = world.give_up
+
+        def give_up_then_crash(sources, destinations):
+            pushes = give_up(sources, destinations)
+            for owner, _node, _pattern in destinations:
+                del world.leaves[owner]
+            return pushes
+
+        world.give_up = give_up_then_crash
+        world.run(saga)
+        assert world.rehash_log[-1]["moved"] == 0
+
+    def test_a_clean_split_moved_what_the_new_leaf_holds(self):
+        world, saga = path_split()
+        world.run(saga)
+        entry = world.rehash_log[-1]
+        assert entry["moved"] == len(world.leaves[entry["new_owner"]].table["records"]) > 0
+
+
 @pytest.mark.parametrize("view", ["stale", "current"])
 @pytest.mark.parametrize("name", SCENARIOS)
 class TestRequesterContract:
@@ -449,9 +558,11 @@ class TestRequesterContract:
     primary as it stands (``current``); then the rehash finishes."""
 
     def test_every_pause_point(self, name, view):
-        scenario, _event, _kind, requests = SCENARIOS[name]
+        scenario, _event, _kind, _requests = SCENARIOS[name]
         bounced = exhausted = 0
-        for pause_after in range(requests):
+        world, saga = scenario()
+        pauses = sum(1 for _ in world.steps(saga))
+        for pause_after in range(pauses):
             world, saga = scenario()
             before = world.function.bundle()
             sample = world.agents[::25]
@@ -496,7 +607,7 @@ class TestRequesterContract:
                 answers += seen
                 outcomes.append(status)
             rest = list(stepping)
-            adopting = any(r[0] == "call" and r[3] == "adopt" for r in rest)
+            adopting = any(r[0] == "hand-off" for r in rest)
             if published and adopting:
                 # A hand-off in flight: what did not settle ran out of
                 # budget bouncing, and said so.
