@@ -2,13 +2,13 @@
 
 Two layers:
 
-* :class:`RpcChannel` -- the transport. A small per-address pool of
-  framed TCP connections (one ``asyncio.Protocol`` each), carrying many
-  requests in flight at once: ``data_received`` correlates replies to
-  callers by ``message_id``, a request on a pooled connection costs one
-  transport write, one future and one timer -- no task, hedge-eligible
-  or not: the hedge is a state of the request's one record, not a layer
-  around it -- and idle connections are reaped. Every frame is in the
+* :class:`RpcChannel` -- the transport. Per peer, one framed TCP
+  connection (an ``asyncio.BufferedProtocol``) that every call
+  pipelines on, plus one that only hedged duplicates ride: ``data_received``
+  correlates replies to callers by ``message_id``, and a request on an
+  open connection costs one transport write, one future and one timer
+  -- no task, hedge-eligible or not: the hedge is a state of the
+  request's one record, not a layer around it. Every frame is in the
   binary wire codec, from the connection's first byte (see
   :mod:`repro.service.wire`). Transport failures (refused, reset,
   garbage frames) surface as :class:`ServiceRpcError` and drop the
@@ -33,7 +33,7 @@ Two layers:
   the retries or the deadline are spent -- the client never answers
   one from its own memory. Retry
   rounds sleep a capped exponential backoff with jitter drawn from an
-  injectable RNG (``ClientConfig.rng``), so retry timing is
+  injectable RNG (``ServiceClient(rng=...)``), so retry timing is
   deterministic under test.
   :meth:`ServiceClient.register_batch` / :meth:`~ServiceClient.locate_batch`
   amortize one round-trip over N operations -- safe because LHAgent
@@ -53,7 +53,7 @@ Between the two sits the hostile-network resilience stack (see
 Jacobson/Karels timeout (:class:`RttEstimator`) clamped to the
 remaining per-operation deadline, and -- for idempotent reads --
 hands the transport a hedge delay and a duplicate budget, so the
-request may race a duplicate on a dedicated pooled connection once the
+request may race a duplicate on the peer's hedge connection once the
 primary looks tail-slow.
 
 The saga does the protocol accounting (retries, refreshes, bounces) on
@@ -272,11 +272,6 @@ class ClientConfig:
     #: Backoff ceiling (seconds).
     backoff_cap: float = 0.5
 
-    #: Backoff RNG. Inject a seeded ``random.Random`` so retry timing
-    #: is deterministic under test and chaos replay; None draws a fresh
-    #: unseeded generator per client.
-    rng: Optional[random.Random] = None
-
     #: Hedge idempotent reads (locate, discovery fan-out): when the
     #: primary reply is slower than the endpoint's p95-derived hedge
     #: delay, a duplicate request races it and the first reply wins.
@@ -347,8 +342,8 @@ class _Rpc:
     """One RPC in flight: the request record.
 
     The record is the ``pending`` entry of *every* connection carrying
-    an attempt for it -- the primary's, and the hedge lane's once a
-    duplicate is out -- so whichever reply lands first settles the
+    an attempt for it -- the primary's, and the hedge connection's once
+    a duplicate is out -- so whichever reply lands first settles the
     caller's future directly and takes the other attempt's entry away
     by message id. It owns one timer handle (hedge-then-expiry, see
     :meth:`_Connection.request`) and one absolute ``deadline`` that all
@@ -369,7 +364,7 @@ class _Rpc:
         self.deadline = deadline
         self.timer: Any = None
         #: Attempts still out: connection -> message id, plus the hedge
-        #: lane's dial task -> None while that connection is opening.
+        #: connection's dial task -> None while it is opening.
         self.out: Dict[Any, Optional[int]] = {}
         #: The first attempt failure, raised once no attempt is left out.
         self.error: Optional[Exception] = None
@@ -397,7 +392,7 @@ class _Rpc:
                 self.future.set_exception(self.error)
 
 
-class _Connection(asyncio.Protocol):
+class _Connection(asyncio.BufferedProtocol):
     """One framed connection with its in-flight requests.
 
     ``data_received`` is the only consumer of the socket: it settles
@@ -420,20 +415,21 @@ class _Connection(asyncio.Protocol):
         self.pending: Dict[int, _Rpc] = {}
         self.closed = False
         self._loop = asyncio.get_running_loop()
-        self.last_used = self._loop.time()
         self.decoder = wire.FrameDecoder(max_frame=channel.max_frame)
         #: The write side: the transport itself, or its netem shim.
         self._out: Any = None
-
-    @property
-    def in_flight(self) -> int:
-        return len(self.pending)
 
     def connection_made(self, transport: Any) -> None:
         netem = self.channel.netem
         self._out = transport
         if netem is not None:
             self._out = netem.wrap(transport, self.addr[1], DIR_IN)
+
+    def get_buffer(self, sizehint: int) -> bytearray:
+        return self.channel.recv_buffer
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self.data_received(memoryview(self.channel.recv_buffer)[:nbytes])
 
     def data_received(self, data: bytes) -> None:
         try:
@@ -444,8 +440,6 @@ class _Connection(asyncio.Protocol):
                 # wedging the stream.
         except wire.WireError as error:
             self.close(str(error))
-            return
-        self.last_used = self._loop.time()
 
     def connection_lost(self, exc: Optional[Exception]) -> None:
         self.close(str(exc) if exc else "peer closed the connection")
@@ -472,7 +466,7 @@ class _Connection(asyncio.Protocol):
         loop = self._loop
         rpc = _Rpc(self, loop.create_future(), op, now + timeout)
         try:
-            self.send(rpc, now, to, body)
+            self.send(rpc, to, body)
         except wire.WireError as error:
             rpc.future.set_exception(self._error(op, f"failed: {error}"))
             return rpc.future
@@ -484,7 +478,7 @@ class _Connection(asyncio.Protocol):
             rpc.timer = loop.call_at(rpc.deadline, self._expire, rpc, timeout)
         return rpc.future
 
-    def send(self, rpc: _Rpc, now: float, to: Any, body: Any) -> None:
+    def send(self, rpc: _Rpc, to: Any, body: Any) -> None:
         """Put one attempt of ``rpc`` on this connection's wire."""
         request = Request(op=rpc.op, body=body)
         payload = wire.encode_frame(
@@ -493,7 +487,6 @@ class _Connection(asyncio.Protocol):
         self.pending[request.message_id] = rpc
         rpc.out[self] = request.message_id
         self._out.write(payload)
-        self.last_used = now
 
     def _settle(self, reply: Response) -> None:
         rpc = self.pending.pop(reply.message_id, None)
@@ -552,28 +545,36 @@ class _Connection(asyncio.Protocol):
 
 
 class RpcChannel:
-    """A pool of pipelined framed connections, keyed by address."""
+    """Pipelined framed connections, two per peer address: the regular
+    one every call rides, and the hedge one only hedged duplicates ride.
+
+    Frames on one connection are delivered in order, so a duplicate on
+    its primary's connection would queue behind the slow primary and
+    could never answer first; the hedge connection is kept apart by
+    construction -- its own map -- so no regular call ever rides it.
+    """
 
     def __init__(
         self,
         rpc_timeout: float = 2.0,
         max_frame: int = wire.DEFAULT_MAX_FRAME,
         tracer: Optional[Tracer] = None,
-        pipeline_depth: int = 32,
-        pool_size: int = 2,
-        pool_idle_s: float = 30.0,
         netem: Optional[NetemController] = None,
     ) -> None:
         self.rpc_timeout = rpc_timeout
         self.max_frame = max_frame
         self.tracer = tracer
-        self.pipeline_depth = max(1, pipeline_depth)
-        self.pool_size = max(1, pool_size)
-        self.pool_idle_s = pool_idle_s
         self.netem = netem
-        self._pools: Dict[Address, List[_Connection]] = {}
+        #: What every connection's socket reads land in; each read is
+        #: decoded before the next, so one buffer serves them all.
+        self.recv_buffer = bytearray(wire.RECV_BUFFER_SIZE)
+        #: address -> the connection every call pipelines on.
+        self._conns: Dict[Address, _Connection] = {}
+        #: address -> the connection only hedged duplicates ride.
+        self._hedge_conns: Dict[Address, _Connection] = {}
         self._open_locks: Dict[Address, asyncio.Lock] = {}
-        self._last_reap = 0.0
+        #: Set by :meth:`close`: no connection is dialed or kept after.
+        self.closed = False
 
     def call(
         self,
@@ -582,38 +583,28 @@ class RpcChannel:
         op: str,
         body: Any = None,
         timeout: Optional[float] = None,
-        lane: Optional[int] = None,
         hedge: Optional[Tuple[float, Any]] = None,
     ) -> "asyncio.Future[Any]":
         """One RPC: await the result for the reply value or a service error.
 
-        With a pooled connection at hand the request is on the wire
+        With the peer's connection open the request is on the wire
         before this returns and the result is a plain future; only a
-        pool miss spawns a task, to open a connection.
-
-        ``lane`` pins the call to the pool's n-th connection (opening it
-        if needed). Lanes at or beyond ``pool_size`` are dedicated --
-        :meth:`_pick` never routes regular traffic onto them -- which is
-        what lets a hedged duplicate overtake its queued primary.
+        miss (no connection yet, or a closed one) spawns a task, to dial.
 
         ``hedge=(delay, hedger)`` makes the call a hedged read (only an
         idempotent op may be one): with no reply ``delay`` seconds after
         the request is written, its record asks ``hedger.admit_hedge()``
-        and, if admitted, sends a duplicate on lane ``pool_size``. The
+        and, if admitted, sends a duplicate on the hedge connection. The
         first success settles the call (``hedger.hedge_won()`` is told
         when it is the duplicate's), a failure only once both attempts
         have failed, and both share the one ``timeout``.
         """
         timeout = self.rpc_timeout if timeout is None else timeout
         loop = asyncio.get_running_loop()
-        now = loop.time()
-        self._reap_idle(now)
-        conn = self._pick(self._live_pool(addr), lane)
-        if conn is None:
-            return loop.create_task(
-                self._call_after_open(addr, to, op, body, timeout, lane, hedge)
-            )
-        return conn.request(now, to, op, body, timeout, hedge)
+        conn = self._conns.get(addr)
+        if conn is None or conn.closed:
+            return loop.create_task(self._call_after_open(addr, to, op, body, timeout, hedge))
+        return conn.request(loop.time(), to, op, body, timeout, hedge)
 
     async def _call_after_open(
         self,
@@ -622,13 +613,12 @@ class RpcChannel:
         op: str,
         body: Any,
         timeout: float,
-        lane: Optional[int],
         hedge: Optional[Tuple[float, Any]],
     ) -> Any:
         loop = asyncio.get_running_loop()
         deadline = loop.time() + timeout
         try:
-            conn = await asyncio.wait_for(self._open(addr, op, lane), timeout)
+            conn = await asyncio.wait_for(self._open(self._conns, addr, op), timeout)
         except asyncio.TimeoutError:
             message = f"{op} to {format_addr(addr)} timed out connecting"
             self._trace(op, addr, f"timeout: {message}")
@@ -640,18 +630,17 @@ class RpcChannel:
         return await conn.request(now, to, op, body, max(0.001, deadline - now), hedge)
 
     def _send_duplicate(self, addr: Address, rpc: _Rpc, to: Any, body: Any) -> None:
-        """Send ``rpc``'s hedged duplicate on the dedicated lane: frames
-        on one connection are delivered in order, so a same-connection
-        duplicate would queue behind the slow primary and could never
-        answer first. Opening that lane is the one thing on a pooled
-        call's path that takes a task; while it dials, the task stands
-        in ``rpc.out`` for the attempt it is about to send."""
-        loop = asyncio.get_running_loop()
-        conn = self._pick(self._live_pool(addr), self.pool_size)
-        if conn is not None:
-            conn.send(rpc, loop.time(), to, body)
+        """Send ``rpc``'s hedged duplicate on the hedge connection.
+        Dialing that connection is the one thing on an open call's path
+        that takes a task; while it dials, the task stands in
+        ``rpc.out`` for the attempt it is about to send."""
+        conn = self._hedge_conns.get(addr)
+        if conn is not None and not conn.closed:
+            conn.send(rpc, to, body)
         else:
-            dial = loop.create_task(self._duplicate_after_open(addr, rpc, to, body))
+            dial = asyncio.get_running_loop().create_task(
+                self._duplicate_after_open(addr, rpc, to, body)
+            )
             rpc.out[dial] = None
 
     async def _duplicate_after_open(
@@ -660,7 +649,7 @@ class RpcChannel:
         dial = asyncio.current_task()
         try:
             # Bounded by the record's deadline: expiry drops (cancels) us.
-            conn = await self._open(addr, rpc.op, self.pool_size)
+            conn = await self._open(self._hedge_conns, addr, rpc.op)
         except ServiceRpcError as error:
             self._trace(rpc.op, addr, f"transport-error: {error}")
             del rpc.out[dial]
@@ -668,79 +657,44 @@ class RpcChannel:
             return
         del rpc.out[dial]
         if not rpc.future.done():  # else the caller was cancelled meanwhile
-            conn.send(rpc, asyncio.get_running_loop().time(), to, body)
+            conn.send(rpc, to, body)
 
-    # ------------------------------------------------------------------
-    # Pooling
-    # ------------------------------------------------------------------
-
-    def _live_pool(self, addr: Address) -> List[_Connection]:
-        # Prune in place: callers hold a reference to this list across
-        # awaits (open + append under the lock), so its identity must
-        # be stable or a concurrent prune orphans their append.
-        pool = self._pools.setdefault(addr, [])
-        if any(conn.closed for conn in pool):
-            pool[:] = [conn for conn in pool if not conn.closed]
-        return pool
-
-    def _pick(
-        self, pool: List[_Connection], lane: Optional[int] = None
-    ) -> Optional[_Connection]:
-        """The pooled connection a call may use without a new socket.
-
-        With a ``lane``, that connection of the pool. Otherwise the
-        least-loaded of the first ``pool_size`` connections: lanes
-        beyond that (the hedge lane) are dedicated and must not absorb
-        regular traffic, or their queues would stop being empty.
-        """
-        if lane is not None:
-            return pool[lane] if lane < len(pool) else None
-        candidates = pool[: self.pool_size]
-        if not candidates:
-            return None
-        conn = min(candidates, key=lambda c: c.in_flight)
-        if conn.in_flight < self.pipeline_depth or len(candidates) >= self.pool_size:
-            return conn
-        return None
-
-    async def _open(self, addr: Address, op: str, lane: Optional[int]) -> _Connection:
-        """The connection a missed ``call`` needs: dialed under the
-        address's lock, unless another caller got there first."""
+    async def _open(
+        self, conns: Dict[Address, _Connection], addr: Address, op: str
+    ) -> _Connection:
+        """``conns``' connection to ``addr``, dialed under the address's
+        lock unless another caller got there first. A closed channel
+        dials nothing, and closes a connection whose dial outlived it."""
         async with self._open_locks.setdefault(addr, asyncio.Lock()):
-            pool = self._live_pool(addr)
-            conn = self._pick(pool, lane)
-            if conn is not None:
+            conn = conns.get(addr)
+            if conn is not None and not conn.closed:
                 return conn
-            try:
-                _, conn = await asyncio.get_running_loop().create_connection(
-                    lambda: _Connection(self, addr), addr[0], addr[1]
-                )
-            except (ConnectionError, OSError) as error:
-                raise ServiceRpcError(
-                    f"{op} to {format_addr(addr)} failed: {error}",
-                    op=op,
-                    addr=addr,
-                    refused=isinstance(error, ConnectionRefusedError),
-                ) from error
-            pool.append(conn)
-            return conn
-
-    def _reap_idle(self, now: float) -> None:
-        """Close connections idle past ``pool_idle_s``; cheap, amortized."""
-        if now - self._last_reap < max(1.0, self.pool_idle_s / 4):
-            return
-        self._last_reap = now
-        for addr in list(self._pools):
-            for conn in list(self._pools[addr]):
-                if not conn.closed and not conn.in_flight:
-                    if now - conn.last_used > self.pool_idle_s:
-                        conn.close("idle-reaped")
-            self._live_pool(addr)
+            if not self.closed:
+                try:
+                    _, conn = await asyncio.get_running_loop().create_connection(
+                        lambda: _Connection(self, addr), addr[0], addr[1]
+                    )
+                except (ConnectionError, OSError) as error:
+                    raise ServiceRpcError(
+                        f"{op} to {format_addr(addr)} failed: {error}",
+                        op=op,
+                        addr=addr,
+                        refused=isinstance(error, ConnectionRefusedError),
+                    ) from error
+                if not self.closed:  # close() may have run while this dialed
+                    conns[addr] = conn
+                    return conn
+                conn.close("channel closed")
+            raise ServiceRpcError(
+                f"{op} to {format_addr(addr)} failed: channel closed", op=op, addr=addr
+            )
 
     async def close(self) -> None:
-        """Close every pooled connection."""
-        conns = [conn for pool in self._pools.values() for conn in pool]
-        self._pools.clear()
+        """Close every connection; the channel dials none after this."""
+        self.closed = True
+        conns = [*self._conns.values(), *self._hedge_conns.values()]
+        self._conns.clear()
+        self._hedge_conns.clear()
         for conn in conns:
             conn.close()
         await asyncio.sleep(0)  # the aborted transports drop their sockets
@@ -770,7 +724,7 @@ class ServiceClient:
         self.channel = channel or RpcChannel(
             rpc_timeout=self.config.rpc_timeout, tracer=tracer, netem=self.config.netem
         )
-        self.rng = rng or self.config.rng or random.Random()
+        self.rng = rng or random.Random()
         self.counters = ClientCounters()
         #: Per-endpoint adaptive RTT state driving timeouts and hedges.
         self._rtts: Dict[Address, RttEstimator] = {}

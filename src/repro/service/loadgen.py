@@ -400,7 +400,7 @@ class LoadConfig:
     mode: str = MODE_CLOSED
 
     #: Concurrent closed-loop workers (lanes). Thousands are fine: the
-    #: workers share the per-node clients' pooled pipelined channels.
+    #: workers share the per-node clients' pipelined channels.
     clients: int = 64
 
     #: Open-loop target arrival rate, ops/sec.

@@ -198,7 +198,7 @@ async def scan_primary(
     return best
 
 
-class _ServerConnection(asyncio.Protocol):
+class _ServerConnection(asyncio.BufferedProtocol):
     """One accepted connection: decodes frames, hands them to the server.
 
     Replies go to ``out`` -- the transport, or its netem shim. The
@@ -230,6 +230,12 @@ class _ServerConnection(asyncio.Protocol):
             # each direction of each link is shimmed exactly once.
             self.out = netem.wrap(self.transport, server.addr[1], DIR_OUT)
         server._connections.add(self)
+
+    def get_buffer(self, sizehint: int) -> bytearray:
+        return self.server.recv_buffer
+
+    def buffer_updated(self, nbytes: int) -> None:
+        self.data_received(memoryview(self.server.recv_buffer)[:nbytes])
 
     def data_received(self, data: bytes) -> None:
         replies = self._segment = []
@@ -290,6 +296,9 @@ class _FramedServer:
         self._connections: Set[_ServerConnection] = set()
         self._bg_tasks: Set[asyncio.Task] = set()
         self.addr: Optional[Address] = None
+        #: What every accepted connection's socket reads land in; each
+        #: read is decoded before the next, so one buffer serves them all.
+        self.recv_buffer = bytearray(wire.RECV_BUFFER_SIZE)
         #: Fault injection: a partitioned server swallows every incoming
         #: request without replying (callers time out, exactly like a
         #: network cut) while its own outgoing RPCs are blocked by the
@@ -318,7 +327,7 @@ class _FramedServer:
         for conn in list(self._connections):
             conn.out.abort()
         # Re-cancel until every task actually dies: on Python <= 3.11
-        # asyncio.wait_for (a client's pool-miss connect still uses it)
+        # asyncio.wait_for (a client's connect on a miss still uses it)
         # can swallow a cancellation that races the inner call's
         # completion -- a single cancel() is not guaranteed to stick.
         tasks = [task for task in self._bg_tasks if not task.done()]

@@ -86,6 +86,15 @@ __all__ = [
 #: guard against garbage length prefixes allocating gigabytes.
 DEFAULT_MAX_FRAME = 8 * 1024 * 1024
 
+#: Bytes one socket read may bring in. A connection reads into its
+#: channel's or server's one preallocated buffer of this size
+#: (``asyncio.BufferedProtocol``), so a read allocates nothing. A plain
+#: ``asyncio.Protocol`` gets a fresh 256 KiB ``bytes`` per read, which
+#: glibc serves from ``mmap`` (faulting it in on every read) or from the
+#: heap depending on the process's allocation history: a slow mode that
+#: came and went from one process to the next.
+RECV_BUFFER_SIZE = 64 * 1024
+
 #: Body codecs: what every socket carries, and the tagged-JSON dump form.
 CODEC_BINARY = "binary"
 CODEC_JSON = "json"

@@ -323,12 +323,10 @@ class _ScriptedChannel:
     locally must be the one it holds. It computes discovery candidates
     from its own copy too: a scripted copy is that pull's snapshot."""
 
-    pool_size = 2
-
     def __init__(self, answers):
         self.answers, self.held = list(answers), None
 
-    async def call(self, addr, to, op, body, timeout=None, lane=None, hedge=None):
+    async def call(self, addr, to, op, body, timeout=None, hedge=None):
         answer = self.answers.pop(0)
         if isinstance(answer, HashFunction):
             assert op == "get-hash-delta"
@@ -348,10 +346,10 @@ def through_client(answers, operation):
     """``operation(client)`` with every channel call answered from
     ``answers``."""
     channel = _ScriptedChannel(answers)
-    config = ClientConfig(
-        max_retries=6, backoff_base=0.001, backoff_cap=0.002, rng=random.Random(5)
+    config = ClientConfig(max_retries=6, backoff_base=0.001, backoff_cap=0.002)
+    client = ServiceClient(
+        "node-0", ("10.0.0.0", 1), config=config, channel=channel, rng=random.Random(5)
     )
-    client = ServiceClient("node-0", ("10.0.0.0", 1), config=config, channel=channel)
     result = asyncio.run(operation(client))
     assert not channel.answers
     counters = client.counters.as_dict()

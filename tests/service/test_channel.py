@@ -1,16 +1,19 @@
-"""The pipelined RpcChannel: correlation, pooling, first frame, backoff.
+"""The pipelined RpcChannel: correlation, one connection, first frame, backoff.
 
 Covers the transport behaviours the cluster suites only exercise
 implicitly: out-of-order reply correlation by ``message_id``, timeout
-isolation (one abandoned call must not kill the connection), the
-per-address pool bound, idle reaping, a new connection whose first
-frame is already the request, deterministic retry backoff from an
-injected RNG, a ``ServiceClient`` whose LHAgent answers a pull of the
-copy with an error envelope, and how many frames a warm client sends.
+isolation (one abandoned call must not kill the connection), one
+connection per peer however many calls are in flight, reads into one
+preallocated buffer, a closed channel that dials nothing, a new
+connection whose first frame is already the request, deterministic
+retry backoff from an injected RNG, a ``ServiceClient`` whose LHAgent
+answers a pull of the copy with an error envelope, and how many frames
+a warm client sends.
 """
 
 import asyncio
 import random
+import tracemalloc
 
 import pytest
 
@@ -22,6 +25,7 @@ from repro.service.client import (
     RemoteOpError,
     RpcChannel,
     ServiceClient,
+    ServiceRpcError,
     ServiceTimeout,
 )
 from repro.service.coordinator import HAgentServer
@@ -45,6 +49,9 @@ class _ToyServer:
         self.server = None
         self.addr = None
         self.frames = []
+        #: Connections accepted, and those still open.
+        self.accepted = 0
+        self.open = 0
 
     async def start(self):
         self.server = await asyncio.start_server(self._serve, "127.0.0.1", 0)
@@ -57,6 +64,8 @@ class _ToyServer:
         await self.server.wait_closed()
 
     async def _serve(self, reader, writer):
+        self.accepted += 1
+        self.open += 1
         try:
             if self.mode == "reversed":
                 await self._serve_reversed(reader, writer)
@@ -65,6 +74,7 @@ class _ToyServer:
         except (ConnectionError, OSError, wire.WireError, asyncio.IncompleteReadError):
             pass
         finally:
+            self.open -= 1
             writer.close()
 
     async def _serve_reversed(self, reader, writer):
@@ -135,47 +145,127 @@ class TestPipelining:
                 assert await channel.call(peer.addr, "t", "echo", {"n": 2}) == {
                     "n": 2
                 }
-                pool = channel._pools[peer.addr]
-                assert len(pool) == 1 and not pool[0].closed
-                assert pool[0].pending == {}
+                conn = channel._conns[peer.addr]
+                assert not conn.closed and conn.pending == {}
+                assert peer.accepted == 1
             finally:
                 await channel.close()
                 await peer.stop()
 
         run(scenario())
 
-    def test_pool_is_bounded_under_concurrency(self):
+    def test_concurrent_calls_ride_one_connection(self):
         async def scenario():
             hagent = HAgentServer()
             await hagent.start()
-            channel = RpcChannel(pipeline_depth=4, pool_size=2)
+            channel = RpcChannel()
             try:
+                await channel.call(hagent.addr, "hagent", "ping")
                 replies = await asyncio.gather(
-                    *(channel.call(hagent.addr, "hagent", "ping") for _ in range(40))
+                    *(channel.call(hagent.addr, "hagent", "ping") for _ in range(100))
                 )
                 assert all(reply["status"] == "ok" for reply in replies)
-                assert len(channel._pools[hagent.addr]) <= 2
+                # However many are in flight, calls pipeline on the one
+                # regular connection; nothing dialed the hedge connection.
+                assert len(hagent._connections) == 1
+                assert list(channel._conns) == [hagent.addr]
+                assert not channel._hedge_conns
             finally:
                 await channel.close()
                 await hagent.stop()
 
         run(scenario())
 
-    def test_idle_connections_are_reaped(self):
+    @pytest.mark.parametrize("passes", [0, 1, 2, 3])
+    def test_a_closed_channel_keeps_no_connection(self, passes):
+        """``close()`` with the call's dial ``passes`` loop passes along:
+        not begun, or in flight. The channel either dials nothing or
+        closes what its dial brings back, and the call fails."""
+
+        async def scenario():
+            peer = _ToyServer("selective")
+            await peer.start()
+            channel = RpcChannel()
+            try:
+                call = channel.call(peer.addr, "t", "echo", {"n": 1})
+                for _ in range(passes):
+                    await asyncio.sleep(0)
+                await channel.close()
+                with pytest.raises(ServiceRpcError, match="channel closed"):
+                    await call
+                # A hedge dial is refused the same way.
+                with pytest.raises(ServiceRpcError, match="channel closed"):
+                    await channel._open(channel._hedge_conns, peer.addr, "echo")
+                for _ in range(10):
+                    await asyncio.sleep(0.01)
+                    if not peer.open:
+                        break
+                assert peer.open == 0 and peer.frames == []
+                assert not channel._conns and not channel._hedge_conns
+                if not passes:  # closed before the call's dial began
+                    assert peer.accepted == 0
+            finally:
+                await channel.close()
+                await peer.stop()
+
+        run(scenario())
+
+    def test_a_socket_read_allocates_no_receive_buffer(self):
+        """Reads land in the channel's and the server's one preallocated
+        buffer: a plain ``asyncio.Protocol`` is handed a fresh 256 KiB
+        ``bytes`` per read, whose cost depends on where the allocator
+        happens to serve it from."""
+
         async def scenario():
             hagent = HAgentServer()
             await hagent.start()
-            channel = RpcChannel(pool_idle_s=0.01)
+            channel = RpcChannel()
             try:
                 await channel.call(hagent.addr, "hagent", "ping")
-                conn = channel._pools[hagent.addr][0]
-                loop = asyncio.get_event_loop()
-                channel._last_reap = 0.0
-                channel._reap_idle(loop.time() + 10.0)
-                assert conn.closed
+                tracemalloc.start()
+                try:
+                    before, _ = tracemalloc.get_traced_memory()
+                    for _ in range(20):
+                        await channel.call(hagent.addr, "hagent", "ping")
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak - before < 64 * 1024
             finally:
                 await channel.close()
                 await hagent.stop()
+
+        run(scenario())
+
+    def test_frames_larger_than_a_read_cross_the_shared_buffer(self):
+        """Frames several reads long, to two peers at once, come out
+        whole: each read is decoded before the next overwrites it."""
+
+        async def scenario():
+            hagent = HAgentServer()
+            await hagent.start()
+            peers = [_ToyServer("selective"), _ToyServer("selective")]
+            for peer in peers:
+                await peer.start()
+            channel = RpcChannel()
+            size = 3 * wire.RECV_BUFFER_SIZE + 17
+            try:
+                bodies = [{"n": n, "pad": chr(97 + n) * size} for n in range(4)]
+                replies = await asyncio.gather(
+                    *(
+                        channel.call(peers[n % 2].addr, "t", "echo", body)
+                        for n, body in enumerate(bodies)
+                    ),
+                    channel.call(hagent.addr, "hagent", "ping", bodies[0]),
+                )
+                assert replies[:4] == bodies
+                assert replies[4]["status"] == "ok"
+                assert len(channel.recv_buffer) == wire.RECV_BUFFER_SIZE
+            finally:
+                await channel.close()
+                await hagent.stop()
+                for peer in peers:
+                    await peer.stop()
 
         run(scenario())
 
@@ -267,7 +357,7 @@ class TestBatchedOps:
         run(scenario())
 
 
-def drive_toy_node(answer, operation, config=None):
+def drive_toy_node(answer, operation, config=None, rng=None):
     """``operation(client)`` for a client whose node -- LHAgent and
     IAgents alike -- is a toy peer answering each request frame with
     ``answer(frame, peer) -> (value, error)``. Returns ``(result, the
@@ -276,7 +366,7 @@ def drive_toy_node(answer, operation, config=None):
     async def scenario():
         peer = _ToyServer("selective", lambda frame: answer(frame, peer))
         await peer.start()
-        client = ServiceClient("driver", peer.addr, config=config)
+        client = ServiceClient("driver", peer.addr, config=config, rng=rng)
         try:
             result = await operation(client)
         finally:
@@ -311,9 +401,9 @@ class TestUnservedResolve:
                 value = copy_reply("ia", "n", peer.addr, version=value)
             return value, None
 
-        config = ClientConfig(backoff_base=0.01, backoff_cap=0.02, rng=random.Random(3))
+        config = ClientConfig(backoff_base=0.01, backoff_cap=0.02)
         node, counters, frames = drive_toy_node(
-            answer, lambda client: client.locate(self.AGENT), config
+            answer, lambda client: client.locate(self.AGENT), config, random.Random(3)
         )
         return node, counters, [op for _, op in frames]
 
@@ -411,13 +501,9 @@ class TestOneHopOps:
 
 
 class TestSeededBackoff:
-    def test_config_rng_makes_backoff_deterministic(self):
+    def test_seeded_rng_makes_backoff_deterministic(self):
         async def delays_for(seed):
-            client = ServiceClient(
-                "n",
-                ("127.0.0.1", 1),
-                config=ClientConfig(rng=random.Random(seed)),
-            )
+            client = ServiceClient("n", ("127.0.0.1", 1), rng=random.Random(seed))
             recorded = []
             real_sleep = asyncio.sleep
 
@@ -441,11 +527,13 @@ class TestSeededBackoff:
         assert first != different
 
     def test_explicit_rng_argument_still_wins(self):
-        client = ServiceClient(
-            "n",
-            ("127.0.0.1", 1),
-            config=ClientConfig(rng=random.Random(1)),
-            rng=random.Random(2),
-        )
-        assert client.rng.random() == random.Random(2).random()
-        run(client.close())
+        """The ``rng`` argument replaces the unseeded default: two clients
+        given one seed draw one sequence."""
+        clients = [
+            ServiceClient("n", ("127.0.0.1", 1), rng=random.Random(2)) for _ in range(2)
+        ]
+        draws = [[client.rng.random() for _ in range(3)] for client in clients]
+        expected = random.Random(2)
+        assert draws[0] == draws[1] == [expected.random() for _ in range(3)]
+        for client in clients:
+            run(client.close())

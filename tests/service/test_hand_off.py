@@ -56,12 +56,12 @@ def count_traffic(monkeypatch, channel):
             counted[0] += len(data)
             self.out.write(data)
 
-    def counting_send(conn, rpc, now, to, body):
+    def counting_send(conn, rpc, to, body):
         if conn.channel is not channel:
-            return send(conn, rpc, now, to, body)
+            return send(conn, rpc, to, body)
         out, conn._out = conn._out, Counting(conn._out)
         try:
-            return send(conn, rpc, now, to, body)
+            return send(conn, rpc, to, body)
         finally:
             conn._out = out
 

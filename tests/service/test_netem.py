@@ -311,9 +311,10 @@ class TestControlPlane:
 
 
 class _LanePeer:
-    """A framed peer whose first connection (the primary lane) answers
-    after ``primary_delay`` and whose later ones (the hedge lane) answer
-    at once; ``lanes`` notes the connection each request arrived on."""
+    """A framed peer whose first connection (the regular one) answers a
+    ``whois`` after ``primary_delay`` and whose later ones (the hedge
+    connection) answer at once, as every connection answers any other
+    op; ``lanes`` notes the connection each request arrived on."""
 
     def __init__(self, primary_delay=0.2):
         self.primary_delay = primary_delay
@@ -335,7 +336,7 @@ class _LanePeer:
         try:
             while (frame := await wire.read_frame(reader)) is not None:
                 self.lanes.append(lane)
-                if lane == 0:
+                if lane == 0 and frame["req"].op == "whois":
                     await asyncio.sleep(self.primary_delay)
                 reply = {"status": "ok", "who": "secondary" if lane else "primary"}
                 await wire.write_frame(
@@ -378,6 +379,40 @@ class TestHedgedCalls:
                     # delivery means a same-connection duplicate could
                     # never overtake the slow primary.
                     assert peer.lanes == [0, 1]
+                finally:
+                    await client.close()
+
+        run(scenario())
+
+    def test_the_hedge_connection_carries_only_duplicates(self, monkeypatch):
+        monkeypatch.setattr("repro.service.client.HEDGE_DELAY_FLOOR", 0.01)
+
+        async def scenario():
+            async with _LanePeer(primary_delay=0.05) as peer:
+                client = ServiceClient("n0", peer.addr)
+                channel = client.channel
+                try:
+                    await channel.call(peer.addr, "lhagent", "ping", {})
+                    _seed_rtt(client, peer.addr)
+                    assert (await self.hedged_read(client, peer))["who"] == "secondary"
+                    assert client.counters.hedges == 1
+                    # One regular call and one admitted duplicate: two
+                    # connections, the duplicate's dialed for it.
+                    assert peer.connections == 2
+                    # Fifty regular calls at once never ride the hedge
+                    # connection, however deep the regular one's queue.
+                    del peer.lanes[:]
+                    await asyncio.gather(
+                        *(channel.call(peer.addr, "lhagent", "ping", {}) for _ in range(50))
+                    )
+                    assert peer.lanes == [0] * 50
+                    # The next duplicate rides the hedge connection it has.
+                    _seed_rtt(client, peer.addr)
+                    assert (await self.hedged_read(client, peer))["who"] == "secondary"
+                    assert client.counters.hedges == 2
+                    assert peer.lanes[50:] == [0, 1]
+                    assert peer.connections == 2
+                    assert list(channel._hedge_conns) == list(channel._conns) == [peer.addr]
                 finally:
                     await client.close()
 
@@ -446,13 +481,11 @@ class _MappingStubChannel:
     whose IAgent sits at a fixed address; what reaches that IAgent is
     answered by ``iagent(op, body)``."""
 
-    pool_size = 2
-
     def __init__(self, iagent_addr, iagent):
         self.iagent_addr = iagent_addr
         self.iagent = iagent
 
-    async def call(self, addr, to, op, body, timeout=None, lane=None, hedge=None):
+    async def call(self, addr, to, op, body, timeout=None, hedge=None):
         if (to, op) == ("lhagent", "get-hash-delta"):
             return copy_reply("ia-0", "node-9", self.iagent_addr)
         assert (tuple(addr), to) == (self.iagent_addr, "ia-0"), f"{op} reached the stub"
@@ -485,9 +518,9 @@ class TestDeadlines:
                     backoff_base=0.001,
                     backoff_cap=0.002,
                     op_deadline=1.0,
-                    rng=random.Random(1),
                 ),
                 channel=_MappingStubChannel(iagent_addr, iagent),
+                rng=random.Random(1),
             )
             await client.update(AGENT, "node-3", 1)
             with pytest.raises(ServiceLocateError):
@@ -519,8 +552,8 @@ class TestDeadlines:
                     max_retries=1000,
                     backoff_base=0.01,
                     backoff_cap=0.05,
-                    rng=random.Random(7),
                 ),
+                rng=random.Random(7),
             )
             started = time.monotonic()
             try:

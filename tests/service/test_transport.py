@@ -96,16 +96,17 @@ class TestInlineDispatch:
     def test_awaiting_handler_does_not_delay_a_later_synchronous_one(self):
         async def scenario():
             async with one_node() as (node, agents):
-                channel = RpcChannel(pool_size=1)
+                channel = RpcChannel()
                 try:
                     await channel.call(node.addr, "lhagent", "whois", {"agent": agents[0]})
+                    conn = channel._conns[node.addr]
                     gate = gate_fetches(node)
                     slow = channel.call(node.addr, "lhagent", *pull_that_fetches(node))
                     fast = await channel.call(
                         node.addr, "lhagent", "whois", {"agent": agents[1]}
                     )
                     # Same connection, sent second, answered first.
-                    assert len(channel._pools[node.addr]) == 1
+                    assert channel._conns[node.addr] is conn
                     assert fast["node"] == "node-0"
                     assert not slow.done()
                     gate.set()
@@ -118,7 +119,7 @@ class TestInlineDispatch:
     def test_only_awaiting_handlers_get_a_task(self):
         async def scenario():
             async with one_node() as (node, agents):
-                channel = RpcChannel(pool_size=1)
+                channel = RpcChannel()
                 try:
                     await channel.call(node.addr, "lhagent", "whois", {"agent": agents[0]})
                     gate = gate_fetches(node)
@@ -167,10 +168,10 @@ class TestTimeoutIsolation:
     def test_timed_out_call_keeps_the_connection_and_drops_the_late_reply(self):
         async def scenario():
             async with one_node() as (node, agents):
-                channel = RpcChannel(pool_size=1)
+                channel = RpcChannel()
                 try:
                     await channel.call(node.addr, "lhagent", "whois", {"agent": agents[0]})
-                    conn = channel._pools[node.addr][0]
+                    conn = channel._conns[node.addr]
                     gate = gate_fetches(node)
                     with pytest.raises(ServiceTimeout):
                         await channel.call(
@@ -185,7 +186,7 @@ class TestTimeoutIsolation:
                             node.addr, "lhagent", "whois", {"agent": agent}
                         )
                         assert reply["node"] == "node-0"
-                    assert channel._pools[node.addr] == [conn]
+                    assert channel._conns[node.addr] is conn
                     assert conn.pending == {} and not conn.closed
                 finally:
                     await channel.close()
@@ -254,10 +255,10 @@ class TestFraming:
                         assert await reader.read() == b""  # dropped, no reply
                         writer.close()
                         # The connection opened before it still answers.
-                        (conn,) = channel._pools[node.addr]
+                        conn = channel._conns[node.addr]
                         again = await channel.call(node.addr, "lhagent", "whois", whois)
                         assert again == reply and again["node"] == "node-0"
-                        assert channel._pools[node.addr] == [conn] and not conn.closed
+                        assert channel._conns[node.addr] is conn and not conn.closed
                 finally:
                     await channel.close()
             assert logged == []
@@ -476,24 +477,31 @@ class TestServedSegments:
 
 
 class _RecordingChannel(RpcChannel):
-    """Notes the lane of every attempt: ``None`` for a call, and for a
-    hedged duplicate (which its request record sends, not ``call``) the
-    pool index of the connection carrying it -- ``pool_size`` when that
-    lane has to be dialed first."""
+    """Notes the carrier of every attempt: ``"call"`` for a call, and for
+    a hedged duplicate (which its request record sends, not ``call``)
+    ``"hedge"`` when it rides the hedge connection, ``"dial"`` when that
+    connection has to be dialed first -- anything else is a bug."""
 
     def __init__(self, **kwargs):
         super().__init__(**kwargs)
-        self.lanes = []
+        self.attempts = []
 
-    def call(self, addr, to, op, body=None, timeout=None, lane=None, hedge=None):
-        self.lanes.append(lane)
-        return super().call(addr, to, op, body, timeout=timeout, lane=lane, hedge=hedge)
+    def call(self, addr, to, op, body=None, timeout=None, hedge=None):
+        self.attempts.append("call")
+        return super().call(addr, to, op, body, timeout=timeout, hedge=hedge)
 
     def _send_duplicate(self, addr, rpc, to, body):
         super()._send_duplicate(addr, rpc, to, body)
         (holder,) = [holder for holder in rpc.out if holder is not rpc.primary]
-        pool = self._pools[addr]
-        self.lanes.append(pool.index(holder) if holder in pool else self.pool_size)
+        if holder is self._hedge_conns.get(addr):
+            self.attempts.append("hedge")
+        else:
+            self.attempts.append("dial" if isinstance(holder, asyncio.Task) else holder)
+
+
+def connections(channel):
+    """Every connection the channel holds, regular and hedge."""
+    return [*channel._conns.values(), *channel._hedge_conns.values()]
 
 
 def capture_loop_errors():
@@ -578,22 +586,23 @@ class TestHedgeTimer:
                 channel = _RecordingChannel()
                 client = self.client_for(node, channel)
                 try:
-                    await client._whois(agents[-1])  # open the pooled connection
+                    await client._whois(agents[-1])  # open the regular connection
                     self.slow_first_arrival(node, delay=0.04)
-                    channel.lanes.clear()
+                    channel.attempts.clear()
                     for agent in agents[:30]:
                         mapping = await self.pull(client, agent)
                         assert mapping["node"] == "node-0"
-                    duplicates = [lane for lane in channel.lanes if lane is not None]
+                    duplicates = [kind for kind in channel.attempts if kind != "call"]
                     # Every primary was tail-slow; the timer still sent
                     # at most HEDGE_BUDGET of them a duplicate.
                     assert 0 < len(duplicates) <= 0.2 * 31
                     assert len(duplicates) == client.counters.hedges
                     assert 0 < client.counters.hedge_wins <= client.counters.hedges
-                    assert set(duplicates) == {channel.pool_size}
-                    assert channel.lanes.count(None) == 30
-                    # No duplicate ever opened a socket beyond the hedge lane.
-                    assert len(channel._pools[node.addr]) <= channel.pool_size + 1
+                    # The first duplicate dialed the hedge connection, and
+                    # every later one rode it: two sockets, ever.
+                    assert duplicates == ["dial"] + ["hedge"] * (len(duplicates) - 1)
+                    assert channel.attempts.count("call") == 30
+                    assert len(connections(channel)) == 2
                 finally:
                     await client.close()
             gc.collect()
@@ -626,8 +635,7 @@ class TestHedgeTimer:
                     with pytest.raises(asyncio.CancelledError):
                         await task
                     await asyncio.sleep(0.1)
-                    for pool in channel._pools.values():
-                        assert all(conn.pending == {} for conn in pool)
+                    assert all(conn.pending == {} for conn in connections(channel))
                 finally:
                     await client.close()
             gc.collect()
@@ -691,21 +699,23 @@ class TestRequestRecord:
         )
 
     @staticmethod
-    def assert_nothing_left(channel, logged):
-        for pool in channel._pools.values():
-            assert all(conn.pending == {} and not conn.closed for conn in pool)
+    def assert_nothing_left(channel, logged, closed=False):
+        """No attempt left pending, no timer armed, nothing logged -- and,
+        unless the test ``closed`` them, every connection still up."""
+        for conn in connections(channel):
+            assert conn.pending == {} and conn.closed == closed
         assert armed_timers() == []
         assert logged == []
 
     @staticmethod
     async def still_serves(client, node, agents):
-        """Every pooled connection -- the hedge lane's too -- still
+        """Every open connection -- the hedge connection too -- still
         carries a round trip: a loser's late reply did not hurt it."""
-        lanes = range(len(client.channel._pools[node.addr]))
-        for lane, agent in zip(lanes, agents):
-            reply = await client.channel.call(
-                node.addr, "lhagent", "whois", {"agent": agent}, lane=lane
-            )
+        loop = asyncio.get_running_loop()
+        live = [conn for conn in connections(client.channel) if not conn.closed]
+        for conn, agent in zip(live, agents):
+            whois = {"agent": agent}
+            reply = await conn.request(loop.time(), "lhagent", "whois", whois, 1.0)
             assert reply["node"] == "node-0"
 
     def measured_calls(self, hedge, count=200):
@@ -881,22 +891,21 @@ class TestRequestRecord:
                         call = asyncio.ensure_future(self.pull(client, node))
                         await asyncio.sleep(0.03)
                         assert client.counters.hedges == 1
-                        primary, lane = channel._pools[node.addr]
+                        primary = channel._conns[node.addr]
+                        hedge = channel._hedge_conns[node.addr]
                         primary.close("cut")
                         await asyncio.sleep(0.01)
                         assert not call.done()  # the duplicate is still out
-                        lane.close("cut too")
+                        hedge.close("cut too")
                         with pytest.raises(ServiceRpcError, match="failed: cut$"):
                             await call
-                        channel._live_pool(node.addr)
                     elif ending == "expired":
                         gate_fetches(node)
                         with pytest.raises(ServiceTimeout):
                             await self.pull(client, node)
                         assert client.counters.hedges == 1
-                    if channel._pools[node.addr]:
-                        await self.still_serves(client, node, agents)
-                    self.assert_nothing_left(channel, logged)
+                    await self.still_serves(client, node, agents)
+                    self.assert_nothing_left(channel, logged, ending == "connection-closed")
                 finally:
                     await client.close()
             gc.collect()
@@ -940,7 +949,7 @@ class TestRequestRecord:
                 client = self.client_for(node, RpcChannel())
                 try:
                     self.slow_first_arrival(node, delay=0.05)
-                    assert node.addr not in client.channel._pools
+                    assert node.addr not in client.channel._conns
                     assert "mode" in await self.pull(client, node)
                     assert client.counters.hedges == 1
                     assert client.counters.hedge_wins == 1
@@ -974,7 +983,7 @@ class TestTeardown:
             for server in servers:
                 assert not server._connections
                 assert not server._bg_tasks
-                assert not server.channel._pools
+                assert not connections(server.channel)
             if cluster.netem is not None:
                 assert not cluster.netem._shims
 
