@@ -4,7 +4,7 @@ ABL-H (threshold heuristic). The paper fixes T_max/T_min = 50/5 and
 notes the values "depend on various parameters, such as the type of
 nodes that host the IAgents" -- i.e. they must be recalibrated per
 deployment. The adaptive mode derives T_max from each IAgent's measured
-service time (`T_max = target_utilization / service`). The bench sweeps
+service time (`T_max = TARGET_UTILIZATION / service`). The bench sweeps
 the simulated hardware speed: fixed-50 is great on the paper's hardware
 and silently catastrophic on slower nodes (the threshold becomes
 unreachable, so the directory never splits); adaptive tracks the

@@ -249,7 +249,6 @@ def _sharded_mechanism() -> HashMechanismConfig:
         warmup_fraction=0.5,
         cooldown=0.0,
         enable_merge=False,
-        rpc_timeout=2.0,
     )
 
 

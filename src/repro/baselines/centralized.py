@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Generator, Optional
 
 from repro.baselines.base import LocationMechanism
-from repro.core.config import HashMechanismConfig
+from repro.core.config import MAX_RETRIES, RETRY_BACKOFF, HashMechanismConfig
 from repro.core.errors import CoreError, LocateFailedError
 from repro.platform.agents import Agent
 from repro.platform.events import Timeout
@@ -101,22 +101,21 @@ class CentralizedMechanism(LocationMechanism):
 
     def locate(self, requester_node: str, agent_id: AgentId) -> Generator:
         self.counters.locates += 1
-        config = self.config
-        for attempt in range(config.max_retries):
+        for attempt in range(MAX_RETRIES):
             reply = yield self.runtime.rpc(
                 requester_node,
                 self.central.node_name,
                 self.central.agent_id,
                 "locate",
                 {"agent": agent_id},
-                timeout=config.rpc_timeout,
+                timeout=self.config.rpc_timeout,
             )
             if reply["status"] == "ok":
                 return reply["node"]
             # "no-record": a freshly created agent whose registration is
             # still queued at the saturated central agent.
             self.counters.retries += 1
-            yield Timeout(config.retry_backoff)
+            yield Timeout(RETRY_BACKOFF)
         self.counters.locate_failures += 1
         raise LocateFailedError(f"central agent has no record of {agent_id}")
 

@@ -26,7 +26,7 @@ import hashlib
 from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.baselines.base import LocationMechanism
-from repro.core.config import HashMechanismConfig
+from repro.core.config import MAX_RETRIES, RETRY_BACKOFF, HashMechanismConfig
 from repro.core.errors import CoreError, LocateFailedError
 from repro.platform.agents import Agent
 from repro.platform.events import Timeout
@@ -192,7 +192,7 @@ class ChordMechanism(LocationMechanism):
     def locate(self, requester_node: str, agent_id: AgentId) -> Generator:
         self.counters.locates += 1
         key = self.agent_key(agent_id)
-        for _attempt in range(self.config.max_retries):
+        for _attempt in range(MAX_RETRIES):
             owner = yield from self._route(requester_node, key)
             reply = yield from self._ring_rpc(
                 requester_node, owner, "fetch", {"agent": agent_id, "key": key}
@@ -200,7 +200,7 @@ class ChordMechanism(LocationMechanism):
             if reply["status"] == "ok":
                 return reply["node"]
             self.counters.retries += 1
-            yield Timeout(self.config.retry_backoff)
+            yield Timeout(RETRY_BACKOFF)
         self.counters.locate_failures += 1
         raise LocateFailedError(f"ring has no record of {agent_id}")
 
@@ -208,7 +208,7 @@ class ChordMechanism(LocationMechanism):
 
     def _write(self, from_node: str, agent_id: AgentId, location: str) -> Generator:
         key = self.agent_key(agent_id)
-        for _attempt in range(self.config.max_retries):
+        for _attempt in range(MAX_RETRIES):
             owner = yield from self._route(from_node, key)
             reply = yield from self._ring_rpc(
                 from_node,

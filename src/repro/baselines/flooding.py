@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Dict, Generator, Optional
 
 from repro.baselines.base import LocationMechanism
-from repro.core.config import HashMechanismConfig
+from repro.core.config import LHAGENT_SERVICE_TIME, MAX_RETRIES, RETRY_BACKOFF, HashMechanismConfig
 from repro.core.errors import CoreError, LocateFailedError
 from repro.platform.agents import Agent
 from repro.platform.events import Timeout, gather
@@ -72,7 +72,7 @@ class FloodingMechanism(LocationMechanism):
                 ResolverAgent,
                 node,
                 start=False,
-                service_time=self.config.lhagent_service_time,
+                service_time=LHAGENT_SERVICE_TIME,
             )
 
     # ------------------------------------------------------------------
@@ -98,8 +98,7 @@ class FloodingMechanism(LocationMechanism):
     def locate(self, requester_node: str, agent_id: AgentId) -> Generator:
         """Scatter a probe to every node; first positive answer wins."""
         self.counters.locates += 1
-        config = self.config
-        for _attempt in range(config.max_retries):
+        for _attempt in range(MAX_RETRIES):
             futures = [
                 self.runtime.rpc(
                     requester_node,
@@ -107,7 +106,7 @@ class FloodingMechanism(LocationMechanism):
                     resolver.agent_id,
                     "probe",
                     {"agent": agent_id},
-                    timeout=config.rpc_timeout,
+                    timeout=self.config.rpc_timeout,
                 )
                 for node, resolver in self.resolvers.items()
             ]
@@ -118,7 +117,7 @@ class FloodingMechanism(LocationMechanism):
                 # A crashed node fails the whole wave; retry without it
                 # is possible but the simple strawman just re-floods.
                 self.counters.retries += 1
-                yield Timeout(config.retry_backoff)
+                yield Timeout(RETRY_BACKOFF)
                 continue
             for reply in replies:
                 if reply["status"] == "here":
@@ -126,7 +125,7 @@ class FloodingMechanism(LocationMechanism):
             # Everyone says absent: the target was mid-flight between
             # nodes. Brief backoff, then flood again.
             self.counters.retries += 1
-            yield Timeout(config.retry_backoff)
+            yield Timeout(RETRY_BACKOFF)
         self.counters.locate_failures += 1
         raise LocateFailedError(f"no node admits to hosting {agent_id}")
 

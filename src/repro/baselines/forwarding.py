@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Dict, Generator, Optional
 
 from repro.baselines.base import LocationMechanism
-from repro.core.config import HashMechanismConfig
+from repro.core.config import LHAGENT_SERVICE_TIME, RETRY_BACKOFF, HashMechanismConfig
 from repro.core.errors import CoreError, LocateFailedError
 from repro.platform.agents import Agent
 from repro.platform.events import Timeout
@@ -132,7 +132,7 @@ class ForwardingPointersMechanism(LocationMechanism):
                 ForwarderAgent,
                 node,
                 start=False,
-                service_time=self.config.lhagent_service_time,
+                service_time=LHAGENT_SERVICE_TIME,
             )
 
     # ------------------------------------------------------------------
@@ -214,7 +214,7 @@ class ForwardingPointersMechanism(LocationMechanism):
             # "unknown": the chain broke (e.g. the agent is mid-flight
             # between nodes). Back off and restart from the name service.
             self.counters.retries += 1
-            yield Timeout(self.config.retry_backoff)
+            yield Timeout(RETRY_BACKOFF)
             reply = yield self.runtime.rpc(
                 requester_node,
                 self.name_service.node_name,

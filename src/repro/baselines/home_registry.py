@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Dict, Generator, List, Optional
 
 from repro.baselines.base import LocationMechanism
-from repro.core.config import HashMechanismConfig
+from repro.core.config import MAX_RETRIES, RETRY_BACKOFF, HashMechanismConfig
 from repro.core.errors import CoreError, LocateFailedError
 from repro.platform.agents import Agent
 from repro.platform.events import Timeout
@@ -173,14 +173,13 @@ class HomeRegistryMechanism(LocationMechanism):
 
     def locate(self, requester_node: str, agent_id: AgentId) -> Generator:
         self.counters.locates += 1
-        config = self.config
         local_domain = self.domain_of(requester_node)
         home = self.home_of.get(agent_id)
         if home is None:
             self.counters.locate_failures += 1
             raise LocateFailedError(f"no home registry known for {agent_id}")
 
-        for _attempt in range(config.max_retries):
+        for _attempt in range(MAX_RETRIES):
             # VLR fast path: is the target roaming in our own domain?
             if local_domain != home:
                 reply = yield from self._registry_query(
@@ -196,7 +195,7 @@ class HomeRegistryMechanism(LocationMechanism):
             if reply["status"] == "ok":
                 return reply["node"]
             self.counters.retries += 1
-            yield Timeout(config.retry_backoff)
+            yield Timeout(RETRY_BACKOFF)
         self.counters.locate_failures += 1
         raise LocateFailedError(f"registries do not know {agent_id}")
 

@@ -28,7 +28,7 @@ The primary copy is a journaled
 -- and ``get-hash-delta`` serves the journal suffix since the
 requester's version (``delta_since``), degrading to the full snapshot
 when the copy predates the journal's horizon
-(``config.sync_journal_capacity``). Wire format: docs/PROTOCOLS.md §4b.
+(``SYNC_JOURNAL_CAPACITY``). Wire format: docs/PROTOCOLS.md §4b.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from collections import deque
 from operator import attrgetter
 from typing import Any, Dict, Generator, List
 
+from repro.core.config import HAGENT_SERVICE_TIME, SYNC_JOURNAL_CAPACITY
 from repro.core.errors import CoreError
 from repro.core.hash_function import HashFunction
 from repro.core.iagent_state import merge_handoffs, route_handoff
@@ -57,14 +58,14 @@ class HAgent(Agent):
 
     def __init__(self, agent_id: AgentId, runtime, mechanism) -> None:
         super().__init__(agent_id, runtime, tracked=False)
-        self.service_time = mechanism.config.hagent_service_time
+        self.service_time = HAGENT_SERVICE_TIME
         self.mailbox.set_service_time(self.service_time)
         self.mechanism = mechanism
         #: The primary copy: tree + IAgent directory + version, with the
         #: bounded journal served to LHAgents as deltas (module docstring).
         #: Bootstrapped by ``mechanism.install``.
         self.function = HashFunction(
-            0, None, {}, deque(maxlen=mechanism.config.sync_journal_capacity)
+            0, None, {}, deque(maxlen=SYNC_JOURNAL_CAPACITY)
         )
         self.policy = RehashPolicy(mechanism.config)
         #: Chronological log of splits/merges, read by the metrics layer.

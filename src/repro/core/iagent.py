@@ -65,6 +65,11 @@ from repro.platform.naming import AgentId
 
 __all__ = ["IAgent", "NO_RECORD", "NOT_RESPONSIBLE", "OK", "pattern_matches"]
 
+#: IAgents serving fewer records than this never migrate (placement
+#: extension) -- with a handful of records the "plurality" is noise and
+#: the IAgent would chase its agents around (anti-flapping damper).
+PLACEMENT_MIN_RECORDS = 4
+
 
 class IAgent(MobileAgent):
     """An Information Agent: the directory shard for one hash-tree leaf.
@@ -312,7 +317,7 @@ class IAgent(MobileAgent):
         majority or there are too few records for the plurality to be
         signal rather than noise.
         """
-        if len(self.records) < self.mechanism.config.placement_min_records:
+        if len(self.records) < PLACEMENT_MIN_RECORDS:
             return None
         counts: Dict[str, int] = {}
         for node, _seq in self.records.values():

@@ -4,12 +4,12 @@ One LHAgent runs on every node and caches a *secondary copy* of the hash
 function -- the hash tree plus the current IAgent locations. Copies "may
 be temporarily out-of-date"; they are refreshed *on demand* only: when a
 requester is bounced by an IAgent with NOT_RESPONSIBLE, it asks its
-LHAgent to refresh. With delta sync enabled (the default) the LHAgent
-asks the HAgent for just the journaled rehash operations since its copy's
-version and replays them onto the copy in place -- O(ops) instead of
-O(tree) per refresh -- falling back to the full snapshot when the journal
-has been truncated past its version (or on failover to the backup HAgent,
-which serves snapshots only).
+LHAgent to refresh. Holding a copy, the LHAgent asks the HAgent for
+just the journaled rehash operations since its copy's version and
+replays them onto the copy in place -- O(ops) instead of O(tree) per
+refresh -- falling back to the full snapshot when the journal has been
+truncated past its version (or on failover to the backup HAgent, which
+serves snapshots only).
 
 Wire protocol:
 
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, Optional
 
+from repro.core.config import LHAGENT_SERVICE_TIME
 from repro.core.hash_function import HashFunction
 from repro.platform.agents import Agent
 from repro.platform.messages import Request, RpcError
@@ -41,7 +42,7 @@ class LHAgent(Agent):
 
     def __init__(self, agent_id: AgentId, runtime, mechanism) -> None:
         super().__init__(agent_id, runtime, tracked=False)
-        self.service_time = mechanism.config.lhagent_service_time
+        self.service_time = LHAGENT_SERVICE_TIME
         self.mailbox.set_service_time(self.service_time)
         self.mechanism = mechanism
         self.copy: Optional[HashFunctionCopy] = None
@@ -121,7 +122,7 @@ class LHAgent(Agent):
             if config.enable_backup_hagent
             else config.rpc_timeout
         )
-        if config.delta_sync and self.copy is not None:
+        if self.copy is not None:
             op, body, size = "get-hash-delta", {"since": self.copy.version}, 64
         else:
             op, body, size = "get-hash-function", None, 2048

@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Dict, Generator, Optional
 
 from repro.baselines.base import LocationMechanism
-from repro.core.config import HashMechanismConfig
+from repro.core.config import MAX_RETRIES, RETRY_BACKOFF, HashMechanismConfig
 from repro.core.errors import CoreError, LocateFailedError
 from repro.core.hagent import HAgent
 from repro.core.iagent import IAgent, OK
@@ -37,6 +37,10 @@ from repro.platform.naming import AgentId
 
 __all__ = ["HashLocationMechanism"]
 
+#: Time to create a new IAgent during a split (s); covers class loading
+#: and context registration on the hosting node.
+IAGENT_SPAWN_TIME = 0.005
+
 
 class HashLocationMechanism(LocationMechanism):
     """The paper's two-tier, dynamically rehashed location mechanism."""
@@ -46,7 +50,6 @@ class HashLocationMechanism(LocationMechanism):
     def __init__(self, config: Optional[HashMechanismConfig] = None) -> None:
         super().__init__()
         self.config = config or HashMechanismConfig()
-        self.config.validate()
         self.hagent: Optional[HAgent] = None
         self.backup: Optional[BackupHAgent] = None
         self.lhagents: Dict[str, LHAgent] = {}
@@ -127,23 +130,15 @@ class HashLocationMechanism(LocationMechanism):
     # ------------------------------------------------------------------
 
     def spawn_iagent(self) -> Generator:
-        """Create a fresh IAgent; returns ``(owner_id, node_name)``."""
-        node = self._pick_iagent_node()
-        yield Timeout(self.config.iagent_spawn_time)
+        """Create a fresh IAgent on the next node round-robin; returns
+        ``(owner_id, node_name)``."""
+        nodes = self.runtime.node_names()
+        self._spawn_round_robin += 1
+        node = nodes[self._spawn_round_robin % len(nodes)]
+        yield Timeout(IAGENT_SPAWN_TIME)
         iagent = self.runtime.create_agent(IAgent, node, mechanism=self)
         self.iagents[iagent.agent_id] = iagent
         return iagent.agent_id, node
-
-    def _pick_iagent_node(self) -> str:
-        nodes = self.runtime.node_names()
-        placement = self.config.iagent_placement
-        if placement == "round-robin":
-            self._spawn_round_robin += 1
-            return nodes[self._spawn_round_robin % len(nodes)]
-        if placement == "random":
-            return self.runtime.streams.get("iagent-placement").choice(nodes)
-        # "colocate": keep new IAgents near the coordinator's node.
-        return self.hagent_node
 
     def retire_iagent(self, owner: AgentId) -> Generator:
         """Kill a merged-away IAgent."""
@@ -152,8 +147,8 @@ class HashLocationMechanism(LocationMechanism):
             yield from iagent.die()
 
     def on_primary_copy_changed(self) -> None:
-        """Push the new primary copy to the backup (if replicating)."""
-        if self.backup is None or not self.config.backup_sync:
+        """Push the new primary copy to the backup, if there is one."""
+        if self.backup is None:
             return
         bundle = self.hagent.function.bundle()
         self.runtime.sim.spawn(self._sync_backup(bundle), name="backup-sync")
@@ -259,7 +254,7 @@ class HashLocationMechanism(LocationMechanism):
     def _discover(self, requester_node: str, op: str, body: Dict) -> Generator:
         reply = yield from self._drive(
             requester_node,
-            discover_saga(self.counters, self.config.max_retries, op, body),
+            discover_saga(self.counters, MAX_RETRIES, op, body),
         )
         if reply["status"] != OK:
             raise LocateFailedError(
@@ -294,7 +289,7 @@ class HashLocationMechanism(LocationMechanism):
             requester_node,
             request_saga(
                 self.counters,
-                self.config.max_retries,
+                MAX_RETRIES,
                 agent_id,
                 op,
                 body,
@@ -321,7 +316,7 @@ class HashLocationMechanism(LocationMechanism):
                 # trip or a timeout itself; an IAgent that answered is
                 # mid-hand-off, and only time helps.
                 if args[1] not in (UNRESOLVED, UNREACHABLE):
-                    yield Timeout(self.config.retry_backoff)
+                    yield Timeout(RETRY_BACKOFF)
                 reply = True
             elif kind == "candidates":
                 agent_id, d, stale_version = args

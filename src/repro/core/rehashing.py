@@ -26,7 +26,7 @@ leaf) and the two sides of the cross-shard merge,
 If no candidate is even, the paper's text keeps incrementing ``m``
 "until m is sufficiently large to produce an even split"; that loop need
 not terminate (one agent can carry all the load), so we bound it at
-``config.max_simple_m`` and fall back to the most balanced division seen
+``MAX_SIMPLE_M`` and fall back to the most balanced division seen
 that moves a non-zero load, or give up (``None``) when every division is
 degenerate. The deviation is recorded in DESIGN.md §4.
 """
@@ -67,6 +67,20 @@ __all__ = [
 #: One owner's load on the (zero, one) side of an id bit; None if unknown.
 Division = Optional[Sequence[int]]
 
+#: A split is *even* when the lighter side receives at least this
+#: fraction of the load being divided (paper §4.1's "even split").
+BALANCE_TOLERANCE = 0.25
+
+#: Largest ``m`` tried by simple split before accepting the best uneven
+#: division found.
+MAX_SIMPLE_M = 8
+
+#: Utilization ceiling the adaptive threshold heuristic aims at per IAgent.
+TARGET_UTILIZATION = 0.4
+
+#: Adaptive T_min as a fraction of the effective T_max.
+ADAPTIVE_T_MIN_FRACTION = 0.1
+
 
 class RehashPolicy:
     """The rehash trigger: thresholds, per-owner cooldown, merge streaks.
@@ -76,6 +90,7 @@ class RehashPolicy:
     """
 
     def __init__(self, config: HashMechanismConfig) -> None:
+        config.validate()
         self.config = config
         self._cooldown_until: Dict[Any, float] = {}
         self._merge_streak: Dict[Any, int] = {}
@@ -85,15 +100,15 @@ class RehashPolicy:
 
         ``"fixed"`` mode returns the configured pair. ``"adaptive"``
         mode -- the heuristic the paper defers to future work -- keeps
-        each IAgent below ``target_utilization`` of its *measured*
-        capacity: ``T_max = target_utilization / mean_service_time``.
+        each IAgent below ``TARGET_UTILIZATION`` of its *measured*
+        capacity: ``T_max = TARGET_UTILIZATION / mean_service_time``.
         """
         config = self.config
         service = report.get("service_estimate") or 0.0
         if config.threshold_mode == "fixed" or service <= 0.0:
             return config.t_max, config.t_min  # configured, or no measurement yet
-        t_max = config.target_utilization / service
-        return t_max, t_max * config.adaptive_t_min_fraction
+        t_max = TARGET_UTILIZATION / service
+        return t_max, t_max * ADAPTIVE_T_MIN_FRACTION
 
     def set_cooldown(self, owner: Any, now: float) -> None:
         self._cooldown_until[owner] = now + self.config.cooldown
@@ -170,7 +185,7 @@ def plan_split(
             # group prefixes record, so the division cannot be evaluated.
             return None
 
-    return _walk(tree, _candidates(tree, owner, config), division_of, config)
+    return _walk(tree, _candidates(tree, owner, config), division_of)
 
 
 def _candidates(
@@ -180,7 +195,7 @@ def _candidates(
     candidates = tree.split_candidates(
         owner,
         scope=config.complex_split_scope,
-        max_simple_m=config.max_simple_m,
+        max_simple_m=MAX_SIMPLE_M,
     )
     if not config.enable_complex_split:
         candidates = [cand for cand in candidates if cand.kind == "simple"]
@@ -191,7 +206,6 @@ def _walk(
     tree: HashTree,
     candidates: List[SplitCandidate],
     division_of: Callable[[Hashable, int], Division],
-    config: HashMechanismConfig,
 ) -> Optional[PlannedSplit]:
     """The candidate walk: the first even division wins, else the most
     balanced one that moves a non-zero load, else ``None``.
@@ -212,7 +226,7 @@ def _walk(
             zero_side += division[0]
             one_side += division[1]
         else:
-            if is_even_split(zero_side, one_side, config.balance_tolerance):
+            if is_even_split(zero_side, one_side, BALANCE_TOLERANCE):
                 return PlannedSplit(candidate, zero_side, one_side, even=True)
             lighter = min(zero_side, one_side)
             if lighter > best_lighter:
@@ -306,10 +320,9 @@ def split_saga(coord: Any, owner: Any) -> Saga:
     if not _ready(coord, owner):
         return
     policy, tree = coord.policy, coord.function.tree
-    config = policy.config
     # One request per owner a candidate touches, the overloaded one
     # first: the id bits whose load division the plan needs from it.
-    candidates = _candidates(tree, owner, config)
+    candidates = _candidates(tree, owner, policy.config)
     asked: Dict[Any, List[int]] = {owner: []}
     for candidate in candidates:
         for affected in tree.affected_owners(candidate):
@@ -321,9 +334,7 @@ def split_saga(coord: Any, owner: Any) -> Saga:
             return  # unreachable IAgent; try again on the next report
         divisions[each] = reply["divisions"]
 
-    planned = _walk(
-        tree, candidates, lambda each, bit: divisions[each].get(bit), config
-    )
+    planned = _walk(tree, candidates, lambda each, bit: divisions[each].get(bit))
     if planned is None:
         # Nothing divisible (e.g. a single red-hot agent): back off.
         policy.set_cooldown(owner, coord._now())

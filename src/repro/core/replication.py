@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional
 
+from repro.core.config import HAGENT_SERVICE_TIME
 from repro.platform.agents import Agent
 from repro.platform.messages import Request
 from repro.platform.naming import AgentId
@@ -32,7 +33,7 @@ class BackupHAgent(Agent):
 
     def __init__(self, agent_id: AgentId, runtime, mechanism) -> None:
         super().__init__(agent_id, runtime, tracked=False)
-        self.service_time = mechanism.config.hagent_service_time
+        self.service_time = HAGENT_SERVICE_TIME
         self.mailbox.set_service_time(self.service_time)
         self.mechanism = mechanism
         self._bundle: Optional[Dict] = None

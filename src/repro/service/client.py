@@ -119,6 +119,12 @@ _HEDGED_OPS = frozenset({"locate", "discover-similar", "discover-capability"})
 #: queries per ``discover-*-batch``).
 BATCH_SIZE = 64
 
+#: First backoff sleep between retry rounds (s); doubles each round.
+BACKOFF_BASE = 0.05
+
+#: Backoff ceiling (s).
+BACKOFF_CAP = 0.5
+
 #: Jitter fraction of a backoff sleep: each is drawn uniformly from
 #: ``[delay * (1 - BACKOFF_JITTER), delay]``.
 BACKOFF_JITTER = 0.5
@@ -266,12 +272,6 @@ class ClientConfig:
     #: even when rounds remain.
     op_deadline: float = 20.0
 
-    #: First backoff sleep (seconds); doubles each round.
-    backoff_base: float = 0.05
-
-    #: Backoff ceiling (seconds).
-    backoff_cap: float = 0.5
-
     #: Hedge idempotent reads (locate, discovery fan-out): when the
     #: primary reply is slower than the endpoint's p95-derived hedge
     #: delay, a duplicate request races it and the first reply wins.
@@ -415,7 +415,7 @@ class _Connection(asyncio.BufferedProtocol):
         self.pending: Dict[int, _Rpc] = {}
         self.closed = False
         self._loop = asyncio.get_running_loop()
-        self.decoder = wire.FrameDecoder(max_frame=channel.max_frame)
+        self.decoder = wire.FrameDecoder()
         #: The write side: the transport itself, or its netem shim.
         self._out: Any = None
 
@@ -481,9 +481,7 @@ class _Connection(asyncio.BufferedProtocol):
     def send(self, rpc: _Rpc, to: Any, body: Any) -> None:
         """Put one attempt of ``rpc`` on this connection's wire."""
         request = Request(op=rpc.op, body=body)
-        payload = wire.encode_frame(
-            {"to": to, "req": request}, max_frame=self.channel.max_frame
-        )
+        payload = wire.encode_frame({"to": to, "req": request})
         self.pending[request.message_id] = rpc
         rpc.out[self] = request.message_id
         self._out.write(payload)
@@ -557,12 +555,10 @@ class RpcChannel:
     def __init__(
         self,
         rpc_timeout: float = 2.0,
-        max_frame: int = wire.DEFAULT_MAX_FRAME,
         tracer: Optional[Tracer] = None,
         netem: Optional[NetemController] = None,
     ) -> None:
         self.rpc_timeout = rpc_timeout
-        self.max_frame = max_frame
         self.tracer = tracer
         self.netem = netem
         #: What every connection's socket reads land in; each read is
@@ -1317,8 +1313,7 @@ class ServiceClient:
         """
         if attempt == 0:
             return
-        config = self.config
-        delay = min(config.backoff_cap, config.backoff_base * (2 ** (attempt - 1)))
+        delay = min(BACKOFF_CAP, BACKOFF_BASE * (2 ** (attempt - 1)))
         span = delay * BACKOFF_JITTER
         delay = delay - span + self.rng.random() * span
         if deadline is not None:

@@ -39,6 +39,7 @@ from repro.service.chaos import (
     netem_chaos_palette,
 )
 from repro.service.client import (
+    BACKOFF_BASE,
     ClientConfig,
     ClientCounters,
     RemoteOpError,
@@ -56,6 +57,10 @@ from repro.workloads.scenarios import churn_schedule
 __all__ = ["ClusterConfig", "ClusterReport", "run_cluster", "serve_cluster"]
 
 Address = Tuple[str, int]
+
+#: Workload mix of a run's operations; the remainder registers new agents.
+LOCATE_FRACTION = 0.45
+MIGRATE_FRACTION = 0.45
 
 
 @dataclass(frozen=True)
@@ -98,11 +103,7 @@ class ClusterConfig:
     churn_seed: Optional[int] = None
     service: ServiceConfig = field(default_factory=ServiceConfig)
     client: ClientConfig = field(default_factory=ClientConfig)
-    #: Workload mix (weights; the remainder registers new agents).
-    locate_fraction: float = 0.45
-    migrate_fraction: float = 0.45
-    trace: bool = False
-    #: Stream trace events to this JSON-lines file (implies tracing).
+    #: Trace the run, streaming its events to this JSON-lines file.
     trace_jsonl: Optional[str] = None
 
 
@@ -323,12 +324,9 @@ class _Cluster:
                 client=replace(config.client, netem=self.netem),
             )
         self.config = config
-        self.tracer = (
-            Tracer(clock=wall_clock())
-            if config.trace or config.trace_jsonl
-            else None
-        )
-        if self.tracer is not None and config.trace_jsonl:
+        self.tracer: Optional[Tracer] = None
+        if config.trace_jsonl:
+            self.tracer = Tracer(clock=wall_clock())
             self.tracer.write_jsonl(config.trace_jsonl)
         validate_shards(config.shards)
         #: Live HAgent replicas per shard; killed ones move to
@@ -711,7 +709,7 @@ class _Cluster:
             except ServiceRpcError:
                 if loop.time() >= deadline:
                     raise
-                await asyncio.sleep(client.backoff_base)
+                await asyncio.sleep(BACKOFF_BASE)
 
     def merged_counters(self) -> ClientCounters:
         merged = ClientCounters()
@@ -867,12 +865,12 @@ async def run_cluster(config: Optional[ClusterConfig] = None) -> ClusterReport:
                     report.records_lost = await cluster.crash_heaviest_iagent()
                     report.crashed = True
             roll = cluster.rng.random()
-            if roll < config.locate_fraction:
+            if roll < LOCATE_FRACTION:
                 agent = cluster.rng.choice(agents)
                 requester = cluster.rng.randrange(len(cluster.nodes))
                 if not await cluster.locate_agent(agent, requester):
                     report.locate_mismatches += 1
-            elif roll < config.locate_fraction + config.migrate_fraction:
+            elif roll < LOCATE_FRACTION + MIGRATE_FRACTION:
                 await cluster.migrate_agent(cluster.rng.choice(agents))
             else:
                 agents.append(await cluster.spawn_agent())

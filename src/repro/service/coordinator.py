@@ -20,6 +20,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Any, Dict, Generator, List, Optional, Tuple
 
+from repro.core.config import SYNC_JOURNAL_CAPACITY
 from repro.core.coordinator_state import CoordinatorState
 from repro.core.iagent_state import OK
 from repro.core.rehashing import (
@@ -126,7 +127,7 @@ class HAgentServer(_FramedServer):
             shard,
             1 if self.role == "primary" else 0,
             namer or AgentNamer(seed=0xD1EC7 + shard),
-            self.config.mechanism.sync_journal_capacity,
+            SYNC_JOURNAL_CAPACITY,
         )
         #: rank -> address of every replica (self included); see
         #: :meth:`set_peers`.
@@ -152,7 +153,6 @@ class HAgentServer(_FramedServer):
         self.syncs = 0
         self.channel = RpcChannel(
             rpc_timeout=self.config.rpc_timeout,
-            max_frame=self.config.max_frame,
             tracer=tracer,
             netem=self.config.netem,
         )
@@ -515,7 +515,6 @@ class HAgentServer(_FramedServer):
             rank=max(1, self.rank),
             heartbeat_timeout=config.heartbeat_timeout,
             promotion_stagger=config.promotion_stagger,
-            fast_fail_threshold=config.fast_fail_threshold,
         )
         self.detector = detector
         # Sync *before* the first sleep: a standby must learn the

@@ -23,19 +23,19 @@ Three layers:
   two same-seed runs generate *identical* op sequences regardless of
   how the event loop interleaves them, and a run can be replayed.
 * :class:`LoadGenerator` -- the driving disciplines. **Closed loop**:
-  ``clients`` workers each loop draw-execute-record (optionally with
-  think time), so offered load self-regulates to the service rate --
-  the classic saturation probe. **Open loop**: a dispatcher schedules
-  arrivals from a seeded Poisson process at ``rate`` ops/sec and
-  measures each op from its *scheduled* arrival instant, not from when
-  the dispatcher got around to sending it -- the coordinated-omission
-  correction that makes the p99 honest once the cluster falls behind.
+  ``clients`` workers each loop draw-execute-record, so offered load
+  self-regulates to the service rate -- the classic saturation probe.
+  **Open loop**: a dispatcher schedules arrivals from a seeded Poisson
+  process at ``rate`` ops/sec and measures each op from its *scheduled*
+  arrival instant, not from when the dispatcher got around to sending
+  it -- the coordinated-omission correction that makes the p99 honest
+  once the cluster falls behind.
 
 Runs move through warmup / measure / drain phases: warmup ops are
 executed but not recorded, the measure window feeds the recorders, and
 drain lets in-flight ops finish (open-loop stragglers that outlive the
-drain window are cancelled and reported as ``ops_abandoned``, never
-silently dropped).
+drain window are cancelled; the measured ones are reported as
+``ops_abandoned``, never silently dropped).
 
 :func:`run_load` boots a cluster, registers the shared population and
 runs one configured load; :func:`saturation_search` binary-searches
@@ -81,6 +81,14 @@ OP_KINDS = (OP_LOCATE, OP_MOVE, OP_REGISTER, OP_BATCH, OP_SIMILAR, OP_CAPABILITY
 
 MODE_CLOSED = "closed"
 MODE_OPEN = "open"
+
+#: Agents per batch-locate op.
+BATCH_K = 16
+
+#: Open-loop cap on concurrently outstanding ops; arrivals past it wait
+#: for a slot (counted as ``throttled``) instead of stacking tasks
+#: without bound.
+MAX_IN_FLIGHT = 4096
 
 
 # ----------------------------------------------------------------------
@@ -313,7 +321,6 @@ class OpStream:
         lane: int,
         mix: OpMix,
         node_names: Sequence[str],
-        batch_k: int = 16,
     ) -> None:
         if not node_names:
             raise ValueError("op stream needs at least one node name")
@@ -322,7 +329,6 @@ class OpStream:
         self.namer = AgentNamer(seed=(seed + 1) * 1_000_003 + lane)
         self.bounds = mix.weights()
         self.node_names = list(node_names)
-        self.batch_k = max(1, batch_k)
         #: Agents this lane owns: insertion-ordered, mutation targets.
         self.owned: List[AgentId] = []
         #: agent -> [current node, sequence number] for owned agents.
@@ -366,7 +372,7 @@ class OpStream:
         if kind == OP_BATCH:
             sample = tuple(
                 self.shared[self.rng.randrange(len(self.shared))]
-                for _ in range(min(self.batch_k, len(self.shared)))
+                for _ in range(min(BATCH_K, len(self.shared)))
             )
             return Op(kind=OP_BATCH, agent=sample[0], batch=sample)
         if kind == OP_SIMILAR:
@@ -406,12 +412,6 @@ class LoadConfig:
     #: Open-loop target arrival rate, ops/sec.
     rate: float = 500.0
 
-    #: Optional open-loop rate *profile*: a callable ``(t) -> ops/sec``
-    #: of seconds since the measure window started (negative during
-    #: warmup), overriding :attr:`rate` per arrival. Flash-crowd runs
-    #: plug :class:`repro.workloads.scenarios.FlashCrowd` in here.
-    rate_profile: object = None
-
     #: Measure-phase length (seconds); ignored by closed-loop runs that
     #: set ``ops_per_client``.
     duration_s: float = 10.0
@@ -433,19 +433,8 @@ class LoadConfig:
     #: Workload mix weights.
     mix: OpMix = field(default_factory=OpMix)
 
-    #: Agents per batch-locate op.
-    batch_k: int = 16
-
-    #: Closed-loop think time between a worker's ops (seconds).
-    think_s: float = 0.0
-
     #: Seed for every stream (arrivals, op draws, new ids).
     seed: int = 1
-
-    #: Open-loop cap on concurrently outstanding ops; arrivals past it
-    #: wait for a slot (counted as ``throttled``) instead of stacking
-    #: tasks without bound.
-    max_in_flight: int = 4096
 
     #: Optional pass/fail latency budget for :attr:`LoadReport.passed`.
     p99_budget_ms: Optional[float] = None
@@ -487,7 +476,8 @@ class LoadReport:
     ops_issued: int = 0
     ops_ok: int = 0
     ops_failed: int = 0
-    #: Open-loop ops still unfinished when the drain window closed.
+    #: Measured open-loop ops still unfinished when the drain window
+    #: closed.
     ops_abandoned: int = 0
     #: Agents resolved by batch ops (each batch op counts once above).
     batch_items: int = 0
@@ -613,13 +603,7 @@ class LoadGenerator:
         self.config = config
         lanes = config.clients if config.mode == MODE_CLOSED else 1
         self.streams = [
-            OpStream(
-                config.seed,
-                lane,
-                config.mix,
-                self.node_names,
-                batch_k=config.batch_k,
-            )
+            OpStream(config.seed, lane, config.mix, self.node_names)
             for lane in range(lanes)
         ]
         self.recorder = LatencyRecorder()
@@ -756,8 +740,6 @@ class LoadGenerator:
             await self._run_one(lane, client, op, measured, loop.time())
             if measured:
                 measured_ops += 1
-            if config.think_s > 0:
-                await asyncio.sleep(config.think_s)
 
     # -- open loop -----------------------------------------------------
 
@@ -766,22 +748,13 @@ class LoadGenerator:
         stream = self.streams[0]
         loop = asyncio.get_running_loop()
         arrivals = random.Random(f"repro-loadgen-{config.seed}-arrivals")
-        semaphore = asyncio.Semaphore(config.max_in_flight)
-        tasks: "set[asyncio.Task]" = set()
-        profile = config.rate_profile
+        semaphore = asyncio.Semaphore(MAX_IN_FLIGHT)
+        # In-flight op -> whether it is measured.
+        tasks: "dict[asyncio.Task, bool]" = {}
         next_at = loop.time()
         dispatched = 0
         while True:
-            # A rate profile is sampled at each arrival instant, giving
-            # a (piecewise-constant approximation of a) non-homogeneous
-            # Poisson process -- exact for the trapezoid flash crowd's
-            # flat segments, close enough on its short ramps.
-            rate = (
-                float(profile(next_at - self._measure_start))
-                if profile is not None
-                else config.rate
-            )
-            next_at += arrivals.expovariate(max(1e-9, rate))
+            next_at += arrivals.expovariate(config.rate)
             if next_at >= self._measure_end:
                 break
             delay = next_at - loop.time()
@@ -800,15 +773,18 @@ class LoadGenerator:
             task = asyncio.ensure_future(
                 self._run_one(0, client, op, measured, next_at)
             )
-            tasks.add(task)
+            tasks[task] = measured
             task.add_done_callback(
-                lambda finished: (tasks.discard(finished), semaphore.release())
+                lambda finished: (tasks.pop(finished), semaphore.release())
             )
         if tasks:
             done, pending = await asyncio.wait(tasks, timeout=config.drain_s)
             for task in pending:
+                # A warm-up straggler was never issued: cancelled, but
+                # not abandoned.
+                if tasks[task]:
+                    self.abandoned += 1
                 task.cancel()
-                self.abandoned += 1
             if pending:
                 # Bounded: a task whose cancellation is swallowed (the
                 # asyncio.wait_for completion race) must not wedge the

@@ -39,6 +39,11 @@ __all__ = [
     "single_primary_violations",
 ]
 
+#: Consecutive connection-refused sync failures (scaled by rank) that
+#: make a standby promote without waiting out the silence window: a
+#: refused connect means the primary's process is *gone*, not slow.
+FAST_FAIL_THRESHOLD = 3
+
 
 def next_epoch(*seen: int) -> int:
     """The epoch a promotion must claim: strictly above everything seen.
@@ -122,7 +127,7 @@ class FailureDetector:
     * **Silence**: no successful sync for ``heartbeat_timeout`` seconds
       (plus ``(rank - 1) * promotion_stagger`` for ranks beyond the
       first in line), measured from the last success.
-    * **Fast-fail**: ``rank * fast_fail_threshold`` *consecutive*
+    * **Fast-fail**: ``rank * FAST_FAIL_THRESHOLD`` *consecutive*
       connection-refused failures. A refused connect is a positive
       signal (the process is gone, not just slow), so a crashed primary
       is detected in a few heartbeat periods instead of a full timeout;
@@ -133,7 +138,6 @@ class FailureDetector:
     rank: int
     heartbeat_timeout: float
     promotion_stagger: float = 0.5
-    fast_fail_threshold: int = 3
     #: Clock of the last successful sync (None until the first one).
     last_ok: Optional[float] = None
     consecutive_refused: int = 0
@@ -173,7 +177,7 @@ class FailureDetector:
 
     def should_promote(self, now: float) -> bool:
         """Whether this standby must take over, judged at ``now``."""
-        if self.consecutive_refused >= self.rank * self.fast_fail_threshold:
+        if self.consecutive_refused >= self.rank * FAST_FAIL_THRESHOLD:
             return True
         return now >= self.silence_deadline
 

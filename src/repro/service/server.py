@@ -44,7 +44,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.core.config import HashMechanismConfig
+from repro.core.config import SYNC_JOURNAL_CAPACITY, HashMechanismConfig
 from repro.core.hash_function import HashFunction, SecondaryCopies
 from repro.core.iagent_state import OK, IAgentState, table_field
 from repro.core.load import LoadStatistics
@@ -91,7 +91,6 @@ def _default_mechanism_config() -> HashMechanismConfig:
         warmup_fraction=0.5,
         cooldown=1.0,
         merge_patience=4,
-        rpc_timeout=2.0,
     )
 
 
@@ -103,9 +102,6 @@ class ServiceConfig:
 
     #: Per-RPC timeout for server-to-server calls (s).
     rpc_timeout: float = 2.0
-
-    #: Frame-size ceiling on every connection.
-    max_frame: int = wire.DEFAULT_MAX_FRAME
 
     #: Root directory for durable state (WAL + snapshots). ``None``
     #: keeps the PR-3 behaviour: soft-state only, nothing on disk.
@@ -124,18 +120,13 @@ class ServiceConfig:
 
     #: Silence window after which the first-in-line standby declares the
     #: primary dead (s). A *crashed* primary is usually detected faster
-    #: through the fast-fail path (see ``fast_fail_threshold``); a
-    #: partitioned one must wait out the full window.
+    #: through ``FailureDetector``'s fast-fail path; a partitioned one
+    #: must wait out the full window.
     heartbeat_timeout: float = 0.75
 
     #: Extra silence each further standby waits beyond the one ahead of
     #: it (s) -- keeps promotion deterministic by rank.
     promotion_stagger: float = 0.5
-
-    #: Consecutive connection-refused sync failures (scaled by rank)
-    #: that trigger promotion without waiting out the silence window: a
-    #: refused connect means the process is *gone*, not merely slow.
-    fast_fail_threshold: int = 3
 
     #: Artificial one-way delay added to every coordinator-to-node and
     #: coordinator-to-IAgent RPC (s). Zero in production. The sharded
@@ -213,7 +204,7 @@ class _ServerConnection(asyncio.BufferedProtocol):
 
     def __init__(self, server: "_FramedServer") -> None:
         self.server = server
-        self.decoder = wire.FrameDecoder(max_frame=server.config.max_frame)
+        self.decoder = wire.FrameDecoder()
         self.transport: Any = None
         self.out: Any = None
         #: The encoded replies of the segment being served; ``None``
@@ -264,13 +255,12 @@ class _ServerConnection(asyncio.BufferedProtocol):
     def reply(self, message_id: int, value: Any, error: Optional[str]) -> None:
         if self.transport.is_closing():
             return  # the peer went away; its retry path owns recovery
-        max_frame = self.decoder.max_frame
         response = Response(message_id, value, error)
         try:
-            payload = wire.encode_frame(response, max_frame)
+            payload = wire.encode_frame(response)
         except wire.WireError as exc:  # an unencodable or oversized value
             response = Response(message_id, error=f"internal-error: {exc}")
-            payload = wire.encode_frame(response, max_frame)
+            payload = wire.encode_frame(response)
         if self._segment is None:
             self.out.write(payload)
         else:
@@ -700,7 +690,7 @@ class LHAgentEndpoint:
         #: One secondary copy per coordinator shard, fetched lazily the
         #: first time an agent of that prefix is resolved here, and the
         #: node address book.
-        self.held = SecondaryCopies(node.config.mechanism.sync_journal_capacity)
+        self.held = SecondaryCopies(SYNC_JOURNAL_CAPACITY)
         self.copies = self.held.copies
         self.node_addrs = self.held.node_addrs
         self._fetch_flights: Dict[int, "asyncio.Task[None]"] = {}
@@ -956,7 +946,6 @@ class NodeServer(_FramedServer):
         self.orphans_retired = 0
         self.channel = RpcChannel(
             rpc_timeout=self.config.rpc_timeout,
-            max_frame=self.config.max_frame,
             tracer=tracer,
             netem=self.config.netem,
         )

@@ -24,7 +24,6 @@ __all__ = [
     "EXP1_AGENT_COUNTS",
     "EXP2_AGENT_COUNT",
     "EXP2_RESIDENCE_TIMES_MS",
-    "FlashCrowd",
     "Scenario",
     "churn_schedule",
     "exp1_scenario",
@@ -152,44 +151,6 @@ def churn_schedule(
         down_until[target] = now + outage
     events.sort(key=lambda event: (event.at, event.kind, event.target))
     return ChaosSchedule(seed=seed, duration=duration, events=tuple(events))
-
-
-@dataclass(frozen=True)
-class FlashCrowd:
-    """A trapezoid arrival-rate profile: base -> ramp -> peak -> decay.
-
-    Callable ``(t) -> rate`` so it plugs straight into the load
-    generator's open loop as ``LoadConfig.rate_profile``; ``t`` is
-    seconds since the measured window started.
-    """
-
-    base_rate: float
-    peak_rate: float
-    #: Seconds into the run the crowd starts arriving.
-    at: float
-    #: Seconds the ramp up (and back down) takes.
-    ramp_s: float = 1.0
-    #: Seconds the peak holds.
-    hold_s: float = 2.0
-
-    def rate_at(self, t: float) -> float:
-        if t < self.at:
-            return self.base_rate
-        t -= self.at
-        if t < self.ramp_s:
-            frac = t / self.ramp_s
-            return self.base_rate + (self.peak_rate - self.base_rate) * frac
-        t -= self.ramp_s
-        if t < self.hold_s:
-            return self.peak_rate
-        t -= self.hold_s
-        if t < self.ramp_s:
-            frac = 1.0 - t / self.ramp_s
-            return self.base_rate + (self.peak_rate - self.base_rate) * frac
-        return self.base_rate
-
-    def __call__(self, t: float) -> float:
-        return self.rate_at(t)
 
 
 def exp1_scenario(num_agents: int, seed: int = 1, **overrides) -> Scenario:

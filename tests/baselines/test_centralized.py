@@ -7,7 +7,7 @@ from repro.core.errors import LocateFailedError
 from repro.platform.agents import MobileAgent
 from repro.platform.naming import AgentId
 
-from tests.conftest import build_runtime, drain
+from tests.conftest import build_runtime, drain, patch_retries
 
 
 class Roamer(MobileAgent):
@@ -56,18 +56,20 @@ class TestCentralized:
         runtime.sim.run_process(agent.dispatch("node-1"))
         assert locate(runtime, "node-3", agent.agent_id) == "node-1"
 
-    def test_deregister(self):
+    def test_deregister(self, monkeypatch):
         runtime = build_runtime()
-        install(runtime, max_retries=2, retry_backoff=0.01)
+        patch_retries(monkeypatch, "repro.baselines.centralized", 2, 0.01)
+        install(runtime)
         agent = runtime.create_agent(Roamer, "node-2", tracked=True)
         drain(runtime, 0.5)
         runtime.sim.run_process(agent.die())
         with pytest.raises(LocateFailedError):
             locate(runtime, "node-0", agent.agent_id)
 
-    def test_unknown_agent_fails_after_retries(self):
+    def test_unknown_agent_fails_after_retries(self, monkeypatch):
         runtime = build_runtime()
-        mechanism = install(runtime, max_retries=3, retry_backoff=0.01)
+        patch_retries(monkeypatch, "repro.baselines.centralized", 3, 0.01)
+        mechanism = install(runtime)
         with pytest.raises(LocateFailedError):
             locate(runtime, "node-0", AgentId(999))
         assert mechanism.counters.retries == 3

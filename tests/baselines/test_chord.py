@@ -14,7 +14,7 @@ from repro.core.errors import LocateFailedError
 from repro.platform.agents import MobileAgent
 from repro.platform.naming import AgentId
 
-from tests.conftest import build_runtime, drain
+from tests.conftest import build_runtime, drain, patch_retries
 
 
 class Roamer(MobileAgent):
@@ -126,9 +126,10 @@ class TestProtocol:
         runtime.sim.run_process(agent.dispatch("node-4"))
         assert locate(runtime, "node-1", agent.agent_id) == "node-4"
 
-    def test_deregister_removes_record(self):
+    def test_deregister_removes_record(self, monkeypatch):
         runtime = build_runtime(nodes=5)
-        mechanism = install(runtime, max_retries=2, retry_backoff=0.01)
+        patch_retries(monkeypatch, "repro.baselines.chord", 2, 0.01)
+        mechanism = install(runtime)
         agent = runtime.create_agent(Roamer, "node-2", tracked=True)
         drain(runtime, 0.5)
         runtime.sim.run_process(agent.die())
@@ -151,8 +152,9 @@ class TestProtocol:
         operations = mechanism.counters.registers + mechanism.counters.locates
         assert hops <= operations * 5
 
-    def test_unknown_agent_fails(self):
+    def test_unknown_agent_fails(self, monkeypatch):
         runtime = build_runtime(nodes=3)
-        install(runtime, max_retries=2, retry_backoff=0.01)
+        patch_retries(monkeypatch, "repro.baselines.chord", 2, 0.01)
+        install(runtime)
         with pytest.raises(LocateFailedError):
             locate(runtime, "node-0", AgentId(999999))

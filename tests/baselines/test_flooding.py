@@ -10,7 +10,7 @@ from repro.platform.naming import AgentId
 from repro.workloads.mobility import ConstantResidence
 from repro.workloads.population import spawn_population
 
-from tests.conftest import build_runtime, drain
+from tests.conftest import build_runtime, drain, patch_retries
 
 
 class Roamer(MobileAgent):
@@ -68,9 +68,10 @@ class TestFlooding:
             runtime.sim.run_process(agent.dispatch(destination))
         assert locate(runtime, "node-3", agent.agent_id) == "node-2"
 
-    def test_unknown_agent_fails_after_refloods(self):
+    def test_unknown_agent_fails_after_refloods(self, monkeypatch):
         runtime = build_runtime(nodes=4)
-        mechanism = install(runtime, max_retries=2, retry_backoff=0.01)
+        patch_retries(monkeypatch, "repro.baselines.flooding", 2, 0.01)
+        mechanism = install(runtime)
         with pytest.raises(LocateFailedError):
             locate(runtime, "node-0", AgentId(12345))
         assert mechanism.counters.retries == 2

@@ -8,7 +8,7 @@ from repro.core.errors import LocateFailedError
 from repro.platform.agents import MobileAgent
 from repro.platform.naming import AgentId
 
-from tests.conftest import build_runtime, drain
+from tests.conftest import build_runtime, drain, patch_retries
 
 
 class Roamer(MobileAgent):
@@ -122,9 +122,10 @@ class TestProtocol:
         with pytest.raises(LocateFailedError):
             locate(runtime, "node-0", AgentId(5))
 
-    def test_unknown_agent_with_home_fails_after_retries(self):
+    def test_unknown_agent_with_home_fails_after_retries(self, monkeypatch):
         runtime = build_runtime()
-        mechanism = install(runtime, max_retries=2, retry_backoff=0.01)
+        patch_retries(monkeypatch, "repro.baselines.home_registry", 2, 0.01)
+        mechanism = install(runtime)
         ghost = AgentId(777)
         mechanism.home_of[ghost] = 0
         with pytest.raises(LocateFailedError):

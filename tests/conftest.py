@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.config import HashMechanismConfig
+from repro.core.config import RETRY_BACKOFF, HashMechanismConfig
 from repro.core.hash_function import HashFunction
 from repro.core.hash_tree import HashTree
 from repro.core.mechanism import HashLocationMechanism
@@ -33,6 +33,26 @@ def install_hash_mechanism(
     mechanism = HashLocationMechanism(config)
     runtime.install_location_mechanism(mechanism)
     return mechanism
+
+
+def patch_retries(
+    monkeypatch: pytest.MonkeyPatch,
+    module: str,
+    max_retries: int,
+    retry_backoff: float = RETRY_BACKOFF,
+) -> None:
+    """Give the simulated mechanism in ``module`` (the one reading the
+    ``MAX_RETRIES`` / ``RETRY_BACKOFF`` constants, e.g.
+    ``"repro.core.mechanism"``) another retry budget for one test."""
+    monkeypatch.setattr(f"{module}.MAX_RETRIES", max_retries)
+    monkeypatch.setattr(f"{module}.RETRY_BACKOFF", retry_backoff)
+
+
+def patch_backoff(monkeypatch: pytest.MonkeyPatch, base: float, cap: float) -> None:
+    """Shrink the live client's retry backoff (``BACKOFF_BASE`` /
+    ``BACKOFF_CAP``) for one test."""
+    monkeypatch.setattr("repro.service.client.BACKOFF_BASE", base)
+    monkeypatch.setattr("repro.service.client.BACKOFF_CAP", cap)
 
 
 def copy_reply(owner, node: str, addr, version: int = 1) -> dict:

@@ -84,11 +84,10 @@ class TestDeltaWireProtocol:
         assert lhagent.copy.tree.to_spec() == mechanism.hagent.tree.to_spec()
         assert lhagent.copy.iagent_nodes == mechanism.hagent.iagent_nodes
 
-    def test_truncated_journal_falls_back_to_full_snapshot(self):
+    def test_truncated_journal_falls_back_to_full_snapshot(self, monkeypatch):
+        monkeypatch.setattr("repro.core.hagent.SYNC_JOURNAL_CAPACITY", 1)
         runtime = build_runtime()
-        mechanism = install_hash_mechanism(
-            runtime, cooldown=0.0, sync_journal_capacity=1
-        )
+        mechanism = install_hash_mechanism(runtime, cooldown=0.0)
         lhagent = mechanism.lhagents["node-2"]
         rpc(
             runtime, "node-2", lhagent.agent_id, "whois",
@@ -106,24 +105,6 @@ class TestDeltaWireProtocol:
         assert lhagent.full_refreshes == 2
         assert lhagent.copy.version == mechanism.hagent.version
         assert lhagent.copy.tree.to_spec() == mechanism.hagent.tree.to_spec()
-
-    def test_delta_disabled_uses_full_snapshots(self):
-        runtime = build_runtime()
-        mechanism = install_hash_mechanism(runtime, cooldown=0.0, delta_sync=False)
-        lhagent = mechanism.lhagents["node-2"]
-        rpc(
-            runtime, "node-2", lhagent.agent_id, "whois",
-            {"agent": AgentId(1)}, src="node-2",
-        )
-        stale_version = lhagent.copy.version
-        self.seed_and_split(runtime, mechanism)
-        rpc(
-            runtime, "node-2", lhagent.agent_id, "refresh",
-            {"agent": AgentId(1), "stale_version": stale_version}, src="node-2",
-        )
-        assert lhagent.delta_refreshes == 0
-        assert lhagent.full_refreshes == 2
-        assert lhagent.copy.version == mechanism.hagent.version
 
     def test_up_to_date_delta_reply_is_empty(self):
         runtime = build_runtime()

@@ -56,9 +56,18 @@ class Wal(list):
         self.append(copy.deepcopy(op))
 
 
+def journaled(capacity, build):
+    """``build()`` with the coordinator's and the LHAgent's journals
+    bounded at ``capacity`` instead of ``SYNC_JOURNAL_CAPACITY``."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        for module in ("repro.service.coordinator", "repro.service.server"):
+            monkeypatch.setattr(f"{module}.SYNC_JOURNAL_CAPACITY", capacity)
+        return build()
+
+
 def coordinator(capacity):
-    return HAgentServer(
-        ServiceConfig(mechanism=HashMechanismConfig(sync_journal_capacity=capacity))
+    return journaled(
+        capacity, lambda: HAgentServer(ServiceConfig(mechanism=HashMechanismConfig()))
     )
 
 
@@ -93,7 +102,7 @@ class Replicas:
         # journaled with the same capacity) -> requester.
         self.server.state.register_node("n0", "10.0.0.1", 7)
         node = SimpleNamespace(config=self.server.config, router=ShardRouter())
-        self.relay = LHAgentEndpoint(node)
+        self.relay = journaled(capacity, lambda: LHAgentEndpoint(node))
         self.requester = SecondaryCopies()
         self.relay_sync()
         self.requester_sync()

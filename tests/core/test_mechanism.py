@@ -6,7 +6,7 @@ from repro.core.errors import CoreError, LocateFailedError
 from repro.platform.agents import MobileAgent
 from repro.platform.naming import AgentId
 
-from tests.conftest import build_runtime, drain, install_hash_mechanism
+from tests.conftest import build_runtime, drain, install_hash_mechanism, patch_retries
 
 
 class Roamer(MobileAgent):
@@ -77,16 +77,18 @@ class TestRegisterMoveLocate:
         assert locate(runtime, "node-0", agent.agent_id) == "node-3"
         assert mechanism.counters.updates == 1
 
-    def test_locate_unknown_agent_fails_cleanly(self):
+    def test_locate_unknown_agent_fails_cleanly(self, monkeypatch):
         runtime = build_runtime()
-        mechanism = install_hash_mechanism(runtime, max_retries=2, retry_backoff=0.01)
+        patch_retries(monkeypatch, "repro.core.mechanism", 2, 0.01)
+        mechanism = install_hash_mechanism(runtime)
         with pytest.raises(LocateFailedError):
             locate(runtime, "node-0", AgentId(424242))
         assert mechanism.counters.locate_failures == 1
 
-    def test_deregister_removes_record(self):
+    def test_deregister_removes_record(self, monkeypatch):
         runtime = build_runtime()
-        mechanism = install_hash_mechanism(runtime, max_retries=2, retry_backoff=0.01)
+        patch_retries(monkeypatch, "repro.core.mechanism", 2, 0.01)
+        mechanism = install_hash_mechanism(runtime)
         agent = runtime.create_agent(Roamer, "node-1", tracked=True)
         drain(runtime, 0.5)
         runtime.sim.run_process(agent.die())
@@ -191,17 +193,6 @@ class TestSpawnRetire:
         _, node_one = runtime.sim.run_process(spawn())
         _, node_two = runtime.sim.run_process(spawn())
         assert node_one != node_two
-
-    def test_spawn_iagent_colocate(self):
-        runtime = build_runtime(nodes=3)
-        mechanism = install_hash_mechanism(runtime, iagent_placement="colocate")
-
-        def spawn():
-            result = yield from mechanism.spawn_iagent()
-            return result
-
-        _, node = runtime.sim.run_process(spawn())
-        assert node == mechanism.hagent_node
 
     def test_retire_iagent_kills_agent(self):
         runtime = build_runtime()

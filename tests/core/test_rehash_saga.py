@@ -36,6 +36,7 @@ from repro.core.hash_tree import HashTree
 from repro.core.iagent_state import NO_RECORD, NOT_RESPONSIBLE, OK, IAgentState
 from repro.core.load import GroupedLoadStatistics, LoadStatistics
 from repro.core.rehashing import (
+    MAX_SIMPLE_M,
     Refused,
     RehashPolicy,
     merge_saga,
@@ -669,7 +670,7 @@ class TestGetLoads:
         first, second = islice(world.steps(saga), 2)
         # Bit 1 is the ancestor edge's skipped bit: it alone re-routes the
         # sibling; the simple candidates below the leaf are local.
-        simple = range(3, 3 + world.policy.config.max_simple_m)
+        simple = range(3, 3 + MAX_SIMPLE_M)
         assert first[1] == world.rehash_log[-1]["owner"]
         assert first[4] == {"bits": [1, *simple]} and second[4] == {"bits": [1]}
 

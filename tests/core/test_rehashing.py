@@ -65,9 +65,7 @@ class TestPlanSplit:
         # 15 agents on one side of every bit, 1 on the other; max m
         # exhausts at width 4 without an even division.
         loads = {"0000": 15, "1111": 1}
-        planned = plan_split(
-            tree, "IA0", {"IA0": loads}, config(balance_tolerance=0.3)
-        )
+        planned = plan_split(tree, "IA0", {"IA0": loads}, config())
         assert planned is not None
         assert not planned.even
         assert min(planned.load_zero_side, planned.load_one_side) == 1

@@ -35,7 +35,7 @@ from repro.service.client import (
     ServiceLocateError,
 )
 
-from tests.conftest import copy_reply, snapshot_reply
+from tests.conftest import copy_reply, patch_backoff, snapshot_reply
 from tests.core.test_rehash_saga import Tally
 
 AGENT = AgentId(0x5EED << 40)
@@ -346,11 +346,13 @@ def through_client(answers, operation):
     """``operation(client)`` with every channel call answered from
     ``answers``."""
     channel = _ScriptedChannel(answers)
-    config = ClientConfig(max_retries=6, backoff_base=0.001, backoff_cap=0.002)
+    config = ClientConfig(max_retries=6)
     client = ServiceClient(
         "node-0", ("10.0.0.0", 1), config=config, channel=channel, rng=random.Random(5)
     )
-    result = asyncio.run(operation(client))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        patch_backoff(monkeypatch, 0.001, 0.002)
+        result = asyncio.run(operation(client))
     assert not channel.answers
     counters = client.counters.as_dict()
     return result, {name: counters[name] for name in COUNTED}

@@ -16,7 +16,7 @@ from repro.workloads.mobility import ConstantResidence
 from repro.workloads.population import spawn_population
 from repro.workloads.queries import QueryWorkload
 
-from tests.conftest import install_hash_mechanism
+from tests.conftest import install_hash_mechanism, patch_retries
 
 
 def build_adverse_runtime(seed=1, nodes=6, loss=0.0, jitter=0.0003):
@@ -35,11 +35,10 @@ def build_adverse_runtime(seed=1, nodes=6, loss=0.0, jitter=0.0003):
 
 
 class TestMessageLoss:
-    def test_locates_complete_despite_two_percent_loss(self):
+    def test_locates_complete_despite_two_percent_loss(self, monkeypatch):
         runtime = build_adverse_runtime(loss=0.02)
-        mechanism = install_hash_mechanism(
-            runtime, rpc_timeout=0.5, max_retries=8
-        )
+        patch_retries(monkeypatch, "repro.core.mechanism", 8)
+        mechanism = install_hash_mechanism(runtime, rpc_timeout=0.5)
         agents = spawn_population(runtime, 10, ConstantResidence(0.5))
         workload = QueryWorkload(
             runtime,
@@ -58,11 +57,10 @@ class TestMessageLoss:
         assert len(found) >= 36
         assert runtime.rpc_timeouts > 0  # losses actually happened
 
-    def test_updates_survive_loss(self):
+    def test_updates_survive_loss(self, monkeypatch):
         runtime = build_adverse_runtime(loss=0.02)
-        mechanism = install_hash_mechanism(
-            runtime, rpc_timeout=0.5, max_retries=8
-        )
+        patch_retries(monkeypatch, "repro.core.mechanism", 8)
+        mechanism = install_hash_mechanism(runtime, rpc_timeout=0.5)
         agents = spawn_population(runtime, 8, ConstantResidence(0.3))
         runtime.sim.run(until=8.0)
         # Every agent kept moving (no itinerary died to a lost ack).
@@ -70,11 +68,10 @@ class TestMessageLoss:
 
 
 class TestPartition:
-    def test_partitioned_iagent_times_out_then_recovers(self):
+    def test_partitioned_iagent_times_out_then_recovers(self, monkeypatch):
         runtime = build_adverse_runtime()
-        mechanism = install_hash_mechanism(
-            runtime, rpc_timeout=0.4, max_retries=3, retry_backoff=0.05
-        )
+        patch_retries(monkeypatch, "repro.core.mechanism", 3, 0.05)
+        mechanism = install_hash_mechanism(runtime, rpc_timeout=0.4)
         agents = spawn_population(runtime, 6, ConstantResidence(0.5))
         runtime.sim.run(until=2.0)
         (iagent,) = mechanism.iagents.values()
@@ -92,11 +89,10 @@ class TestPartition:
         target = next(a for a in agents if a.node is not None)
         assert runtime.sim.run_process(query(target)) is not None
 
-    def test_partition_during_measurement_is_survivable(self):
+    def test_partition_during_measurement_is_survivable(self, monkeypatch):
         runtime = build_adverse_runtime(nodes=8)
-        mechanism = install_hash_mechanism(
-            runtime, rpc_timeout=0.4, max_retries=4, retry_backoff=0.05
-        )
+        patch_retries(monkeypatch, "repro.core.mechanism", 4, 0.05)
+        mechanism = install_hash_mechanism(runtime, rpc_timeout=0.4)
         agents = spawn_population(runtime, 12, ConstantResidence(0.4))
         workload = QueryWorkload(
             runtime,

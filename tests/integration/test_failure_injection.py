@@ -7,7 +7,7 @@ from repro.platform.failures import FailureInjector
 from repro.workloads.mobility import ConstantResidence
 from repro.workloads.population import spawn_population
 
-from tests.conftest import build_runtime, drain, install_hash_mechanism
+from tests.conftest import build_runtime, drain, install_hash_mechanism, patch_retries
 
 
 class TestHAgentOutage:
@@ -48,9 +48,10 @@ class TestHAgentOutage:
         drain(runtime, 8.0)
         assert mechanism.hagent.splits >= 1  # coordination resumed
 
-    def test_iagent_crash_stalls_then_times_out(self):
+    def test_iagent_crash_stalls_then_times_out(self, monkeypatch):
         runtime = build_runtime(nodes=4)
-        mechanism = install_hash_mechanism(runtime, rpc_timeout=0.4, max_retries=2)
+        patch_retries(monkeypatch, "repro.core.mechanism", 2)
+        mechanism = install_hash_mechanism(runtime, rpc_timeout=0.4)
         agents = spawn_population(runtime, 4, ConstantResidence(0.5))
         drain(runtime, 2.0)
         (iagent,) = mechanism.iagents.values()

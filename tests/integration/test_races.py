@@ -11,7 +11,7 @@ from repro.platform.simulator import Simulator
 from repro.workloads.mobility import ConstantResidence
 from repro.workloads.population import spawn_population
 
-from tests.conftest import build_runtime, drain, install_hash_mechanism
+from tests.conftest import build_runtime, drain, install_hash_mechanism, patch_retries
 
 
 def force_split(runtime, mechanism, owner):
@@ -78,7 +78,7 @@ class TestLocateSplitRace:
 
 
 class TestMessengerUnderLoss:
-    def test_guaranteed_delivery_survives_lossy_links(self):
+    def test_guaranteed_delivery_survives_lossy_links(self, monkeypatch):
         streams = RandomStreams(seed=5)
         sim = Simulator()
         network = Network(
@@ -88,9 +88,8 @@ class TestMessengerUnderLoss:
             sim=sim, streams=streams, network=network, namer=AgentNamer(seed=5)
         )
         runtime.create_nodes(6)
-        mechanism = install_hash_mechanism(
-            runtime, rpc_timeout=0.4, max_retries=8, retry_backoff=0.05
-        )
+        patch_retries(monkeypatch, "repro.core.mechanism", 8, 0.05)
+        mechanism = install_hash_mechanism(runtime, rpc_timeout=0.4)
         messenger = AgentMessenger(
             mechanism, MessengerConfig(ttl=15.0, direct_attempts=2)
         )

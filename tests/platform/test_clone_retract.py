@@ -6,7 +6,7 @@ from repro.platform.agents import MobileAgent
 from repro.workloads.mobility import ConstantResidence
 from repro.workloads.population import TAgent, spawn_population
 
-from tests.conftest import build_runtime, drain, install_hash_mechanism, run_until
+from tests.conftest import build_runtime, drain, install_hash_mechanism, patch_retries, run_until
 
 
 class Wanderer(MobileAgent):
@@ -119,11 +119,12 @@ class TestRetract:
         with pytest.raises(RuntimeError):
             runtime.sim.run_process(recall())
 
-    def test_retract_unknown_agent_propagates_locate_failure(self):
+    def test_retract_unknown_agent_propagates_locate_failure(self, monkeypatch):
         from repro.core.errors import LocateFailedError
 
         runtime = build_runtime()
-        install_hash_mechanism(runtime, max_retries=2, retry_backoff=0.01)
+        patch_retries(monkeypatch, "repro.core.mechanism", 2, 0.01)
+        install_hash_mechanism(runtime)
 
         def recall():
             yield from runtime.retract("node-0", runtime.namer.next_id())

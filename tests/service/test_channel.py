@@ -21,7 +21,6 @@ from repro.platform.messages import Response
 from repro.platform.naming import AgentId, AgentNamer
 from repro.service import wire
 from repro.service.client import (
-    ClientConfig,
     RemoteOpError,
     RpcChannel,
     ServiceClient,
@@ -31,7 +30,7 @@ from repro.service.client import (
 from repro.service.coordinator import HAgentServer
 from repro.service.server import NodeServer
 
-from tests.conftest import copy_reply
+from tests.conftest import copy_reply, patch_backoff
 
 
 def run(coro):
@@ -357,7 +356,7 @@ class TestBatchedOps:
         run(scenario())
 
 
-def drive_toy_node(answer, operation, config=None, rng=None):
+def drive_toy_node(answer, operation, rng=None):
     """``operation(client)`` for a client whose node -- LHAgent and
     IAgents alike -- is a toy peer answering each request frame with
     ``answer(frame, peer) -> (value, error)``. Returns ``(result, the
@@ -366,7 +365,7 @@ def drive_toy_node(answer, operation, config=None, rng=None):
     async def scenario():
         peer = _ToyServer("selective", lambda frame: answer(frame, peer))
         await peer.start()
-        client = ServiceClient("driver", peer.addr, config=config, rng=rng)
+        client = ServiceClient("driver", peer.addr, rng=rng)
         try:
             result = await operation(client)
         finally:
@@ -401,10 +400,11 @@ class TestUnservedResolve:
                 value = copy_reply("ia", "n", peer.addr, version=value)
             return value, None
 
-        config = ClientConfig(backoff_base=0.01, backoff_cap=0.02)
-        node, counters, frames = drive_toy_node(
-            answer, lambda client: client.locate(self.AGENT), config, random.Random(3)
-        )
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            patch_backoff(monkeypatch, 0.01, 0.02)
+            node, counters, frames = drive_toy_node(
+                answer, lambda client: client.locate(self.AGENT), random.Random(3)
+            )
         return node, counters, [op for _, op in frames]
 
     def test_whois_answering_an_error_twice_is_retried(self):

@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from repro.core.config import SYNC_JOURNAL_CAPACITY
 from repro.platform.naming import AgentId, AgentNamer
 from repro.service.client import (
     ClientConfig,
@@ -139,8 +140,7 @@ class TestStandbySync:
             hagents, nodes, owner = await boot_replicated(config, replicas=2)
             primary, standby = hagents
             # Blow past the journal capacity in one burst.
-            capacity = config.mechanism.sync_journal_capacity
-            for index in range(capacity + 5):
+            for index in range(SYNC_JOURNAL_CAPACITY + 5):
                 primary._publish(
                     {"op": "move", "owner": owner, "node": f"node-{index % 2}"}
                 )

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.harness.cli import main as cli_main
+from repro.service.client import ClientCounters
 from repro.service.cluster import ClusterConfig, booted_cluster
 from repro.service.loadgen import (
     LatencyRecorder,
@@ -140,6 +141,46 @@ class TestOpStream:
             OpMix.parse("locate=lots")
         with pytest.raises(ValueError):
             OpMix(locate=0, move=0, register=0, batch=0).weights()
+
+
+class _HangingClient:
+    """A client whose every locate outlives the run."""
+
+    def __init__(self):
+        self.counters = ClientCounters()
+
+    async def register_batch(self, batch):
+        return len(batch)
+
+    async def locate(self, agent):
+        await asyncio.Event().wait()
+
+
+class TestOpenLoopStragglers:
+    def test_only_measured_stragglers_are_abandoned(self):
+        """An op dispatched during warm-up and still pending after the
+        drain was never issued: it is cancelled, not abandoned, so the
+        report's counts stay consistent."""
+
+        async def scenario():
+            load = LoadConfig(
+                mode="open", rate=200.0, warmup_s=0.3, duration_s=0.3,
+                drain_s=0.05, population=8, seed=11,
+                mix=OpMix(locate=1.0, move=0, register=0, batch=0),
+            )
+            generator = LoadGenerator([_HangingClient()], ["node-0"], load)
+            await generator.setup()
+            report = await generator.run()
+            await asyncio.sleep(0)  # let the cancellations land
+            stragglers = asyncio.all_tasks() - {asyncio.current_task()}
+            return report, stragglers
+
+        report, stragglers = run(scenario())
+        assert report.ops_issued > 0
+        assert report.ops_abandoned == report.ops_issued  # every measured op hung
+        assert report.ops_ok == 0
+        assert report.error_rate == 1.0
+        assert not stragglers
 
 
 # ----------------------------------------------------------------------

@@ -29,7 +29,7 @@ from repro.service.netem import DIR_IN, DIR_OUT, NetemController
 
 from repro.service.server import ServiceConfig
 
-from tests.conftest import copy_reply
+from tests.conftest import copy_reply, patch_backoff
 from tests.service.test_transport import one_node, served_connection, whois_frame
 
 AGENT = AgentId(0xA1 << 48)
@@ -493,11 +493,12 @@ class _MappingStubChannel:
 
 
 class TestDeadlines:
-    def test_a_dark_iagent_is_never_answered_from_memory(self):
+    def test_a_dark_iagent_is_never_answered_from_memory(self, monkeypatch):
         """A locate returns what the responsible IAgent answers, or
         raises once its retries are spent: an IAgent that acknowledged
         the agent's move and then went dark is asked every round, never
         stood in for by the client's memory of that move."""
+        patch_backoff(monkeypatch, 0.001, 0.002)
         iagent_addr = ("127.0.0.1", 9999)
         asks = []
 
@@ -513,12 +514,7 @@ class TestDeadlines:
             client = ServiceClient(
                 "n0",
                 ("127.0.0.1", 9001),
-                config=ClientConfig(
-                    max_retries=8,
-                    backoff_base=0.001,
-                    backoff_cap=0.002,
-                    op_deadline=1.0,
-                ),
+                config=ClientConfig(max_retries=8, op_deadline=1.0),
                 channel=_MappingStubChannel(iagent_addr, iagent),
                 rng=random.Random(1),
             )
@@ -531,11 +527,12 @@ class TestDeadlines:
         assert asks == ["update"] + ["locate"] * 8
         assert counters.transport_retries == 8
 
-    def test_locate_against_a_black_hole_honours_op_deadline(self):
+    def test_locate_against_a_black_hole_honours_op_deadline(self, monkeypatch):
         """§4.3's retry loop must stay bounded by ``op_deadline`` even
         when every frame vanishes: each RPC budget is clamped to the
         remaining deadline, so a black-holed server cannot stretch the
         operation past deadline + one scheduling epsilon."""
+        patch_backoff(monkeypatch, 0.01, 0.05)
 
         async def scenario():
             async def swallow(reader, writer):
@@ -546,13 +543,7 @@ class TestDeadlines:
             client = ServiceClient(
                 "n0",
                 ("127.0.0.1", port),
-                config=ClientConfig(
-                    rpc_timeout=0.3,
-                    op_deadline=1.0,
-                    max_retries=1000,
-                    backoff_base=0.01,
-                    backoff_cap=0.05,
-                ),
+                config=ClientConfig(rpc_timeout=0.3, op_deadline=1.0, max_retries=1000),
                 rng=random.Random(7),
             )
             started = time.monotonic()

@@ -199,7 +199,7 @@ class TestFailureDetector:
 
     def test_fast_fail_on_consecutive_refusals(self):
         detector = FailureDetector(
-            rank=1, heartbeat_timeout=10.0, fast_fail_threshold=3
+            rank=1, heartbeat_timeout=10.0
         )
         detector.record_ok(0.0)
         for t in (0.1, 0.2):
@@ -212,7 +212,7 @@ class TestFailureDetector:
         """A hang (partition) is not positive evidence of death: only an
         unbroken run of connection-refused failures fast-fails."""
         detector = FailureDetector(
-            rank=1, heartbeat_timeout=10.0, fast_fail_threshold=3
+            rank=1, heartbeat_timeout=10.0
         )
         detector.record_ok(0.0)
         detector.record_failure(0.1, refused=True)
@@ -226,7 +226,7 @@ class TestFailureDetector:
 
     def test_success_resets_everything(self):
         detector = FailureDetector(
-            rank=1, heartbeat_timeout=1.0, fast_fail_threshold=3
+            rank=1, heartbeat_timeout=1.0
         )
         for t in (0.1, 0.2, 0.3):
             detector.record_failure(t, refused=True)
@@ -244,7 +244,7 @@ class TestFailureDetector:
 
     def test_higher_rank_needs_a_longer_refusal_streak(self):
         second = FailureDetector(
-            rank=2, heartbeat_timeout=10.0, fast_fail_threshold=3
+            rank=2, heartbeat_timeout=10.0
         )
         for index in range(5):
             second.record_failure(0.1 * index, refused=True)

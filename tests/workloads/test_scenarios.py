@@ -9,7 +9,6 @@ from repro.workloads.scenarios import (
     PAPER_QUERY_TOTAL,
     PAPER_T_MAX,
     PAPER_T_MIN,
-    FlashCrowd,
     Scenario,
     churn_schedule,
     exp1_scenario,
@@ -113,22 +112,3 @@ class TestChurnSchedule:
             churn_schedule(1, 0.0, self.NODES)
         with pytest.raises(ValueError):
             churn_schedule(1, 10.0, [])
-
-
-class TestFlashCrowd:
-    def test_trapezoid_shape(self):
-        crowd = FlashCrowd(
-            base_rate=50.0, peak_rate=200.0, at=5.0, ramp_s=1.0, hold_s=2.0
-        )
-        assert crowd.rate_at(0.0) == 50.0
-        assert crowd.rate_at(4.99) == 50.0
-        assert crowd.rate_at(5.5) == pytest.approx(125.0)  # mid ramp-up
-        assert crowd.rate_at(6.0) == 200.0
-        assert crowd.rate_at(7.5) == 200.0  # holding
-        assert crowd.rate_at(8.5) == pytest.approx(125.0)  # mid decay
-        assert crowd.rate_at(9.5) == 50.0
-
-    def test_is_callable_for_the_load_generator(self):
-        crowd = FlashCrowd(base_rate=10.0, peak_rate=40.0, at=1.0)
-        assert crowd(0.0) == crowd.rate_at(0.0)
-        assert crowd(1.5) == crowd.rate_at(1.5)
