@@ -1,4 +1,4 @@
-"""The tagged-JSON value codec shared by the wire and storage layers.
+"""The tagged-JSON value codec: the readable form of protocol values.
 
 Plain JSON cannot carry the repository's protocol vocabulary --
 :class:`repro.platform.naming.AgentId` appears both as values and as
@@ -16,13 +16,16 @@ non-string-key dict ``{"$dict": [[key, value], ...]}``
 ``{"$x": ...}``     escaped as ``{"$esc": {"$x": ...}}``
 ==================  ==================================================
 
-Two consumers frame the lowered values differently:
-:mod:`repro.service.wire` sends them as length-prefixed network frames
-(errors surface as ``WireError``), and :mod:`repro.storage` persists
-them as CRC-checked write-ahead-log records and snapshots (errors
-surface as ``StorageError``). Both pass their error class through the
-``error`` parameter so failures carry the vocabulary of the layer that
-hit them.
+Neither a socket nor a new durable record carries it: both use the
+binary codec of :mod:`repro.platform.binary`. It keeps three jobs:
+:mod:`repro.storage` reads format-1 WAL segments and snapshots through
+it (errors surface as ``StorageError``), :mod:`repro.service.wire` dumps
+a frame as ``CODEC_JSON`` (errors surface as ``WireError``), and the
+end-to-end benchmark times :func:`to_jsonable` on a journal entry. Each
+caller passes its error class through the ``error`` parameter so
+failures carry the vocabulary of the layer that hit them.
+:class:`TaggedCodecError` is also the base of the binary codec's
+errors.
 """
 
 from __future__ import annotations

@@ -582,6 +582,8 @@ class HAgentServer(_FramedServer):
                 if await self._preflight_promotion():
                     await self._promote()
                     return
+            if self.store is not None:
+                self.store.sync_due()
             await asyncio.sleep(pause)
 
     async def _scan_for_primary(self) -> Optional[Address]:
@@ -953,6 +955,8 @@ class HAgentServer(_FramedServer):
         config = self.config
         while True:
             await asyncio.sleep(config.mechanism.report_interval)
+            if self.store is not None:
+                self.store.sync_due()
             if self.role != "primary":
                 return  # demoted: the standby loop took over
             if self.tree is None or self.partitioned:

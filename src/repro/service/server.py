@@ -616,6 +616,8 @@ class IAgentEndpoint:
         stale_streak = 0
         while True:
             await asyncio.sleep(config.mechanism.report_interval)
+            if self.store is not None:
+                self.store.sync_due()
             now = self.node._now()
             try:
                 reply = await self.node.channel.call(

@@ -21,10 +21,17 @@ discipline:
   then drop the covered segments) and ``recover()`` = latest snapshot +
   WAL-suffix replay through the caller's own reducer.
 
-Everything is standard library only (``json``, ``struct``, ``zlib``,
-``os``); payloads are tagged-JSON values
-(:mod:`repro.platform.jsonable`), so :class:`repro.platform.naming.AgentId`
-record keys and hash-tree tuple specs round-trip exactly.
+Everything is standard library only (``struct``, ``zlib``, ``os``).
+WAL record payloads and snapshot bodies are written in format 2: values
+in the binary codec of :mod:`repro.platform.binary`, the same encoding
+the wire carries, so :class:`repro.platform.naming.AgentId` record keys
+and hash-tree tuple specs round-trip exactly and a durable mutation
+costs one encode and one write. Format 1 (tagged JSON,
+:mod:`repro.platform.jsonable`) is still read: a v1 segment replays as
+it always did, a log whose last segment is v1 starts a v2 segment at its
+first append, and a v1 snapshot loads. The upgrade is one-way -- a
+reader from before format 2 refuses a v2 segment and skips a v2
+snapshot.
 """
 
 from repro.storage.errors import (

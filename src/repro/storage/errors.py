@@ -24,8 +24,9 @@ class StorageError(TaggedCodecError):
     """A durable-state operation that cannot be performed.
 
     Subclasses ``TaggedCodecError`` so unencodable WAL/snapshot payloads
-    surface under the storage vocabulary, exactly as ``WireError`` does
-    for the wire's frames.
+    surface under the storage vocabulary (the value codec's
+    ``BinaryCodecError``, re-raised), exactly as ``WireError`` does for
+    the wire's frames.
     """
 
 

@@ -12,21 +12,27 @@ fsynced. A crash at any point leaves either the old snapshot set or the
 old set plus a complete new member -- never a half-written file under a
 live name.
 
-On-disk layout::
+On-disk layout (integers big-endian)::
 
     snapshot := magic[8]="REPROSNP" u32 format_version u32 crc32 u64 body_len body
-    body     := UTF-8 JSON of {"last_lsn": int, "state": tagged-jsonable}
+    body     := {"last_lsn": int, "state": ...} as one value
 
-:meth:`SnapshotStore.latest` validates magic, CRC and JSON; an invalid
-file (torn rename target from some pathological filesystem, manual
-tampering) is skipped with a :class:`StorageWarning` and the next-newest
-snapshot is used, so one bad file degrades recovery to a longer replay
-rather than an outage.
+Format 2 (what :meth:`SnapshotStore.save` writes) encodes the body in
+the binary codec of :mod:`repro.platform.binary`, the WAL's and the
+wire's value encoding; format 1, its UTF-8 tagged JSON
+(:mod:`repro.platform.jsonable`), still loads. The upgrade is one-way:
+a reader from before format 2 skips a format-2 snapshot as invalid and
+replays the WAL instead.
+
+:meth:`SnapshotStore.latest` validates magic, CRC and the body; an
+invalid file (torn rename target from some pathological filesystem,
+manual tampering) is skipped with a :class:`StorageWarning` and the
+next-newest snapshot is used, so one bad file degrades recovery to a
+longer replay rather than an outage.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import struct
 import warnings
@@ -35,13 +41,14 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, List, Optional
 
-from repro.platform.jsonable import from_jsonable, to_jsonable
+from repro.platform import binary
 from repro.storage.errors import StorageError, StorageWarning
+# A snapshot body's format numbers are the WAL's: one codec per version.
+from repro.storage.wal import _DECODERS, _FORMAT_VERSION
 
 __all__ = ["Snapshot", "SnapshotStore"]
 
 _MAGIC = b"REPROSNP"
-_FORMAT_VERSION = 1
 _HEADER = struct.Struct(">8sIIQ")  # magic, version, crc32, body_len
 
 
@@ -70,18 +77,17 @@ class SnapshotStore:
 
     def save(self, state: Any, last_lsn: int) -> Path:
         """Atomically persist ``state`` as covering WAL records <= ``last_lsn``."""
-        body = json.dumps(
-            {"last_lsn": last_lsn, "state": to_jsonable(state, error=StorageError)},
-            separators=(",", ":"),
-            ensure_ascii=False,
-        ).encode("utf-8")
+        data = bytearray(_HEADER.size)
+        try:
+            binary.encode_into({"last_lsn": last_lsn, "state": state}, data)
+        except binary.BinaryCodecError as error:
+            raise StorageError(str(error)) from error
+        body = data[_HEADER.size :]
+        _HEADER.pack_into(data, 0, _MAGIC, _FORMAT_VERSION, zlib.crc32(body), len(body))
         final = self.directory / f"snap-{last_lsn:016d}.snap"
         tmp = final.with_suffix(".tmp")
         with open(tmp, "wb") as handle:
-            handle.write(
-                _HEADER.pack(_MAGIC, _FORMAT_VERSION, zlib.crc32(body), len(body))
-            )
-            handle.write(body)
+            handle.write(data)
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, final)
@@ -121,8 +127,11 @@ class SnapshotStore:
             if len(raw) < _HEADER.size:
                 raise StorageError("truncated snapshot header")
             magic, version, crc, body_len = _HEADER.unpack_from(raw)
-            if magic != _MAGIC or version != _FORMAT_VERSION:
-                raise StorageError(f"bad snapshot header (magic={magic!r})")
+            decode = _DECODERS.get(version)
+            if magic != _MAGIC or decode is None:
+                raise StorageError(
+                    f"bad snapshot header (magic={magic!r}, version={version})"
+                )
             body = raw[_HEADER.size :]
             if len(body) != body_len:
                 raise StorageError(
@@ -130,10 +139,10 @@ class SnapshotStore:
                 )
             if zlib.crc32(body) != crc:
                 raise StorageError("snapshot CRC mismatch")
-            document = json.loads(body.decode("utf-8"))
+            document = decode(body)
             return Snapshot(
                 last_lsn=int(document["last_lsn"]),
-                state=from_jsonable(document["state"], error=StorageError),
+                state=document["state"],
                 path=path,
             )
         except (OSError, ValueError, KeyError, TypeError) as error:

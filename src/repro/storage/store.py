@@ -87,6 +87,12 @@ class DurableStore:
         self.logged_since_snapshot += 1
         return lsn
 
+    def sync_due(self) -> None:
+        """Sync the log's idle tail if the fsync policy says it is due
+        (:meth:`WriteAheadLog.sync_due`); owners call it from a periodic
+        loop."""
+        self.wal.sync_due()
+
     @property
     def should_snapshot(self) -> bool:
         """True once ``snapshot_every`` mutations accumulated (0 = never)."""

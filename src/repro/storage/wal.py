@@ -13,11 +13,21 @@ On-disk layout (all integers big-endian)::
     record    := u32 payload_len  u32 crc32  u64 lsn  payload
 
 ``crc32`` covers the 8 LSN bytes plus the payload, so a bit flip in
-either the sequence number or the body is detected. The payload is the
-UTF-8 JSON of the value lowered through
-:func:`repro.platform.jsonable.to_jsonable`, so
-:class:`repro.platform.naming.AgentId` keys and hash-tree tuple specs
-round-trip exactly.
+either the sequence number or the body is detected. In format 2 (what
+every new segment is written in) the payload is the value in the binary
+codec of :mod:`repro.platform.binary` -- the wire's value encoding -- so
+:class:`repro.platform.naming.AgentId` keys, hash-tree tuple specs and
+list-vs-tuple shapes round-trip exactly. An append encodes straight
+after a 16-byte record-header slot, packs the header in place and issues
+one ``os.write`` (a short write is finished, never dropped).
+
+Format 1 -- the payload as UTF-8 tagged JSON
+(:func:`repro.platform.jsonable.to_jsonable`) -- is still read: its
+segments replay through :mod:`repro.platform.jsonable`, and a log whose
+final segment is format 1 starts a fresh format-2 segment at its first
+append, so one segment never mixes formats. The upgrade is one-way: a
+reader from before format 2 refuses a format-2 segment as
+:class:`CorruptRecordError` ("bad segment header ... version=2").
 
 Failure policy (the part that matters):
 
@@ -29,7 +39,9 @@ Failure policy (the part that matters):
 * A CRC or structural failure anywhere *before* the end of the log is
   **corruption** -- bytes the log once read back successfully have
   changed. That raises :class:`CorruptRecordError`; silently skipping
-  the middle of a journal would resurrect torn-out history.
+  the middle of a journal would resurrect torn-out history. So does a
+  CRC-valid payload the decoder rejects: those bytes are what was
+  written, so it is a writer bug, not a torn tail.
 * Appends larger than ``max_record`` are rejected up front with
   :class:`RecordTooLargeError` (the storage twin of the wire layer's
   ``DEFAULT_MAX_FRAME`` guard), so a runaway payload can never write a
@@ -38,7 +50,10 @@ Failure policy (the part that matters):
 ``fsync`` policies: ``"always"`` syncs every append (slow, zero loss),
 ``"interval"`` syncs at most every ``fsync_interval`` seconds (bounded
 loss, the default), ``"never"`` leaves durability to the OS (tests,
-benchmarks).
+benchmarks). Under ``"interval"`` an append syncs when the interval has
+passed, and an idle log's tail is synced by :meth:`WriteAheadLog.sync_due`,
+which the owning agent calls from a periodic loop: the loss bound is
+``fsync_interval`` plus that loop's period.
 """
 
 from __future__ import annotations
@@ -51,9 +66,10 @@ import warnings
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, BinaryIO, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional
 
-from repro.platform.jsonable import from_jsonable, to_jsonable
+from repro.platform import binary
+from repro.platform.jsonable import from_jsonable
 from repro.storage.errors import (
     CorruptRecordError,
     RecordTooLargeError,
@@ -77,13 +93,23 @@ DEFAULT_MAX_RECORD = 8 * 1024 * 1024
 FSYNC_POLICIES = ("always", "interval", "never")
 
 _MAGIC = b"REPROWAL"
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 _HEADER = struct.Struct(">8sI")
 _RECORD = struct.Struct(">IIQ")  # payload_len, crc32, lsn
+_LSN = struct.Struct(">Q")
+_LEN_CRC = struct.Struct(">II")
 
 
 def _crc(lsn: int, payload: bytes) -> int:
-    return zlib.crc32(payload, zlib.crc32(struct.pack(">Q", lsn))) & 0xFFFFFFFF
+    return zlib.crc32(payload, zlib.crc32(_LSN.pack(lsn))) & 0xFFFFFFFF
+
+
+def _decode_v1(payload: bytes) -> Any:
+    return from_jsonable(json.loads(payload.decode("utf-8")), error=StorageError)
+
+
+#: A record payload's (and a snapshot body's) decoder, by format version.
+_DECODERS: Dict[int, Callable[[bytes], Any]] = {1: _decode_v1, 2: binary.decode}
 
 
 def _segment_name(first_lsn: int) -> str:
@@ -99,7 +125,7 @@ class WalRecord:
 
 
 class WriteAheadLog:
-    """An append-only log of tagged-JSON values in a directory.
+    """An append-only log of protocol values in a directory.
 
     Opening an existing directory scans the final segment, truncates a
     torn tail (with a :class:`StorageWarning`) and resumes appending
@@ -131,7 +157,7 @@ class WriteAheadLog:
         self.syncs = 0
         self.torn_tails_truncated = 0
 
-        self._file: Optional[BinaryIO] = None
+        self._fd: Optional[int] = None
         self._file_size = 0
         self._last_fsync = time.monotonic()
         self._closed = False
@@ -143,6 +169,9 @@ class WriteAheadLog:
         else:
             self.last_lsn = 0
             self._start_segment(first_lsn=1)
+        #: The last LSN :meth:`sync` covered (what was on disk at open
+        #: counts as synced).
+        self._synced_lsn = self.last_lsn
 
     # ------------------------------------------------------------------
     # Appending
@@ -152,23 +181,26 @@ class WriteAheadLog:
         """Durably append one value; return its LSN."""
         if self._closed:
             raise StorageError("append to a closed write-ahead log")
-        payload = json.dumps(
-            to_jsonable(value, error=StorageError),
-            separators=(",", ":"),
-            ensure_ascii=False,
-        ).encode("utf-8")
-        if len(payload) > self.max_record:
+        # Encode straight after the record-header slot, then pack the
+        # header in place: the LSN sits right before the payload, so the
+        # CRC is one pass over the buffer's tail.
+        record = bytearray(_RECORD.size)
+        try:
+            binary.encode_into(value, record)
+        except binary.BinaryCodecError as error:
+            raise StorageError(str(error)) from error
+        length = len(record) - _RECORD.size
+        if length > self.max_record:
             raise RecordTooLargeError(
-                f"record of {len(payload)} bytes exceeds limit {self.max_record}"
+                f"record of {length} bytes exceeds limit {self.max_record}"
             )
         if self._file_size >= self.segment_max_bytes:
             self.rotate()
         lsn = self.last_lsn + 1
-        assert self._file is not None
-        self._file.write(_RECORD.pack(len(payload), _crc(lsn, payload), lsn))
-        self._file.write(payload)
-        self._file.flush()
-        self._file_size += _RECORD.size + len(payload)
+        _LSN.pack_into(record, 8, lsn)
+        _LEN_CRC.pack_into(record, 0, length, zlib.crc32(record[8:]))
+        self._write(record)
+        self._file_size += len(record)
         self.last_lsn = lsn
         self.appended += 1
         self._maybe_sync()
@@ -176,12 +208,25 @@ class WriteAheadLog:
 
     def sync(self) -> None:
         """Force an fsync of the active segment."""
-        if self._file is None or self._closed:
+        if self._fd is None or self._closed:
             return
-        self._file.flush()
-        os.fsync(self._file.fileno())
+        os.fsync(self._fd)
         self.syncs += 1
         self._last_fsync = time.monotonic()
+        self._synced_lsn = self.last_lsn
+
+    def sync_due(self) -> None:
+        """Sync an idle tail: under ``"interval"``, fsync when appends
+        are unsynced and ``fsync_interval`` has passed since the last
+        sync. An append only syncs itself, so without this call the
+        last appends before a quiet spell would stay unsynced until the
+        next one."""
+        if (
+            self.fsync == "interval"
+            and self._synced_lsn < self.last_lsn
+            and time.monotonic() - self._last_fsync >= self.fsync_interval
+        ):
+            self.sync()
 
     def _maybe_sync(self) -> None:
         if self.fsync == "always":
@@ -190,11 +235,20 @@ class WriteAheadLog:
             if time.monotonic() - self._last_fsync >= self.fsync_interval:
                 self.sync()
 
+    def _write(self, data: bytearray) -> None:
+        """Write all of ``data`` to the active segment."""
+        assert self._fd is not None
+        written = os.write(self._fd, data)
+        if written < len(data):
+            with memoryview(data) as view:
+                while written < len(data):
+                    written += os.write(self._fd, view[written:])
+
     def rotate(self) -> None:
         """Close the active segment and start a fresh one."""
         self.sync()
-        if self._file is not None:
-            self._file.close()
+        if self._fd is not None:
+            os.close(self._fd)
         self._start_segment(first_lsn=self.last_lsn + 1)
 
     # ------------------------------------------------------------------
@@ -208,8 +262,6 @@ class WriteAheadLog:
         open-time scan already truncated it); raises
         :class:`CorruptRecordError` on damage anywhere earlier.
         """
-        if self._file is not None:
-            self._file.flush()
         segments = self.segments()
         for index, path in enumerate(segments):
             next_first = (
@@ -260,16 +312,13 @@ class WriteAheadLog:
         if self._closed:
             return
         self.sync()
-        if self._file is not None:
-            self._file.close()
-            self._file = None
-        self._closed = True
+        self.abort()
 
     def abort(self) -> None:
         """Close without syncing -- the crash-simulation path."""
-        if self._file is not None:
-            self._file.close()
-            self._file = None
+        if self._fd is not None:
+            os.close(self._fd)
+            self._fd = None
         self._closed = True
 
     # ------------------------------------------------------------------
@@ -285,14 +334,20 @@ class WriteAheadLog:
 
     def _start_segment(self, first_lsn: int) -> None:
         path = self.directory / _segment_name(first_lsn)
-        self._file = open(path, "wb")
-        self._file.write(_HEADER.pack(_MAGIC, _FORMAT_VERSION))
-        self._file.flush()
+        self._fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_APPEND)
+        self._write(bytearray(_HEADER.pack(_MAGIC, _FORMAT_VERSION)))
         self._file_size = _HEADER.size
         self._sync_directory()
 
     def _open_segment(self, path: Path) -> None:
-        self._file = open(path, "ab")
+        with open(path, "rb") as handle:
+            _, version = _HEADER.unpack(handle.read(_HEADER.size))
+        if version != _FORMAT_VERSION:
+            # An older format's tail takes no more appends: counted as
+            # full, it makes the first append rotate to a fresh segment.
+            self._file_size = self.segment_max_bytes
+            return
+        self._fd = os.open(path, os.O_WRONLY | os.O_APPEND)
         self._file_size = path.stat().st_size
 
     def _recover_tail(self, final_segment: Path) -> int:
@@ -316,7 +371,8 @@ class WriteAheadLog:
                     f"{path.name}: truncated segment header mid-log"
                 )
             magic, version = _HEADER.unpack(header)
-            if magic != _MAGIC or version != _FORMAT_VERSION:
+            decode = _DECODERS.get(version)
+            if magic != _MAGIC or decode is None:
                 raise CorruptRecordError(
                     f"{path.name}: bad segment header "
                     f"(magic={magic!r}, version={version})"
@@ -356,15 +412,13 @@ class WriteAheadLog:
                         f"{path.name}@{offset}: CRC mismatch mid-log"
                     )
                 try:
-                    value = from_jsonable(
-                        json.loads(payload.decode("utf-8")), error=StorageError
-                    )
-                except (UnicodeDecodeError, json.JSONDecodeError) as error:
+                    value = decode(payload)
+                except ValueError as error:
                     # The CRC matched, so these bytes are what was
                     # written -- a writer bug, not a torn tail.
                     raise CorruptRecordError(
-                        f"{path.name}@{offset}: CRC-valid record is not "
-                        f"tagged JSON: {error}"
+                        f"{path.name}@{offset}: CRC-valid format-{version} "
+                        f"record does not decode: {error}"
                     ) from error
                 yield WalRecord(lsn=lsn, value=value)
                 offset = end

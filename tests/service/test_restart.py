@@ -190,6 +190,33 @@ class TestIAgentWarmRestart:
         run(scenario())
 
 
+class TestIdleTailSync:
+    def test_the_periodic_loops_sync_an_idle_interval_tail(self, tmp_path):
+        """Under the default ``fsync="interval"`` the last appends before
+        a quiet spell are synced within ``fsync_interval`` plus one loop
+        period, by the IAgent's report loop and the HAgent's monitor."""
+
+        async def scenario():
+            config, hagent, nodes, owner = await boot(tmp_path)
+            assert config.fsync == "interval"
+            node = nodes[0]
+            for value in range(1, 6):
+                await node.channel.call(
+                    node.addr,
+                    owner,
+                    "register",
+                    {"agent": AgentId(value), "node": "node-0", "seq": 0},
+                )
+            logs = [node.iagents[owner].store.wal, hagent.store.wal]
+            bound = logs[0].fsync_interval + config.mechanism.report_interval
+            await asyncio.sleep(bound + 0.3)
+            unsynced = [log.last_lsn - log._synced_lsn for log in logs]
+            await shutdown(hagent, nodes)
+            return unsynced
+
+        assert run(scenario()) == [0, 0]
+
+
 class TestHAgentRecovery:
     def test_coordinator_recovers_from_wal_replay(self, tmp_path):
         """No snapshot yet: the whole coordinator rebuilds from the WAL."""

@@ -3,12 +3,23 @@
 import pytest
 
 from repro.platform.naming import AgentId
-from repro.storage import SnapshotStore, StorageWarning
+from repro.storage import SnapshotStore, StorageError, StorageWarning
 
 
 STATE = {
     "coverage": "01",
     "records": {AgentId(5): ["node-1", 3], AgentId(9): ["node-2", 0]},
+}
+
+#: Mixed key widths (a tagged dict) beside a one-key id table.
+ID_TABLE_STATE = {
+    "coverage": "1x0",
+    "records": {
+        AgentId(5, 64): ["node-1", 3],
+        AgentId(0x9E3779B97F4A7C15, 64): ["node-\u00e9", 0],
+        AgentId(5, 8): ["node-2", 1],
+    },
+    "capabilities": {AgentId(5, 64): {"gpu": True}},
 }
 
 
@@ -26,19 +37,10 @@ class TestSaveAndLoad:
         )
 
     def test_a_table_of_ids_is_written_byte_for_byte_as_before(self, tmp_path):
-        # The whole file (header, crc, body) the commit before AgentId
-        # became a tuple subclass wrote for this state.
-        state = {
-            "coverage": "1x0",
-            "records": {
-                AgentId(5, 64): ["node-1", 3],
-                AgentId(0x9E3779B97F4A7C15, 64): ["node-\u00e9", 0],
-                AgentId(5, 8): ["node-2", 1],
-            },
-            "capabilities": {AgentId(5, 64): {"gpu": True}},
-        }
-        path = SnapshotStore(tmp_path).save(state, last_lsn=7)
-        assert path.read_bytes() == (
+        # The whole format-1 file (header, crc, tagged-JSON body) the
+        # commit before AgentId became a tuple subclass wrote for this
+        # state, and every format-1 writer after it: it still loads.
+        (tmp_path / "snap-0000000000000007.snap").write_bytes(
             b"REPROSNP\x00\x00\x00\x01\x82\xd5\xc0\xde\x00\x00\x00\x00\x00\x00\x00\xe9"
             b'{"last_lsn":7,"state":{"coverage":"1x0","records":{"$dict":['
             b'[{"$aid":[5,64]},["node-1",3]],'
@@ -46,9 +48,32 @@ class TestSaveAndLoad:
             b'[{"$aid":[5,8]},["node-2",1]]]},'
             b'"capabilities":{"$dict":[[{"$aid":[5,64]},{"gpu":true}]]}}}'
         )
+        snapshot = SnapshotStore(tmp_path).latest()
+        assert snapshot.last_lsn == 7
+        assert snapshot.state == ID_TABLE_STATE
+        assert {type(key) for key in snapshot.state["records"]} == {AgentId}
+
+    def test_a_table_of_ids_is_written_in_the_binary_codec_byte_for_byte(self, tmp_path):
+        path = SnapshotStore(tmp_path).save(ID_TABLE_STATE, last_lsn=7)
+        assert path.read_bytes() == (
+            # magic, format 2, crc32, body length
+            b"REPROSNP\x00\x00\x00\x02\x01\x84\x92{\x00\x00\x00\x00\x00\x00\x00\x87"
+            b"\t\x02\x08last_lsn\x03\x0e\x05state"
+            b"\t\x03\x08coverage\x05\x031x0\x07records\n\x03"
+            b"\x10\x00\x00\x00\x00\x00\x00\x00\x05\x08\x02\x05\x06node-1\x03\x06"
+            b"\x10\x9e7y\xb9\x7fJ|\x15\x08\x02\x05\x07node-\xc3\xa9\x03\x00"
+            b"\x06\x05\x08\x08\x02\x05\x06node-2\x03\x02"
+            b"\x0ccapabilities\r\x01@\x00\x00\x00\x00\x00\x00\x00\x00\x05\t\x01\x03gpu\x01"
+        )
         loaded = SnapshotStore(tmp_path).latest().state
-        assert loaded == state
+        assert loaded == ID_TABLE_STATE
         assert {type(key) for key in loaded["records"]} == {AgentId}
+
+    def test_an_unencodable_state_is_a_storage_error(self, tmp_path):
+        store = SnapshotStore(tmp_path)
+        with pytest.raises(StorageError, match="not wire-encodable"):
+            store.save({"blob": object()}, last_lsn=1)
+        assert list(tmp_path.iterdir()) == []
 
     def test_latest_wins(self, tmp_path):
         store = SnapshotStore(tmp_path)

@@ -6,15 +6,20 @@ exactly the durable prefix each time -- never a partial record, never
 a lost earlier one.
 """
 
+import os
 import struct
+import time
+import zlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.platform.binary import BinaryCodecError
 from repro.platform.naming import AgentId
 from repro.storage import (
     CorruptRecordError,
+    DurableStore,
     RecordTooLargeError,
     StorageError,
     StorageWarning,
@@ -24,6 +29,46 @@ from repro.storage import (
 
 def replayed_values(wal):
     return [record.value for record in wal.replay()]
+
+
+ADOPT = {
+    "op": "adopt",
+    "pattern": "1x0",
+    "records": {
+        AgentId(5, 64): ["node-1", 3],
+        AgentId(0x9E3779B97F4A7C15, 64): ["node-\u00e9", 0],
+        AgentId(5, 8): ["node-2", 1],
+    },
+    "capabilities": {AgentId(5, 64): {"gpu": True}},
+    "pairs": {(5, 64): "a pair, not an id"},
+}
+
+#: ADOPT as a format-1 (tagged JSON) record payload.
+ADOPT_V1_PAYLOAD = (
+    b'{"op":"adopt","pattern":"1x0","records":{"$dict":['
+    b'[{"$aid":[5,64]},["node-1",3]],'
+    b'[{"$aid":[11400714819323198485,64]},["node-\xc3\xa9",0]],'
+    b'[{"$aid":[5,8]},["node-2",1]]]},'
+    b'"capabilities":{"$dict":[[{"$aid":[5,64]},{"gpu":true}]]},'
+    b'"pairs":{"$dict":[[{"$tuple":[5,64]},"a pair, not an id"]]}}'
+)
+
+
+def record_bytes(lsn, payload):
+    """One record as the log lays it out: u32 len, u32 crc, u64 lsn, payload."""
+    crc = zlib.crc32(payload, zlib.crc32(struct.pack(">Q", lsn)))
+    return struct.pack(">IIQ", len(payload), crc, lsn) + payload
+
+
+def v1_segment(payloads):
+    """A format-1 segment holding ``payloads`` as LSNs 1, 2, ..."""
+    return b"REPROWAL" + struct.pack(">I", 1) + b"".join(
+        record_bytes(lsn, payload) for lsn, payload in enumerate(payloads, start=1)
+    )
+
+
+def segment_version(path):
+    return struct.unpack(">I", path.read_bytes()[8:12])[0]
 
 
 class TestAppendReplay:
@@ -42,37 +87,56 @@ class TestAppendReplay:
         wal.close()
 
     def test_ids_are_journaled_as_aid_documents_byte_for_byte(self, tmp_path):
-        # The record the commit before AgentId became a tuple subclass
-        # wrote for this entry: a data dir written on either side of
-        # that change replays on the other.
-        entry = {
-            "op": "adopt",
-            "pattern": "1x0",
-            "records": {
-                AgentId(5, 64): ["node-1", 3],
-                AgentId(0x9E3779B97F4A7C15, 64): ["node-\u00e9", 0],
-                AgentId(5, 8): ["node-2", 1],
-            },
-            "capabilities": {AgentId(5, 64): {"gpu": True}},
-            "pairs": {(5, 64): "a pair, not an id"},
-        }
-        wal = WriteAheadLog(tmp_path, fsync="never")
-        wal.append(entry)
-        wal.close()
-        (segment,) = tmp_path.iterdir()
-        payload = segment.read_bytes()[12 + 16 :]  # segment header, record header
-        assert payload == (
-            b'{"op":"adopt","pattern":"1x0","records":{"$dict":['
-            b'[{"$aid":[5,64]},["node-1",3]],'
-            b'[{"$aid":[11400714819323198485,64]},["node-\xc3\xa9",0]],'
-            b'[{"$aid":[5,8]},["node-2",1]]]},'
-            b'"capabilities":{"$dict":[[{"$aid":[5,64]},{"gpu":true}]]},'
-            b'"pairs":{"$dict":[[{"$tuple":[5,64]},"a pair, not an id"]]}}'
+        # The format-1 record the commit before AgentId became a tuple
+        # subclass wrote for ADOPT (and every format-1 writer after it):
+        # a data dir written on either side of that change, or before
+        # the binary format, replays here.
+        (tmp_path / "wal-0000000000000001.log").write_bytes(
+            v1_segment([ADOPT_V1_PAYLOAD])
         )
-        (replayed,) = replayed_values(WriteAheadLog(tmp_path, fsync="never"))
-        assert replayed == entry
+        wal = WriteAheadLog(tmp_path, fsync="never")
+        (replayed,) = replayed_values(wal)
+        wal.close()
+        assert replayed == ADOPT
         assert {type(key) for key in replayed["records"]} == {AgentId}
         assert [type(key) for key in replayed["pairs"]] == [tuple]
+
+    def test_ids_are_journaled_in_the_binary_codec_byte_for_byte(self, tmp_path):
+        wal = WriteAheadLog(tmp_path, fsync="never")
+        wal.append(ADOPT)
+        wal.close()
+        (segment,) = tmp_path.iterdir()
+        assert segment.read_bytes() == (
+            b"REPROWAL\x00\x00\x00\x02"  # segment header, format 2
+            b"\x00\x00\x00\x9fb\xda\x1a\xd4\x00\x00\x00\x00\x00\x00\x00\x01"  # len, crc, lsn
+            b"\t\x05\x02op\x05\x05adopt\x07pattern\x05\x031x0"
+            # mixed key widths: a tagged dict, one AgentId per key
+            b"\x07records\n\x03"
+            b"\x10\x00\x00\x00\x00\x00\x00\x00\x05\x08\x02\x05\x06node-1\x03\x06"
+            b"\x10\x9e7y\xb9\x7fJ|\x15\x08\x02\x05\x07node-\xc3\xa9\x03\x00"
+            b"\x06\x05\x08\x08\x02\x05\x06node-2\x03\x02"
+            # one 64-bit key: an id table, keys as a u64 column
+            b"\x0ccapabilities\r\x01@\x00\x00\x00\x00\x00\x00\x00\x00\x05\t\x01\x03gpu\x01"
+            # a tuple key stays a tuple
+            b"\x05pairs\n\x01\x07\x02\x03\n\x03\x80\x01\x05\x11a pair, not an id"
+        )
+        (replayed,) = replayed_values(WriteAheadLog(tmp_path, fsync="never"))
+        assert replayed == ADOPT
+        assert {type(key) for key in replayed["records"]} == {AgentId}
+        assert [type(key) for key in replayed["pairs"]] == [tuple]
+
+    def test_a_v1_tail_is_rotated_before_the_first_append(self, tmp_path):
+        (tmp_path / "wal-0000000000000001.log").write_bytes(
+            v1_segment([b'{"n":0}', ADOPT_V1_PAYLOAD])
+        )
+        wal = WriteAheadLog(tmp_path, fsync="never")
+        assert wal.last_lsn == 2
+        assert wal.append({"n": 3}) == 3
+        assert [segment_version(path) for path in wal.segments()] == [1, 2]
+        assert [(r.lsn, r.value) for r in wal.replay()] == [
+            (1, {"n": 0}), (2, ADOPT), (3, {"n": 3})
+        ]
+        wal.close()
 
     def test_replay_after_skips_prefix(self, tmp_path):
         wal = WriteAheadLog(tmp_path, fsync="never")
@@ -155,6 +219,15 @@ class TestGuards:
         assert len(replayed_values(wal)) == 1
         wal.close()
 
+    def test_an_unencodable_value_is_a_storage_error(self, tmp_path):
+        wal = WriteAheadLog(tmp_path, fsync="never")
+        with pytest.raises(StorageError, match="not wire-encodable") as raised:
+            wal.append({"blob": object()})
+        assert not isinstance(raised.value, BinaryCodecError)
+        # Nothing was written: the next append takes LSN 1.
+        assert wal.append({"ok": True}) == 1
+        wal.close()
+
     def test_record_too_large_is_a_storage_error(self):
         assert issubclass(RecordTooLargeError, StorageError)
 
@@ -168,6 +241,45 @@ class TestGuards:
             wal.append({"n": index})
         assert wal.syncs >= 3
         wal.close()
+
+    def test_an_idle_interval_tail_is_synced_by_sync_due(self, tmp_path):
+        store = DurableStore(tmp_path, "idle", fsync="interval", fsync_interval=0.2)
+        for index in range(5):
+            store.log({"n": index})
+        store.sync_due()  # the interval has not passed yet
+        assert store.wal.syncs == 0
+        time.sleep(0.3)
+        store.sync_due()
+        assert store.wal.syncs == 1
+        time.sleep(0.3)
+        store.sync_due()  # nothing appended since: nothing to sync
+        assert store.wal.syncs == 1
+        store.close()
+
+    def test_sync_due_does_nothing_under_never(self, tmp_path):
+        wal = WriteAheadLog(tmp_path, fsync="never", fsync_interval=0.0)
+        wal.append({"n": 0})
+        wal.sync_due()
+        assert wal.syncs == 0
+        wal.close()
+
+    def test_short_writes_are_finished(self, tmp_path, monkeypatch):
+        real_write = os.write
+        calls = []
+
+        def three_bytes_at_a_time(fd, data):
+            calls.append(len(data))
+            return real_write(fd, bytes(data[:3]))
+
+        monkeypatch.setattr(os, "write", three_bytes_at_a_time)
+        wal = WriteAheadLog(tmp_path, fsync="never")
+        values = [ADOPT, {"n": 1}, {"blob": "x" * 100}]
+        for value in values:
+            wal.append(value)
+        wal.close()
+        monkeypatch.undo()
+        assert len(calls) > 100
+        assert replayed_values(WriteAheadLog(tmp_path, fsync="never")) == values
 
 
 def _fill_segment(tmp_path, records=6):
@@ -272,6 +384,13 @@ class TestMidLogCorruption:
         segment.write_bytes(bytes(data))
         with pytest.raises(CorruptRecordError):
             WriteAheadLog(tmp_path, fsync="never")
+
+    def test_a_crc_valid_record_the_decoder_rejects_is_corruption(self, tmp_path):
+        segment = b"REPROWAL" + struct.pack(">I", 2) + record_bytes(1, b"\xee\x01")
+        (tmp_path / "wal-0000000000000001.log").write_bytes(segment)
+        with pytest.raises(CorruptRecordError, match="does not decode") as raised:
+            WriteAheadLog(tmp_path, fsync="never")
+        assert not isinstance(raised.value, BinaryCodecError)
 
     def test_garbage_length_prefix_cannot_allocate(self, tmp_path):
         """A corrupt length larger than max_record is refused outright."""
