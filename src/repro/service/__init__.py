@@ -22,9 +22,12 @@ Modules
 * :mod:`repro.service.routing` -- prefix sharding of the coordinator
   tier: the pure id-to-shard mapping, the versioned shard map and the
   client-side router with its last-known-good primary cache.
-* :mod:`repro.service.server` -- the shared transport and the per-node
-  servers hosting the LHAgent, resident IAgents and the node-host
-  endpoint.
+* :mod:`repro.service.transport` -- the only code that opens a socket
+  or frames bytes: ``listen`` / ``dial``, the framed connection both
+  ends share (with the netem keying rule) and the servers' listening,
+  dispatching base.
+* :mod:`repro.service.server` -- the per-node servers hosting the
+  LHAgent, resident IAgents and the node-host endpoint.
 * :mod:`repro.service.coordinator` -- the HAgent server: primary copy,
   saga driver, standby replication and the liveness monitor.
 * :mod:`repro.service.client` -- the locate/register/migrate client with

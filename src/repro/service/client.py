@@ -3,13 +3,14 @@
 Two layers:
 
 * :class:`RpcChannel` -- the transport. Per peer, one framed TCP
-  connection (an ``asyncio.BufferedProtocol``) that every call
-  pipelines on, plus one that only hedged duplicates ride: ``data_received``
-  correlates replies to callers by ``message_id``, and a request on an
-  open connection costs one transport write, one future and one timer
-  -- no task, hedge-eligible or not: the hedge is a state of the
-  request's one record, not a layer around it. Every frame is in the
-  binary wire codec, from the connection's first byte (see
+  connection (a ``_Connection`` of :mod:`repro.service.transport`)
+  that every call pipelines on, plus one that only hedged duplicates
+  ride: the connection correlates replies to callers by
+  ``message_id``, and a request on an open connection costs one
+  transport write, one future and one timer -- no task,
+  hedge-eligible or not: the hedge is a state of the request's one
+  record, not a layer around it. Every frame is in the binary wire
+  codec, from the connection's first byte (see
   :mod:`repro.service.wire`). Transport failures (refused, reset,
   garbage frames) surface as :class:`ServiceRpcError` and drop the
   connection -- failing its attempt of every call in flight on it --
@@ -72,11 +73,20 @@ from repro.core.hash_function import SecondaryCopies
 from repro.core.requester import discover_saga, request_saga
 from repro.discovery.hamming import merge_matches, shards_within
 from repro.metrics.trace import Tracer
-from repro.platform.messages import Request, Response
 from repro.platform.naming import AgentId
 from repro.service import wire
-from repro.service.netem import DIR_IN, NetemController
+from repro.service.netem import NetemController
 from repro.service.routing import WRONG_SHARD, shard_of
+from repro.service.transport import (
+    Address,
+    RemoteOpError,
+    ServiceError,
+    ServiceRpcError,
+    ServiceTimeout,
+    _Connection,
+    dial,
+    format_addr,
+)
 
 __all__ = [
     "AGENT_NOT_FOUND",
@@ -95,8 +105,6 @@ __all__ = [
     "ServiceTimeout",
     "format_addr",
 ]
-
-Address = Tuple[str, int]
 
 #: Error code a node server replies with when the addressed agent does
 #: not live there (crashed, retired or moved) -- the live analogue of
@@ -142,56 +150,6 @@ HEDGE_BUDGET = 0.2
 #: Hedge delay floor, seconds -- on a clean LAN the hedge delay is
 #: clamped up to this so near-instant replies never spawn duplicates.
 HEDGE_DELAY_FLOOR = 0.05
-
-
-def format_addr(addr: Optional[Address]) -> str:
-    """``host:port`` for error messages (tolerates None)."""
-    if addr is None:
-        return "<unknown>"
-    return f"{addr[0]}:{addr[1]}"
-
-
-class ServiceError(Exception):
-    """Base class of service-layer failures."""
-
-
-class ServiceRpcError(ServiceError):
-    """The transport failed: connect, send or receive did not complete.
-
-    Carries enough context to debug a dead cluster from the message
-    alone: ``op`` is the RPC that failed and ``addr`` the target
-    address. ``refused`` distinguishes an actively refused connection
-    (the process is *gone*) from a hang or reset -- the failure
-    detector's fast-fail path keys off it.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        op: Optional[str] = None,
-        addr: Optional[Address] = None,
-        refused: bool = False,
-    ) -> None:
-        super().__init__(message)
-        self.op = op
-        self.addr = addr
-        self.refused = refused
-
-
-class ServiceTimeout(ServiceRpcError):
-    """The reply did not arrive within the per-RPC timeout."""
-
-
-class RemoteOpError(ServiceError):
-    """The server replied with an error envelope.
-
-    ``code`` is the machine-readable first token of the error string
-    (``"agent-not-found"``, ``"unknown-op"``, ...).
-    """
-
-    def __init__(self, error: str) -> None:
-        super().__init__(error)
-        self.code = error.split(":", 1)[0].strip()
 
 
 class ServiceLocateError(ServiceError):
@@ -338,210 +296,6 @@ class ClientCounters:
         setattr(self, name, getattr(self, name) + amount)
 
 
-class _Rpc:
-    """One RPC in flight: the request record.
-
-    The record is the ``pending`` entry of *every* connection carrying
-    an attempt for it -- the primary's, and the hedge connection's once
-    a duplicate is out -- so whichever reply lands first settles the
-    caller's future directly and takes the other attempt's entry away
-    by message id. It owns one timer handle (hedge-then-expiry, see
-    :meth:`_Connection.request`) and one absolute ``deadline`` that all
-    its attempts share. An unhedged call is the same record with no
-    duplicate ever added.
-    """
-
-    __slots__ = ("primary", "future", "op", "deadline", "timer", "out", "error", "hedger")
-
-    def __init__(
-        self, primary: "_Connection", future: "asyncio.Future[Any]", op: str, deadline: float
-    ) -> None:
-        #: The connection that carried the first attempt; a success
-        #: settled by any other connection is a hedge win.
-        self.primary = primary
-        self.future = future
-        self.op = op
-        self.deadline = deadline
-        self.timer: Any = None
-        #: Attempts still out: connection -> message id, plus the hedge
-        #: connection's dial task -> None while it is opening.
-        self.out: Dict[Any, Optional[int]] = {}
-        #: The first attempt failure, raised once no attempt is left out.
-        self.error: Optional[Exception] = None
-        #: Who admitted the duplicate (told if it wins); None until then.
-        self.hedger: Any = None
-
-    def drop(self) -> None:
-        """Forget every attempt still out: their late replies find no
-        pending entry and are dropped by id."""
-        for holder, message_id in self.out.items():
-            if message_id is None:
-                holder.cancel()
-            else:
-                holder.pending.pop(message_id, None)
-        self.out.clear()
-
-    def fail(self, error: Exception) -> None:
-        """One attempt (already taken out of ``out``) failed: the RPC
-        fails, with its *first* failure, once no attempt is left out."""
-        if self.error is None:
-            self.error = error
-        if not self.out:
-            self.timer.cancel()
-            if not self.future.done():  # else the caller was cancelled
-                self.future.set_exception(self.error)
-
-
-class _Connection(asyncio.BufferedProtocol):
-    """One framed connection with its in-flight requests.
-
-    ``data_received`` is the only consumer of the socket: it settles
-    each :class:`Response` on the waiting caller's future by
-    ``message_id``, through the :class:`_Rpc` record ``pending`` holds
-    for it. Replies whose record is gone (the caller timed out, or the
-    other attempt of a hedged read won) settle nobody and are dropped
-    -- a late reply must not wedge or kill the stream. Any transport
-    failure fails this connection's attempt of every pending record and
-    closes the connection. A request is one transport write plus one
-    timer, a reply one future settled: no task, no second future, and
-    the caller resumes on the loop pass after the reply is read --
-    hedge-eligible or not.
-    """
-
-    def __init__(self, channel: "RpcChannel", addr: Address) -> None:
-        self.channel = channel
-        self.addr = addr
-        #: message id -> the request record of the attempt sent here.
-        self.pending: Dict[int, _Rpc] = {}
-        self.closed = False
-        self._loop = asyncio.get_running_loop()
-        self.decoder = wire.FrameDecoder()
-        #: The write side: the transport itself, or its netem shim.
-        self._out: Any = None
-
-    def connection_made(self, transport: Any) -> None:
-        netem = self.channel.netem
-        self._out = transport
-        if netem is not None:
-            self._out = netem.wrap(transport, self.addr[1], DIR_IN)
-
-    def get_buffer(self, sizehint: int) -> bytearray:
-        return self.channel.recv_buffer
-
-    def buffer_updated(self, nbytes: int) -> None:
-        self.data_received(memoryview(self.channel.recv_buffer)[:nbytes])
-
-    def data_received(self, data: bytes) -> None:
-        try:
-            for frame in self.decoder.frames(data):
-                if type(frame) is Response:
-                    self._settle(frame)
-                # Any other frame is a peer bug; skip it rather than
-                # wedging the stream.
-        except wire.WireError as error:
-            self.close(str(error))
-
-    def connection_lost(self, exc: Optional[Exception]) -> None:
-        self.close(str(exc) if exc else "peer closed the connection")
-
-    def request(
-        self,
-        now: float,
-        to: Any,
-        op: str,
-        body: Any,
-        timeout: float,
-        hedge: Optional[Tuple[float, Any]] = None,
-    ) -> "asyncio.Future[Any]":
-        """Write one request; the future settles with the reply value,
-        a :class:`RemoteOpError`, or the transport's service error.
-
-        ``hedge`` is ``(delay, hedger)`` for an idempotent read that may
-        race a duplicate. The record's one timer is then armed for the
-        hedge delay first (when that falls inside the timeout) and
-        re-arms itself for the expiry when it fires; otherwise it is
-        the expiry from the start. Either way every attempt shares the
-        deadline ``now + timeout``.
-        """
-        loop = self._loop
-        rpc = _Rpc(self, loop.create_future(), op, now + timeout)
-        try:
-            self.send(rpc, to, body)
-        except wire.WireError as error:
-            rpc.future.set_exception(self._error(op, f"failed: {error}"))
-            return rpc.future
-        if hedge is not None and hedge[0] < timeout:
-            rpc.timer = loop.call_at(
-                now + hedge[0], self._hedge, rpc, to, body, hedge[1], timeout
-            )
-        else:
-            rpc.timer = loop.call_at(rpc.deadline, self._expire, rpc, timeout)
-        return rpc.future
-
-    def send(self, rpc: _Rpc, to: Any, body: Any) -> None:
-        """Put one attempt of ``rpc`` on this connection's wire."""
-        request = Request(op=rpc.op, body=body)
-        payload = wire.encode_frame({"to": to, "req": request})
-        self.pending[request.message_id] = rpc
-        rpc.out[self] = request.message_id
-        self._out.write(payload)
-
-    def _settle(self, reply: Response) -> None:
-        rpc = self.pending.pop(reply.message_id, None)
-        if rpc is None:
-            return  # expired, or already won by the other attempt: dropped by id
-        del rpc.out[self]
-        self.channel._trace(rpc.op, self.addr, reply.error or "ok")
-        if reply.error is not None:
-            rpc.fail(RemoteOpError(reply.error))
-            return
-        # First success wins: the loser's entry goes, its reply with it.
-        rpc.timer.cancel()
-        if rpc.out:
-            rpc.drop()
-        if rpc.future.done():
-            return  # the caller was cancelled
-        if self is not rpc.primary:
-            rpc.hedger.hedge_won()
-        rpc.future.set_result(reply.value)
-
-    def _hedge(self, rpc: _Rpc, to: Any, body: Any, hedger: Any, timeout: float) -> None:
-        """The record's timer, fired at the hedge delay: the primary is
-        still out (a reply already read this pass would have cancelled
-        this handle), so race a duplicate if the hedger's budget admits
-        one, and re-arm for the shared deadline either way."""
-        if rpc.future.done():
-            rpc.drop()  # the caller was cancelled: nothing left to race for
-            return
-        rpc.timer = self._loop.call_at(rpc.deadline, self._expire, rpc, timeout)
-        if hedger.admit_hedge():
-            rpc.hedger = hedger
-            self.channel._send_duplicate(self.addr, rpc, to, body)
-
-    def _expire(self, rpc: _Rpc, timeout: float) -> None:
-        # Abandon only this call; its connections stay up.
-        rpc.drop()
-        rpc.fail(self._error(rpc.op, f"timed out after {timeout}s", ServiceTimeout))
-
-    def _error(
-        self, op: str, what: str, error: Callable[..., ServiceRpcError] = ServiceRpcError
-    ) -> ServiceRpcError:
-        message = f"{op} to {format_addr(self.addr)} {what}"
-        label = "timeout" if error is ServiceTimeout else "transport-error"
-        self.channel._trace(op, self.addr, f"{label}: {message}")
-        return error(message, op=op, addr=self.addr)
-
-    def close(self, detail: str = "connection closed") -> None:
-        if self.closed:
-            return
-        self.closed = True
-        pending, self.pending = self.pending, {}
-        for rpc in pending.values():
-            del rpc.out[self]
-            rpc.fail(self._error(rpc.op, f"failed: {detail}"))
-        self._out.abort()
-
-
 class RpcChannel:
     """Pipelined framed connections, two per peer address: the regular
     one every call rides, and the hedge one only hedged duplicates ride.
@@ -667,9 +421,7 @@ class RpcChannel:
                 return conn
             if not self.closed:
                 try:
-                    _, conn = await asyncio.get_running_loop().create_connection(
-                        lambda: _Connection(self, addr), addr[0], addr[1]
-                    )
+                    _, conn = await dial(addr, lambda: _Connection(self, addr))
                 except (ConnectionError, OSError) as error:
                     raise ServiceRpcError(
                         f"{op} to {format_addr(addr)} failed: {error}",

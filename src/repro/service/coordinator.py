@@ -47,7 +47,8 @@ from repro.service.client import (
 )
 from repro.service.replication import FailureDetector, next_epoch
 from repro.service.routing import WRONG_SHARD, shard_prefix, validate_shards
-from repro.service.server import ServiceConfig, _FramedServer, _Reject, scan_primary
+from repro.service.server import ServiceConfig, scan_primary
+from repro.service.transport import FramedServer, _Reject
 from repro.storage import DurableStore
 
 __all__ = ["HAgentServer"]
@@ -64,7 +65,7 @@ LIVENESS_TIMEOUT = 1.0
 LIVENESS_PING_RETRIES = 3
 
 
-class HAgentServer(_FramedServer):
+class HAgentServer(FramedServer):
     """The live HAgent: primary copy, rehash coordinator, failure healer.
 
     Replication (the §7 fault-tolerance extension, live): a deployment
@@ -79,6 +80,8 @@ class HAgentServer(_FramedServer):
     epoch, so a deposed primary is fenced at every node (and demotes
     itself on the first ``stale-epoch`` rejection it sees).
     """
+
+    config: ServiceConfig
 
     def __init__(
         self,
@@ -743,7 +746,7 @@ class HAgentServer(_FramedServer):
         """Abrupt crash for fault injection: no final snapshot, no
         clean store close -- on-disk state is whatever the fsync policy
         already made durable, exactly like a killed process."""
-        await _FramedServer.stop(self)
+        await FramedServer.stop(self)
         if self.store is not None:
             self.store.abort()
         await self.channel.close()

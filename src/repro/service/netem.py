@@ -1,9 +1,9 @@
 """In-process network emulation for the live service stack.
 
 A :class:`NetemController` sits between the asyncio transports and the
-framed RPC protocol: the RPC client and the servers pass every
-connection's transport through :meth:`NetemController.wrap` and write
-their frames to the returned shim (reads are untouched), so each
+framed RPC protocol: :mod:`repro.service.transport` passes every
+connection's transport through :meth:`NetemController.wrap` and writes
+its frames to the returned shim (reads are untouched), so each
 *direction* of each link passes through exactly one shim -- the sending
 end. The shim injects, per frame write:
 
@@ -41,7 +41,7 @@ import json
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Deque, Dict, Iterable, List, Optional, Set, Tuple, Union, cast
+from typing import Any, Deque, Dict, Iterable, List, Optional, Set, Tuple, Union
 
 __all__ = ["DIR_IN", "DIR_OUT", "LinkState", "NetemController"]
 
@@ -303,21 +303,10 @@ class NetemController:
                 self._shims.pop(shim.port, None)
 
     def wrap(self, transport: Any, port: int, direction: str) -> "_Shim":
-        """Shim one connection's write side: the initiator wraps with
-        :data:`DIR_IN`, the acceptor with :data:`DIR_OUT`, both keyed by
-        the *server* port."""
+        """Shim one connection's write side, on the link to the server
+        listening on ``port``, in ``direction``. Which end passes which
+        is :mod:`repro.service.transport`'s keying rule."""
         return _Shim(self, transport, port, direction)
-
-    async def open_connection(
-        self, host: str, port: int
-    ) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-        """Dial an endpoint as a stream pair whose writes are shimmed."""
-        loop = asyncio.get_running_loop()
-        reader = asyncio.StreamReader(loop=loop)
-        transport, _ = await loop.create_connection(
-            lambda: asyncio.StreamReaderProtocol(reader, loop=loop), host, port
-        )
-        return reader, cast(asyncio.StreamWriter, self.wrap(transport, port, DIR_IN))
 
     def shutdown(self) -> None:
         """Close every live shim; call once the cluster is stopped."""

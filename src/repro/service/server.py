@@ -1,8 +1,7 @@
-"""Asyncio TCP servers hosting the paper's three agent roles.
+"""The node: the live server hosting the paper's LHAgent and IAgents.
 
-This module holds what every live server shares -- the deployment's
-:class:`ServiceConfig`, the framed request/response transport
-(``_FramedServer``) and :func:`scan_primary` -- and the node side:
+This module holds the deployment's :class:`ServiceConfig`,
+:func:`scan_primary` and the node side:
 
 * :class:`NodeServer` -- one per node. A single listening socket
   multiplexing three target kinds: the node's LHAgent (secondary copy,
@@ -11,8 +10,9 @@ This module holds what every live server shares -- the deployment's
   takeovers), and the node ``host`` endpoint that tracks which mobile
   agents currently reside on the node.
 
-The coordinator process, :class:`repro.service.coordinator.HAgentServer`,
-is the other server kind on the same transport.
+Both server kinds -- this one and the coordinator,
+:class:`repro.service.coordinator.HAgentServer` -- listen and dispatch
+through :class:`repro.service.transport.FramedServer`.
 
 Requests address a target (``"lhagent"``, ``"host"``, ``"hagent"`` or
 an :class:`AgentId` for a resident IAgent) and carry a
@@ -39,7 +39,6 @@ soft-state loop reconcile any tail the crash cut off.
 from __future__ import annotations
 
 import asyncio
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
@@ -49,9 +48,8 @@ from repro.core.hash_function import HashFunction, SecondaryCopies
 from repro.core.iagent_state import OK, IAgentState, table_field
 from repro.core.load import LoadStatistics
 from repro.metrics.trace import Tracer
-from repro.platform.messages import Request, Response
+from repro.platform.messages import Request
 from repro.platform.naming import AgentId
-from repro.service import wire
 from repro.service.client import (
     AGENT_NOT_FOUND,
     NOT_PRIMARY,
@@ -64,9 +62,10 @@ from repro.service.client import (
     ServiceError,
     ServiceRpcError,
 )
-from repro.service.netem import DIR_OUT, NetemController
+from repro.service.netem import NetemController
 from repro.service.replication import EpochFence
 from repro.service.routing import WRONG_SHARD, ShardMap, ShardRouter, validate_shards
+from repro.service.transport import FramedServer, _Reject
 from repro.storage import DurableStore
 
 __all__ = ["NodeServer", "ServiceConfig"]
@@ -187,227 +186,6 @@ async def scan_primary(
         if best is None or epoch > best[0]:
             best = (epoch, addr)
     return best
-
-
-class _ServerConnection(asyncio.BufferedProtocol):
-    """One accepted connection: decodes frames, hands them to the server.
-
-    Replies go to ``out`` -- the transport, or its netem shim. The
-    replies a received segment's frames produce inline are collected and
-    handed over in one ``writelines`` when the segment is done (a
-    pipelining peer's N requests cost one send, not N); a reply a
-    handler task produces later is written on its own. When a peer stops
-    reading and the write buffer passes its high-water mark, the
-    connection stops *reading* until it drains, so the replies buffered
-    for one slow peer stay bounded.
-    """
-
-    def __init__(self, server: "_FramedServer") -> None:
-        self.server = server
-        self.decoder = wire.FrameDecoder()
-        self.transport: Any = None
-        self.out: Any = None
-        #: The encoded replies of the segment being served; ``None``
-        #: outside ``data_received``.
-        self._segment: Optional[List[bytes]] = None
-
-    def connection_made(self, transport: asyncio.BaseTransport) -> None:
-        server = self.server
-        self.transport = self.out = transport
-        netem = server.config.netem
-        if netem is not None and server.addr is not None:
-            # Acceptor-side shim: this server's *responses* pass through
-            # the fault model (the initiator shims its own requests), so
-            # each direction of each link is shimmed exactly once.
-            self.out = netem.wrap(self.transport, server.addr[1], DIR_OUT)
-        server._connections.add(self)
-
-    def get_buffer(self, sizehint: int) -> bytearray:
-        return self.server.recv_buffer
-
-    def buffer_updated(self, nbytes: int) -> None:
-        self.data_received(memoryview(self.server.recv_buffer)[:nbytes])
-
-    def data_received(self, data: bytes) -> None:
-        replies = self._segment = []
-        try:
-            try:
-                for frame in self.decoder.frames(data):
-                    self.server._on_frame(self, frame)
-            finally:
-                # Also on a handler bug: the answers already made go out.
-                self._segment = None
-                if replies:
-                    self.out.writelines(replies)
-        except wire.WireError:
-            self.out.abort()  # a garbage-speaking peer never kills the server
-
-    def connection_lost(self, exc: Optional[Exception]) -> None:
-        self.server._connections.discard(self)
-        self.out.close()  # detaches a shim from its controller
-
-    def pause_writing(self) -> None:
-        self.transport.pause_reading()
-
-    def resume_writing(self) -> None:
-        self.transport.resume_reading()
-
-    def reply(self, message_id: int, value: Any, error: Optional[str]) -> None:
-        if self.transport.is_closing():
-            return  # the peer went away; its retry path owns recovery
-        response = Response(message_id, value, error)
-        try:
-            payload = wire.encode_frame(response)
-        except wire.WireError as exc:  # an unencodable or oversized value
-            response = Response(message_id, error=f"internal-error: {exc}")
-            payload = wire.encode_frame(response)
-        if self._segment is None:
-            self.out.write(payload)
-        else:
-            self._segment.append(payload)
-
-
-class _FramedServer:
-    """A listening socket speaking the framed request/response protocol.
-
-    Subclasses implement the synchronous :meth:`route`. A handler that
-    returns a plain value is answered inline, straight from
-    ``data_received``; only one that returns a coroutine gets a task.
-    """
-
-    #: The clock every server reading (dispatch timing, load windows,
-    #: liveness) goes through.
-    _now = staticmethod(time.monotonic)
-
-    def __init__(self, config: ServiceConfig, tracer: Optional[Tracer]) -> None:
-        self.config = config
-        self.tracer = tracer
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._connections: Set[_ServerConnection] = set()
-        self._bg_tasks: Set[asyncio.Task] = set()
-        self.addr: Optional[Address] = None
-        #: What every accepted connection's socket reads land in; each
-        #: read is decoded before the next, so one buffer serves them all.
-        self.recv_buffer = bytearray(wire.RECV_BUFFER_SIZE)
-        #: Fault injection: a partitioned server swallows every incoming
-        #: request without replying (callers time out, exactly like a
-        #: network cut) while its own outgoing RPCs are blocked by the
-        #: subclasses that make them. The process itself stays alive.
-        self.partitioned = False
-
-    async def start(self, host: Optional[str] = None, port: int = 0) -> Address:
-        self._server = await asyncio.get_running_loop().create_server(
-            lambda: _ServerConnection(self), host or self.config.host, port
-        )
-        sockname = self._server.sockets[0].getsockname()
-        self.addr = (sockname[0], sockname[1])
-        return self.addr
-
-    def spawn(self, coro, name: str) -> asyncio.Task:
-        task = asyncio.ensure_future(coro)
-        task.set_name(name)
-        self._bg_tasks.add(task)
-        task.add_done_callback(self._bg_tasks.discard)
-        return task
-
-    async def stop(self) -> None:
-        """Shutdown: stop accepting, drop every connection, cancel tasks."""
-        if self._server is not None:
-            self._server.close()
-        for conn in list(self._connections):
-            conn.out.abort()
-        # Re-cancel until every task actually dies: on Python <= 3.11
-        # asyncio.wait_for (a client's connect on a miss still uses it)
-        # can swallow a cancellation that races the inner call's
-        # completion -- a single cancel() is not guaranteed to stick.
-        tasks = [task for task in self._bg_tasks if not task.done()]
-        while tasks:
-            for task in tasks:
-                task.cancel()
-            done, pending = await asyncio.wait(tasks, timeout=1.0)
-            for task in done:
-                if not task.cancelled():
-                    task.exception()  # consume it: nothing left to log
-            tasks = list(pending)
-        self._bg_tasks.clear()
-        if self._server is not None:
-            # From 3.12 on this also waits for the aborted connections.
-            await self._server.wait_closed()
-            self._server = None
-
-    def _on_frame(self, conn: _ServerConnection, frame: Any) -> None:
-        if self.partitioned:
-            return  # injected partition: drop the request silently
-        if (
-            not isinstance(frame, dict)
-            or not isinstance(frame.get("req"), Request)
-            or "to" not in frame
-        ):
-            conn.reply(-1, None, "bad-envelope: expected {to, req}")
-            return
-        started = self._now()
-        try:
-            result = self.route(frame["to"], frame["req"])
-        except Exception as exc:
-            self._answer(conn, frame, started, failure=exc)
-            return
-        if asyncio.iscoroutine(result):
-            # The handler has to wait (a forward, a fetch): a task of its
-            # own keeps it from head-of-line blocking the frames pipelined
-            # behind it into a correlated timeout burst.
-            # It runs to completion even if the connection goes first.
-            self.spawn(self._answer_later(conn, frame, started, result), "answer")
-        else:
-            self._answer(conn, frame, started, result)
-
-    async def _answer_later(
-        self, conn: _ServerConnection, frame: Dict, started: float, handler: Any
-    ) -> None:
-        try:
-            value = await handler
-        except Exception as exc:
-            self._answer(conn, frame, started, failure=exc)
-        else:
-            self._answer(conn, frame, started, value)
-
-    def _answer(
-        self,
-        conn: _ServerConnection,
-        frame: Dict,
-        started: float,
-        value: Any = None,
-        failure: Optional[Exception] = None,
-    ) -> None:
-        request: Request = frame["req"]
-        error = None
-        if isinstance(failure, _Reject):
-            error = str(failure)
-        elif failure is not None:  # a handler bug must not kill the server
-            error = f"internal-error: {type(failure).__name__}: {failure}"
-        if self.tracer is not None:
-            self.tracer.record_now(
-                "rpc-server",
-                op=request.op,
-                target=str(frame["to"]),
-                outcome=error or "ok",
-                elapsed=self._now() - started,
-            )
-        conn.reply(request.message_id, value, error)
-
-    def route(self, target: Any, request: Request) -> Any:
-        """The handler's reply value, or a coroutine that produces it."""
-        raise NotImplementedError
-
-    async def dispatch(self, target: Any, request: Request) -> Any:
-        """:meth:`route`, awaited through when the handler had to wait."""
-        result = self.route(target, request)
-        if asyncio.iscoroutine(result):
-            result = await result
-        return result
-
-
-class _Reject(ServiceError):
-    """Raised by handlers to produce an error reply (code: message)."""
 
 
 # ----------------------------------------------------------------------
@@ -902,8 +680,10 @@ class HostEndpoint:
 # ----------------------------------------------------------------------
 
 
-class NodeServer(_FramedServer):
+class NodeServer(FramedServer):
     """One node: LHAgent + host endpoint + any resident IAgents."""
+
+    config: ServiceConfig
 
     def __init__(
         self,

@@ -30,14 +30,13 @@ dropped.
 
 ``encode_frame``/``decode_frame`` are the one-shot forms;
 :class:`FrameDecoder` consumes a byte stream incrementally (partial
-frames simply wait for more bytes) -- the service's transports feed it
-from ``data_received``; ``read_frame``/``write_frame`` do the same for
-peers built on asyncio streams. Truncated one-shot buffers, oversized
+frames simply wait for more bytes) -- :mod:`repro.service.transport`
+feeds it every socket read. Truncated one-shot buffers, oversized
 length prefixes and malformed bodies all raise :class:`WireError` -- a
 server must never crash on a garbage frame.
 Binary decoding normalizes the frame to ``bytes`` once up front.
 
-The one-shot and stream functions also take an explicit
+The one-shot functions and the decoder also take an explicit
 ``codec=CODEC_JSON``: the body as UTF-8 JSON in the reversible tagging
 scheme of :mod:`repro.platform.jsonable` (``AgentId`` as
 ``{"$aid": ...}``, tuples as ``{"$tuple": ...}`` and so on). No socket
@@ -51,8 +50,7 @@ from __future__ import annotations
 
 import json
 import struct
-from asyncio import IncompleteReadError, StreamReader, StreamWriter
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Tuple
 
 from repro.platform import jsonable
 from repro.platform.binary import (
@@ -82,9 +80,7 @@ __all__ = [
     "decode_binary",
     "encode_frame",
     "from_jsonable",
-    "read_frame",
     "to_jsonable",
-    "write_frame",
 ]
 
 #: Frames beyond this many payload bytes are rejected outright. Far
@@ -427,41 +423,3 @@ class FrameDecoder:
     def pending_bytes(self) -> int:
         """Bytes buffered towards the next (incomplete) frame."""
         return len(self._buffer)
-
-
-# ----------------------------------------------------------------------
-# asyncio stream helpers
-# ----------------------------------------------------------------------
-
-
-async def read_frame(
-    reader: StreamReader,
-    max_frame: int = DEFAULT_MAX_FRAME,
-    codec: str = CODEC_BINARY,
-) -> Optional[Any]:
-    """Read one frame; ``None`` on a clean EOF at a frame boundary."""
-    try:
-        header = await reader.readexactly(_LENGTH.size)
-    except IncompleteReadError as error:
-        if not error.partial:
-            return None
-        raise WireError("connection closed mid-header") from error
-    (length,) = _LENGTH.unpack(header)
-    if length > max_frame:
-        raise WireError(f"frame length {length} exceeds limit {max_frame}")
-    try:
-        body = await reader.readexactly(length)
-    except IncompleteReadError as error:
-        raise WireError("connection closed mid-frame") from error
-    return _decode_body(body, codec)
-
-
-async def write_frame(
-    writer: StreamWriter,
-    value: Any,
-    max_frame: int = DEFAULT_MAX_FRAME,
-    codec: str = CODEC_BINARY,
-) -> None:
-    """Encode ``value`` and flush it to the stream."""
-    writer.write(encode_frame(value, max_frame=max_frame, codec=codec))
-    await writer.drain()

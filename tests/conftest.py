@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import asyncio
+import functools
+
 import pytest
 
 from repro.core.config import RETRY_BACKOFF, HashMechanismConfig
@@ -46,6 +49,21 @@ def patch_retries(
     ``"repro.core.mechanism"``) another retry budget for one test."""
     monkeypatch.setattr(f"{module}.MAX_RETRIES", max_retries)
     monkeypatch.setattr(f"{module}.RETRY_BACKOFF", retry_backoff)
+
+
+def in_running_loop(test):
+    """Run a synchronous test body inside one ``asyncio.run``: a live
+    server reads the running loop's clock, so a script that drives its
+    endpoints directly still needs a loop around it."""
+
+    @functools.wraps(test)
+    def wrapper(*args, **kwargs):
+        async def body():
+            return test(*args, **kwargs)
+
+        return asyncio.run(body())
+
+    return wrapper
 
 
 def patch_backoff(monkeypatch: pytest.MonkeyPatch, base: float, cap: float) -> None:

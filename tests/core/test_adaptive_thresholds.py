@@ -5,7 +5,7 @@ import pytest
 from repro.workloads.mobility import ConstantResidence
 from repro.workloads.population import spawn_population
 
-from tests.conftest import build_runtime, drain, install_hash_mechanism
+from tests.conftest import build_runtime, drain, in_running_loop, install_hash_mechanism
 
 
 class TestThresholdsFor:
@@ -91,6 +91,7 @@ class TestBothCoordinators:
     ]
 
     @pytest.mark.parametrize("mode", ["fixed", "adaptive"])
+    @in_running_loop
     def test_same_reports_same_verdicts(self, mode):
         from repro.service.coordinator import HAgentServer
         from repro.service.server import ServiceConfig

@@ -35,6 +35,8 @@ from repro.platform.naming import AgentNamer
 from repro.service.coordinator import HAgentServer
 from repro.service.server import ServiceConfig
 
+from tests.conftest import in_running_loop
+
 WIDTH = 6
 CAPACITY = 4
 NODES = ["n0", "n1", "n2"]
@@ -344,6 +346,7 @@ async def scripted_coordinator(data_dir):
 
 
 class TestParentCompatibility:
+    @in_running_loop
     def test_a_data_dir_the_parent_wrote_recovers_to_the_state_it_recorded(self, tmp_path):
         # Recovery folds the WAL into a fresh snapshot: work on a copy.
         shutil.copytree(FIXTURE / "data_dir", tmp_path / "data_dir")

@@ -13,6 +13,8 @@ a warm client sends.
 
 import asyncio
 import random
+import struct
+import time
 import tracemalloc
 
 import pytest
@@ -31,6 +33,7 @@ from repro.service.coordinator import HAgentServer
 from repro.service.server import NodeServer
 
 from tests.conftest import copy_reply, patch_backoff
+from tests.service.frames import read_frame, write_frame
 
 
 def run(coro):
@@ -68,7 +71,9 @@ class _ToyServer:
         try:
             if self.mode == "reversed":
                 await self._serve_reversed(reader, writer)
-            elif self.mode == "selective":
+            elif self.mode == "garbled" and self.accepted == 1:
+                await self._serve_garbled(reader, writer)
+            elif self.mode in ("selective", "garbled"):
                 await self._serve_selective(reader, writer)
         except (ConnectionError, OSError, wire.WireError, asyncio.IncompleteReadError):
             pass
@@ -82,20 +87,29 @@ class _ToyServer:
         while True:
             pair = []
             for _ in range(2):
-                frame = await wire.read_frame(reader)
+                frame = await read_frame(reader)
                 if frame is None:
                     return
                 pair.append(frame["req"])
             for request in reversed(pair):
-                await wire.write_frame(
+                await write_frame(
                     writer,
                     Response(message_id=request.message_id, value=request.body),
                 )
 
+    async def _serve_garbled(self, reader, writer):
+        # Collect two requests, then answer with a frame no decoder
+        # takes (an unknown tag) and keep the connection open.
+        for _ in range(2):
+            self.frames.append(await read_frame(reader))
+        writer.write(struct.pack(">I", 1) + b"\xff")
+        await writer.drain()
+        await reader.read()
+
     async def _serve_selective(self, reader, writer):
         # Answers every op except "slow", which is swallowed forever.
         while True:
-            frame = await wire.read_frame(reader)
+            frame = await read_frame(reader)
             if frame is None:
                 return
             self.frames.append(frame)
@@ -103,7 +117,7 @@ class _ToyServer:
             if request.op == "slow":
                 continue
             value, error = self.answer(frame)
-            await wire.write_frame(
+            await write_frame(
                 writer, Response(message_id=request.message_id, value=value, error=error)
             )
 
@@ -265,6 +279,40 @@ class TestPipelining:
                 await hagent.stop()
                 for peer in peers:
                     await peer.stop()
+
+        run(scenario())
+
+    def test_a_malformed_reply_fails_that_connections_calls_at_once(self):
+        """A peer answering with a frame the decoder refuses: every call
+        pending on that connection fails with a transport error when the
+        frame arrives, not at its timeout; the channel's connection to
+        another peer stays up; the next call dials a fresh connection."""
+
+        async def scenario():
+            garbled, other = _ToyServer("garbled"), _ToyServer("selective")
+            await garbled.start()
+            await other.start()
+            channel = RpcChannel(rpc_timeout=5.0)
+            try:
+                assert await channel.call(other.addr, "t", "echo", {"n": 0}) == {"n": 0}
+                kept = channel._conns[other.addr]
+                started = time.monotonic()
+                calls = [channel.call(garbled.addr, "t", "echo", {"n": n}) for n in (1, 2)]
+                for outcome in await asyncio.gather(*calls, return_exceptions=True):
+                    assert isinstance(outcome, ServiceRpcError)
+                    assert not isinstance(outcome, ServiceTimeout)
+                assert time.monotonic() - started < 2.0
+                dropped = channel._conns[garbled.addr]
+                assert dropped.closed and dropped.pending == {}
+                assert channel._conns[other.addr] is kept and not kept.closed
+                assert await channel.call(other.addr, "t", "echo", {"n": 3}) == {"n": 3}
+                assert await channel.call(garbled.addr, "t", "echo", {"n": 4}) == {"n": 4}
+                assert channel._conns[garbled.addr] is not dropped
+                assert (garbled.accepted, other.accepted) == (2, 1)
+            finally:
+                await channel.close()
+                await garbled.stop()
+                await other.stop()
 
         run(scenario())
 

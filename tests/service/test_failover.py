@@ -23,7 +23,8 @@ from repro.service.client import (
 from repro.service.cluster import ClusterConfig, run_cluster
 from repro.service.coordinator import HAgentServer
 from repro.service.replication import single_primary_violations
-from repro.service.server import NodeServer, ServiceConfig, _FramedServer
+from repro.service.server import NodeServer, ServiceConfig
+from repro.service.transport import FramedServer
 from repro.storage.wal import StorageWarning
 
 
@@ -223,7 +224,7 @@ class TestCrashPromotion:
             )
 
 
-class _SaysPrimary(_FramedServer):
+class _SaysPrimary(FramedServer):
     """Answers every request like a primary of ``shard`` at ``epoch``
     answers ``ping``."""
 

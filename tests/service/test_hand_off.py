@@ -16,8 +16,8 @@ import random
 
 from repro.core.iagent_state import compile_coverage
 from repro.platform.naming import AgentId
-from repro.service import client as client_module
 from repro.service.cluster import booted_cluster
+from repro.service.transport import _Connection
 
 from tests.service.test_one_hop import cluster_config
 
@@ -46,7 +46,7 @@ def count_traffic(monkeypatch, channel):
     """Bytes written and read by ``channel``'s connections from here on:
     ``[written, read]``."""
     counted = [0, 0]
-    send, received = client_module._Connection.send, client_module._Connection.data_received
+    send, received = _Connection.send, _Connection.data_received
 
     class Counting:
         def __init__(self, out):
@@ -59,19 +59,19 @@ def count_traffic(monkeypatch, channel):
     def counting_send(conn, rpc, to, body):
         if conn.channel is not channel:
             return send(conn, rpc, to, body)
-        out, conn._out = conn._out, Counting(conn._out)
+        out, conn.out = conn.out, Counting(conn.out)
         try:
             return send(conn, rpc, to, body)
         finally:
-            conn._out = out
+            conn.out = out
 
     def counting_received(conn, data):
         if conn.channel is channel:
             counted[1] += len(data)
         return received(conn, data)
 
-    monkeypatch.setattr(client_module._Connection, "send", counting_send)
-    monkeypatch.setattr(client_module._Connection, "data_received", counting_received)
+    monkeypatch.setattr(_Connection, "send", counting_send)
+    monkeypatch.setattr(_Connection, "data_received", counting_received)
     return counted
 
 

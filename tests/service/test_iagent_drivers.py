@@ -34,7 +34,7 @@ from repro.service.server import IAgentEndpoint, NodeServer, ServiceConfig
 from repro.service.wire import CODEC_BINARY, decode_frame, encode_frame
 from repro.storage import DurableStore
 
-from tests.conftest import build_runtime, install_hash_mechanism
+from tests.conftest import build_runtime, in_running_loop, install_hash_mechanism
 
 LOW, MID, HIGH = AgentId(5), AgentId(1 << 62), AgentId((1 << 63) + 9)
 STRANGER = AgentId((1 << 63) + 77)
@@ -87,6 +87,7 @@ def sim_iagent():
 
 
 class TestDriverParity:
+    @in_running_loop
     def test_one_script_same_replies_same_table(self):
         live, sim = live_endpoint(), sim_iagent()
         for op, body in SCRIPT:
@@ -105,6 +106,7 @@ class TestDriverParity:
             assert sim.state.table == live.state.table, (op, body)
         assert live.stats.loads() == sim.stats.loads()
 
+    @in_running_loop
     def test_script_reaches_every_status(self):
         live = live_endpoint()
         seen = set()
@@ -135,6 +137,7 @@ class TestJournalEqualsMemory:
             initial=IAgentEndpoint.initial_state, apply=IAgentEndpoint.apply_mutation
         ).state
 
+    @in_running_loop
     def test_whole_script(self, store):
         endpoint = live_endpoint(store)
         for op, body in SCRIPT:
@@ -142,6 +145,7 @@ class TestJournalEqualsMemory:
             assert self.recovered(store) == endpoint.durable_state(), (op, body)
 
     @pytest.mark.parametrize("op", ["register", "update", "set-capabilities"])
+    @in_running_loop
     def test_malformed_capabilities_apply_nothing(self, store, op):
         endpoint = live_endpoint(store)
         endpoint.op_register({"agent": LOW, "node": "n0", "seq": 1})
@@ -152,6 +156,7 @@ class TestJournalEqualsMemory:
         assert endpoint.capabilities == {}
         assert self.recovered(store) == endpoint.durable_state()
 
+    @in_running_loop
     def test_malformed_capabilities_in_a_batch(self, store):
         endpoint = live_endpoint(store)
         ops = [
@@ -221,6 +226,7 @@ def split_handoff(hop):
 
 
 class TestHandoffOverTheWire:
+    @in_running_loop
     def test_split_is_the_same_with_and_without_the_wire_hop(self):
         direct, wired = split_handoff(lambda value: value), split_handoff(over_the_wire)
         for part, expected in direct.items():
@@ -235,6 +241,7 @@ class TestHandoffOverTheWire:
         assert adopt["op"] == "adopt" and adopt["pattern"] == "1"
         assert adopt["records"] == direct["taker"]["records"]
 
+    @in_running_loop
     def test_get_loads_reply_is_sized_by_the_bits_asked_not_the_records_held(self):
         """The planner's answer is two sums per candidate bit: 20 000
         held agents must not show in the frame (as bit strings, 1.3 MB)."""

@@ -17,19 +17,20 @@ import pytest
 
 from repro.platform.messages import Response
 from repro.platform.naming import AgentId
-from repro.service import wire
 from repro.service.client import (
     ClientConfig,
+    RpcChannel,
     ServiceClient,
     ServiceLocateError,
     ServiceRpcError,
+    ServiceTimeout,
 )
 from repro.service.cluster import ClusterConfig, run_cluster
 from repro.service.netem import DIR_IN, DIR_OUT, NetemController
-
 from repro.service.server import ServiceConfig
 
 from tests.conftest import copy_reply, patch_backoff
+from tests.service.frames import read_frame, write_frame
 from tests.service.test_transport import one_node, served_connection, whois_frame
 
 AGENT = AgentId(0xA1 << 48)
@@ -59,8 +60,19 @@ async def start_echo():
     return server, server.sockets[0].getsockname()[1]
 
 
+async def open_shimmed(netem, port):
+    """Dial ``port`` as a stream pair whose writes pass the controller's
+    shim, keyed the way a dialing end is: by the server port, ``"in"``."""
+    loop = asyncio.get_running_loop()
+    reader = asyncio.StreamReader()
+    transport, _ = await loop.create_connection(
+        lambda: asyncio.StreamReaderProtocol(reader), "127.0.0.1", port
+    )
+    return reader, netem.wrap(transport, port, DIR_IN)
+
+
 async def echo_once(netem, port, payload=b"ping\n", timeout=5.0):
-    reader, writer = await netem.open_connection("127.0.0.1", port)
+    reader, writer = await open_shimmed(netem, port)
     try:
         writer.write(payload)
         return await asyncio.wait_for(reader.readline(), timeout=timeout)
@@ -108,7 +120,7 @@ class TestShimDataPlane:
             netem = NetemController(seed=1)
             try:
                 assert netem.block(port, DIR_IN)
-                reader, writer = await netem.open_connection("127.0.0.1", port)
+                reader, writer = await open_shimmed(netem, port)
                 writer.write(b"lost\n")
                 with pytest.raises(asyncio.TimeoutError):
                     await asyncio.wait_for(reader.readline(), timeout=0.3)
@@ -133,7 +145,7 @@ class TestShimDataPlane:
             server, port = await start_echo()
             netem = NetemController(seed=1)
             try:
-                reader, writer = await netem.open_connection("127.0.0.1", port)
+                reader, writer = await open_shimmed(netem, port)
                 writer.write(b"warm\n")
                 assert await asyncio.wait_for(reader.readline(), timeout=5.0)
                 assert netem.reset(port) >= 1
@@ -178,9 +190,7 @@ class TestShimDataPlane:
                 netem = NetemController(seed=42)
                 try:
                     assert netem.degrade(port, loss=0.5)
-                    reader, writer = await netem.open_connection(
-                        "127.0.0.1", port
-                    )
+                    reader, writer = await open_shimmed(netem, port)
                     for index in range(20):
                         writer.write(f"m{index}\n".encode())
                     await asyncio.sleep(0.3)
@@ -227,7 +237,7 @@ class TestServedSegments:
                     kept, segment = self.segment(agents, 100)
                     conn.data_received(segment)
                     for expected in kept:  # none of the lost ones comes first
-                        reply = await asyncio.wait_for(wire.read_frame(reader), 5.0)
+                        reply = await asyncio.wait_for(read_frame(reader), 5.0)
                         assert reply.message_id == expected
                     assert netem.frames_dropped == dropped + self.REPLIES
                 finally:
@@ -247,10 +257,83 @@ class TestServedSegments:
                     conn.data_received(segment)
                     assert netem.frames_delayed == delayed + self.REPLIES
                     for expected in ids:
-                        reply = await asyncio.wait_for(wire.read_frame(reader), 5.0)
+                        reply = await asyncio.wait_for(read_frame(reader), 5.0)
                         assert reply.message_id == expected
                 finally:
                     writer.close()
+
+        run(scenario())
+
+
+class TestKeyingRule:
+    """The service's own two ends under one controller: a channel's
+    requests pass its ``"in"`` shim and the node's replies the node's
+    ``"out"`` shim, both keyed by the node's port."""
+
+    @staticmethod
+    def host_pings(node):
+        """The ``host`` pings ``node`` dispatches from here on."""
+        pings = []
+        route = node.route
+
+        def counted(target, request):
+            if (target, request.op) == ("host", "ping"):
+                pings.append(request.message_id)
+            return route(target, request)
+
+        node.route = counted
+        return pings
+
+    @staticmethod
+    def directions(netem, port):
+        return sorted(shim.direction for shim in netem._shims.get(port, ()))
+
+    def blocked_ping(self, direction):
+        """``(timed out, host pings run)`` for one ping to a node whose
+        ``direction`` is blocked."""
+
+        async def scenario():
+            netem = NetemController(seed=3)
+            async with one_node(ServiceConfig(netem=netem)) as (node, _):
+                pings = self.host_pings(node)
+                channel = RpcChannel(netem=netem)
+                try:
+                    assert netem.block(node.addr[1], direction)
+                    try:
+                        await channel.call(node.addr, "host", "ping", timeout=0.3)
+                    except ServiceTimeout:
+                        timed_out = True
+                    else:
+                        timed_out = False
+                    await asyncio.sleep(0.05)  # a request in flight lands
+                    return timed_out, len(pings)
+                finally:
+                    netem.unblock(node.addr[1], direction)
+                    await channel.close()
+
+        return run(scenario())
+
+    def test_blocking_in_drops_the_request_before_any_handler(self):
+        assert self.blocked_ping(DIR_IN) == (True, 0)
+
+    def test_blocking_out_drops_the_reply_of_a_handler_that_ran_once(self):
+        assert self.blocked_ping(DIR_OUT) == (True, 1)
+
+    def test_a_round_trip_shims_each_direction_once_under_the_server_port(self):
+        async def scenario():
+            netem = NetemController(seed=3)
+            async with one_node(ServiceConfig(netem=netem)) as (node, _):
+                port = node.addr[1]
+                before = self.directions(netem, port)
+                channel = RpcChannel(netem=netem)
+                try:
+                    reply = await channel.call(node.addr, "host", "ping")
+                    assert reply["node"] == "node-0"
+                    assert self.directions(netem, port) == sorted(
+                        before + [DIR_IN, DIR_OUT]
+                    )
+                finally:
+                    await channel.close()
 
         run(scenario())
 
@@ -334,12 +417,12 @@ class _LanePeer:
         lane = self.connections
         self.connections += 1
         try:
-            while (frame := await wire.read_frame(reader)) is not None:
+            while (frame := await read_frame(reader)) is not None:
                 self.lanes.append(lane)
                 if lane == 0 and frame["req"].op == "whois":
                     await asyncio.sleep(self.primary_delay)
                 reply = {"status": "ok", "who": "secondary" if lane else "primary"}
-                await wire.write_frame(
+                await write_frame(
                     writer, Response(message_id=frame["req"].message_id, value=reply)
                 )
         except (ConnectionError, OSError, asyncio.IncompleteReadError):

@@ -18,6 +18,8 @@ from repro.platform.naming import AgentId
 from repro.service.server import IAgentEndpoint, NodeServer, ServiceConfig
 from repro.storage import DurableStore
 
+from tests.conftest import in_running_loop
+
 FIXTURE = Path(__file__).resolve().parent / "data" / "iagent-pr34"
 STORE = "iagent-1"
 
@@ -115,6 +117,7 @@ class TestParentIAgentDataDir:
             IAgentEndpoint.apply_mutation(expected, value)
         assert table == expected
 
+    @in_running_loop
     def test_the_same_script_journals_what_the_parent_journaled(self, tmp_path):
         logged, table = scripted_iagent(tmp_path)
         expected = parent_wrote()

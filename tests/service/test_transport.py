@@ -32,11 +32,13 @@ from repro.service.client import (
     ServiceClient,
     ServiceRpcError,
     ServiceTimeout,
-    _Connection,
 )
 from repro.service.cluster import ClusterConfig, booted_cluster
 from repro.service.coordinator import HAgentServer
 from repro.service.server import NodeServer
+from repro.service.transport import _Connection
+
+from tests.service.frames import read_frame
 
 
 def run(coro):
@@ -208,7 +210,7 @@ class TestFraming:
                         )
                     )
                     for index in range(len(agents)):
-                        reply = await wire.read_frame(reader)
+                        reply = await read_frame(reader)
                         assert isinstance(reply, Response)
                         assert reply.message_id == index
                         assert reply.value["node"] == "node-0"
@@ -218,7 +220,7 @@ class TestFraming:
                         writer.write(frame[start : start + 3])
                         await writer.drain()
                         await asyncio.sleep(0.001)
-                    reply = await wire.read_frame(reader)
+                    reply = await read_frame(reader)
                     assert reply.message_id == 99
                 finally:
                     writer.close()
@@ -286,7 +288,7 @@ class TestBackPressure:
 
                 try:
                     send()
-                    first = await wire.read_frame(reader)
+                    first = await read_frame(reader)
                     assert first.message_id == 0
                     conn = server_side(node, writer)
                     while conn.transport.is_reading() and sent < 50_000:
@@ -300,7 +302,7 @@ class TestBackPressure:
                         send()
                     # Reading again drains everything, in request order.
                     for expected in range(1, sent):
-                        reply = await asyncio.wait_for(wire.read_frame(reader), 10.0)
+                        reply = await asyncio.wait_for(read_frame(reader), 10.0)
                         assert reply.message_id == expected
                         assert len(reply.value["results"]) == len(agents)
                     assert conn.transport.is_reading()
@@ -340,7 +342,7 @@ async def served_connection(node, agent):
     side of it, and that side's writes from now on."""
     reader, writer = await asyncio.open_connection(*node.addr)
     writer.write(whois_frame(agent, 0))
-    assert (await wire.read_frame(reader)).message_id == 0
+    assert (await read_frame(reader)).message_id == 0
     conn = server_side(node, writer)
     conn.out = writes = _Writes(conn.out)
     return reader, writer, conn, writes
@@ -372,7 +374,7 @@ class TestServedSegments:
                     conn.data_received(second[9:])
                     assert writes.reply_ids() == [ids, [50], [51]]
                     for expected in ids + [50, 51]:
-                        reply = await wire.read_frame(reader)
+                        reply = await read_frame(reader)
                         assert reply.message_id == expected
                         assert reply.value["node"] == "node-0"
                 finally:
@@ -395,7 +397,7 @@ class TestServedSegments:
                     )
                     assert writes.reply_ids() == [[2, 3]]
                     gate.set()
-                    replies = [await wire.read_frame(reader) for _ in range(3)]
+                    replies = [await read_frame(reader) for _ in range(3)]
                     assert [reply.message_id for reply in replies] == [2, 3, 1]
                     assert replies[2].value["mode"] == "delta"
                     assert writes.reply_ids() == [[2, 3], [1]]
@@ -410,7 +412,7 @@ class TestServedSegments:
                 reader, writer, conn, writes = await served_connection(node, agents[0])
                 conn.data_received(whois_frame(agents[1], 1) + b"\xff\xff\xff\xff junk")
                 assert writes.reply_ids() == [[1]]
-                assert (await wire.read_frame(reader)).message_id == 1
+                assert (await read_frame(reader)).message_id == 1
                 assert await reader.read() == b""  # then dropped
                 writer.close()
 
@@ -442,8 +444,8 @@ class TestServedSegments:
                     # The next segment starts a batch of its own.
                     conn.data_received(whois_frame(agents[3], 3))
                     assert writes.reply_ids() == [[1], [3]]
-                    assert (await wire.read_frame(reader)).message_id == 1
-                    assert (await wire.read_frame(reader)).message_id == 3
+                    assert (await read_frame(reader)).message_id == 1
+                    assert (await read_frame(reader)).message_id == 3
                 finally:
                     writer.close()
 
