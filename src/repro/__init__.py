@@ -42,58 +42,47 @@ Quickstart::
     print(runtime.sim.run_process(find(agents[0].agent_id)))
 """
 
-from repro.baselines import (
-    CentralizedMechanism,
-    ChordMechanism,
-    ForwardingPointersMechanism,
-    HomeRegistryMechanism,
-    LocationMechanism,
-)
-from repro.core import HashLocationMechanism, HashMechanismConfig, HashTree
-from repro.harness import run_experiment
-from repro.platform import (
-    Agent,
-    AgentId,
-    AgentRuntime,
-    MobileAgent,
-    Simulator,
-    Timeout,
-)
-from repro.workloads import (
-    ConstantResidence,
-    ExponentialResidence,
-    QueryWorkload,
-    Scenario,
-    TAgent,
-    exp1_scenario,
-    exp2_scenario,
-    spawn_population,
-)
+import importlib
+from typing import Any
 
 __version__ = "1.9.0"
 
-__all__ = [
-    "Agent",
-    "AgentId",
-    "AgentRuntime",
-    "CentralizedMechanism",
-    "ChordMechanism",
-    "ConstantResidence",
-    "ExponentialResidence",
-    "ForwardingPointersMechanism",
-    "HashLocationMechanism",
-    "HashMechanismConfig",
-    "HashTree",
-    "HomeRegistryMechanism",
-    "LocationMechanism",
-    "MobileAgent",
-    "QueryWorkload",
-    "Scenario",
-    "Simulator",
-    "TAgent",
-    "Timeout",
-    "exp1_scenario",
-    "exp2_scenario",
-    "run_experiment",
-    "spawn_population",
-]
+#: The documented root names, each mapped to the module that defines
+#: it. Resolved on first use, so ``import repro.<subpackage>`` loads
+#: only what that subpackage imports.
+_EXPORTS = {
+    "Agent": "repro.platform.agents",
+    "AgentId": "repro.platform.naming",
+    "AgentRuntime": "repro.platform.runtime",
+    "CentralizedMechanism": "repro.baselines.centralized",
+    "ChordMechanism": "repro.baselines.chord",
+    "ConstantResidence": "repro.workloads.mobility",
+    "ExponentialResidence": "repro.workloads.mobility",
+    "ForwardingPointersMechanism": "repro.baselines.forwarding",
+    "HashLocationMechanism": "repro.core.mechanism",
+    "HashMechanismConfig": "repro.core.config",
+    "HashTree": "repro.core.hash_tree",
+    "HomeRegistryMechanism": "repro.baselines.home_registry",
+    "LocationMechanism": "repro.baselines.base",
+    "MobileAgent": "repro.platform.agents",
+    "QueryWorkload": "repro.workloads.queries",
+    "Scenario": "repro.workloads.scenarios",
+    "Simulator": "repro.platform.simulator",
+    "TAgent": "repro.workloads.population",
+    "Timeout": "repro.platform.events",
+    "exp1_scenario": "repro.workloads.scenarios",
+    "exp2_scenario": "repro.workloads.scenarios",
+    "run_experiment": "repro.harness.experiment",
+    "spawn_population": "repro.workloads.population",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str) -> Any:
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

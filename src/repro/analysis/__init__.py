@@ -7,17 +7,3 @@ cross-checks against the simulator. Agreement between an independent
 analytical model and the discrete-event implementation is the strongest
 internal-validity evidence a simulation study can offer.
 """
-
-from repro.analysis.queueing import (
-    central_response_time,
-    expected_iagents,
-    mva_closed_queue,
-    utilization,
-)
-
-__all__ = [
-    "central_response_time",
-    "expected_iagents",
-    "mva_closed_queue",
-    "utilization",
-]

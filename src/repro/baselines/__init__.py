@@ -16,20 +16,3 @@ cross-mechanism benchmark (ABL-B) can put the hash mechanism in context:
   notes most platforms of the era shipped no location mechanism at
   all): locate by probing every node.
 """
-
-from repro.baselines.base import LocationMechanism, LocateResult
-from repro.baselines.centralized import CentralizedMechanism
-from repro.baselines.forwarding import ForwardingPointersMechanism
-from repro.baselines.flooding import FloodingMechanism
-from repro.baselines.home_registry import HomeRegistryMechanism
-from repro.baselines.chord import ChordMechanism
-
-__all__ = [
-    "CentralizedMechanism",
-    "ChordMechanism",
-    "FloodingMechanism",
-    "ForwardingPointersMechanism",
-    "HomeRegistryMechanism",
-    "LocateResult",
-    "LocationMechanism",
-]

@@ -23,39 +23,3 @@ Layering, bottom-up:
   extensions the paper lists as ongoing work (§7): IAgent placement
   toward their agents, and a primary/backup HAgent.
 """
-
-from repro.core.config import HashMechanismConfig
-from repro.core.errors import (
-    CoreError,
-    LastIAgentError,
-    NoSuchAgentError,
-    NotResponsibleError,
-    SplitFailedError,
-)
-from repro.core.labels import Label, HyperLabel, compatible
-from repro.core.hash_tree import HashTree, SplitCandidate, SplitOutcome, MergeOutcome
-from repro.core.load import LoadStatistics, RateWindow
-from repro.core.mechanism import HashLocationMechanism
-from repro.core.messaging import AgentMessenger, MessageReceipt, MessengerConfig
-
-__all__ = [
-    "AgentMessenger",
-    "compatible",
-    "CoreError",
-    "MessageReceipt",
-    "MessengerConfig",
-    "HashLocationMechanism",
-    "HashMechanismConfig",
-    "HashTree",
-    "HyperLabel",
-    "Label",
-    "LastIAgentError",
-    "LoadStatistics",
-    "MergeOutcome",
-    "NoSuchAgentError",
-    "NotResponsibleError",
-    "RateWindow",
-    "SplitCandidate",
-    "SplitFailedError",
-    "SplitOutcome",
-]

@@ -23,31 +23,3 @@ per-item §4.3 stale-copy fallback.
 ``python -m repro discover`` -- mixed locate + discovery traffic whose
 every result is verified against driver-side ground truth.
 """
-
-from repro.discovery.capability import (
-    CAPABILITY_PALETTE,
-    PREDICATE_PALETTE,
-    CapabilityError,
-    assign_capabilities,
-    matches_predicate,
-    validate_capabilities,
-)
-from repro.discovery.hamming import (
-    hamming_distance,
-    ids_within,
-    merge_matches,
-    shards_within,
-)
-
-__all__ = [
-    "CAPABILITY_PALETTE",
-    "PREDICATE_PALETTE",
-    "CapabilityError",
-    "assign_capabilities",
-    "matches_predicate",
-    "validate_capabilities",
-    "hamming_distance",
-    "ids_within",
-    "merge_matches",
-    "shards_within",
-]

@@ -18,7 +18,7 @@ when the same agent is reported twice mid-move.
 
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from repro.platform.naming import AgentId
+from repro.platform.naming import AgentId, shard_of
 
 __all__ = [
     "hamming_distance",
@@ -90,15 +90,5 @@ def shards_within(agent: AgentId, d: int, shards: int) -> List[int]:
     prefix can contain ball members. With one shard (or a radius
     covering every prefix) this is simply all shards.
     """
-    # Same prefix as repro.service.routing.shard_of; computed locally
-    # because this module must stay importable from the core layer (the
-    # simulator IAgent uses ids_within) without pulling in the service
-    # package.
-    if shards <= 0 or shards & (shards - 1):
-        raise ValueError(
-            f"shard count must be a positive power of two, got {shards}"
-        )
-    value, width = agent
-    spare = width - (shards.bit_length() - 1)
-    home = value >> spare if spare >= 0 else value << -spare
+    home = shard_of(agent, shards)
     return [shard for shard in range(shards) if bin(shard ^ home).count("1") <= d]

@@ -12,41 +12,3 @@
   figures report;
 * :mod:`repro.harness.cli` -- ``python -m repro.harness.cli exp1 ...``.
 """
-
-from repro.harness.cache import RunCache, code_fingerprint
-from repro.harness.executor import (
-    ExecutionStats,
-    Executor,
-    RunSpec,
-    flatten_sweep,
-)
-from repro.harness.experiment import (
-    MECHANISM_FACTORIES,
-    RunResult,
-    build_mechanism,
-    run_experiment,
-)
-from repro.harness.export import result_to_dict, sweep_to_dict, write_json
-from repro.harness.sweeps import SweepPoint, replicate, sweep
-from repro.harness.tables import format_table, series_table
-
-__all__ = [
-    "build_mechanism",
-    "code_fingerprint",
-    "ExecutionStats",
-    "Executor",
-    "flatten_sweep",
-    "format_table",
-    "MECHANISM_FACTORIES",
-    "replicate",
-    "result_to_dict",
-    "RunCache",
-    "run_experiment",
-    "RunResult",
-    "RunSpec",
-    "series_table",
-    "sweep",
-    "sweep_to_dict",
-    "SweepPoint",
-    "write_json",
-]

@@ -113,18 +113,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, List, Sequence
+from typing import TYPE_CHECKING, Dict, List, Sequence
 
-from repro.harness.executor import CellOutcome, Executor
-from repro.harness.experiment import run_experiment
-from repro.harness.sweeps import replicate, sweep
-from repro.harness.tables import ascii_chart, format_table, series_table
-from repro.workloads.scenarios import (
-    EXP1_AGENT_COUNTS,
-    EXP2_RESIDENCE_TIMES_MS,
-    exp1_scenario,
-    exp2_scenario,
-)
+if TYPE_CHECKING:
+    from repro.harness.executor import CellOutcome, Executor
 
 __all__ = ["main"]
 
@@ -147,6 +139,8 @@ def _progress_line(outcome: CellOutcome, done: int, total: int) -> None:
 
 def _executor(args) -> Executor:
     """The engine every grid-shaped command routes its cells through."""
+    from repro.harness.executor import Executor
+
     cache = None
     if not getattr(args, "no_cache", False):
         from repro.harness.cache import RunCache
@@ -173,6 +167,10 @@ def _maybe_export(series, args, name: str, executor: Executor = None) -> None:
 
 def cmd_exp1(args) -> None:
     """Experiment I / Figure 7: location time vs population size."""
+    from repro.harness.sweeps import sweep
+    from repro.harness.tables import ascii_chart, series_table
+    from repro.workloads.scenarios import EXP1_AGENT_COUNTS, exp1_scenario
+
     overrides = _quick_overrides(args.quick)
     counts = EXP1_AGENT_COUNTS if not args.quick else EXP1_AGENT_COUNTS[:3]
     executor = _executor(args)
@@ -192,6 +190,10 @@ def cmd_exp1(args) -> None:
 
 def cmd_exp2(args) -> None:
     """Experiment II / Figure 8: location time vs mobility rate."""
+    from repro.harness.sweeps import sweep
+    from repro.harness.tables import ascii_chart, series_table
+    from repro.workloads.scenarios import EXP2_RESIDENCE_TIMES_MS, exp2_scenario
+
     overrides = _quick_overrides(args.quick)
     residences = EXP2_RESIDENCE_TIMES_MS if not args.quick else EXP2_RESIDENCE_TIMES_MS[:3]
     executor = _executor(args)
@@ -211,6 +213,10 @@ def cmd_exp2(args) -> None:
 
 def cmd_baselines(args) -> None:
     """ABL-B: all five mechanisms over the Experiment I sweep."""
+    from repro.harness.sweeps import sweep
+    from repro.harness.tables import series_table
+    from repro.workloads.scenarios import exp1_scenario
+
     overrides = _quick_overrides(args.quick)
     counts = (10, 30, 100) if not args.quick else (10, 30)
     series = sweep(
@@ -229,6 +235,10 @@ def cmd_baselines(args) -> None:
 
 def cmd_thresholds(args) -> None:
     """ABL-T: sensitivity to T_max (paper defers this to future work)."""
+    from repro.harness.sweeps import replicate
+    from repro.harness.tables import format_table
+    from repro.workloads.scenarios import exp1_scenario
+
     overrides = _quick_overrides(args.quick)
     executor = _executor(args)
     rows = []
@@ -286,6 +296,10 @@ def cmd_failover(args) -> None:
 
 def cmd_heuristics(args) -> None:
     """ABL-H: adaptive vs fixed thresholds across hardware speeds."""
+    from repro.harness.experiment import run_experiment
+    from repro.harness.tables import format_table
+    from repro.workloads.scenarios import exp1_scenario
+
     rows = []
     for service in (0.004, 0.008, 0.020):
         row = [f"{service * 1000:g}"]
@@ -308,7 +322,10 @@ def cmd_heuristics(args) -> None:
 
 def cmd_granularity(args) -> None:
     """ABL-G: per-agent vs prefix-grouped load statistics."""
+    from repro.harness.experiment import run_experiment
+    from repro.harness.tables import format_table
     from repro.workloads.mobility import ConstantResidence
+    from repro.workloads.scenarios import exp1_scenario
 
     rows = []
     for label, overrides in (
@@ -335,6 +352,10 @@ def cmd_granularity(args) -> None:
 
 def cmd_overhead(args) -> None:
     """COST: message overhead per mechanism on the paper's workloads."""
+    from repro.harness.experiment import run_experiment
+    from repro.harness.tables import format_table
+    from repro.workloads.scenarios import exp1_scenario
+
     overrides = _quick_overrides(args.quick)
     rows = []
     for name in ("centralized", "home-registry", "forwarding", "chord", "hash"):
@@ -376,6 +397,23 @@ def cmd_report(args) -> None:
         print(f"report written to {args.out}")
     else:
         print(report)
+
+
+def _emit_json(path, document, *, sort_keys: bool = True, noun: str = "report") -> None:
+    """``--json``: nothing when ``path`` is ``None``, ``document`` as
+    indented JSON on stdout when it is empty, else written to ``path``."""
+    if path is None:
+        return
+    import json
+
+    payload = json.dumps(document, indent=2, sort_keys=sort_keys)
+    if path:
+        from pathlib import Path
+
+        Path(path).write_text(payload)
+        print(f"{noun} written to {path}")
+    else:
+        print(payload)
 
 
 def _cluster_config(args):
@@ -440,17 +478,7 @@ def cmd_cluster(args) -> int:
 
     report = asyncio.run(run_cluster(_cluster_config(args)))
     print(report.render())
-    if args.json is not None:
-        import json
-
-        payload = json.dumps(report.to_dict(), indent=2)
-        if args.json:
-            from pathlib import Path
-
-            Path(args.json).write_text(payload)
-            print(f"report written to {args.json}")
-        else:
-            print(payload)
+    _emit_json(args.json, report.to_dict(), sort_keys=False)
     return 0 if report.passed else 1
 
 
@@ -463,8 +491,10 @@ def cmd_chaos(args) -> int:
     only if the two runs are bit-identical (same fault log, same
     metrics) -- the determinism the live ``--chaos`` flag relies on.
     """
+    from repro.harness.experiment import run_experiment
     from repro.platform.chaos import ChaosSchedule
     from repro.platform.failures import FailureInjector
+    from repro.workloads.scenarios import exp1_scenario
 
     seed = args.chaos if args.chaos is not None else 1
     scenario = exp1_scenario(30, **_quick_overrides(True))
@@ -518,7 +548,6 @@ def cmd_load(args) -> int:
     ``--p99-budget`` when one was given.
     """
     import asyncio
-    import json as json_module
 
     from repro.service.loadgen import (
         LoadConfig,
@@ -571,28 +600,12 @@ def cmd_load(args) -> int:
                 f"p99 <= {budget:g} ms "
                 f"(p50 {latency['p50_ms']:.2f} / p99 {latency['p99_ms']:.2f} ms)"
             )
-        if args.json is not None:
-            payload = json_module.dumps(result, indent=2, sort_keys=True)
-            if args.json:
-                from pathlib import Path
-
-                Path(args.json).write_text(payload)
-                print(f"result written to {args.json}")
-            else:
-                print(payload)
+        _emit_json(args.json, result, noun="result")
         return 0 if result["knee_rate"] is not None else 1
 
     report = asyncio.run(run_load(cluster_config, load))
     print(report.render())
-    if args.json is not None:
-        payload = json_module.dumps(report.to_dict(), indent=2, sort_keys=True)
-        if args.json:
-            from pathlib import Path
-
-            Path(args.json).write_text(payload)
-            print(f"report written to {args.json}")
-        else:
-            print(payload)
+    _emit_json(args.json, report.to_dict())
     return 0 if report.passed else 1
 
 
@@ -607,7 +620,6 @@ def cmd_discover(args) -> int:
     ground truth.
     """
     import asyncio
-    import json as json_module
 
     from repro.discovery.drill import (
         DiscoveryDrillConfig,
@@ -624,15 +636,7 @@ def cmd_discover(args) -> int:
     )
     report = asyncio.run(run_discovery_drill(config))
     print(report.render())
-    if args.json is not None:
-        payload = json_module.dumps(report.to_dict(), indent=2, sort_keys=True)
-        if args.json:
-            from pathlib import Path
-
-            Path(args.json).write_text(payload)
-            print(f"report written to {args.json}")
-        else:
-            print(payload)
+    _emit_json(args.json, report.to_dict())
     return 0 if report.passed else 1
 
 

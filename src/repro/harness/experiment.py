@@ -14,13 +14,11 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Generator, Optional
 
-from repro.baselines import (
-    CentralizedMechanism,
-    ChordMechanism,
-    FloodingMechanism,
-    ForwardingPointersMechanism,
-    HomeRegistryMechanism,
-)
+from repro.baselines.centralized import CentralizedMechanism
+from repro.baselines.chord import ChordMechanism
+from repro.baselines.flooding import FloodingMechanism
+from repro.baselines.forwarding import ForwardingPointersMechanism
+from repro.baselines.home_registry import HomeRegistryMechanism
 from repro.core.mechanism import HashLocationMechanism
 from repro.metrics.collectors import MetricsCollector
 from repro.metrics.summary import Summary

@@ -1,34 +1,1 @@
 """Measurement: sample collection and summary statistics."""
-
-from repro.metrics.collectors import MetricsCollector, TimeSeries
-from repro.metrics.summary import (
-    Summary,
-    confidence_interval,
-    mean,
-    percentile,
-    summarize,
-)
-from repro.metrics.fairness import (
-    busy_fractions,
-    jain_index,
-    load_imbalance,
-    peak_busy,
-)
-from repro.metrics.trace import TraceEvent, Tracer, attach_tracer
-
-__all__ = [
-    "attach_tracer",
-    "busy_fractions",
-    "confidence_interval",
-    "jain_index",
-    "load_imbalance",
-    "peak_busy",
-    "mean",
-    "MetricsCollector",
-    "percentile",
-    "summarize",
-    "Summary",
-    "TimeSeries",
-    "TraceEvent",
-    "Tracer",
-]

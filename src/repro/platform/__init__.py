@@ -26,44 +26,3 @@ All randomness flows through named, seeded streams
 (:mod:`repro.platform.random`), so every experiment is reproducible
 bit-for-bit from its seed.
 """
-
-from repro.platform.events import Future, Process, Timeout, gather
-from repro.platform.simulator import Simulator, SimulationError
-from repro.platform.random import RandomStreams
-from repro.platform.network import LinkModel, Network
-from repro.platform.messages import Request, Response, RpcError, RpcTimeout, AgentNotFound
-from repro.platform.mailbox import Mailbox
-from repro.platform.node import Node
-from repro.platform.naming import AgentId, AgentNamer, SkewedNamer
-from repro.platform.agents import Agent, MobileAgent
-from repro.platform.runtime import AgentRuntime
-from repro.platform.failures import FailureInjector
-from repro.platform.chaos import ChaosEvent, ChaosSchedule
-
-__all__ = [
-    "Agent",
-    "AgentId",
-    "AgentNamer",
-    "AgentNotFound",
-    "AgentRuntime",
-    "ChaosEvent",
-    "ChaosSchedule",
-    "FailureInjector",
-    "Future",
-    "gather",
-    "LinkModel",
-    "Mailbox",
-    "MobileAgent",
-    "Network",
-    "Node",
-    "Process",
-    "RandomStreams",
-    "Request",
-    "Response",
-    "RpcError",
-    "RpcTimeout",
-    "Simulator",
-    "SimulationError",
-    "SkewedNamer",
-    "Timeout",
-]

@@ -21,7 +21,15 @@ from operator import itemgetter
 from random import Random
 from typing import Optional, Tuple
 
-__all__ = ["AgentId", "AgentNamer", "SkewedNamer", "DEFAULT_ID_BITS"]
+__all__ = [
+    "AgentId",
+    "AgentNamer",
+    "SkewedNamer",
+    "DEFAULT_ID_BITS",
+    "prefix_bits",
+    "shard_of",
+    "validate_shards",
+]
 
 #: Width of agent ids in bits. 64 matches a GUID-ish platform id while
 #: keeping the bit strings printable in debug output.
@@ -80,6 +88,28 @@ class AgentId(tuple):
     def short(self) -> str:
         """A compact human-readable form for logs."""
         return f"{self.value:016x}"[:8]
+
+
+def validate_shards(shards: int) -> int:
+    """``shards`` itself when it is a positive power of two; raises otherwise."""
+    if shards < 1 or (shards & (shards - 1)) != 0:
+        raise ValueError(f"shard count must be a positive power of two, got {shards}")
+    return shards
+
+
+def prefix_bits(shards: int) -> int:
+    """How many leading id bits select a shard (``log2(shards)``)."""
+    return validate_shards(shards).bit_length() - 1
+
+
+def shard_of(agent_id: AgentId, shards: int) -> int:
+    """The shard owning ``agent_id``: its top ``log2(shards)`` bits, an
+    id narrower than that padded with zero bits, so every id maps to
+    exactly one shard (:func:`repro.service.routing.shard_of_bits` is
+    the bit-string form)."""
+    spare = agent_id.width - prefix_bits(shards)
+    value = agent_id.value
+    return value >> spare if spare >= 0 else value << -spare
 
 
 def splitmix64(state: int) -> int:

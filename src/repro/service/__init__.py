@@ -43,79 +43,3 @@ Modules
 Everything is standard library only (``asyncio`` + ``json``); no
 ``[service]`` extra is required.
 """
-
-from repro.service.client import ClientConfig, ClientCounters, RpcChannel, ServiceClient
-from repro.service.cluster import (
-    ClusterConfig,
-    ClusterReport,
-    booted_cluster,
-    run_cluster,
-)
-from repro.service.coordinator import HAgentServer
-from repro.service.loadgen import (
-    LatencyRecorder,
-    LoadConfig,
-    LoadGenerator,
-    LoadReport,
-    OpMix,
-    OpStream,
-    run_load,
-    saturation_search,
-)
-from repro.service.routing import (
-    WRONG_SHARD,
-    ShardMap,
-    ShardRouter,
-    prefix_bits,
-    shard_of,
-    shard_prefix,
-    validate_shards,
-)
-from repro.service.server import NodeServer, ServiceConfig
-from repro.service.wire import (
-    CODEC_BINARY,
-    CODEC_JSON,
-    FrameDecoder,
-    WireError,
-    decode_frame,
-    encode_frame,
-    from_jsonable,
-    to_jsonable,
-)
-
-__all__ = [
-    "CODEC_BINARY",
-    "CODEC_JSON",
-    "ClientConfig",
-    "ClientCounters",
-    "ClusterConfig",
-    "ClusterReport",
-    "FrameDecoder",
-    "HAgentServer",
-    "LatencyRecorder",
-    "LoadConfig",
-    "LoadGenerator",
-    "LoadReport",
-    "NodeServer",
-    "OpMix",
-    "OpStream",
-    "RpcChannel",
-    "ServiceClient",
-    "ServiceConfig",
-    "ShardMap",
-    "ShardRouter",
-    "WRONG_SHARD",
-    "WireError",
-    "booted_cluster",
-    "decode_frame",
-    "encode_frame",
-    "from_jsonable",
-    "prefix_bits",
-    "run_cluster",
-    "run_load",
-    "saturation_search",
-    "shard_of",
-    "shard_prefix",
-    "to_jsonable",
-    "validate_shards",
-]

@@ -13,6 +13,10 @@ Three pieces:
   function. Total over *any* id width (an id narrower than the prefix
   is padded with zero bits), so every id maps to exactly one shard for
   every legal shard count -- the invariant the hypothesis suite pins.
+  ``shard_of`` (with ``validate_shards`` / ``prefix_bits``) is defined
+  beside :class:`~repro.platform.naming.AgentId`, so the core layer
+  routes an id without this package; ``shard_of_bits`` is the
+  bit-string reference form the tests compare it against.
 * :class:`ShardMap` -- the versioned id-prefix -> coordinator-endpoints
   table. Membership (which replica addresses form each shard) is fixed
   per deployment; *ownership* (which shard currently serves a prefix)
@@ -33,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.platform.naming import AgentId
+from repro.platform.naming import AgentId, prefix_bits, shard_of, validate_shards
 
 __all__ = [
     "WRONG_SHARD",
@@ -55,18 +59,6 @@ Address = Tuple[str, int]
 WRONG_SHARD = "wrong-shard"
 
 
-def validate_shards(shards: int) -> int:
-    """``shards`` itself when it is a positive power of two; raises otherwise."""
-    if shards < 1 or (shards & (shards - 1)) != 0:
-        raise ValueError(f"shard count must be a positive power of two, got {shards}")
-    return shards
-
-
-def prefix_bits(shards: int) -> int:
-    """How many leading id bits select a shard (``log2(shards)``)."""
-    return validate_shards(shards).bit_length() - 1
-
-
 def shard_of_bits(bits: str, shards: int) -> int:
     """The shard owning an MSB-first bit string.
 
@@ -81,14 +73,6 @@ def shard_of_bits(bits: str, shards: int) -> int:
     if len(prefix) < k:
         prefix = prefix.ljust(k, "0")
     return int(prefix, 2)
-
-
-def shard_of(agent_id: AgentId, shards: int) -> int:
-    """The shard owning ``agent_id`` (its top ``log2(shards)`` bits) --
-    :func:`shard_of_bits` of ``agent_id.bits``, read off the integer."""
-    spare = agent_id.width - prefix_bits(shards)
-    value = agent_id.value
-    return value >> spare if spare >= 0 else value << -spare
 
 
 def shard_prefix(shard: int, shards: int) -> str:

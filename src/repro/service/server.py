@@ -1048,31 +1048,6 @@ class NodeServer(FramedServer):
         self.crashed.add(owner)
         return {"status": OK, "records_lost": len(endpoint.records)}
 
-    def nodeop_node_stats(self, body: Dict) -> Dict:
-        return {
-            "status": OK,
-            "node": self.name,
-            "iagents": len(self.iagents),
-            "residents": len(self.host.residents),
-            "republishes": self.host.republishes,
-            "epoch": self.fence.epoch,
-            "fence_rejections": self.fence_rejections,
-            "orphans_retired": self.orphans_retired,
-            "hagent_addr": list(self.hagent_addr),
-            "shards": self.router.shards,
-            "shard_epochs": {
-                str(shard): fence.epoch for shard, fence in self.fences.items()
-            },
-            "routing": self.router.counters(),
-            "lhagent": {
-                "version": self.lhagent.copy.version if self.lhagent.copy else -1,
-                "whois_served": self.lhagent.whois_served,
-                "refreshes": self.lhagent.refreshes,
-                "delta_refreshes": self.lhagent.delta_refreshes,
-                "full_refreshes": self.lhagent.full_refreshes,
-            },
-        }
-
     async def stop(self) -> None:
         await super().stop()
         for endpoint in self.iagents.values():

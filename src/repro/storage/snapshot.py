@@ -44,7 +44,7 @@ from typing import Any, List, Optional
 from repro.platform import binary
 from repro.storage.errors import StorageError, StorageWarning
 # A snapshot body's format numbers are the WAL's: one codec per version.
-from repro.storage.wal import _DECODERS, _FORMAT_VERSION
+from repro.storage.wal import _DECODERS, _FORMAT_VERSION, sync_directory
 
 __all__ = ["Snapshot", "SnapshotStore"]
 
@@ -91,7 +91,7 @@ class SnapshotStore:
             handle.flush()
             os.fsync(handle.fileno())
         os.replace(tmp, final)
-        self._sync_directory()
+        sync_directory(self.directory)
         self.saved += 1
         self.prune()
         return final
@@ -153,15 +153,3 @@ class SnapshotStore:
             )
             self.invalid_skipped += 1
             return None
-
-    def _sync_directory(self) -> None:
-        try:
-            fd = os.open(self.directory, os.O_RDONLY)
-        except OSError:  # pragma: no cover - platform without dir fds
-            return
-        try:
-            os.fsync(fd)
-        except OSError:  # pragma: no cover
-            pass
-        finally:
-            os.close(fd)

@@ -116,6 +116,20 @@ def _segment_name(first_lsn: int) -> str:
     return f"wal-{first_lsn:016d}.log"
 
 
+def sync_directory(directory: Path) -> None:
+    """fsync ``directory`` so renames/creates in it survive a power cut."""
+    try:
+        fd = os.open(directory, os.O_RDONLY)
+    except OSError:  # pragma: no cover - platform without dir fds
+        return
+    try:
+        os.fsync(fd)
+    except OSError:  # pragma: no cover - e.g. network filesystems
+        pass
+    finally:
+        os.close(fd)
+
+
 @dataclass(frozen=True)
 class WalRecord:
     """One replayed record: its log sequence number and decoded value."""
@@ -292,7 +306,7 @@ class WriteAheadLog:
             else:
                 break
         if removed:
-            self._sync_directory()
+            sync_directory(self.directory)
         return removed
 
     # ------------------------------------------------------------------
@@ -337,7 +351,7 @@ class WriteAheadLog:
         self._fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC | os.O_APPEND)
         self._write(bytearray(_HEADER.pack(_MAGIC, _FORMAT_VERSION)))
         self._file_size = _HEADER.size
-        self._sync_directory()
+        sync_directory(self.directory)
 
     def _open_segment(self, path: Path) -> None:
         with open(path, "rb") as handle:
@@ -441,16 +455,3 @@ class WriteAheadLog:
         else:
             with open(path, "ab") as handle:
                 handle.truncate(offset)
-
-    def _sync_directory(self) -> None:
-        """fsync the directory so renames/creates survive a power cut."""
-        try:
-            fd = os.open(self.directory, os.O_RDONLY)
-        except OSError:  # pragma: no cover - platform without dir fds
-            return
-        try:
-            os.fsync(fd)
-        except OSError:  # pragma: no cover - e.g. network filesystems
-            pass
-        finally:
-            os.close(fd)

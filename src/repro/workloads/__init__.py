@@ -9,61 +9,3 @@
 * :mod:`repro.workloads.scenarios` -- packaged parameter sets, including
   the reconstructed settings of the paper's Experiments I and II.
 """
-
-from repro.workloads.itineraries import (
-    RoundTripItinerary,
-    SequentialItinerary,
-    StarItinerary,
-)
-from repro.workloads.mobility import (
-    ConstantResidence,
-    ExponentialResidence,
-    UniformResidence,
-    LocalityItinerary,
-    UniformItinerary,
-)
-from repro.workloads.population import TAgent, spawn_population, PopulationChurn
-from repro.workloads.queries import (
-    QueryClient,
-    QueryWorkload,
-    zipf_targets,
-    zipf_weights,
-)
-from repro.workloads.scenarios import (
-    EXP1_AGENT_COUNTS,
-    EXP2_RESIDENCE_TIMES_MS,
-    PAPER_QUERY_TOTAL,
-    PAPER_RESIDENCE_EXP1,
-    PAPER_T_MAX,
-    PAPER_T_MIN,
-    Scenario,
-    exp1_scenario,
-    exp2_scenario,
-)
-
-__all__ = [
-    "ConstantResidence",
-    "EXP1_AGENT_COUNTS",
-    "EXP2_RESIDENCE_TIMES_MS",
-    "ExponentialResidence",
-    "LocalityItinerary",
-    "PAPER_QUERY_TOTAL",
-    "PAPER_RESIDENCE_EXP1",
-    "PAPER_T_MAX",
-    "PAPER_T_MIN",
-    "PopulationChurn",
-    "QueryClient",
-    "QueryWorkload",
-    "RoundTripItinerary",
-    "Scenario",
-    "SequentialItinerary",
-    "StarItinerary",
-    "spawn_population",
-    "TAgent",
-    "UniformItinerary",
-    "UniformResidence",
-    "exp1_scenario",
-    "exp2_scenario",
-    "zipf_targets",
-    "zipf_weights",
-]

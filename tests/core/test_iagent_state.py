@@ -383,10 +383,9 @@ class TestImportHygiene:
         "repro.core.coordinator_state, repro.core.rehashing, repro.core.requester"
     )
 
-    def loaded(self, prelude, names):
+    def loaded(self, names):
         script = (
             f"import sys; sys.path.insert(0, {str(self.SRC)!r})\n"
-            f"{prelude}\n"
             f"import {self.MODULES}\n"
             f"print([name for name in {names!r} if name in sys.modules])"
         )
@@ -397,18 +396,4 @@ class TestImportHygiene:
         return result.stdout.strip()
 
     def test_plain_import_loads_no_io_layer(self):
-        assert self.loaded("", self.FORBIDDEN) == "[]"
-
-    def test_own_import_closure_has_no_simulator(self):
-        # ``repro/__init__`` and ``repro/core/__init__`` re-export the
-        # simulator-backed public API, so a plain import always loads
-        # the simulator. Stub those packages to see what the module
-        # *itself* pulls in.
-        prelude = (
-            "import types\n"
-            "for name in ('repro', 'repro.core', 'repro.platform', 'repro.discovery'):\n"
-            "    package = types.ModuleType(name)\n"
-            f"    package.__path__ = [{str(self.SRC)!r} + '/' + name.replace('.', '/')]\n"
-            "    sys.modules[name] = package"
-        )
-        assert self.loaded(prelude, self.FORBIDDEN + self.SIMULATOR) == "[]"
+        assert self.loaded(self.FORBIDDEN + self.SIMULATOR) == "[]"

@@ -73,7 +73,11 @@ class TestServerEndpoints:
                 with pytest.raises(RemoteOpError) as unknown_op:
                     await channel.call(node.addr, "lhagent", "explode")
                 assert unknown_op.value.code == "unknown-op"
-                # The connection survived both rejections.
+                # Its name stays interned on the wire, but no node serves it.
+                with pytest.raises(RemoteOpError) as retired_op:
+                    await channel.call(node.addr, "host", "node-stats")
+                assert retired_op.value.code == "unknown-op"
+                # The connection survived every rejection.
                 reply = await channel.call(node.addr, "host", "ping")
                 assert reply["status"] == "ok"
             finally:
