@@ -2,9 +2,10 @@
 
 Not a paper figure -- these track the raw encode/decode cost both
 codecs pay per frame on representative protocol payloads (a secondary
-copy's record table, a batched locate reply, a split's hand-off
-bundle), on the two small frames of a steady one-hop locate (the RPC
-envelope as the binary codec's call and reply frame headers), plus the
+copy's record table, a batched locate request, a split's hand-off
+bundle, the frames of a 64-row register and locate batch), on the two
+small frames of a steady one-hop locate (the RPC envelope as the binary
+codec's call and reply frame headers), plus the
 streaming ``FrameDecoder`` feed path, whose decode now
 runs over a ``memoryview`` of the reassembly buffer instead of sliced
 copies. Regressions here translate directly into slower clusters: every
@@ -64,10 +65,11 @@ def _handoff_bundle(ids: int) -> dict:
     }
 
 
-def _per_record(benchmark, frame: bytes, records: int) -> None:
-    """Record the arm's per-record numbers beside its median
-    (``run_bench.py`` copies ``extra_info`` into BENCH_core.json)."""
-    benchmark.extra_info["bytes_per_record"] = len(frame) / records
+def _per_record(benchmark, size: int, records: int) -> None:
+    """Record the arm's per-record numbers (``size`` bytes of frames)
+    beside its median (``run_bench.py`` copies ``extra_info`` into
+    BENCH_core.json)."""
+    benchmark.extra_info["bytes_per_record"] = size / records
     if benchmark.stats is not None:  # None under --benchmark-disable
         benchmark.extra_info["us_per_record"] = (
             benchmark.stats.stats.median / records * 1e6
@@ -80,6 +82,30 @@ def _locate_batch_request(agents: int) -> dict:
         body={"agents": [AgentId(index) for index in range(agents)]},
     )
     return {"to": "iagent:0", "req": request}
+
+
+#: Rows per batched RPC: ``repro.service.client.BATCH_SIZE``.
+BATCH_ROWS = 64
+
+
+def _batch_frames() -> dict:
+    """The frames of one 64-row ``register-batch`` (request and reply)
+    and one ``locate-batch`` reply, in the shapes a live bulk
+    registration and sweep put on the wire: the rows as ``agent ->
+    [node, seq]`` id tables, every row stored."""
+    agents = [
+        AgentId((0x9E3779B97F4A7C15 * index) & (2**64 - 1))
+        for index in range(1, BATCH_ROWS + 1)
+    ]
+    records = {agent: [f"node-{index % 3}", index] for index, agent in enumerate(agents)}
+    iagent = AgentId(0xC << 60)
+    return {
+        "register": [
+            {"to": iagent, "req": Request(op="register-batch", body={"records": records})},
+            Response(7, {"status": "ok", "bounced": []}),
+        ],
+        "locate": [Response(8, {"status": "ok", "records": records})],
+    }
 
 
 def _steady_locate() -> dict:
@@ -115,20 +141,39 @@ def test_decode_record_table(benchmark, codec):
 def test_encode_handoff_bundle(benchmark, codec):
     bundle = _handoff_bundle(HANDOFF_IDS)
     frame = benchmark(lambda: encode_frame(bundle, codec=codec))
-    _per_record(benchmark, frame, HANDOFF_IDS)
+    _per_record(benchmark, len(frame), HANDOFF_IDS)
 
 
 def test_decode_handoff_bundle(benchmark, codec):
     bundle = _handoff_bundle(HANDOFF_IDS)
     frame = encode_frame(bundle, codec=codec)
     assert benchmark(lambda: decode_frame(frame, codec=codec)) == bundle
-    _per_record(benchmark, frame, HANDOFF_IDS)
+    _per_record(benchmark, len(frame), HANDOFF_IDS)
 
 
 def test_encode_locate_batch(benchmark, codec):
     envelope = _locate_batch_request(256)
     frame = benchmark(lambda: encode_frame(envelope, codec=codec))
     assert len(frame) > 4
+
+
+@pytest.mark.parametrize("op", ["register", "locate"])
+def test_batch_round_trip(benchmark, op):
+    """Encode and decode every frame of one batched RPC: the register
+    arm's request and reply, the locate arm's reply (its request is
+    ``test_encode_locate_batch``'s id list). ``us_per_record`` is the
+    codec cost per batched row."""
+    frames = _batch_frames()[op]
+
+    def round_trip():
+        return [
+            decode_frame(encode_frame(value, codec=CODEC_BINARY), codec=CODEC_BINARY)
+            for value in frames
+        ]
+
+    assert benchmark(round_trip) == frames
+    size = sum(len(encode_frame(value, codec=CODEC_BINARY)) for value in frames)
+    _per_record(benchmark, size, BATCH_ROWS)
 
 
 @pytest.mark.parametrize("kind", ["request", "reply"])

@@ -221,20 +221,20 @@ class IAgentState:
     def put(self, body: Dict, now: float) -> Outcome:
         """``register`` / ``update``: store ``[node, seq]`` (and an
         optional capability set) unless a newer sequence is held."""
-        agent = body["agent"]
-        table = self.table
+        return self.put_row(
+            body["agent"], body["node"], body.get("seq", 0), body.get("capabilities"), now
+        )
+
+    def put_row(
+        self, agent: Any, node: str, seq: int, caps: Optional[Dict], now: float
+    ) -> Outcome:
+        """:meth:`put` of one row, as a batch carries it (no body dict)."""
         if not self.covers(agent):
             return {"status": NOT_RESPONSIBLE}, None
-        entry = {
-            "op": "put",
-            "agent": agent,
-            "node": body["node"],
-            "seq": body.get("seq", 0),
-        }
-        caps = body.get("capabilities")
+        entry = {"op": "put", "agent": agent, "node": node, "seq": seq}
         if caps is not None:
             entry["caps"] = validate_capabilities(caps)
-        won = self.apply(table, entry)
+        won = self.apply(self.table, entry)
         self.stats.record_update(agent, now)
         return {"status": OK}, entry if won else None
 
@@ -369,6 +369,20 @@ class IAgentState:
         if record is None:
             return {"status": NO_RECORD}
         return {"status": OK, "node": record[0], "seq": record[1]}
+
+    def locate_rows(self, agents: Iterable[Any], now: float) -> Dict[Any, List]:
+        """:meth:`locate` of many agents: ``agent -> [node, seq]`` for
+        each one answered ``ok`` (the held row itself, not a copy)."""
+        covers, record_query = self.covers, self.stats.record_query
+        records = self.table["records"]
+        found = {}
+        for agent in agents:
+            if covers(agent):
+                record_query(agent, now)
+                record = records.get(agent)
+                if record is not None:
+                    found[agent] = record
+        return found
 
     def get_loads(self, body: Dict, now: float) -> Dict[str, Any]:
         """The accumulated load on either side of each candidate id bit

@@ -626,19 +626,24 @@ class ServiceClient:
         # stretch a batch to N times the configured budget.
         deadline = asyncio.get_running_loop().time() + self.config.op_deadline
         groups = await self._group_by_iagent([item[0] for item in items], deadline)
-        ops = []
-        for agent, node, seq, caps in items:
-            op = {"agent": agent, "node": node, "seq": seq}
-            if caps is not None:
-                op["capabilities"] = caps
-            ops.append(op)
-        fallback = await self._batch(
-            "register-batch",
-            groups,
-            lambda _, chunk: {"ops": [ops[i] for i in chunk]},
-            lambda index, result: None,
-            deadline,
-        )
+
+        def body(_: Dict, chunk: List[int]) -> Dict:
+            records: Dict[AgentId, List] = {}
+            capabilities: Dict[AgentId, Dict] = {}
+            for index in chunk:
+                agent, node, seq, caps = items[index]
+                records[agent] = [node, seq]
+                if caps is not None:
+                    capabilities[agent] = caps
+            if capabilities:
+                return {"records": records, "capabilities": capabilities}
+            return {"records": records}
+
+        def read(chunk: List[int], reply: Dict) -> List[int]:
+            bounced = set(reply["bounced"])
+            return [index for index in chunk if items[index][0] in bounced]
+
+        fallback = await self._batch("register-batch", groups, body, read, deadline)
         for index in fallback:
             await self._update_op("register", *items[index], deadline)
 
@@ -660,11 +665,23 @@ class ServiceClient:
         deadline = asyncio.get_running_loop().time() + self.config.op_deadline
         groups = await self._group_by_iagent(agents, deadline)
         results: Dict[AgentId, str] = {}
+
+        def read(chunk: List[int], reply: Dict) -> List[int]:
+            records = reply["records"]
+            unanswered = []
+            for index in chunk:
+                record = records.get(agents[index])
+                if record is None:
+                    unanswered.append(index)
+                else:
+                    results[agents[index]] = record[0]
+            return unanswered
+
         fallback = await self._batch(
             "locate-batch",
             groups,
             lambda _, chunk: {"agents": [agents[i] for i in chunk]},
-            lambda index, result: results.__setitem__(agents[index], result["node"]),
+            read,
             deadline,
         )
         for index in fallback:
@@ -747,17 +764,31 @@ class ServiceClient:
         self, agents: List[AgentId], deadline: float
     ) -> List[Tuple[Optional[Dict], List[int]]]:
         """:meth:`_batch` groups: each agent index under the IAgent its
-        local resolve names. Once a pull fails, every remaining index is
-        left unaddressed for the single-op fallback, which owns recovery.
+        local resolve names, read straight off the held copies; only a
+        missing copy costs an await (the pull). Once a pull fails, every
+        remaining index is left unaddressed for the single-op fallback,
+        which owns recovery.
+
+        A batch carries each agent once (its rows are an id table), so
+        an agent named again goes in a later group for the same IAgent:
+        its chunk is sent after the earlier one on the same connection,
+        and the IAgent applies the two in call order.
         """
-        self.counters.ops += len(agents)
+        held = self._held
         groups: Dict[Any, Tuple[Optional[Dict], List[int]]] = {}
+        named: Dict[AgentId, int] = {}
         served = True
         for index, agent in enumerate(agents):
-            mapping = await self._whois(agent, deadline) if served else None
-            served = mapping is not None
-            addr = mapping["addr"] if mapping is not None else None
-            key = (tuple(addr), mapping["iagent"]) if addr is not None else None
+            mapping = None
+            if served:
+                mapping = held.resolve(shard_of(agent, self._shards), agent)
+                if mapping is None:
+                    mapping = await self._whois(agent, deadline)
+                    served = mapping is not None
+            key = None
+            if mapping is not None and mapping["addr"] is not None:
+                repeat = named[agent] = named.get(agent, -1) + 1
+                key = (tuple(mapping["addr"]), mapping["iagent"], repeat)
             groups.setdefault(key, (mapping, []))[1].append(index)
         return list(groups.values())
 
@@ -766,14 +797,17 @@ class ServiceClient:
         op: str,
         groups: List[Tuple[Optional[Dict], List[int]]],
         body: Callable[[Dict, List[int]], Dict],
-        on_ok: Callable[[int, Dict], None],
+        read: Callable[[List[int], Dict], List[int]],
         deadline: float,
     ) -> List[int]:
         """Each group ``(mapping, indices)`` to the IAgent a resolve or a
         candidate names, ``BATCH_SIZE`` items per ``op`` RPC (``body(mapping,
-        chunk)``), all chunks at once; each ``ok`` result goes to
-        ``on_ok(index, result)``. Returns, sorted, the indices to fall back
-        on: unaddressed, in a failed RPC, or not answered ``ok``.
+        chunk)``), all chunks at once, in group order; ``read(chunk,
+        reply)`` takes what a reply answered ``ok`` and returns the rest
+        of the chunk. Returns, sorted, the indices to fall back on:
+        unaddressed, in a failed RPC, or not answered ``ok``. Each item
+        counts as one op here only when the batch settled it; the
+        fallback's single op counts the others.
         """
 
         async def send(mapping: Optional[Dict], chunk: List[int]) -> List[int]:
@@ -787,14 +821,7 @@ class ServiceClient:
             except (ServiceRpcError, RemoteOpError):
                 return chunk
             self.counters.batch_rpcs += 1
-            results = reply.get("results", [])
-            bad = chunk[len(results) :]
-            for index, result in zip(chunk, results):
-                if isinstance(result, dict) and result.get("status") == "ok":
-                    on_ok(index, result)
-                else:
-                    bad.append(index)
-            return bad
+            return read(chunk, reply)
 
         chunks = [
             send(mapping, indices[start : start + BATCH_SIZE])
@@ -803,7 +830,9 @@ class ServiceClient:
         ]
         failed = sorted({index for bad in await asyncio.gather(*chunks) for index in bad})
         asked = {index for _, indices in groups for index in indices}
-        self.counters.batched_ops += len(asked) - len(failed)
+        settled = len(asked) - len(failed)
+        self.counters.batched_ops += settled
+        self.counters.ops += settled
         return failed
 
     # ------------------------------------------------------------------
@@ -835,16 +864,26 @@ class ServiceClient:
         ``ok`` -- all inside one op deadline."""
         if not bodies:
             return []
-        self.counters.ops += len(bodies)
         deadline = asyncio.get_running_loop().time() + self.config.op_deadline
         partials: List[List[List[Dict]]] = [[] for _ in bodies]
         everyone = list(range(len(bodies)))
         found = await self._candidates(None, None, None, deadline)
+
+        def read(chunk: List[int], reply: Dict) -> List[int]:
+            results = reply.get("results", [])
+            bad = chunk[len(results) :]
+            for index, result in zip(chunk, results):
+                if isinstance(result, dict) and result.get("status") == "ok":
+                    partials[index].append(result.get("matches", []))
+                else:
+                    bad.append(index)
+            return bad
+
         fallback = await self._batch(
             op + "-batch",
             [(cand, everyone) for cand in found[0]] if found else [(None, everyone)],
             lambda cand, chunk: {"ops": [dict(bodies[i], pattern=cand["pattern"]) for i in chunk]},
-            lambda index, result: partials[index].append(result.get("matches", [])),
+            read,
             deadline,
         )
         merged = [merge_matches(partial) for partial in partials]

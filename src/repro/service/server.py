@@ -199,7 +199,8 @@ class IAgentEndpoint:
     The asyncio driver of :class:`repro.core.iagent_state.IAgentState`
     (the op table is in :mod:`repro.core.iagent`; ``seq`` makes
     re-registration idempotent). This class owns only what is live:
-    epoch-fence checks, the wall clock, the journal and the report loop.
+    epoch-fence checks, the node's clock (its event loop's), the journal
+    and the report loop.
 
     With a :class:`~repro.storage.DurableStore` attached, every mutation
     is journaled *after* the core applied it and *before* it is
@@ -268,14 +269,24 @@ class IAgentEndpoint:
     op_update = op_register
 
     def op_register_batch(self, body: Dict) -> Dict:
-        """Apply many register/update records in one round-trip.
+        """Apply many register/update rows in one round-trip.
 
-        Each item takes the exact single-op path (coverage check,
-        sequence gating, journaling), so a batch is indistinguishable
-        from N singles except for the saved round-trips; per-item
-        statuses let the client fall back selectively.
+        ``records`` is ``agent -> [node, seq]`` and ``capabilities``
+        (optional) ``agent -> caps`` for the rows that carry a set. Each
+        row takes the single-op path (coverage check, sequence gating)
+        and an admitted row is journaled as the ``put`` a ``register``
+        writes, so a batch is indistinguishable from N singles except
+        for the saved round-trips. ``bounced`` names the rows this leaf
+        does not cover, for the client's single-op fallback.
         """
-        return {"status": OK, "results": [self.op_register(op) for op in body["ops"]]}
+        now = self.node._now()
+        put_row = self.state.put_row
+        caps = body.get("capabilities", {})
+        bounced = []
+        for agent, (node, seq) in body["records"].items():
+            if self._commit(put_row(agent, node, seq, caps.get(agent), now))["status"] != OK:
+                bounced.append(agent)
+        return {"status": OK, "bounced": bounced}
 
     def op_unregister(self, body: Dict) -> Dict:
         return self._commit(self.state.unregister(body))
@@ -284,11 +295,9 @@ class IAgentEndpoint:
         return self.state.locate(body, self.node._now())
 
     def op_locate_batch(self, body: Dict) -> Dict:
-        """Resolve many agents in one round-trip; per-item statuses."""
-        return {
-            "status": OK,
-            "results": [self.op_locate({"agent": agent}) for agent in body["agents"]],
-        }
+        """Resolve many agents in one round-trip: ``records`` holds
+        ``agent -> [node, seq]`` for each one answered ``ok``."""
+        return {"status": OK, "records": self.state.locate_rows(body["agents"], self.node._now())}
 
     def op_get_loads(self, body: Dict) -> Dict:
         return self.state.get_loads(body, self.node._now())
@@ -666,10 +675,7 @@ class HostEndpoint:
             if not items:
                 continue
             try:
-                if len(items) == 1:
-                    await client.update(items[0][0], node.name, items[0][2])
-                else:
-                    await client.register_batch(items)
+                await client.register_batch(items)
                 self.republishes += len(items)
             except ServiceError:
                 continue  # best-effort; the next period retries

@@ -16,9 +16,12 @@ import random
 import struct
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
+from repro.core.hash_function import HashFunction
+from repro.core.hash_tree import HashTree
 from repro.platform.messages import Response
 from repro.platform.naming import AgentId, AgentNamer
 from repro.service import wire
@@ -30,9 +33,9 @@ from repro.service.client import (
     ServiceTimeout,
 )
 from repro.service.coordinator import HAgentServer
-from repro.service.server import NodeServer
+from repro.service.server import HostEndpoint, NodeServer
 
-from tests.conftest import copy_reply, patch_backoff
+from tests.conftest import copy_reply, patch_backoff, snapshot_reply
 from tests.service.frames import read_frame, write_frame
 
 
@@ -391,6 +394,96 @@ class TestBatchedOps:
 
         run(scenario())
 
+    def test_an_agent_named_twice_applies_in_call_order(self):
+        """A batch carries each agent once, so a repeat rides a later
+        chunk: the later row wins its sequence tie, an older sequence
+        still loses, as in N single registers."""
+
+        async def scenario():
+            hagent = HAgentServer()
+            await hagent.start()
+            node = NodeServer("node-0", hagent.addr)
+            await node.start()
+            client = ServiceClient("driver", node.addr)
+            try:
+                await client.channel.call(hagent.addr, "hagent", "bootstrap")
+                namer = AgentNamer(seed=14)
+                a, b, c = (namer.next_id() for _ in range(3))
+                await client.register_batch(
+                    [(a, "n1", 1), (b, "n1", 5), (a, "n2", 1), (b, "n2", 4), (c, "n1", 0),
+                     (a, "n3", 1)]
+                )
+                assert await client.locate_batch([a, b, c, a]) == {a: "n3", b: "n1", c: "n1"}
+                # ``a`` is named thrice in the register call and twice in
+                # the locate call: one RPC per naming.
+                assert client.counters.batch_rpcs == 5
+                assert client.counters.batched_ops == client.counters.ops == 10
+            finally:
+                await client.close()
+                await node.stop()
+                await hagent.stop()
+
+        run(scenario())
+
+    def test_warm_batches_put_id_tables_on_the_wire(self, monkeypatch):
+        """The rows of a register-batch request and of a locate-batch
+        reply travel as ``0x0D`` id tables of ``[node, seq]`` rows, not
+        as a dict per agent; the register reply is an empty list."""
+        frames = []
+        encode = wire.encode_frame
+
+        def spy(value, *args, **kwargs):
+            frame = encode(value, *args, **kwargs)
+            frames.append((value, bytes(frame)))
+            return frame
+
+        def only(test):
+            """The one captured frame ``test`` picks (background loops
+            encode frames too)."""
+            (frame,) = [frame for value, frame in frames if test(value)]
+            return frame
+
+        def call(op):
+            return lambda value: isinstance(value, dict) and value["req"].op == op
+
+        def reply(*keys):
+            return lambda value: (
+                isinstance(value, Response)
+                and isinstance(value.value, dict)
+                and set(value.value) == {"status", *keys}
+            )
+
+        async def scenario():
+            hagent = HAgentServer()
+            await hagent.start()
+            node = NodeServer("node-0", hagent.addr)
+            await node.start()
+            client = ServiceClient("driver", node.addr)
+            try:
+                await client.channel.call(hagent.addr, "hagent", "bootstrap")
+                namer = AgentNamer(seed=15)
+                agents = [namer.next_id() for _ in range(64)]
+                await client.register(agents[0], "node-0")  # warm: the copy is held
+                monkeypatch.setattr(wire, "encode_frame", spy)
+                await client.register_batch([(agent, "node-0", 0) for agent in agents])
+                assert await client.locate_batch(agents) == dict.fromkeys(agents, "node-0")
+            finally:
+                monkeypatch.undo()
+                await client.close()
+                await node.stop()
+                await hagent.stop()
+
+        run(scenario())
+        register, registered = only(call("register-batch")), only(reply("bounced"))
+        locate, located = only(call("locate-batch")), only(reply("records"))
+        table = b"\x07records\x0d\x40\x40\x02"  # 64 rows, 64-bit keys, list rows
+        assert table in register and table in located
+        assert b"\x07bounced\x08\x00" in registered
+        for frame in (register, located):
+            assert b"\x04node" not in frame and b"\x03seq" not in frame
+            assert len(frame) < 64 * 18
+        assert len(locate) < 64 * 10  # the request: one 8-byte id per agent
+
     def test_empty_batches_are_no_ops(self):
         async def scenario():
             client = ServiceClient("driver", ("127.0.0.1", 1))
@@ -500,8 +593,11 @@ class TestOneHopOps:
                 return {"status": "ok", "node": "node-3", "seq": 0}, None
             if op in ("discover-similar", "discover-capability"):
                 return {"status": "ok", "matches": []}, None
-            items = body["agents"] if op == "locate-batch" else body["ops"]
-            return {"results": [{"status": "ok", "node": "node-3"}] * len(items)}, None
+            if op == "locate-batch":
+                return {"status": "ok", "records": {a: ["node-3", 0] for a in body["agents"]}}, None
+            if op == "register-batch":
+                return {"status": "ok", "bounced": []}, None
+            return {"results": [{"status": "ok", "matches": []}] * len(body["ops"])}, None
 
         namer = AgentNamer(seed=13)
         agents = [namer.next_id() for _ in range(50)]
@@ -546,6 +642,108 @@ class TestOneHopOps:
             ("ia", "discover-similar-batch"),
             ("ia", "discover-capability-batch"),
         ]
+
+
+class TestBatchCounts:
+    """An item a batch does not settle falls back to the single-op saga,
+    and counts as one op either way."""
+
+    AGENTS = [AgentId(value << 56) for value in range(1, 6)]
+
+    def drive(self, batch_reply, single_reply, operation):
+        """``operation(client)`` against a one-leaf toy node whose batch
+        replies come from ``batch_reply(op, body)``."""
+
+        def answer(frame, peer):
+            op, body = frame["req"].op, frame["req"].body
+            if frame["to"] == "lhagent":
+                return copy_reply("ia", "n", peer.addr), None
+            if op.endswith("-batch"):
+                return batch_reply(op, body), None
+            return single_reply, None
+
+        result, counters, frames = drive_toy_node(answer, operation)
+        assert counters.ops == len(self.AGENTS)
+        assert counters.batched_ops == len(self.AGENTS) - 1
+        return result, [op for _, op in frames]
+
+    def test_register_batch_with_one_bounced_row(self):
+        _, ops = self.drive(
+            lambda op, body: {"status": "ok", "bounced": [self.AGENTS[0]]},
+            {"status": "ok"},
+            lambda client: client.register_batch([(a, "n", 0) for a in self.AGENTS]),
+        )
+        assert ops == ["get-hash-delta", "register-batch", "register"]
+
+    def test_locate_batch_with_one_unanswered_agent(self):
+        located, ops = self.drive(
+            lambda op, body: {
+                "status": "ok",
+                "records": {agent: ["node-3", 0] for agent in body["agents"][1:]},
+            },
+            {"status": "ok", "node": "node-3", "seq": 0},
+            lambda client: client.locate_batch(self.AGENTS),
+        )
+        assert located == dict.fromkeys(self.AGENTS, "node-3")
+        assert ops == ["get-hash-delta", "locate-batch", "locate"]
+
+    def one_bounced_query(self, op, body):
+        return {
+            "status": "ok",
+            "results": [{"status": "not-responsible"}]
+            + [{"status": "ok", "matches": []}] * (len(body["ops"]) - 1),
+        }
+
+    def test_discover_similar_batch_with_one_bounced_query(self):
+        found, ops = self.drive(
+            self.one_bounced_query,
+            {"status": "ok", "matches": []},
+            lambda client: client.discover_similar_batch([(a, 1) for a in self.AGENTS]),
+        )
+        assert found == [[]] * len(self.AGENTS)
+        assert ops == ["get-hash-delta", "discover-similar-batch", "discover-similar"]
+
+    def test_discover_capability_batch_with_one_bounced_query(self):
+        found, ops = self.drive(
+            self.one_bounced_query,
+            {"status": "ok", "matches": []},
+            lambda client: client.discover_capability_batch([{"role": "relay"}] * 5),
+        )
+        assert found == [[]] * len(self.AGENTS)
+        assert ops == ["get-hash-delta", "discover-capability-batch", "discover-capability"]
+
+
+class TestRepublish:
+    """A node host's soft-state round is one ``register-batch`` frame
+    per responsible IAgent, a lone resident included."""
+
+    @pytest.mark.parametrize("residents", [1, 6])
+    def test_one_register_batch_frame_per_iagent_per_round(self, monkeypatch, residents):
+        monkeypatch.setattr("repro.service.server.REREGISTER_INTERVAL", 0.05)
+        tree = HashTree("ia-0")
+        tree.replay_split("simple", "ia-0", 1, "ia-1")  # ia-1 serves ids starting 1
+        function = HashFunction(1, tree, dict.fromkeys(("ia-0", "ia-1"), "n"))
+        agents = [AgentId((index % 2) << 63 | index) for index in range(residents)]
+
+        def answer(frame, peer):
+            if frame["to"] == "lhagent":
+                return snapshot_reply(function, "n", peer.addr), None
+            return {"status": "ok", "bounced": []}, None
+
+        async def one_round(client):
+            host = HostEndpoint(SimpleNamespace(name="node-3", client=client))
+            for seq, agent in enumerate(agents):
+                host.op_agent_arrive({"agent": agent, "seq": seq})
+            loop = asyncio.ensure_future(host.republish_loop())
+            while host.republishes < residents:
+                await asyncio.sleep(0.001)
+            loop.cancel()  # the next round is 50 ms away
+
+        _, counters, frames = drive_toy_node(answer, one_round)
+        expected = [("ia-0", "register-batch"), ("ia-1", "register-batch")][: min(residents, 2)]
+        assert frames[0] == ("lhagent", "get-hash-delta")
+        assert sorted(frames[1:]) == expected
+        assert counters.registers == residents and counters.updates == 0
 
 
 class TestSeededBackoff:

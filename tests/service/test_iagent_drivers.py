@@ -14,7 +14,10 @@
   ``pattern_matches`` on the id's bit string.
 """
 
+import asyncio
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,14 +30,15 @@ from repro.core.iagent_state import (
     merge_handoffs,
     pattern_matches,
 )
-from repro.discovery.capability import CapabilityError
+from repro.discovery.capability import CAPABILITY_PALETTE, CapabilityError
 from repro.platform.messages import Request, Response
 from repro.platform.naming import AgentId, AgentNamer
+from repro.service.client import ServiceClient
 from repro.service.server import IAgentEndpoint, NodeServer, ServiceConfig
 from repro.service.wire import CODEC_BINARY, decode_frame, encode_frame
 from repro.storage import DurableStore
 
-from tests.conftest import build_runtime, in_running_loop, install_hash_mechanism
+from tests.conftest import build_runtime, copy_reply, in_running_loop, install_hash_mechanism
 
 LOW, MID, HIGH = AgentId(5), AgentId(1 << 62), AgentId((1 << 63) + 9)
 STRANGER = AgentId((1 << 63) + 77)
@@ -159,14 +163,13 @@ class TestJournalEqualsMemory:
     @in_running_loop
     def test_malformed_capabilities_in_a_batch(self, store):
         endpoint = live_endpoint(store)
-        ops = [
-            {"agent": LOW, "node": "n0", "seq": 1},
-            {"agent": MID, "node": "n1", "seq": 1, "capabilities": {"": 1}},
-            {"agent": HIGH, "node": "n2", "seq": 1},
-        ]
+        batch = {
+            "records": {LOW: ["n0", 1], MID: ["n1", 1], HIGH: ["n2", 1]},
+            "capabilities": {MID: {"": 1}},
+        }
         with pytest.raises(CapabilityError):
-            endpoint.op_register_batch({"ops": ops})
-        # Items before the bad one are applied *and* journaled; the bad
+            endpoint.op_register_batch(batch)
+        # Rows before the bad one are applied *and* journaled; the bad
         # one and everything after it are neither.
         assert endpoint.records == {LOW: ["n0", 1]}
         assert self.recovered(store) == endpoint.durable_state()
@@ -257,6 +260,95 @@ class TestHandoffOverTheWire:
         assert divisions == endpoint.stats.divide(ask["bits"])
         assert all(sum(sides) == 20_000 and min(sides) > 9_000 for sides in divisions.values())
 
+
+
+class _EndpointChannel:
+    """A ``ServiceClient`` channel to one node whose only IAgent is
+    ``endpoint`` (covering every id): each call reaches it through the
+    binary codec both ways, as over a socket."""
+
+    ADDR = ("127.0.0.1", 1)
+
+    def __init__(self, endpoint):
+        self.endpoint = endpoint
+
+    async def call(self, addr, to, op, body=None, timeout=None, hedge=None):
+        if to == "lhagent":
+            return copy_reply(self.endpoint.owner, "probe", self.ADDR)
+        request = over_the_wire({"to": to, "req": Request(op=op, body=body)})["req"]
+        value = getattr(self.endpoint, "op_" + op.replace("-", "_"))(request.body)
+        return over_the_wire(Response(message_id=1, value=value)).value
+
+    async def close(self):
+        pass
+
+
+#: 64-bit ids (the id-table form) and wider ones (the generic dict; the
+#: tree resolves no id narrower than its own 64 bits).
+agent_ids = st.one_of(
+    st.integers(min_value=0, max_value=2**64 - 1).map(AgentId),
+    st.integers(min_value=65, max_value=96).flatmap(
+        lambda width: st.integers(min_value=0, max_value=2**width - 1).map(
+            lambda value: AgentId(value, width)
+        )
+    ),
+)
+
+
+@st.composite
+def register_rows(draw):
+    """``(agent, node, seq, capabilities)`` rows naming agents again, at
+    mixed widths, some with a capability set -- and, drawn on, 300 rows
+    on 300 nodes: more names than a row column's string table holds."""
+    pool = draw(st.lists(agent_ids, min_size=1, max_size=12, unique=True))
+    rows = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(pool),
+                st.integers(min_value=0, max_value=3).map("n{}".format),
+                st.integers(min_value=0, max_value=3),
+                st.one_of(st.none(), st.sampled_from(CAPABILITY_PALETTE)),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    if draw(st.booleans()):
+        ids = AgentNamer(seed=draw(st.integers(min_value=0, max_value=2**16)))
+        rows += [(ids.next_id(), f"bulk-{n}", 0, None) for n in range(300)]
+    return rows
+
+
+class TestRegisterBatchIsSingles:
+    @given(register_rows(), st.sampled_from([3, 64, 512]))
+    @settings(max_examples=60, deadline=None)
+    def test_tables_and_journals_equal_one_by_one(self, rows, batch_size):
+        """``register_batch(rows)`` leaves the table, and the state its
+        WAL recovers, equal to registering the rows one by one."""
+
+        async def register(batched, root):
+            store = DurableStore(root, "iagent", fsync="never", snapshot_every=0)
+            endpoint = live_endpoint(store)
+            channel = _EndpointChannel(endpoint)
+            client = ServiceClient("probe", channel.ADDR, channel=channel)
+            if batched:
+                await client.register_batch(rows)
+            else:
+                for row in rows:
+                    await client.register(*row)
+            assert client.counters.ops == len(rows)
+            recovered = store.recover(
+                initial=IAgentEndpoint.initial_state, apply=IAgentEndpoint.apply_mutation
+            ).state
+            store.close()
+            return endpoint.durable_state(), recovered
+
+        with pytest.MonkeyPatch.context() as monkeypatch, tempfile.TemporaryDirectory() as root:
+            monkeypatch.setattr("repro.service.client.BATCH_SIZE", batch_size)
+            batch, batch_recovered = asyncio.run(register(True, Path(root, "batch")))
+            single, single_recovered = asyncio.run(register(False, Path(root, "single")))
+        assert batch == single
+        assert batch_recovered == batch and single_recovered == single
 
 
 @st.composite

@@ -19,6 +19,7 @@ import struct
 import time
 import warnings
 from contextlib import asynccontextmanager
+from dataclasses import replace
 
 import pytest
 
@@ -35,7 +36,7 @@ from repro.service.client import (
 )
 from repro.service.cluster import ClusterConfig, booted_cluster
 from repro.service.coordinator import HAgentServer
-from repro.service.server import NodeServer
+from repro.service.server import NodeServer, ServiceConfig
 from repro.service.transport import _Connection
 
 from tests.service.frames import read_frame
@@ -271,13 +272,17 @@ class TestFraming:
 class TestBackPressure:
     def test_peer_that_stops_reading_pauses_its_connection(self):
         async def scenario():
-            async with one_node() as (node, agents):
+            # Rehashing frozen: the registered records stay on one leaf.
+            mechanism = replace(ServiceConfig().mechanism, t_max=1e12)
+            async with one_node(ServiceConfig(mechanism=mechanism)) as (node, agents):
                 # A tiny stream buffer: the client side stops pulling
                 # from the socket almost at once, so replies back up
                 # into the server's transport buffer.
                 reader, writer = await asyncio.open_connection(*node.addr, limit=1024)
                 body = {"agents": agents}
                 (iagent,) = node.iagents
+                records = dict.fromkeys(agents, ["node-0", 0])
+                node.iagents[iagent].op_register_batch({"records": records})
                 sent = 0
 
                 def send():
@@ -304,7 +309,7 @@ class TestBackPressure:
                     for expected in range(1, sent):
                         reply = await asyncio.wait_for(read_frame(reader), 10.0)
                         assert reply.message_id == expected
-                        assert len(reply.value["results"]) == len(agents)
+                        assert len(reply.value["records"]) == len(agents)
                     assert conn.transport.is_reading()
                 finally:
                     writer.close()
