@@ -6,9 +6,11 @@ copy's record table, a batched locate request, a split's hand-off
 bundle, the frames of a 64-row register and locate batch), on the two
 small frames of a steady one-hop locate (the RPC envelope as the binary
 codec's call and reply frame headers), plus the
-streaming ``FrameDecoder`` feed path, whose decode now
-runs over a ``memoryview`` of the reassembly buffer instead of sliced
-copies. Regressions here translate directly into slower clusters: every
+streaming ``FrameDecoder`` feed path. The live arms time what the
+transport itself does per RPC -- ``encode_call`` / ``encode_reply`` and
+the decoder's one-pass ``decode`` into flat tuples, no envelope built --
+for a steady locate and update, and for one received segment of 16
+pipelined frames. Regressions here translate directly into slower clusters: every
 RPC pays these costs twice, and a split pays the hand-off arm four
 times per moved record (extract reply and adopt request, each encoded
 and decoded).
@@ -19,11 +21,15 @@ import pytest
 from repro.platform.messages import Request, Response
 from repro.platform.naming import AgentId
 from repro.service.wire import (
+    CALL,
     CODEC_BINARY,
     CODEC_JSON,
+    REPLY,
     FrameDecoder,
     decode_frame,
+    encode_call,
     encode_frame,
+    encode_reply,
 )
 
 
@@ -203,3 +209,77 @@ def test_decoder_feed_large_frames(benchmark, codec):
         return decoded
 
     benchmark(feed)
+
+
+def _per_op(benchmark, ops: int) -> None:
+    """Record the arm's µs per op beside its median."""
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        benchmark.extra_info["us_per_op"] = benchmark.stats.stats.median / ops * 1e6
+
+
+#: The header fields and reply value of a steady live RPC: the call a
+#: ``locate-pipelined`` / ``move-durable`` client sends to a 64-bit
+#: IAgent id, and the IAgent's ``ok``.
+LIVE_RPCS = {
+    "locate": (
+        "locate",
+        {"agent": AgentId(0x9E3779B97F4A7C15)},
+        {"status": "ok", "node": "node-3", "seq": 41},
+    ),
+    "update": (
+        "update",
+        {"agent": AgentId(0x9E3779B97F4A7C15), "node": "node-2", "seq": 41},
+        {"status": "ok"},
+    ),
+}
+
+
+@pytest.mark.parametrize("rpc", sorted(LIVE_RPCS))
+def test_live_rpc_round_trip(benchmark, rpc):
+    """One RPC's codec work on both ends, as the transport does it: the
+    client encodes the call, the server decodes it and encodes the
+    reply, the client decodes that -- header fields and tuples only.
+    ``us_per_op`` is the whole round trip."""
+    op, body, reply = LIVE_RPCS[rpc]
+    target = AgentId(0xC << 60)
+    server, client = FrameDecoder(), FrameDecoder()
+
+    def round_trip():
+        calls, replies = [], []
+        server.decode(encode_call(123_456, op, target, body), calls)
+        (_, _, _, _, message_id) = calls[0]
+        client.decode(encode_reply(message_id, reply), replies)
+        return calls[0], replies[0]
+
+    assert benchmark(round_trip) == (
+        (CALL, target, op, body, 123_456),
+        (REPLY, 123_456, reply, None),
+    )
+    _per_op(benchmark, 1)
+
+
+#: Frames in one received segment of the segment arm: a pipelining
+#: client's calls coalesced into one socket read.
+SEGMENT_FRAMES = 16
+
+
+def test_decode_segment_in_one_pass(benchmark):
+    """A server's read of 16 pipelined locate calls: one ``bytes`` copy
+    and every frame decoded from it by offset. ``us_per_op`` is per
+    frame."""
+    op, body, _ = LIVE_RPCS["locate"]
+    target = AgentId(0xC << 60)
+    segment = memoryview(
+        b"".join(encode_call(n, op, target, body) for n in range(1, SEGMENT_FRAMES + 1))
+    )
+    decoder = FrameDecoder()
+
+    def read():
+        frames = []
+        decoder.decode(segment, frames)
+        return frames
+
+    frames = benchmark(read)
+    assert [frame[4] for frame in frames] == list(range(1, SEGMENT_FRAMES + 1))
+    assert decoder.pending_bytes == 0
+    _per_op(benchmark, SEGMENT_FRAMES)

@@ -5,6 +5,13 @@ Agents talk through request/response envelopes carried by the network.
 ``"split"``, ...) dispatched by the receiving agent's ``handle`` method;
 ``Request.body`` is an arbitrary payload, by convention a dict or a
 dataclass owned by the protocol that defines the op.
+
+These envelopes are the simulator's. The live service builds none: an
+RPC there is its header fields end to end (``repro.service.wire``'s
+``encode_call`` / ``encode_reply`` and the decoder's flat tuples), with
+message ids its connections number for themselves. The wire meets the
+envelopes only at its one-shot edge (``encode_frame`` /
+``decode_frame``), which the codec tests and benchmarks use.
 """
 
 from __future__ import annotations
@@ -42,9 +49,11 @@ class Request:
         transmission-delay model.
 
     ``size`` and the two senders are simulator fields: nothing in the
-    live service reads them, and its wire carries them only when set (an
-    envelope that leaves them at their defaults travels as a fixed frame
-    header of op, message id and target; see :mod:`repro.service.wire`).
+    live service reads them, and the wire's one-shot edge carries them
+    only when set (an envelope that leaves them at their defaults is
+    written as the call frame header of op, message id and target; see
+    :mod:`repro.service.wire`). ``message_id`` defaults to the next of a
+    process-wide counter, which the live service does not draw from.
     """
 
     op: str

@@ -33,7 +33,6 @@ from repro.core.rehashing import (
     takeover_saga,
 )
 from repro.metrics.trace import Tracer
-from repro.platform.messages import Request
 from repro.platform.naming import AgentId, AgentNamer
 from repro.service.client import (
     NOT_PRIMARY,
@@ -283,11 +282,10 @@ class HAgentServer(FramedServer):
     # Dispatch
     # ------------------------------------------------------------------
 
-    def route(self, target: Any, request: Request) -> Any:
+    def route(self, target: Any, op: str, body: Any) -> Any:
         if target != "hagent":
             raise _Reject(f"unknown-target: {target!r} (this is the HAgent)")
-        op = request.op
-        body = request.body or {}
+        body = body or {}
         if op in (
             "register-node",
             "bootstrap",

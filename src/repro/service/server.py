@@ -14,13 +14,13 @@ Both server kinds -- this one and the coordinator,
 :class:`repro.service.coordinator.HAgentServer` -- listen and dispatch
 through :class:`repro.service.transport.FramedServer`.
 
-Requests address a target (``"lhagent"``, ``"host"``, ``"hagent"`` or
-an :class:`AgentId` for a resident IAgent) and carry a
-:class:`repro.platform.messages.Request`; replies are ``Response``
-envelopes. Protocol outcomes (``ok`` / ``not-responsible`` /
-``no-record``) stay in-band as statuses, exactly like the simulator;
-only transport-level conditions (unknown target, malformed frame) use
-the error side of the envelope.
+Calls address a target (``"lhagent"``, ``"host"``, ``"hagent"`` or
+an :class:`AgentId` for a resident IAgent) and name an op and a body;
+:meth:`NodeServer.route` takes those three header fields and a reply
+carries a value or an error. Protocol outcomes (``ok`` /
+``not-responsible`` / ``no-record``) stay in-band as statuses, exactly
+like the simulator; only transport-level conditions (unknown target,
+malformed frame) use the reply's error side.
 
 Crash recovery is layered. The soft-state floor is always there: every
 node host periodically re-publishes its residents' locations through
@@ -48,7 +48,6 @@ from repro.core.hash_function import HashFunction, SecondaryCopies
 from repro.core.iagent_state import OK, IAgentState, table_field
 from repro.core.load import LoadStatistics
 from repro.metrics.trace import Tracer
-from repro.platform.messages import Request
 from repro.platform.naming import AgentId
 from repro.service.client import (
     AGENT_NOT_FOUND,
@@ -685,6 +684,10 @@ class HostEndpoint:
 # The per-node server
 # ----------------------------------------------------------------------
 
+#: Entries :meth:`NodeServer.route` memoizes at most: a peer names any
+#: op it likes.
+_HANDLER_NAMES_MAX = 1024
+
 
 class NodeServer(FramedServer):
     """One node: LHAgent + host endpoint + any resident IAgents."""
@@ -742,6 +745,9 @@ class NodeServer(FramedServer):
         self.iagents: Dict[AgentId, IAgentEndpoint] = {}
         #: Owners crashed via fault injection; requests get agent-not-found.
         self.crashed: Set[AgentId] = set()
+        #: op -> the name of its handler method (``"locate-batch"`` ->
+        #: ``"op_locate_batch"``), memoized by :meth:`route`.
+        self._handler_names: Dict[str, str] = {}
         # The host republishes through a full protocol client so crash
         # recovery exercises the same retry loop applications use.
         self.client: Optional[ServiceClient] = None
@@ -827,7 +833,7 @@ class NodeServer(FramedServer):
 
     # ------------------------------------------------------------------
 
-    def route(self, target: Any, request: Request) -> Any:
+    def route(self, target: Any, op: str, body: Any) -> Any:
         handler_owner: Any
         if target == "lhagent":
             handler_owner = self.lhagent
@@ -840,18 +846,20 @@ class NodeServer(FramedServer):
             handler_owner = endpoint
         else:
             raise _Reject(f"unknown-target: {target!r}")
-        if request.op.startswith("_"):
-            raise _Reject(f"unknown-op: {request.op!r}")
-        handler = getattr(
-            handler_owner, "op_" + request.op.replace("-", "_"), None
-        )
+        names = self._handler_names
+        name = names.get(op)
+        if name is None:
+            if op.startswith("_"):
+                raise _Reject(f"unknown-op: {op!r}")
+            name = "op_" + op.replace("-", "_")
+            if len(names) < _HANDLER_NAMES_MAX:
+                names[op] = name
+        handler = getattr(handler_owner, name, None)
         if handler is None:
-            handler = getattr(self, "nodeop_" + request.op.replace("-", "_"), None)
+            handler = getattr(self, "node" + name, None)
             if handler is None or handler_owner is not self.host:
-                raise _Reject(
-                    f"unknown-op: {request.op!r} for target {target!r}"
-                )
-        return handler(request.body or {})
+                raise _Reject(f"unknown-op: {op!r} for target {target!r}")
+        return handler(body or {})
 
     # -- epoch fencing and primary re-discovery ---------------------------
 

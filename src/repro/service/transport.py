@@ -9,19 +9,27 @@ a frame on one:
 * :class:`FramedProtocol` -- both ends of every connection. It reads
   into its owner's one preallocated buffer (``wire.RECV_BUFFER_SIZE``:
   a plain ``asyncio.Protocol`` would get a fresh 256 KiB ``bytes`` per
-  read), decodes with a :class:`~repro.service.wire.FrameDecoder`,
-  writes to the transport or its netem shim, and drops the connection
-  on a :class:`~repro.service.wire.WireError`;
+  read), decodes each received segment in one pass with a
+  :class:`~repro.service.wire.FrameDecoder` -- every complete frame, as
+  its flat header tuple -- writes to the transport or its netem shim,
+  and drops the connection on a :class:`~repro.service.wire.WireError`
+  (after serving the frames before the bad one);
 * the accepting end -- :class:`FramedServer`, the listening socket both
-  server kinds (``NodeServer``, ``HAgentServer``) dispatch through, and
-  its ``_ServerConnection``, which answers a received segment's frames
-  in one write and stops reading while a slow peer's replies back up;
+  server kinds (``NodeServer``, ``HAgentServer``) dispatch through by
+  ``route(target, op, body)``, and its ``_ServerConnection``, which
+  answers a received segment's frames in one write and stops reading
+  while a slow peer's replies back up;
 * the dialing end -- ``_Connection``, one pipelined connection of an
-  :class:`~repro.service.client.RpcChannel`: it settles each reply on
-  its caller's request record (``_Rpc``) by message id and arms that
-  record's hedge-then-expiry timer;
+  :class:`~repro.service.client.RpcChannel`: it numbers its own calls
+  from 1, settles each reply on its caller's request record (``_Rpc``)
+  by that message id and arms that record's hedge-then-expiry timer;
 * the error types both ends raise, which :mod:`repro.service.client`
   re-exports.
+
+An RPC is its header fields end to end: a call goes out through
+``wire.encode_call`` and its reply through ``wire.encode_reply``, and
+both ends read the decoder's tuples. No ``Request`` / ``Response``
+envelope is built on either end.
 
 The netem keying rule lives here only: each direction of a link passes
 one shim, at its sending end, and both ends key it by the server's
@@ -32,10 +40,9 @@ the acceptor's :data:`~repro.service.netem.DIR_OUT`.
 from __future__ import annotations
 
 import asyncio
-from typing import Any, Awaitable, Callable, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Awaitable, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.metrics.trace import Tracer
-from repro.platform.messages import Request, Response
 from repro.service import wire
 from repro.service.netem import DIR_IN, DIR_OUT, NetemController
 
@@ -113,7 +120,8 @@ class FramedProtocol(asyncio.BufferedProtocol):
     """One end of a framed connection.
 
     Subclasses set :attr:`direction` and take the decoded frames of each
-    received segment in :meth:`frames_received`.
+    received segment -- ``wire.FrameDecoder.decode``'s tuples -- in
+    :meth:`frames_received`.
     """
 
     #: Which way this end's writes travel, seen from the server:
@@ -146,12 +154,18 @@ class FramedProtocol(asyncio.BufferedProtocol):
         self.data_received(memoryview(self.recv_buffer)[:nbytes])
 
     def data_received(self, data: bytes) -> None:
+        frames: List[Tuple] = []
         try:
-            self.frames_received(self.decoder.frames(data))
+            self.decoder.decode(data, frames)
         except wire.WireError as error:
-            self.close(str(error))  # a garbage-speaking peer costs its connection only
+            # The frames before the bad one are served; then a
+            # garbage-speaking peer costs its connection only.
+            self.frames_received(frames)
+            self.close(str(error))
+            return
+        self.frames_received(frames)
 
-    def frames_received(self, frames: Iterator[Any]) -> None:
+    def frames_received(self, frames: List[Tuple]) -> None:
         """Handle the frames one received segment completes."""
         raise NotImplementedError
 
@@ -189,7 +203,7 @@ class _ServerConnection(FramedProtocol):
         super().connection_made(transport)
         self.server._connections.add(self)
 
-    def frames_received(self, frames: Iterator[Any]) -> None:
+    def frames_received(self, frames: List[Tuple]) -> None:
         replies = self._segment = []
         try:
             for frame in frames:
@@ -214,12 +228,10 @@ class _ServerConnection(FramedProtocol):
     def reply(self, message_id: int, value: Any, error: Optional[str]) -> None:
         if self.transport.is_closing():
             return  # the peer went away; its retry path owns recovery
-        response = Response(message_id, value, error)
         try:
-            payload = wire.encode_frame(response)
+            payload = wire.encode_reply(message_id, value, error)
         except wire.WireError as exc:  # an unencodable or oversized value
-            response = Response(message_id, error=f"internal-error: {exc}")
-            payload = wire.encode_frame(response)
+            payload = wire.encode_reply(message_id, None, f"internal-error: {exc}")
         if self._segment is None:
             self.out.write(payload)
         else:
@@ -231,9 +243,12 @@ class FramedServer:
 
     ``config`` is the deployment's ``ServiceConfig``; this class reads
     its ``host`` and ``netem``. Subclasses implement the synchronous
-    :meth:`route`. A handler that returns a plain value is answered
-    inline, straight from ``data_received``; only one that returns a
-    coroutine gets a task.
+    :meth:`route`, which takes a call's header fields. A handler that
+    returns a plain value is answered inline, straight from
+    ``data_received``; only one that returns a coroutine gets a task.
+    Only a call frame is served: a reply or a value frame -- a generic
+    ``{"to", "req"}`` envelope with a simulator field set included,
+    since no live sender sets one -- is answered ``bad-envelope``.
     """
 
     def __init__(self, config: Any, tracer: Optional[Tracer]) -> None:
@@ -297,19 +312,17 @@ class FramedServer:
             await self._server.wait_closed()
             self._server = None
 
-    def _on_frame(self, conn: _ServerConnection, frame: Any) -> None:
+    def _on_frame(self, conn: _ServerConnection, frame: Tuple) -> None:
+        """Serve one decoded frame: ``(CALL, target, op, body, message_id)``."""
         if self.partitioned:
             return  # injected partition: drop the request silently
-        if (
-            not isinstance(frame, dict)
-            or not isinstance(frame.get("req"), Request)
-            or "to" not in frame
-        ):
+        if frame[0] != wire.CALL:
             conn.reply(-1, None, "bad-envelope: expected {to, req}")
             return
-        started = self._now()
+        # The dispatch timing is read only for a tracer to record.
+        started = self._now() if self.tracer is not None else 0.0
         try:
-            result = self.route(frame["to"], frame["req"])
+            result = self.route(frame[1], frame[2], frame[3])
         except Exception as exc:
             self._answer(conn, frame, started, failure=exc)
             return
@@ -323,7 +336,7 @@ class FramedServer:
             self._answer(conn, frame, started, result)
 
     async def _answer_later(
-        self, conn: _ServerConnection, frame: Dict, started: float, handler: Any
+        self, conn: _ServerConnection, frame: Tuple, started: float, handler: Any
     ) -> None:
         try:
             value = await handler
@@ -335,12 +348,11 @@ class FramedServer:
     def _answer(
         self,
         conn: _ServerConnection,
-        frame: Dict,
+        frame: Tuple,
         started: float,
         value: Any = None,
         failure: Optional[Exception] = None,
     ) -> None:
-        request: Request = frame["req"]
         error = None
         if isinstance(failure, _Reject):
             error = str(failure)
@@ -349,20 +361,21 @@ class FramedServer:
         if self.tracer is not None:
             self.tracer.record_now(
                 "rpc-server",
-                op=request.op,
-                target=str(frame["to"]),
+                op=frame[2],
+                target=str(frame[1]),
                 outcome=error or "ok",
                 elapsed=self._now() - started,
             )
-        conn.reply(request.message_id, value, error)
+        conn.reply(frame[4], value, error)
 
-    def route(self, target: Any, request: Request) -> Any:
+    def route(self, target: Any, op: str, body: Any) -> Any:
         """The handler's reply value, or a coroutine that produces it."""
         raise NotImplementedError
 
-    async def dispatch(self, target: Any, request: Request) -> Any:
-        """:meth:`route`, awaited through when the handler had to wait."""
-        result = self.route(target, request)
+    async def dispatch(self, target: Any, request: Any) -> Any:
+        """:meth:`route` for a simulator ``Request`` envelope (the one-shot
+        edge), awaited through when the handler had to wait."""
+        result = self.route(target, request.op, request.body)
         if asyncio.iscoroutine(result):
             result = await result
         return result
@@ -435,9 +448,11 @@ class _Connection(FramedProtocol):
     """One dialed connection of an ``RpcChannel``, with its in-flight
     requests.
 
-    :meth:`frames_received` settles each :class:`Response` on the
-    waiting caller's future by ``message_id``, through the :class:`_Rpc`
-    record ``pending`` holds for it. Replies whose record is gone (the
+    :meth:`frames_received` settles each reply frame on the waiting
+    caller's future by its message id, through the :class:`_Rpc` record
+    ``pending`` holds for it. The ids are this connection's own,
+    numbered from 1 (a duplicate on the hedge connection gets that
+    connection's next id). Replies whose record is gone (the
     caller timed out, or the other attempt of a hedged read won) settle
     nobody and are dropped -- a late reply must not wedge or kill the
     stream. Any transport failure fails this connection's attempt of
@@ -455,13 +470,15 @@ class _Connection(FramedProtocol):
         self.addr = addr
         #: message id -> the request record of the attempt sent here.
         self.pending: Dict[int, _Rpc] = {}
+        #: The message id of the last call written here.
+        self.last_id = 0
         self.closed = False
         self._loop = asyncio.get_running_loop()
 
-    def frames_received(self, frames: Iterator[Any]) -> None:
+    def frames_received(self, frames: List[Tuple]) -> None:
         for frame in frames:
-            if type(frame) is Response:
-                self._settle(frame)
+            if frame[0] == wire.REPLY:
+                self._settle(frame[1], frame[2], frame[3])
             # Any other frame is a peer bug; skip it rather than
             # wedging the stream.
 
@@ -504,20 +521,20 @@ class _Connection(FramedProtocol):
 
     def send(self, rpc: _Rpc, to: Any, body: Any) -> None:
         """Put one attempt of ``rpc`` on this connection's wire."""
-        request = Request(op=rpc.op, body=body)
-        payload = wire.encode_frame({"to": to, "req": request})
-        self.pending[request.message_id] = rpc
-        rpc.out[self] = request.message_id
+        self.last_id = message_id = self.last_id + 1
+        payload = wire.encode_call(message_id, rpc.op, to, body)
+        self.pending[message_id] = rpc
+        rpc.out[self] = message_id
         self.out.write(payload)
 
-    def _settle(self, reply: Response) -> None:
-        rpc = self.pending.pop(reply.message_id, None)
+    def _settle(self, message_id: int, value: Any, error: Optional[str]) -> None:
+        rpc = self.pending.pop(message_id, None)
         if rpc is None:
             return  # expired, or already won by the other attempt: dropped by id
         del rpc.out[self]
-        self.channel._trace(rpc.op, self.addr, reply.error or "ok")
-        if reply.error is not None:
-            rpc.fail(RemoteOpError(reply.error))
+        self.channel._trace(rpc.op, self.addr, error or "ok")
+        if error is not None:
+            rpc.fail(RemoteOpError(error))
             return
         # First success wins: the loser's entry goes, its reply with it.
         rpc.timer.cancel()
@@ -527,7 +544,7 @@ class _Connection(FramedProtocol):
             return  # the caller was cancelled
         if self is not rpc.primary:
             rpc.hedger.hedge_won()
-        rpc.future.set_result(reply.value)
+        rpc.future.set_result(value)
 
     def _hedge(self, rpc: _Rpc, to: Any, body: Any, hedger: Any, timeout: float) -> None:
         """The record's timer, fired at the hedge delay: the primary is

@@ -10,38 +10,50 @@ records and snapshots in. This module owns the framing and the call /
 reply headers around those values.
 
 A body is one of three *frame kinds*, told apart by its first byte and
-only there: a *call* -- the ``{"to", "req"}`` envelope every RPC is sent
-in, as one fixed ``struct`` header (op index, message id, target) and
-the request body; a *reply* -- a ``Response`` as a header (value or
-error, message id) and that one payload; or a bare tagged value. The
-encoder reads the kind off the value's shape: an envelope whose
-simulator-only fields (``size``, the senders) are unset and whose
-message id fits a u64 is a call or a reply, anything else is the tagged
-value it always was (``Request`` 0x0B / ``Response`` 0x0C inside it),
-and both decode to equal objects. The two kind bytes (0x0E, 0x0F) are
-tags the value codec leaves unused.
+only there: a *call* -- one fixed ``struct`` header (op index, message
+id, target) and the request body; a *reply* -- a header (value or
+error, message id) and that one payload; or a bare tagged *value*. The
+two kind bytes (0x0E, 0x0F) are tags the value codec leaves unused.
+
+An RPC is its header fields end to end. The transport encodes a call
+with :func:`encode_call` and a reply with :func:`encode_reply`, straight
+from those fields, and :meth:`FrameDecoder.decode` turns every complete
+frame of a received segment into a flat tuple -- ``(CALL, target, op,
+body, message_id)``, ``(REPLY, message_id, value, error)`` or ``(VALUE,
+value)`` -- decoding them all by offset from one ``bytes`` copy of the
+segment. No envelope object is built on either end.
+
+The simulator's envelopes (:class:`~repro.platform.messages.Request`,
+:class:`~repro.platform.messages.Response`) survive at the one-shot
+edge only, as an adapter on the same functions: :func:`encode_frame`
+reads the frame kind off a value's shape -- a ``{"to", "req"}`` envelope
+whose simulator-only fields (``size``, the senders) are unset goes to
+:func:`encode_call`, such a ``Response`` to :func:`encode_reply`, any
+other value is the tagged value it always was (``Request`` 0x0B /
+``Response`` 0x0C inside it) -- and :func:`decode_frame`,
+:func:`decode_binary` and :meth:`FrameDecoder.feed` rebuild envelopes
+from the tuples. This shape test is the frame-kind rule, and it lives
+here only. :func:`encode_call` / :func:`encode_reply` fall back to that
+generic form themselves when a field does not fit the header (an op
+that is not a string, a message id outside u64, a reply carrying both a
+value and an error), so both entry points write the same bytes.
 
 There is no handshake: a connection speaks binary from its first byte.
 The compatibility rule is the format's own -- value tags, column kinds
 and ``INTERNED_OPS`` are append-only -- and bytes in any other format
 are what any garbage is to the decoder: :class:`WireError` (the value
 codec's ``BinaryCodecError``, re-raised here), and that connection is
-dropped.
-
-``encode_frame``/``decode_frame`` are the one-shot forms;
-:class:`FrameDecoder` consumes a byte stream incrementally (partial
-frames simply wait for more bytes) -- :mod:`repro.service.transport`
-feeds it every socket read. Truncated one-shot buffers, oversized
-length prefixes and malformed bodies all raise :class:`WireError` -- a
-server must never crash on a garbage frame.
-Binary decoding normalizes the frame to ``bytes`` once up front.
+dropped. Truncated one-shot buffers, oversized length prefixes and
+malformed bodies all raise :class:`WireError` -- a server must never
+crash on a garbage frame.
 
 The one-shot functions and the decoder also take an explicit
 ``codec=CODEC_JSON``: the body as UTF-8 JSON in the reversible tagging
 scheme of :mod:`repro.platform.jsonable` (``AgentId`` as
-``{"$aid": ...}``, tuples as ``{"$tuple": ...}`` and so on). No socket
-of the service carries it; it is the readable dump of a decoded frame
-and the comparator the codec benchmarks time binary against. This
+``{"$aid": ...}``, tuples as ``{"$tuple": ...}`` and so on). It has no
+frame kinds -- every JSON frame decodes as a value frame -- and no
+socket of the service carries it; it is the readable dump of a decoded
+frame and the comparator the codec benchmarks time binary against. This
 module re-exports ``to_jsonable``/``from_jsonable`` bound to
 :class:`WireError`.
 """
@@ -50,7 +62,7 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Any, Dict, Iterator, List, Tuple
+from typing import Any, Callable, Iterator, List, Optional, Tuple
 
 from repro.platform import jsonable
 from repro.platform.binary import (
@@ -61,7 +73,6 @@ from repro.platform.binary import (
     Buffer,
     _decode_value,
     _encode_value,
-    _KeyMemo,
     _read_str,
     _write_str,
 )
@@ -70,15 +81,20 @@ from repro.platform.messages import Request, Response
 from repro.platform.naming import AgentId
 
 __all__ = [
+    "CALL",
     "CODEC_BINARY",
     "CODEC_JSON",
     "DEFAULT_MAX_FRAME",
     "FrameDecoder",
+    "REPLY",
+    "VALUE",
     "WireError",
+    "decode_binary",
     "decode_frame",
     "encode_binary",
-    "decode_binary",
+    "encode_call",
     "encode_frame",
+    "encode_reply",
     "from_jsonable",
     "to_jsonable",
 ]
@@ -100,6 +116,12 @@ RECV_BUFFER_SIZE = 64 * 1024
 #: Body codecs: what every socket carries, and the tagged-JSON dump form.
 CODEC_BINARY = "binary"
 CODEC_JSON = "json"
+
+#: The first field of a decoded frame's tuple: ``(CALL, target, op, body,
+#: message_id)``, ``(REPLY, message_id, value, error)``, ``(VALUE, value)``.
+CALL = "call"
+REPLY = "reply"
+VALUE = "value"
 
 _LENGTH = struct.Struct(">I")
 _U64_MAX = (1 << 64) - 1
@@ -125,7 +147,7 @@ def from_jsonable(value: Any) -> Any:
 
 
 # ----------------------------------------------------------------------
-# Frame bodies: call and reply headers around repro.platform.binary values
+# Encoding: call and reply headers around repro.platform.binary values
 # ----------------------------------------------------------------------
 
 # Frame kinds: legal as a frame body's first byte only, never inside a
@@ -149,124 +171,212 @@ _REPLY_ERROR = 0x01
 _DEFAULT_SIZE = 256
 
 
-def _encode_body(value: Any, out: bytearray) -> None:
-    """Append one frame body: a call, a reply, or a bare tagged value.
+def _sealed(out: bytearray, max_frame: int) -> bytes:
+    """Fill in the length slot at the front of ``out``: the frame."""
+    length = len(out) - _LENGTH.size
+    if length > max_frame:
+        raise WireError(f"frame of {length} bytes exceeds limit {max_frame}")
+    _LENGTH.pack_into(out, 0, length)
+    return bytes(out)
 
-    The frame kind is read off the value's own shape, here and nowhere
-    else: a ``{"to", "req"}`` envelope or a ``Response`` whose fields
-    fit the fixed header travels as one; any other value -- an envelope
-    with a simulator field set, a message id outside u64, a ``Request``
-    nested deeper -- travels as the tagged value it always was.
+
+def encode_call(
+    message_id: int, op: str, target: Any, body: Any, max_frame: int = DEFAULT_MAX_FRAME
+) -> bytes:
+    """One RPC call as a frame: the fixed header, then ``body``.
+
+    A call whose fields do not fit the header -- an op that is not a
+    string, a message id outside u64 -- is written as the generic
+    ``{"to", "req"}`` envelope value instead, the bytes
+    :func:`encode_frame` writes for that envelope.
     """
-    kind = type(value)
-    if kind is dict:
-        if len(value) == 2 and tuple(value) == ("to", "req"):
-            request = value["req"]
-            if type(request) is Request and _encode_call(value["to"], request, out):
-                return
-    elif kind is Response and _encode_reply(value, out):
-        return
-    _encode_value(value, out)
-
-
-def _encode_call(target: Any, request: Request, out: bytearray) -> bool:
-    op = request.op
-    message_id = request.message_id
-    if (
-        request.size != _DEFAULT_SIZE
-        or request.sender_node is not None
-        or request.sender_agent is not None
-        or type(op) is not str
-        or type(message_id) is not int
-        or not 0 <= message_id <= _U64_MAX
-    ):
-        return False
-    op_byte = _OP_INDEX.get(op, _CALL_OP_INLINE)
-    raw_target = type(target) is AgentId and target[1] <= 64
-    out += _CALL_HEAD.pack(_T_CALL, op_byte, message_id, target[1] if raw_target else 0)
-    if op_byte == _CALL_OP_INLINE:
-        _write_str(op, out)
-    if raw_target:
-        out += _U64.pack(target[0])
-    else:
-        _encode_value(target, out)
-    _encode_value(request.body, out)
-    return True
-
-
-def _encode_reply(response: Response, out: bytearray) -> bool:
-    message_id = response.message_id
-    error = response.error
-    if (
-        response.size != _DEFAULT_SIZE
-        or type(message_id) is not int
-        or not 0 <= message_id <= _U64_MAX
-    ):
-        return False
-    if error is None:
-        out += _REPLY_HEAD.pack(_T_REPLY, _REPLY_VALUE, message_id)
-        _encode_value(response.value, out)
-    elif type(error) is str and response.value is None:
-        out += _REPLY_HEAD.pack(_T_REPLY, _REPLY_ERROR, message_id)
-        _write_str(error, out)
-    else:
-        return False
-    return True
-
-
-def encode_binary(value: Any) -> bytes:
-    """One frame body in the binary codec, unframed (mostly for tests)."""
-    out = bytearray()
+    out = bytearray(_LENGTH.size)  # the length slot: framing adds no copy
     try:
-        _encode_body(value, out)
+        if type(op) is str and type(message_id) is int and 0 <= message_id <= _U64_MAX:
+            op_byte = _OP_INDEX.get(op, _CALL_OP_INLINE)
+            raw_target = type(target) is AgentId and target[1] <= 64
+            out += _CALL_HEAD.pack(_T_CALL, op_byte, message_id, target[1] if raw_target else 0)
+            if op_byte == _CALL_OP_INLINE:
+                _write_str(op, out)
+            if raw_target:
+                out += _U64.pack(target[0])
+            else:
+                _encode_value(target, out)
+            _encode_value(body, out)
+        else:
+            request = Request(op=op, body=body, message_id=message_id)
+            _encode_value({"to": target, "req": request}, out)
     except BinaryCodecError as error:
         raise WireError(str(error)) from error
     except RecursionError:
         raise WireError("value nests deeper than the encoder recurses") from None
-    return bytes(out)
+    return _sealed(out, max_frame)
 
 
-def _decode_call(data: bytes, end: int, memo: _KeyMemo) -> Tuple[Dict[str, Any], int]:
-    """Invert :func:`_encode_call`: the ``{"to", "req"}`` envelope."""
-    pos = _CALL_HEAD.size
-    if pos > end:
-        raise WireError("binary call frame truncated inside its header")
-    _, op_byte, message_id, width = _CALL_HEAD.unpack_from(data)
-    if op_byte == _CALL_OP_INLINE:
-        op, pos = _read_str(data, pos, end)
-    elif op_byte < len(INTERNED_OPS):
-        op = INTERNED_OPS[op_byte]
-    else:
-        raise WireError(f"unknown interned op index {op_byte}")
-    if width == 0:
-        target, pos = _decode_value(data, pos, end, memo)
-    elif width <= 64:
-        if pos + 8 > end:
-            raise WireError("binary call frame truncated inside its target")
-        (raw,) = _U64.unpack_from(data, pos)
-        if raw >> width:
-            raise WireError(f"binary call target out of range for width {width}")
-        target = tuple.__new__(AgentId, (raw, width))
-        pos += 8
-    else:
-        raise WireError(f"binary call frame has target width {width}")
-    body, pos = _decode_value(data, pos, end, memo)
-    return {"to": target, "req": Request(op=op, body=body, message_id=message_id)}, pos
+def encode_reply(
+    message_id: int,
+    value: Any,
+    error: Optional[str] = None,
+    max_frame: int = DEFAULT_MAX_FRAME,
+) -> bytes:
+    """One RPC reply as a frame: the header, then ``value`` or ``error``.
+
+    A reply whose fields do not fit the header -- a message id outside
+    u64, an error that is not a string or comes with a value -- is
+    written as the generic ``Response`` value instead, the bytes
+    :func:`encode_frame` writes for that envelope.
+    """
+    out = bytearray(_LENGTH.size)
+    try:
+        if type(message_id) is not int or not 0 <= message_id <= _U64_MAX:
+            _encode_value(Response(message_id, value, error), out)
+        elif error is None:
+            out += _REPLY_HEAD.pack(_T_REPLY, _REPLY_VALUE, message_id)
+            _encode_value(value, out)
+        elif type(error) is str and value is None:
+            out += _REPLY_HEAD.pack(_T_REPLY, _REPLY_ERROR, message_id)
+            _write_str(error, out)
+        else:
+            _encode_value(Response(message_id, value, error), out)
+    except BinaryCodecError as exc:
+        raise WireError(str(exc)) from exc
+    except RecursionError:
+        raise WireError("value nests deeper than the encoder recurses") from None
+    return _sealed(out, max_frame)
 
 
-def _decode_reply(data: bytes, end: int, memo: _KeyMemo) -> Tuple[Response, int]:
-    """Invert :func:`_encode_reply`."""
-    pos = _REPLY_HEAD.size
-    if pos > end:
-        raise WireError("binary reply frame truncated inside its header")
-    _, kind, message_id = _REPLY_HEAD.unpack_from(data)
-    if kind == _REPLY_VALUE:
-        value, pos = _decode_value(data, pos, end, memo)
-        return Response(message_id, value), pos
-    if kind == _REPLY_ERROR:
-        error, pos = _read_str(data, pos, end)
-        return Response(message_id, error=error), pos
-    raise WireError(f"unknown binary reply kind {kind:#04x}")
+def encode_frame(
+    value: Any, max_frame: int = DEFAULT_MAX_FRAME, codec: str = CODEC_BINARY
+) -> bytes:
+    """One value as a length-prefixed frame in the given codec.
+
+    In binary, the frame kind is read off the value's own shape, here
+    and nowhere else: a ``{"to", "req"}`` envelope or a ``Response``
+    whose simulator fields are unset is a call or a reply; any other
+    value -- an envelope with a simulator field set, a ``Request``
+    nested deeper -- travels as the tagged value it always was.
+    """
+    if codec != CODEC_BINARY:
+        body = json.dumps(
+            to_jsonable(value), separators=(",", ":"), ensure_ascii=False
+        ).encode("utf-8")
+        if len(body) > max_frame:
+            raise WireError(f"frame of {len(body)} bytes exceeds limit {max_frame}")
+        return _LENGTH.pack(len(body)) + body
+    kind = type(value)
+    if kind is dict:
+        if len(value) == 2 and tuple(value) == ("to", "req"):
+            request = value["req"]
+            if (
+                type(request) is Request
+                and request.size == _DEFAULT_SIZE
+                and request.sender_node is None
+                and request.sender_agent is None
+            ):
+                return encode_call(
+                    request.message_id, request.op, value["to"], request.body, max_frame
+                )
+    elif kind is Response and value.size == _DEFAULT_SIZE:
+        return encode_reply(value.message_id, value.value, value.error, max_frame)
+    out = bytearray(_LENGTH.size)
+    try:
+        _encode_value(value, out)
+    except BinaryCodecError as error:
+        raise WireError(str(error)) from error
+    except RecursionError:
+        raise WireError("value nests deeper than the encoder recurses") from None
+    return _sealed(out, max_frame)
+
+
+def encode_binary(value: Any) -> bytes:
+    """One frame body in the binary codec, unframed (mostly for tests)."""
+    return encode_frame(value, max_frame=_U64_MAX)[_LENGTH.size :]
+
+
+# ----------------------------------------------------------------------
+# Decoding: a frame body to its flat tuple
+# ----------------------------------------------------------------------
+
+Frame = Tuple[Any, ...]
+
+
+def _decode_at(data: bytes, start: int, end: int) -> Frame:
+    """The tuple of the binary body at ``data[start:end]``, decoded in
+    place: the body is read by offset, never sliced or copied."""
+    kind = data[start] if start < end else None
+    memo: dict = {}  # one key memo per frame (see binary._KeyMemo)
+    try:
+        if kind == _T_CALL:
+            pos = start + _CALL_HEAD.size
+            if pos > end:
+                raise WireError("binary call frame truncated inside its header")
+            _, op_byte, message_id, width = _CALL_HEAD.unpack_from(data, start)
+            if op_byte == _CALL_OP_INLINE:
+                op, pos = _read_str(data, pos, end)
+            elif op_byte < len(INTERNED_OPS):
+                op = INTERNED_OPS[op_byte]
+            else:
+                raise WireError(f"unknown interned op index {op_byte}")
+            if width == 0:
+                target, pos = _decode_value(data, pos, end, memo)
+            elif width <= 64:
+                if pos + 8 > end:
+                    raise WireError("binary call frame truncated inside its target")
+                (raw,) = _U64.unpack_from(data, pos)
+                if raw >> width:
+                    raise WireError(f"binary call target out of range for width {width}")
+                target = tuple.__new__(AgentId, (raw, width))
+                pos += 8
+            else:
+                raise WireError(f"binary call frame has target width {width}")
+            body, pos = _decode_value(data, pos, end, memo)
+            frame: Frame = (CALL, target, op, body, message_id)
+        elif kind == _T_REPLY:
+            pos = start + _REPLY_HEAD.size
+            if pos > end:
+                raise WireError("binary reply frame truncated inside its header")
+            _, reply_kind, message_id = _REPLY_HEAD.unpack_from(data, start)
+            if reply_kind == _REPLY_VALUE:
+                value, pos = _decode_value(data, pos, end, memo)
+                frame = (REPLY, message_id, value, None)
+            elif reply_kind == _REPLY_ERROR:
+                error, pos = _read_str(data, pos, end)
+                frame = (REPLY, message_id, None, error)
+            else:
+                raise WireError(f"unknown binary reply kind {reply_kind:#04x}")
+        else:
+            value, pos = _decode_value(data, start, end, memo)
+            frame = (VALUE, value)
+    except BinaryCodecError as error:
+        raise WireError(str(error)) from error
+    except RecursionError:
+        # Outside input: a few KB of nested one-element lists.
+        raise WireError("binary frame nests deeper than the decoder recurses") from None
+    if pos != end:
+        raise WireError(f"binary frame has {end - pos} trailing garbage bytes")
+    return frame
+
+
+def _decode_json_at(data: bytes, start: int, end: int) -> Frame:
+    """The tuple of the JSON body at ``data[start:end]``: always a value."""
+    try:
+        document = json.loads(str(data[start:end], "utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+        raise WireError(f"frame body is not JSON: {error}") from error
+    return (VALUE, from_jsonable(document))
+
+
+def _envelope(frame: Frame) -> Any:
+    """A decoded frame in the one-shot edge's form: a call as the
+    ``{"to", "req"}`` envelope, a reply as a ``Response``, a value as
+    itself."""
+    kind = frame[0]
+    if kind == CALL:
+        _, target, op, body, message_id = frame
+        return {"to": target, "req": Request(op=op, body=body, message_id=message_id)}
+    if kind == REPLY:
+        return Response(frame[1], frame[2], frame[3])
+    return frame[1]
 
 
 def decode_binary(body: Buffer) -> Any:
@@ -279,57 +389,7 @@ def decode_binary(body: Buffer) -> Any:
     frames the difference is ~2x end to end.
     """
     data = body if type(body) is bytes else bytes(body)
-    end = len(data)
-    kind = data[0] if end else None
-    memo: _KeyMemo = {}
-    try:
-        if kind == _T_CALL:
-            value, pos = _decode_call(data, end, memo)
-        elif kind == _T_REPLY:
-            value, pos = _decode_reply(data, end, memo)
-        else:
-            value, pos = _decode_value(data, 0, end, memo)
-    except BinaryCodecError as error:
-        raise WireError(str(error)) from error
-    except RecursionError:
-        # Outside input: a few KB of nested one-element lists.
-        raise WireError("binary frame nests deeper than the decoder recurses") from None
-    if pos != end:
-        raise WireError(
-            f"binary frame has {end - pos} trailing garbage bytes"
-        )
-    return value
-
-
-# ----------------------------------------------------------------------
-# Frame codec
-# ----------------------------------------------------------------------
-
-
-def encode_frame(
-    value: Any, max_frame: int = DEFAULT_MAX_FRAME, codec: str = CODEC_BINARY
-) -> bytes:
-    """One value as a length-prefixed frame in the given codec."""
-    if codec == CODEC_BINARY:
-        # Encode straight after the header slot: framing adds no copy.
-        out = bytearray(_LENGTH.size)
-        try:
-            _encode_body(value, out)
-        except BinaryCodecError as error:
-            raise WireError(str(error)) from error
-        except RecursionError:
-            raise WireError("value nests deeper than the encoder recurses") from None
-        length = len(out) - _LENGTH.size
-        if length > max_frame:
-            raise WireError(f"frame of {length} bytes exceeds limit {max_frame}")
-        _LENGTH.pack_into(out, 0, length)
-        return bytes(out)
-    body = json.dumps(
-        to_jsonable(value), separators=(",", ":"), ensure_ascii=False
-    ).encode("utf-8")
-    if len(body) > max_frame:
-        raise WireError(f"frame of {len(body)} bytes exceeds limit {max_frame}")
-    return _LENGTH.pack(len(body)) + body
+    return _envelope(_decode_at(data, 0, len(data)))
 
 
 def decode_frame(
@@ -341,22 +401,13 @@ def decode_frame(
     (length,) = _LENGTH.unpack_from(buffer)
     if length > max_frame:
         raise WireError(f"frame length {length} exceeds limit {max_frame}")
-    body = memoryview(buffer)[_LENGTH.size :]
-    if len(body) != length:
+    if len(buffer) - _LENGTH.size != length:
         raise WireError(
-            f"truncated frame: header says {length} bytes, got {len(body)}"
+            f"truncated frame: header says {length} bytes, got {len(buffer) - _LENGTH.size}"
         )
-    return _decode_body(body, codec)
-
-
-def _decode_body(body: Buffer, codec: str) -> Any:
-    if codec == CODEC_BINARY:
-        return decode_binary(body)
-    try:
-        document = json.loads(str(body, "utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
-        raise WireError(f"frame body is not JSON: {error}") from error
-    return from_jsonable(document)
+    data = buffer if type(buffer) is bytes else bytes(buffer)
+    decode = _decode_at if codec == CODEC_BINARY else _decode_json_at
+    return _envelope(decode(data, _LENGTH.size, len(data)))
 
 
 class FrameDecoder:
@@ -366,8 +417,10 @@ class FrameDecoder:
     buffered. A malformed length prefix or body raises :class:`WireError`
     and poisons the decoder (a stream is unrecoverable once desynced).
 
-    :meth:`frames` decodes lazily, one frame per step; :meth:`feed`
-    decodes the whole chunk at once.
+    :meth:`decode` is the live path: every frame one chunk completes, as
+    flat tuples, in one pass. :meth:`frames` (lazily, one frame per
+    step) and :meth:`feed` (the whole chunk) are the one-shot edge's
+    forms, envelopes rebuilt.
     """
 
     def __init__(
@@ -375,14 +428,57 @@ class FrameDecoder:
     ) -> None:
         self.max_frame = max_frame
         self.codec = codec
+        self._decode_at: Callable[[bytes, int, int], Frame] = (
+            _decode_at if codec == CODEC_BINARY else _decode_json_at
+        )
         self._buffer = bytearray()
         self._poisoned = False
 
-    def feed(self, data: bytes) -> List[Any]:
-        """Consume ``data``; return every frame completed by it."""
-        return list(self.frames(data))
+    def decode(self, data: Buffer, frames: List[Frame]) -> None:
+        """Consume ``data``; append the tuple of every frame it
+        completes to ``frames``.
 
-    def frames(self, data: bytes) -> Iterator[Any]:
+        The pending tail and ``data`` become one ``bytes`` and every
+        complete frame is decoded from it by offset. A malformed frame
+        raises :class:`WireError` after the frames before it were
+        appended, so a caller can still serve those.
+        """
+        if self._poisoned:
+            raise WireError("decoder poisoned by an earlier malformed frame")
+        buffer = self._buffer
+        if buffer:
+            buffer += data
+            data = bytes(buffer)
+            del buffer[:]
+        elif type(data) is not bytes:
+            data = bytes(data)
+        size = len(data)
+        header = _LENGTH.size
+        decode = self._decode_at
+        pos = 0
+        try:
+            while size - pos >= header:
+                (length,) = _LENGTH.unpack_from(data, pos)
+                if length > self.max_frame:
+                    raise WireError(f"frame length {length} exceeds limit {self.max_frame}")
+                end = pos + header + length
+                if end > size:
+                    break
+                frames.append(decode(data, pos + header, end))
+                pos = end
+        except WireError:
+            self._poisoned = True
+            raise
+        if pos < size:
+            buffer += memoryview(data)[pos:]
+
+    def feed(self, data: Buffer) -> List[Any]:
+        """Consume ``data``; return every frame completed by it."""
+        frames: List[Frame] = []
+        self.decode(data, frames)
+        return [_envelope(frame) for frame in frames]
+
+    def frames(self, data: Buffer) -> Iterator[Any]:
         """Consume ``data``; yield each frame it completes, lazily.
 
         Frames are walked with a read offset and the buffer is compacted
@@ -392,30 +488,26 @@ class FrameDecoder:
             raise WireError("decoder poisoned by an earlier malformed frame")
         buffer = self._buffer
         buffer += data
+        chunk = bytes(buffer)
         header = _LENGTH.size
         pos = 0
         try:
-            while len(buffer) - pos >= header:
-                (length,) = _LENGTH.unpack_from(buffer, pos)
+            while len(chunk) - pos >= header:
+                (length,) = _LENGTH.unpack_from(chunk, pos)
                 if length > self.max_frame:
                     raise WireError(
                         f"frame length {length} exceeds limit {self.max_frame}"
                     )
                 end = pos + header + length
-                if end > len(buffer):
+                if end > len(chunk):
                     break
-                # Decode through a memoryview -- no copy of the body --
-                # released before the final del resizes the bytearray.
-                with memoryview(buffer) as view:
-                    frame = _decode_body(view[pos + header : end], self.codec)
+                frame = _envelope(self._decode_at(chunk, pos + header, end))
                 pos = end
                 yield frame
         except WireError:
             self._poisoned = True
             raise
         finally:
-            # A poisoned buffer is dead, and the failed body's view may
-            # still be pinned by the traceback: leave it alone.
             if not self._poisoned:
                 del buffer[:pos]
 

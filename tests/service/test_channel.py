@@ -430,27 +430,32 @@ class TestBatchedOps:
         reply travel as ``0x0D`` id tables of ``[node, seq]`` rows, not
         as a dict per agent; the register reply is an empty list."""
         frames = []
-        encode = wire.encode_frame
+        encode_call, encode_reply = wire.encode_call, wire.encode_reply
 
-        def spy(value, *args, **kwargs):
-            frame = encode(value, *args, **kwargs)
-            frames.append((value, bytes(frame)))
+        def spy_call(message_id, op, target, body, *args):
+            frame = encode_call(message_id, op, target, body, *args)
+            frames.append((("call", op), frame))
+            return frame
+
+        def spy_reply(message_id, value, error=None, *args):
+            frame = encode_reply(message_id, value, error, *args)
+            frames.append((("reply", value), frame))
             return frame
 
         def only(test):
             """The one captured frame ``test`` picks (background loops
             encode frames too)."""
-            (frame,) = [frame for value, frame in frames if test(value)]
+            (frame,) = [frame for fields, frame in frames if test(*fields)]
             return frame
 
         def call(op):
-            return lambda value: isinstance(value, dict) and value["req"].op == op
+            return lambda kind, what: (kind, what) == ("call", op)
 
         def reply(*keys):
-            return lambda value: (
-                isinstance(value, Response)
-                and isinstance(value.value, dict)
-                and set(value.value) == {"status", *keys}
+            return lambda kind, value: (
+                kind == "reply"
+                and isinstance(value, dict)
+                and set(value) == {"status", *keys}
             )
 
         async def scenario():
@@ -464,7 +469,8 @@ class TestBatchedOps:
                 namer = AgentNamer(seed=15)
                 agents = [namer.next_id() for _ in range(64)]
                 await client.register(agents[0], "node-0")  # warm: the copy is held
-                monkeypatch.setattr(wire, "encode_frame", spy)
+                monkeypatch.setattr(wire, "encode_call", spy_call)
+                monkeypatch.setattr(wire, "encode_reply", spy_reply)
                 await client.register_batch([(agent, "node-0", 0) for agent in agents])
                 assert await client.locate_batch(agents) == dict.fromkeys(agents, "node-0")
             finally:

@@ -239,7 +239,7 @@ class _SaysPrimary(FramedServer):
             "shard": shard,
         }
 
-    def route(self, target, request):
+    def route(self, target, op, body):
         return self.ping
 
 

@@ -276,10 +276,10 @@ class TestKeyingRule:
         pings = []
         route = node.route
 
-        def counted(target, request):
-            if (target, request.op) == ("host", "ping"):
-                pings.append(request.message_id)
-            return route(target, request)
+        def counted(target, op, body):
+            if (target, op) == ("host", "ping"):
+                pings.append(op)
+            return route(target, op, body)
 
         node.route = counted
         return pings
@@ -397,12 +397,14 @@ class _LanePeer:
     """A framed peer whose first connection (the regular one) answers a
     ``whois`` after ``primary_delay`` and whose later ones (the hedge
     connection) answer at once, as every connection answers any other
-    op; ``lanes`` notes the connection each request arrived on."""
+    op; ``lanes`` notes the connection each request arrived on, and
+    ``calls`` that connection with the request's message id."""
 
     def __init__(self, primary_delay=0.2):
         self.primary_delay = primary_delay
         self.connections = 0
         self.lanes = []
+        self.calls = []
 
     async def __aenter__(self):
         self.server = await asyncio.start_server(self._serve, "127.0.0.1", 0)
@@ -419,6 +421,7 @@ class _LanePeer:
         try:
             while (frame := await read_frame(reader)) is not None:
                 self.lanes.append(lane)
+                self.calls.append((lane, frame["req"].message_id))
                 if lane == 0 and frame["req"].op == "whois":
                     await asyncio.sleep(self.primary_delay)
                 reply = {"status": "ok", "who": "secondary" if lane else "primary"}
@@ -553,6 +556,58 @@ class TestHedgedCalls:
                     assert client._hedge_eligible == 1
                     assert client.counters.hedges == 0
                     assert peer.lanes == [0]
+                finally:
+                    await client.close()
+
+        run(scenario())
+
+
+class TestMessageIds:
+    """A connection numbers its own calls from 1, and a reply settles a
+    call only on the connection it was sent on."""
+
+    def test_each_channel_s_first_call_is_id_1(self):
+        async def scenario():
+            async with _LanePeer(primary_delay=0.0) as peer:
+                channels = [RpcChannel(), RpcChannel()]
+                try:
+                    for channel in channels:
+                        await channel.call(peer.addr, "host", "ping", {})
+                        await channel.call(peer.addr, "host", "ping", {})
+                finally:
+                    for channel in channels:
+                        await channel.close()
+                assert peer.calls == [(0, 1), (0, 2), (1, 1), (1, 2)]
+
+        run(scenario())
+
+    def test_a_duplicate_settles_its_caller_and_the_late_reply_is_dropped(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr("repro.service.client.HEDGE_DELAY_FLOOR", 0.01)
+
+        async def scenario():
+            async with _LanePeer(primary_delay=0.1) as peer:
+                client = ServiceClient("n0", peer.addr)
+                channel = client.channel
+                _seed_rtt(client, peer.addr)
+                try:
+                    reply = await TestHedgedCalls.hedged_read(client, peer)
+                    assert reply["who"] == "secondary" and client.counters.hedge_wins == 1
+                    # Both attempts carry id 1, each its connection's first.
+                    assert peer.calls == [(0, 1), (1, 1)]
+                    conn = channel._conns[peer.addr]
+                    assert conn.pending == {}
+                    # The primary's reply lands late, finds no record
+                    # under id 1 and is dropped; the next call on that
+                    # connection is id 2 and gets its own reply.
+                    await asyncio.sleep(0.15)
+                    assert await channel.call(peer.addr, "host", "ping", {}) == {
+                        "status": "ok",
+                        "who": "primary",
+                    }
+                    assert peer.calls[-1] == (0, 2)
+                    assert not conn.closed and conn.pending == {}
                 finally:
                     await client.close()
 

@@ -477,6 +477,16 @@ class TestServedSegments:
                     reply = wire.decode_binary(body)
                     assert body[:2] == b"\x0f\x01" and reply.message_id == 5
                     assert reply.error.startswith("unknown-op") and reply.value is None
+                    # A generic envelope -- a simulator field set, so a
+                    # value frame, not a call -- is not served.
+                    request = Request(op="ping", body={}, sender_node="node-0", message_id=6)
+                    frame = wire.encode_frame({"to": "host", "req": request})
+                    assert frame[4] == 0x09  # a string-keyed dict value
+                    writer.write(frame)
+                    body = await read_body(reader)
+                    reply = wire.decode_binary(body)
+                    assert body[0] == 0x0C and reply.message_id == -1
+                    assert reply.error.startswith("bad-envelope")
                 finally:
                     writer.close()
 

@@ -23,6 +23,7 @@ from repro.core.iagent_state import IAgentState
 from repro.core.load import LoadStatistics
 from repro.platform.messages import Request, Response
 from repro.platform.naming import AgentId
+from repro.service import wire
 from repro.service.wire import (
     CODEC_BINARY,
     CODEC_JSON,
@@ -33,7 +34,9 @@ from repro.service.wire import (
     decode_binary,
     decode_frame,
     encode_binary,
+    encode_call,
     encode_frame,
+    encode_reply,
     from_jsonable,
     to_jsonable,
 )
@@ -198,8 +201,8 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("codec", [CODEC_BINARY, CODEC_JSON])
     def test_decoding_a_request_consumes_no_message_id(self, codec):
-        # Ids come from one process-wide counter; a decode that drew
-        # from it would burn two per RPC in a one-process cluster.
+        # A Request's default id comes from one process-wide counter;
+        # decoding an envelope must not draw from it.
         sent = Request(op="locate", body={"agent": AgentId(5)})
         frame = encode_frame({"to": "ia-0", "req": sent}, codec=codec)
         assert codec != CODEC_BINARY or frame[4] == CALL  # the header form too
@@ -855,6 +858,7 @@ class TestFramesArePinned:
             b"\t\x01\x05agent\x10\x9e7y\xb9\x7fJ|\x15"
         )
         assert encode_frame({"to": self.IAGENT, "req": request}) == frame
+        assert encode_call(7, "locate", self.IAGENT, {"agent": self.AGENT}) == frame
         assert len(frame) == 40
         decoded = decode_frame(frame)
         assert type(decoded["to"]) is type(decoded["req"].body["agent"]) is AgentId
@@ -864,6 +868,7 @@ class TestFramesArePinned:
             b"\t\x03\x06status\x05\x02ok\x04node\x05\x06node-3\x03seq\x03R"
         )
         assert encode_frame(reply) == frame
+        assert encode_reply(7, reply.value) == frame
         assert len(frame) == 46
 
     def test_update_request(self):
@@ -877,6 +882,11 @@ class TestFramesArePinned:
             b"\x00\x00\x00B\t\x02\x02to\x05\x04ia-3\x03req\x0b\x01\x01\x10\x80\x04"
             b"\t\x03\x05agent\x10\x9e7y\xb9\x7fJ|\x15"
             b"\x04node\x05\x06node-2\x03seq\x03R\x05\x06node-0\x00"
+        )
+        # encode_call has no simulator field to set: the same call from
+        # the header fields is the 40-byte header form of the locate.
+        assert encode_call(8, "update", "ia-3", request.body) == encode_frame(
+            {"to": "ia-3", "req": Request(op="update", body=request.body, message_id=8)}
         )
 
     def test_extract_reply_of_1000_records(self):
@@ -894,6 +904,7 @@ class TestFramesArePinned:
         assert hashlib.sha256(frame).hexdigest() == (
             "029c5af33c555cb8b7f1e8161697dc00de03adf9bf6fd52bd59588373ab45ccb"
         )
+        assert encode_reply(9, reply.value) == frame
         # The columns did not move: put back behind the generic Response
         # tag (id, size, value, a None error) they have the old digest.
         generic = framed(b"\x0c\x12\x80\x04" + frame[14:] + b"\x00")
@@ -914,7 +925,143 @@ class TestFramesArePinned:
         assert hashlib.sha256(frame).hexdigest() == (
             "a9a44de9bcddae90ebe62a40c5eb84c21c8079f6653ced77c349a4b50d218154"
         )
+        assert encode_call(10, "adopt", self.IAGENT, body) == frame
         assert decode_frame(frame)["req"].body == body
+
+
+# ----------------------------------------------------------------------
+# The live forms: header fields in, flat tuples out
+# ----------------------------------------------------------------------
+
+u64_ids = st.one_of(
+    st.sampled_from([0, 1, 2**63, 2**64 - 1]),
+    st.integers(min_value=0, max_value=2**64 - 1),
+)
+call_ops = st.one_of(
+    st.sampled_from(INTERNED_OPS),  # one header byte
+    st.sampled_from(["op-of-the-future", "", "\u00e9t\u00e9"]),  # inline strings
+    st.text(max_size=12),
+)
+call_targets = st.one_of(
+    st.integers(min_value=1, max_value=64).flatmap(sized_ids),  # a raw u64
+    st.sampled_from([65, 100, 128]).flatmap(sized_ids),  # wider: a tagged value
+    st.sampled_from(["lhagent", "host", "hagent", ""]),
+    st.text(max_size=10),
+)
+reply_errors = st.one_of(st.text(max_size=30), st.just("unknown-op: 'nope'"))
+frame_fields = st.one_of(
+    st.tuples(st.just(wire.CALL), call_targets, call_ops, values, u64_ids),
+    st.tuples(st.just(wire.REPLY), u64_ids, values, st.none()),
+    st.tuples(st.just(wire.REPLY), u64_ids, st.none(), reply_errors),
+    st.tuples(st.just(wire.VALUE), values),
+)
+
+
+def encoded(fields):
+    """The frame the transport (or, for a value, encode_frame) writes."""
+    kind = fields[0]
+    if kind == wire.CALL:
+        _, target, op, body, message_id = fields
+        return encode_call(message_id, op, target, body)
+    if kind == wire.REPLY:
+        return encode_reply(*fields[1:])
+    return encode_frame(fields[1])
+
+
+def decoded(stream, cuts=()):
+    """``stream`` through one decoder, cut at each offset in ``cuts``:
+    the tuples and the bytes left pending."""
+    decoder, frames, at = FrameDecoder(), [], 0
+    for cut in [*cuts, len(stream)]:
+        decoder.decode(memoryview(stream)[at:cut], frames)
+        at = cut
+    return frames, decoder.pending_bytes
+
+
+class TestHeaderFields:
+    """``encode_call`` / ``encode_reply`` write exactly what
+    ``encode_frame`` writes for the envelope with those fields, and the
+    decoder hands the same fields back."""
+
+    @given(call_targets, call_ops, values, st.one_of(u64_ids, st.just(2**64), st.just(2**80)))
+    @settings(max_examples=400)
+    def test_a_call_is_its_envelope_s_bytes_and_decodes_to_its_fields(
+        self, target, op, body, message_id
+    ):
+        frame = encode_call(message_id, op, target, body)
+        request = Request(op=op, body=body, message_id=message_id)
+        assert frame == encode_frame({"to": target, "req": request})
+        (got,) = decoded(frame)[0]
+        if message_id <= 2**64 - 1:
+            assert got == (wire.CALL, target, op, body, message_id)
+            assert repr(got) == repr((wire.CALL, target, op, body, message_id))
+        else:  # no u64 header for this id: the generic envelope value
+            assert got == (wire.VALUE, {"to": target, "req": request})
+        assert decode_frame(frame) == {"to": target, "req": request}
+
+    @given(
+        st.one_of(u64_ids, st.just(-1), st.just(2**64)),
+        st.one_of(values, st.none()),
+        st.one_of(st.none(), reply_errors, st.just(7)),
+    )
+    @settings(max_examples=400)
+    def test_a_reply_is_its_response_s_bytes_and_decodes_to_its_fields(
+        self, message_id, value, error
+    ):
+        frame = encode_reply(message_id, value, error)
+        response = Response(message_id, value, error)
+        assert frame == encode_frame(response)
+        (got,) = decoded(frame)[0]
+        if header_form(response) == REPLY:  # the reply header's kind byte
+            assert got == (wire.REPLY, message_id, value, error)
+        else:
+            assert got == (wire.VALUE, response)
+        assert decode_frame(frame) == response
+
+    def test_a_call_too_big_for_the_limit_is_refused(self):
+        with pytest.raises(WireError, match="exceeds limit"):
+            encode_call(1, "locate", "host", "x" * 100, max_frame=50)
+        with pytest.raises(WireError, match="exceeds limit"):
+            encode_reply(1, "x" * 100, max_frame=50)
+
+    def test_an_unencodable_body_is_a_wire_error(self):
+        with pytest.raises(WireError):
+            encode_call(1, "locate", "host", object())
+        with pytest.raises(WireError):
+            encode_reply(1, {"value": object()})
+
+
+class TestSegments:
+    """The live read path: each received segment decoded in one pass."""
+
+    @given(st.lists(frame_fields, min_size=1, max_size=6), st.data())
+    @settings(max_examples=150)
+    def test_streamed_frames_decode_in_order_as_tuples(self, items, data):
+        frames = [encoded(fields) for fields in items]
+        *whole, last = frames
+        # A stream of whole frames and the head of one more: the tail
+        # stays pending however the stream is cut.
+        tail = last[: data.draw(st.integers(min_value=0, max_value=len(last) - 1))]
+        stream = b"".join(whole) + tail
+        expected = [tuple(fields) for fields in items[:-1]]
+        assert decoded(stream) == (expected, len(tail))  # one-shot
+        for cut in range(len(stream) + 1):
+            assert decoded(stream, [cut]) == (expected, len(tail))
+        sizes = data.draw(st.lists(st.integers(min_value=1, max_value=40), max_size=30))
+        cuts, at = [], 0
+        for size in sizes:
+            at = min(at + size, len(stream))
+            cuts.append(at)
+        assert decoded(stream, cuts) == (expected, len(tail))
+
+    def test_a_segment_is_decoded_to_the_bad_frame_and_then_refused(self):
+        good = encode_call(1, "whois", "lhagent", {"agent": AgentId(5)})
+        decoder, frames = FrameDecoder(), []
+        with pytest.raises(WireError):
+            decoder.decode(good + good + b"\xff\xff\xff\xff junk", frames)
+        assert [frame[4] for frame in frames] == [1, 1]
+        with pytest.raises(WireError, match="poisoned"):
+            decoder.decode(good, frames)
 
 
 # ----------------------------------------------------------------------

@@ -114,3 +114,22 @@ def test_only_the_root_and_storage_inits_import():
     assert sorted(imports) == ["repro", "storage"]
     assert not [m for m in imports["repro"] if m.split(".")[0] == "repro"]
     assert all(m.startswith("repro.storage.") for m in imports["storage"])
+
+
+@pytest.mark.parametrize("module", ["transport", "server", "coordinator"])
+def test_the_live_rpc_path_builds_no_envelope(module):
+    """An RPC is its header fields end to end: the transport and both
+    server kinds do not import the simulator's ``Request`` / ``Response``
+    envelopes, nor the module that defines them."""
+    tree = ast.parse((SRC / "repro" / "service" / f"{module}.py").read_text())
+    imported = {
+        (node.module if isinstance(node, ast.ImportFrom) else None, alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    assert not [
+        pair
+        for pair in imported
+        if "repro.platform.messages" in pair or pair[1] in ("Request", "Response")
+    ]
