@@ -14,17 +14,18 @@ One tag byte per value, then its payload:
 ``list``       0x08  uvarint count, the items
 str-key dict   0x09  uvarint count, (string, value) pairs: keys untagged
 other dict     0x0A  uvarint count, (value, value) pairs
-``Request``    0x0B  op (interned index or inline string), message id,
-                     size, body, sender node, sender agent
-``Response``   0x0C  message id, size, value, error
 id table       0x0D  a dict keyed by same-width ``AgentId``s, as columns
 ``AgentId``    0x10  width exactly 64: eight raw bytes
 =============  ====  =====================================================
 
 0x0E and 0x0F are reserved: :mod:`repro.service.wire` uses them as the
 first byte of a call / reply frame, so a value never starts with them.
-Tags, column kinds and ``INTERNED_OPS`` are append-only -- bytes written
-today decode under every later version.
+0x0B and 0x0C are retired: they carried the simulator's ``Request`` /
+``Response`` envelopes, and an RPC is now a call / reply frame header
+only. No stored byte ever held them -- WAL entries and snapshots are
+IAgent and coordinator dicts -- and a decoder rejects them as it does
+any unknown tag. Tags and column kinds are append-only, and retired tags
+are never reused: bytes written today decode under every later version.
 
 An *id table* (0x0D) is the per-agent table a split hands over or an
 IAgent journals (``records``, ``loads``, ``capabilities``): count, key
@@ -56,13 +57,11 @@ from operator import itemgetter
 from typing import Any, Dict, List, Tuple, Union
 
 from repro.platform.jsonable import TaggedCodecError
-from repro.platform.messages import Request, Response
 from repro.platform.naming import AgentId
 
 __all__ = [
     "BinaryCodecError",
     "Buffer",
-    "INTERNED_OPS",
     "decode",
     "encode_into",
 ]
@@ -77,58 +76,6 @@ class BinaryCodecError(TaggedCodecError):
     """A value that cannot be encoded, or bytes that are not one value."""
 
 
-#: Protocol op names carried as a one-byte table index instead of a
-#: string. Append only -- indices are wire format, and a call header
-#: holds one in a byte with 0xFF taken: 255 entries at most. An op
-#: missing here still travels, as an inline string.
-INTERNED_OPS: Tuple[str, ...] = (
-    "register",
-    "update",
-    "unregister",
-    "locate",
-    "whois",
-    "refresh",
-    "version",
-    "ping",
-    "get-loads",
-    "extract",
-    "extract-all",
-    "adopt",
-    "set-coverage",
-    "agent-arrive",
-    "agent-depart",
-    "register-node",
-    "bootstrap",
-    "load-report",
-    "get-hash-function",
-    "get-hash-delta",
-    "replica-sync",
-    "new-primary",
-    "list-iagents",
-    "stats",
-    "host-iagent",
-    "restart-iagent",
-    "retire-iagent",
-    "crash-iagent",
-    "node-stats",
-    "register-batch",
-    "locate-batch",
-    "whois-batch",
-    "shard-map",
-    "shard-merge",
-    "shard-merge-prepare",
-    "shard-merge-commit",
-    "shard-release",
-    "discover-candidates",
-    "discover-similar",
-    "discover-capability",
-    "discover-similar-batch",
-    "discover-capability-batch",
-    "set-capabilities",
-    "hand-off",
-)
-_OP_INDEX: Dict[str, int] = {name: index for index, name in enumerate(INTERNED_OPS)}
-
 # One tag byte per value. bool/None get dedicated tags; containers carry
 # a varint count; dicts whose keys are all strings skip per-key tags.
 _T_NONE = 0x00
@@ -142,8 +89,7 @@ _T_TUPLE = 0x07
 _T_LIST = 0x08
 _T_DICT_STR = 0x09
 _T_DICT_ANY = 0x0A
-_T_REQUEST = 0x0B
-_T_RESPONSE = 0x0C
+# 0x0B, 0x0C: retired (the simulator's Request / Response), never reused.
 _T_AID_TABLE = 0x0D
 # 0x0E, 0x0F: the wire's call / reply frame kinds, never a value tag.
 _T_AID64 = 0x10  # an AgentId of width exactly 64: eight raw bytes
@@ -157,10 +103,6 @@ _COL_ROWS_TUPLE = 0x03  # the same rows, as tuples
 _I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
 #: A row column indexes its string table with one byte per row.
 _MAX_ROW_STRINGS = 256
-
-# Request op field discriminator: interned table index vs inline string.
-_OP_INLINE = 0x00
-_OP_INTERNED = 0x01
 
 
 def _write_uvarint(n: int, out: bytearray) -> None:
@@ -237,26 +179,6 @@ def _encode_value(value: Any, out: bytearray) -> None:
         _write_uvarint(len(value), out)
         for item in value:
             _encode_value(item, out)
-    elif kind is Request:
-        out.append(_T_REQUEST)
-        index = _OP_INDEX.get(value.op)
-        if index is None:
-            out.append(_OP_INLINE)
-            _write_str(value.op, out)
-        else:
-            out.append(_OP_INTERNED)
-            _write_uvarint(index, out)
-        _write_svarint(value.message_id, out)
-        _write_svarint(value.size, out)
-        _encode_value(value.body, out)
-        _encode_value(value.sender_node, out)
-        _encode_value(value.sender_agent, out)
-    elif kind is Response:
-        out.append(_T_RESPONSE)
-        _write_svarint(value.message_id, out)
-        _write_svarint(value.size, out)
-        _encode_value(value.value, out)
-        _encode_value(value.error, out)
     elif isinstance(value, bool):  # bool subclass, before the int check
         out.append(_T_TRUE if value else _T_FALSE)
     elif isinstance(value, int):
@@ -387,11 +309,6 @@ def _read_uvarint(data: bytes, pos: int, end: int) -> Tuple[int, int]:
         if not byte & 0x80:
             return result, pos
         shift += 7
-
-
-def _read_svarint(data: bytes, pos: int, end: int) -> Tuple[int, int]:
-    raw, pos = _read_uvarint(data, pos, end)
-    return ((raw >> 1) if not raw & 1 else -((raw + 1) >> 1)), pos
 
 
 #: Decoded short strings, keyed by their raw UTF-8 bytes. Protocol
@@ -531,40 +448,6 @@ def _decode_value(data: bytes, pos: int, end: int, memo: _KeyMemo) -> Tuple[Any,
             except TypeError as error:  # a forged list or dict as the key
                 raise BinaryCodecError(f"binary dict key: {error}") from error
         return table, pos
-    if tag == _T_REQUEST:
-        if pos >= end:
-            raise BinaryCodecError("binary value truncated inside a request op")
-        op_kind = data[pos]
-        pos += 1
-        if op_kind == _OP_INTERNED:
-            index, pos = _read_uvarint(data, pos, end)
-            if index >= len(INTERNED_OPS):
-                raise BinaryCodecError(f"unknown interned op index {index}")
-            op = INTERNED_OPS[index]
-        elif op_kind == _OP_INLINE:
-            op, pos = _read_str(data, pos, end)
-        else:
-            raise BinaryCodecError(f"malformed request op discriminator {op_kind:#x}")
-        message_id, pos = _read_svarint(data, pos, end)
-        size, pos = _read_svarint(data, pos, end)
-        body, pos = _decode_value(data, pos, end, memo)
-        sender_node, pos = _decode_value(data, pos, end, memo)
-        sender_agent, pos = _decode_value(data, pos, end, memo)
-        request = Request(
-            op=op,
-            body=body,
-            sender_node=sender_node,
-            sender_agent=sender_agent,
-            size=size,
-            message_id=message_id,
-        )
-        return request, pos
-    if tag == _T_RESPONSE:
-        message_id, pos = _read_svarint(data, pos, end)
-        size, pos = _read_svarint(data, pos, end)
-        value, pos = _decode_value(data, pos, end, memo)
-        error, pos = _decode_value(data, pos, end, memo)
-        return Response(message_id=message_id, value=value, error=error, size=size), pos
     if tag == _T_AID_TABLE:
         return _decode_aid_table(data, pos, end, memo)
     raise BinaryCodecError(f"unknown binary tag {tag:#04x}")

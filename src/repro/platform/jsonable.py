@@ -25,14 +25,15 @@ end-to-end benchmark times :func:`to_jsonable` on a journal entry. Each
 caller passes its error class through the ``error`` parameter so
 failures carry the vocabulary of the layer that hit them.
 :class:`TaggedCodecError` is also the base of the binary codec's
-errors.
+errors, which is why the envelopes' module is imported only when a
+``Request`` / ``Response`` is met: the binary codec, and with it a
+process that never dumps an envelope, does not load it.
 """
 
 from __future__ import annotations
 
 from typing import Any, Type
 
-from repro.platform.messages import Request, Response
 from repro.platform.naming import AgentId
 
 __all__ = ["TaggedCodecError", "from_jsonable", "to_jsonable"]
@@ -57,6 +58,26 @@ def to_jsonable(value: Any, error: Type[TaggedCodecError] = TaggedCodecError) ->
         return {"$tuple": [to_jsonable(item, error) for item in value]}
     if isinstance(value, list):
         return [to_jsonable(item, error) for item in value]
+    if isinstance(value, dict):
+        if all(isinstance(key, str) for key in value):
+            if any(key.startswith("$") for key in value):
+                # A user dict that happens to look tagged: escape it.
+                return {
+                    "$esc": {
+                        key: to_jsonable(item, error) for key, item in value.items()
+                    }
+                }
+            return {key: to_jsonable(item, error) for key, item in value.items()}
+        return {
+            "$dict": [
+                [to_jsonable(key, error), to_jsonable(item, error)]
+                for key, item in value.items()
+            ]
+        }
+    # The simulator's envelopes come last; their module loads on first
+    # use (see the module docstring).
+    from repro.platform.messages import Request, Response
+
     if isinstance(value, Request):
         return {
             "$request": {
@@ -76,22 +97,6 @@ def to_jsonable(value: Any, error: Type[TaggedCodecError] = TaggedCodecError) ->
                 "error": value.error,
                 "size": value.size,
             }
-        }
-    if isinstance(value, dict):
-        if all(isinstance(key, str) for key in value):
-            if any(key.startswith("$") for key in value):
-                # A user dict that happens to look tagged: escape it.
-                return {
-                    "$esc": {
-                        key: to_jsonable(item, error) for key, item in value.items()
-                    }
-                }
-            return {key: to_jsonable(item, error) for key, item in value.items()}
-        return {
-            "$dict": [
-                [to_jsonable(key, error), to_jsonable(item, error)]
-                for key, item in value.items()
-            ]
         }
     raise error(f"value of type {type(value).__name__!r} is not wire-encodable")
 
@@ -138,6 +143,8 @@ def _decode_tagged(tag: str, payload: Any, error: Type[TaggedCodecError]) -> Any
         if not isinstance(payload, dict):
             raise error(f"malformed $esc payload {payload!r}")
         return {key: from_jsonable(item, error) for key, item in payload.items()}
+    from repro.platform.messages import Request, Response
+
     if tag == "$request":
         fields = _expect_fields(tag, payload, ("op", "message_id"), error)
         request = Request(

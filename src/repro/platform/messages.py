@@ -11,7 +11,9 @@ RPC there is its header fields end to end (``repro.service.wire``'s
 ``encode_call`` / ``encode_reply`` and the decoder's flat tuples), with
 message ids its connections number for themselves. The wire meets the
 envelopes only at its one-shot edge (``encode_frame`` /
-``decode_frame``), which the codec tests and benchmarks use.
+``decode_frame``), which the codec tests and benchmarks use, and writes
+them there as that same call / reply header: the value codec has no
+envelope tag.
 """
 
 from __future__ import annotations
@@ -49,9 +51,9 @@ class Request:
         transmission-delay model.
 
     ``size`` and the two senders are simulator fields: nothing in the
-    live service reads them, and the wire's one-shot edge carries them
-    only when set (an envelope that leaves them at their defaults is
-    written as the call frame header of op, message id and target; see
+    live service reads them, and the wire does not carry them (its
+    one-shot edge writes an envelope as the call frame header of op,
+    message id and target, and refuses one with any of them set; see
     :mod:`repro.service.wire`). ``message_id`` defaults to the next of a
     process-wide counter, which the live service does not draw from.
     """
@@ -71,9 +73,8 @@ class Request:
 class Response:
     """A response envelope correlated to a request by ``message_id``.
 
-    ``size`` is a simulator field, like ``Request.size``: the live wire
-    carries it only when it is not the default, and spends no byte on an
-    absent ``error``.
+    ``size`` is a simulator field, like ``Request.size``: the wire does
+    not carry it, and spends no byte on an absent ``error``.
     """
 
     message_id: int

@@ -17,8 +17,9 @@ a frame on one:
 * the accepting end -- :class:`FramedServer`, the listening socket both
   server kinds (``NodeServer``, ``HAgentServer``) dispatch through by
   ``route(target, op, body)``, and its ``_ServerConnection``, which
-  answers a received segment's frames in one write and stops reading
-  while a slow peer's replies back up;
+  answers a received segment's call frames in one write, drops the
+  connection on a reply or value frame (no client sends one) and stops
+  reading while a slow peer's replies back up;
 * the dialing end -- ``_Connection``, one pipelined connection of an
   :class:`~repro.service.client.RpcChannel`: it numbers its own calls
   from 1, settles each reply on its caller's request record (``_Rpc``)
@@ -29,7 +30,8 @@ a frame on one:
 An RPC is its header fields end to end: a call goes out through
 ``wire.encode_call`` and its reply through ``wire.encode_reply``, and
 both ends read the decoder's tuples. No ``Request`` / ``Response``
-envelope is built on either end.
+envelope is built on either end, and the header frame is an RPC's only
+wire form.
 
 The netem keying rule lives here only: each direction of a link passes
 one shim, at its sending end, and both ends key it by the server's
@@ -205,8 +207,12 @@ class _ServerConnection(FramedProtocol):
 
     def frames_received(self, frames: List[Tuple]) -> None:
         replies = self._segment = []
+        garbage = False
         try:
             for frame in frames:
+                if frame[0] != wire.CALL:
+                    garbage = True  # a reply or a value: no client sends one
+                    break
                 self.server._on_frame(self, frame)
         finally:
             # Also on a handler bug or a malformed frame: the answers
@@ -214,6 +220,8 @@ class _ServerConnection(FramedProtocol):
             self._segment = None
             if replies:
                 self.out.writelines(replies)
+        if garbage:  # then the connection goes, as on undecodable bytes
+            self.close("a reply or value frame from a client")
 
     def connection_lost(self, exc: Optional[Exception]) -> None:
         self.server._connections.discard(self)
@@ -246,9 +254,8 @@ class FramedServer:
     :meth:`route`, which takes a call's header fields. A handler that
     returns a plain value is answered inline, straight from
     ``data_received``; only one that returns a coroutine gets a task.
-    Only a call frame is served: a reply or a value frame -- a generic
-    ``{"to", "req"}`` envelope with a simulator field set included,
-    since no live sender sets one -- is answered ``bad-envelope``.
+    Only a call frame is served: a reply or a value frame closes its
+    connection, as undecodable bytes do.
     """
 
     def __init__(self, config: Any, tracer: Optional[Tracer]) -> None:
@@ -313,12 +320,9 @@ class FramedServer:
             self._server = None
 
     def _on_frame(self, conn: _ServerConnection, frame: Tuple) -> None:
-        """Serve one decoded frame: ``(CALL, target, op, body, message_id)``."""
+        """Serve one call frame: ``(CALL, target, op, body, message_id)``."""
         if self.partitioned:
             return  # injected partition: drop the request silently
-        if frame[0] != wire.CALL:
-            conn.reply(-1, None, "bad-envelope: expected {to, req}")
-            return
         # The dispatch timing is read only for a tracer to record.
         started = self._now() if self.tracer is not None else 0.0
         try:

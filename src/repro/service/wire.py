@@ -4,10 +4,10 @@ A frame is a 4-byte big-endian unsigned length followed by that many
 bytes of body. Every frame on every socket is in the one ``"binary"``
 codec: the values of :mod:`repro.platform.binary` -- one tag byte per
 value, zigzag-varint integers, raw-int ``AgentId`` payloads (eight raw
-bytes for a 64-bit id), interned protocol op names, and per-agent tables
-as columns -- the same encoding the durable-state layer writes its WAL
-records and snapshots in. This module owns the framing and the call /
-reply headers around those values.
+bytes for a 64-bit id) and per-agent tables as columns -- the same
+encoding the durable-state layer writes its WAL records and snapshots
+in. This module owns the framing and the call / reply headers around
+those values, and the table of interned op names a call header indexes.
 
 A body is one of three *frame kinds*, told apart by its first byte and
 only there: a *call* -- one fixed ``struct`` header (op index, message
@@ -23,29 +23,30 @@ body, message_id)``, ``(REPLY, message_id, value, error)`` or ``(VALUE,
 value)`` -- decoding them all by offset from one ``bytes`` copy of the
 segment. No envelope object is built on either end.
 
+The header is an RPC's only wire form. A call whose fields do not fit
+it -- an op that is not a string, a message id outside u64 -- and a
+reply carrying both a value and an error, or an error that is not a
+string, raise :class:`WireError`; the value codec has no envelope tag
+to fall back to (its 0x0B / 0x0C are retired).
+
 The simulator's envelopes (:class:`~repro.platform.messages.Request`,
 :class:`~repro.platform.messages.Response`) survive at the one-shot
 edge only, as an adapter on the same functions: :func:`encode_frame`
-reads the frame kind off a value's shape -- a ``{"to", "req"}`` envelope
-whose simulator-only fields (``size``, the senders) are unset goes to
-:func:`encode_call`, such a ``Response`` to :func:`encode_reply`, any
-other value is the tagged value it always was (``Request`` 0x0B /
-``Response`` 0x0C inside it) -- and :func:`decode_frame`,
-:func:`decode_binary` and :meth:`FrameDecoder.feed` rebuild envelopes
-from the tuples. This shape test is the frame-kind rule, and it lives
-here only. :func:`encode_call` / :func:`encode_reply` fall back to that
-generic form themselves when a field does not fit the header (an op
-that is not a string, a message id outside u64, a reply carrying both a
-value and an error), so both entry points write the same bytes.
+sends a ``{"to", "req"}`` envelope to :func:`encode_call` and a
+``Response`` to :func:`encode_reply` (one whose simulator-only fields --
+``size``, the senders -- are set has no wire form and raises), and
+:func:`decode_frame`, :func:`decode_binary` and
+:meth:`FrameDecoder.feed` rebuild envelopes from the tuples. Any other
+value is a value frame.
 
 There is no handshake: a connection speaks binary from its first byte.
 The compatibility rule is the format's own -- value tags, column kinds
-and ``INTERNED_OPS`` are append-only -- and bytes in any other format
-are what any garbage is to the decoder: :class:`WireError` (the value
-codec's ``BinaryCodecError``, re-raised here), and that connection is
-dropped. Truncated one-shot buffers, oversized length prefixes and
-malformed bodies all raise :class:`WireError` -- a server must never
-crash on a garbage frame.
+and ``INTERNED_OPS`` are append-only, and retired tags are never
+reused -- and bytes in any other format are what any garbage is to the
+decoder: :class:`WireError` (the value codec's ``BinaryCodecError``,
+re-raised here), and that connection is dropped. Truncated one-shot
+buffers, oversized length prefixes and malformed bodies all raise
+:class:`WireError` -- a server must never crash on a garbage frame.
 
 The one-shot functions and the decoder also take an explicit
 ``codec=CODEC_JSON``: the body as UTF-8 JSON in the reversible tagging
@@ -62,13 +63,11 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Any, Callable, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.platform import jsonable
 from repro.platform.binary import (
-    _OP_INDEX,
     _U64,
-    INTERNED_OPS,
     BinaryCodecError,
     Buffer,
     _decode_value,
@@ -126,6 +125,58 @@ VALUE = "value"
 _LENGTH = struct.Struct(">I")
 _U64_MAX = (1 << 64) - 1
 
+#: Protocol op names carried as a one-byte table index instead of a
+#: string. Append only -- indices are wire format, and a call header
+#: holds one in a byte with 0xFF taken: 255 entries at most. An op
+#: missing here still travels, as an inline string.
+INTERNED_OPS: Tuple[str, ...] = (
+    "register",
+    "update",
+    "unregister",
+    "locate",
+    "whois",
+    "refresh",
+    "version",
+    "ping",
+    "get-loads",
+    "extract",
+    "extract-all",
+    "adopt",
+    "set-coverage",
+    "agent-arrive",
+    "agent-depart",
+    "register-node",
+    "bootstrap",
+    "load-report",
+    "get-hash-function",
+    "get-hash-delta",
+    "replica-sync",
+    "new-primary",
+    "list-iagents",
+    "stats",
+    "host-iagent",
+    "restart-iagent",
+    "retire-iagent",
+    "crash-iagent",
+    "node-stats",
+    "register-batch",
+    "locate-batch",
+    "whois-batch",
+    "shard-map",
+    "shard-merge",
+    "shard-merge-prepare",
+    "shard-merge-commit",
+    "shard-release",
+    "discover-candidates",
+    "discover-similar",
+    "discover-capability",
+    "discover-similar-batch",
+    "discover-capability-batch",
+    "set-capabilities",
+    "hand-off",
+)
+_OP_INDEX: Dict[str, int] = {name: index for index, name in enumerate(INTERNED_OPS)}
+
 
 class WireError(TaggedCodecError):
     """A frame or value that cannot be (de)coded."""
@@ -165,10 +216,6 @@ _REPLY_HEAD = struct.Struct(">BBQ")
 _CALL_OP_INLINE = 0xFF
 _REPLY_VALUE = 0x00
 _REPLY_ERROR = 0x01
-#: ``Request.size`` / ``Response.size`` as the live service leaves them
-#: (a simulator field): an envelope carrying any other value keeps the
-#: generic 0x0B / 0x0C form.
-_DEFAULT_SIZE = 256
 
 
 def _sealed(out: bytearray, max_frame: int) -> bytes:
@@ -185,27 +232,23 @@ def encode_call(
 ) -> bytes:
     """One RPC call as a frame: the fixed header, then ``body``.
 
-    A call whose fields do not fit the header -- an op that is not a
-    string, a message id outside u64 -- is written as the generic
-    ``{"to", "req"}`` envelope value instead, the bytes
-    :func:`encode_frame` writes for that envelope.
+    An op that is not a string or a message id outside u64 does not fit
+    the header: :class:`WireError`.
     """
+    if type(op) is not str or type(message_id) is not int or not 0 <= message_id <= _U64_MAX:
+        raise WireError(f"no call header holds op {op!r} with message id {message_id!r}")
     out = bytearray(_LENGTH.size)  # the length slot: framing adds no copy
+    op_byte = _OP_INDEX.get(op, _CALL_OP_INLINE)
+    raw_target = type(target) is AgentId and target[1] <= 64
+    out += _CALL_HEAD.pack(_T_CALL, op_byte, message_id, target[1] if raw_target else 0)
     try:
-        if type(op) is str and type(message_id) is int and 0 <= message_id <= _U64_MAX:
-            op_byte = _OP_INDEX.get(op, _CALL_OP_INLINE)
-            raw_target = type(target) is AgentId and target[1] <= 64
-            out += _CALL_HEAD.pack(_T_CALL, op_byte, message_id, target[1] if raw_target else 0)
-            if op_byte == _CALL_OP_INLINE:
-                _write_str(op, out)
-            if raw_target:
-                out += _U64.pack(target[0])
-            else:
-                _encode_value(target, out)
-            _encode_value(body, out)
+        if op_byte == _CALL_OP_INLINE:
+            _write_str(op, out)
+        if raw_target:
+            out += _U64.pack(target[0])
         else:
-            request = Request(op=op, body=body, message_id=message_id)
-            _encode_value({"to": target, "req": request}, out)
+            _encode_value(target, out)
+        _encode_value(body, out)
     except BinaryCodecError as error:
         raise WireError(str(error)) from error
     except RecursionError:
@@ -221,23 +264,23 @@ def encode_reply(
 ) -> bytes:
     """One RPC reply as a frame: the header, then ``value`` or ``error``.
 
-    A reply whose fields do not fit the header -- a message id outside
-    u64, an error that is not a string or comes with a value -- is
-    written as the generic ``Response`` value instead, the bytes
-    :func:`encode_frame` writes for that envelope.
+    A message id outside u64, or an error that is not a string or comes
+    with a value, does not fit the header: :class:`WireError`.
     """
+    if type(message_id) is not int or not 0 <= message_id <= _U64_MAX:
+        raise WireError(f"no reply header holds message id {message_id!r}")
     out = bytearray(_LENGTH.size)
     try:
-        if type(message_id) is not int or not 0 <= message_id <= _U64_MAX:
-            _encode_value(Response(message_id, value, error), out)
-        elif error is None:
+        if error is None:
             out += _REPLY_HEAD.pack(_T_REPLY, _REPLY_VALUE, message_id)
             _encode_value(value, out)
         elif type(error) is str and value is None:
             out += _REPLY_HEAD.pack(_T_REPLY, _REPLY_ERROR, message_id)
             _write_str(error, out)
         else:
-            _encode_value(Response(message_id, value, error), out)
+            raise WireError(
+                f"no reply header holds error {error!r} beside a {type(value).__name__}"
+            )
     except BinaryCodecError as exc:
         raise WireError(str(exc)) from exc
     except RecursionError:
@@ -251,10 +294,10 @@ def encode_frame(
     """One value as a length-prefixed frame in the given codec.
 
     In binary, the frame kind is read off the value's own shape, here
-    and nowhere else: a ``{"to", "req"}`` envelope or a ``Response``
-    whose simulator fields are unset is a call or a reply; any other
-    value -- an envelope with a simulator field set, a ``Request``
-    nested deeper -- travels as the tagged value it always was.
+    and nowhere else: a ``{"to", "req"}`` envelope is a call and a
+    ``Response`` a reply, their simulator fields at the defaults (set,
+    they have no wire form: :class:`WireError`); any other value is a
+    value frame, and one holding an envelope does not encode.
     """
     if codec != CODEC_BINARY:
         body = json.dumps(
@@ -264,19 +307,19 @@ def encode_frame(
             raise WireError(f"frame of {len(body)} bytes exceeds limit {max_frame}")
         return _LENGTH.pack(len(body)) + body
     kind = type(value)
-    if kind is dict:
-        if len(value) == 2 and tuple(value) == ("to", "req"):
-            request = value["req"]
-            if (
-                type(request) is Request
-                and request.size == _DEFAULT_SIZE
-                and request.sender_node is None
-                and request.sender_agent is None
+    if kind is dict and len(value) == 2 and tuple(value) == ("to", "req"):
+        request = value["req"]
+        if type(request) is Request:
+            if (request.size, request.sender_node, request.sender_agent) != (
+                Request.size, None, None
             ):
-                return encode_call(
-                    request.message_id, request.op, value["to"], request.body, max_frame
-                )
-    elif kind is Response and value.size == _DEFAULT_SIZE:
+                raise WireError(f"{request!r} sets a simulator field: it has no wire form")
+            return encode_call(
+                request.message_id, request.op, value["to"], request.body, max_frame
+            )
+    elif kind is Response:
+        if value.size != Response.size:
+            raise WireError(f"a Response of size {value.size} has no wire form")
         return encode_reply(value.message_id, value.value, value.error, max_frame)
     out = bytearray(_LENGTH.size)
     try:
@@ -418,9 +461,8 @@ class FrameDecoder:
     and poisons the decoder (a stream is unrecoverable once desynced).
 
     :meth:`decode` is the live path: every frame one chunk completes, as
-    flat tuples, in one pass. :meth:`frames` (lazily, one frame per
-    step) and :meth:`feed` (the whole chunk) are the one-shot edge's
-    forms, envelopes rebuilt.
+    flat tuples, in one pass. :meth:`feed` is the one-shot edge's form,
+    envelopes rebuilt.
     """
 
     def __init__(
@@ -477,39 +519,6 @@ class FrameDecoder:
         frames: List[Frame] = []
         self.decode(data, frames)
         return [_envelope(frame) for frame in frames]
-
-    def frames(self, data: Buffer) -> Iterator[Any]:
-        """Consume ``data``; yield each frame it completes, lazily.
-
-        Frames are walked with a read offset and the buffer is compacted
-        once, when the iteration ends; frames not pulled stay buffered.
-        """
-        if self._poisoned:
-            raise WireError("decoder poisoned by an earlier malformed frame")
-        buffer = self._buffer
-        buffer += data
-        chunk = bytes(buffer)
-        header = _LENGTH.size
-        pos = 0
-        try:
-            while len(chunk) - pos >= header:
-                (length,) = _LENGTH.unpack_from(chunk, pos)
-                if length > self.max_frame:
-                    raise WireError(
-                        f"frame length {length} exceeds limit {self.max_frame}"
-                    )
-                end = pos + header + length
-                if end > len(chunk):
-                    break
-                frame = _envelope(self._decode_at(chunk, pos + header, end))
-                pos = end
-                yield frame
-        except WireError:
-            self._poisoned = True
-            raise
-        finally:
-            if not self._poisoned:
-                del buffer[:pos]
 
     @property
     def pending_bytes(self) -> int:

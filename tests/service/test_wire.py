@@ -3,7 +3,9 @@
 The round-trip law is the whole contract: for every value the protocol
 can put on the wire -- including :class:`AgentId` as *dictionary keys*
 (location-record tables), nested tuples (hash-tree specs) and the
-``Request``/``Response`` envelopes -- ``decode(encode(v)) == v``.
+``Request``/``Response`` envelopes (in binary, those whose fields a
+call / reply header holds: it is an RPC's only wire form) --
+``decode(encode(v)) == v``.
 Hypothesis generates the values; explicit tests cover the adversarial
 side (truncated, oversized and garbage frames must raise
 :class:`WireError`, never crash or mis-decode).
@@ -16,7 +18,7 @@ import struct
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.iagent_state import IAgentState
@@ -145,9 +147,10 @@ def rarely(strategy):
     return st.one_of(st.none(), st.none(), st.none(), strategy)
 
 
+envelope_ops = st.sampled_from(["locate", INTERNED_OPS[-1], "never-interned-op", ""])
 envelope_requests = st.builds(
     Request,
-    op=st.sampled_from(["locate", INTERNED_OPS[-1], "never-interned-op", ""]),
+    op=envelope_ops,
     body=values,
     sender_node=rarely(st.just("node-0")),
     sender_agent=rarely(agent_ids),
@@ -172,6 +175,26 @@ envelope_responses = st.one_of(
 )
 
 wire_values = st.one_of(values, requests, responses, envelopes, envelope_responses)
+
+u64_ids = st.one_of(
+    st.sampled_from([0, 1, 2**63, 2**64 - 1]),
+    st.integers(min_value=0, max_value=2**64 - 1),
+)
+# What the binary codec carries: values, and envelopes a header holds.
+binary_values = st.one_of(
+    values,
+    st.builds(
+        lambda to, op, body, message_id: {
+            "to": to, "req": Request(op=op, body=body, message_id=message_id)
+        },
+        targets,
+        envelope_ops,
+        values,
+        u64_ids,
+    ),
+    st.builds(Response, message_id=u64_ids, value=values),
+    st.builds(Response, message_id=u64_ids, error=st.text(max_size=30)),
+)
 
 
 # ----------------------------------------------------------------------
@@ -232,7 +255,11 @@ class TestRoundTrip:
 # ----------------------------------------------------------------------
 
 TABLE, GENERIC = 0x0D, 0x0A
-STR_DICT, RESPONSE, CALL, REPLY = 0x09, 0x0C, 0x0E, 0x0F
+STR_DICT, CALL, REPLY = 0x09, 0x0E, 0x0F
+# The first byte of the generic envelope forms, now retired: a call was
+# a string-keyed dict holding a 0x0B Request, a reply a 0x0C Response.
+GENERIC_CALL, GENERIC_REPLY = STR_DICT, 0x0C
+RETIRED_TAGS = (0x0B, 0x0C)
 ID_ANY_WIDTH, ID_64 = 0x06, 0x10
 ANY, INTS, LIST_ROWS, TUPLE_ROWS = 0, 1, 2, 3
 
@@ -256,7 +283,7 @@ def ids(count, width=64):
 
 
 class TestAgentIdTables:
-    @given(wire_values)
+    @given(binary_values)
     @settings(max_examples=300)
     def test_binary_round_trip_keeps_every_type(self, value):
         decoded = binary_round_trip(value)
@@ -354,7 +381,7 @@ def handoff_frame():
         "capabilities": {agents[0]: {"gpu": True}, agents[3]: {"tier": "core"}},
         "pattern": "1x0",
     }
-    request = Request(op="adopt", body=bundle, sender_node="node-0")
+    request = Request(op="adopt", body=bundle, message_id=3)
     return encode_binary({"to": agents[0], "req": request})
 
 
@@ -606,13 +633,23 @@ ERROR_REPLY = Response(message_id=8, error="unknown-op: 'nope'")
 HEADER_FRAMES = [LOCATE_CALL, INLINE_OP_CALL, LOCATE_REPLY, ERROR_REPLY]
 
 
+def holds_an_envelope(value):
+    return type(value) is Response or (
+        type(value) is dict and any(type(item) in (Request, Response) for item in value.values())
+    )
+
+
 class TestFrameKinds:
     @given(st.one_of(envelopes, envelope_responses))
     @settings(max_examples=500)
     def test_header_form_exactly_when_the_shape_allows(self, value):
+        kind = header_form(value)
+        if kind is None and holds_an_envelope(value):
+            with pytest.raises(WireError):  # no header holds it: no form at all
+                encode_frame(value)
+            return
         body = encode_binary(value)
-        generic = RESPONSE if type(value) is Response else STR_DICT
-        assert body[0] == (header_form(value) or generic)
+        assert body[0] == (kind or STR_DICT)  # else an envelope-shaped plain dict
         assert encode_frame(value)[4:] == body  # one choice, both entry points
         decoded = decode_binary(body)
         assert decoded == value
@@ -625,36 +662,36 @@ class TestFrameKinds:
             (LOCATE_CALL, CALL),
             (INLINE_OP_CALL, CALL),
             ({"to": AgentId(1, 65), "req": Request(op="locate", message_id=1)}, CALL),
-            ({"to": "ia-0", "req": Request(op="locate", message_id=2**64)}, STR_DICT),
-            ({"to": "ia-0", "req": Request(op="locate", message_id=True)}, STR_DICT),
-            ({"to": "ia-0", "req": Request(op="locate", sender_node="node-0")}, STR_DICT),
-            ({"to": "ia-0", "req": Request(op="locate", sender_agent=AgentId(1))}, STR_DICT),
-            ({"to": "ia-0", "req": Request(op="locate", size=255)}, STR_DICT),
-            ({"req": Request(op="locate"), "to": "ia-0"}, STR_DICT),
+            ({"to": "ia-0", "req": Request(op="locate", message_id=2**64)}, GENERIC_CALL),
+            ({"to": "ia-0", "req": Request(op="locate", message_id=True)}, GENERIC_CALL),
+            ({"to": "ia-0", "req": Request(op="locate", sender_node="node-0")}, GENERIC_CALL),
+            ({"to": "ia-0", "req": Request(op="locate", sender_agent=AgentId(1))}, GENERIC_CALL),
+            ({"to": "ia-0", "req": Request(op="locate", size=255)}, GENERIC_CALL),
+            ({"req": Request(op="locate"), "to": "ia-0"}, GENERIC_CALL),
             (LOCATE_REPLY, REPLY),
             (ERROR_REPLY, REPLY),
             (Response(message_id=0, value=None), REPLY),
-            (Response(message_id=-1, error="bad-envelope: expected {to, req}"), RESPONSE),
-            (Response(message_id=1, value={"partial": 1}, error="and an error"), RESPONSE),
-            (Response(message_id=1, error=7), RESPONSE),
-            (Response(message_id=1, value=1, size=255), RESPONSE),
+            (Response(message_id=-1, error="unknown-op: 'nope'"), GENERIC_REPLY),
+            (Response(message_id=1, value={"partial": 1}, error="and an error"), GENERIC_REPLY),
+            (Response(message_id=1, error=7), GENERIC_REPLY),
+            (Response(message_id=1, value=1, size=255), GENERIC_REPLY),
         ],
     )
     def test_each_shape_condition(self, value, kind):
+        assert header_form(value) == (kind if kind in (CALL, REPLY) else None)
+        if kind in (GENERIC_CALL, GENERIC_REPLY):  # the retired forms: none left
+            with pytest.raises(WireError):
+                encode_frame(value)
+            return
         body = encode_binary(value)
-        assert body[0] == kind and header_form(value) == (kind if kind in (CALL, REPLY) else None)
+        assert body[0] == kind
         assert decode_binary(body) == value
 
-    def test_a_nested_envelope_is_a_plain_value(self):
+    def test_a_nested_envelope_has_no_wire_form(self):
         request, reply = LOCATE_CALL["req"], LOCATE_REPLY
         for value in ([LOCATE_CALL], {"batch": LOCATE_CALL}, [reply], request, (request, reply)):
-            body = encode_binary(value)
-            assert CALL not in body[:1] and REPLY not in body[:1]
-            assert decode_binary(body) == value
-        # ... and spelled with the old tags, bit for bit what it was.
-        assert encode_binary([reply]) == (
-            b"\x08\x01\x0c\x0e\x80\x04" + encode_binary(reply.value) + b"\x00"
-        )
+            with pytest.raises(WireError, match="not wire-encodable"):
+                encode_frame(value)
 
     @pytest.mark.parametrize("width", [1, 12, 63, 64, 65, 128])
     def test_an_id_decodes_equal_to_a_constructed_one(self, width):
@@ -763,6 +800,52 @@ class TestFrameKindRejection:
                 decode_binary(b"\x08\x01" + body[:cut])
 
 
+#: The bytes an older encoder wrote for ``Request(op="ping", message_id=1)``
+#: under the retired tag: interned op 7, id 1, size 256, three Nones.
+OLD_PING = b"\x0b\x01\x07\x02\x80\x04\x00\x00\x00"
+
+
+def retired_tag_bodies(tag, tail):
+    """A frame body holding ``tag`` (then ``tail``) at top level, in a
+    list, in a dict, as a call's body and as a reply's value."""
+    value = bytes([tag]) + tail
+    ping = encode_binary({"to": "host", "req": Request(op="ping", message_id=1)})
+    pong = encode_binary(Response(message_id=1))
+    return [
+        value,
+        b"\x08\x01" + value,
+        b"\x09\x01\x01k" + value,
+        ping[:-1] + value,  # in place of the None body
+        pong[:-1] + value,
+    ]
+
+
+class TestRetiredTags:
+    """0x0B / 0x0C carried the simulator's envelopes. No decoder accepts
+    them anywhere, whatever follows: a frame holding one is garbage."""
+
+    @given(st.sampled_from(RETIRED_TAGS), st.binary(max_size=16))
+    @example(RETIRED_TAGS[0], OLD_PING[1:])
+    @example(RETIRED_TAGS[1], b"\x02\x80\x04\x00\x00")  # Response(1)
+    def test_a_retired_tag_is_refused_everywhere(self, tag, tail):
+        for body in retired_tag_bodies(tag, tail):
+            with pytest.raises(WireError):
+                decode_frame(framed(body))
+            decoder, frames = FrameDecoder(), []
+            with pytest.raises(WireError):
+                decoder.decode(framed(body), frames)
+            assert frames == []
+            with pytest.raises(WireError, match="poisoned"):
+                decoder.decode(encode_frame(1), frames)
+
+    def test_no_encoder_writes_one(self):
+        for value in (Request(op="ping", message_id=1), Response(message_id=1, size=1)):
+            with pytest.raises(WireError):
+                encode_frame(value)
+            with pytest.raises(WireError):
+                encode_frame([value])
+
+
 # ----------------------------------------------------------------------
 # An id is built on a (value, width) tuple; no codec may confuse the two
 # ----------------------------------------------------------------------
@@ -842,9 +925,9 @@ class TestFramesArePinned:
 
     The steady locate pair is pinned in the header forms (request 53 ->
     40 bytes, reply 41 -> 46: a fixed u64 id costs a reply what the
-    request saves several times over); the update request sets a
-    simulator field and so keeps the generic envelope, every byte of it
-    but the 64-bit id in its body (0x06 varints -> 0x10, 73 -> 70).
+    request saves several times over), and so is the update request (a
+    call header is its only form: the generic envelope it once rode
+    when a simulator field was set is refused both ways).
     """
 
     AGENT = AgentId(0x9E3779B97F4A7C15)
@@ -872,22 +955,26 @@ class TestFramesArePinned:
         assert len(frame) == 46
 
     def test_update_request(self):
-        request = Request(
-            op="update",
-            body={"agent": self.AGENT, "node": "node-2", "seq": 41},
-            sender_node="node-0",
-            message_id=8,
+        body = {"agent": self.AGENT, "node": "node-2", "seq": 41}
+        frame = (
+            b"\x00\x00\x005\x0e\x01\x00\x00\x00\x00\x00\x00\x00\x08\x00\x05\x04ia-3"
+            b"\t\x03\x05agent\x10\x9e7y\xb9\x7fJ|\x15\x04node\x05\x06node-2\x03seq\x03R"
         )
-        assert encode_frame({"to": "ia-3", "req": request}) == (
-            b"\x00\x00\x00B\t\x02\x02to\x05\x04ia-3\x03req\x0b\x01\x01\x10\x80\x04"
-            b"\t\x03\x05agent\x10\x9e7y\xb9\x7fJ|\x15"
-            b"\x04node\x05\x06node-2\x03seq\x03R\x05\x06node-0\x00"
-        )
-        # encode_call has no simulator field to set: the same call from
-        # the header fields is the 40-byte header form of the locate.
-        assert encode_call(8, "update", "ia-3", request.body) == encode_frame(
-            {"to": "ia-3", "req": Request(op="update", body=request.body, message_id=8)}
-        )
+        assert encode_call(8, "update", "ia-3", body) == frame
+        call = {"to": "ia-3", "req": Request(op="update", body=body, message_id=8)}
+        assert encode_frame(call) == frame and decode_frame(frame) == call
+        assert len(frame) == 57
+        # With a simulator field set it has no wire form; and the bytes
+        # an older encoder wrote for it then are garbage now.
+        request = Request(op="update", body=body, sender_node="node-0", message_id=8)
+        with pytest.raises(WireError, match="simulator field"):
+            encode_frame({"to": "ia-3", "req": request})
+        with pytest.raises(WireError, match="unknown binary tag 0x0b"):
+            decode_frame(
+                b"\x00\x00\x00B\t\x02\x02to\x05\x04ia-3\x03req\x0b\x01\x01\x10\x80\x04"
+                b"\t\x03\x05agent\x10\x9e7y\xb9\x7fJ|\x15"
+                b"\x04node\x05\x06node-2\x03seq\x03R\x05\x06node-0\x00"
+            )
 
     def test_extract_reply_of_1000_records(self):
         reply = Response(message_id=9, value={"status": "ok", **handoff_bundle(1000)})
@@ -905,13 +992,10 @@ class TestFramesArePinned:
             "029c5af33c555cb8b7f1e8161697dc00de03adf9bf6fd52bd59588373ab45ccb"
         )
         assert encode_reply(9, reply.value) == frame
-        # The columns did not move: put back behind the generic Response
-        # tag (id, size, value, a None error) they have the old digest.
-        generic = framed(b"\x0c\x12\x80\x04" + frame[14:] + b"\x00")
-        assert len(generic) == 33135
-        assert hashlib.sha256(generic).hexdigest() == (
-            "7dc25e744a5f0f0226bfd06e573a4033a6e099681b2706b85fa9838023bf2f57"
-        )
+        # Behind the retired Response tag (id, size, value, a None
+        # error), the frame an older encoder wrote, they are refused.
+        with pytest.raises(WireError, match="unknown binary tag 0x0c"):
+            decode_frame(framed(b"\x0c\x12\x80\x04" + frame[14:] + b"\x00"))
         decoded = decode_frame(frame)
         assert decoded.value == reply.value
         assert {type(key) for key in decoded.value["records"]} == {AgentId}
@@ -933,10 +1017,6 @@ class TestFramesArePinned:
 # The live forms: header fields in, flat tuples out
 # ----------------------------------------------------------------------
 
-u64_ids = st.one_of(
-    st.sampled_from([0, 1, 2**63, 2**64 - 1]),
-    st.integers(min_value=0, max_value=2**64 - 1),
-)
 call_ops = st.one_of(
     st.sampled_from(INTERNED_OPS),  # one header byte
     st.sampled_from(["op-of-the-future", "", "\u00e9t\u00e9"]),  # inline strings
@@ -981,22 +1061,26 @@ def decoded(stream, cuts=()):
 class TestHeaderFields:
     """``encode_call`` / ``encode_reply`` write exactly what
     ``encode_frame`` writes for the envelope with those fields, and the
-    decoder hands the same fields back."""
+    decoder hands the same fields back; fields no header holds are
+    refused by both."""
 
     @given(call_targets, call_ops, values, st.one_of(u64_ids, st.just(2**64), st.just(2**80)))
     @settings(max_examples=400)
     def test_a_call_is_its_envelope_s_bytes_and_decodes_to_its_fields(
         self, target, op, body, message_id
     ):
-        frame = encode_call(message_id, op, target, body)
         request = Request(op=op, body=body, message_id=message_id)
+        if message_id > 2**64 - 1:  # no u64 header for this id, and no other form
+            with pytest.raises(WireError, match="no call header"):
+                encode_call(message_id, op, target, body)
+            with pytest.raises(WireError, match="no call header"):
+                encode_frame({"to": target, "req": request})
+            return
+        frame = encode_call(message_id, op, target, body)
         assert frame == encode_frame({"to": target, "req": request})
         (got,) = decoded(frame)[0]
-        if message_id <= 2**64 - 1:
-            assert got == (wire.CALL, target, op, body, message_id)
-            assert repr(got) == repr((wire.CALL, target, op, body, message_id))
-        else:  # no u64 header for this id: the generic envelope value
-            assert got == (wire.VALUE, {"to": target, "req": request})
+        assert got == (wire.CALL, target, op, body, message_id)
+        assert repr(got) == repr((wire.CALL, target, op, body, message_id))
         assert decode_frame(frame) == {"to": target, "req": request}
 
     @given(
@@ -1008,15 +1092,44 @@ class TestHeaderFields:
     def test_a_reply_is_its_response_s_bytes_and_decodes_to_its_fields(
         self, message_id, value, error
     ):
-        frame = encode_reply(message_id, value, error)
         response = Response(message_id, value, error)
+        if header_form(response) != REPLY:  # no reply header holds it
+            with pytest.raises(WireError, match="no reply header"):
+                encode_reply(message_id, value, error)
+            with pytest.raises(WireError, match="no reply header"):
+                encode_frame(response)
+            return
+        frame = encode_reply(message_id, value, error)
         assert frame == encode_frame(response)
         (got,) = decoded(frame)[0]
-        if header_form(response) == REPLY:  # the reply header's kind byte
-            assert got == (wire.REPLY, message_id, value, error)
-        else:
-            assert got == (wire.VALUE, response)
+        assert got == (wire.REPLY, message_id, value, error)
         assert decode_frame(frame) == response
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            (1, 7, "host", None),  # an op that is not a string
+            (True, "ping", "host", None),  # a bool is no message id
+            (-1, "ping", "host", None),
+            (2**64, "ping", "host", None),
+        ],
+    )
+    def test_a_call_no_header_holds_is_refused(self, fields):
+        with pytest.raises(WireError, match="no call header"):
+            encode_call(*fields)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            (-1, None, "unknown-op: 'nope'"),  # an id outside u64
+            (True, 1, None),
+            (1, None, 7),  # an error that is not a string
+            (1, {"partial": 1}, "and an error"),  # a value and an error
+        ],
+    )
+    def test_a_reply_no_header_holds_is_refused(self, fields):
+        with pytest.raises(WireError, match="no reply header"):
+            encode_reply(*fields)
 
     def test_a_call_too_big_for_the_limit_is_refused(self):
         with pytest.raises(WireError, match="exceeds limit"):
@@ -1053,6 +1166,16 @@ class TestSegments:
             at = min(at + size, len(stream))
             cuts.append(at)
         assert decoded(stream, cuts) == (expected, len(tail))
+
+    def test_many_frames_in_one_segment_compact_once(self):
+        # ~1000 pipelined frames behind a buffered partial frame: the
+        # read offset walks them; the buffer is cut once at the end.
+        frames = [{"n": n} for n in range(1000)]
+        stream = b"".join(encode_frame(frame) for frame in frames)
+        decoder = FrameDecoder()
+        assert decoder.feed(stream[:3]) == []
+        assert decoder.feed(stream[3:] + stream[:9]) == frames
+        assert decoder.pending_bytes == 9
 
     def test_a_segment_is_decoded_to_the_bad_frame_and_then_refused(self):
         good = encode_call(1, "whois", "lhagent", {"agent": AgentId(5)})
@@ -1143,28 +1266,3 @@ class TestDecoderPoisoning:
         assert decoder.feed(frame[:5]) == []
         assert decoder.pending_bytes == 5
         assert decoder.feed(frame[5:]) == [[1, 2, 3]]
-
-
-class TestLazyFrames:
-    """``frames`` decodes one frame per step, off a read offset."""
-
-    def test_unpulled_frames_stay_buffered(self):
-        stream = b"".join(encode_frame(n) for n in range(5))
-        decoder = FrameDecoder()
-        pulled = decoder.frames(stream + b"\x00\x00")
-        assert [next(pulled), next(pulled)] == [0, 1]
-        pulled.close()
-        # Nothing is lost or replayed: the rest comes out of the next
-        # feed, and the trailing partial header is still pending.
-        assert decoder.feed(b"") == [2, 3, 4]
-        assert decoder.pending_bytes == 2
-
-    def test_many_frames_in_one_segment_compact_once(self):
-        # ~1000 pipelined frames behind a buffered partial frame: the
-        # read offset walks them; the buffer is cut once at the end.
-        frames = [{"n": n} for n in range(1000)]
-        stream = b"".join(encode_frame(frame) for frame in frames)
-        decoder = FrameDecoder()
-        assert decoder.feed(stream[:3]) == []
-        assert decoder.feed(stream[3:] + stream[:9]) == frames
-        assert decoder.pending_bytes == 9

@@ -3,8 +3,9 @@
 The contract extends test_wire's round-trip law across codecs: for
 every value the protocol can ship, the binary codec and the tagged-JSON
 form must decode back to the *identical* value -- AgentId dictionary
-keys, nested tuples and the Request/Response envelopes included. A
-binary decoder given the JSON form's bytes must reject them as it does
+keys, nested tuples and the Request/Response envelopes a call / reply
+header holds included (the only binary form of an envelope). A binary
+decoder given the JSON form's bytes must reject them as it does
 any garbage; the live half of that is in test_transport.
 """
 
@@ -81,7 +82,23 @@ responses = st.builds(
     size=st.integers(min_value=0, max_value=65536),
 )
 
-wire_values = st.one_of(values, requests, responses)
+u64_ids = st.integers(min_value=0, max_value=2**64 - 1)
+targets = st.one_of(agent_ids, st.sampled_from(["lhagent", "host", "iagent:0"]))
+calls = st.builds(
+    lambda to, op, body, message_id: {
+        "to": to, "req": Request(op=op, body=body, message_id=message_id)
+    },
+    targets,
+    st.sampled_from(["locate", "update", "whois", "custom-future-op"]),
+    values,
+    u64_ids,
+)
+replies = st.one_of(
+    st.builds(Response, message_id=u64_ids, value=values),
+    st.builds(Response, message_id=u64_ids, error=st.text(max_size=30)),
+)
+
+wire_values = st.one_of(values, calls, replies)
 
 
 # ----------------------------------------------------------------------
@@ -109,14 +126,23 @@ class TestCodecEquivalence:
 
     @given(requests)
     def test_request_envelope_fields_survive_both_codecs(self, request):
-        for codec in (CODEC_BINARY, CODEC_JSON):
-            decoded = decode_frame(encode_frame(request, codec=codec), codec=codec)
-            assert decoded.op == request.op
-            assert decoded.message_id == request.message_id
-            assert decoded.body == request.body
-            assert decoded.sender_node == request.sender_node
-            assert decoded.sender_agent == request.sender_agent
-            assert decoded.size == request.size
+        # JSON carries every field; binary a call header's -- op, message
+        # id, target, body -- and no envelope with a simulator field set.
+        decoded = decode_frame(encode_frame(request, codec=CODEC_JSON), codec=CODEC_JSON)
+        assert decoded.op == request.op
+        assert decoded.message_id == request.message_id
+        assert decoded.body == request.body
+        assert decoded.sender_node == request.sender_node
+        assert decoded.sender_agent == request.sender_agent
+        assert decoded.size == request.size
+        call = Request(op=request.op, body=request.body, message_id=request.message_id)
+        decoded = decode_frame(encode_frame({"to": "host", "req": call}))["req"]
+        assert (decoded.op, decoded.message_id, decoded.body) == (
+            request.op, request.message_id, request.body
+        )
+        if (request.size, request.sender_node, request.sender_agent) != (256, None, None):
+            with pytest.raises(WireError, match="no wire form"):
+                encode_frame({"to": "host", "req": request})
 
     @given(st.dictionaries(agent_ids, st.tuples(st.text(max_size=8), st.integers()), max_size=5))
     def test_record_table_round_trip_binary(self, table):
@@ -135,17 +161,17 @@ class TestCodecEquivalence:
 
     def test_interned_and_inline_ops_round_trip(self):
         for op in [INTERNED_OPS[0], INTERNED_OPS[-1], "never-interned-op"]:
-            request = Request(op=op, body=None)
-            frame = encode_frame(request, codec=CODEC_BINARY)
-            assert decode_frame(frame, codec=CODEC_BINARY).op == op
+            call = {"to": "host", "req": Request(op=op, body=None)}
+            frame = encode_frame(call, codec=CODEC_BINARY)
+            assert decode_frame(frame, codec=CODEC_BINARY)["req"].op == op
 
     def test_binary_is_smaller_on_protocol_traffic(self):
         table = {
             AgentId(value=(0x9E3779B97F4A7C15 * i) & (2**64 - 1)): ("node-3", i)
             for i in range(1, 200)
         }
-        request = Request(op="locate", body={"agent": next(iter(table))})
-        for value in (table, request):
+        call = {"to": "iagent:0", "req": Request(op="locate", body={"agent": next(iter(table))})}
+        for value in (table, call):
             binary = encode_frame(value, codec=CODEC_BINARY)
             json_ = encode_frame(value, codec=CODEC_JSON)
             assert len(binary) < len(json_)
@@ -221,8 +247,9 @@ class TestBinaryRejection:
             decode_frame(_frame(body), codec=CODEC_BINARY)
 
     def test_unknown_interned_op_rejected(self):
-        # REQUEST tag, interned marker, index far beyond the table.
-        body = b"\x0b\x01\xff\x7f"
+        # A call header (tag, op, u64 message id, target width) whose op
+        # index is far beyond the table.
+        body = b"\x0e\x7f" + bytes(8) + b"\x00\x00\x00"
         with pytest.raises(WireError, match="interned op"):
             decode_frame(_frame(body), codec=CODEC_BINARY)
 

@@ -133,3 +133,18 @@ def test_the_live_rpc_path_builds_no_envelope(module):
         for pair in imported
         if "repro.platform.messages" in pair or pair[1] in ("Request", "Response")
     ]
+
+
+def test_the_value_codec_loads_no_envelope():
+    """The binary codec under every frame, WAL record and snapshot knows
+    no RPC envelope: importing it does not load their module."""
+    script = (
+        f"import sys; sys.path.insert(0, {str(SRC)!r})\n"
+        "import repro.platform.binary\n"
+        "print('repro.platform.messages' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
