@@ -90,7 +90,9 @@ def _locate_batch_request(agents: int) -> dict:
     return {"to": "iagent:0", "req": request}
 
 
-#: Rows per batched RPC: ``repro.service.client.BATCH_SIZE``.
+#: Rows per batch in these arms: 64, the client's chunk when the arms were
+#: added (``repro.service.client.BATCH_ROWS`` is 512 since), kept so the
+#: per-row costs stay comparable across commits.
 BATCH_ROWS = 64
 
 

@@ -317,7 +317,12 @@ class SecondaryCopies:
         copy = self.copies.get(shard)
         if copy is None:
             return None
-        owner, node = copy.resolve(agent_id)
+        return self.mapping(copy, copy.tree.lookup_id(agent_id))
+
+    def mapping(self, copy: HashFunction, owner: Any) -> Dict:
+        """What :meth:`resolve` answers for every id ``copy`` routes to
+        ``owner``."""
+        node = copy.iagent_nodes.get(owner)
         addr = self.node_addrs.get(node)
         return {
             "iagent": owner,

@@ -48,7 +48,7 @@ level, with no bit string and no memo. The same arrays serve the
 Hamming walks (:meth:`find_within_hamming`, :meth:`nearest`). ``lookup``
 is the paper-facing string edge over the same walk. Every mutation
 (``apply_split``/``apply_merge``) bumps :attr:`version` and invalidates
-the compiled form and the per-owner hyper-label caches; the property
+the compiled form and the hyper-labels of the owners it moved; the property
 suite in ``tests/core/test_tree_compiled.py`` proves the compiled and
 the naive §3 traversal agree across arbitrary rehash interleavings.
 """
@@ -200,10 +200,14 @@ class HashTree:
         #: owner -> HyperLabel of its leaf, valid for the current version.
         self._hyper_cache: Dict[OwnerKey, HyperLabel] = {}
 
-    def _invalidate(self) -> None:
-        """Drop every derived structure; called by each mutation."""
+    def _invalidate(self, owners: List[OwnerKey]) -> None:
+        """Drop the compiled form and the hyper-labels of ``owners``: the
+        leaves a mutation moved or relabelled (no other leaf's path
+        changes). Called by each mutation."""
         self._compiled = None
-        self._hyper_cache.clear()
+        pop = self._hyper_cache.pop
+        for owner in owners:
+            pop(owner, None)
 
     # ------------------------------------------------------------------
     # Read operations
@@ -305,8 +309,14 @@ class HashTree:
         return hyper
 
     def consumed_width(self, owner: OwnerKey) -> int:
-        """Total id bits consumed reaching ``owner``'s leaf."""
-        return self.hyper_label(owner).width
+        """Total id bits consumed reaching ``owner``'s leaf: its
+        hyper-label's width, summed up the path without building one."""
+        node: Optional[_TreeNode] = self._leaf(owner)
+        width = 0
+        while node is not None:
+            width += len(node.label)
+            node = node.parent
+        return width
 
     def covers(self, owner: OwnerKey, bits: str) -> bool:
         """Whether ``owner`` serves the id with representation ``bits``."""
@@ -466,7 +476,7 @@ class HashTree:
         else:
             affected = self._apply_complex_split(candidate, new_owner)
         self.version += 1
-        self._invalidate()
+        self._invalidate(affected + [new_owner])
         return SplitOutcome(
             candidate=candidate,
             old_owner=candidate.owner,
@@ -666,7 +676,7 @@ class HashTree:
             parent.right.parent = parent
             parent.owner = None
         self.version += 1
-        self._invalidate()
+        self._invalidate(absorbers + [owner])
         return MergeOutcome(
             merged_owner=owner, kind=kind, absorbers=absorbers, version=self.version
         )

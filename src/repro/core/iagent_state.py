@@ -109,6 +109,19 @@ def _admits(records: Dict, agent: Any, seq: int) -> bool:
     return held is None or seq >= held[1]
 
 
+def _put(table: Dict[str, Any], entry: Dict[str, Any]) -> bool:
+    """The ``put`` transition: store the row unless a newer sequence is
+    held; whether it won."""
+    agent, seq = entry["agent"], entry["seq"]
+    records = table["records"]
+    if not _admits(records, agent, seq):
+        return False
+    records[agent] = [entry["node"], seq]
+    if "caps" in entry:
+        table["capabilities"][agent] = entry["caps"]
+    return True
+
+
 class table_field:
     """A driver attribute that reads and writes one field of its
     ``state.table`` (drivers keep ``coverage`` / ``records`` /
@@ -146,11 +159,15 @@ class IAgentState:
         all write, so the compiled test is keyed on the pattern it was
         compiled from and renewed when the table holds another.
         """
+        return self._coverage_test()(agent)
+
+    def _coverage_test(self) -> Callable[[Any], bool]:
+        """The compiled test for the coverage the table holds now."""
         pattern = self.table["coverage"]
         if pattern != self._compiled_for:
             self._compiled_for = pattern
             self._covers = compile_coverage(pattern)
-        return self._covers(agent)
+        return self._covers
 
     @staticmethod
     def initial_table() -> Dict[str, Any]:
@@ -168,15 +185,9 @@ class IAgentState:
         or ``clear`` displaced -- which replay ignores.
         """
         kind = entry["op"]
-        records = table["records"]
         if kind == "put":
-            agent = entry["agent"]
-            if not _admits(records, agent, entry["seq"]):
-                return False
-            records[agent] = [entry["node"], entry["seq"]]
-            if "caps" in entry:
-                table["capabilities"][agent] = entry["caps"]
-            return True
+            return _put(table, entry)
+        records = table["records"]
         capabilities = table["capabilities"]
         if kind == "del":
             records.pop(entry["agent"], None)
@@ -221,22 +232,51 @@ class IAgentState:
     def put(self, body: Dict, now: float) -> Outcome:
         """``register`` / ``update``: store ``[node, seq]`` (and an
         optional capability set) unless a newer sequence is held."""
-        return self.put_row(
-            body["agent"], body["node"], body.get("seq", 0), body.get("capabilities"), now
-        )
-
-    def put_row(
-        self, agent: Any, node: str, seq: int, caps: Optional[Dict], now: float
-    ) -> Outcome:
-        """:meth:`put` of one row, as a batch carries it (no body dict)."""
+        agent = body["agent"]
         if not self.covers(agent):
             return {"status": NOT_RESPONSIBLE}, None
-        entry = {"op": "put", "agent": agent, "node": node, "seq": seq}
+        entry = {"op": "put", "agent": agent, "node": body["node"], "seq": body.get("seq", 0)}
+        caps = body.get("capabilities")
         if caps is not None:
             entry["caps"] = validate_capabilities(caps)
-        won = self.apply(self.table, entry)
+        won = _put(self.table, entry)
         self.stats.record_update(agent, now)
         return {"status": OK}, entry if won else None
+
+    def put_rows(
+        self,
+        records: Dict[Any, Sequence],
+        capabilities: Optional[Dict[Any, Dict]],
+        now: float,
+        entries: List[Dict[str, Any]],
+    ) -> List[Any]:
+        """:meth:`put` of every ``agent -> [node, seq]`` row of a batch
+        (``capabilities`` holds the rows that carry a set), in one pass:
+        each admitted row's ``put`` entry is appended to ``entries`` in
+        row order, and the agents this leaf does not cover are returned.
+
+        A malformed capability set raises with the rows before it
+        applied, counted and in ``entries`` -- N single puts would have
+        journaled them -- and it and the rows after it untouched.
+        """
+        covers, table = self._coverage_test(), self.table
+        counted: List[Any] = []
+        bounced: List[Any] = []
+        try:
+            for agent, (node, seq) in records.items():
+                if not covers(agent):
+                    bounced.append(agent)
+                    continue
+                entry = {"op": "put", "agent": agent, "node": node, "seq": seq}
+                caps = capabilities.get(agent) if capabilities else None
+                if caps is not None:
+                    entry["caps"] = validate_capabilities(caps)
+                counted.append(agent)
+                if _put(table, entry):
+                    entries.append(entry)
+        finally:
+            self.stats.record_updates(counted, now)
+        return bounced
 
     def unregister(self, body: Dict) -> Outcome:
         agent = body["agent"]
@@ -373,7 +413,7 @@ class IAgentState:
     def locate_rows(self, agents: Iterable[Any], now: float) -> Dict[Any, List]:
         """:meth:`locate` of many agents: ``agent -> [node, seq]`` for
         each one answered ``ok`` (the held row itself, not a copy)."""
-        covers, record_query = self.covers, self.stats.record_query
+        covers, record_query = self._coverage_test(), self.stats.record_query
         records = self.table["records"]
         found = {}
         for agent in agents:

@@ -20,7 +20,6 @@ property-tested exhaustively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 __all__ = ["Label", "HyperLabel", "compatible"]
@@ -31,16 +30,28 @@ def _check_bits(bits: str, what: str) -> None:
         raise ValueError(f"{what} must be a string of 0/1 characters, got {bits!r}")
 
 
-@dataclass(frozen=True)
 class Label:
-    """One edge label: ``bits[0]`` is the valid bit, the rest is skipped."""
+    """One edge label: ``bits[0]`` is the valid bit, the rest is skipped.
 
-    bits: str
+    Immutable by contract. A plain slotted class, not a dataclass: the
+    tree builds one per edge of every hyper-label it derives.
+    """
 
-    def __post_init__(self) -> None:
-        _check_bits(self.bits, "label")
-        if not self.bits:
+    __slots__ = ("bits",)
+
+    def __init__(self, bits: str) -> None:
+        _check_bits(bits, "label")
+        if not bits:
             raise ValueError("a label must contain at least one bit")
+        self.bits = bits
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Label):
+            return NotImplemented
+        return self.bits == other.bits
+
+    def __hash__(self) -> int:
+        return hash(self.bits)
 
     @property
     def valid_bit(self) -> str:

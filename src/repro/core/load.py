@@ -15,6 +15,7 @@ each candidate id bit).
 from __future__ import annotations
 
 from collections import deque
+from itertools import repeat
 from typing import Any, Deque, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 __all__ = ["RateWindow", "LoadStatistics", "split_loads"]
@@ -45,8 +46,7 @@ class RateWindow:
         """Record ``count`` events at time ``now``."""
         if self._started_at is None:
             self._started_at = now
-        for _ in range(count):
-            self._events.append(now)
+        self._events.extend(repeat(now, count))
         self._evict(now)
 
     def rate(self, now: float) -> float:
@@ -96,6 +96,18 @@ class LoadStatistics:
     def record_update(self, agent_key: Hashable, now: float) -> None:
         self.updates += 1
         self._record(agent_key, now)
+
+    def record_updates(self, agents: Sequence[Hashable], now: float) -> None:
+        """``record_update`` for each of ``agents`` (no repeats: a batch's
+        rows), with one window append and one pass over the table."""
+        if not agents:
+            return
+        self.updates += len(agents)
+        self.total.record(now, len(agents))
+        per_agent = self.per_agent
+        bumped = {agent: per_agent[agent] + 1 for agent in per_agent.keys() & agents}
+        per_agent.update(dict.fromkeys(agents, 1))
+        per_agent.update(bumped)
 
     def _record(self, agent_key: Hashable, now: float) -> None:
         self.total.record(now)
@@ -258,6 +270,11 @@ class GroupedLoadStatistics:
     def record_update(self, agent_id: Hashable, now: float) -> None:
         self.updates += 1
         self._record(agent_id, now)
+
+    def record_updates(self, agents: Sequence[Hashable], now: float) -> None:
+        """``record_update`` for each of ``agents``."""
+        for agent in agents:
+            self.record_update(agent, now)
 
     def _record(self, agent_id: Hashable, now: float) -> None:
         self.total.record(now)

@@ -125,10 +125,16 @@ def splitmix64(state: int) -> int:
     return z ^ (z >> 31)
 
 
+#: Builds an ``AgentId`` from its ``(value, width)`` pair unchecked.
+_new_tuple = tuple.__new__
+
+
 class AgentNamer:
     """Generates uniformly distributed agent ids from a seeded counter."""
 
     def __init__(self, seed: int = 0, width: int = DEFAULT_ID_BITS) -> None:
+        if width <= 0:
+            raise ValueError(f"id width must be positive, got {width}")
         self._state = splitmix64(seed)
         self.width = width
         self._mask = (1 << width) - 1
@@ -136,7 +142,9 @@ class AgentNamer:
     def next_id(self) -> AgentId:
         """Return a fresh id; successive calls never repeat in practice."""
         self._state = splitmix64(self._state)
-        return AgentId(self._state & self._mask, self.width)
+        # Masked to a width checked once above: AgentId's range check
+        # could not fail, so the tuple is built without it.
+        return _new_tuple(AgentId, (self._state & self._mask, self.width))
 
     @property
     def state(self) -> int:

@@ -73,7 +73,7 @@ from repro.core.hash_function import SecondaryCopies
 from repro.core.requester import discover_saga, request_saga
 from repro.discovery.hamming import merge_matches, shards_within
 from repro.metrics.trace import Tracer
-from repro.platform.naming import AgentId
+from repro.platform.naming import AgentId, prefix_bits
 from repro.service import wire
 from repro.service.netem import NetemController
 from repro.service.routing import WRONG_SHARD, shard_of
@@ -123,9 +123,12 @@ NOT_PRIMARY = "not-primary"
 #: IAgent ops that may race a hedged duplicate: the idempotent reads.
 _HEDGED_OPS = frozenset({"locate", "discover-similar", "discover-capability"})
 
-#: Items per batched RPC (``register-batch``, ``locate-batch``, and the
-#: queries per ``discover-*-batch``).
-BATCH_SIZE = 64
+#: Rows per id-table RPC (``register-batch``, ``locate-batch``), picked
+#: by a sweep of the 20 000-agent bulk registration (docs/REPORT.md).
+BATCH_ROWS = 512
+
+#: Queries per ``discover-*-batch`` RPC.
+QUERY_BATCH = 64
 
 #: First backoff sleep between retry rounds (s); doubles each round.
 BACKOFF_BASE = 0.05
@@ -454,6 +457,12 @@ class RpcChannel:
             )
 
 
+def _group_key(mapping: Dict) -> Optional[Tuple]:
+    """A batch group's key: the IAgent at its address (None: no address)."""
+    addr = mapping["addr"]
+    return None if addr is None else (tuple(addr), mapping["iagent"])
+
+
 class ServiceClient:
     """A node-local protocol client (one per requesting node)."""
 
@@ -606,7 +615,7 @@ class ServiceClient:
 
         Every agent is resolved against the local copy, then one
         ``register-batch`` RPC per responsible IAgent (chunked at
-        ``BATCH_SIZE``) carries the records -- one round-trip
+        ``BATCH_ROWS``) carries the records -- one round-trip
         amortized over N updates. Safe under staleness: per-agent
         sequence numbers make late or replayed publishes harmless, and
         any item the batch cannot settle (unresolved mapping, bounce,
@@ -614,10 +623,6 @@ class ServiceClient:
         loop. A fourth tuple element, when present, is the agent's typed
         capability set and registers atomically with the record.
         """
-        items = [
-            (item[0], item[1], item[2], item[3] if len(item) > 3 else None)
-            for item in items
-        ]
         if not items:
             return
         self.counters.registers += len(items)
@@ -628,24 +633,26 @@ class ServiceClient:
         groups = await self._group_by_iagent([item[0] for item in items], deadline)
 
         def body(_: Dict, chunk: List[int]) -> Dict:
-            records: Dict[AgentId, List] = {}
-            capabilities: Dict[AgentId, Dict] = {}
-            for index in chunk:
-                agent, node, seq, caps = items[index]
-                records[agent] = [node, seq]
-                if caps is not None:
-                    capabilities[agent] = caps
+            rows = [items[index] for index in chunk]
+            records = {row[0]: [row[1], row[2]] for row in rows}
+            capabilities = {
+                row[0]: row[3] for row in rows if len(row) > 3 and row[3] is not None
+            }
             if capabilities:
                 return {"records": records, "capabilities": capabilities}
             return {"records": records}
 
         def read(chunk: List[int], reply: Dict) -> List[int]:
             bounced = set(reply["bounced"])
+            if not bounced:
+                return []
             return [index for index in chunk if items[index][0] in bounced]
 
-        fallback = await self._batch("register-batch", groups, body, read, deadline)
+        fallback = await self._batch(
+            "register-batch", groups, body, read, deadline, BATCH_ROWS
+        )
         for index in fallback:
-            await self._update_op("register", *items[index], deadline)
+            await self._update_op("register", *items[index], deadline=deadline)
 
     async def locate_batch(
         self, agent_ids: Sequence[AgentId]
@@ -683,6 +690,7 @@ class ServiceClient:
             lambda _, chunk: {"agents": [agents[i] for i in chunk]},
             read,
             deadline,
+            BATCH_ROWS,
         )
         for index in fallback:
             results[agents[index]] = await self._locate_resolved(agents[index], deadline)
@@ -731,7 +739,7 @@ class ServiceClient:
 
         One candidate round over the local copies names every IAgent,
         then each answers every query through ``discover-similar-batch``
-        RPCs (``BATCH_SIZE`` queries each) -- the per-query shard pruning
+        RPCs (``QUERY_BATCH`` queries each) -- the per-query shard pruning
         of the single-op path is traded for round-trip amortization;
         correctness is unchanged because each IAgent's exact filter
         already drops everything outside the ball.
@@ -764,8 +772,9 @@ class ServiceClient:
         self, agents: List[AgentId], deadline: float
     ) -> List[Tuple[Optional[Dict], List[int]]]:
         """:meth:`_batch` groups: each agent index under the IAgent its
-        local resolve names, read straight off the held copies; only a
-        missing copy costs an await (the pull). Once a pull fails, every
+        local resolve names, read straight off the held copies' trees
+        (one mapping per copy and owner, not per agent); only a missing
+        copy costs an await (the pull). Once a pull fails, every
         remaining index is left unaddressed for the single-op fallback,
         which owns recovery.
 
@@ -776,20 +785,41 @@ class ServiceClient:
         """
         held = self._held
         groups: Dict[Any, Tuple[Optional[Dict], List[int]]] = {}
-        named: Dict[AgentId, int] = {}
-        served = True
+        repeats: Optional[Dict[AgentId, int]] = None
+        if len(set(agents)) < len(agents):
+            repeats = {}
+        # (shard, owner) -> (mapping, group key); a pull can change the
+        # shard count, a copy or an address, so it starts both afresh.
+        known: Dict[Tuple[int, Any], Tuple[Dict, Any]] = {}
+        bits = prefix_bits(self._shards)
         for index, agent in enumerate(agents):
-            mapping = None
-            if served:
-                mapping = held.resolve(shard_of(agent, self._shards), agent)
+            value, width = agent
+            spare = width - bits
+            shard = value >> spare if spare >= 0 else value << -spare
+            copy = held.copies.get(shard)
+            if copy is not None:
+                owner = copy.tree.lookup_id(agent)
+                cached = known.get((shard, owner))
+                if cached is None:
+                    mapping = held.mapping(copy, owner)
+                    cached = known[shard, owner] = mapping, _group_key(mapping)
+                mapping, key = cached
+            else:
+                mapping = await self._whois(agent, deadline)
+                known.clear()
+                bits = prefix_bits(self._shards)
                 if mapping is None:
-                    mapping = await self._whois(agent, deadline)
-                    served = mapping is not None
-            key = None
-            if mapping is not None and mapping["addr"] is not None:
-                repeat = named[agent] = named.get(agent, -1) + 1
-                key = (tuple(mapping["addr"]), mapping["iagent"], repeat)
-            groups.setdefault(key, (mapping, []))[1].append(index)
+                    unaddressed = range(index, len(agents))
+                    groups.setdefault(None, (None, []))[1].extend(unaddressed)
+                    break
+                key = _group_key(mapping)
+            if key is not None and repeats is not None:
+                repeat = repeats[agent] = repeats.get(agent, -1) + 1
+                key = (key, repeat)
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = (mapping, [])
+            group[1].append(index)
         return list(groups.values())
 
     async def _batch(
@@ -799,9 +829,10 @@ class ServiceClient:
         body: Callable[[Dict, List[int]], Dict],
         read: Callable[[List[int], Dict], List[int]],
         deadline: float,
+        size: int,
     ) -> List[int]:
         """Each group ``(mapping, indices)`` to the IAgent a resolve or a
-        candidate names, ``BATCH_SIZE`` items per ``op`` RPC (``body(mapping,
+        candidate names, ``size`` items per ``op`` RPC (``body(mapping,
         chunk)``), all chunks at once, in group order; ``read(chunk,
         reply)`` takes what a reply answered ``ok`` and returns the rest
         of the chunk. Returns, sorted, the indices to fall back on:
@@ -824,9 +855,9 @@ class ServiceClient:
             return read(chunk, reply)
 
         chunks = [
-            send(mapping, indices[start : start + BATCH_SIZE])
+            send(mapping, indices[start : start + size])
             for mapping, indices in groups
-            for start in range(0, len(indices), BATCH_SIZE)
+            for start in range(0, len(indices), size)
         ]
         failed = sorted({index for bad in await asyncio.gather(*chunks) for index in bad})
         asked = {index for _, indices in groups for index in indices}
@@ -885,6 +916,7 @@ class ServiceClient:
             lambda cand, chunk: {"ops": [dict(bodies[i], pattern=cand["pattern"]) for i in chunk]},
             read,
             deadline,
+            QUERY_BATCH,
         )
         merged = [merge_matches(partial) for partial in partials]
         for index in fallback:

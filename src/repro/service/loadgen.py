@@ -279,23 +279,38 @@ class OpMix:
         return cls(**weights)
 
 
-@dataclass(frozen=True)
 class Op:
-    """One drawn operation, fully determined at draw time."""
+    """One drawn operation, fully determined at draw time.
 
-    kind: str
-    agent: AgentId
-    #: Target node for register/move (None for reads).
-    node: Optional[str] = None
-    seq: int = 0
-    #: The whole sample for a batch-locate (None otherwise).
-    batch: Optional[Tuple[AgentId, ...]] = None
-    #: Hamming radius of a similar-discovery query (None otherwise;
-    #: also mirrored into ``seq`` so ``key()`` pins it).
-    d: Optional[int] = None
-    #: Predicate of a capability-discovery query (None otherwise; its
-    #: palette index is mirrored into ``seq``).
-    predicate: Optional[Dict] = None
+    A plain slotted class, not a dataclass: the generator builds one per
+    drawn op, and a generated ``__init__`` cost three times this one.
+    """
+
+    __slots__ = ("kind", "agent", "node", "seq", "batch", "d", "predicate")
+
+    def __init__(
+        self,
+        kind: str,
+        agent: AgentId,
+        node: Optional[str] = None,
+        seq: int = 0,
+        batch: Optional[Tuple[AgentId, ...]] = None,
+        d: Optional[int] = None,
+        predicate: Optional[Dict] = None,
+    ) -> None:
+        self.kind = kind
+        self.agent = agent
+        #: Target node for register/move (None for reads).
+        self.node = node
+        self.seq = seq
+        #: The whole sample for a batch-locate (None otherwise).
+        self.batch = batch
+        #: Hamming radius of a similar-discovery query (None otherwise;
+        #: also mirrored into ``seq`` so ``key()`` pins it).
+        self.d = d
+        #: Predicate of a capability-discovery query (None otherwise; its
+        #: palette index is mirrored into ``seq``).
+        self.predicate = predicate
 
     def key(self) -> Tuple[str, str, int]:
         """A compact, comparable identity for determinism checks."""

@@ -41,7 +41,7 @@ from __future__ import annotations
 import asyncio
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.config import SYNC_JOURNAL_CAPACITY, HashMechanismConfig
 from repro.core.hash_function import HashFunction, SecondaryCopies
@@ -254,11 +254,20 @@ class IAgentEndpoint:
         """Journal the entry a core mutation applied (folding the log
         into a snapshot when due), then release its reply."""
         reply, entry = outcome
-        if entry is not None and self.store is not None:
-            self.store.log(entry)
-            if self.store.should_snapshot:
-                self.store.snapshot(self.durable_state())
+        if entry is not None:
+            self._journal((entry,))
         return reply
+
+    def _journal(self, entries: Sequence[Dict]) -> None:
+        """Log ``entries`` in order, then fold the log into a snapshot
+        if one is due: a snapshot covers every entry it follows."""
+        store = self.store
+        if store is None or not entries:
+            return
+        for entry in entries:
+            store.log(entry)
+        if store.should_snapshot:
+            store.snapshot(self.durable_state())
 
     # -- op handlers (named like the simulator IAgent's) ----------------
 
@@ -271,20 +280,21 @@ class IAgentEndpoint:
         """Apply many register/update rows in one round-trip.
 
         ``records`` is ``agent -> [node, seq]`` and ``capabilities``
-        (optional) ``agent -> caps`` for the rows that carry a set. Each
-        row takes the single-op path (coverage check, sequence gating)
-        and an admitted row is journaled as the ``put`` a ``register``
+        (optional) ``agent -> caps`` for the rows that carry a set. The
+        rows take the single op's rules (coverage check, sequence
+        gating) in one ``IAgentState.put_rows`` pass, and each admitted
+        row is journaled, in row order, as the ``put`` a ``register``
         writes, so a batch is indistinguishable from N singles except
         for the saved round-trips. ``bounced`` names the rows this leaf
         does not cover, for the client's single-op fallback.
         """
-        now = self.node._now()
-        put_row = self.state.put_row
-        caps = body.get("capabilities", {})
-        bounced = []
-        for agent, (node, seq) in body["records"].items():
-            if self._commit(put_row(agent, node, seq, caps.get(agent), now))["status"] != OK:
-                bounced.append(agent)
+        entries: List[Dict] = []
+        try:
+            bounced = self.state.put_rows(
+                body["records"], body.get("capabilities"), self.node._now(), entries
+            )
+        finally:
+            self._journal(entries)
         return {"status": OK, "bounced": bounced}
 
     def op_unregister(self, body: Dict) -> Dict:

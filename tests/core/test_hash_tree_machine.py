@@ -13,7 +13,12 @@ keeps by the paper's rules alone (§4.1-§4.2), not by the tree's:
   with the leaf's valid bit flipped -- the sibling leaf (simple merge),
   or the sibling subtree's routing once that bit is skipped (complex).
 
-Alongside, the tree's own invariants hold and its spec round-trips.
+Alongside, the tree's own invariants hold, its spec round-trips, every
+owner's cached hyper-label equals one built from an empty cache (a
+rehash drops only the owners it moved), and ``find_within_hamming``
+names exactly the owners of the ids inside the ball, each at its
+nearest id's distance -- on merged trees too, which grown-only trees
+never reach.
 """
 
 from hypothesis import settings
@@ -118,6 +123,16 @@ class HashTreeMachine(RuleBasedStateMachine):
         spec = self.tree.to_spec()
         assert spec[:2] == ("tree", WIDTH) and spec[3][0] == "leaf"
 
+    @rule(agent=st.sampled_from(IDS), d=st.integers(0, WIDTH))
+    def find_within_hamming(self, agent, d):
+        expected = {}
+        for other in IDS:
+            distance = bin(agent ^ other).count("1")
+            if distance <= d:
+                owner = self.owner_of[other]
+                expected[owner] = min(expected.get(owner, distance), distance)
+        assert self.tree.find_within_hamming((agent, WIDTH), d) == expected
+
     @invariant()
     def check_model(self):
         tree = self.tree
@@ -129,6 +144,15 @@ class HashTreeMachine(RuleBasedStateMachine):
     @invariant()
     def structure_holds(self):
         self.tree.check_invariants()
+
+    @invariant()
+    def hyper_labels_are_current(self):
+        """Read every owner's hyper-label (so each is cached going into
+        the next step) against a copy of the tree that has cached none."""
+        fresh = HashTree.from_spec(self.tree.to_spec())
+        for owner in self.tree.owners():
+            assert self.tree.hyper_label(owner) == fresh.hyper_label(owner), owner
+            assert self.tree.consumed_width(owner) == fresh.hyper_label(owner).width
 
     @invariant()
     def spec_round_trips(self):

@@ -167,6 +167,21 @@ class TestAgentNamer:
         namer = AgentNamer(seed=1, width=16)
         assert all(namer.next_id().width == 16 for _ in range(10))
 
+    @given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=1, max_value=80))
+    def test_ids_are_the_checked_constructors(self, seed, width):
+        """``next_id`` skips ``AgentId``'s range check, so what it builds
+        must be what the checked constructor builds from the same pair."""
+        for agent in (AgentNamer(seed=seed, width=width).next_id() for _ in range(4)):
+            assert type(agent) is AgentId
+            assert agent == AgentId(agent.value, width) and repr(agent) == repr(
+                AgentId(agent.value, width)
+            )
+
+    @pytest.mark.parametrize("width", [0, -3])
+    def test_a_width_is_checked_once_up_front(self, width):
+        with pytest.raises(ValueError, match="width must be positive"):
+            AgentNamer(seed=1, width=width)
+
 
 class TestSkewedNamer:
     def test_skewed_fraction_shares_prefix(self):

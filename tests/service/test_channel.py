@@ -369,7 +369,16 @@ class TestBatchedOps:
         run(scenario())
 
     def test_batch_chunks_respect_batch_size(self, monkeypatch):
-        monkeypatch.setattr("repro.service.client.BATCH_SIZE", 4)
+        """Past ``BATCH_ROWS`` a batch goes out as ceil(n / rows) frames,
+        its rows in call order across them."""
+        monkeypatch.setattr("repro.service.client.BATCH_ROWS", 4)
+        sent = []
+        encode_call = wire.encode_call
+
+        def spy_call(message_id, op, target, body, *args):
+            if op in ("register-batch", "locate-batch"):
+                sent.append((op, message_id, body))
+            return encode_call(message_id, op, target, body, *args)
 
         async def scenario():
             hagent = HAgentServer()
@@ -381,18 +390,29 @@ class TestBatchedOps:
                 await client.channel.call(hagent.addr, "hagent", "bootstrap")
                 namer = AgentNamer(seed=12)
                 agents = [namer.next_id() for _ in range(10)]
+                monkeypatch.setattr(wire, "encode_call", spy_call)
                 await client.register_batch(
                     [(agent, "node-0", 0) for agent in agents]
                 )
-                # 10 items at BATCH_SIZE 4 -> 3 register-batch RPCs.
-                assert client.counters.batch_rpcs == 3
-                assert client.counters.batched_ops == 10
+                assert await client.locate_batch(agents) == dict.fromkeys(agents, "node-0")
+                # 10 items at BATCH_ROWS 4 -> 3 RPCs per batch form.
+                assert client.counters.batch_rpcs == 6
+                assert client.counters.batched_ops == 20
             finally:
+                monkeypatch.undo()
                 await client.close()
                 await node.stop()
                 await hagent.stop()
+            return agents
 
-        run(scenario())
+        agents = run(scenario())
+        for op, rows in (("register-batch", "records"), ("locate-batch", "agents")):
+            frames = [(message_id, body) for name, message_id, body in sent if name == op]
+            assert len(frames) == 3
+            assert [message_id for message_id, _ in frames] == sorted(
+                message_id for message_id, _ in frames
+            )
+            assert [agent for _, body in frames for agent in body[rows]] == agents
 
     def test_an_agent_named_twice_applies_in_call_order(self):
         """A batch carries each agent once, so a repeat rides a later

@@ -319,12 +319,41 @@ def register_rows(draw):
     return rows
 
 
+def soft_state(endpoint):
+    """What a register leaves outside the table: per-agent loads, the
+    update count and the rate window's events."""
+    stats = endpoint.stats
+    return dict(stats.per_agent), stats.updates, stats.total.count(endpoint.node._now())
+
+
+#: Coverage patterns a leaf may hold: everything, half, a quarter, and a
+#: multi-bit label's skipped bit.
+COVERAGES = ["", "0", "1", "10", "x1"]
+
+
+@st.composite
+def batch_and_prelude(draw):
+    """Rows registered one by one on both sides first, then one batch
+    request (each agent once, an id table) -- and, drawn on, the row
+    index whose capability set is malformed."""
+    rows = draw(register_rows())
+    cut = draw(st.integers(min_value=0, max_value=len(rows)))
+    batch = {}
+    for agent, node, seq, caps in rows[cut:]:
+        batch[agent] = (node, seq, caps)
+    bad = None
+    if batch:
+        bad = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=len(batch) - 1)))
+    return rows[:cut], batch, bad
+
+
 class TestRegisterBatchIsSingles:
     @given(register_rows(), st.sampled_from([3, 64, 512]))
     @settings(max_examples=60, deadline=None)
-    def test_tables_and_journals_equal_one_by_one(self, rows, batch_size):
-        """``register_batch(rows)`` leaves the table, and the state its
-        WAL recovers, equal to registering the rows one by one."""
+    def test_tables_and_journals_equal_one_by_one(self, rows, batch_rows):
+        """``register_batch(rows)`` leaves the table, the soft state and
+        the state its WAL recovers equal to registering the rows one by
+        one -- and, with no agent named twice, the WAL bytes too."""
 
         async def register(batched, root):
             store = DurableStore(root, "iagent", fsync="never", snapshot_every=0)
@@ -341,14 +370,75 @@ class TestRegisterBatchIsSingles:
                 initial=IAgentEndpoint.initial_state, apply=IAgentEndpoint.apply_mutation
             ).state
             store.close()
-            return endpoint.durable_state(), recovered
+            wal = b"".join(segment.read_bytes() for segment in store.wal.segments())
+            return endpoint.durable_state(), soft_state(endpoint), wal, recovered
 
         with pytest.MonkeyPatch.context() as monkeypatch, tempfile.TemporaryDirectory() as root:
-            monkeypatch.setattr("repro.service.client.BATCH_SIZE", batch_size)
-            batch, batch_recovered = asyncio.run(register(True, Path(root, "batch")))
-            single, single_recovered = asyncio.run(register(False, Path(root, "single")))
+            monkeypatch.setattr("repro.service.client.BATCH_ROWS", batch_rows)
+            batch, batch_soft, batch_wal, batch_recovered = asyncio.run(
+                register(True, Path(root, "batch"))
+            )
+            single, single_soft, single_wal, single_recovered = asyncio.run(
+                register(False, Path(root, "single"))
+            )
         assert batch == single
+        assert batch_soft == single_soft
+        if len({row[0] for row in rows}) == len(rows):
+            # One leaf, each agent once: one group, its chunks applied in
+            # row order. (A repeat rides a later chunk, so it journals
+            # later than its single would.)
+            assert batch_wal == single_wal
         assert batch_recovered == batch and single_recovered == single
+
+    @given(batch_and_prelude(), st.sampled_from(COVERAGES))
+    @settings(max_examples=150, deadline=None)
+    @in_running_loop
+    def test_one_request_is_its_rows_one_by_one(self, case, coverage):
+        """One ``register-batch`` request at a leaf covering part of the
+        id space: ``bounced``, the table, the soft state and the journal
+        entries in order equal its rows sent as single registers. A
+        malformed capability set mid-batch raises with the rows before
+        it applied and journaled, as the singles leave them."""
+        prelude, batch, bad = case
+        rows = [(agent, node, seq, caps) for agent, (node, seq, caps) in batch.items()]
+        if bad is not None:
+            agent, node, seq, _ = rows[bad]
+            rows[bad] = (agent, node, seq, {"": 1})
+        body = {"records": {agent: [node, seq] for agent, node, seq, _ in rows}}
+        capabilities = {agent: caps for agent, _, _, caps in rows if caps is not None}
+        if capabilities:
+            body["capabilities"] = capabilities
+        sides = []
+        for batched in (True, False):
+            journal = Journal()
+            endpoint = live_endpoint(journal)
+            endpoint.op_set_coverage({"pattern": coverage})
+            for agent, node, seq, caps in prelude:
+                endpoint.op_register({"agent": agent, "node": node, "seq": seq,
+                                      "capabilities": caps})
+            bounced = []
+            try:
+                if batched:
+                    bounced = endpoint.op_register_batch(over_the_wire(body))["bounced"]
+                else:
+                    for agent, node, seq, caps in rows:
+                        single = {"agent": agent, "node": node, "seq": seq, "capabilities": caps}
+                        if endpoint.op_register(single)["status"] == NOT_RESPONSIBLE:
+                            bounced.append(agent)
+                raised = False
+            except CapabilityError:
+                raised = True
+            sides.append(
+                (raised, bounced, endpoint.durable_state(), soft_state(endpoint), journal.entries)
+            )
+        (raised, *batch_side), (single_raised, *single_side) = sides
+        assert raised == single_raised == (
+            bad is not None and compile_coverage(coverage)(rows[bad][0])
+        )
+        if raised:
+            # ``bounced`` is not answered once the request raises.
+            batch_side[0] = single_side[0] = None
+        assert batch_side == single_side
 
 
 @st.composite
