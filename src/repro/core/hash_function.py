@@ -32,12 +32,13 @@ from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from repro.core.errors import CoreError
-from repro.core.hash_tree import HashTree
+from repro.core.hash_tree import HashTree, SplitCandidate
 
 __all__ = ["HashFunction", "SecondaryCopies", "UNREPLAYABLE"]
 
 #: What the tree raises for an entry that does not fit the copy: unknown
-#: owner (KeyError), duplicate new owner (ValueError), stale coordinates.
+#: owner (KeyError), duplicate new owner (ValueError), a split bit that
+#: does not fit the owner's path (SplitFailedError).
 UNREPLAYABLE = (CoreError, KeyError, ValueError)
 
 
@@ -85,8 +86,9 @@ class HashFunction:
         kind = entry["op"]
         outcome = None
         if kind == "split":
-            outcome = self.tree.replay_split(
-                entry["kind"], entry["owner"], entry["bit"], entry["new_owner"]
+            outcome = self.tree.apply_split(
+                SplitCandidate(entry["owner"], entry["kind"], entry["bit"]),
+                entry["new_owner"],
             )
             self.iagent_nodes[entry["new_owner"]] = entry["new_node"]
         elif kind == "merge":
@@ -249,7 +251,7 @@ class HashFunction:
                 # actual coverage differs, which is the staleness signal
                 # driving the §4.3 refresh loop for multi-result queries
                 # (there is no single queried id to bounce on).
-                "pattern": self.tree.hyper_label(owner).pattern(),
+                "pattern": self.tree.coverage(owner),
             }
             for owner, bound in bounds.items()
         ]

@@ -47,16 +47,19 @@ children -- so a lookup is ``value >> shift & 1`` and two list reads per
 level, with no bit string and no memo. The same arrays serve the
 Hamming walks (:meth:`find_within_hamming`, :meth:`nearest`). ``lookup``
 is the paper-facing string edge over the same walk. Every mutation
-(``apply_split``/``apply_merge``) bumps :attr:`version` and invalidates
-the compiled form and the hyper-labels of the owners it moved; the property
-suite in ``tests/core/test_tree_compiled.py`` proves the compiled and
-the naive §3 traversal agree across arbitrary rehash interleavings.
+(``apply_split``/``apply_merge``) bumps :attr:`version` and drops the
+compiled form; the property suite in ``tests/core/test_tree_compiled.py``
+proves the compiled and the naive §3 traversal agree across arbitrary
+rehash interleavings. A leaf's coverage pattern (:meth:`coverage`) is
+read straight off its path; :meth:`hyper_label` builds the paper's
+``Label`` objects and is the reference form tests compare against.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Dict, Hashable, Iterator, List, Optional, Tuple
 
 from repro.core.errors import CoreError, LastIAgentError, SplitFailedError
@@ -64,6 +67,7 @@ from repro.core.labels import HyperLabel, Label
 
 __all__ = [
     "HashTree",
+    "MAX_SIMPLE_M",
     "SplitCandidate",
     "SplitOutcome",
     "MergeOutcome",
@@ -74,6 +78,10 @@ OwnerKey = Hashable
 
 #: The compiled dispatch arrays: ``(shifts, zeros, ones, owners)``.
 Compiled = Tuple[List[int], List[int], List[int], List]
+
+#: Largest ``m`` a simple split candidate reaches (the split on the
+#: ``m``-th not-yet-consumed id bit); see DESIGN.md §4.
+MAX_SIMPLE_M = 8
 
 
 class TreeInvariantError(CoreError):
@@ -115,16 +123,22 @@ class _TreeNode:
         return f"<{kind} label={self.label!r} owner={self.owner!r}>"
 
 
-@dataclass(frozen=True)
-class SplitCandidate:
-    """One admissible way of splitting a leaf.
+class SplitCandidate(tuple):
+    """One admissible way of splitting a leaf:
+    ``(owner, kind, bit_position, local)``.
+
+    A split is named by the id bit it turns into a valid bit (paper
+    §4.1), the same ``(kind, owner, bit)`` a journaled split records, so
+    a candidate means the same split on every copy of the tree that
+    still has it. A plain tuple, not a dataclass: the planner builds
+    about a dozen per split.
 
     Attributes
     ----------
-    kind:
-        ``"simple"`` or ``"complex"`` (paper §4.1).
     owner:
         The overloaded IAgent whose leaf is being split.
+    kind:
+        ``"simple"`` or ``"complex"`` (paper §4.1).
     bit_position:
         1-based id-bit position that becomes the new valid bit; the
         mechanism partitions the leaf's agents on this bit to judge
@@ -133,20 +147,32 @@ class SplitCandidate:
         True when only ``owner``'s agents can change hands. Simple
         splits and complex splits of the leaf's own incoming edge are
         local; complex splits of an ancestor edge re-route part of a
-        whole subtree (``scope="path"`` only).
+        whole subtree (``scope="path"`` only). ``None`` on a split rebuilt
+        from a journal entry, which does not record it: the tree then
+        reads the answer off its own path.
     """
 
-    kind: str
-    owner: OwnerKey
-    bit_position: int
-    local: bool
-    # Internal coordinates; only valid for the tree that produced them.
-    _node: _TreeNode = field(repr=False, compare=False)
-    _index: int = field(repr=False, compare=False)
+    __slots__ = ()
 
-    def describe(self) -> str:
-        where = "local" if self.local else "subtree"
-        return f"{self.kind} split of {self.owner} on bit {self.bit_position} ({where})"
+    def __new__(
+        cls, owner: OwnerKey, kind: str, bit_position: int, local: Optional[bool] = None
+    ) -> "SplitCandidate":
+        return tuple.__new__(cls, (owner, kind, bit_position, local))
+
+    owner = property(itemgetter(0))
+    kind = property(itemgetter(1))
+    bit_position = property(itemgetter(2))
+    local = property(itemgetter(3))
+
+    def __getnewargs__(self) -> Tuple:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        owner, kind, bit_position, local = self
+        return (
+            f"SplitCandidate(owner={owner!r}, kind={kind!r},"
+            f" bit_position={bit_position}, local={local})"
+        )
 
 
 @dataclass
@@ -192,22 +218,8 @@ class HashTree:
         self.version = 0
         self._root = _TreeNode(label="", owner=initial_owner)
         self._leaves: Dict[OwnerKey, _TreeNode] = {initial_owner: self._root}
-        self._init_caches()
-
-    def _init_caches(self) -> None:
         #: Compiled dispatch arrays (see _compile); None when stale.
         self._compiled: Optional[Compiled] = None
-        #: owner -> HyperLabel of its leaf, valid for the current version.
-        self._hyper_cache: Dict[OwnerKey, HyperLabel] = {}
-
-    def _invalidate(self, owners: List[OwnerKey]) -> None:
-        """Drop the compiled form and the hyper-labels of ``owners``: the
-        leaves a mutation moved or relabelled (no other leaf's path
-        changes). Called by each mutation."""
-        self._compiled = None
-        pop = self._hyper_cache.pop
-        for owner in owners:
-            pop(owner, None)
 
     # ------------------------------------------------------------------
     # Read operations
@@ -289,24 +301,26 @@ class HashTree:
         return owner in self._leaves
 
     def hyper_label(self, owner: OwnerKey) -> HyperLabel:
-        """The hyper-label of ``owner``'s leaf (paper §3).
+        """The hyper-label of ``owner``'s leaf (paper §3): one ``Label``
+        per edge of its path. The paper-facing reference form; the
+        mechanism reads :meth:`coverage`."""
+        path = self._path_to(self._leaf(owner))
+        return HyperLabel([Label(node.label) for node in path[1:]], skip=len(path[0].label))
 
-        Cached per owner until the next rehash, so ``covers`` and the
-        load accounting stop rebuilding Label chains on every call.
-        """
-        cached = self._hyper_cache.get(owner)
-        if cached is not None:
-            return cached
-        leaf = self._leaf(owner)
-        labels: List[Label] = []
-        node = leaf
+    def coverage(self, owner: OwnerKey) -> str:
+        """The prefix pattern ``owner``'s leaf serves, ``x`` = wildcard:
+        ``hyper_label(owner).pattern()``, read straight off the path --
+        every root-label bit is ``x``, and each edge gives its valid bit
+        then an ``x`` per skipped bit."""
+        parts = []
+        node = self._leaf(owner)
         while node.parent is not None:
-            labels.append(Label(node.label))
+            label = node.label
+            parts.append(label[0] + "x" * (len(label) - 1))
             node = node.parent
-        labels.reverse()
-        hyper = HyperLabel(labels, skip=len(self._root.label))
-        self._hyper_cache[owner] = hyper
-        return hyper
+        parts.append("x" * len(node.label))
+        parts.reverse()
+        return "".join(parts)
 
     def consumed_width(self, owner: OwnerKey) -> int:
         """Total id bits consumed reaching ``owner``'s leaf: its
@@ -388,17 +402,15 @@ class HashTree:
     # Split
     # ------------------------------------------------------------------
 
-    def split_candidates(
-        self, owner: OwnerKey, scope: str = "leaf", max_simple_m: int = 8
-    ) -> List[SplitCandidate]:
+    def split_candidates(self, owner: OwnerKey, scope: str = "leaf") -> List[SplitCandidate]:
         """Enumerate split candidates for ``owner`` in the paper's order.
 
         Complex candidates come first (left-most multi-bit label on the
         path, then within each label the first skipped bit first), then
-        simple candidates with growing ``m`` -- mirroring §4.1's "if the
-        attempt ... fails, we consider the next" / "switch to simple
-        split" procedure. The caller tries them in order against its
-        evenness criterion.
+        simple candidates with growing ``m`` up to :data:`MAX_SIMPLE_M`
+        -- mirroring §4.1's "if the attempt ... fails, we consider the
+        next" / "switch to simple split" procedure. The caller tries them
+        in order against its evenness criterion.
 
         ``scope="leaf"`` keeps only local candidates (the default and
         the conservative reading of the paper's locality claim);
@@ -411,43 +423,61 @@ class HashTree:
         candidates: List[SplitCandidate] = []
 
         # Complex candidates: walk the path root -> leaf, left-most first.
-        path = self._path_to(leaf)
         offset = 0  # id bits consumed before the current node's label
-        for node in path:
-            label = node.label
-            first_promotable = 0 if node.is_root else 1
+        for node in self._path_to(leaf):
+            length = len(node.label)
             local = node is leaf
-            for index in range(first_promotable, len(label)):
-                if scope == "leaf" and not local:
-                    continue
-                candidates.append(
-                    SplitCandidate(
-                        kind="complex",
-                        owner=owner,
-                        bit_position=offset + index + 1,
-                        local=local,
-                        _node=node,
-                        _index=index,
+            if scope == "path" or local:
+                first_promotable = 0 if node.parent is None else 1
+                for index in range(first_promotable, length):
+                    candidates.append(
+                        SplitCandidate(owner, "complex", offset + index + 1, local)
                     )
-                )
-            offset += len(label)
+            offset += length
 
         # Simple candidates: split on the m-th not-yet-consumed bit.
-        consumed = offset
-        for m in range(1, max_simple_m + 1):
-            if consumed + m > self.width:
-                break
-            candidates.append(
-                SplitCandidate(
-                    kind="simple",
-                    owner=owner,
-                    bit_position=consumed + m,
-                    local=True,
-                    _node=leaf,
-                    _index=m,
-                )
-            )
+        for position in range(offset + 1, min(offset + MAX_SIMPLE_M, self.width) + 1):
+            candidates.append(SplitCandidate(owner, "simple", position, True))
         return candidates
+
+    def _split_point(self, candidate: SplitCandidate) -> Tuple[_TreeNode, int]:
+        """Where ``candidate`` splits this tree: ``(leaf, m)`` for a
+        simple split on the ``m``-th unconsumed bit, ``(node, index)``
+        for a complex one promoting ``node.label[index]``.
+
+        ``(kind, bit_position)`` names a split of the owner's leaf
+        uniquely: complex candidates promote skipped bits inside the
+        leaf's consumed prefix, simple candidates sit beyond it. A bit
+        that does not fit (consumed, a valid bit, no skipped bit there,
+        beyond the id width) raises :class:`SplitFailedError`.
+        """
+        owner, kind, bit_position, _ = candidate
+        leaf = self._leaf(owner)
+        if kind == "simple":
+            m = bit_position - self.consumed_width(owner)
+            if m < 1:
+                raise SplitFailedError(f"simple split bit {bit_position} already consumed")
+            if bit_position > self.width:
+                raise SplitFailedError(
+                    f"simple split with m={m} would consume beyond {self.width} bits"
+                )
+            return leaf, m
+        if kind != "complex":
+            raise ValueError(f"unknown split kind {kind!r}")
+        offset = 0
+        for node in self._path_to(leaf):
+            length = len(node.label)
+            if offset < bit_position <= offset + length:
+                index = bit_position - offset - 1
+                if index < (0 if node.parent is None else 1):
+                    raise SplitFailedError(
+                        f"bit {bit_position} is a valid bit, not a skipped one"
+                    )
+                return node, index
+            offset += length
+        raise SplitFailedError(
+            f"no skipped bit at position {bit_position} on the path to {owner!r}"
+        )
 
     def affected_owners(self, candidate: SplitCandidate) -> List[OwnerKey]:
         """Owners whose agent sets ``candidate`` would re-route.
@@ -457,26 +487,37 @@ class HashTree:
         """
         if candidate.local:
             return [candidate.owner]
-        if candidate._node.is_root:
+        node, _ = self._split_point(candidate)
+        if node.parent is None:
             return self.owners()
-        return self._owners_under(candidate._node)
+        return self._owners_under(node)
 
     def apply_split(
         self, candidate: SplitCandidate, new_owner: OwnerKey
     ) -> SplitOutcome:
-        """Execute ``candidate``, registering ``new_owner`` for the new leaf."""
+        """Execute ``candidate``, registering ``new_owner`` for the new leaf.
+
+        The split is found from ``(owner, kind, bit_position)`` on this
+        tree, so a planned candidate and one rebuilt from a journal entry
+        (the delta-sync replay, docs/PROTOCOLS.md) perform the same
+        mutation; on a copy at the version the primary split at, the
+        result is bit-for-bit the primary's.
+        """
         if new_owner in self._leaves:
             raise ValueError(f"owner {new_owner!r} already has a leaf")
         if not self.has_owner(candidate.owner):
             raise SplitFailedError(
                 f"owner {candidate.owner!r} is no longer in the tree"
             )
+        node, index = self._split_point(candidate)
         if candidate.kind == "simple":
-            affected = self._apply_simple_split(candidate, new_owner)
+            affected = self._apply_simple_split(node, index, new_owner)
+        elif node.parent is None:
+            affected = self._complex_split_root(node, index, new_owner)
         else:
-            affected = self._apply_complex_split(candidate, new_owner)
+            affected = self._apply_complex_split(node, index, new_owner)
         self.version += 1
-        self._invalidate(affected + [new_owner])
+        self._compiled = None
         return SplitOutcome(
             candidate=candidate,
             old_owner=candidate.owner,
@@ -485,83 +526,9 @@ class HashTree:
             version=self.version,
         )
 
-    def candidate_at(
-        self, owner: OwnerKey, kind: str, bit_position: int
-    ) -> SplitCandidate:
-        """Reconstruct the candidate of a recorded split on *this* tree.
-
-        ``(kind, bit_position)`` identifies a split of ``owner``
-        uniquely: complex candidates promote skipped bits at positions
-        inside the leaf's consumed prefix, simple candidates sit beyond
-        it. Used by secondary copies to replay a journaled split (the
-        delta-sync protocol, DESIGN.md) -- the replica reconstructs the
-        candidate against its own nodes since candidate coordinates
-        never travel on the wire.
-        """
-        leaf = self._leaf(owner)
-        if kind == "simple":
-            m = bit_position - self.consumed_width(owner)
-            if m < 1:
-                raise SplitFailedError(
-                    f"simple split bit {bit_position} already consumed"
-                )
-            return SplitCandidate(
-                kind="simple",
-                owner=owner,
-                bit_position=bit_position,
-                local=True,
-                _node=leaf,
-                _index=m,
-            )
-        if kind != "complex":
-            raise ValueError(f"unknown split kind {kind!r}")
-        offset = 0
-        for node in self._path_to(leaf):
-            label_length = len(node.label)
-            if offset < bit_position <= offset + label_length:
-                index = bit_position - offset - 1
-                first_promotable = 0 if node.is_root else 1
-                if index < first_promotable:
-                    raise SplitFailedError(
-                        f"bit {bit_position} is a valid bit, not a skipped one"
-                    )
-                return SplitCandidate(
-                    kind="complex",
-                    owner=owner,
-                    bit_position=bit_position,
-                    local=node is leaf,
-                    _node=node,
-                    _index=index,
-                )
-            offset += label_length
-        raise SplitFailedError(
-            f"no skipped bit at position {bit_position} on the path to {owner!r}"
-        )
-
-    def replay_split(
-        self, kind: str, owner: OwnerKey, bit_position: int, new_owner: OwnerKey
-    ) -> SplitOutcome:
-        """Re-execute a split recorded as ``(kind, owner, bit_position)``.
-
-        On a replica at the same version as the primary was when the
-        split ran, this reproduces the primary's mutation bit-for-bit
-        (same structure, same version counter).
-        """
-        return self.apply_split(
-            self.candidate_at(owner, kind, bit_position), new_owner
-        )
-
     def _apply_simple_split(
-        self, candidate: SplitCandidate, new_owner: OwnerKey
+        self, leaf: _TreeNode, m: int, new_owner: OwnerKey
     ) -> List[OwnerKey]:
-        leaf = candidate._node
-        if not leaf.is_leaf or leaf.owner != candidate.owner:
-            raise SplitFailedError("stale candidate: the leaf changed")
-        m = candidate._index
-        if self.consumed_width(candidate.owner) + m > self.width:
-            raise SplitFailedError(
-                f"simple split with m={m} would consume beyond {self.width} bits"
-            )
         old_owner = leaf.owner
         # Pad the incoming label with m-1 skipped bits: the split happens
         # on the m-th not-yet-consumed bit (paper §4.1, Figure 3).
@@ -575,19 +542,9 @@ class HashTree:
         return [old_owner]
 
     def _apply_complex_split(
-        self, candidate: SplitCandidate, new_owner: OwnerKey
+        self, node: _TreeNode, index: int, new_owner: OwnerKey
     ) -> List[OwnerKey]:
-        node = candidate._node
-        index = candidate._index
         label = node.label
-        first_promotable = 0 if node.is_root else 1
-        if not first_promotable <= index < len(label):
-            raise SplitFailedError(
-                f"bit index {index} is not a skipped bit of label {label!r}"
-            )
-        if node.is_root:
-            return self._complex_split_root(node, index, new_owner)
-
         stored_bit = label[index]
         other_bit = "1" if stored_bit == "0" else "0"
         upper_label, tail = label[:index], label[index + 1 :]
@@ -676,7 +633,7 @@ class HashTree:
             parent.right.parent = parent
             parent.owner = None
         self.version += 1
-        self._invalidate(absorbers + [owner])
+        self._compiled = None
         return MergeOutcome(
             merged_owner=owner, kind=kind, absorbers=absorbers, version=self.version
         )
@@ -705,7 +662,7 @@ class HashTree:
         tree.width = width
         tree.version = version
         tree._leaves = {}
-        tree._init_caches()
+        tree._compiled = None
 
         def decode(node_spec: Tuple, parent: Optional[_TreeNode]) -> _TreeNode:
             if node_spec[0] == "leaf":

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-__all__ = ["Label", "HyperLabel", "compatible"]
+__all__ = ["Label", "HyperLabel"]
 
 
 def _check_bits(bits: str, what: str) -> None:
@@ -178,8 +178,3 @@ class HyperLabel:
 
     def __repr__(self) -> str:
         return f"HyperLabel({str(self)!r})"
-
-
-def compatible(prefix: str, hyper_label: "HyperLabel") -> bool:
-    """Module-level alias of :meth:`HyperLabel.matches` (paper wording)."""
-    return hyper_label.matches(prefix)

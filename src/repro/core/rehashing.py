@@ -25,10 +25,11 @@ leaf) and the two sides of the cross-shard merge,
 
 If no candidate is even, the paper's text keeps incrementing ``m``
 "until m is sufficiently large to produce an even split"; that loop need
-not terminate (one agent can carry all the load), so we bound it at
-``MAX_SIMPLE_M`` and fall back to the most balanced division seen
-that moves a non-zero load, or give up (``None``) when every division is
-degenerate. The deviation is recorded in DESIGN.md §4.
+not terminate (one agent can carry all the load), so the tree's
+candidates stop at ``hash_tree.MAX_SIMPLE_M`` and we fall back to the
+most balanced division seen that moves a non-zero load, or give up
+(``None``) when every division is degenerate. The deviation is recorded
+in DESIGN.md §4.
 """
 
 from __future__ import annotations
@@ -70,10 +71,6 @@ Division = Optional[Sequence[int]]
 #: A split is *even* when the lighter side receives at least this
 #: fraction of the load being divided (paper §4.1's "even split").
 BALANCE_TOLERANCE = 0.25
-
-#: Largest ``m`` tried by simple split before accepting the best uneven
-#: division found.
-MAX_SIMPLE_M = 8
 
 #: Utilization ceiling the adaptive threshold heuristic aims at per IAgent.
 TARGET_UTILIZATION = 0.4
@@ -192,11 +189,7 @@ def _candidates(
     tree: HashTree, owner: Hashable, config: HashMechanismConfig
 ) -> List[SplitCandidate]:
     """The admissible candidates for ``owner``, in the paper's order."""
-    candidates = tree.split_candidates(
-        owner,
-        scope=config.complex_split_scope,
-        max_simple_m=MAX_SIMPLE_M,
-    )
+    candidates = tree.split_candidates(owner, scope=config.complex_split_scope)
     if not config.enable_complex_split:
         candidates = [cand for cand in candidates if cand.kind == "simple"]
     return candidates
@@ -300,7 +293,7 @@ def _call(coord: Any, owner: Any, op: str, body: Dict) -> Tuple:
 def _placed(coord: Any, owner: Any) -> Tuple[Any, Any, str]:
     """``(owner, node, pattern)``: a leaf, where it is, what it covers."""
     function = coord.function
-    return owner, function.iagent_nodes.get(owner), function.tree.hyper_label(owner).pattern()
+    return owner, function.iagent_nodes.get(owner), function.tree.coverage(owner)
 
 
 def _ready(coord: Any, owner: Any) -> bool:
@@ -423,7 +416,7 @@ def takeover_saga(coord: Any, owner: Any) -> Saga:
         new_node = coord._pick_node()
         if new_node != old_node or len(coord.node_addrs) == 1:
             break
-    pattern = coord.function.tree.hyper_label(owner).pattern()
+    pattern = coord.function.tree.coverage(owner)
     body = {"owner": owner, "pattern": pattern, "recover": new_node == old_node}
     if (yield ("call", "host", new_node, "host-iagent", body)) is None:
         return None  # that node is sick too; the liveness monitor retries
@@ -464,7 +457,7 @@ def shard_merge_saga(coord: Any, buddy: int) -> Saga:
     for owner in list(coord.function.iagent_nodes):
         reply = yield _call(coord, owner, "extract-all", {})
         drained[owner] = merge_handoffs([] if reply is None else [reply])
-        drained[owner]["pattern"] = tree.hyper_label(owner).pattern()
+        drained[owner]["pattern"] = tree.coverage(owner)
         if reply is None:
             # Fenced off (a deposed initiator) or unreachable: nothing
             # has left this shard, and that leaf gets its coverage back.

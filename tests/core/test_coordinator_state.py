@@ -99,7 +99,12 @@ class Scripted(RuleBasedStateMachine):
     def split(self, owner, candidate, node):
         owner = self.owner(owner)
         tree = self.live.function.tree
-        candidates = tree.split_candidates(owner, scope="path", max_simple_m=2)
+        reach = tree.consumed_width(owner) + 2  # simple splits with m <= 2
+        candidates = [
+            c
+            for c in tree.split_candidates(owner, scope="path")
+            if c.kind == "complex" or c.bit_position <= reach
+        ]
         if not candidates:
             return
         chosen = candidates[candidate % len(candidates)]

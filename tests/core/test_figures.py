@@ -28,7 +28,7 @@ def grow_figure1_tree():
         candidate = next(
             c
             for c in tree.split_candidates(owner)
-            if c.kind == "simple" and c._index == m
+            if c.kind == "simple" and c.bit_position == tree.consumed_width(owner) + m
         )
         tree.apply_split(candidate, new)
 

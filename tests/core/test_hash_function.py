@@ -115,7 +115,12 @@ class Replicas:
 
     def split(self, owner_selector, candidate_selector, node):
         owner = self.owner(owner_selector)
-        candidates = self.tree.split_candidates(owner, scope="path", max_simple_m=2)
+        reach = self.tree.consumed_width(owner) + 2  # simple splits with m <= 2
+        candidates = [
+            c
+            for c in self.tree.split_candidates(owner, scope="path")
+            if c.kind == "complex" or c.bit_position <= reach
+        ]
         if not candidates:
             return False
         candidate = candidates[candidate_selector % len(candidates)]

@@ -16,7 +16,7 @@ def fresh_tree(width=16):
 
 def simple_candidate(tree, owner, m=1):
     for candidate in tree.split_candidates(owner):
-        if candidate.kind == "simple" and candidate._index == m:
+        if candidate.kind == "simple" and candidate.bit_position == tree.consumed_width(owner) + m:
             return candidate
     raise AssertionError(f"no simple candidate with m={m}")
 

@@ -14,8 +14,10 @@ keeps by the paper's rules alone (§4.1-§4.2), not by the tree's:
   or the sibling subtree's routing once that bit is skipped (complex).
 
 Alongside, the tree's own invariants hold, its spec round-trips, every
-owner's cached hyper-label equals one built from an empty cache (a
-rehash drops only the owners it moved), and ``find_within_hamming``
+owner's coverage pattern -- read off its path, and what an IAgent is
+handed on a split, merge or takeover -- equals its hyper-label's
+pattern and, compiled as the IAgent compiles it, covers exactly the
+ids the model gives that owner, and ``find_within_hamming``
 names exactly the owners of the ids inside the ball, each at its
 nearest id's distance -- on merged trees too, which grown-only trees
 never reach.
@@ -26,6 +28,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from repro.core.hash_tree import HashTree
+from repro.core.iagent_state import compile_coverage
 
 WIDTH = 8
 IDS = range(1 << WIDTH)
@@ -85,7 +88,8 @@ class HashTreeMachine(RuleBasedStateMachine):
         candidate = candidates[pick % len(candidates)]
         position = candidate.bit_position
         # The bit the label stores at that position: ids carrying it stay.
-        stored = int(candidate._node.label[candidate._index])
+        node, index = self.tree._split_point(candidate)
+        stored = int(node.label[index])
         below = set(self.tree.affected_owners(candidate))
         assert candidate.local == (below == {owner})
         self.split(
@@ -118,6 +122,7 @@ class HashTreeMachine(RuleBasedStateMachine):
         while len(self.tree) > 1:
             self.merge_owner(self.owner(0))
             self.check_model()
+            self.coverage_is_the_path()
         (survivor,) = self.tree.owners()
         assert set(self.owner_of.values()) == {survivor}
         spec = self.tree.to_spec()
@@ -146,13 +151,19 @@ class HashTreeMachine(RuleBasedStateMachine):
         self.tree.check_invariants()
 
     @invariant()
-    def hyper_labels_are_current(self):
-        """Read every owner's hyper-label (so each is cached going into
-        the next step) against a copy of the tree that has cached none."""
-        fresh = HashTree.from_spec(self.tree.to_spec())
-        for owner in self.tree.owners():
-            assert self.tree.hyper_label(owner) == fresh.hyper_label(owner), owner
-            assert self.tree.consumed_width(owner) == fresh.hyper_label(owner).width
+    def coverage_is_the_path(self):
+        """Each owner's coverage is its hyper-label's pattern, and the
+        compiled patterns partition the id space as the model does."""
+        tree = self.tree
+        covers = {}
+        for owner in tree.owners():
+            pattern = tree.coverage(owner)
+            assert pattern == tree.hyper_label(owner).pattern(), owner
+            assert tree.consumed_width(owner) == len(pattern)
+            covers[owner] = compile_coverage(pattern)
+        for agent in IDS:
+            serving = [owner for owner, test in covers.items() if test((agent, WIDTH))]
+            assert serving == [self.owner_of[agent]], agent
 
     @invariant()
     def spec_round_trips(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.labels import HyperLabel, Label, compatible
+from repro.core.labels import HyperLabel, Label
 
 
 class TestLabel:
@@ -116,5 +116,5 @@ class TestCompatibleAlias:
     def test_paper_example_shape(self):
         """Prefix 10... is compatible with 1.01... iff valid bits agree."""
         hyper = HyperLabel(["1", "01"])
-        assert compatible("100" + "0" * 61, hyper)
-        assert not compatible("110" + "0" * 61, hyper)
+        assert hyper.matches("100" + "0" * 61)
+        assert not hyper.matches("110" + "0" * 61)

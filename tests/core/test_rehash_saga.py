@@ -32,11 +32,10 @@ import pytest
 from repro.core.config import HashMechanismConfig
 from repro.core.coordinator_state import CoordinatorState
 from repro.core.hash_function import HashFunction
-from repro.core.hash_tree import HashTree
+from repro.core.hash_tree import MAX_SIMPLE_M, HashTree
 from repro.core.iagent_state import NO_RECORD, NOT_RESPONSIBLE, OK, IAgentState
 from repro.core.load import GroupedLoadStatistics, LoadStatistics
 from repro.core.rehashing import (
-    MAX_SIMPLE_M,
     Refused,
     RehashPolicy,
     merge_saga,
@@ -945,8 +944,14 @@ def shaped(rng, stats, **overrides):
     function = world.function
     for _ in range(rng.randint(0, 7)):
         owner = rng.choice(function.tree.owners())
+        tree = function.tree
+        reach = tree.consumed_width(owner) + 3  # simple splits with m <= 3
         candidate = rng.choice(
-            function.tree.split_candidates(owner, scope="path", max_simple_m=3)
+            [
+                c
+                for c in tree.split_candidates(owner, scope="path")
+                if c.kind == "complex" or c.bit_position <= reach
+            ]
         )
         new_owner, new_node = world.spawn()
         function.publish(

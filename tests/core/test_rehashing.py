@@ -76,7 +76,7 @@ class TestPlanSplit:
         # Simple split with m=3 pads two bits onto the root label.
         first = next(
             c for c in tree.split_candidates("IA0")
-            if c.kind == "simple" and c._index == 3
+            if c.kind == "simple" and c.bit_position == 3
         )
         tree.apply_split(first, "IA1")
         # Now give IA0 load that divides evenly on skipped bit 1.
@@ -90,7 +90,7 @@ class TestPlanSplit:
         tree = HashTree("IA0", width=16)
         first = next(
             c for c in tree.split_candidates("IA0")
-            if c.kind == "simple" and c._index == 3
+            if c.kind == "simple" and c.bit_position == 3
         )
         tree.apply_split(first, "IA1")
         loads = dict(uniform_loads("000", 4))
@@ -107,7 +107,7 @@ class TestPlanSplit:
         tree = HashTree("IA0", width=16)
         first = next(
             c for c in tree.split_candidates("IA0")
-            if c.kind == "simple" and c._index == 3
+            if c.kind == "simple" and c.bit_position == 3
         )
         tree.apply_split(first, "IA1")
         loads = dict(uniform_loads("000", 4))
@@ -125,7 +125,7 @@ class TestPlanSplit:
         tree = HashTree("IA0", width=16)
         first = next(
             c for c in tree.split_candidates("IA0")
-            if c.kind == "simple" and c._index == 3
+            if c.kind == "simple" and c.bit_position == 3
         )
         tree.apply_split(first, "IA1")
         loads = dict(uniform_loads("000", 4))
@@ -145,7 +145,7 @@ class TestAffectedOwners:
         tree = HashTree("IA0", width=16)
         first = next(
             c for c in tree.split_candidates("IA0")
-            if c.kind == "simple" and c._index == 3
+            if c.kind == "simple" and c.bit_position == 3
         )
         tree.apply_split(first, "IA1")
         complex_candidate = next(

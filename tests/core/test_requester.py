@@ -22,7 +22,7 @@ import pytest
 from repro.core.config import HashMechanismConfig
 from repro.core.errors import LocateFailedError
 from repro.core.hash_function import HashFunction
-from repro.core.hash_tree import HashTree
+from repro.core.hash_tree import HashTree, SplitCandidate
 from repro.core.mechanism import HashLocationMechanism
 from repro.core.requester import discover_saga, request_saga
 from repro.platform.events import Future
@@ -231,7 +231,7 @@ def split_copy(version, left, right):
     discovery round's candidates are computed from it: by the
     simulator's LHAgent, and by the live requester itself."""
     tree = HashTree(left)
-    tree.replay_split("simple", left, 1, right)
+    tree.apply_split(SplitCandidate(left, "simple", 1), right)
     return HashFunction(version, tree, dict.fromkeys((left, right), "node-1"))
 
 

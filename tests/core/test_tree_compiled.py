@@ -14,6 +14,7 @@ import itertools
 from hypothesis import given, settings, strategies as st
 
 from repro.core.hash_tree import HashTree
+from repro.core.iagent_state import compile_coverage
 from repro.platform.naming import AgentId
 
 WIDTH = 16
@@ -92,21 +93,23 @@ def test_compiled_lookup_matches_naive_traversal(script):
     script=st.lists(op_strategy, min_size=0, max_size=20),
     ids=st.lists(ids_strategy, min_size=1, max_size=20),
 )
-def test_hyper_label_cache_matches_cold_rebuild(script, ids):
-    """Cached hyper-labels/consumed widths equal a cache-cold clone's."""
+def test_coverage_matches_hyper_label(script, ids):
+    """The coverage read off a leaf's path is its hyper-label's pattern
+    (on a clone too), and the owner a lookup names covers the id by
+    both the pattern the IAgent compiles and the paper's rule."""
     tree = HashTree(0, width=WIDTH)
     counter = itertools.count(1)
     for op in script:
-        for owner in tree.owners():  # warm the per-owner caches
-            tree.hyper_label(owner)
         apply_one(tree, op, counter)
-        cold = HashTree.from_spec(tree.to_spec())  # fresh caches
+        clone = HashTree.from_spec(tree.to_spec())
         for owner in tree.owners():
-            assert tree.hyper_label(owner) == cold.hyper_label(owner)
-            assert tree.consumed_width(owner) == cold.consumed_width(owner)
+            pattern = tree.coverage(owner)
+            assert pattern == tree.hyper_label(owner).pattern() == clone.coverage(owner)
+            assert tree.consumed_width(owner) == len(pattern)
         for bits in ids:
             owner = tree.lookup(bits)
             assert tree.covers(owner, bits)
+            assert compile_coverage(tree.coverage(owner))((int(bits, 2), WIDTH))
 
 
 def test_version_bumps_and_memo_invalidation():
@@ -121,10 +124,8 @@ def test_version_bumps_and_memo_invalidation():
     assert tree._compiled is None
 
     tree.lookup(probe)
-    tree.hyper_label(0)
     assert tree._compiled is not None
     tree.apply_merge(1)
     assert tree.version == 2
     assert tree._compiled is None
-    assert not tree._hyper_cache
     assert tree.lookup(probe) == 0

@@ -21,7 +21,7 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core.hash_function import HashFunction
-from repro.core.hash_tree import HashTree
+from repro.core.hash_tree import HashTree, SplitCandidate
 from repro.platform.messages import Response
 from repro.platform.naming import AgentId, AgentNamer
 from repro.service import wire
@@ -747,7 +747,7 @@ class TestRepublish:
     def test_one_register_batch_frame_per_iagent_per_round(self, monkeypatch, residents):
         monkeypatch.setattr("repro.service.server.REREGISTER_INTERVAL", 0.05)
         tree = HashTree("ia-0")
-        tree.replay_split("simple", "ia-0", 1, "ia-1")  # ia-1 serves ids starting 1
+        tree.apply_split(SplitCandidate("ia-0", "simple", 1), "ia-1")  # ia-1 serves ids starting 1
         function = HashFunction(1, tree, dict.fromkeys(("ia-0", "ia-1"), "n"))
         agents = [AgentId((index % 2) << 63 | index) for index in range(residents)]
 
