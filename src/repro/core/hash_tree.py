@@ -175,17 +175,15 @@ class SplitCandidate(tuple):
         )
 
 
-@dataclass
 class SplitOutcome:
-    """What a split changed."""
+    """What a split changed: ``affected_owners``, the owners whose agent
+    sets may have changed (the split owner, and for a non-local complex
+    split every owner of the re-routed subtree)."""
 
-    candidate: SplitCandidate
-    old_owner: OwnerKey
-    new_owner: OwnerKey
-    #: Owners whose agent sets may have changed (old owner, and for a
-    #: non-local complex split every owner of the re-routed subtree).
-    affected_owners: List[OwnerKey]
-    version: int
+    __slots__ = ("affected_owners",)
+
+    def __init__(self, affected_owners: List[OwnerKey]) -> None:
+        self.affected_owners = affected_owners
 
 
 @dataclass
@@ -518,13 +516,7 @@ class HashTree:
             affected = self._apply_complex_split(node, index, new_owner)
         self.version += 1
         self._compiled = None
-        return SplitOutcome(
-            candidate=candidate,
-            old_owner=candidate.owner,
-            new_owner=new_owner,
-            affected_owners=affected,
-            version=self.version,
-        )
+        return SplitOutcome(affected)
 
     def _apply_simple_split(
         self, leaf: _TreeNode, m: int, new_owner: OwnerKey

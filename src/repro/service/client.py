@@ -30,6 +30,10 @@ Two layers:
   resilience stack below, answers ``None`` for one it could not
   perform (so a pull the LHAgent could not serve is retried, not
   raised), and bounds the whole operation by ``op_deadline``. A
+  single-record op makes the request saga's first round -- resolve
+  from the held copy, ask -- inline, and builds the saga only when
+  that round's answer is not ``ok``, feeding it the round's mapping
+  and reply, so recovery stays the saga's alone. A
   locate returns what the responsible IAgent answered, or raises once
   the retries or the deadline are spent -- the client never answers
   one from its own memory. Retry
@@ -70,6 +74,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.core.hash_function import SecondaryCopies
+from repro.core.iagent_state import OK
 from repro.core.requester import discover_saga, request_saga
 from repro.discovery.hamming import merge_matches, shards_within
 from repro.metrics.trace import Tracer
@@ -503,15 +508,32 @@ class ServiceClient:
             estimator = self._rtts[addr] = RttEstimator(cap=self.config.rpc_timeout)
         return estimator
 
-    def _rpc_budget(
-        self, addr: Address, deadline: Optional[float], now: float, op: str
-    ) -> float:
-        """The per-RPC timeout: adaptive estimate (capped at
-        ``rpc_timeout``) clamped to the remaining op deadline; raises
-        when the deadline is exhausted."""
-        timeout = self._rtt_for(addr).timeout()
+    def _send(
+        self,
+        addr: Address,
+        rtt: RttEstimator,
+        to: Any,
+        op: str,
+        body: Any,
+        deadline: Optional[float],
+        start: float,
+        hedge: bool,
+    ) -> "asyncio.Future[Any]":
+        """Put one RPC to ``addr`` on the wire through the resilience
+        stack; the caller awaits the result and feeds ``rtt`` the round
+        trip.
+
+        The timeout is ``rtt``'s adaptive estimate (capped at
+        ``rpc_timeout``) clamped to what is left of the op deadline at
+        ``start``; a spent deadline raises :class:`ServiceTimeout`. An
+        idempotent read (``hedge``) also hands down the endpoint's
+        p95-derived hedge delay, with this client as the hedger: the
+        request's own record does the hedging, so a read answered inside
+        its delay costs what an unhedged call costs.
+        """
+        timeout = rtt.timeout()
         if deadline is not None:
-            remaining = deadline - now
+            remaining = deadline - start
             if remaining <= 0:
                 raise ServiceTimeout(
                     f"{op} to {format_addr(addr)}: op deadline exhausted",
@@ -519,7 +541,11 @@ class ServiceClient:
                     addr=addr,
                 )
             timeout = min(timeout, remaining)
-        return timeout
+        call_hedge = None
+        if hedge and self.config.hedge:
+            self._hedge_eligible += 1
+            call_hedge = (max(HEDGE_DELAY_FLOOR, rtt.hedge_delay()), self)
+        return self.channel.call(addr, to, op, body, timeout=timeout, hedge=call_hedge)
 
     async def _call(
         self,
@@ -530,33 +556,16 @@ class ServiceClient:
         deadline: Optional[float] = None,
         hedge: bool = False,
     ) -> Any:
-        """One RPC through the resilience stack.
-
-        Wraps :meth:`RpcChannel.call` with the adaptive Jacobson timeout
-        clamped to the remaining op deadline and -- for idempotent reads
-        (``hedge``) -- the endpoint's p95-derived hedge delay, handed
-        down with this client as the hedger: the request's own record
-        does the hedging, so a read answered inside its delay costs what
-        an unhedged call costs. Round trips that came back (including
-        remote *op* errors, which prove the transport) feed the RTT
-        estimator.
-        """
+        """One RPC through the resilience stack (:meth:`_send`). Round
+        trips that came back -- remote *op* errors included, which prove
+        the transport -- feed the endpoint's RTT estimator."""
         addr = tuple(addr)  # type: ignore[assignment]
         loop = asyncio.get_running_loop()
         start = loop.time()
-        timeout = self._rpc_budget(addr, deadline, start, op)
         rtt = self._rtt_for(addr)
-        call_hedge = None
-        if hedge and self.config.hedge:
-            self._hedge_eligible += 1
-            call_hedge = (max(HEDGE_DELAY_FLOOR, rtt.hedge_delay()), self)
         try:
-            value = await self.channel.call(
-                addr, to, op, body, timeout=timeout, hedge=call_hedge
-            )
+            value = await self._send(addr, rtt, to, op, body, deadline, start, hedge)
         except RemoteOpError:
-            # The peer answered: the transport is healthy even though
-            # the operation was rejected.
             rtt.observe(loop.time() - start)
             raise
         rtt.observe(loop.time() - start)
@@ -968,14 +977,67 @@ class ServiceClient:
         tolerate_no_record: bool = False,
         deadline: Optional[float] = None,
     ) -> Dict:
+        """One single-record op: :func:`request_saga`'s first round
+        inline, the saga itself only to recover.
+
+        The round is the saga's first *resolve* and *ask*: the IAgent the
+        held copy names, asked through the resilience stack. An ``ok``
+        answer is the op's. No copy of the shard, no address for the
+        IAgent, a failed hop or any other answer builds the saga, fed the
+        mapping this round asked with and the reply it drew, so recovery
+        is the saga's alone and counted as the simulator counts it.
+        """
         self.counters.ops += 1
+        loop = asyncio.get_running_loop()
+        start = loop.time()
+        if deadline is None:
+            deadline = start + self.config.op_deadline
+        held = self._held
+        copy = held.copies.get(shard_of(agent_id, self._shards))
+        mapping = reply = None
+        if copy is not None:
+            owner = copy.tree.lookup_id(agent_id)
+            node = copy.iagent_nodes.get(owner)
+            addr = held.node_addrs.get(node)
+            version = copy.version  # a pull during the ask may move the copy on
+            if addr is not None:
+                rtt = self._rtt_for(addr)
+                try:
+                    reply = await self._send(
+                        addr, rtt, owner, op, body, deadline, start, op in _HEDGED_OPS
+                    )
+                except RemoteOpError as error:
+                    rtt.observe(loop.time() - start)
+                    self._unanswered(error)
+                except ServiceRpcError:
+                    self.counters.transport_retries += 1
+                else:
+                    rtt.observe(loop.time() - start)
+                    if reply.get("status") == OK:
+                        return reply
+            mapping = {
+                "iagent": owner,
+                "node": node,
+                "addr": None if addr is None else list(addr),
+                "version": version,
+            }
         saga = request_saga(
             self.counters, self.config.max_retries, agent_id, op, body, tolerate_no_record
         )
-        return await self._drive(saga, deadline)
+        if mapping is not None:
+            saga.send(None)  # its first resolve, answered with this round's mapping
+            try:
+                saga.send(mapping)  # its first ask, answered by _drive with the reply
+            except StopIteration as done:  # a budget of no rounds asks nothing
+                return done.value
+        return await self._drive(saga, deadline, reply)
 
-    async def _drive(self, saga: Any, deadline: Optional[float] = None) -> Dict:
-        """Step a requester saga over the wire, inside one op deadline.
+    async def _drive(
+        self, saga: Any, deadline: Optional[float] = None, reply: Any = None
+    ) -> Dict:
+        """Step a requester saga over the wire, inside one op deadline;
+        ``reply`` answers the request it last yielded, when the caller
+        stepped it that far.
 
         Every hop goes through :meth:`_call`; a *pause* sleeps the
         jittered backoff and answers whether any deadline is left.
@@ -983,7 +1045,6 @@ class ServiceClient:
         loop = asyncio.get_running_loop()
         if deadline is None:
             deadline = loop.time() + self.config.op_deadline
-        reply: Any = None
         while True:
             try:
                 kind, *args = saga.send(reply)
@@ -1107,9 +1168,7 @@ class ServiceClient:
         self, mapping: Dict, op: str, body: Dict, deadline: float
     ) -> Optional[Dict]:
         """The *ask* hop. ``None``: the copy has no address for the
-        IAgent, or it is unreachable, gone from that node (crash,
-        migration, takeover), or answered from a shard that no longer
-        serves the id. Any other error envelope raises."""
+        IAgent, or the hop failed (see :meth:`_unanswered`)."""
         if mapping.get("addr") is None:
             return None
         try:
@@ -1118,15 +1177,21 @@ class ServiceClient:
                 hedge=op in _HEDGED_OPS,
             )
         except RemoteOpError as error:
-            if error.code == WRONG_SHARD:
-                self.counters.wrong_shard_retries += 1
-            elif error.code == AGENT_NOT_FOUND:
-                self.counters.transport_retries += 1
-            else:
-                raise
+            self._unanswered(error)
         except ServiceRpcError:
             self.counters.transport_retries += 1
         return None
+
+    def _unanswered(self, error: RemoteOpError) -> None:
+        """Count an ask the node refused as unanswered: the IAgent is
+        gone from it (crash, migration, takeover), or it answered from a
+        shard that no longer serves the id. Any other error raises."""
+        if error.code == WRONG_SHARD:
+            self.counters.wrong_shard_retries += 1
+        elif error.code == AGENT_NOT_FOUND:
+            self.counters.transport_retries += 1
+        else:
+            raise error
 
     async def _sleep(self, attempt: int, deadline: Optional[float] = None) -> None:
         """Capped exponential backoff with jitter; round 0 is free.

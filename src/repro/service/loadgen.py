@@ -346,8 +346,8 @@ class OpStream:
         self.node_names = list(node_names)
         #: Agents this lane owns: insertion-ordered, mutation targets.
         self.owned: List[AgentId] = []
-        #: agent -> [current node, sequence number] for owned agents.
-        self.state: Dict[AgentId, List] = {}
+        #: The sequence number each owned agent is at, indexed like ``owned``.
+        self.seqs: List[int] = []
         #: The frozen shared population reads draw from.
         self.shared: Sequence[AgentId] = ()
 
@@ -356,7 +356,7 @@ class OpStream:
         agent = self.namer.next_id()
         node = self.rng.choice(self.node_names)
         self.owned.append(agent)
-        self.state[agent] = [node, 0]
+        self.seqs.append(0)
         return Op(kind=OP_REGISTER, agent=agent, node=node, seq=0)
 
     def bind_shared(self, shared: Sequence[AgentId]) -> None:
@@ -379,11 +379,10 @@ class OpStream:
         if kind == OP_REGISTER:
             return self.spawn()
         if kind == OP_MOVE:
-            agent = self.owned[self.rng.randrange(len(self.owned))]
-            record = self.state[agent]
-            record[0] = self.rng.choice(self.node_names)
-            record[1] += 1
-            return Op(kind=OP_MOVE, agent=agent, node=record[0], seq=record[1])
+            index = self.rng.randrange(len(self.owned))
+            seq = self.seqs[index] = self.seqs[index] + 1
+            node = self.rng.choice(self.node_names)
+            return Op(kind=OP_MOVE, agent=self.owned[index], node=node, seq=seq)
         if kind == OP_BATCH:
             sample = tuple(
                 self.shared[self.rng.randrange(len(self.shared))]

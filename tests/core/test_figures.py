@@ -102,7 +102,7 @@ class TestFigure3SimpleSplit:
         )
         outcome = tree.apply_split(candidate, "IA7")
         tree.check_invariants()
-        assert outcome.new_owner == "IA7"
+        assert outcome.affected_owners == ["IA3"]
         # Both leaves sit one level deeper than IA3 did.
         assert tree.consumed_width("IA3") == before_width + 1
         assert tree.consumed_width("IA7") == before_width + 1

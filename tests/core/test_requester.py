@@ -8,7 +8,11 @@ in memory, its generator stepped without a simulator) and to a
 saga must make the same requests in the same order and count them the
 same way. (The RPCs differ by design: the simulator's requester asks
 its LHAgent to resolve and for discovery candidates, the live one
-computes both from its own copy.)
+computes both from its own copy. With that copy already held, the live
+driver makes a single-record op's first round itself and builds the
+saga only when the answer is not ``ok``: it then feeds the saga that
+round's mapping and reply, so the requests it records are the
+simulator's all the same.)
 (``tests/core/test_rehash_saga.py`` runs the sagas against real
 ``IAgentState`` leaves with a rehash suspended mid-way.)
 """
@@ -323,8 +327,8 @@ class _ScriptedChannel:
     locally must be the one it holds. It computes discovery candidates
     from its own copy too: a scripted copy is that pull's snapshot."""
 
-    def __init__(self, answers):
-        self.answers, self.held = list(answers), None
+    def __init__(self, answers, held=None):
+        self.answers, self.held = list(answers), held
 
     async def call(self, addr, to, op, body, timeout=None, hedge=None):
         answer = self.answers.pop(0)
@@ -342,14 +346,19 @@ class _ScriptedChannel:
         return answer
 
 
-def through_client(answers, operation):
+def through_client(answers, operation, held=False):
     """``operation(client)`` with every channel call answered from
-    ``answers``."""
-    channel = _ScriptedChannel(answers)
+    ``answers``; with ``held``, the client already holds the copy the
+    script's first mapping comes from, so it resolves that one itself."""
+    channel = _ScriptedChannel(answers, answers[0] if held else None)
     config = ClientConfig(max_retries=6)
     client = ServiceClient(
         "node-0", ("10.0.0.0", 1), config=config, channel=channel, rng=random.Random(5)
     )
+    if held:
+        first = answers[0]
+        reply = copy_reply(first["iagent"], first["node"], first["addr"], first["version"])
+        assert client._held.absorb(0, reply)
     with pytest.MonkeyPatch.context() as monkeypatch:
         patch_backoff(monkeypatch, 0.001, 0.002)
         result = asyncio.run(operation(client))
@@ -409,6 +418,49 @@ class TestBothDrivers:
         live = through_client(answers, lambda client: client.locate(AGENT))
         assert requests == made
         assert simulated == live == ("node-3", counted)
+
+    @pytest.mark.parametrize("case", LOCATES)
+    def test_same_script_with_the_copy_held_the_inline_round_draws_it(
+        self, case, requests
+    ):
+        """The live client asks the first IAgent itself and hands the
+        saga that round: the saga records the simulator's requests."""
+        answers, made, counted = self.LOCATES[case]
+        counted = {name: counted.get(name, 0) for name in COUNTED}
+        simulated = through_simulator(
+            answers, lambda mechanism, node: mechanism.locate(node, AGENT)
+        )
+        assert requests == made
+        del requests[:]
+        live = through_client(answers, lambda client: client.locate(AGENT), held=True)
+        assert requests == made
+        assert simulated == live == ("node-3", counted)
+
+    OK_FIRST = {
+        "locate": (
+            lambda mechanism, node: mechanism.locate(node, AGENT),
+            lambda client: client.locate(AGENT),
+            "node-3",
+        ),
+        "update": (
+            lambda mechanism, node: mechanism.report_move(
+                SimpleNamespace(agent_id=AGENT, node_name="node-0")
+            ),
+            lambda client: client.update(AGENT, "node-0", 2),
+            None,
+        ),
+    }
+
+    @pytest.mark.parametrize("op", OK_FIRST)
+    def test_an_ok_first_answer_builds_no_saga_live(self, op, requests):
+        simulate, perform, value = self.OK_FIRST[op]
+        answers = [mapping("ia-a", 1), self.OK]
+        simulated = through_simulator(answers, simulate)
+        assert requests == [("resolve", None), ("ask", "ia-a", op, None)]
+        del requests[:]
+        live = through_client(answers, perform, held=True)
+        assert requests == []
+        assert simulated == live == (value, dict.fromkeys(COUNTED, 0))
 
     def test_one_stale_discovery_candidate(self, requests):
         answers = [

@@ -9,13 +9,16 @@ requester's local resolve must equal what its LHAgent would have
 answered (``whois``, the pre-one-hop resolve), and every locate must
 agree with the driver's ground truth. Discovery candidates come from the
 same copies: after the cross-shard merges, every result set must equal
-brute force and no round may ask an IAgent twice.
+brute force and no round may ask an IAgent twice. With the copy held,
+an op answered ``ok`` builds no requester saga, and one the copy
+misroutes bounces once and recovers through it.
 """
 
 import asyncio
 from dataclasses import replace
 
 from repro.core.rehashing import takeover_saga
+from repro.core.requester import request_saga
 from repro.discovery.capability import (
     PREDICATE_PALETTE,
     assign_capabilities,
@@ -181,5 +184,69 @@ class TestLocalResolveEqualsTheLHAgents:
                     origins = client._held.origins
                     assert [origins[prefix][0] for prefix in range(4)] == [0, 0, 2, 2]
                     await discovered_exactly(client, caps_by_agent)
+
+        run(scenario())
+
+
+class TestTheFirstRoundIsInline:
+    N = 60
+
+    def test_ok_answers_build_no_saga_and_a_stale_copy_bounces_once(self, monkeypatch):
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(args[3])  # the op
+            return request_saga(*args, **kwargs)
+
+        monkeypatch.setattr("repro.service.client.request_saga", counting)
+
+        def delta(client, before):
+            after = client.counters.as_dict()
+            return {name: n - before[name] for name, n in after.items() if n != before[name]}
+
+        async def scenario():
+            async with booted_cluster(cluster_config(nodes=2)) as cluster:
+                agents = [await cluster.spawn_agent() for _ in range(self.N)]
+                for client in cluster.clients:  # each pulls its copy
+                    await client.locate(agents[0])
+                del built[:]
+
+                # A settled tree: every op is one ask, answered ok.
+                client = cluster.clients[0]
+                before = client.counters.as_dict()
+                for agent in agents:
+                    home, seq = cluster.truth[agent]
+                    assert await client.locate(agent) == cluster.nodes[home].name
+                    await client.update(agent, cluster.nodes[home].name, seq + 1)
+                    cluster.truth[agent] = (home, seq + 1)
+                assert built == []
+                assert delta(client, before) == {
+                    "ops": 2 * self.N, "locates": self.N, "updates": self.N,
+                }
+
+                # A split the clients' copies have not seen: the old leaf
+                # bounces, the saga refreshes and asks the new one.
+                primary = cluster.primary()
+                (root,) = primary.iagent_nodes
+                await primary._split(root)
+                moved = [a for a in agents if primary.tree.lookup_id(a) != root]
+                assert len(moved) >= 2
+                for client in cluster.clients:
+                    assert client._held.copies[0].version < primary.version
+                locating, updating = cluster.clients
+                agent, other = moved[:2]
+                counted = {"ops": 1, "retries": 1, "refreshes": 1, "not_responsible": 1}
+
+                before = locating.counters.as_dict()
+                home, _ = cluster.truth[agent]
+                assert await locating.locate(agent) == cluster.nodes[home].name
+                assert built == ["locate"]
+                assert delta(locating, before) == dict(counted, locates=1)
+
+                before = updating.counters.as_dict()
+                home, seq = cluster.truth[other]
+                await updating.update(other, cluster.nodes[home].name, seq + 1)
+                assert built == ["locate", "update"]
+                assert delta(updating, before) == dict(counted, updates=1)
 
         run(scenario())
