@@ -56,12 +56,12 @@ from itertools import repeat
 from operator import itemgetter
 from typing import Any, Dict, List, Tuple, Union
 
-from repro.platform.jsonable import TaggedCodecError
 from repro.platform.naming import AgentId
 
 __all__ = [
     "BinaryCodecError",
     "Buffer",
+    "TaggedCodecError",
     "decode",
     "encode_into",
 ]
@@ -70,6 +70,12 @@ Buffer = Union[bytes, bytearray, memoryview]
 
 _F64 = struct.Struct(">d")
 _U64 = struct.Struct(">Q")
+
+
+class TaggedCodecError(ValueError):
+    """A value that cannot be encoded or decoded: the base of every
+    codec layer's error (``BinaryCodecError``, ``WireError``,
+    ``StorageError``, the tagged-JSON dump's)."""
 
 
 class BinaryCodecError(TaggedCodecError):

@@ -16,36 +16,30 @@ non-string-key dict ``{"$dict": [[key, value], ...]}``
 ``{"$x": ...}``     escaped as ``{"$esc": {"$x": ...}}``
 ==================  ==================================================
 
-Neither a socket nor a new durable record carries it: both use the
-binary codec of :mod:`repro.platform.binary`. It keeps three jobs:
-:mod:`repro.storage` reads format-1 WAL segments and snapshots through
-it (errors surface as ``StorageError``), :mod:`repro.service.wire` dumps
-a frame as ``CODEC_JSON`` (errors surface as ``WireError``), and the
-end-to-end benchmark times :func:`to_jsonable` on a journal entry. Each
-caller passes its error class through the ``error`` parameter so
-failures carry the vocabulary of the layer that hit them.
-:class:`TaggedCodecError` is also the base of the binary codec's
-errors, which is why the envelopes' module is imported only when a
-``Request`` / ``Response`` is met: the binary codec, and with it a
-process that never dumps an envelope, does not load it.
+Neither a socket nor a durable record carries it: both use the binary
+codec of :mod:`repro.platform.binary`. It keeps two jobs:
+:mod:`repro.service.wire` dumps a frame as ``CODEC_JSON`` (errors
+surface as ``WireError``), and the end-to-end benchmark times
+:func:`to_jsonable` on a journal entry. Each caller passes its error
+class through the ``error`` parameter so failures carry the vocabulary
+of the layer that hit them. The envelopes' module is imported only when
+a ``Request`` / ``Response`` is met, so a process that never dumps an
+envelope does not load it.
 """
 
 from __future__ import annotations
 
 from typing import Any, Type
 
+from repro.platform.binary import TaggedCodecError
 from repro.platform.naming import AgentId
 
-__all__ = ["TaggedCodecError", "from_jsonable", "to_jsonable"]
+__all__ = ["from_jsonable", "to_jsonable"]
 
 #: Tags understood by :func:`from_jsonable`; a single-key dict whose key
 #: starts with ``$`` but is not listed here is rejected, so unknown
 #: future tags fail loudly instead of decoding to nonsense.
 _TAGS = ("$aid", "$tuple", "$request", "$response", "$dict", "$esc")
-
-
-class TaggedCodecError(ValueError):
-    """A value that cannot be lowered to (or lifted from) tagged JSON."""
 
 
 def to_jsonable(value: Any, error: Type[TaggedCodecError] = TaggedCodecError) -> Any:

@@ -263,8 +263,8 @@ class HAgentServer(FramedServer):
             base = snapshot.last_lsn
             self.state.install(snapshot.state)
         replayed = 0
-        for record in self.store.wal.replay(after=base):
-            self.state.apply(record.value)
+        for value in self.store.replay(after=base):
+            self.state.apply(value)
             replayed += 1
         self.wal_replayed = replayed
         self.recovered_version = self.version

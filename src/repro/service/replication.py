@@ -33,7 +33,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 __all__ = [
     "EpochFence",
     "FailureDetector",
-    "FenceDecision",
     "next_epoch",
     "sharded_single_primary_violations",
     "single_primary_violations",
@@ -56,17 +55,6 @@ def next_epoch(*seen: int) -> int:
     return max(seen, default=0) + 1
 
 
-@dataclass(frozen=True)
-class FenceDecision:
-    """The fence's verdict on one epoch-carrying operation."""
-
-    admitted: bool
-    #: The fence's high-water epoch after the decision.
-    epoch: int
-    #: Why a rejected op was rejected (``"stale-epoch"``) or None.
-    reason: Optional[str] = None
-
-
 class EpochFence:
     """A node's guard against deposed coordinators (fencing token).
 
@@ -87,8 +75,9 @@ class EpochFence:
         """The highest epoch witnessed so far."""
         return self._epoch
 
-    def admit(self, epoch: int, claimant: Optional[str] = None) -> FenceDecision:
-        """Judge one operation carrying ``epoch`` from ``claimant``.
+    def admit(self, epoch: int, claimant: Optional[str] = None) -> Optional[str]:
+        """Judge one operation carrying ``epoch`` from ``claimant``:
+        ``None`` admits it, a ``"stale-epoch: ..."`` reason rejects it.
 
         Advancing epochs are always admitted (a legitimate promotion);
         the current epoch is admitted only for its first claimant, so
@@ -100,22 +89,17 @@ class EpochFence:
             self._epoch = epoch
             if claimant is not None:
                 self._claimants[epoch] = claimant
-            return FenceDecision(admitted=True, epoch=self._epoch)
+            return None
         if epoch == self._epoch:
             holder = self._claimants.get(epoch)
             if holder is None:
                 if claimant is not None:
                     self._claimants[epoch] = claimant
-                return FenceDecision(admitted=True, epoch=self._epoch)
+                return None
             if claimant is None or claimant == holder:
-                return FenceDecision(admitted=True, epoch=self._epoch)
-        return FenceDecision(
-            admitted=False,
-            epoch=self._epoch,
-            reason=f"stale-epoch: op epoch {epoch} < fenced epoch {self._epoch}"
-            if epoch < self._epoch
-            else f"stale-epoch: epoch {epoch} already claimed by another primary",
-        )
+                return None
+            return f"stale-epoch: epoch {epoch} already claimed by another primary"
+        return f"stale-epoch: op epoch {epoch} < fenced epoch {self._epoch}"
 
 
 @dataclass

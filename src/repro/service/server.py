@@ -885,10 +885,10 @@ class NodeServer(FramedServer):
         if epoch is None:
             return
         fence = self.fences.setdefault(int(body.get("shard", 0)), EpochFence())
-        decision = fence.admit(epoch, body.get("claimant"))
-        if not decision.admitted:
+        rejected = fence.admit(epoch, body.get("claimant"))
+        if rejected is not None:
             self.fence_rejections += 1
-            raise _Reject(f"{decision.reason} (op {op!r} at {self.name})")
+            raise _Reject(f"{rejected} (op {op!r} at {self.name})")
 
     async def find_primary(self, shard: int = 0) -> Optional[Address]:
         """Scan one shard's replica book for its highest-epoch primary.
@@ -958,12 +958,10 @@ class NodeServer(FramedServer):
         """A promoted HAgent replica announces its epoch and address."""
         shard = int(body.get("shard", 0))
         fence = self.fences.setdefault(shard, EpochFence())
-        decision = fence.admit(body["epoch"], body.get("claimant"))
-        if not decision.admitted:
+        rejected = fence.admit(body["epoch"], body.get("claimant"))
+        if rejected is not None:
             self.fence_rejections += 1
-            raise _Reject(
-                f"{decision.reason} (new-primary announcement at {self.name})"
-            )
+            raise _Reject(f"{rejected} (new-primary announcement at {self.name})")
         self.router.set_primary(shard, (body["host"], body["port"]))
         return {"status": OK, "epoch": fence.epoch}
 

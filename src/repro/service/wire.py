@@ -70,12 +70,12 @@ from repro.platform.binary import (
     _U64,
     BinaryCodecError,
     Buffer,
+    TaggedCodecError,
     _decode_value,
     _encode_value,
     _read_str,
     _write_str,
 )
-from repro.platform.jsonable import TaggedCodecError
 from repro.platform.messages import Request, Response
 from repro.platform.naming import AgentId
 

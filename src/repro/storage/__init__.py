@@ -18,20 +18,18 @@ discipline:
   on load, newest-valid-wins.
 * :mod:`repro.storage.store` -- :class:`DurableStore`, the per-agent
   facade binding one WAL + one snapshot set, with compaction (snapshot,
-  then drop the covered segments) and ``recover()`` = latest snapshot +
-  WAL-suffix replay through the caller's own reducer.
+  then drop the segments every kept snapshot covers) and ``recover()`` =
+  latest valid snapshot + WAL-suffix replay through the caller's own
+  reducer, which raises rather than skip a missing LSN.
 
 Everything is standard library only (``struct``, ``zlib``, ``os``).
-WAL record payloads and snapshot bodies are written in format 2: values
-in the binary codec of :mod:`repro.platform.binary`, the same encoding
-the wire carries, so :class:`repro.platform.naming.AgentId` record keys
-and hash-tree tuple specs round-trip exactly and a durable mutation
-costs one encode and one write. Format 1 (tagged JSON,
-:mod:`repro.platform.jsonable`) is still read: a v1 segment replays as
-it always did, a log whose last segment is v1 starts a v2 segment at its
-first append, and a v1 snapshot loads. The upgrade is one-way -- a
-reader from before format 2 refuses a v2 segment and skips a v2
-snapshot.
+WAL record payloads and snapshot bodies have one format, 2: values in
+the binary codec of :mod:`repro.platform.binary`, the same encoding the
+wire carries, so :class:`repro.platform.naming.AgentId` record keys and
+hash-tree tuple specs round-trip exactly and a durable mutation costs
+one encode and one write. A format-1 (tagged JSON) segment is refused
+and a format-1 snapshot skipped, each naming the last commit that reads
+it (``wal.FORMAT_1_REFUSAL``).
 """
 
 from repro.storage.errors import (

@@ -10,7 +10,7 @@ refuse to recover past it).
 
 from __future__ import annotations
 
-from repro.platform.jsonable import TaggedCodecError
+from repro.platform.binary import TaggedCodecError
 
 __all__ = [
     "CorruptRecordError",

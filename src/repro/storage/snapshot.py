@@ -17,18 +17,16 @@ On-disk layout (integers big-endian)::
     snapshot := magic[8]="REPROSNP" u32 format_version u32 crc32 u64 body_len body
     body     := {"last_lsn": int, "state": ...} as one value
 
-Format 2 (what :meth:`SnapshotStore.save` writes) encodes the body in
-the binary codec of :mod:`repro.platform.binary`, the WAL's and the
-wire's value encoding; format 1, its UTF-8 tagged JSON
-(:mod:`repro.platform.jsonable`), still loads. The upgrade is one-way:
-a reader from before format 2 skips a format-2 snapshot as invalid and
-replays the WAL instead.
+The one format is 2: the body in the binary codec of
+:mod:`repro.platform.binary`, the WAL's and the wire's value encoding.
 
-:meth:`SnapshotStore.latest` validates magic, CRC and the body; an
-invalid file (torn rename target from some pathological filesystem,
-manual tampering) is skipped with a :class:`StorageWarning` and the
-next-newest snapshot is used, so one bad file degrades recovery to a
-longer replay rather than an outage.
+:meth:`SnapshotStore.latest` validates magic, format, CRC and the body;
+an invalid file (torn rename target from some pathological filesystem,
+manual tampering, a format-1 file named as such in the warning) is
+skipped with a :class:`StorageWarning` and the next-newest snapshot is
+used. :class:`repro.storage.store.DurableStore` keeps the WAL from the
+oldest kept snapshot on, so one bad file degrades recovery to a longer
+replay rather than an outage.
 """
 
 from __future__ import annotations
@@ -43,8 +41,8 @@ from typing import Any, List, Optional
 
 from repro.platform import binary
 from repro.storage.errors import StorageError, StorageWarning
-# A snapshot body's format numbers are the WAL's: one codec per version.
-from repro.storage.wal import _DECODERS, _FORMAT_VERSION, sync_directory
+# A snapshot body's format number is the WAL's.
+from repro.storage.wal import _FORMAT_VERSION, FORMAT_1_REFUSAL, sync_directory
 
 __all__ = ["Snapshot", "SnapshotStore"]
 
@@ -58,7 +56,6 @@ class Snapshot:
 
     last_lsn: int
     state: Any
-    path: Path
 
 
 class SnapshotStore:
@@ -108,6 +105,10 @@ class SnapshotStore:
         """Snapshot files, oldest first (tmp leftovers excluded)."""
         return sorted(self.directory.glob("snap-*.snap"))
 
+    def oldest_lsn(self) -> int:
+        """The WAL position the oldest kept snapshot covers, off its name."""
+        return int(self.list()[0].stem.split("-", 1)[1])
+
     def prune(self) -> int:
         """Drop all but the newest ``keep`` snapshots; return removals."""
         removed = 0
@@ -127,8 +128,9 @@ class SnapshotStore:
             if len(raw) < _HEADER.size:
                 raise StorageError("truncated snapshot header")
             magic, version, crc, body_len = _HEADER.unpack_from(raw)
-            decode = _DECODERS.get(version)
-            if magic != _MAGIC or decode is None:
+            if magic == _MAGIC and version == 1:
+                raise StorageError(f"the snapshot {FORMAT_1_REFUSAL}")
+            if magic != _MAGIC or version != _FORMAT_VERSION:
                 raise StorageError(
                     f"bad snapshot header (magic={magic!r}, version={version})"
                 )
@@ -139,11 +141,10 @@ class SnapshotStore:
                 )
             if zlib.crc32(body) != crc:
                 raise StorageError("snapshot CRC mismatch")
-            document = decode(body)
+            document = binary.decode(body)
             return Snapshot(
                 last_lsn=int(document["last_lsn"]),
                 state=document["state"],
-                path=path,
             )
         except (OSError, ValueError, KeyError, TypeError) as error:
             warnings.warn(

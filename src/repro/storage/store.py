@@ -2,9 +2,12 @@
 
 A :class:`DurableStore` is what an agent endpoint actually holds: it
 logs every state mutation before acknowledging it, periodically folds
-the log into an atomic snapshot (then drops the covered WAL segments --
-compaction), and rebuilds the state on restart by loading the latest
-valid snapshot and replaying the WAL suffix.
+the log into an atomic snapshot (then drops the WAL segments that every
+kept snapshot covers -- compaction), and rebuilds the state on restart
+by loading the latest valid snapshot and replaying the WAL suffix. A
+replay that would skip a logged record raises instead: compaction keeps
+the suffix of the oldest kept snapshot, so a damaged newest snapshot
+costs a longer replay, and a lost segment is an error, not lost history.
 
 The store is deliberately agnostic about what the state *is*: recovery
 takes an ``initial`` factory and an ``apply(state, value)`` reducer, the
@@ -20,8 +23,9 @@ import shutil
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Iterator, Optional
 
+from repro.storage.errors import CorruptRecordError
 from repro.storage.snapshot import SnapshotStore
 from repro.storage.wal import DEFAULT_MAX_RECORD, WriteAheadLog
 
@@ -102,16 +106,39 @@ class DurableStore:
         )
 
     def snapshot(self, state: Any) -> Path:
-        """Persist ``state``, then compact the WAL segments it covers."""
+        """Persist ``state``, then compact the WAL segments that every
+        kept snapshot covers: recovery may fall back to the oldest."""
         self.wal.sync()
-        covered = self.wal.last_lsn
-        path = self.snapshots.save(state, covered)
+        path = self.snapshots.save(state, self.wal.last_lsn)
+        oldest = self.snapshots.oldest_lsn()
         # Rotate so even the active segment becomes droppable; the new
         # (empty) segment stays as the append target.
         self.wal.rotate()
-        self.compacted_segments += self.wal.truncate_until(covered)
+        self.compacted_segments += self.wal.truncate_until(oldest)
         self.logged_since_snapshot = 0
         return path
+
+    def replay(self, after: int) -> Iterator[Any]:
+        """Every logged value with an LSN above ``after``, in order.
+
+        Raises :class:`CorruptRecordError` naming the missing range
+        unless each LSN in ``(after, wal.last_lsn]`` is replayed exactly
+        once (segments deleted, or every snapshot covering them lost).
+        """
+        expected = after + 1
+        for record in self.wal.replay(after=after):
+            if record.lsn != expected:
+                raise self._gap(after, expected, record.lsn)
+            yield record.value
+            expected += 1
+        if expected <= self.wal.last_lsn:
+            raise self._gap(after, expected, self.wal.last_lsn + 1)
+
+    def _gap(self, after: int, expected: int, found: int) -> CorruptRecordError:
+        return CorruptRecordError(
+            f"{self.name}: replaying after LSN {after}, WAL records "
+            f"{expected}..{found - 1} are missing (next found: {found})"
+        )
 
     def recover(
         self,
@@ -130,8 +157,8 @@ class DurableStore:
         else:
             state, base = initial(), 0
         replayed = 0
-        for record in self.wal.replay(after=base):
-            result = apply(state, record.value)
+        for value in self.replay(after=base):
+            result = apply(state, value)
             if result is not None:
                 state = result
             replayed += 1

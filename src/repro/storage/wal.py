@@ -13,21 +13,17 @@ On-disk layout (all integers big-endian)::
     record    := u32 payload_len  u32 crc32  u64 lsn  payload
 
 ``crc32`` covers the 8 LSN bytes plus the payload, so a bit flip in
-either the sequence number or the body is detected. In format 2 (what
-every new segment is written in) the payload is the value in the binary
-codec of :mod:`repro.platform.binary` -- the wire's value encoding -- so
+either the sequence number or the body is detected. The one format is 2:
+the payload is the value in the binary codec of
+:mod:`repro.platform.binary` -- the wire's value encoding -- so
 :class:`repro.platform.naming.AgentId` keys, hash-tree tuple specs and
 list-vs-tuple shapes round-trip exactly. An append encodes straight
 after a 16-byte record-header slot, packs the header in place and issues
 one ``os.write`` (a short write is finished, never dropped).
 
-Format 1 -- the payload as UTF-8 tagged JSON
-(:func:`repro.platform.jsonable.to_jsonable`) -- is still read: its
-segments replay through :mod:`repro.platform.jsonable`, and a log whose
-final segment is format 1 starts a fresh format-2 segment at its first
-append, so one segment never mixes formats. The upgrade is one-way: a
-reader from before format 2 refuses a format-2 segment as
-:class:`CorruptRecordError` ("bad segment header ... version=2").
+A format-1 segment (tagged JSON) is refused with a :class:`StorageError`
+that names the last commit which reads it (:data:`FORMAT_1_REFUSAL`); a
+data dir that old is upgraded by recovering it there and snapshotting.
 
 Failure policy (the part that matters):
 
@@ -58,7 +54,6 @@ which the owning agent calls from a periodic loop: the loss bound is
 
 from __future__ import annotations
 
-import json
 import os
 import struct
 import time
@@ -66,10 +61,9 @@ import warnings
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Iterator, List, Optional
 
 from repro.platform import binary
-from repro.platform.jsonable import from_jsonable
 from repro.storage.errors import (
     CorruptRecordError,
     RecordTooLargeError,
@@ -80,6 +74,7 @@ from repro.storage.errors import (
 __all__ = [
     "DEFAULT_MAX_RECORD",
     "FSYNC_POLICIES",
+    "FORMAT_1_REFUSAL",
     "WalRecord",
     "WriteAheadLog",
 ]
@@ -92,6 +87,9 @@ DEFAULT_MAX_RECORD = 8 * 1024 * 1024
 
 FSYNC_POLICIES = ("always", "interval", "never")
 
+#: Why a format-1 (tagged JSON) WAL segment or snapshot is not read.
+FORMAT_1_REFUSAL = "is format 1 (tagged JSON): commit 60a13cf is the last that reads it"
+
 _MAGIC = b"REPROWAL"
 _FORMAT_VERSION = 2
 _HEADER = struct.Struct(">8sI")
@@ -102,14 +100,6 @@ _LEN_CRC = struct.Struct(">II")
 
 def _crc(lsn: int, payload: bytes) -> int:
     return zlib.crc32(payload, zlib.crc32(_LSN.pack(lsn))) & 0xFFFFFFFF
-
-
-def _decode_v1(payload: bytes) -> Any:
-    return from_jsonable(json.loads(payload.decode("utf-8")), error=StorageError)
-
-
-#: A record payload's (and a snapshot body's) decoder, by format version.
-_DECODERS: Dict[int, Callable[[bytes], Any]] = {1: _decode_v1, 2: binary.decode}
 
 
 def _segment_name(first_lsn: int) -> str:
@@ -354,13 +344,6 @@ class WriteAheadLog:
         sync_directory(self.directory)
 
     def _open_segment(self, path: Path) -> None:
-        with open(path, "rb") as handle:
-            _, version = _HEADER.unpack(handle.read(_HEADER.size))
-        if version != _FORMAT_VERSION:
-            # An older format's tail takes no more appends: counted as
-            # full, it makes the first append rotate to a fresh segment.
-            self._file_size = self.segment_max_bytes
-            return
         self._fd = os.open(path, os.O_WRONLY | os.O_APPEND)
         self._file_size = path.stat().st_size
 
@@ -385,8 +368,9 @@ class WriteAheadLog:
                     f"{path.name}: truncated segment header mid-log"
                 )
             magic, version = _HEADER.unpack(header)
-            decode = _DECODERS.get(version)
-            if magic != _MAGIC or decode is None:
+            if magic == _MAGIC and version == 1:
+                raise StorageError(f"{path.name} {FORMAT_1_REFUSAL}")
+            if magic != _MAGIC or version != _FORMAT_VERSION:
                 raise CorruptRecordError(
                     f"{path.name}: bad segment header "
                     f"(magic={magic!r}, version={version})"
@@ -426,13 +410,13 @@ class WriteAheadLog:
                         f"{path.name}@{offset}: CRC mismatch mid-log"
                     )
                 try:
-                    value = decode(payload)
+                    value = binary.decode(payload)
                 except ValueError as error:
                     # The CRC matched, so these bytes are what was
                     # written -- a writer bug, not a torn tail.
                     raise CorruptRecordError(
-                        f"{path.name}@{offset}: CRC-valid format-{version} "
-                        f"record does not decode: {error}"
+                        f"{path.name}@{offset}: CRC-valid record does not "
+                        f"decode: {error}"
                     ) from error
                 yield WalRecord(lsn=lsn, value=value)
                 offset = end

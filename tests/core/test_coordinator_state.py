@@ -302,8 +302,9 @@ FIXTURE = Path(__file__).resolve().parents[1] / "service" / "data" / "coordinato
 
 
 def parent_wrote():
-    """``{"state", "wal_values"}`` as the parent commit (PR 23) recorded
-    them beside the ``data_dir`` it wrote for :func:`scripted_coordinator`."""
+    """``{"state", "wal_values"}`` as an older commit recorded them beside
+    the ``data_dir`` it wrote for :func:`scripted_coordinator` (in format
+    1; the fixture holds the same files, LSNs and values in format 2)."""
     return from_jsonable(json.loads((FIXTURE / "expected.json").read_text()))
 
 

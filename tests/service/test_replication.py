@@ -34,42 +34,41 @@ class TestNextEpoch:
 class TestEpochFence:
     def test_advancing_epoch_is_admitted(self):
         fence = EpochFence()
-        decision = fence.admit(1, "hagent-0")
-        assert decision.admitted
+        assert fence.admit(1, "hagent-0") is None
         assert fence.epoch == 1
 
     def test_lower_epoch_is_stale(self):
         fence = EpochFence()
         fence.admit(3, "hagent-1")
-        decision = fence.admit(2, "hagent-0")
-        assert not decision.admitted
-        assert "stale-epoch" in decision.reason
+        rejected = fence.admit(2, "hagent-0")
+        assert rejected is not None
+        assert "stale-epoch" in rejected
         assert fence.epoch == 3
 
     def test_same_epoch_same_claimant_is_admitted(self):
         fence = EpochFence()
         fence.admit(2, "hagent-1")
-        assert fence.admit(2, "hagent-1").admitted
+        assert fence.admit(2, "hagent-1") is None
 
     def test_same_epoch_different_claimant_is_rejected(self):
         """Two replicas racing to the same epoch: first claimant wins."""
         fence = EpochFence()
         fence.admit(2, "hagent-1")
-        decision = fence.admit(2, "hagent-2")
-        assert not decision.admitted
-        assert "already claimed" in decision.reason
+        rejected = fence.admit(2, "hagent-2")
+        assert rejected is not None
+        assert "already claimed" in rejected
 
     def test_unattributed_op_at_current_epoch_is_admitted(self):
         fence = EpochFence()
         fence.admit(2, "hagent-1")
-        assert fence.admit(2, None).admitted
+        assert fence.admit(2, None) is None
 
     def test_unattributed_claim_then_attributed_one(self):
         """An epoch first seen without a claimant adopts the next one."""
         fence = EpochFence()
         fence.admit(2, None)
-        assert fence.admit(2, "hagent-1").admitted
-        assert not fence.admit(2, "hagent-2").admitted
+        assert fence.admit(2, "hagent-1") is None
+        assert fence.admit(2, "hagent-2") is not None
 
     @given(
         st.lists(
@@ -89,7 +88,7 @@ class TestEpochFence:
         fence = EpochFence()
         admitted = []
         for epoch, claimant in attempts:
-            if fence.admit(epoch, claimant).admitted:
+            if fence.admit(epoch, claimant) is None:
                 admitted.append((epoch, claimant))
         assert single_primary_violations(admitted) == []
 
@@ -135,9 +134,9 @@ class TestPromotionInterleavings:
         for replica, promote in script:
             if promote:
                 claimed = next_epoch(witnessed[replica])
-                decision = fence.admit(claimed, f"hagent-{replica}")
+                rejected = fence.admit(claimed, f"hagent-{replica}")
                 witnessed[replica] = max(witnessed[replica], fence.epoch)
-                if decision.admitted:
+                if rejected is None:
                     assert claimed > last_admitted or (
                         claimed == last_admitted
                         and admitted

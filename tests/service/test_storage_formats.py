@@ -1,22 +1,26 @@
-"""An IAgent data dir the parent commit wrote (WAL and snapshot format
-1, tagged JSON) recovers here, and appending to it starts a format-2
-segment instead of mixing formats in one file.
+"""An IAgent data dir an older commit wrote recovers here, and one in
+format 1 (tagged JSON) is refused, never read as empty history.
 
 The fixture under ``data/iagent-pr34/`` was written by
-:func:`scripted_iagent` at the parent commit, with ``expected.json``
-recording the journal entries it logged and the table it ended with.
+:func:`scripted_iagent` in format 1 (``format_1/``), with
+``expected.json`` recording the journal entries it logged and the table
+it ended with; ``data_dir/`` holds the same files, LSNs and values in
+format 2, the one format read now.
 """
 
 import copy
 import json
 import shutil
 import struct
+import warnings
 from pathlib import Path
+
+import pytest
 
 from repro.platform.jsonable import from_jsonable
 from repro.platform.naming import AgentId
 from repro.service.server import IAgentEndpoint, NodeServer, ServiceConfig
-from repro.storage import DurableStore
+from repro.storage import CorruptRecordError, DurableStore, StorageError, StorageWarning
 
 from tests.conftest import in_running_loop
 
@@ -87,35 +91,35 @@ class TestParentIAgentDataDir:
     def test_recovers_through_apply_mutation_to_the_parents_table(self, tmp_path):
         shutil.copytree(FIXTURE / "data_dir", tmp_path / "data_dir")
         store = DurableStore(tmp_path / "data_dir", STORE)
-        assert segment_versions(store) == [1]
+        assert segment_versions(store) == [2]
         result = recover(store)
         store.close()
         assert (result.snapshot_lsn, result.replayed, result.last_lsn) == (5, 3, 8)
         assert result.state == parent_wrote()["table"]
         assert {type(key) for key in result.state["records"]} == {AgentId}
 
-    def test_an_append_starts_a_v2_segment_and_replay_spans_both(self, tmp_path):
-        shutil.copytree(FIXTURE / "data_dir", tmp_path / "data_dir")
+    def test_a_format_1_data_dir_is_refused_naming_the_last_reader(self, tmp_path):
+        shutil.copytree(FIXTURE / "format_1", tmp_path / "data_dir")
+        wal = tmp_path / "data_dir" / STORE / "wal"
+        written = {path: path.read_bytes() for path in wal.iterdir()}
+        with pytest.raises(StorageError, match="format 1 .* commit 60a13cf"):
+            DurableStore(tmp_path / "data_dir", STORE)
+        assert {path: path.read_bytes() for path in wal.iterdir()} == written
+        # Beside a format-2 log that starts after it, the format-1
+        # snapshot is skipped, and the history it held is an error.
+        shutil.rmtree(wal)
+        wal.mkdir()
+        (wal / "wal-0000000000000006.log").write_bytes(b"REPROWAL\x00\x00\x00\x02")
         store = DurableStore(tmp_path / "data_dir", STORE)
-        appended = [
-            {"op": "put", "agent": MID, "node": "node-3", "seq": 4},
-            {"op": "del", "agent": LOW},
-        ]
-        assert [store.log(value) for value in appended] == [9, 10]
-        assert segment_versions(store) == [1, 2]
-        records = list(store.wal.replay(after=5))
-        assert [record.lsn for record in records] == [6, 7, 8, 9, 10]
-        assert [record.value for record in records] == (
-            parent_wrote()["wal_values"][5:] + appended
-        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(CorruptRecordError, match="records 1..5 are missing"):
+                recover(store)
         store.close()
-        reopened = DurableStore(tmp_path / "data_dir", STORE)
-        table = recover(reopened).state
-        reopened.close()
-        expected = parent_wrote()["table"]
-        for value in appended:
-            IAgentEndpoint.apply_mutation(expected, value)
-        assert table == expected
+        (warning,) = caught
+        assert warning.category is StorageWarning
+        assert "format 1" in str(warning.message)
+        assert "60a13cf" in str(warning.message)
 
     @in_running_loop
     def test_the_same_script_journals_what_the_parent_journaled(self, tmp_path):

@@ -36,10 +36,9 @@ class TestSaveAndLoad:
             isinstance(key, AgentId) for key in snapshot.state["records"]
         )
 
-    def test_a_table_of_ids_is_written_byte_for_byte_as_before(self, tmp_path):
-        # The whole format-1 file (header, crc, tagged-JSON body) the
-        # commit before AgentId became a tuple subclass wrote for this
-        # state, and every format-1 writer after it: it still loads.
+    def test_a_format_1_snapshot_is_skipped_naming_the_last_reader(self, tmp_path):
+        # The whole format-1 file (header, crc, tagged-JSON body) every
+        # tagged-JSON writer wrote for this state: it is not read.
         (tmp_path / "snap-0000000000000007.snap").write_bytes(
             b"REPROSNP\x00\x00\x00\x01\x82\xd5\xc0\xde\x00\x00\x00\x00\x00\x00\x00\xe9"
             b'{"last_lsn":7,"state":{"coverage":"1x0","records":{"$dict":['
@@ -48,10 +47,10 @@ class TestSaveAndLoad:
             b'[{"$aid":[5,8]},["node-2",1]]]},'
             b'"capabilities":{"$dict":[[{"$aid":[5,64]},{"gpu":true}]]}}}'
         )
-        snapshot = SnapshotStore(tmp_path).latest()
-        assert snapshot.last_lsn == 7
-        assert snapshot.state == ID_TABLE_STATE
-        assert {type(key) for key in snapshot.state["records"]} == {AgentId}
+        store = SnapshotStore(tmp_path)
+        with pytest.warns(StorageWarning, match="format 1 .* commit 60a13cf"):
+            assert store.latest() is None
+        assert store.invalid_skipped == 1
 
     def test_a_table_of_ids_is_written_in_the_binary_codec_byte_for_byte(self, tmp_path):
         path = SnapshotStore(tmp_path).save(ID_TABLE_STATE, last_lsn=7)

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.platform.naming import AgentId
-from repro.storage import DurableStore, RecordTooLargeError
+from repro.storage import (
+    CorruptRecordError,
+    DurableStore,
+    RecordTooLargeError,
+    StorageWarning,
+)
 
 
 def apply_put(state, op):
@@ -115,6 +120,87 @@ class TestCompaction:
             store.log({"op": "put", "key": "k", "value": index})
         assert not store.should_snapshot
         store.close()
+
+
+def twenty_five_values(root, **kwargs):
+    """Log 0-9, snapshot, 10-19, snapshot, 20-24; close; return the store."""
+    store = DurableStore(root, "shard", fsync="never", snapshot_every=0, **kwargs)
+    logged = []
+    for chunk in (range(10), range(10, 20), range(20, 25)):
+        for value in chunk:
+            store.log(value)
+            logged.append(value)
+        if len(logged) < 25:
+            store.snapshot(list(logged))
+    store.close()
+    return store
+
+
+def flip_last_byte(path):
+    raw = bytearray(path.read_bytes())
+    raw[-1] ^= 0xFF
+    path.write_bytes(bytes(raw))
+
+
+def recover_list(root, **kwargs):
+    store = DurableStore(root, "shard", fsync="never", snapshot_every=0, **kwargs)
+    try:
+        return store.recover(initial=list, apply=lambda state, value: state.append(value))
+    finally:
+        store.close()
+
+
+class TestDamagedHistory:
+    """One bad file costs a longer replay; a hole in the log is an error."""
+
+    def test_a_damaged_newest_snapshot_recovers_the_full_history(self, tmp_path):
+        store = twenty_five_values(tmp_path)
+        flip_last_byte(store.snapshots.list()[-1])
+        with pytest.warns(StorageWarning, match="snapshot CRC mismatch"):
+            result = recover_list(tmp_path)
+        assert (result.snapshot_lsn, result.replayed) == (10, 15)
+        assert result.state == list(range(25))
+
+    def test_compaction_keeps_the_suffix_of_the_oldest_kept_snapshot(self, tmp_path):
+        store = twenty_five_values(tmp_path, segment_max_bytes=32)
+        first_lsns = [int(path.stem.split("-")[1]) for path in store.wal.segments()]
+        assert first_lsns[0] <= 11 and store.compacted_segments > 0
+        # With one snapshot kept, compaction reaches the newest one.
+        store = twenty_five_values(tmp_path / "one", snapshot_keep=1)
+        assert [path.name for path in store.wal.segments()] == [
+            "wal-0000000000000021.log"
+        ]
+
+    def test_every_snapshot_damaged_is_an_error_not_a_shorter_history(self, tmp_path):
+        store = twenty_five_values(tmp_path)
+        for path in store.snapshots.list():
+            flip_last_byte(path)
+        with pytest.warns(StorageWarning):
+            with pytest.raises(CorruptRecordError, match="records 1..10 are missing"):
+                recover_list(tmp_path)
+
+    def test_a_deleted_middle_segment_raises(self, tmp_path):
+        store = twenty_five_values(tmp_path, segment_max_bytes=32)
+        # Two records a segment: delete the one holding LSNs 21 and 22,
+        # past the newest snapshot and before the log's last segment.
+        middle = tmp_path / "shard" / "wal" / "wal-0000000000000021.log"
+        assert middle in store.wal.segments()[:-1]
+        middle.unlink()
+        with pytest.raises(CorruptRecordError, match="records 21..22 are missing"):
+            recover_list(tmp_path)
+
+    def test_a_log_that_ends_early_raises(self, tmp_path):
+        store = twenty_five_values(tmp_path, segment_max_bytes=32)
+        reopened = DurableStore(tmp_path, "shard", fsync="never")
+        reopened.wal.rotate()
+        reopened.close()
+        for path in store.snapshots.list():
+            flip_last_byte(path)
+        for path in reopened.wal.segments()[:-1]:
+            path.unlink()
+        with pytest.warns(StorageWarning):
+            with pytest.raises(CorruptRecordError, match="records 1..25 are missing"):
+                recover_list(tmp_path)
 
 
 class TestLifecycle:

@@ -86,20 +86,15 @@ class TestAppendReplay:
         assert [r.lsn for r in wal.replay()] == [1, 2, 3, 4]
         wal.close()
 
-    def test_ids_are_journaled_as_aid_documents_byte_for_byte(self, tmp_path):
-        # The format-1 record the commit before AgentId became a tuple
-        # subclass wrote for ADOPT (and every format-1 writer after it):
-        # a data dir written on either side of that change, or before
-        # the binary format, replays here.
-        (tmp_path / "wal-0000000000000001.log").write_bytes(
-            v1_segment([ADOPT_V1_PAYLOAD])
-        )
-        wal = WriteAheadLog(tmp_path, fsync="never")
-        (replayed,) = replayed_values(wal)
-        wal.close()
-        assert replayed == ADOPT
-        assert {type(key) for key in replayed["records"]} == {AgentId}
-        assert [type(key) for key in replayed["pairs"]] == [tuple]
+    def test_a_format_1_segment_is_refused_naming_the_last_reader(self, tmp_path):
+        # The format-1 record every tagged-JSON writer wrote for ADOPT:
+        # opening the log refuses it, and leaves the file as it was.
+        segment = tmp_path / "wal-0000000000000001.log"
+        segment.write_bytes(v1_segment([ADOPT_V1_PAYLOAD]))
+        with pytest.raises(StorageError, match="format 1 .* commit 60a13cf") as raised:
+            WriteAheadLog(tmp_path, fsync="never")
+        assert not isinstance(raised.value, CorruptRecordError)
+        assert segment.read_bytes() == v1_segment([ADOPT_V1_PAYLOAD])
 
     def test_ids_are_journaled_in_the_binary_codec_byte_for_byte(self, tmp_path):
         wal = WriteAheadLog(tmp_path, fsync="never")
@@ -125,17 +120,18 @@ class TestAppendReplay:
         assert {type(key) for key in replayed["records"]} == {AgentId}
         assert [type(key) for key in replayed["pairs"]] == [tuple]
 
-    def test_a_v1_tail_is_rotated_before_the_first_append(self, tmp_path):
+    def test_a_format_1_segment_before_a_format_2_one_is_refused_on_replay(self, tmp_path):
         (tmp_path / "wal-0000000000000001.log").write_bytes(
             v1_segment([b'{"n":0}', ADOPT_V1_PAYLOAD])
         )
+        (tmp_path / "wal-0000000000000003.log").write_bytes(b"REPROWAL\x00\x00\x00\x02")
         wal = WriteAheadLog(tmp_path, fsync="never")
         assert wal.last_lsn == 2
         assert wal.append({"n": 3}) == 3
         assert [segment_version(path) for path in wal.segments()] == [1, 2]
-        assert [(r.lsn, r.value) for r in wal.replay()] == [
-            (1, {"n": 0}), (2, ADOPT), (3, {"n": 3})
-        ]
+        with pytest.raises(StorageError, match="wal-0000000000000001.log is format 1"):
+            list(wal.replay())
+        assert [(r.lsn, r.value) for r in wal.replay(after=2)] == [(3, {"n": 3})]
         wal.close()
 
     def test_replay_after_skips_prefix(self, tmp_path):
