@@ -1,43 +1,11 @@
 """ABL-F -- the primary/backup HAgent extension (paper §7).
 
-"Currently, we are supporting a primary copy mechanism for the hash
-function, thus making the HAgent that keeps this copy a vulnerability
-point."
-
-The harness crashes the HAgent mid-measurement and simultaneously
-cold-caches every LHAgent (nodes rejoining during the outage), so every
-subsequent query needs a primary-copy read. Without the backup those
-reads time out and locates fail; with the backup the standby serves
-them and the run completes cleanly.
+The row ``failover`` of :data:`repro.harness.experiments.EXPERIMENTS` holds
+the setting, the claim and the shape checks asserted here.
 """
 
-from conftest import once
-
-from repro.harness.ablations import failover_results
-from repro.harness.tables import format_table
+from conftest import run_row
 
 
-def test_hagent_failover(benchmark, seeds):
-    rows = once(benchmark, lambda: failover_results(seeds=seeds))
-
-    print("\nABL-F: HAgent crash with cold secondary copies")
-    print(
-        format_table(
-            ["variant", "location time (ms)", "failed locates"],
-            [
-                [
-                    row["variant"],
-                    f"{row['mean_ms']:.1f} ±{row['ci95_ms']:.1f}",
-                    f"{row['failed_locates']:.1f}",
-                ]
-                for row in rows
-            ],
-        )
-    )
-
-    by_variant = {row["variant"]: row for row in rows}
-
-    # The vulnerability is real without the backup...
-    assert by_variant["no backup"]["failed_locates"] > 0
-    # ...and fully removed (for reads) with it.
-    assert by_variant["primary/backup"]["failed_locates"] == 0
+def test_hagent_failover(benchmark, seeds, executor):
+    run_row("failover", benchmark, seeds, executor)

@@ -1,39 +1,11 @@
 """ABL-P -- the IAgent-placement extension (paper §7).
 
-"First, we study a dual problem, the placement of the IAgents so that
-locality is exploited. For example, the IAgents could move closer to
-the majority of the agents that they serve."
-
-Workload: 40 TAgents roam almost exclusively inside a two-node cluster
-far from where infrastructure starts. With placement on, IAgents
-migrate into the cluster, shortening both the update and the query
-paths of agents (and query clients) in it.
+The row ``placement`` of :data:`repro.harness.experiments.EXPERIMENTS` holds
+the setting, the claim and the shape checks asserted here.
 """
 
-from conftest import once
-
-from repro.harness.ablations import placement_results
-from repro.harness.tables import format_table
+from conftest import run_row
 
 
-def test_placement_extension(benchmark, seeds):
-    rows = once(benchmark, lambda: placement_results(seeds=seeds))
-
-    print("\nABL-P: IAgent placement on a locality-clustered workload")
-    print(
-        format_table(
-            ["variant", "location time (ms)"],
-            [
-                [row["variant"], f"{row['mean_ms']:.1f} ±{row['ci95_ms']:.1f}"]
-                for row in rows
-            ],
-        )
-    )
-
-    by_variant = {row["variant"]: row for row in rows}
-    off = by_variant["placement off"]["mean_ms"]
-    on = by_variant["placement on"]["mean_ms"]
-
-    # Moving IAgents toward their agents pays off on this workload.
-    assert on < off
-    assert on < 0.9 * off
+def test_placement_extension(benchmark, seeds, executor):
+    run_row("placement", benchmark, seeds, executor)

@@ -1,71 +1,11 @@
 """ABL-S -- the split-policy ablation on an oscillating, skewed workload.
 
-Paper §4.1 motivates complex split with: using the unused label bits
-"would result in more balanced hash trees or in other words in using
-shorter prefixes". Multi-bit labels are created by merges (and by
-simple splits with m > 1), so the policies only diverge on workloads
-whose IAgent population contracts and re-expands; the harness runs a
-grow / shrink / regrow cycle over skewed agent ids (85% sharing a 6-bit
-prefix) and measures the regrow phase.
-
-Variants:
-
-* ``simple-only`` -- complex split disabled entirely;
-* ``complex(leaf)`` -- complex split restricted to the leaf's own edge
-  (structurally it almost never finds a candidate; see DESIGN.md §4);
-* ``complex(path)`` -- the paper's procedure (the default).
+The row ``split-policy`` of :data:`repro.harness.experiments.EXPERIMENTS` holds
+the setting, the claim and the shape checks asserted here.
 """
 
-from conftest import once
-
-from repro.harness.ablations import split_policy_results
-from repro.harness.tables import format_table
+from conftest import run_row
 
 
-def test_split_policy(benchmark, seeds):
-    rows = once(benchmark, lambda: split_policy_results(seeds=seeds))
-
-    print("\nABL-S: split policies on the oscillating skewed workload")
-    print(
-        format_table(
-            ["policy", "mean (ms)", "IAgents", "splits", "complex", "merges",
-             "max prefix bits"],
-            [
-                [
-                    row["policy"],
-                    f"{row['mean_ms']:.1f}",
-                    f"{row['iagents']:.1f}",
-                    f"{row['splits']:.1f}",
-                    f"{row['complex_splits']:.1f}",
-                    f"{row['merges']:.1f}",
-                    f"{row['max_depth']:.1f}",
-                ]
-                for row in rows
-            ],
-        )
-    )
-
-    by_policy = {row["policy"]: row for row in rows}
-
-    # The paper's procedure actually exercises complex splits here.
-    assert by_policy["complex(path)"]["complex_splits"] >= 1
-
-    # The conservative variants cannot (see DESIGN.md §4 note).
-    assert by_policy["simple-only"]["complex_splits"] == 0
-    assert by_policy["complex(leaf)"]["complex_splits"] == 0
-
-    # The stated benefit: shorter prefixes (a shallower tree) than
-    # simple-only, and no worse IAgent proliferation.
-    assert (
-        by_policy["complex(path)"]["max_depth"]
-        <= by_policy["simple-only"]["max_depth"]
-    )
-    assert (
-        by_policy["complex(path)"]["iagents"]
-        <= by_policy["simple-only"]["iagents"]
-    )
-
-    # All variants keep serving queries on this adversarial workload.
-    for row in rows:
-        assert row["mean_ms"] == row["mean_ms"]  # not NaN
-        assert row["mean_ms"] < 200.0
+def test_split_policy(benchmark, seeds, executor):
+    run_row("split-policy", benchmark, seeds, executor)

@@ -1,60 +1,11 @@
 """ABL-T -- sensitivity to the rehashing thresholds.
 
-The paper sets T_max/T_min to 50/5 msg/s and notes that "developing
-heuristics for setting these values is part of our plans for future
-work". This ablation sweeps T_max at the heavy end of Experiment I
-(100 TAgents) and shows the trade-off the heuristic would navigate:
-
-* a low T_max splits aggressively -- many IAgents, low location time,
-  more rehashing overhead;
-* a high T_max tolerates hot IAgents -- few IAgents, the location time
-  drifts toward the centralized scheme's.
+The row ``thresholds`` of :data:`repro.harness.experiments.EXPERIMENTS` holds
+the setting, the claim and the shape checks asserted here.
 """
 
-from conftest import once
-
-from repro.harness.sweeps import replicate
-from repro.harness.tables import format_table
-from repro.workloads.scenarios import exp1_scenario
-
-T_MAX_SWEEP = (25.0, 50.0, 100.0, 200.0, 400.0)
+from conftest import run_row
 
 
-def run_ablt(seeds):
-    points = []
-    for t_max in T_MAX_SWEEP:
-        scenario = exp1_scenario(100)
-        scenario = scenario.with_overrides(
-            config=scenario.config.with_overrides(t_max=t_max, t_min=t_max / 10.0)
-        )
-        points.append(replicate(scenario, "hash", seeds=seeds, x=t_max))
-    return points
-
-
-def test_tmax_sensitivity(benchmark, seeds):
-    points = once(benchmark, lambda: run_ablt(seeds))
-
-    rows = [
-        [
-            f"{point.x:g}",
-            f"{point.mean_ms:8.1f} ±{point.ci95_ms:5.1f}",
-            f"{point.mean_iagents:.1f}",
-        ]
-        for point in points
-    ]
-    print("\nABL-T: T_max sweep at N=100 (T_min = T_max / 10)")
-    print(format_table(["T_max (msg/s)", "location time (ms)", "IAgents"], rows))
-
-    iagents = [point.mean_iagents for point in points]
-    times = [point.mean_ms for point in points]
-
-    # More tolerance -> fewer IAgents, monotonically (modulo ties).
-    assert iagents[0] >= iagents[2] >= iagents[-1]
-    assert iagents[0] > iagents[-1]
-
-    # And a hot-spotted directory: the permissive end is clearly slower.
-    assert times[-1] > 1.5 * times[0]
-
-    # The paper's operating point (50) already achieves near-best time.
-    paper_point = next(p for p in points if p.x == 50.0)
-    assert paper_point.mean_ms < 2.0 * times[0]
+def test_tmax_sensitivity(benchmark, seeds, executor):
+    run_row("thresholds", benchmark, seeds, executor)

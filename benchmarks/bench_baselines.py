@@ -1,59 +1,11 @@
 """ABL-B -- every location mechanism on the paper's Experiment I sweep.
 
-Extension of the paper's evaluation: besides the centralized comparator
-the paper implemented, the related-work schemes of §6 run on the same
-workload -- Ajanta-style HLR/VLR, Voyager-style forwarding pointers and
-a Chord-style consistent-hashing directory.
-
-Expected shape: every *static* scheme eventually concentrates load on
-an agent nothing ever splits (the central agent; a home registry; a
-ring successor), so the load-adaptive hash mechanism is the flattest
-curve at scale.
+The row ``baselines`` of :data:`repro.harness.experiments.EXPERIMENTS` holds
+the setting, the claim and the shape checks asserted here.
 """
 
-from conftest import once
-
-from repro.harness.sweeps import sweep
-from repro.harness.tables import series_table
-from repro.workloads.scenarios import exp1_scenario
-
-POPULATIONS = (10, 30, 100)
-MECHANISMS = [
-    "centralized", "home-registry", "forwarding", "chord", "flooding", "hash",
-]
-
-
-def run_ablb(seeds, executor=None):
-    return sweep(
-        lambda n: exp1_scenario(int(n)),
-        POPULATIONS,
-        mechanisms=MECHANISMS,
-        seeds=seeds,
-        executor=executor,
-    )
+from conftest import run_row
 
 
 def test_all_baselines_on_exp1(benchmark, seeds, executor):
-    series = once(benchmark, lambda: run_ablb(seeds, executor))
-
-    print("\nABL-B: all six mechanisms on the Experiment I workload")
-    print(series_table(series, x_label="TAgents"))
-
-    at_scale = {name: series[name][-1].mean_ms for name in MECHANISMS}
-
-    # The hash mechanism is never the loser at scale, and beats the
-    # paper's centralized comparator decisively.
-    assert at_scale["hash"] < at_scale["centralized"] / 3.0
-
-    # Distributing over a handful of static registries helps but does
-    # not match the load-adaptive mechanism.
-    assert at_scale["hash"] < at_scale["home-registry"]
-
-    # Flatness: the hash curve grows least in relative terms among the
-    # directory-based schemes (forwarding's chains also stay shortish
-    # thanks to compression, so compare against the static directories).
-    def growth(name):
-        return series[name][-1].mean_ms / series[name][0].mean_ms
-
-    assert growth("hash") < growth("centralized")
-    assert growth("hash") < growth("home-registry")
+    run_row("baselines", benchmark, seeds, executor)

@@ -1,50 +1,11 @@
 """EXP1 -- paper Figure 7 (Experiment I): location time vs #TAgents.
 
-Paper setting (§5, digits reconstructed per DESIGN.md §7): TAgent
-population swept over {10, 20, 30, 50, 100}, each TAgent resident 0.5 s
-per node, 200 location queries per run, T_max/T_min = 50/5 msg/s.
-
-Paper claim: "in the centralized scheme, the time to locate a TAgent
-increases linearly with the number of TAgents as opposed to our
-mechanism in which the location time stays almost constant."
+The row ``exp1`` of :data:`repro.harness.experiments.EXPERIMENTS` holds
+the setting, the claim and the shape checks asserted here.
 """
 
-from conftest import once
-
-from repro.harness.sweeps import sweep
-from repro.harness.tables import series_table
-from repro.workloads.scenarios import EXP1_AGENT_COUNTS, exp1_scenario
-
-
-def run_figure7(seeds, executor=None):
-    return sweep(
-        lambda n: exp1_scenario(int(n)),
-        EXP1_AGENT_COUNTS,
-        mechanisms=["centralized", "hash"],
-        seeds=seeds,
-        executor=executor,
-    )
+from conftest import run_row
 
 
 def test_figure7_agent_scaling(benchmark, seeds, executor):
-    series = once(benchmark, lambda: run_figure7(seeds, executor))
-
-    print("\nEXP1 / Figure 7: location time vs number of TAgents")
-    print(series_table(series, x_label="TAgents"))
-
-    central = [point.mean_ms for point in series["centralized"]]
-    hashed = [point.mean_ms for point in series["hash"]]
-
-    # Centralized grows steeply and monotonically overall.
-    assert central[-1] > 5.0 * central[0]
-    assert central[-1] > central[1] > central[0] * 0.8
-
-    # Ours stays "almost constant".
-    assert max(hashed) < 2.5 * min(hashed)
-
-    # Ours wins decisively at scale.
-    assert hashed[-1] < central[-1] / 3.0
-
-    # The mechanism adapted: more IAgents at the heavy end.
-    iagents = [point.mean_iagents for point in series["hash"]]
-    assert iagents[-1] > iagents[0]
+    run_row("exp1", benchmark, seeds, executor)

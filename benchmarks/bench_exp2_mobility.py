@@ -1,54 +1,11 @@
 """EXP2 -- paper Figure 8 (Experiment II): location time vs mobility.
 
-Paper setting (§5, digits reconstructed per DESIGN.md §7): a small
-population of 20 TAgents whose residence per node sweeps over
-{100, 200, 500, 1000, 2000} ms; 200 queries per run.
-
-Paper claim: "our mechanism outperforms the centralized one ... it is
-interesting to note that this time remains almost constant regardless
-of the current system conditions."
+The row ``exp2`` of :data:`repro.harness.experiments.EXPERIMENTS` holds
+the setting, the claim and the shape checks asserted here.
 """
 
-from conftest import once
-
-from repro.harness.sweeps import sweep
-from repro.harness.tables import series_table
-from repro.workloads.scenarios import EXP2_RESIDENCE_TIMES_MS, exp2_scenario
-
-
-def run_figure8(seeds, executor=None):
-    return sweep(
-        lambda ms: exp2_scenario(ms),
-        EXP2_RESIDENCE_TIMES_MS,
-        mechanisms=["centralized", "hash"],
-        seeds=seeds,
-        executor=executor,
-    )
+from conftest import run_row
 
 
 def test_figure8_mobility(benchmark, seeds, executor):
-    series = once(benchmark, lambda: run_figure8(seeds, executor))
-
-    print("\nEXP2 / Figure 8: location time vs residence time per node")
-    print(series_table(series, x_label="residence (ms)"))
-
-    central = [point.mean_ms for point in series["centralized"]]
-    hashed = [point.mean_ms for point in series["hash"]]
-
-    # Faster movement (left end of the sweep) hurts centralized hard.
-    assert central[0] > 3.0 * central[-1]
-
-    # Ours stays almost constant across a 20x mobility range.
-    assert max(hashed) < 2.5 * min(hashed)
-
-    # Ours beats centralized at every mobility level.
-    for hash_ms, central_ms in zip(hashed, central):
-        assert hash_ms <= central_ms * 1.1
-
-    # And decisively where mobility is highest.
-    assert hashed[0] < central[0] / 2.0
-
-    # The IAgent population tracked the update load: more IAgents at
-    # 100 ms residence than at 2000 ms.
-    iagents = [point.mean_iagents for point in series["hash"]]
-    assert iagents[0] > iagents[-1]
+    run_row("exp2", benchmark, seeds, executor)

@@ -1,87 +1,11 @@
 """COST -- message-overhead accounting across mechanisms.
 
-The paper reports only location time; this extension quantifies what
-each mechanism pays for it in messages. Run on the Experiment I
-midpoint (50 TAgents), counting every network message the platform
-carries -- updates, queries, refreshes, rehash coordination, record
-transfers.
-
-Expected shape: the hash mechanism pays a *constant-factor* overhead
-(LHAgent hop per operation, occasional refreshes and rehash traffic)
-over the centralized scheme's one-round-trip protocol; Chord pays
-O(log N) routing hops per operation.
+The row ``overhead`` of :data:`repro.harness.experiments.EXPERIMENTS` holds
+the setting, the claim and the shape checks asserted here.
 """
 
-from conftest import once
-
-from repro.harness.experiment import run_experiment
-from repro.harness.tables import format_table
-from repro.workloads.scenarios import exp1_scenario
-
-MECHANISMS = ("centralized", "home-registry", "forwarding", "chord", "hash")
+from conftest import run_row
 
 
-def run_cost(seeds):
-    rows = {}
-    for name in MECHANISMS:
-        per_seed = [
-            run_experiment(exp1_scenario(50, seed=seed), name) for seed in seeds
-        ]
-        result = per_seed[0]
-        rows[name] = {
-            "mean_ms": sum(r.mean_location_ms for r in per_seed) / len(per_seed),
-            "update_ms": sum(
-                r.metrics.update_summary().mean for r in per_seed
-            ) / len(per_seed),
-            "messages": result.metrics.messages_sent,
-            "per_locate": result.metrics.messages_per_locate(),
-            "retries": result.metrics.counters.get("retries", 0),
-            "refreshes": result.metrics.counters.get("refreshes", 0),
-            "updates": result.metrics.counters.get("updates", 0),
-        }
-    return rows
-
-
-def test_message_overhead(benchmark, seeds):
-    rows = once(benchmark, lambda: run_cost(seeds))
-
-    print("\nCOST: message accounting at N=50 (Experiment I midpoint)")
-    print(
-        format_table(
-            ["mechanism", "locate (ms)", "update (ms)", "messages",
-             "msgs/locate", "retries", "refreshes"],
-            [
-                [
-                    name,
-                    f"{data['mean_ms']:.1f}",
-                    f"{data['update_ms']:.1f}",
-                    str(data["messages"]),
-                    f"{data['per_locate']:.1f}",
-                    str(data["retries"]),
-                    str(data["refreshes"]),
-                ]
-                for name, data in rows.items()
-            ],
-        )
-    )
-
-    # Forwarding's whole point: near-free updates (two local pointer
-    # writes) at locate-time cost; the centralized scheme is the
-    # opposite. Both orderings must be visible in the measurement.
-    assert rows["forwarding"]["update_ms"] < rows["centralized"]["update_ms"]
-    assert rows["hash"]["update_ms"] < rows["centralized"]["update_ms"]
-
-    # The centralized scheme is the message-count floor: everything is
-    # exactly one round trip.
-    assert rows["centralized"]["messages"] <= rows["hash"]["messages"]
-
-    # The hash mechanism's overhead over centralized is a small constant
-    # factor, not a blow-up.
-    assert rows["hash"]["messages"] < 4.0 * rows["centralized"]["messages"]
-
-    # Chord's multi-hop routing costs the most messages per locate.
-    assert rows["chord"]["per_locate"] > rows["hash"]["per_locate"]
-
-    # Lazy propagation works: refreshes are rare relative to operations.
-    operations = rows["hash"]["updates"] + 200
-    assert rows["hash"]["refreshes"] < 0.2 * operations
+def test_message_overhead(benchmark, seeds, executor):
+    run_row("overhead", benchmark, seeds, executor)

@@ -6,7 +6,10 @@ DESIGN.md extension ablations): it runs the experiment under
 is itself tracked), prints the paper-style table, and asserts the
 *shape* claims -- who wins, by roughly what factor -- rather than
 absolute milliseconds, since our substrate is a simulator rather than
-the authors' Sun Blade LAN (DESIGN.md §2).
+the authors' Sun Blade LAN (DESIGN.md §2). The simulator experiments
+that have a CLI command are rows of
+:data:`repro.harness.experiments.EXPERIMENTS`, and their benchmarks
+are one :func:`run_row` call each.
 
 Benchmarks accept ``--repro-seeds N`` to control replications (default
 1 for speed; EXPERIMENTS.md numbers were produced with 3) and
@@ -56,3 +59,16 @@ def executor(request):
 def once(benchmark, func):
     """Run ``func`` exactly once under the benchmark clock."""
     return benchmark.pedantic(func, rounds=1, iterations=1)
+
+
+def run_row(name, benchmark, seeds, executor):
+    """Run experiment row ``name`` once under the benchmark clock, print
+    its title and table, and assert each of its checks by its label."""
+    from repro.harness.experiments import experiment
+
+    row = experiment(name)
+    result = once(benchmark, lambda: row.run(seeds, False, executor))
+    print(f"\n{row.title}")
+    print(row.table(result))
+    for label, ok in row.checks(result):
+        assert ok, label

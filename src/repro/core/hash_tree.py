@@ -401,14 +401,23 @@ class HashTree:
     # ------------------------------------------------------------------
 
     def split_candidates(self, owner: OwnerKey, scope: str = "leaf") -> List[SplitCandidate]:
-        """Enumerate split candidates for ``owner`` in the paper's order.
+        """Every split candidate for ``owner``, in the paper's order: the
+        list form of :meth:`iter_split_candidates`."""
+        return list(self.iter_split_candidates(owner, scope))
+
+    def iter_split_candidates(
+        self, owner: OwnerKey, scope: str = "leaf"
+    ) -> Iterator[SplitCandidate]:
+        """Yield the split candidates for ``owner`` in the paper's order.
 
         Complex candidates come first (left-most multi-bit label on the
         path, then within each label the first skipped bit first), then
         simple candidates with growing ``m`` up to :data:`MAX_SIMPLE_M`
         -- mirroring §4.1's "if the attempt ... fails, we consider the
         next" / "switch to simple split" procedure. The caller tries them
-        in order against its evenness criterion.
+        in order against its evenness criterion, so a candidate is built
+        only when the caller asks for it; an unknown ``owner`` or
+        ``scope`` raises at the call.
 
         ``scope="leaf"`` keeps only local candidates (the default and
         the conservative reading of the paper's locality claim);
@@ -417,26 +426,25 @@ class HashTree:
         """
         if scope not in ("leaf", "path"):
             raise ValueError(f"scope must be 'leaf' or 'path', got {scope!r}")
-        leaf = self._leaf(owner)
-        candidates: List[SplitCandidate] = []
+        return self._candidates(owner, self._leaf(owner), scope == "path")
 
+    def _candidates(
+        self, owner: OwnerKey, leaf: _TreeNode, path: bool
+    ) -> Iterator[SplitCandidate]:
         # Complex candidates: walk the path root -> leaf, left-most first.
         offset = 0  # id bits consumed before the current node's label
         for node in self._path_to(leaf):
             length = len(node.label)
             local = node is leaf
-            if scope == "path" or local:
+            if path or local:
                 first_promotable = 0 if node.parent is None else 1
                 for index in range(first_promotable, length):
-                    candidates.append(
-                        SplitCandidate(owner, "complex", offset + index + 1, local)
-                    )
+                    yield SplitCandidate(owner, "complex", offset + index + 1, local)
             offset += length
 
         # Simple candidates: split on the m-th not-yet-consumed bit.
         for position in range(offset + 1, min(offset + MAX_SIMPLE_M, self.width) + 1):
-            candidates.append(SplitCandidate(owner, "simple", position, True))
-        return candidates
+            yield SplitCandidate(owner, "simple", position, True)
 
     def _split_point(self, candidate: SplitCandidate) -> Tuple[_TreeNode, int]:
         """Where ``candidate`` splits this tree: ``(leaf, m)`` for a

@@ -41,6 +41,8 @@ from typing import (
     Dict,
     Generator,
     Hashable,
+    Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -187,17 +189,18 @@ def plan_split(
 
 def _candidates(
     tree: HashTree, owner: Hashable, config: HashMechanismConfig
-) -> List[SplitCandidate]:
-    """The admissible candidates for ``owner``, in the paper's order."""
-    candidates = tree.split_candidates(owner, scope=config.complex_split_scope)
+) -> Iterator[SplitCandidate]:
+    """The admissible candidates for ``owner``, in the paper's order,
+    each built when it is tried."""
+    candidates = tree.iter_split_candidates(owner, scope=config.complex_split_scope)
     if not config.enable_complex_split:
-        candidates = [cand for cand in candidates if cand.kind == "simple"]
+        return (cand for cand in candidates if cand.kind == "simple")
     return candidates
 
 
 def _walk(
     tree: HashTree,
-    candidates: List[SplitCandidate],
+    candidates: Iterable[SplitCandidate],
     division_of: Callable[[Hashable, int], Division],
 ) -> Optional[PlannedSplit]:
     """The candidate walk: the first even division wins, else the most
@@ -314,8 +317,9 @@ def split_saga(coord: Any, owner: Any) -> Saga:
         return
     policy, tree = coord.policy, coord.function.tree
     # One request per owner a candidate touches, the overloaded one
-    # first: the id bits whose load division the plan needs from it.
-    candidates = _candidates(tree, owner, policy.config)
+    # first: the id bits whose load division the plan needs from it. The
+    # requests name every candidate's bit, so the walk gets them all.
+    candidates = list(_candidates(tree, owner, policy.config))
     asked: Dict[Any, List[int]] = {owner: []}
     for candidate in candidates:
         for affected in tree.affected_owners(candidate):

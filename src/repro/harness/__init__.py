@@ -10,5 +10,8 @@
   sweeps over scenario grids;
 * :mod:`repro.harness.tables` -- render the rows/series the paper's
   figures report;
+* :mod:`repro.harness.experiments` -- ``EXPERIMENTS``, one row per
+  simulator experiment (run, table, shape checks), which the CLI, the
+  report (:mod:`repro.harness.report`) and the benchmarks all run;
 * :mod:`repro.harness.cli` -- ``python -m repro.harness.cli exp1 ...``.
 """

@@ -2,8 +2,8 @@
 
 These three experiments need more than a scenario grid -- a skewed id
 population, a locality-driven itinerary with the placement policy, and
-scheduled fault injection -- so their wiring lives here, shared by the
-CLI and the benchmark suite.
+scheduled fault injection -- so their wiring lives here; their rows in
+:mod:`repro.harness.experiments` run it.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.harness.executor import Executor, RunSpec
 from repro.harness.sweeps import replicate
-from repro.harness.tables import format_table
 from repro.metrics.summary import confidence_interval, mean
 from repro.platform.failures import FailureInjector
 from repro.platform.naming import SkewedNamer
@@ -20,11 +19,8 @@ from repro.workloads.mobility import ConstantResidence, LocalityItinerary
 from repro.workloads.scenarios import Scenario, exp1_scenario
 
 __all__ = [
-    "split_policy_table",
     "split_policy_results",
-    "placement_table",
     "placement_results",
-    "failover_table",
     "failover_results",
 ]
 
@@ -146,33 +142,6 @@ def split_policy_results(
     return rows
 
 
-def split_policy_table(seeds: Sequence[int] = (1, 2, 3), quick: bool = False) -> str:
-    rows = split_policy_results(seeds=seeds, quick=quick)
-    return format_table(
-        [
-            "policy",
-            "location time (ms)",
-            "IAgents",
-            "splits",
-            "complex",
-            "merges",
-            "max prefix bits",
-        ],
-        [
-            [
-                row["policy"],
-                f"{row['mean_ms']:8.1f} ±{row['ci95_ms']:5.1f}",
-                f"{row['iagents']:.1f}",
-                f"{row['splits']:.1f}",
-                f"{row['complex_splits']:.1f}",
-                f"{row['merges']:.1f}",
-                f"{row['max_depth']:.1f}",
-            ]
-            for row in rows
-        ],
-    )
-
-
 # ----------------------------------------------------------------------
 # ABL-P: placement extension
 # ----------------------------------------------------------------------
@@ -235,21 +204,6 @@ def placement_results(
             }
         )
     return rows
-
-
-def placement_table(
-    seeds: Sequence[int] = (1, 2, 3),
-    quick: bool = False,
-    executor: Optional[Executor] = None,
-) -> str:
-    rows = placement_results(seeds=seeds, quick=quick, executor=executor)
-    return format_table(
-        ["variant", "location time (ms)"],
-        [
-            [row["variant"], f"{row['mean_ms']:8.1f} ±{row['ci95_ms']:5.1f}"]
-            for row in rows
-        ],
-    )
 
 
 # ----------------------------------------------------------------------
@@ -328,22 +282,3 @@ def _drop_secondary_copies(runtime) -> None:
     """Cold-cache every LHAgent (nodes rejoining during the outage)."""
     for lhagent in runtime.location.lhagents.values():
         lhagent.copy = None
-
-
-def failover_table(
-    seeds: Sequence[int] = (1, 2, 3),
-    quick: bool = False,
-    executor: Optional[Executor] = None,
-) -> str:
-    rows = failover_results(seeds=seeds, quick=quick, executor=executor)
-    return format_table(
-        ["variant", "location time (ms)", "failed locates"],
-        [
-            [
-                row["variant"],
-                f"{row['mean_ms']:8.1f} ±{row['ci95_ms']:5.1f}",
-                f"{row['failed_locates']:.1f}",
-            ]
-            for row in rows
-        ],
-    )

@@ -10,7 +10,15 @@ Usage::
     python -m repro.harness.cli placement       # ABL-P
     python -m repro.harness.cli failover        # ABL-F
     python -m repro.harness.cli overhead        # COST
-    python -m repro.harness.cli all
+    python -m repro.harness.cli heuristics      # ABL-H
+    python -m repro.harness.cli granularity     # ABL-G
+    python -m repro.harness.cli all             # every experiment above, once
+    python -m repro.harness.cli report --out report.md
+
+Each experiment command runs one row of
+:data:`repro.harness.experiments.EXPERIMENTS` -- the definition its
+benchmark runs -- and prints the row's title and table; ``report``
+writes every row's table followed by its shape checks as markdown.
 
 Besides the simulation experiments, two commands drive the *live*
 service layer (:mod:`repro.service`) over real localhost sockets::
@@ -102,7 +110,9 @@ mix accepts ``similar=``/``capability=`` weights to blend discovery
 queries into the capacity workloads.
 
 Options: ``--seeds N`` replications (default 3), ``--quick`` shrinks the
-workloads for a fast sanity pass, ``--chart`` adds an ASCII rendering.
+workloads for a fast sanity pass, ``--chart`` adds an ASCII rendering
+and ``--json PATH`` writes the series of a figure (``exp1``, ``exp2``,
+``baselines``).
 Execution: ``--jobs N`` fans the grid over N worker processes (default:
 one per CPU; ``-j 1`` is the serial path), ``--no-cache`` disables the
 content-addressed run cache, ``--cache-dir PATH`` relocates it (default
@@ -113,7 +123,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import TYPE_CHECKING, Dict, List, Sequence
+from functools import partial
+from typing import TYPE_CHECKING, List, Sequence
+
+from repro.harness.experiments import EXPERIMENTS, QUICK, Experiment
 
 if TYPE_CHECKING:
     from repro.harness.executor import CellOutcome, Executor
@@ -125,12 +138,6 @@ def _seeds(count: int) -> Sequence[int]:
     return tuple(range(1, count + 1))
 
 
-def _quick_overrides(quick: bool) -> Dict:
-    if not quick:
-        return {}
-    return {"total_queries": 60, "warmup": 2.0}
-
-
 def _progress_line(outcome: CellOutcome, done: int, total: int) -> None:
     how = "cache" if outcome.cached else ("pool" if outcome.parallel else "run")
     timing = "" if outcome.cached else f" {outcome.elapsed_s:.2f}s"
@@ -138,7 +145,7 @@ def _progress_line(outcome: CellOutcome, done: int, total: int) -> None:
 
 
 def _executor(args) -> Executor:
-    """The engine every grid-shaped command routes its cells through."""
+    """The engine every experiment routes its cells through."""
     from repro.harness.executor import Executor
 
     cache = None
@@ -152,243 +159,32 @@ def _executor(args) -> Executor:
     )
 
 
-def _maybe_export(series, args, name: str, executor: Executor = None) -> None:
-    if not getattr(args, "json", None):
-        return
-    from repro.harness.export import sweep_to_dict, write_json
-
-    settings = executor.stats.as_dict() if executor is not None else None
-    document = sweep_to_dict(
-        series, seeds=_seeds(args.seeds), settings=settings
-    )
-    path = write_json(document, args.json)
-    print(f"[{name}] series written to {path}")
-
-
-def cmd_exp1(args) -> None:
-    """Experiment I / Figure 7: location time vs population size."""
-    from repro.harness.sweeps import sweep
-    from repro.harness.tables import ascii_chart, series_table
-    from repro.workloads.scenarios import EXP1_AGENT_COUNTS, exp1_scenario
-
-    overrides = _quick_overrides(args.quick)
-    counts = EXP1_AGENT_COUNTS if not args.quick else EXP1_AGENT_COUNTS[:3]
+def cmd_experiment(row: Experiment, args) -> None:
+    """Run one experiment row; print its title and table, plus the
+    ``--chart`` rendering and the ``--json`` series file of a figure."""
     executor = _executor(args)
-    series = sweep(
-        lambda n: exp1_scenario(int(n), **overrides),
-        counts,
-        mechanisms=["centralized", "hash"],
-        seeds=_seeds(args.seeds),
-        executor=executor,
-    )
-    print("Experiment I (paper Figure 7): location time vs number of TAgents")
-    print(series_table(series, x_label="TAgents"))
-    if args.chart:
-        print(ascii_chart(series))
-    _maybe_export(series, args, "exp1", executor)
+    result = row.run(_seeds(args.seeds), args.quick, executor)
+    print(row.title)
+    print(row.table(result))
+    if row.series and args.chart:
+        from repro.harness.tables import ascii_chart
 
+        print(ascii_chart(result))
+    if row.series and args.json:
+        from repro.harness.export import sweep_to_dict, write_json
 
-def cmd_exp2(args) -> None:
-    """Experiment II / Figure 8: location time vs mobility rate."""
-    from repro.harness.sweeps import sweep
-    from repro.harness.tables import ascii_chart, series_table
-    from repro.workloads.scenarios import EXP2_RESIDENCE_TIMES_MS, exp2_scenario
-
-    overrides = _quick_overrides(args.quick)
-    residences = EXP2_RESIDENCE_TIMES_MS if not args.quick else EXP2_RESIDENCE_TIMES_MS[:3]
-    executor = _executor(args)
-    series = sweep(
-        lambda ms: exp2_scenario(ms, **overrides),
-        residences,
-        mechanisms=["centralized", "hash"],
-        seeds=_seeds(args.seeds),
-        executor=executor,
-    )
-    print("Experiment II (paper Figure 8): location time vs residence per node")
-    print(series_table(series, x_label="residence (ms)"))
-    if args.chart:
-        print(ascii_chart(series))
-    _maybe_export(series, args, "exp2", executor)
-
-
-def cmd_baselines(args) -> None:
-    """ABL-B: all five mechanisms over the Experiment I sweep."""
-    from repro.harness.sweeps import sweep
-    from repro.harness.tables import series_table
-    from repro.workloads.scenarios import exp1_scenario
-
-    overrides = _quick_overrides(args.quick)
-    counts = (10, 30, 100) if not args.quick else (10, 30)
-    series = sweep(
-        lambda n: exp1_scenario(int(n), **overrides),
-        counts,
-        mechanisms=[
-            "centralized", "home-registry", "forwarding", "chord",
-            "flooding", "hash",
-        ],
-        seeds=_seeds(args.seeds),
-        executor=_executor(args),
-    )
-    print("ABL-B: every mechanism on the Experiment I workload")
-    print(series_table(series, x_label="TAgents"))
-
-
-def cmd_thresholds(args) -> None:
-    """ABL-T: sensitivity to T_max (paper defers this to future work)."""
-    from repro.harness.sweeps import replicate
-    from repro.harness.tables import format_table
-    from repro.workloads.scenarios import exp1_scenario
-
-    overrides = _quick_overrides(args.quick)
-    executor = _executor(args)
-    rows = []
-    for t_max in (25.0, 50.0, 100.0, 200.0):
-        scenario = exp1_scenario(100, **overrides)
-        scenario = scenario.with_overrides(
-            config=scenario.config.with_overrides(t_max=t_max, t_min=t_max / 10.0)
+        document = sweep_to_dict(
+            result, seeds=_seeds(args.seeds), settings=executor.stats.as_dict()
         )
-        point = replicate(
-            scenario, "hash", seeds=_seeds(args.seeds), x=t_max,
-            executor=executor,
-        )
-        rows.append(
-            [
-                f"{t_max:g}",
-                f"{point.mean_ms:8.1f} ±{point.ci95_ms:5.1f}",
-                f"{point.mean_iagents:.1f}",
-            ]
-        )
-    print("ABL-T: T_max sweep at N=100 (T_min = T_max/10)")
-    print(format_table(["T_max (msg/s)", "location time (ms)", "IAgents"], rows))
-
-
-def cmd_split_policy(args) -> None:
-    """ABL-S: simple-only vs +complex split, on a skewed id population."""
-    from repro.harness.ablations import split_policy_table
-
-    print("ABL-S: split-policy ablation on skewed agent ids")
-    print(split_policy_table(seeds=_seeds(args.seeds), quick=args.quick))
-
-
-def cmd_placement(args) -> None:
-    """ABL-P: IAgent placement policy on a locality-skewed workload."""
-    from repro.harness.ablations import placement_table
-
-    print("ABL-P: placement extension (paper §7) on a clustered workload")
-    print(
-        placement_table(
-            seeds=_seeds(args.seeds), quick=args.quick, executor=_executor(args)
-        )
-    )
-
-
-def cmd_failover(args) -> None:
-    """ABL-F: HAgent crash with and without the backup extension."""
-    from repro.harness.ablations import failover_table
-
-    print("ABL-F: HAgent failover (paper §7 fault-tolerance extension)")
-    print(
-        failover_table(
-            seeds=_seeds(args.seeds), quick=args.quick, executor=_executor(args)
-        )
-    )
-
-
-def cmd_heuristics(args) -> None:
-    """ABL-H: adaptive vs fixed thresholds across hardware speeds."""
-    from repro.harness.experiment import run_experiment
-    from repro.harness.tables import format_table
-    from repro.workloads.scenarios import exp1_scenario
-
-    rows = []
-    for service in (0.004, 0.008, 0.020):
-        row = [f"{service * 1000:g}"]
-        for mode in ("fixed", "adaptive"):
-            scenario = exp1_scenario(100, **_quick_overrides(args.quick))
-            scenario = scenario.with_overrides(
-                config=scenario.config.with_overrides(
-                    iagent_service_time=service, threshold_mode=mode
-                )
-            )
-            result = run_experiment(scenario, "hash")
-            row.append(
-                f"{result.mean_location_ms:8.1f} "
-                f"(IA={result.metrics.final_iagents:.0f})"
-            )
-        rows.append(row)
-    print("ABL-H: fixed vs adaptive thresholds across service times")
-    print(format_table(["service (ms)", "fixed", "adaptive"], rows))
-
-
-def cmd_granularity(args) -> None:
-    """ABL-G: per-agent vs prefix-grouped load statistics."""
-    from repro.harness.experiment import run_experiment
-    from repro.harness.tables import format_table
-    from repro.workloads.mobility import ConstantResidence
-    from repro.workloads.scenarios import exp1_scenario
-
-    rows = []
-    for label, overrides in (
-        ("per-agent", {"stats_granularity": "per-agent"}),
-        ("grouped d=8", {"stats_granularity": "grouped", "stats_group_depth": 8}),
-        ("grouped d=2", {"stats_granularity": "grouped", "stats_group_depth": 2}),
-    ):
-        scenario = exp1_scenario(100, **_quick_overrides(args.quick))
-        scenario = scenario.with_overrides(
-            residence=ConstantResidence(0.2),
-            config=scenario.config.with_overrides(**overrides),
-        )
-        result = run_experiment(scenario, "hash")
-        rows.append(
-            [
-                label,
-                f"{result.mean_location_ms:8.1f}",
-                f"{result.metrics.final_iagents:.0f}",
-            ]
-        )
-    print("ABL-G: statistics granularity (heavy EXP1 workload)")
-    print(format_table(["statistics", "mean (ms)", "IAgents"], rows))
-
-
-def cmd_overhead(args) -> None:
-    """COST: message overhead per mechanism on the paper's workloads."""
-    from repro.harness.experiment import run_experiment
-    from repro.harness.tables import format_table
-    from repro.workloads.scenarios import exp1_scenario
-
-    overrides = _quick_overrides(args.quick)
-    rows = []
-    for name in ("centralized", "home-registry", "forwarding", "chord", "hash"):
-        result = run_experiment(exp1_scenario(50, **overrides), name)
-        counters = result.metrics.counters
-        rows.append(
-            [
-                name,
-                f"{result.mean_location_ms:8.1f}",
-                str(result.metrics.messages_sent),
-                f"{result.metrics.messages_per_locate():.1f}",
-                str(counters.get("retries", 0)),
-                str(counters.get("refreshes", 0)),
-            ]
-        )
-    print("COST: message accounting at N=50 (Experiment I midpoint)")
-    print(
-        format_table(
-            ["mechanism", "mean (ms)", "messages", "msgs/locate", "retries", "refreshes"],
-            rows,
-        )
-    )
+        print(f"[{row.name}] series written to {write_json(document, args.json)}")
 
 
 def cmd_report(args) -> None:
-    """Measure everything and write a markdown evaluation report."""
+    """Run every experiment row; write its tables and checks as markdown."""
     from repro.harness.report import generate_report
 
     report = generate_report(
-        seeds=_seeds(args.seeds),
-        quick=args.quick,
-        include_ablations=not args.quick,
-        executor=_executor(args),
+        seeds=_seeds(args.seeds), quick=args.quick, executor=_executor(args)
     )
     if args.out:
         from pathlib import Path
@@ -497,7 +293,7 @@ def cmd_chaos(args) -> int:
     from repro.workloads.scenarios import exp1_scenario
 
     seed = args.chaos if args.chaos is not None else 1
-    scenario = exp1_scenario(30, **_quick_overrides(True))
+    scenario = exp1_scenario(30, **QUICK)
     # The quick scenario simulates ~3s; default the schedule to fit
     # inside it so every fault actually fires.
     duration = args.chaos_duration if args.chaos_duration is not None else 3.0
@@ -651,18 +447,10 @@ SERVICE_COMMANDS = {
 }
 
 
+#: The report, then one command per experiment row.
 COMMANDS = {
     "report": cmd_report,
-    "exp1": cmd_exp1,
-    "exp2": cmd_exp2,
-    "baselines": cmd_baselines,
-    "thresholds": cmd_thresholds,
-    "split-policy": cmd_split_policy,
-    "placement": cmd_placement,
-    "failover": cmd_failover,
-    "overhead": cmd_overhead,
-    "heuristics": cmd_heuristics,
-    "granularity": cmd_granularity,
+    **{row.name: partial(cmd_experiment, row) for row in EXPERIMENTS},
 }
 
 
@@ -710,8 +498,8 @@ def main(argv: List[str] = None) -> int:
         nargs="?",
         const="",
         default=None,
-        help="also emit JSON: a series file for exp1/exp2, the run "
-        "report for cluster (bare --json prints to stdout)",
+        help="also emit JSON: a series file for exp1/exp2/baselines, the "
+        "run report for cluster (bare --json prints to stdout)",
     )
     parser.add_argument(
         "--out",
@@ -926,9 +714,9 @@ def main(argv: List[str] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "all":
-        for name, command in COMMANDS.items():
-            print(f"\n===== {name} =====")
-            command(args)
+        for row in EXPERIMENTS:
+            print(f"\n===== {row.name} =====")
+            cmd_experiment(row, args)
     elif args.command in SERVICE_COMMANDS:
         return SERVICE_COMMANDS[args.command](args)
     else:

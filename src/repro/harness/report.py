@@ -1,102 +1,32 @@
 """Full-report generation: re-measure everything, emit one markdown doc.
 
-``generate_report`` runs the paper's two experiments (and optionally
-the extension ablations), renders the same tables EXPERIMENTS.md
-records, checks the headline shape claims, and returns the report as a
-markdown string -- so a downstream user can regenerate the entire
-evaluation with one command and diff it against the committed document:
+``generate_report`` runs every row of
+:data:`repro.harness.experiments.EXPERIMENTS` once and renders each as
+its claim, a markdown table and its shape checks, PASS or FAIL -- the
+tables EXPERIMENTS.md records and the checks the benchmarks assert --
+so a downstream user can regenerate the entire evaluation with one
+command and diff it against the committed document:
 
     python -m repro.harness.cli report --out report.md
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.harness.executor import Executor
-from repro.harness.sweeps import SweepPoint, sweep
-from repro.workloads.scenarios import (
-    EXP1_AGENT_COUNTS,
-    EXP2_RESIDENCE_TIMES_MS,
-    exp1_scenario,
-    exp2_scenario,
-)
+from repro.harness.experiments import EXPERIMENTS
+from repro.harness.tables import markdown_table
 
-__all__ = ["generate_report", "shape_checks"]
-
-
-def _markdown_table(series: Dict[str, List[SweepPoint]], x_label: str) -> str:
-    """The sweep as a GitHub-markdown table."""
-    mechanisms = list(series)
-    xs = [point.x for point in series[mechanisms[0]]]
-    header = (
-        f"| {x_label} | "
-        + " | ".join(f"{name} (ms)" for name in mechanisms)
-        + " | IAgents |"
-    )
-    divider = "|" + "---|" * (len(mechanisms) + 2)
-    rows = []
-    for index, x in enumerate(xs):
-        cells = [f"{int(x) if float(x).is_integer() else x}"]
-        for name in mechanisms:
-            point = series[name][index]
-            cells.append(f"{point.mean_ms:.1f} ± {point.ci95_ms:.1f}")
-        hash_points = series.get("hash")
-        iagents = hash_points[index].mean_iagents if hash_points else None
-        cells.append(f"{iagents:.1f}" if iagents is not None else "-")
-        rows.append("| " + " | ".join(cells) + " |")
-    return "\n".join([header, divider] + rows)
-
-
-def shape_checks(series: Dict[str, List[SweepPoint]], experiment: str) -> List[str]:
-    """Evaluate the figure's shape claims; returns PASS/FAIL lines."""
-    central = [point.mean_ms for point in series["centralized"]]
-    hashed = [point.mean_ms for point in series["hash"]]
-    checks = []
-
-    def check(label: str, ok: bool) -> None:
-        checks.append(f"- {'PASS' if ok else 'FAIL'}: {label}")
-
-    if experiment == "exp1":
-        check("centralized grows steeply with population",
-              central[-1] > 5.0 * central[0])
-        check("hash stays almost constant", max(hashed) < 2.5 * min(hashed))
-        check("hash wins decisively at scale", hashed[-1] < central[-1] / 3.0)
-    else:
-        check("mobility hurts centralized", central[0] > 3.0 * central[-1])
-        check("hash flat across the mobility range",
-              max(hashed) < 2.5 * min(hashed))
-        check("hash wins where mobility is highest",
-              hashed[0] < central[0] / 2.0)
-    return checks
+__all__ = ["generate_report"]
 
 
 def generate_report(
     seeds: Sequence[int] = (1, 2, 3),
     quick: bool = False,
-    include_ablations: bool = False,
     executor: Optional[Executor] = None,
 ) -> str:
     """Measure and render the evaluation report (markdown)."""
-    overrides = {"total_queries": 60, "warmup": 2.0} if quick else {}
-    counts = EXP1_AGENT_COUNTS if not quick else EXP1_AGENT_COUNTS[:3]
-    residences = EXP2_RESIDENCE_TIMES_MS if not quick else EXP2_RESIDENCE_TIMES_MS[:3]
-
-    exp1 = sweep(
-        lambda n: exp1_scenario(int(n), **overrides),
-        counts,
-        mechanisms=["centralized", "hash"],
-        seeds=seeds,
-        executor=executor,
-    )
-    exp2 = sweep(
-        lambda ms: exp2_scenario(ms, **overrides),
-        residences,
-        mechanisms=["centralized", "hash"],
-        seeds=seeds,
-        executor=executor,
-    )
-
     sections = [
         "# Measured evaluation report",
         "",
@@ -104,50 +34,21 @@ def generate_report(
         "Regenerate with `python -m repro.harness.cli report`.",
         ""
         if not quick
-        else "\n> Quick mode truncates the sweeps to their light ends, so "
-        "the at-scale shape claims below are expected to read FAIL; run "
+        else "\n> Quick mode truncates the sweeps to their light ends and "
+        "shrinks every workload, so shape claims below may read FAIL; run "
         "without `--quick` for the real evaluation.\n",
-        "## Experiment I (Figure 7): location time vs number of TAgents",
-        "",
-        _markdown_table(exp1, "TAgents"),
-        "",
-        "Shape claims:",
-        *shape_checks(exp1, "exp1"),
-        "",
-        "## Experiment II (Figure 8): location time vs residence per node",
-        "",
-        _markdown_table(exp2, "residence (ms)"),
-        "",
-        "Shape claims:",
-        *shape_checks(exp2, "exp2"),
-        "",
     ]
-
-    if include_ablations:
-        from repro.harness.ablations import (
-            failover_table,
-            placement_table,
-            split_policy_table,
-        )
-
+    for row in EXPERIMENTS:
+        result = row.run(seeds, quick, executor)
         sections += [
-            "## ABL-S: split policies",
+            f"## {row.title}",
             "",
-            "```",
-            split_policy_table(seeds=seeds, quick=quick),
-            "```",
+            row.claim,
             "",
-            "## ABL-P: IAgent placement",
+            markdown_table(*row.cells(result)),
             "",
-            "```",
-            placement_table(seeds=seeds, quick=quick, executor=executor),
-            "```",
-            "",
-            "## ABL-F: HAgent failover",
-            "",
-            "```",
-            failover_table(seeds=seeds, quick=quick, executor=executor),
-            "```",
+            "Shape claims:",
+            *(f"- {'PASS' if ok else 'FAIL'}: {label}" for label, ok in row.checks(result)),
             "",
         ]
     return "\n".join(sections)

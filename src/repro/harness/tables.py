@@ -3,16 +3,24 @@
 The paper presents its evaluation as two line charts (Figures 7 and 8);
 ``series_table`` prints the same data as rows -- one per x-axis point,
 one column per mechanism -- which is what the benchmarks emit and what
-EXPERIMENTS.md records.
+EXPERIMENTS.md records. A table is ``(headers, rows)`` of cell strings
+first (``series_cells``), so the same cells print aligned
+(``format_table``) or as markdown (``markdown_table``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
-from repro.harness.sweeps import SweepPoint
+if TYPE_CHECKING:
+    from repro.harness.sweeps import SweepPoint
 
-__all__ = ["format_table", "series_table", "ascii_chart"]
+__all__ = [
+    "format_table", "markdown_table", "series_cells", "series_table", "ascii_chart",
+]
+
+#: A table's header cells and its rows of cells.
+Cells = Tuple[List[str], List[List[str]]]
 
 
 def format_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
@@ -35,15 +43,31 @@ def format_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return "\n".join(lines)
 
 
+def markdown_table(headers: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
+    """Render the same cells as a GitHub-markdown table."""
+    lines = ["| " + " | ".join(headers) + " |", "|" + "---|" * len(headers)]
+    lines += ["| " + " | ".join(str(cell).strip() for cell in row) + " |" for row in rows]
+    return "\n".join(lines)
+
+
 def series_table(
     series: Dict[str, List[SweepPoint]],
     x_label: str,
     show_iagents: bool = True,
 ) -> str:
     """One row per x point, ``mean ± ci`` per mechanism column."""
-    mechanisms = list(series)
-    if not mechanisms:
+    if not series:
         return "(no data)"
+    return format_table(*series_cells(series, x_label, show_iagents))
+
+
+def series_cells(
+    series: Dict[str, List[SweepPoint]],
+    x_label: str,
+    show_iagents: bool = True,
+) -> Cells:
+    """The cells of :func:`series_table`."""
+    mechanisms = list(series)
     xs = [point.x for point in series[mechanisms[0]]]
     headers = [x_label] + [f"{name} (ms)" for name in mechanisms]
     has_hash = show_iagents and "hash" in series
@@ -59,7 +83,7 @@ def series_table(
             iagents = series["hash"][index].mean_iagents
             row.append(f"{iagents:.1f}" if iagents is not None else "-")
         rows.append(row)
-    return format_table(headers, rows)
+    return headers, rows
 
 
 def ascii_chart(

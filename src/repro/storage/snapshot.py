@@ -107,7 +107,13 @@ class SnapshotStore:
 
     def oldest_lsn(self) -> int:
         """The WAL position the oldest kept snapshot covers, off its name."""
-        return int(self.list()[0].stem.split("-", 1)[1])
+        return _lsn(self.list()[0])
+
+    def newest_lsn(self) -> int:
+        """The WAL position the newest kept snapshot covers, off its name
+        (0 without one)."""
+        snapshots = self.list()
+        return _lsn(snapshots[-1]) if snapshots else 0
 
     def prune(self) -> int:
         """Drop all but the newest ``keep`` snapshots; return removals."""
@@ -154,3 +160,7 @@ class SnapshotStore:
             )
             self.invalid_skipped += 1
             return None
+
+
+def _lsn(path: Path) -> int:
+    return int(path.stem.split("-", 1)[1])

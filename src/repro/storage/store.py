@@ -75,6 +75,10 @@ class DurableStore:
         self.snapshots = SnapshotStore(
             self.directory / "snapshots", keep=snapshot_keep
         )
+        # A log that lost records a kept snapshot covers (its directory
+        # deleted, say) must not number new ones at or below that
+        # snapshot's LSN: recovery replays only above it.
+        self.wal.resume_after(self.snapshots.newest_lsn())
         self.logged_since_snapshot = 0
         self.compacted_segments = 0
 

@@ -248,6 +248,13 @@ class WriteAheadLog:
                 while written < len(data):
                     written += os.write(self._fd, view[written:])
 
+    def resume_after(self, lsn: int) -> None:
+        """Number the next record above ``lsn``, in a new segment, if the
+        log ends below it."""
+        if lsn > self.last_lsn:
+            self.last_lsn = lsn
+            self.rotate()
+
     def rotate(self) -> None:
         """Close the active segment and start a fresh one."""
         self.sync()

@@ -1,4 +1,4 @@
-"""Unit tests for the ablation table renderers (quick settings)."""
+"""Unit tests for the ablation setups and their rows' tables (quick settings)."""
 
 import pytest
 
@@ -6,10 +6,8 @@ from repro.harness.ablations import (
     PLACEMENT_CLUSTER,
     SKEW_PREFIX,
     _campus_topology,
-    failover_table,
-    placement_table,
-    split_policy_table,
 )
+from repro.harness.experiments import experiment
 
 from tests.conftest import build_runtime
 
@@ -27,15 +25,20 @@ class TestCampusTopology:
         assert len(SKEW_PREFIX) >= 4
 
 
+def quick_table(name):
+    row = experiment(name)
+    return row.table(row.run((1,), True, None))
+
+
 class TestTableRenderers:
-    """Each renderer produces an aligned table with the variant rows.
+    """Each row's table is aligned and holds the variant rows.
 
     These run the underlying experiments once in quick mode -- slowish
     (a few seconds each) but they guard the public CLI surface.
     """
 
     def test_split_policy_table(self):
-        table = split_policy_table(seeds=(1,), quick=True)
+        table = quick_table("split-policy")
         lines = table.splitlines()
         assert "policy" in lines[0]
         assert any("simple-only" in line for line in lines)
@@ -43,12 +46,12 @@ class TestTableRenderers:
         assert len(lines) == 5  # header + rule + 3 variants
 
     def test_placement_table(self):
-        table = placement_table(seeds=(1,), quick=True)
+        table = quick_table("placement")
         assert "placement off" in table
         assert "placement on" in table
 
     def test_failover_table(self):
-        table = failover_table(seeds=(1,), quick=True)
+        table = quick_table("failover")
         assert "no backup" in table
         assert "primary/backup" in table
         assert "failed locates" in table

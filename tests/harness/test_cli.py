@@ -1,8 +1,11 @@
 """Tests for the command-line harness (fast paths only)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.harness import cli
+from repro.harness.experiments import EXPERIMENTS
 
 
 class TestArgumentHandling:
@@ -69,6 +72,23 @@ class TestQuickRuns:
         assert cli.main(["thresholds", "--quick", "--seeds", "1"]) == 0
         output = capsys.readouterr().out
         assert "T_max" in output
+
+
+class TestAll:
+    def test_all_runs_each_row_once(self, monkeypatch, capsys):
+        runs = Counter()
+        for row in EXPERIMENTS:
+
+            def counted(seeds, quick, executor, name=row.name, run=row.run):
+                runs[name] += 1
+                return run(seeds, quick, executor)
+
+            monkeypatch.setattr(row, "run", counted)
+        assert cli.main(["all", "--quick", "--seeds", "1", "-j", "1", "--no-cache"]) == 0
+        assert runs == {row.name: 1 for row in EXPERIMENTS}
+        output = capsys.readouterr().out
+        for row in EXPERIMENTS:
+            assert output.count(f"\n===== {row.name} =====\n{row.title}\n") == 1
 
 
 class TestEntryPoint:

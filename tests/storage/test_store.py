@@ -1,5 +1,7 @@
 """Tests for the DurableStore facade: log, snapshot, compact, recover."""
 
+import shutil
+
 import pytest
 
 from repro.platform.naming import AgentId
@@ -201,6 +203,20 @@ class TestDamagedHistory:
         with pytest.warns(StorageWarning):
             with pytest.raises(CorruptRecordError, match="records 1..25 are missing"):
                 recover_list(tmp_path)
+
+    def test_a_lost_log_resumes_above_the_newest_snapshot(self, tmp_path):
+        store = DurableStore(tmp_path, "shard", fsync="never", snapshot_every=0)
+        for value in range(20):
+            store.log(value)
+        store.snapshot(list(range(20)))
+        store.close()
+        shutil.rmtree(tmp_path / "shard" / "wal")
+        reopened = DurableStore(tmp_path, "shard", fsync="never", snapshot_every=0)
+        assert [reopened.log(value) for value in range(20, 23)] == [21, 22, 23]
+        reopened.close()
+        result = recover_list(tmp_path)
+        assert (result.snapshot_lsn, result.replayed) == (20, 3)
+        assert result.state == list(range(23))
 
 
 class TestLifecycle:
